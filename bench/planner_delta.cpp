@@ -5,10 +5,9 @@
 //
 // For each churn rate, a WorkloadStream evolves one S-sequence batch for
 // `iters` iterations. A DeltaPlanner patches its plan per iteration
-// (Apply()), while a reference SequencePartitioner (the PR-1 serial fast
-// path, the same baseline BENCH_planner.json's fast_partition_time_us uses,
-// with a warm scratch — its steady-state cost) re-plans the same batch from
-// scratch. Every iteration is verified through CheckDeltaEquivalence: ring-
+// (Apply()), while a reference SequencePartitioner (the sharded engine
+// inline, with a warm scratch — its steady-state cost) re-plans the same
+// batch from scratch. Every iteration is verified through CheckDeltaEquivalence: ring-
 // set equivalence (coverage, arena validity, token conservation, identical
 // inter-node-zone ring set) plus the ε-bound on the max rank load, with
 // ε = replan_threshold + 0.05 (the imbalance-guard budget plus a
@@ -112,7 +111,7 @@ int main(int argc, char** argv) {
     dp.Rebase(initial);
     const int64_t stats_base_applied = dp.stats().applied;
 
-    // Full-replan arm: the serial fast path with persistent (warm) scratch —
+    // Full-replan arm: the inline sharded engine with persistent (warm) scratch —
     // what a non-streaming planner pays every iteration. Capacity tracks the
     // delta planner's (auto-raises are rare and shared).
     SequencePartitioner ref(cluster,

@@ -1,16 +1,16 @@
 // Planner-scaling bench: per-iteration Plan() cost of the hierarchical
-// partitioner — reference greedy vs PR-1 heap fast path vs the
-// parallel/sharded engine across thread counts.
+// partitioner — the naive oracle vs the sharded engine across thread counts.
 //
 // The paper's premise (§3.1) is that two-level sequence partitioning is cheap
 // enough to run every iteration on the global batch. This harness sweeps the
 // batch size S and the cluster size P over the Table 2 length distributions
-// and times ZeppelinStrategy::Plan() (surfaced as partition_time_us) per
-// engine: the reference linear-scan greedy ("naive", the seed algorithm), the
-// heap-based O((S + P) log P) serial fast path (PR-1, the baseline the
-// parallel speedup is measured against), and the sharded engine at
-// num_planner_threads in {1, 2, 4, 8}. Every plan of every arm is verified
-// bit-identical at every point — the determinism contract of partitioner.h.
+// and times ZeppelinStrategy::Plan() (surfaced as partition_time_us) on the
+// sharded engine at num_planner_threads in {0 (inline, no pool), 1, 2, 4, 8},
+// against the reference linear-scan greedy ("naive", the seed algorithm),
+// which is timed through SequencePartitioner{.fast_path = false} directly at
+// the capacity the strategy derived. Every plan of every arm is verified
+// bit-identical to the oracle at every point — the determinism contract of
+// partitioner.h.
 //
 // Each point also isolates the *materialization* cost of the plan
 // representation: the time to build the final plan's ring storage from its
@@ -25,10 +25,9 @@
 //
 // Output: a human-readable table plus machine-readable BENCH_planner.json:
 //   { "bench": "planner_scaling", "model": ..., "cluster": ...,
-//     "quick": bool, "reps": int, "threads": [1, 2, 4, 8],
+//     "quick": bool, "reps": int, "threads": [0, 1, 2, 4, 8],
 //     "points": [ { "dataset", "num_seqs", "gpus", "total_tokens",
-//                   "naive_partition_time_us", "fast_partition_time_us",
-//                   "speedup",
+//                   "naive_partition_time_us",
 //                   "parallel": [ { "threads", "parallel_partition_time_us",
 //                                   "parallel_speedup", "plans_identical" } ],
 //                   "materialize_time_us", "legacy_materialize_time_us",
@@ -36,11 +35,14 @@
 //                   "legacy_materialize_warm_time_us", "plans_identical" } ],
 //     "all_plans_identical": bool }
 // Times are the median over `reps` interleaved repetitions after one untimed
-// warmup (noise-robust and fair to every arm). parallel_speedup compares the
-// sharded engine against the PR-1 serial fast path on the same point.
+// warmup (noise-robust and fair to every arm). parallel_speedup is the naive
+// oracle's time over the sharded engine's on the same point; threads = 0 is
+// the inline engine.
 #include <algorithm>
 #include <chrono>
 #include <memory>
+
+#include "src/core/partitioner.h"
 
 #include "bench/bench_util.h"
 #include "src/common/flags.h"
@@ -48,6 +50,13 @@
 #include "src/common/table.h"
 #include "src/model/transformer.h"
 #include "src/topology/cluster.h"
+
+namespace {
+
+// Keeps the materialization microbench's copies observable to the optimizer.
+volatile size_t sink;
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace zeppelin;
@@ -58,17 +67,19 @@ int main(int argc, char** argv) {
                                             : std::vector<int>{1024, 4096, 16384, 65536};
   const std::vector<int> gpu_counts = quick ? std::vector<int>{16, 64}
                                             : std::vector<int>{16, 64, 256, 512};
-  // Thread sweep for the sharded engine; --threads=N caps it (e.g. for a
-  // quick look at one setting), "--threads=auto" caps at the hardware.
-  std::vector<int> thread_counts = {1, 2, 4, 8};
+  // Thread sweep for the sharded engine (0 = inline, no pool); --threads=N
+  // caps it (e.g. for a quick look at one setting), "--threads=auto" caps at
+  // the hardware.
+  std::vector<int> thread_counts = {0, 1, 2, 4, 8};
   const int max_threads = flags.GetThreadCount("threads", thread_counts.back());
   while (thread_counts.size() > 1 && thread_counts.back() > max_threads) {
     thread_counts.pop_back();
   }
 
-  bench::PrintHeader("Planner scaling — naive vs fast path vs sharded engine (3B, Cluster A)");
-  Table table({"dataset", "seqs", "GPUs", "naive us", "fast us", "par@1 us",
-               "par@" + std::to_string(thread_counts.back()) + " us", "par/fast", "mat us",
+  bench::PrintHeader("Planner scaling — naive oracle vs sharded engine (3B, Cluster A)");
+  Table table({"dataset", "seqs", "GPUs", "naive us",
+               "par@" + std::to_string(thread_counts.front()) + " us",
+               "par@" + std::to_string(thread_counts.back()) + " us", "naive/par", "mat us",
                "mat x", "identical"});
 
   bench::JsonEmitter json;
@@ -114,49 +125,49 @@ int main(int argc, char** argv) {
           batch.seq_lens.push_back(dist.Sample(rng));
         }
 
-        ZeppelinOptions naive_opts;
-        naive_opts.planner_fast_path = false;
-        ZeppelinStrategy naive(naive_opts);
-        // num_planner_threads = 0 pins the PR-1 serial fast path (the
-        // baseline); >= 1 runs the sharded engine on that many contexts.
-        ZeppelinOptions fast_opts;
-        fast_opts.num_planner_threads = 0;
-        ZeppelinStrategy fast(fast_opts);
         std::vector<std::unique_ptr<ZeppelinStrategy>> parallel;
         for (int t : thread_counts) {
           ZeppelinOptions par_opts;
           par_opts.num_planner_threads = t;
           parallel.push_back(std::make_unique<ZeppelinStrategy>(par_opts));
         }
+        // The oracle plans at the capacity the strategy derives for this
+        // batch (the first Plan() call doubles as that arm's warmup).
+        parallel.front()->Plan(batch, trainer.cost_model(), trainer.fabric());
+        const SequencePartitioner naive(
+            trainer.fabric().cluster(),
+            {.token_capacity = parallel.front()->last_plan_stats().token_capacity,
+             .fast_path = false});
+        PlannerScratch naive_scratch;
+        PartitionPlan naive_plan;
 
+        using clock = std::chrono::steady_clock;
         std::vector<double> naive_times;
-        std::vector<double> fast_times;
         std::vector<std::vector<double>> parallel_times(thread_counts.size());
         for (int r = 0; r < reps + 1; ++r) {
-          naive.Plan(batch, trainer.cost_model(), trainer.fabric());
-          fast.Plan(batch, trainer.cost_model(), trainer.fabric());
+          const auto t0 = clock::now();
+          naive.Partition(batch, &naive_scratch, &naive_plan);
+          const double naive_time =
+              std::chrono::duration<double, std::micro>(clock::now() - t0).count();
           for (auto& arm : parallel) {
             arm->Plan(batch, trainer.cost_model(), trainer.fabric());
           }
           if (r == 0) {
             continue;  // Warmup: every arm grows its buffers untimed.
           }
-          naive_times.push_back(naive.partition_time_us());
-          fast_times.push_back(fast.partition_time_us());
+          naive_times.push_back(naive_time);
           for (size_t t = 0; t < parallel.size(); ++t) {
             parallel_times[t].push_back(parallel[t]->partition_time_us());
           }
         }
         const double naive_us = median(naive_times);
-        const double fast_us = median(fast_times);
-        const double speedup = fast_us > 0 ? naive_us / fast_us : 0;
 
-        bool point_identical = naive.partition_plan() == fast.partition_plan();
+        bool point_identical = true;
         std::vector<double> par_us(parallel.size());
         std::vector<bool> par_identical(parallel.size());
         for (size_t t = 0; t < parallel.size(); ++t) {
           par_us[t] = median(parallel_times[t]);
-          par_identical[t] = parallel[t]->partition_plan() == naive.partition_plan();
+          par_identical[t] = parallel[t]->partition_plan() == naive_plan;
           point_identical = point_identical && par_identical[t];
         }
         all_identical = all_identical && point_identical;
@@ -176,7 +187,7 @@ int main(int argc, char** argv) {
         // The legacy arm materializes into the real owning RingSequence type
         // (kept in partitioner.h for external producers) — exactly the
         // pre-arena per-ring layout.
-        const PartitionPlan& src = fast.partition_plan();
+        const PartitionPlan& src = naive_plan;
         PartitionPlan flat_dst;
         std::vector<RingSequence> legacy;
         size_t legacy_count = 0;
@@ -184,8 +195,6 @@ int main(int argc, char** argv) {
         std::vector<double> legacy_times;
         std::vector<double> flat_warm_times;
         std::vector<double> legacy_warm_times;
-        static volatile size_t sink;  // Keeps materializations observable.
-        using clock = std::chrono::steady_clock;
         for (int r = 0; r < reps + 1; ++r) {
           const auto t0 = clock::now();
           {
@@ -252,9 +261,8 @@ int main(int argc, char** argv) {
 
         table.AddRow({dist.name(), Table::Cell(static_cast<int64_t>(num_seqs)),
                       Table::Cell(static_cast<int64_t>(gpus)), Table::Cell(naive_us, 1),
-                      Table::Cell(fast_us, 1), Table::Cell(par_us.front(), 1),
-                      Table::Cell(par_us.back(), 1),
-                      Table::Cell(par_us.back() > 0 ? fast_us / par_us.back() : 0, 2) + "x",
+                      Table::Cell(par_us.front(), 1), Table::Cell(par_us.back(), 1),
+                      Table::Cell(par_us.front() > 0 ? naive_us / par_us.front() : 0, 1) + "x",
                       Table::Cell(mat_us, 1), Table::Cell(mat_speedup, 1) + "x",
                       point_identical ? "yes" : "NO"});
 
@@ -269,10 +277,6 @@ int main(int argc, char** argv) {
         json.Value(batch.total_tokens());
         json.Key("naive_partition_time_us");
         json.Value(naive_us);
-        json.Key("fast_partition_time_us");
-        json.Value(fast_us);
-        json.Key("speedup");
-        json.Value(speedup);
         json.Key("parallel");
         json.BeginArray();
         for (size_t t = 0; t < parallel.size(); ++t) {
@@ -282,7 +286,7 @@ int main(int argc, char** argv) {
           json.Key("parallel_partition_time_us");
           json.Value(par_us[t]);
           json.Key("parallel_speedup");
-          json.Value(par_us[t] > 0 ? fast_us / par_us[t] : 0);
+          json.Value(par_us[t] > 0 ? naive_us / par_us[t] : 0);
           json.Key("plans_identical");
           json.Value(par_identical[t]);
           json.EndObject();
@@ -322,8 +326,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "Expected shape: fast/naive speedup grows with S and P; the sharded\n"
-      "engine wins most at large S (round-batched packing) and its thread\n"
+      "Expected shape: the engine's speedup over the naive oracle grows with\n"
+      "S and P (round-batched packing, O(log P) placements); its thread\n"
       "scaling shows on multicore hosts at the largest sweep points. The\n"
       "materialization columns compare the flat rank-arena plan layout\n"
       "against the legacy per-ring vector layout on identical plan data —\n"

@@ -67,8 +67,8 @@ void PrintUsage() {
       "  --batch_file=path     replay a saved workload instead of sampling\n"
       "  --save_batches=path   save the sampled workload for replay\n"
       "  --strategies=te-cp,zeppelin   comma-separated strategy specs\n"
-      "  --planner_threads=1   Zeppelin planner contexts (0 = serial fast\n"
-      "                        path, N = sharded engine on N threads, auto)\n"
+      "  --planner_threads=1   Zeppelin planner contexts (0 = inline, no\n"
+      "                        pool; N = pool of N threads; auto)\n"
       "  --stream              online mode: evolve one batch via workload\n"
       "                        churn and re-plan per iteration (PlanDelta)\n"
       "  --stream_iters=50     stream iterations\n"

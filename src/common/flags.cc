@@ -85,7 +85,7 @@ int Flags::GetThreadCount(const std::string& key, int fallback) const {
     return ThreadPool::HardwareThreads();
   }
   // Numeric values pass through untouched — 0 keeps its caller-defined
-  // meaning (e.g. "serial fast path" for the planner); negatives fall back.
+  // meaning (e.g. "no pool" for the planner); negatives fall back.
   const int parsed = static_cast<int>(std::strtoll(e->value.c_str(), nullptr, 10));
   return parsed < 0 ? fallback : parsed;
 }

@@ -9,8 +9,6 @@
 
 namespace zeppelin {
 
-using planner_internal::RecordChunkAggregate;
-
 const char* DeltaOutcomeName(DeltaOutcome outcome) {
   switch (outcome) {
     case DeltaOutcome::kApplied:
@@ -45,7 +43,6 @@ DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions optio
                        .token_capacity = options.token_capacity,
                        .max_inter_threshold = options.max_inter_threshold,
                        .max_local_threshold = options.max_local_threshold,
-                       .fast_path = options.fast_path,
                        .pool = options.pool,
                    }) {
   cluster_.Validate();
@@ -100,7 +97,6 @@ void DeltaPlanner::RebaseInternal() {
       .token_capacity = options_.token_capacity,
       .max_inter_threshold = options_.max_inter_threshold,
       .max_local_threshold = options_.max_local_threshold,
-      .fast_path = options_.fast_path,
       .pool = options_.pool,
   });
   // Shared pool (PlannerService): one pooled plan at a time, service-wide.
@@ -124,20 +120,9 @@ void DeltaPlanner::CaptureState() {
   }
   base_refined_ = plan_.threshold_s1 < s1_initial_;
 
-  // Inter-node chunk aggregates: the fast paths leave them in the scratch;
-  // the naive reference leaves per-node chunk lists instead.
-  if (options_.fast_path) {
-    chunk_whole_ = scratch_.node_chunk_whole;
-    chunk_rem_ = scratch_.node_chunk_rem;
-  } else {
-    chunk_whole_.assign(num_nodes, 0);
-    chunk_rem_.assign(static_cast<size_t>(num_nodes) * p, 0);
-    for (int node = 0; node < num_nodes; ++node) {
-      for (const auto& [seq_id, chunk] : scratch_.assignments[node].inter_chunks) {
-        RecordChunkAggregate(node, chunk, p, &chunk_whole_, &chunk_rem_);
-      }
-    }
-  }
+  // Inter-node chunk aggregates, as the engine left them in the scratch.
+  chunk_whole_ = scratch_.node_chunk_whole;
+  chunk_rem_ = scratch_.node_chunk_rem;
 
   locations_.assign(n, SeqLocation{});
   slot_epoch_.assign(n, 0);
@@ -558,7 +543,6 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
 void DeltaPlanner::RepackNode(int node) {
   const int p = cluster_.gpus_per_node;
   const int rank_base = node * p;
-  const int64_t capacity = options_.token_capacity;
   std::vector<int>& members = node_members_[node];
   ++stats_.repacked_nodes;
 
@@ -585,84 +569,41 @@ void DeltaPlanner::RepackNode(int node) {
     loc.kind = SeqLocation::Kind::kPending;
   }
 
-  // Alg. 2 packing order: length-descending, id-ascending.
-  std::sort(members.begin(), members.end(), [&](int a, int b) {
-    const int64_t la = batch_.seq_lens[a];
-    const int64_t lb = batch_.seq_lens[b];
-    return la != lb ? la > lb : a < b;
-  });
+  // Alg. 2 packing order: length-descending, id-ascending — ascending
+  // packed-key order, which is also the kernel's input form.
+  ZCHECK_LE(static_cast<uint64_t>(batch_.size()), planner_internal::kIdxMask + 1)
+      << "batch too large for packed keys";
+  repack_keys_.resize(members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    repack_keys_[i] = planner_internal::PackKey(batch_.seq_lens[members[i]], members[i]);
+  }
+  std::sort(repack_keys_.begin(), repack_keys_.end());
   for (uint32_t i = 0; i < members.size(); ++i) {
+    members[i] = planner_internal::KeyId(repack_keys_[i]);
     locations_[members[i]].member_pos = i;
   }
 
-  // Device base loads from the persistent inter-chunk aggregates — the same
-  // expansion every intra-stage consumer shares.
-  planner_internal::ExpandChunkBase(chunk_whole_, chunk_rem_, node, p, &chunk_base_);
-
-  const int n = static_cast<int>(members.size());
-  int64_t s0 = capacity;
-  if (options_.max_local_threshold > 0) {
-    s0 = std::min(s0, options_.max_local_threshold);
-  }
-  int boundary = static_cast<int>(
-      std::partition_point(members.begin(), members.end(),
-                           [&](int slot) { return batch_.seq_lens[slot] >= s0; }) -
-      members.begin());
-
-  int restarts = 0;
-  for (;;) {
-    device_tracker_.Assign(chunk_base_);
-    ring_buf_.clear();
-    z0_buf_.clear();
-    z1_buf_.clear();
-
-    // The shared Alg. 2 fragmentation pass (identical cursor progression and
-    // fragment counts across every engine and this re-pack).
-    planner_internal::FragmentZone1(
-        boundary, p, [&](int i) { return batch_.seq_lens[members[i]]; },
-        [&](int i, int64_t len, int fragments, int cursor) {
-          ring_buf_.push_back({members[i], len, fragments, cursor});
-          planner_internal::ForEachFragment(
-              len, fragments, cursor, p,
-              [&](int /*f*/, int device, int64_t share) { device_tracker_.add(device, share); });
-        },
-        [&](int i, int64_t len, int device) {
-          z1_buf_.push_back({members[i], len, rank_base + device});
-          device_tracker_.add(device, len);
-        });
-
-    bool overflowed = false;
-    for (int i = boundary; i < n; ++i) {
-      const int slot = members[i];
-      const int64_t len = batch_.seq_lens[slot];
-      const int idx = device_tracker_.pack_min(len, capacity);
-      if (idx < 0) {
-        boundary = planner_internal::AdvanceZoneBoundary(
-            n, i, [&](int j) { return batch_.seq_lens[members[j]]; }, &s0);
-        overflowed = true;
-        break;
-      }
-      z0_buf_.push_back({slot, len, rank_base + idx});
-    }
-    if (!overflowed) {
-      break;
-    }
-    ZCHECK_LE(++restarts, n) << "delta intra-node restart chain exceeded its bound";
-  }
+  // Device base loads from the persistent inter-chunk aggregates, then the
+  // sharded engine's own Alg. 2 kernel.
+  planner_internal::ExpandChunkBase(chunk_whole_, chunk_rem_, node, p, &repack_slab_.chunk_base);
+  planner_internal::PackIntraNode(repack_keys_, repack_slab_.chunk_base, rank_base,
+                                  options_.token_capacity, options_.max_local_threshold,
+                                  &repack_slab_, &repack_out_);
 
   // Commit: rings into recycled or tail spans, locals appended (z0 first,
-  // then single-fragment z1 conversions — the engines' shared order).
-  for (const PendingRing& ring : ring_buf_) {
-    const uint32_t offset = AllocSpan(static_cast<uint32_t>(ring.fragments));
-    for (int f = 0; f < ring.fragments; ++f) {
-      plan_.rank_arena[offset + f] = rank_base + (ring.cursor_start + f) % p;
-    }
-    SeqLocation& loc = locations_[ring.slot];
+  // then single-fragment z1 conversions — the engine's order).
+  const RingStore& rings = repack_out_.rings;
+  for (size_t r = 0; r < rings.ref_count; ++r) {
+    const RingRef& ring = rings.refs[r];
+    const uint32_t offset = AllocSpan(ring.rank_count);
+    std::memcpy(plan_.rank_arena.data() + offset, rings.arena.data() + ring.rank_offset,
+                sizeof(int) * ring.rank_count);
+    SeqLocation& loc = locations_[ring.seq_id];
     loc.kind = SeqLocation::Kind::kIntraRing;
     loc.pos = static_cast<uint32_t>(plan_.intra_node.size());
-    plan_.intra_node.push_back({ring.slot, ring.length, Zone::kIntraNode, offset,
-                                static_cast<uint32_t>(ring.fragments)});
-    live_ranks_ += static_cast<uint32_t>(ring.fragments);
+    plan_.intra_node.push_back({ring.seq_id, ring.length, Zone::kIntraNode, offset,
+                                ring.rank_count});
+    live_ranks_ += ring.rank_count;
   }
   auto commit_local = [&](const LocalSequence& seq) {
     SeqLocation& loc = locations_[seq.seq_id];
@@ -670,21 +611,21 @@ void DeltaPlanner::RepackNode(int node) {
     loc.pos = static_cast<uint32_t>(plan_.local.size());
     plan_.local.push_back(seq);
   };
-  for (const LocalSequence& seq : z0_buf_) {
+  for (const LocalSequence& seq : repack_out_.locals) {
     commit_local(seq);
   }
-  for (const LocalSequence& seq : z1_buf_) {
+  for (const LocalSequence& seq : repack_out_.locals_z1) {
     commit_local(seq);
   }
   int64_t device_total = 0;
   for (int d = 0; d < p; ++d) {
-    const int64_t load = device_tracker_.load(d);
+    const int64_t load = repack_out_.device_loads[d];
     plan_.tokens_per_rank[rank_base + d] = load;
     device_total += load;
   }
   ZCHECK_EQ(device_total, node_loads_.load(node))
       << "intra re-run must conserve node " << node << " tokens";
-  plan_.threshold_s0[node] = s0;
+  plan_.threshold_s0[node] = repack_out_.threshold_s0;
 }
 
 // --- Elastic topology patching ------------------------------------------------

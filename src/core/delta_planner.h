@@ -96,9 +96,9 @@ struct DeltaPlannerOptions {
   // full (elastic) re-plan instead (kRebasedMigration) — patching each
   // migrant individually would cost more than re-planning.
   int64_t migration_budget = 256;
-  // Engine selection for full re-plans, as in SequencePartitioner::Options.
-  bool fast_path = true;
-  ThreadPool* pool = nullptr;  // Non-owning; must outlive the planner.
+  // Pool for full re-plans, as in SequencePartitioner::Options (null = the
+  // sharded engine runs inline). Non-owning; must outlive the planner.
+  ThreadPool* pool = nullptr;
   // When the pool is shared with other planners (PlannerService hands every
   // session the same pool), this mutex is locked around each pooled full
   // re-plan — ThreadPool batches admit one caller at a time. Delta patches
@@ -229,7 +229,7 @@ class DeltaPlanner {
     uint32_t offset = 0;
     uint32_t count = 0;
   };
-  struct PendingRing {  // Dirty-node re-run: a ring decided but not yet emitted.
+  struct PendingRing {  // Elastic re-run: a ring decided but not yet emitted.
     int slot = 0;
     int64_t length = 0;
     int fragments = 0;
@@ -283,8 +283,9 @@ class DeltaPlanner {
   // Re-runs the intra-node stage (Alg. 2) for one dirty node over its member
   // list: evicts every member's plan entry, re-derives s0 from the pinned
   // capacity, re-fragments z1 and re-packs z0, and emits into recycled or
-  // tail arena spans. Mirrors SequencePartitioner::PartitionIntraNodeFast
-  // (shared fragment math via partitioner_internal.h).
+  // tail arena spans. Runs the sharded engine's per-node kernel
+  // (planner_internal::PackIntraNode), so the re-pack is Alg. 2 exactly as a
+  // full plan computes it.
   void RepackNode(int node);
   // Elastic variant for degraded nodes: fragments and packs over the node's
   // m alive devices only (chunk math with p -> m), balancing z0 placement on
@@ -335,14 +336,16 @@ class DeltaPlanner {
   std::vector<int> place_node_;  // Node chosen for each placed slot.
   GreedyPacker delta_packer_;
   std::vector<int64_t> loads_buf_;
-  LoadTracker device_tracker_;
-  std::vector<int64_t> chunk_base_;
-  std::vector<PendingRing> ring_buf_;
-  std::vector<LocalSequence> z0_buf_;
-  std::vector<LocalSequence> z1_buf_;
+  std::vector<uint64_t> repack_keys_;  // RepackNode: members as packed keys.
+  IntraWorkerSlab repack_slab_;        // RepackNode: kernel scratch.
+  NodeIntraResult repack_out_;         // RepackNode: kernel output.
   std::vector<int> compact_buf_;
 
   // Elastic scratch (RefreshNodeTopology output + repack/migration buffers).
+  std::vector<int64_t> chunk_base_;   // RepackNodeElastic: alive-device base.
+  std::vector<PendingRing> ring_buf_;
+  std::vector<LocalSequence> z0_buf_;
+  std::vector<LocalSequence> z1_buf_;
   std::vector<int> node_alive_;       // Per node: alive device count m.
   std::vector<int64_t> node_rate_;    // Per node: sum of alive speed_q.
   std::vector<int> alive_buf_;        // One node's alive local device list.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "src/common/check.h"
@@ -146,71 +145,15 @@ void BuildDescendingOrder(const Batch& batch, std::vector<int>* order) {
   });
 }
 
-// Same order, computed by a stable LSD radix sort on the bitwise complement
-// of the length (complement-ascending == length-descending, and stability
-// gives the same tie-break as the stable comparison sort). O(S) per 16-bit
-// digit, with only as many passes as the longest sequence needs — at
-// training-realistic lengths (< 4G tokens) that is at most two passes, well
-// under the comparison sort's S log S.
-void BuildDescendingOrderRadix(const Batch& batch, PlannerScratch* s) {
-  const int n = batch.size();
-  s->order.resize(n);
-  std::iota(s->order.begin(), s->order.end(), 0);
-
-  int64_t max_len = 0;
-  for (int64_t len : batch.seq_lens) {
-    ZCHECK_GE(len, 0);
-    max_len = std::max(max_len, len);
-  }
-  constexpr int kDigitBits = 16;
-  constexpr int64_t kDigitMask = (int64_t{1} << kDigitBits) - 1;
-  s->radix_tmp.resize(n);
-  s->radix_count.resize(size_t{1} << kDigitBits);
-  // Keys only differ below bit_width(max_len); higher complement bits are
-  // identical across all keys and need no pass.
-  for (int shift = 0; (max_len >> shift) > 0; shift += kDigitBits) {
-    std::fill(s->radix_count.begin(), s->radix_count.end(), 0);
-    for (int id : s->order) {
-      ++s->radix_count[(~batch.seq_lens[id] >> shift) & kDigitMask];
-    }
-    int running = 0;
-    for (int& count : s->radix_count) {
-      const int c = count;
-      count = running;
-      running += c;
-    }
-    for (int id : s->order) {
-      s->radix_tmp[s->radix_count[(~batch.seq_lens[id] >> shift) & kDigitMask]++] = id;
-    }
-    s->order.swap(s->radix_tmp);
-  }
-}
-
-// First position in the length-descending `order` whose length drops below
-// `threshold` — the zone boundary index. O(log |order|).
-int ZoneBoundary(const Batch& batch, const std::vector<int>& order, int64_t threshold) {
-  return static_cast<int>(
-      std::partition_point(order.begin(), order.end(),
-                           [&](int id) { return batch.seq_lens[id] >= threshold; }) -
-      order.begin());
-}
-
-void ResetAssignments(int num_nodes, std::vector<NodeAssignment>* assignments) {
-  assignments->resize(num_nodes);
-  for (NodeAssignment& a : *assignments) {
-    a.inter_chunks.clear();
-    a.sequences.clear();
-  }
-}
-
 }  // namespace
 
 // --- Inter-node stage (Alg. 1), reference greedy ------------------------------
 //
 // Structurally the seed implementation: fresh workspaces per pass, zone
 // re-splits, and whole-stage restarts on overflow. Kept (modulo the
-// partial-sort LeastLoaded and the flat-arena emission every engine shares)
-// as the equivalence oracle and the bench baseline.
+// partial-sort LeastLoaded and the flat-arena emission every path shares)
+// as the equivalence oracle, the bench baseline, and the sharded engine's
+// restart-chain fallback.
 
 void SequencePartitioner::PartitionInterNodeNaive(const Batch& batch, PartitionPlan* plan,
                                                   PlannerScratch* s) const {
@@ -295,188 +238,6 @@ void SequencePartitioner::PartitionInterNodeNaive(const Batch& batch, PartitionP
       }
       node_loads[idx] += len;
       s->assignments[idx].sequences.push_back(id);
-    }
-  }
-  plan->threshold_s1 = s1;
-}
-
-// --- Inter-node stage (Alg. 1), heap fast path --------------------------------
-
-void SequencePartitioner::PartitionInterNodeFast(const Batch& batch, PartitionPlan* plan,
-                                                 PlannerScratch* s) const {
-  const int num_nodes = cluster_.num_nodes;
-  const int p = cluster_.gpus_per_node;
-  const int64_t node_capacity = static_cast<int64_t>(p) * options_.token_capacity;
-  const int n = batch.size();
-
-  BuildDescendingOrderRadix(batch, s);
-  s->prefix_lens.resize(n + 1);
-  s->prefix_lens[0] = 0;
-  for (int i = 0; i < n; ++i) {
-    s->prefix_lens[i + 1] = s->prefix_lens[i] + batch.seq_lens[s->order[i]];
-  }
-  s->placed_node.resize(n);
-
-  // Rank-list template per node: every single-node ring over node b is the
-  // identical [b*p, (b+1)*p) span, so rings memcpy it instead of recomputing.
-  s->node_ranks.resize(num_nodes);
-  for (int node = 0; node < num_nodes; ++node) {
-    s->node_ranks[node].resize(p);
-    std::iota(s->node_ranks[node].begin(), s->node_ranks[node].end(), node * p);
-  }
-
-  ZCHECK_LE(s->prefix_lens[n], static_cast<int64_t>(num_nodes) * node_capacity)
-      << "batch does not fit the cluster at capacity L=" << options_.token_capacity;
-
-  int64_t s1 = node_capacity;  // Alg. 1 line 2.
-  if (options_.max_inter_threshold > 0) {
-    s1 = std::min(s1, options_.max_inter_threshold);
-  }
-  // Zone boundary: order[0..boundary) is z2, order[boundary..n) is z01. Kept
-  // incrementally across overflow restarts — a restart only advances it.
-  int boundary = ZoneBoundary(batch, s->order, s1);
-
-  // Records a chunk of `chunk` tokens on `node` in the aggregate form the
-  // intra stage consumes (whole shares + remainder histogram).
-  auto record_chunk = [&](int node, int64_t chunk) {
-    planner_internal::RecordChunkAggregate(node, chunk, p, &s->node_chunk_whole,
-                                           &s->node_chunk_rem);
-  };
-
-  // Emits the z2 ring + chunk bookkeeping for a sequence chunked over a
-  // single node bucket (never crosses the network: an intra-node ring).
-  auto emit_single_node = [&](int id, int64_t len, int node) {
-    int* out = EmitRing(&plan->intra_node, &s->intra_ring_count, &plan->rank_arena,
-                        &s->arena_count, id, len, Zone::kIntraNode, p);
-    std::memcpy(out, s->node_ranks[node].data(), sizeof(int) * p);
-    record_chunk(node, len);
-  };
-
-  int restarts = 0;
-  // When the whole aborted pass was plain least-loaded packing (empty z2)
-  // and every promoted sequence still chunks to k == 1 under the new s_avg,
-  // the replay would reproduce the aborted pass placement for placement:
-  // the packing rule and the loads are identical. `continue_from` skips the
-  // replay in that case — the placements already made are only re-labelled
-  // (z01 bookkeeping -> single-node z2 rings), and placement resumes where
-  // the aborted pass stopped.
-  int continue_from = -1;
-  for (;;) {
-    const int64_t z2_total = s->prefix_lens[boundary];
-    const double s_avg = static_cast<double>(z2_total) / num_nodes;
-
-    int z2_start = 0;
-    if (continue_from >= 0) {
-      // Incremental restart: re-label positions [0, continue_from) in place.
-      // Ring order, per-node chunk order, and heap loads all match what a
-      // full replay would produce, because the aborted pass placed these
-      // very sequences with the same (load, index) rule. The aborted pass
-      // emitted no rings (empty z2), so the arena cursor starts at zero and
-      // ring i's ranks land at arena slot i*p — exactly the replay layout.
-      for (int i = 0; i < continue_from; ++i) {
-        emit_single_node(s->order[i], batch.seq_lens[s->order[i]], s->placed_node[i]);
-      }
-      for (NodeAssignment& a : s->assignments) {
-        a.sequences.clear();
-      }
-      z2_start = continue_from;
-      continue_from = -1;
-    } else {
-      ResetAssignments(num_nodes, &s->assignments);
-      s->node_chunk_whole.assign(num_nodes, 0);
-      s->node_chunk_rem.assign(static_cast<size_t>(num_nodes) * p, 0);
-      // Rewind all ring emission (headers + arena slots are recycled).
-      s->inter_ring_count = 0;
-      s->intra_ring_count = 0;
-      s->arena_count = 0;
-      s->node_loads.Reset(num_nodes);
-    }
-
-    // Chunk placement for z2 (replayed from z2_start; a restart changes
-    // s_avg and with it every sequence's chunk count, except in the
-    // re-label case handled above).
-    for (int i = z2_start; i < boundary; ++i) {
-      const int id = s->order[i];
-      const int64_t len = batch.seq_lens[id];
-      const int k = InterNodeChunkCount(len, s_avg, num_nodes);
-
-      if (k == 1) {
-        emit_single_node(id, len, s->node_loads.add_min(len));
-        continue;
-      }
-
-      s->node_loads.k_least(k, &s->least);
-      std::sort(s->least.begin(), s->least.end());  // Keep ring order node-ascending.
-      int* out = EmitRing(&plan->inter_node, &s->inter_ring_count, &plan->rank_arena,
-                          &s->arena_count, id, len, Zone::kInterNode, k * p);
-      for (int node : s->least) {
-        const int rank_base = node * p;
-        for (int local = 0; local < p; ++local) {
-          *out++ = rank_base + local;
-        }
-      }
-      // Per-node chunk loads (even split across the k nodes), one division
-      // per boundary instead of two.
-      int64_t prev_edge = 0;
-      for (int c = 0; c < k; ++c) {
-        const int64_t edge = len * (c + 1) / k;
-        const int64_t chunk = edge - prev_edge;
-        prev_edge = edge;
-        record_chunk(s->least[c], chunk);
-        s->node_loads.add(s->least[c], chunk);
-      }
-    }
-
-    // Pack z01 onto least-loaded nodes; each placement is one argmin + one
-    // heap update instead of an O(num_nodes) scan.
-    const int z01_start = boundary;
-    bool overflowed = false;
-    for (int i = z01_start; i < n; ++i) {
-      const int id = s->order[i];
-      const int64_t len = batch.seq_lens[id];
-      const int idx = s->node_loads.pack_min(len, node_capacity);
-      if (idx < 0) {
-        // Shrink s1 to max(z01) = len and promote every sequence of length
-        // >= len into z2: they form a contiguous block, so the boundary just
-        // advances past it (no re-sort, no zone re-split).
-        const int nb = planner_internal::AdvanceZoneBoundary(
-            n, i, [&](int j) { return batch.seq_lens[s->order[j]]; }, &s1);
-        // Incremental-continuation test: the aborted pass must have been
-        // pure z01 packing (z2 empty), and under the new s_avg every
-        // promoted sequence must still chunk to a single node (max promoted
-        // length = order[0]'s). Then the replay is a no-op re-labelling.
-        const double next_avg = static_cast<double>(s->prefix_lens[nb]) / num_nodes;
-        if (z01_start == 0 &&
-            static_cast<double>(batch.seq_lens[s->order[0]]) <= std::max(next_avg, 1.0)) {
-          continue_from = i;
-        }
-        boundary = nb;
-        overflowed = true;
-        break;
-      }
-      s->placed_node[i] = idx;
-      s->assignments[idx].sequences.push_back(id);
-    }
-    if (!overflowed) {
-      break;
-    }
-    // The boundary strictly advances on every restart, so more than n
-    // restarts means a broken invariant; fall back to the reference greedy
-    // once rather than looping.
-    if (++restarts > n) {
-      ZCHECK(options_.naive_fallback) << "fast-path restart chain exceeded its bound";
-      // The naive path rewinds the emission cursors itself and re-emits
-      // every ring into the recycled plan storage.
-      PartitionInterNodeNaive(batch, plan, s);
-      // Rebuild the chunk aggregates the fast intra stage reads.
-      s->node_chunk_whole.assign(num_nodes, 0);
-      s->node_chunk_rem.assign(static_cast<size_t>(num_nodes) * p, 0);
-      for (int node = 0; node < num_nodes; ++node) {
-        for (const auto& [seq_id, chunk] : s->assignments[node].inter_chunks) {
-          record_chunk(node, chunk);
-        }
-      }
-      return;
     }
   }
   plan->threshold_s1 = s1;
@@ -590,104 +351,6 @@ void SequencePartitioner::PartitionIntraNodeNaive(const Batch& batch, int node,
   plan->threshold_s0[node] = s0;
 }
 
-// --- Intra-node stage (Alg. 2), heap fast path ---------------------------------
-
-void SequencePartitioner::PartitionIntraNodeFast(const Batch& batch, int node,
-                                                 const NodeAssignment& assignment,
-                                                 PartitionPlan* plan, PlannerScratch* s) const {
-  const int p = cluster_.gpus_per_node;
-  const int rank_base = node * p;
-  const int64_t capacity = options_.token_capacity;
-
-  // The inter-node stage packs z01 sequences in length-descending order, so
-  // each node's list arrives already sorted the way Alg. 2 wants it — the
-  // reference path's per-node re-sort is a structural no-op.
-  const std::vector<int>& seqs = assignment.sequences;
-  const int n = static_cast<int>(seqs.size());
-
-  int64_t s0 = capacity;  // Alg. 2 line 1.
-  if (options_.max_local_threshold > 0) {
-    s0 = std::min(s0, options_.max_local_threshold);
-  }
-  int boundary = ZoneBoundary(batch, seqs, s0);
-
-  // Inter-node chunk spreading (lines 4-6) is zone-independent: hoist it out
-  // of the restart loop. The aggregates the inter stage recorded expand to
-  // the exact per-device loads in O(p^2) small-integer steps — no chunk
-  // list at all.
-  std::vector<int64_t>& chunk_base = s->device_base;
-  planner_internal::ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, p, &chunk_base);
-
-  // Rings and z0 locals go straight into the plan; a restart rewinds this
-  // node's headers, arena slots, and locals (earlier nodes are untouched).
-  const size_t ring_base = s->intra_ring_count;
-  const size_t arena_base = s->arena_count;
-  const size_t local_base = plan->local.size();
-
-  int restarts = 0;
-  for (;;) {
-    s->intra_ring_count = ring_base;
-    s->arena_count = arena_base;
-    s->locals.clear();  // Pending single-fragment z1 sequences.
-    plan->local.resize(local_base);
-    // Checkpointed chunk loads seed the heap; z1 fragments and z0 packing
-    // are replayed on top (a restart changes c_avg, invalidating them).
-    s->device_loads.Assign(chunk_base);
-
-    // Quadratic-balanced fragmentation of intra-node sequences (lines 8-12),
-    // via the shared pass (cursor progression and fragment counts are
-    // equivalence-critical across engines).
-    planner_internal::FragmentZone1(
-        boundary, p, [&](int i) { return batch.seq_lens[seqs[i]]; },
-        [&](int i, int64_t len, int fragments, int cursor) {
-          int* out = EmitRing(&plan->intra_node, &s->intra_ring_count, &plan->rank_arena,
-                              &s->arena_count, seqs[i], len, Zone::kIntraNode, fragments);
-          planner_internal::ForEachFragment(len, fragments, cursor, p,
-                                            [&](int f, int device, int64_t share) {
-                                              out[f] = rank_base + device;
-                                              s->device_loads.add(device, share);
-                                            });
-        },
-        [&](int i, int64_t len, int device) {
-          // A single-fragment "ring" is a local kernel; record it directly
-          // (it lands after this node's z0 locals, like the reference path's
-          // size-1 ring conversion).
-          s->locals.push_back({seqs[i], len, rank_base + device});
-          s->device_loads.add(device, len);
-        });
-
-    // Local sequences onto least-loaded devices (lines 13-21).
-    bool overflowed = false;
-    for (int i = boundary; i < n; ++i) {
-      const int id = seqs[i];
-      const int64_t len = batch.seq_lens[id];
-      const int idx = s->device_loads.pack_min(len, capacity);
-      if (idx < 0) {
-        boundary = planner_internal::AdvanceZoneBoundary(
-            n, i, [&](int j) { return batch.seq_lens[seqs[j]]; }, &s0);
-        overflowed = true;
-        break;
-      }
-      plan->local.push_back({id, len, rank_base + idx});
-    }
-    if (!overflowed) {
-      break;
-    }
-    // The boundary strictly advances on every restart, so the chain is
-    // bounded by the node's sequence count.
-    ZCHECK_LE(++restarts, n) << "intra-node restart chain exceeded its bound";
-  }
-
-  // Pending single-fragment z1 sequences land after this node's z0 locals
-  // (matching the reference path's ring-conversion order); rings are already
-  // in the plan arena, and final per-device loads are read off the heap.
-  plan->local.insert(plan->local.end(), s->locals.begin(), s->locals.end());
-  for (int d = 0; d < p; ++d) {
-    plan->tokens_per_rank[rank_base + d] += s->device_loads.load(d);
-  }
-  plan->threshold_s0[node] = s0;
-}
-
 // --- Driver -----------------------------------------------------------------
 
 PartitionPlan SequencePartitioner::Partition(const Batch& batch) const {
@@ -706,8 +369,6 @@ void SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch,
   ZCHECK_GT(batch.size(), 0);
   ZCHECK(scratch != nullptr);
   ZCHECK(plan != nullptr);
-  scratch->node_loads.ResetOps();
-  scratch->device_loads.ResetOps();
 
   plan->local.clear();
   plan->tokens_per_rank.assign(cluster_.world_size(), 0);
@@ -720,23 +381,16 @@ void SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch,
   scratch->intra_ring_count = 0;
   scratch->arena_count = 0;
 
-  if (options_.fast_path && options_.pool != nullptr) {
+  if (options_.fast_path) {
     PartitionParallel(batch, scratch, plan, options_.pool);
     // The key-build pass already summed the batch; skip the O(S) re-sum.
     ZCHECK_EQ(plan->total_tokens(), scratch->batch_total)
         << "partitioner must conserve tokens";
     return;
   }
-  if (options_.fast_path) {
-    PartitionInterNodeFast(batch, plan, scratch);
-    for (int node = 0; node < cluster_.num_nodes; ++node) {
-      PartitionIntraNodeFast(batch, node, scratch->assignments[node], plan, scratch);
-    }
-  } else {
-    PartitionInterNodeNaive(batch, plan, scratch);
-    for (int node = 0; node < cluster_.num_nodes; ++node) {
-      PartitionIntraNodeNaive(batch, node, scratch->assignments[node], plan, scratch);
-    }
+  PartitionInterNodeNaive(batch, plan, scratch);
+  for (int node = 0; node < cluster_.num_nodes; ++node) {
+    PartitionIntraNodeNaive(batch, node, scratch->assignments[node], plan, scratch);
   }
   plan->inter_node.resize(scratch->inter_ring_count);
   plan->intra_node.resize(scratch->intra_ring_count);

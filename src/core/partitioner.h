@@ -24,45 +24,36 @@
 // of bulk array writes instead of 64k vector constructions (see
 // docs/PLAN_FORMAT.md for the layout and its invariants).
 //
-// Three execution paths produce byte-identical plans:
+// One engine plans; one oracle checks it. Both produce byte-identical plans:
 //
-//   Naive path: the reference linear-scan/partial-sort greedy, structurally
-//   the seed algorithm. Kept both as the equivalence oracle for tests and as
-//   a one-shot fallback should a fast path's restart chain ever exceed its
-//   worst-case bound.
-//
-//   Fast path: packing queries go through an addressable min-heap
-//   (LoadTracker), so each placement costs O(log P) instead of an O(P) scan
-//   or an O(P log P) sort, and overflow restarts are incremental — the
-//   length-descending order, its prefix sums, and the zone boundary index are
-//   kept across restarts, so a restart only replays placements (which the
-//   boundary shift invalidates wholesale, because s_avg / c_avg change)
-//   without re-sorting, re-splitting zones, or reallocating. One full pass is
-//   O((S + P) log P). This is the PR-1 engine and the serial baseline the
-//   planner-scaling bench compares against.
-//
-//   Parallel/sharded engine (Options::pool != nullptr): the same algorithm
-//   rearchitected for bulk work and a ThreadPool. Sequences are kept as
+//   Sharded engine (Options::fast_path, the default): sequences are kept as
 //   packed (length, id) keys sorted by one value radix sort; the z01 packing
 //   runs through the round-batched GreedyPacker (bulk-committing blocks of
 //   placements instead of per-sequence heap walks) and shards its output
 //   directly into per-node key lists; the per-node intra-node stage (Alg. 2)
-//   is embarrassingly parallel and runs as one task per node on the pool with
-//   per-worker scratch slabs; plan materialization merges per-node ring
-//   stores and locals into the plan's flat arrays at precomputed offsets.
-//   The z01 *decision stream* itself stays sequential — greedy list
-//   scheduling is P-complete, so there is no exact parallel formulation —
-//   but everything around it (sorting, sharding, Alg. 2, merges) distributes
-//   across the pool.
+//   is embarrassingly parallel and runs as one task per node with per-context
+//   scratch slabs; plan materialization merges per-node ring stores and
+//   locals into the plan's flat arrays at precomputed offsets. Overflow
+//   restarts are incremental: the sorted keys and the zone boundary survive a
+//   restart, so it only replays placements. With Options::pool set, the
+//   per-node work and the merges fan out over the pool; without one, the same
+//   tasks run inline on the calling thread. The z01 *decision stream* itself
+//   stays sequential — greedy list scheduling is P-complete, so there is no
+//   exact parallel formulation.
 //
-// Determinism contract: all three paths break packing ties identically
-// (lowest load, then lowest bucket index), rings are emitted in the same
-// global order (so arena offsets match), every pool phase uses static task
-// ownership and writes to slots derived from node/sequence indices alone, and
-// per-node results are merged in node order. Plans are therefore byte-
-// identical across paths AND across any thread count — header vectors and
+//   Naive oracle (fast_path = false): the reference linear-scan/partial-sort
+//   greedy, structurally the seed algorithm. Tests construct it as the
+//   equivalence oracle; the engine also falls back to its inter-node stage
+//   once should a restart chain ever exceed its worst-case bound.
+//
+// Determinism contract: both paths break packing ties identically (lowest
+// load, then lowest bucket index), rings are emitted in the same global order
+// (so arena offsets match), every pool phase uses static task ownership and
+// writes to slots derived from node/sequence indices alone, and per-node
+// results are merged in node order. Plans are therefore byte-identical to the
+// oracle AND across any thread count, pool or no pool — header vectors and
 // the rank arena compare equal with the defaulted operator== — the property
-// tests/planner_fastpath_test.cpp and tests/parallel_planner_test.cpp pin.
+// tests/parallel_planner_test.cpp pins.
 #ifndef SRC_CORE_PARTITIONER_H_
 #define SRC_CORE_PARTITIONER_H_
 
@@ -242,8 +233,8 @@ struct PartitionPlan {
   std::string Serialize() const;
   bool Deserialize(std::string_view bytes, int max_world = 0);
 
-  // Byte-identity across planner paths (the fast-path equivalence contract):
-  // headers compare field-wise, the rank arena as one flat array.
+  // Byte-identity across planner paths (the engine-vs-oracle equivalence
+  // contract): headers compare field-wise, the rank arena as one flat array.
   bool operator==(const PartitionPlan&) const = default;
 };
 
@@ -275,10 +266,10 @@ struct NodeAssignment {
   std::vector<int> sequences;
 };
 
-// Per-node output buffer of the parallel intra-node stage. Every node owns
-// exactly one of these, so pool tasks write without synchronization and the
-// merge pass copies them into the plan at precomputed offsets, in node order
-// (the determinism contract).
+// Per-node output of the intra-node kernel (planner_internal::PackIntraNode).
+// In a Partition() call every node owns exactly one of these, so pool tasks
+// write without synchronization and the merge pass copies them into the plan
+// at precomputed offsets, in node order (the determinism contract).
 struct NodeIntraResult {
   RingStore rings;                       // Multi-fragment z1 rings (node-local offsets).
   std::vector<LocalSequence> locals;     // z0 locals (truncated on restart).
@@ -287,9 +278,10 @@ struct NodeIntraResult {
   int64_t threshold_s0 = 0;
 };
 
-// Per-worker scratch slab for the parallel intra-node stage: context c of the
-// pool always uses slab c (static ownership), so slabs are reused across
-// Partition() calls without locking or steady-state allocation.
+// Per-worker scratch slab for the intra-node stage: context c of the pool
+// always uses slab c (static ownership; inline runs use slab 0), so slabs are
+// reused across Partition() calls without locking or steady-state
+// allocation.
 struct IntraWorkerSlab {
   GreedyPacker packer;              // z0 device packing.
   std::vector<int64_t> loads;       // Plain per-device loads for the z1 phase.
@@ -306,26 +298,17 @@ struct IntraWorkerSlab {
 // contents are meaningless between calls.
 struct PlannerScratch {
   // Inter-node stage.
-  std::vector<int> order;            // Sequence ids, length-descending.
-  std::vector<int> radix_tmp;        // Fast-path radix-sort scatter buffer.
-  std::vector<int> radix_count;      // Fast-path radix-sort digit counts.
-  std::vector<int64_t> prefix_lens;  // prefix_lens[i] = sum of first i lens.
-  LoadTracker node_loads;
+  LoadTracker node_loads;            // z2 chunk placement.
   std::vector<int> least;            // k_least() output.
-  std::vector<NodeAssignment> assignments;
-  std::vector<int> placed_node;      // placed_node[i]: node of z01 seq order[i].
+  std::vector<NodeAssignment> assignments;  // Naive inter-node stage output.
+  std::vector<int> placed_node;      // placed_node[i]: node of z01 key i.
   std::vector<std::vector<int>> node_ranks;  // Per node: its global ranks.
-  // Fast-path aggregate of each node's inter-node chunks: the intra stage
-  // only needs the per-device spread, which is fully determined by the sum
-  // of whole shares floor(chunk/p) and a histogram of remainders chunk%p —
-  // so chunks are never materialized as (id, len) lists on the fast path.
+  // Aggregate of each node's inter-node chunks: the intra stage only needs
+  // the per-device spread, which is fully determined by the sum of whole
+  // shares floor(chunk/p) and a histogram of remainders chunk%p — so chunks
+  // are never materialized as (id, len) lists.
   std::vector<int64_t> node_chunk_whole;  // Per node: sum of floor(chunk/p).
   std::vector<int64_t> node_chunk_rem;    // Flat [node*p + r]: count of chunks with chunk%p == r.
-
-  // Intra-node stage.
-  LoadTracker device_loads;
-  std::vector<int64_t> device_base;  // Chunk loads before z1/z0 packing.
-  std::vector<LocalSequence> locals;
 
   // Plan emission cursors: ring headers and arena slots in the plan are
   // overwritten in place and trimmed once at the end, so header and rank
@@ -337,11 +320,10 @@ struct PlannerScratch {
   size_t intra_ring_count = 0;
   size_t arena_count = 0;
 
-  // Parallel/sharded engine. Sequences travel as packed 64-bit keys
-  // ((kLenMask - len) << 20 | id): one value radix sort yields the
-  // length-descending, id-ascending order, and the keys themselves are what
-  // the z01 packing shards into per-node lists — no gather-heavy id
-  // indirection anywhere on the hot path.
+  // Sequences travel as packed 64-bit keys ((kLenMask - len) << 20 | id):
+  // one value radix sort yields the length-descending, id-ascending order,
+  // and the keys themselves are what the z01 packing shards into per-node
+  // lists — no gather-heavy id indirection anywhere on the hot path.
   std::vector<uint64_t> keys;            // Sorted ascending == length-descending.
   std::vector<uint64_t> keys_tmp;        // Radix scatter buffer.
   std::vector<int> key_count;            // Radix digit histogram.
@@ -355,10 +337,8 @@ struct PlannerScratch {
   std::vector<size_t> rank_offsets;      // Per node: rank slot in plan->rank_arena.
   int64_t batch_total = 0;               // Total tokens, folded into key build.
 
-  // Total LoadTracker ops of the last Partition() (regression guard).
-  int64_t heap_ops() const { return node_loads.ops() + device_loads.ops(); }
-  // Same guard for the parallel engine's packers (bulk commits keep this
-  // near the sequence count instead of S log P).
+  // Total GreedyPacker ops of the last Partition() (regression guard: bulk
+  // commits keep this near the sequence count instead of S log P).
   int64_t packer_ops() const {
     int64_t total = node_packer.ops();
     for (const IntraWorkerSlab& slab : intra_slabs) {
@@ -369,8 +349,8 @@ struct PlannerScratch {
 };
 
 // Runs Alg. 1/2 on a batch for a fixed cluster, producing a PartitionPlan.
-// Engine selection (naive / fast / parallel) is an Options concern; plans are
-// byte-identical across engines (see the header comment).
+// Plans are byte-identical with or without a pool, at any pool size, and to
+// the naive oracle (see the header comment).
 class SequencePartitioner {
  public:
   struct Options {
@@ -383,20 +363,14 @@ class SequencePartitioner {
     // iterative refinement still only ever shrinks the thresholds.
     int64_t max_inter_threshold = 0;  // Caps s1.
     int64_t max_local_threshold = 0;  // Caps s0.
-    // Selects the O((S + P) log P) heap-based fast path. Plans are
-    // byte-identical either way; false forces the reference greedy.
+    // false selects the naive oracle instead of the sharded engine — a test
+    // and bench reference, never a serving configuration.
     bool fast_path = true;
-    // Non-owning. When set (and fast_path is true), Partition() runs the
-    // parallel/sharded engine on this pool: round-batched z01 packing, one
-    // intra-node task per node with per-context scratch slabs, and offset-
-    // merged plan materialization. A pool with a single context runs the same
-    // engine inline — plans are byte-identical at every thread count and to
-    // both serial paths. The pool must outlive the partitioner's calls.
+    // Non-owning. When set, the sharded engine fans its per-node intra tasks
+    // and merges out over this pool (one Partition() per pool at a time);
+    // null runs the same tasks inline on the calling thread. The pool must
+    // outlive the partitioner's calls.
     ThreadPool* pool = nullptr;
-    // Escape hatch: if a fast path's restart chain exceeds its worst-case
-    // bound (cannot happen unless the invariants are broken), run the naive
-    // path once instead of aborting.
-    bool naive_fallback = true;
   };
 
   SequencePartitioner(const ClusterSpec& cluster, Options options);
@@ -416,31 +390,25 @@ class SequencePartitioner {
   void Partition(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan) const;
 
  private:
-  // Alg. 1. Emits z2 rings (inter-node and single-node) into the plan arena
-  // and fills `scratch->assignments`.
-  void PartitionInterNodeFast(const Batch& batch, PartitionPlan* plan,
-                              PlannerScratch* scratch) const;
+  // Naive oracle. Alg. 1 emits z2 rings (inter-node and single-node) into
+  // the plan arena and fills `scratch->assignments`; Alg. 2 for one node
+  // emits intra rings, appends to plan->local, and accumulates
+  // plan->tokens_per_rank.
   void PartitionInterNodeNaive(const Batch& batch, PartitionPlan* plan,
                                PlannerScratch* scratch) const;
-
-  // Alg. 2 for one node. Emits intra rings into the plan arena, appends to
-  // plan->local, and accumulates plan->tokens_per_rank.
-  void PartitionIntraNodeFast(const Batch& batch, int node, const NodeAssignment& assignment,
-                              PartitionPlan* plan, PlannerScratch* scratch) const;
   void PartitionIntraNodeNaive(const Batch& batch, int node, const NodeAssignment& assignment,
                                PartitionPlan* plan, PlannerScratch* scratch) const;
 
-  // Parallel/sharded engine (partitioner_parallel.cc). Same plan bytes as the
-  // serial paths at any pool size.
+  // Sharded engine (partitioner_parallel.cc) on `pool`, or inline when null.
   void PartitionParallel(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan,
                          ThreadPool* pool) const;
   // Alg. 1 with round-batched z01 packing sharded into scratch->node_items;
-  // the pool materializes re-labelled single-node rings in parallel, writing
+  // re-labelled single-node rings are materialized per context, writing
   // headers and ranks into pre-reserved plan slots.
   void PartitionInterNodeSharded(const Batch& batch, PartitionPlan* plan,
                                  PlannerScratch* scratch, ThreadPool* pool) const;
   // Alg. 2 for one node into scratch->intra_results[node], using the scratch
-  // slab owned by pool context `context`.
+  // slab owned by context `context`.
   void PartitionIntraNodeSharded(int node, int context, PlannerScratch* scratch) const;
 
   ClusterSpec cluster_;

@@ -1,19 +1,34 @@
-// Helpers shared by the serial (partitioner.cc) and parallel
-// (partitioner_parallel.cc) planner engines. The chunk/fragment count math
-// lives here so the engines cannot drift apart — the bit-identical-plans
-// contract depends on every path computing these identically.
+// Helpers shared by the naive oracle (partitioner.cc), the sharded engine
+// (partitioner_parallel.cc), and the delta planner's dirty-node re-pack. The
+// chunk/fragment count math lives here so the paths cannot drift apart — the
+// bit-identical-plans contract depends on every path computing these
+// identically.
 #ifndef SRC_CORE_PARTITIONER_INTERNAL_H_
 #define SRC_CORE_PARTITIONER_INTERNAL_H_
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/partitioner.h"
 
 namespace zeppelin {
 namespace planner_internal {
+
+// Packed sequence key layout: high 43 bits (kLenMask - len), low 20 bits id.
+// Ascending key order == (length descending, id ascending) — the zone order
+// of Alg. 1 with the stable-sort tie-break.
+constexpr int kIdxBits = 20;
+constexpr uint64_t kIdxMask = (uint64_t{1} << kIdxBits) - 1;
+constexpr uint64_t kLenMask = (uint64_t{1} << 43) - 1;
+
+inline uint64_t PackKey(int64_t len, int id) {
+  return ((kLenMask - static_cast<uint64_t>(len)) << kIdxBits) | static_cast<uint64_t>(id);
+}
+inline int64_t KeyLen(uint64_t key) { return static_cast<int64_t>(kLenMask - (key >> kIdxBits)); }
+inline int KeyId(uint64_t key) { return static_cast<int>(key & kIdxMask); }
 
 // Number of node buckets a z2 sequence is chunked over (Alg. 1 line 8).
 inline int InterNodeChunkCount(int64_t len, double s_avg, int num_nodes) {
@@ -42,7 +57,7 @@ inline void RecordChunkAggregate(int node, int64_t chunk, int p, std::vector<int
 // Expands `node`'s recorded chunk aggregates into the exact per-device base
 // loads (the inter-node chunk spreading of Alg. 2 lines 4-6): the share of a
 // chunk q*p + r on device d is q + (floor((d+1)r/p) - floor(dr/p)). Every
-// intra-stage consumer (serial fast, sharded, delta re-pack) must expand
+// intra-stage consumer (sharded engine, delta re-pack) must expand
 // identically.
 inline void ExpandChunkBase(const std::vector<int64_t>& whole, const std::vector<int64_t>& rem,
                             int node, int p, std::vector<int64_t>* out) {
@@ -142,6 +157,21 @@ inline int* EmitRing(std::vector<RingRef>* refs, size_t* ref_count, std::vector<
   *arena_count = needed;
   return slot;
 }
+
+// Alg. 2 for one node — the intra-node kernel of the sharded engine and of
+// the delta planner's dirty-node re-pack, so clean-fabric Alg. 2 exists once.
+// `keys` are the node's z01 sequences as packed keys sorted ascending
+// (length-descending, id-ascending); `chunk_base` holds the per-device
+// inter-node chunk loads (ExpandChunkBase output), and its size is the
+// node's device count p; device d is global rank rank_base + d. s0 starts at
+// `capacity`, capped by `max_local_threshold` when positive, and shrinks on
+// overflow. Writes rings (node-local arena offsets), z0 locals, single-
+// fragment z1 locals, final device loads, and the refined s0 into `out`;
+// `slab` supplies the packer and load scratch (`chunk_base` may alias
+// slab->chunk_base).
+void PackIntraNode(std::span<const uint64_t> keys, std::span<const int64_t> chunk_base,
+                   int rank_base, int64_t capacity, int64_t max_local_threshold,
+                   IntraWorkerSlab* slab, NodeIntraResult* out);
 
 }  // namespace planner_internal
 }  // namespace zeppelin

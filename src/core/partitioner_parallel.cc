@@ -1,4 +1,4 @@
-// Parallel/sharded planner engine (see the header comment in partitioner.h).
+// The sharded planner engine (see the header comment in partitioner.h).
 //
 // Layout of one Partition() call:
 //
@@ -14,15 +14,19 @@
 //      The decision stream is sequential on purpose: greedy list scheduling
 //      is P-complete, so an exact parallel z01 does not exist; batching, not
 //      threading, is what makes this stage cheap.
-//   3. Intra-node stage (parallel): Alg. 2 is independent per node — one pool
-//      task per node, per-context scratch slabs, results into per-node
-//      RingStores (node-local arena offsets). Static task ownership (node n
-//      on context n % T) keeps slab reuse deterministic.
+//   3. Intra-node stage (parallel): Alg. 2 is independent per node — one
+//      task per node (PackIntraNode), per-context scratch slabs, results into
+//      per-node RingStores (node-local arena offsets). Static task ownership
+//      (node n on context n % T) keeps slab reuse deterministic.
 //   4. Merge (parallel over nodes): per-node results copy into the plan's
 //      flat arrays — locals, ring headers (offset-shifted), and arena slices
 //      (one memcpy per node) — at offsets computed from per-node counts, in
-//      node order. Byte-identical to the serial engines' append order at any
-//      thread count, with no per-ring allocation anywhere.
+//      node order. Byte-identical to the oracle's append order at any thread
+//      count, with no per-ring allocation anywhere.
+//
+// Without a pool, stages 3 and 4 (and the re-label pass of stage 2) run the
+// same tasks inline on the calling thread as context 0: no pool is built, and
+// callers with their own scratch share no mutable state.
 #include <algorithm>
 #include <bit>
 #include <cstring>
@@ -41,25 +45,18 @@ using planner_internal::ExpandChunkBase;
 using planner_internal::ForEachFragment;
 using planner_internal::FragmentZone1;
 using planner_internal::InterNodeChunkCount;
+using planner_internal::kIdxBits;
+using planner_internal::kIdxMask;
+using planner_internal::KeyId;
+using planner_internal::KeyLen;
+using planner_internal::kLenMask;
+using planner_internal::PackKey;
 
 namespace {
 
-// Packed sequence key layout: high 43 bits (kLenMask - len), low 20 bits id.
-// Ascending key order == (length descending, id ascending) — the zone order
-// of Alg. 1 with the stable-sort tie-break.
-constexpr int kIdxBits = 20;
-constexpr uint64_t kIdxMask = (uint64_t{1} << kIdxBits) - 1;
-constexpr uint64_t kLenMask = (uint64_t{1} << 43) - 1;
-
-inline uint64_t PackKey(int64_t len, int id) {
-  return ((kLenMask - static_cast<uint64_t>(len)) << kIdxBits) | static_cast<uint64_t>(id);
-}
-inline int64_t KeyLen(uint64_t key) { return static_cast<int64_t>(kLenMask - (key >> kIdxBits)); }
-inline int KeyId(uint64_t key) { return static_cast<int>(key & kIdxMask); }
-
-// First position in the sorted key array whose length drops below
+// First position in the sorted key list whose length drops below
 // `threshold` — the zone boundary index. O(log n).
-int KeyBoundary(const std::vector<uint64_t>& keys, int64_t threshold) {
+int KeyBoundary(std::span<const uint64_t> keys, int64_t threshold) {
   if (static_cast<uint64_t>(threshold) > kLenMask) {
     return 0;  // No representable length reaches the threshold.
   }
@@ -67,6 +64,31 @@ int KeyBoundary(const std::vector<uint64_t>& keys, int64_t threshold) {
   return static_cast<int>(std::partition_point(keys.begin(), keys.end(),
                                                [limit](uint64_t k) { return k <= limit; }) -
                           keys.begin());
+}
+
+// Pool dispatch with an inline fallback. Without a pool every batch runs on
+// the calling thread as context 0, in the order static ownership would give
+// context 0 anyway — so whether a pool exists cannot change the plan.
+int NumContexts(const ThreadPool* pool) { return pool != nullptr ? pool->num_contexts() : 1; }
+
+template <typename Fn>
+void RunTasks(ThreadPool* pool, int num_tasks, Fn&& fn) {
+  if (pool != nullptr) {
+    pool->RunTasks(num_tasks, fn);
+    return;
+  }
+  for (int task = 0; task < num_tasks; ++task) {
+    fn(task, 0);
+  }
+}
+
+template <typename Fn>
+void ParallelFor(ThreadPool* pool, int64_t n, Fn&& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+  } else if (n > 0) {
+    fn(int64_t{0}, n, 0);
+  }
 }
 
 // Builds scratch->keys sorted ascending. Returns the batch's total tokens
@@ -166,12 +188,12 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
   };
 
   int restarts = 0;
-  // Incremental-restart shortcut, mirroring the serial fast path: when the
-  // aborted pass was pure z01 packing (empty z2) and every promoted sequence
-  // still chunks to k == 1 under the new s_avg, a full replay would place
-  // those very sequences on the very same nodes — so the restart only
-  // re-labels them (shard lists -> single-node z2 rings, read back from
-  // placed_node) and resumes where the aborted pass stopped.
+  // Incremental-restart shortcut: when the aborted pass was pure z01 packing
+  // (empty z2) and every promoted sequence still chunks to k == 1 under the
+  // new s_avg, a full replay would place those very sequences on the very
+  // same nodes — so the restart only re-labels them (shard lists ->
+  // single-node z2 rings, read back from placed_node) and resumes where the
+  // aborted pass stopped.
   int continue_from = -1;
   for (;;) {
     int z2_start = 0;
@@ -180,10 +202,11 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
       // key order), chunk aggregates rebuild from zero (z2 was empty), and
       // the packer's loads carry over exactly. The aborted pass emitted no
       // rings, so header slot i and arena slice [i*p, (i+1)*p) are fully
-      // determined by the sequence index alone — the pool writes them into
-      // pre-reserved plan storage with no synchronization, and the plan
-      // bytes are thread-count-invariant; the chunk aggregates accumulate
-      // through per-context partials merged with order-free integer adds.
+      // determined by the sequence index alone — each context writes its
+      // slice into pre-reserved plan storage with no synchronization, and the
+      // plan bytes are thread-count-invariant; the chunk aggregates
+      // accumulate through per-context partials merged with order-free
+      // integer adds.
       const size_t relabel_rings = static_cast<size_t>(continue_from);
       if (plan->intra_node.size() < relabel_rings) {
         plan->intra_node.resize(relabel_rings);
@@ -191,12 +214,12 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
       if (plan->rank_arena.size() < relabel_rings * p) {
         plan->rank_arena.resize(relabel_rings * p);
       }
-      const int contexts = pool->num_contexts();
+      const int contexts = NumContexts(pool);
       for (int c = 0; c < contexts; ++c) {
         s->intra_slabs[c].relabel_whole.assign(num_nodes, 0);
         s->intra_slabs[c].relabel_rem.assign(static_cast<size_t>(num_nodes) * p, 0);
       }
-      pool->ParallelFor(continue_from, [&](int64_t begin, int64_t end, int context) {
+      ParallelFor(pool, continue_from, [&](int64_t begin, int64_t end, int context) {
         IntraWorkerSlab& slab = s->intra_slabs[context];
         for (int64_t i = begin; i < end; ++i) {
           const uint64_t key = s->keys[i];
@@ -239,8 +262,8 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
       s->node_loads.Reset(num_nodes);
     }
 
-    // Chunk placement for z2 (lines 7-10), heap-based exactly like the
-    // serial fast path: z2 holds few, long sequences.
+    // Chunk placement for z2 (lines 7-10), heap-based: z2 holds few, long
+    // sequences.
     const double s_avg = static_cast<double>(z2_total) / num_nodes;
     for (int i = z2_start; i < boundary; ++i) {
       const uint64_t key = s->keys[i];
@@ -306,10 +329,9 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
     for (int i = boundary; i < nb; ++i) {
       z2_total += KeyLen(s->keys[i]);
     }
-    // Incremental-continuation test (same as the serial fast path): the
-    // aborted pass must have been pure z01 packing, and under the new s_avg
-    // even the longest promoted sequence must chunk to a single node. Then
-    // the replay is a no-op re-labelling.
+    // Incremental-continuation test: the aborted pass must have been pure z01
+    // packing, and under the new s_avg even the longest promoted sequence
+    // must chunk to a single node. Then the replay is a no-op re-labelling.
     const double next_avg = static_cast<double>(z2_total) / num_nodes;
     if (boundary == 0 &&
         static_cast<double>(KeyLen(s->keys[0])) <= std::max(next_avg, 1.0)) {
@@ -317,10 +339,9 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
     }
     boundary = nb;
     // The boundary strictly advances on every restart, so more than n
-    // restarts means a broken invariant; fall back to the reference greedy
-    // once rather than looping.
+    // restarts means a broken invariant; fall back to the naive oracle's
+    // inter-node stage once rather than looping.
     if (++restarts > n) {
-      ZCHECK(options_.naive_fallback) << "sharded restart chain exceeded its bound";
       // The naive path rewinds the emission cursors itself and re-emits
       // every ring into the recycled plan storage.
       PartitionInterNodeNaive(batch, plan, s);
@@ -344,60 +365,55 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
 
 // --- Intra-node stage (Alg. 2), sharded engine --------------------------------
 
-void SequencePartitioner::PartitionIntraNodeSharded(int node, int context,
-                                                    PlannerScratch* s) const {
-  const int p = cluster_.gpus_per_node;
-  const int rank_base = node * p;
-  const int64_t capacity = options_.token_capacity;
-  IntraWorkerSlab& slab = s->intra_slabs[context];
-  NodeIntraResult& res = s->intra_results[node];
-  const std::vector<uint64_t>& items = s->node_items[node];
-  const int n = static_cast<int>(items.size());
-
-  // Inter-node chunk spreading (lines 4-6) from the aggregates the inter
-  // stage recorded; zone-independent, so hoisted out of the restart loop.
-  ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, p, &slab.chunk_base);
+void planner_internal::PackIntraNode(std::span<const uint64_t> keys,
+                                     std::span<const int64_t> chunk_base, int rank_base,
+                                     int64_t capacity, int64_t max_local_threshold,
+                                     IntraWorkerSlab* slab, NodeIntraResult* out) {
+  const int p = static_cast<int>(chunk_base.size());
+  const int n = static_cast<int>(keys.size());
 
   int64_t s0 = capacity;  // Alg. 2 line 1.
-  if (options_.max_local_threshold > 0) {
-    s0 = std::min(s0, options_.max_local_threshold);
+  if (max_local_threshold > 0) {
+    s0 = std::min(s0, max_local_threshold);
   }
-  int boundary = KeyBoundary(items, s0);
+  int boundary = KeyBoundary(keys, s0);
 
   int restarts = 0;
   for (;;) {
-    res.rings.Reset();
-    res.locals.clear();
-    res.locals_z1.clear();
-    slab.loads = slab.chunk_base;
+    out->rings.Reset();
+    out->locals.clear();
+    out->locals_z1.clear();
+    // Inter-node chunk spreading (lines 4-6) is zone-independent: every pass
+    // starts from the same base loads.
+    slab->loads.assign(chunk_base.begin(), chunk_base.end());
 
     // Quadratic-balanced fragmentation of intra-node sequences (lines 8-12),
     // via the shared pass (cursor progression and fragment counts are
-    // equivalence-critical across engines).
+    // equivalence-critical across paths).
     FragmentZone1(
-        boundary, p, [&](int i) { return KeyLen(items[i]); },
+        boundary, p, [&](int i) { return KeyLen(keys[i]); },
         [&](int i, int64_t len, int fragments, int cursor) {
-          int* out = res.rings.Append(KeyId(items[i]), len, Zone::kIntraNode, fragments);
+          int* ranks = out->rings.Append(KeyId(keys[i]), len, Zone::kIntraNode, fragments);
           ForEachFragment(len, fragments, cursor, p, [&](int f, int device, int64_t share) {
-            out[f] = rank_base + device;
-            slab.loads[device] += share;
+            ranks[f] = rank_base + device;
+            slab->loads[device] += share;
           });
         },
         [&](int i, int64_t len, int device) {
           // A single-fragment "ring" is a local kernel (lands after this
-          // node's z0 locals, like the reference path's ring conversion).
-          res.locals_z1.push_back({KeyId(items[i]), len, rank_base + device});
-          slab.loads[device] += len;
+          // node's z0 locals, like the oracle's ring conversion).
+          out->locals_z1.push_back({KeyId(keys[i]), len, rank_base + device});
+          slab->loads[device] += len;
         });
 
     // Round-batched z0 packing onto least-loaded devices (lines 13-21).
-    slab.packer.Assign(slab.loads);
-    const uint64_t* z0 = items.data() + boundary;
+    slab->packer.Assign(slab->loads);
+    const uint64_t* z0 = keys.data() + boundary;
     const int count = n - boundary;
-    const int packed = slab.packer.Pack(
+    const int packed = slab->packer.Pack(
         count, capacity, [z0](int i) { return KeyLen(z0[i]); },
         [&](int i, int device, int64_t len) {
-          res.locals.push_back({KeyId(z0[i]), len, rank_base + device});
+          out->locals.push_back({KeyId(z0[i]), len, rank_base + device});
         });
     if (packed == count) {
       break;
@@ -405,14 +421,24 @@ void SequencePartitioner::PartitionIntraNodeSharded(int node, int context,
     // Shrink s0 to max(z0) = the overflowing length; promoted sequences form
     // a contiguous block, so the boundary just advances.
     boundary = AdvanceZoneBoundary(
-        n, boundary + packed, [&](int j) { return KeyLen(items[j]); }, &s0);
+        n, boundary + packed, [&](int j) { return KeyLen(keys[j]); }, &s0);
     // The boundary strictly advances on every restart, so the chain is
     // bounded by the node's sequence count.
     ZCHECK_LE(++restarts, n) << "intra-node restart chain exceeded its bound";
   }
 
-  slab.packer.Loads(&res.device_loads);
-  res.threshold_s0 = s0;
+  slab->packer.Loads(&out->device_loads);
+  out->threshold_s0 = s0;
+}
+
+void SequencePartitioner::PartitionIntraNodeSharded(int node, int context,
+                                                    PlannerScratch* s) const {
+  const int p = cluster_.gpus_per_node;
+  IntraWorkerSlab& slab = s->intra_slabs[context];
+  ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, p, &slab.chunk_base);
+  planner_internal::PackIntraNode(s->node_items[node], slab.chunk_base, node * p,
+                                  options_.token_capacity, options_.max_local_threshold, &slab,
+                                  &s->intra_results[node]);
 }
 
 // --- Driver -------------------------------------------------------------------
@@ -421,7 +447,7 @@ void SequencePartitioner::PartitionParallel(const Batch& batch, PlannerScratch* 
                                             PartitionPlan* plan, ThreadPool* pool) const {
   const int num_nodes = cluster_.num_nodes;
   const int p = cluster_.gpus_per_node;
-  const int contexts = pool->num_contexts();
+  const int contexts = NumContexts(pool);
 
   if (static_cast<int>(scratch->intra_slabs.size()) < contexts) {
     scratch->intra_slabs.resize(contexts);
@@ -437,11 +463,11 @@ void SequencePartitioner::PartitionParallel(const Batch& batch, PlannerScratch* 
 
   // Alg. 2: one task per node; task `node` always runs on context
   // node % contexts, so slab reuse and results are thread-count-invariant.
-  pool->RunTasks(num_nodes,
-                 [&](int node, int context) { PartitionIntraNodeSharded(node, context, scratch); });
+  RunTasks(pool, num_nodes,
+           [&](int node, int context) { PartitionIntraNodeSharded(node, context, scratch); });
 
-  // Merge per-node results in node order — identical bytes to the serial
-  // engines' per-node append order. Locals, ring headers, and arena slices
+  // Merge per-node results in node order — identical bytes to the oracle's
+  // per-node append order. Locals, ring headers, and arena slices
   // all land at offsets precomputed from per-node counts, so the copy itself
   // fans out over the pool with no synchronization.
   scratch->local_offsets.resize(num_nodes + 1);
@@ -469,7 +495,7 @@ void SequencePartitioner::PartitionParallel(const Batch& batch, PlannerScratch* 
   if (plan->rank_arena.size() < rank_cursor) {
     plan->rank_arena.resize(rank_cursor);
   }
-  pool->RunTasks(num_nodes, [&](int node, int /*context*/) {
+  RunTasks(pool, num_nodes, [&](int node, int /*context*/) {
     const NodeIntraResult& res = scratch->intra_results[node];
     LocalSequence* dst = plan->local.data() + scratch->local_offsets[node];
     dst = std::copy(res.locals.begin(), res.locals.end(), dst);

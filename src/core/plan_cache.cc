@@ -138,9 +138,8 @@ namespace {
 
 uint64_t OptionsSignature(const PlanningOptions& options) {
   // Only the options that change the *plan bytes* participate in the key:
-  // the engine-selection knobs (fast_path, use_shared_pool) are excluded by
-  // the byte-identity contract, and delta_replan_threshold only shapes
-  // session fallback policy, not the plan a given batch gets.
+  // delta_replan_threshold only shapes session fallback policy, not the plan
+  // a given batch gets.
   uint64_t h = kFnvOffset;
   h = FnvMix(h, static_cast<uint64_t>(options.token_capacity));
   h = FnvMix(h, options.hierarchical_partitioning ? 1 : 0);
@@ -420,9 +419,8 @@ PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request) {
     return Plan(request);
   }
   const PlanCacheKey key = ComputePlanCacheKey(request);
-  const bool family_eligible = options_.near_match &&
-                               request.options.hierarchical_partitioning &&
-                               request.options.planner_fast_path;
+  const bool family_eligible =
+      options_.near_match && request.options.hierarchical_partitioning;
   PlanResponse response;
   bool near_match = false;
   if (family_eligible) {

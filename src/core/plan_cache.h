@@ -56,7 +56,7 @@ struct PlanCacheOptions {
   // Near-match families resident at once (each owns one service session).
   size_t family_capacity = 32;
   // Enables the histogram-bucketed near-match tier (requires requests with
-  // hierarchical fast-path planning — others use the exact tier only).
+  // hierarchical planning — others use the exact tier only).
   bool near_match = true;
   // Run VerifyPlan on every served plan (hit, miss, near-match).
   bool verify = true;

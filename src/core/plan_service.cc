@@ -22,10 +22,6 @@ double ElapsedUs(Clock::time_point start) {
 
 const char* PlanEngineName(PlanEngine engine) {
   switch (engine) {
-    case PlanEngine::kNaive:
-      return "naive";
-    case PlanEngine::kSerialFast:
-      return "serial-fast";
     case PlanEngine::kParallelSharded:
       return "parallel-sharded";
     case PlanEngine::kDeltaPatch:
@@ -174,15 +170,12 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
 
   SequencePartitioner::Options popts;
   popts.token_capacity = DeriveCapacity(batch, *request.cost_model, spec, request.options);
-  popts.fast_path = request.options.planner_fast_path;
   if (request.options.zone_aware_thresholds) {
     const ZoneBoundaries zones = CachedZones(*request.cost_model, spec);
     popts.max_inter_threshold = zones.intra_max;
     popts.max_local_threshold = zones.local_max;
   }
-  const bool pooled =
-      pool_.has_value() && request.options.use_shared_pool && request.options.planner_fast_path;
-  if (pooled) {
+  if (pool_.has_value()) {
     popts.pool = &*pool_;
   }
 
@@ -209,9 +202,9 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
   {
     obs::TraceScope plan_span(obs::Stage::kPlan);
     // ThreadPool batches admit one caller at a time; every pooled plan in
-    // the service serializes here (delta patches never do).
+    // the service serializes here (delta patches and inline plans never do).
     std::unique_lock<std::mutex> pool_lock;
-    if (pooled) {
+    if (pool_.has_value()) {
       pool_lock = std::unique_lock<std::mutex>(pool_mu_);
     }
     ctx->partitioner->Partition(batch, &ctx->scratch, plan.get());
@@ -219,9 +212,7 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
   response.stats.partition_time_us = ElapsedUs(start);
   response.stats.stage_us[static_cast<int>(obs::Stage::kPlan)] =
       response.stats.partition_time_us;
-  response.stats.engine = !request.options.planner_fast_path ? PlanEngine::kNaive
-                          : pooled ? PlanEngine::kParallelSharded
-                                   : PlanEngine::kSerialFast;
+  response.stats.engine = PlanEngine::kParallelSharded;
   response.stats.token_capacity = popts.token_capacity;
   response.stats.session_count = session_count();
 
@@ -253,9 +244,8 @@ std::shared_ptr<PlannerService::Session> PlannerService::FindSession(
 }
 
 PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
-  ZCHECK(request.options.hierarchical_partitioning && request.options.planner_fast_path)
-      << "delta sessions require hierarchical partitioning on the fast path "
-         "(stream " << request.stream_id << ")";
+  ZCHECK(request.options.hierarchical_partitioning)
+      << "delta sessions require hierarchical partitioning (stream " << request.stream_id << ")";
   const Batch& batch = *request.batch;
   const ClusterSpec& spec = request.fabric->cluster();
   const std::shared_ptr<Session> session = FindOrCreateSession(request.stream_id);
@@ -270,7 +260,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
   const double plan_start_us = tctx != nullptr ? obs::NowUs() : 0;
   const bool needs_base = !session->planner || !(session->planner->cluster() == spec) ||
                           !session->planner->has_base() || request.delta == nullptr;
-  bool pooled_rebase = false;
   if (needs_base) {
     // (Re)establish the base: capacity pinned from this batch, zone caps
     // from the cached boundaries, and the memory model as the ceiling for
@@ -284,11 +273,9 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
       dopts.max_local_threshold = zones.local_max;
     }
     dopts.replan_threshold = request.options.delta_replan_threshold;
-    dopts.fast_path = true;
-    if (pool_.has_value() && request.options.use_shared_pool) {
+    if (pool_.has_value()) {
       dopts.pool = &*pool_;
       dopts.pool_mutex = &pool_mu_;
-      pooled_rebase = true;
     }
     if (!session->planner || !(session->planner->cluster() == spec)) {
       session->planner.emplace(spec, dopts);
@@ -305,7 +292,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
     session->planner->Rebase(batch);
     session->last_outcome = DeltaOutcome::kRebasedNoBase;
   } else {
-    pooled_rebase = session->planner->options().pool != nullptr;
     // Fabric churn first (a topology fallback replans against the session's
     // tracked batch), then the batch delta patches on whatever base that
     // left. The reported outcome is the *dominant* one: a topology rebase
@@ -337,11 +323,7 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
   response.stats.delta_outcome = session->last_outcome;
   const bool patched = session->last_outcome == DeltaOutcome::kApplied ||
                        session->last_outcome == DeltaOutcome::kAppliedTopology;
-  // Degraded-fabric rebases run the serial elastic engine, never the pool.
-  const bool degraded = session->planner->topology().degraded();
-  response.stats.engine = patched ? PlanEngine::kDeltaPatch
-                          : (pooled_rebase && !degraded) ? PlanEngine::kParallelSharded
-                                                         : PlanEngine::kSerialFast;
+  response.stats.engine = patched ? PlanEngine::kDeltaPatch : PlanEngine::kParallelSharded;
   response.stats.token_capacity = session->planner->token_capacity();
   response.stats.session_count = session_count();
 

@@ -36,7 +36,9 @@
 //     responsibility).
 //   - Full (re)plans share the service's ThreadPool under an internal lock;
 //     delta patches never touch the pool, so concurrent streams only
-//     contend when one of them falls back to a full re-plan.
+//     contend when one of them falls back to a full re-plan. A service
+//     without a pool (num_planner_threads = 0) runs every full plan inline
+//     on the requesting thread, with no shared lock at all.
 //   - Returned handles are immune to later requests; they may outlive the
 //     service itself.
 #ifndef SRC_CORE_PLAN_SERVICE_H_
@@ -75,12 +77,6 @@ struct PlanningOptions {
   // Zone-aware threshold initialization (design ablation D6); boundaries are
   // computed once per (model, cluster) and cached inside the service.
   bool zone_aware_thresholds = false;
-  // false forces the reference linear-scan greedy engine.
-  bool planner_fast_path = true;
-  // Run on the service's shared ThreadPool when it has one (the
-  // parallel/sharded engine); false pins this request to the serial fast
-  // path regardless of the service pool. Plans are byte-identical either way.
-  bool use_shared_pool = true;
   // Streaming fallback knob (sessions only): full re-plan above this churn
   // fraction or imbalance drift (DeltaPlannerOptions::replan_threshold).
   double delta_replan_threshold = 0.05;
@@ -107,11 +103,13 @@ struct PlanRequest {
   const TopologyDelta* topology = nullptr;
 };
 
-// Which engine produced the response's plan.
+// Which engine produced the response's plan. The values travel on the wire
+// (docs/DAEMON.md); 0 and 1 once named the naive and serial engines, which
+// the service no longer runs, and are never reused.
 enum class PlanEngine : uint8_t {
-  kNaive = 0,        // Reference linear-scan greedy.
-  kSerialFast,       // O((S+P) log P) heap-based serial fast path.
-  kParallelSharded,  // Pool-sharded engine (byte-identical at any threads).
+  kParallelSharded = 2,  // Full (re)plan by the sharded engine, pooled or
+                         //   inline (byte-identical either way); on a
+                         //   degraded session fabric, its elastic re-plan.
   kDeltaPatch,       // Session request patched incrementally.
   kGlobalRing,       // hierarchical_partitioning = false ablation layout.
   kAdopted,          // Externally produced plan adopted without planning
@@ -132,7 +130,7 @@ enum class CacheOutcome : uint8_t {
 const char* CacheOutcomeName(CacheOutcome outcome);
 
 struct PlanStats {
-  PlanEngine engine = PlanEngine::kSerialFast;
+  PlanEngine engine = PlanEngine::kParallelSharded;
   // Wall time of the partitioning step alone (Partition / Apply / Rebase) —
   // the same quantity ZeppelinStrategy::partition_time_us always reported.
   double partition_time_us = 0;
@@ -180,8 +178,9 @@ struct PlanResponse {
 
 struct PlanServiceOptions {
   // Execution contexts of the shared planning pool (including the calling
-  // thread): 0 = no pool (every full plan runs the serial fast path), N >= 1
-  // = pooled sharded engine for full (re)plans. Same semantics as
+  // thread): 0 = no pool (every full plan runs the sharded engine inline on
+  // the requesting thread, so full plans never serialize on the pool lock),
+  // N >= 1 = pooled sharded engine for full (re)plans. Same semantics as
   // ZeppelinOptions::num_planner_threads.
   int num_planner_threads = 1;
   // Immutable-plan storage recycled through the internal pool; handles

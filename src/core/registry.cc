@@ -61,7 +61,7 @@ int ParseThreads(const std::string& value, const std::string& mod) {
   char* end = nullptr;
   const long long parsed = std::strtoll(value.c_str(), &end, 10);
   // Range-check before narrowing: a silently truncated huge value would
-  // select an unintended engine instead of failing the parse.
+  // select an unintended thread count instead of failing the parse.
   ZCHECK(end != nullptr && *end == '\0' && errno != ERANGE && parsed >= 0 &&
          parsed <= std::numeric_limits<int>::max())
       << "bad thread count in spec modifier: " << mod;

@@ -16,8 +16,8 @@
 // Zeppelin specs also accept inline *knob* modifiers (`+key=value`), so a
 // single spec string fully describes a configuration without side-channel
 // flags:
-//   zeppelin+threads=4               planner pool contexts (0 = serial fast
-//                                    path; "auto" = hardware concurrency)
+//   zeppelin+threads=4               planner pool contexts (0 = no pool,
+//                                    inline; "auto" = hardware concurrency)
 //   zeppelin+delta=0.02              delta-replan threshold (PlanDelta)
 //   zeppelin+capacity=8192           explicit token capacity L per device
 //   zeppelin+stream=decode-7         PlannerService session key (distinct
@@ -50,8 +50,9 @@ class PlannerService;  // src/core/plan_service.h
 // variant. Each field is the *alias* of an inline knob modifier (see the
 // grammar above); an inline knob on the spec wins over the default.
 struct StrategyDefaults {
-  // ZeppelinOptions::num_planner_threads for zeppelin specs: 0 = serial PR-1
-  // fast path, N >= 1 = sharded engine on N contexts. Ignored by baselines.
+  // ZeppelinOptions::num_planner_threads for zeppelin specs: 0 = sharded
+  // engine inline (no pool), N >= 1 = sharded engine on a pool of N
+  // contexts. Ignored by baselines.
   // Inline form: +threads=N.
   int num_planner_threads = 1;
   // ZeppelinOptions::delta_replan_threshold for zeppelin specs: streaming

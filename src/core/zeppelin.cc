@@ -30,8 +30,7 @@ PlannerService& ZeppelinStrategy::service() {
   }
   if (!owned_service_) {
     owned_service_ = std::make_shared<PlannerService>(
-        PlanServiceOptions{.num_planner_threads =
-                               options_.planner_fast_path ? options_.num_planner_threads : 0});
+        PlanServiceOptions{.num_planner_threads = options_.num_planner_threads});
   }
   return *owned_service_;
 }
@@ -41,10 +40,6 @@ PlanningOptions ZeppelinStrategy::BuildPlanningOptions() const {
   popts.token_capacity = options_.token_capacity;
   popts.hierarchical_partitioning = options_.hierarchical_partitioning;
   popts.zone_aware_thresholds = options_.zone_aware_thresholds;
-  popts.planner_fast_path = options_.planner_fast_path;
-  // 0 planner threads historically meant "serial fast path": opt out of
-  // whatever pool the service carries.
-  popts.use_shared_pool = options_.num_planner_threads >= 1;
   popts.delta_replan_threshold = options_.delta_replan_threshold;
   return popts;
 }
@@ -79,8 +74,8 @@ void ZeppelinStrategy::Plan(const Batch& batch, const CostModel& cost_model,
 void ZeppelinStrategy::PlanDelta(const Batch& batch, const BatchDelta& delta,
                                  const CostModel& cost_model, const FabricResources& fabric,
                                  const TopologyDelta* topology) {
-  if (!options_.hierarchical_partitioning || !options_.planner_fast_path) {
-    // The delta session patches the hierarchical fast-path state; without it
+  if (!options_.hierarchical_partitioning) {
+    // The delta session patches hierarchical planner state; without it
     // streaming degenerates to per-iteration full planning.
     Plan(batch, cost_model, fabric);
     return;

@@ -52,19 +52,12 @@ struct ZeppelinOptions {
   // smaller rings even when memory would allow bigger ones.
   bool zone_aware_thresholds = false;
 
-  // Selects the O((S + P) log P) heap-based planner fast path (bit-identical
-  // plans); false forces the reference linear-scan greedy. Exposed so the
-  // planner-scaling bench can measure old-vs-new on the same code base.
-  bool planner_fast_path = true;
-
-  // Execution contexts for the parallel/sharded planner engine (including
-  // the calling thread): 1 runs the sharded engine inline (the default —
-  // typically 2-3x the serial fast path at bench scale, though
-  // materialization-bound points can tie it), N > 1 adds N-1 pool workers
-  // for the per-node intra stage and merges, and 0 opts out, forcing the
-  // PR-1 serial fast path (the bench baseline). Plans are bit-identical at
-  // every setting. Applies to the strategy's private service only; a shared
-  // `service` brings its own pool.
+  // Execution contexts for the sharded planner engine (including the calling
+  // thread): 1 (the default) runs it on a one-context pool, N > 1 adds N-1
+  // pool workers for the per-node intra stage and merges, and 0 runs it
+  // inline with no pool at all. Plans are bit-identical at every setting.
+  // Applies to the strategy's private service only; a shared `service`
+  // brings its own pool.
   int num_planner_threads = 1;
 
   // Streaming (PlanDelta) fallback knob: the delta planner re-plans from
@@ -111,8 +104,8 @@ class ZeppelinStrategy : public Strategy {
   // the delta_replan_threshold policy. The first call (or any call after
   // Plan()) establishes the base plan with a full partition; the token
   // capacity is pinned at the base plan and auto-raised only when the batch
-  // outgrows it. Requires hierarchical partitioning + the planner fast path;
-  // otherwise falls back to Plan(). `topology` (null = unchanged fabric)
+  // outgrows it. Requires hierarchical partitioning; otherwise falls back to
+  // Plan(). `topology` (null = unchanged fabric)
   // carries rank kills/restores/slowdowns: the session migrates work off
   // dead ranks and rebalances by effective load, falling back to a full
   // elastic re-plan per the migration-budget policy (docs/ELASTIC.md).

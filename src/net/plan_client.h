@@ -53,7 +53,7 @@ struct PlanClientOptions {
   bool verify_plans = true;
   // Test seam: the backoff sleep. Defaults to a real sleep; tests install a
   // recorder to assert the schedule without waiting it out.
-  std::function<void(int)> sleep_ms;
+  std::function<void(int)> sleep_ms{};
 };
 
 // The capped exponential backoff schedule: backoff_initial_ms << attempt,

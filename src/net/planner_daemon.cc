@@ -229,8 +229,8 @@ WireStatus ValidatePlan(const WireRequest& request, const Batch* prev_batch,
     }
     return WireStatus::kOk;
   }
-  if (!request.options.hierarchical_partitioning || !request.options.planner_fast_path) {
-    *why = "sessions require hierarchical fast-path planning";
+  if (!request.options.hierarchical_partitioning) {
+    *why = "sessions require hierarchical planning";
     return WireStatus::kBadRequest;
   }
 

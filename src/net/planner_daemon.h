@@ -104,7 +104,7 @@ struct DaemonOptions {
   // Non-empty: drain every request's stage spans into a Chrome-trace JSON
   // file at this path (written on Stop; Perfetto-loadable). Empty disables
   // the sink; the per-stage histograms stay on either way.
-  std::string trace_out;
+  std::string trace_out{};
   // > 0: requests whose total handling latency crosses this threshold enter
   // the typed, rate-limited slow-request log (obs::SlowRequestLog). 0
   // disables it.

@@ -60,12 +60,11 @@ struct Reader {
 constexpr uint64_t kMaxWireTokens = uint64_t{1} << 56;
 constexpr uint32_t kMaxMessageBytes = 4096;
 
+// Bits 2 and 3 once selected the naive and serial engines, which the service
+// no longer runs; a request that sets them (or any higher bit) is malformed.
 constexpr uint8_t kOptHierarchical = 1u << 0;
 constexpr uint8_t kOptZoneAware = 1u << 1;
-constexpr uint8_t kOptFastPath = 1u << 2;
-constexpr uint8_t kOptSharedPool = 1u << 3;
-constexpr uint8_t kOptKnownMask =
-    kOptHierarchical | kOptZoneAware | kOptFastPath | kOptSharedPool;
+constexpr uint8_t kOptKnownMask = kOptHierarchical | kOptZoneAware;
 
 WireStatus Malformed(std::string* error, const char* what) {
   if (error != nullptr) {
@@ -119,8 +118,6 @@ std::string EncodeRequest(const WireRequest& request) {
   uint8_t flags = 0;
   if (request.options.hierarchical_partitioning) flags |= kOptHierarchical;
   if (request.options.zone_aware_thresholds) flags |= kOptZoneAware;
-  if (request.options.planner_fast_path) flags |= kOptFastPath;
-  if (request.options.use_shared_pool) flags |= kOptSharedPool;
   PutU8(&out, flags);
   PutU64(&out, static_cast<uint64_t>(request.options.token_capacity));
   PutF64(&out, request.options.delta_replan_threshold);
@@ -213,8 +210,6 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
   }
   request->options.hierarchical_partitioning = (flags & kOptHierarchical) != 0;
   request->options.zone_aware_thresholds = (flags & kOptZoneAware) != 0;
-  request->options.planner_fast_path = (flags & kOptFastPath) != 0;
-  request->options.use_shared_pool = (flags & kOptSharedPool) != 0;
   const uint64_t capacity = in.GetU64();
   // Tighter than the response-side cap: a *requested* per-device capacity
   // above the max sequence length is meaningless and would let capacity
@@ -448,7 +443,8 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
     return Malformed(error, "response truncated inside the stats");
   }
   const uint8_t engine = in.GetU8();
-  if (engine > static_cast<uint8_t>(PlanEngine::kAdopted)) {
+  if (engine < static_cast<uint8_t>(PlanEngine::kParallelSharded) ||
+      engine > static_cast<uint8_t>(PlanEngine::kAdopted)) {
     return Malformed(error, "unknown plan engine");
   }
   response->stats.engine = static_cast<PlanEngine>(engine);

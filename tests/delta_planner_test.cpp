@@ -471,7 +471,7 @@ TEST(ZeppelinPlanDeltaTest, BaselineDefaultPlansFully) {
   const Batch batch = SampleBatch(DatasetByName("github"), 64, 8);
 
   ZeppelinOptions zopts;
-  zopts.planner_fast_path = false;  // Forces the PlanDelta -> Plan fallback.
+  zopts.hierarchical_partitioning = false;  // Forces the PlanDelta -> Plan fallback.
   ZeppelinStrategy strategy(zopts);
   strategy.PlanDelta(batch, BatchDelta{}, trainer.cost_model(), trainer.fabric());
   EXPECT_EQ(strategy.partition_plan().total_tokens(), batch.total_tokens());

@@ -355,6 +355,70 @@ TEST(FrameFuzzTest, CacheStatsBytesAreBoundChecked) {
   }
 }
 
+// --- Retired wire values ------------------------------------------------------
+//
+// Option flag bits 2 and 3 once selected the naive and serial engines, and
+// response engine bytes 0 and 1 named them. The service no longer runs
+// either, so every one of those values must decode as a typed
+// kMalformedRequest rather than a request or response.
+
+TEST(FrameFuzzTest, RetiredOptionFlagBitsAreMalformed) {
+  WireRequest request;
+  request.request_id = 31;
+  request.batch.seq_lens = {128, 256, 512};
+  const std::string payload = EncodeRequest(request);
+  // version u32, kind u8, request_id u64, deadline u32, stream-id length u32
+  // (empty id) -> the option flags byte sits at 21.
+  const size_t flags_at = 4 + 1 + 8 + 4 + 4;
+  ASSERT_EQ(static_cast<uint8_t>(payload[flags_at]), 1u) << "hierarchical bit only";
+
+  for (int value = 0; value < 256; ++value) {
+    std::string patched = payload;
+    patched[flags_at] = static_cast<char>(value);
+    WireRequest parsed;
+    std::string error;
+    const WireStatus status = ParseRequest(patched, &parsed, &error);
+    if (value <= 3) {  // Bits 0 (hierarchical) and 1 (zone-aware) only.
+      ASSERT_EQ(status, WireStatus::kOk) << "flags " << value << ": " << error;
+      EXPECT_EQ(parsed.options.hierarchical_partitioning, (value & 1) != 0);
+      EXPECT_EQ(parsed.options.zone_aware_thresholds, (value & 2) != 0);
+    } else {
+      ASSERT_EQ(status, WireStatus::kMalformedRequest) << "flags " << value;
+      EXPECT_NE(error.find("unknown option flag bits"), std::string::npos) << error;
+    }
+  }
+}
+
+TEST(FrameFuzzTest, RetiredEngineBytesAreRejected) {
+  WireResponse ok;
+  ok.request_id = 32;
+  ok.status = WireStatus::kOk;
+  ok.digest = 0xabcdef;
+  ok.plan_bytes = "plan";
+  const std::string payload = EncodeResponse(ok);
+  // Empty message: the stats block, engine byte first, starts after the
+  // 17-byte fixed header.
+  const size_t engine_at = 17;
+  ASSERT_EQ(static_cast<uint8_t>(payload[engine_at]),
+            static_cast<uint8_t>(PlanEngine::kParallelSharded));
+
+  for (int value = 0; value < 256; ++value) {
+    std::string patched = payload;
+    patched[engine_at] = static_cast<char>(value);
+    WireResponse parsed;
+    std::string error;
+    const WireStatus status = ParseResponse(FrameType::kResponse, patched, &parsed, &error);
+    if (value >= static_cast<int>(PlanEngine::kParallelSharded) &&
+        value <= static_cast<int>(PlanEngine::kAdopted)) {
+      ASSERT_EQ(status, WireStatus::kOk) << "engine " << value << ": " << error;
+      EXPECT_EQ(parsed.stats.engine, static_cast<PlanEngine>(value));
+    } else {
+      ASSERT_EQ(status, WireStatus::kMalformedRequest) << "engine " << value;
+      EXPECT_NE(error.find("unknown plan engine"), std::string::npos) << error;
+    }
+  }
+}
+
 // --- v3 tail: stage block + stats-JSON section -------------------------------
 //
 // Fixed offsets for a success response with an empty message and 4-byte plan:

@@ -1,14 +1,15 @@
 // Parallel/sharded planner engine: the determinism contract and the bulk
 // packing kernel.
 //
-// The contract (partitioner.h): plans are byte-identical across the naive
-// reference, the PR-1 serial fast path, and the parallel engine at ANY thread
-// count — including batches that force overflow restarts and degenerate
-// clusters. These tests pin the contract and the GreedyPacker's placement-
-// for-placement equivalence with LoadTracker::pack_min.
+// The contract (partitioner.h): plans are byte-identical between the naive
+// oracle and the sharded engine, inline or on a pool of ANY thread count —
+// including batches that force overflow restarts and degenerate clusters.
+// These tests pin the contract and the GreedyPacker's placement-for-placement
+// equivalence with LoadTracker::pack_min.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -174,25 +175,25 @@ void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
   EXPECT_TRUE(got == want) << context;
 }
 
-// Runs naive, serial-fast, and the parallel engine at threads {1, 2, 3, 8};
-// every plan must be byte-identical.
+// Runs the naive oracle, then the sharded engine with no pool (inline, T=0)
+// and on pools of {1, 2, 3, 8} contexts; every plan must be byte-identical.
+// One scratch serves every run (twice each): steady-state reuse across
+// paths and context counts must not leak.
 void CheckAllEngines(const ClusterSpec& cluster, const Batch& batch, int64_t capacity,
                      const std::string& context) {
+  PlannerScratch scratch;
   SequencePartitioner naive(cluster,
                             {.token_capacity = capacity, .fast_path = false});
-  const PartitionPlan naive_plan = naive.Partition(batch);
+  const PartitionPlan naive_plan = naive.Partition(batch, &scratch);
 
-  SequencePartitioner fast(cluster, {.token_capacity = capacity, .fast_path = true});
-  const PartitionPlan fast_plan = fast.Partition(batch);
-  ExpectPlansIdentical(fast_plan, naive_plan, context + " [fast vs naive]");
-
-  for (int threads : {1, 2, 3, 8}) {
-    ThreadPool pool(threads);
+  for (int threads : {0, 1, 2, 3, 8}) {
+    std::optional<ThreadPool> pool;
+    if (threads > 0) {
+      pool.emplace(threads);
+    }
     SequencePartitioner parallel(
-        cluster, {.token_capacity = capacity, .fast_path = true, .pool = &pool});
-    PlannerScratch scratch;
+        cluster, {.token_capacity = capacity, .pool = pool ? &*pool : nullptr});
     PartitionPlan parallel_plan;
-    // Two runs through the same scratch: steady-state reuse must not leak.
     parallel.Partition(batch, &scratch, &parallel_plan);
     parallel.Partition(batch, &scratch, &parallel_plan);
     ExpectPlansIdentical(parallel_plan, naive_plan,
@@ -205,7 +206,7 @@ TEST(ParallelPlannerTest, IdenticalOnEvaluationDatasets) {
   for (const auto& dist : EvaluationDatasets()) {
     for (const ClusterSpec& cluster : clusters) {
       const int world = cluster.num_nodes * cluster.gpus_per_node;
-      for (uint64_t seed = 1; seed <= 3; ++seed) {
+      for (uint64_t seed = 1; seed <= 5; ++seed) {
         BatchSampler sampler(dist, static_cast<int64_t>(world) * 4096, seed);
         const Batch batch = sampler.NextBatch();
         CheckAllEngines(cluster, batch, 4096,
@@ -215,15 +216,16 @@ TEST(ParallelPlannerTest, IdenticalOnEvaluationDatasets) {
   }
 }
 
-// Zero-slack capacity forces overflow restarts in both stages; the parallel
-// engine's restart path (boundary advance + full replay) must land on the
-// same thresholds and placements as the incremental serial paths.
+// Zero-slack capacity forces overflow restarts in both stages; the engine's
+// restart paths (boundary advance + replay, and the incremental re-label
+// shortcut) must land on the same thresholds and placements as the oracle's
+// whole-stage restarts.
 TEST(ParallelPlannerTest, IdenticalUnderForcedOverflowRestarts) {
   const std::vector<ClusterSpec> clusters = {MakeClusterA(4), MakeClusterC(8)};
   for (const auto& dist : EvaluationDatasets()) {
     for (const ClusterSpec& cluster : clusters) {
       const int world = cluster.num_nodes * cluster.gpus_per_node;
-      for (uint64_t seed = 11; seed <= 13; ++seed) {
+      for (uint64_t seed = 11; seed <= 14; ++seed) {
         BatchSampler sampler(dist, static_cast<int64_t>(world) * 8192, seed);
         const Batch batch = sampler.NextBatch();
         const int64_t tight = (batch.total_tokens() + world - 1) / world;
@@ -247,22 +249,28 @@ TEST(ParallelPlannerTest, IdenticalWithZoneThresholdCaps) {
   for (const auto& dist : EvaluationDatasets()) {
     BatchSampler sampler(dist, 32 * 8192, 99);
     const Batch batch = sampler.NextBatch();
-    SequencePartitioner::Options base{.token_capacity = 8192,
-                                      .max_inter_threshold = 8192,
-                                      .max_local_threshold = 2048,
-                                      .fast_path = false};
-    const PartitionPlan naive_plan = SequencePartitioner(cluster, base).Partition(batch);
-    for (int threads : {1, 3}) {
-      ThreadPool pool(threads);
-      SequencePartitioner::Options opts = base;
-      opts.fast_path = true;
-      opts.pool = &pool;
-      const PartitionPlan got = SequencePartitioner(cluster, opts).Partition(batch);
-      ExpectPlansIdentical(got, naive_plan,
-                           dist.name() + " capped T=" + std::to_string(threads));
-      // The caps force nonempty z2 / z1 zones — make sure rings exist so the
-      // ring-merge path is actually exercised.
-      EXPECT_FALSE(got.inter_node.empty() && got.intra_node.empty()) << dist.name();
+    for (int64_t inter_cap : {int64_t{8192}, int64_t{32768}}) {
+      SequencePartitioner::Options base{.token_capacity = 8192,
+                                        .max_inter_threshold = inter_cap,
+                                        .max_local_threshold = 2048,
+                                        .fast_path = false};
+      const PartitionPlan naive_plan = SequencePartitioner(cluster, base).Partition(batch);
+      for (int threads : {0, 1, 3}) {
+        std::optional<ThreadPool> pool;
+        if (threads > 0) {
+          pool.emplace(threads);
+        }
+        SequencePartitioner::Options opts = base;
+        opts.fast_path = true;
+        opts.pool = pool ? &*pool : nullptr;
+        const PartitionPlan got = SequencePartitioner(cluster, opts).Partition(batch);
+        ExpectPlansIdentical(got, naive_plan,
+                             dist.name() + " capped s1<=" + std::to_string(inter_cap) +
+                                 " T=" + std::to_string(threads));
+        // The caps force nonempty z2 / z1 zones — make sure rings exist so
+        // the ring-merge path is actually exercised.
+        EXPECT_FALSE(got.inter_node.empty() && got.intra_node.empty()) << dist.name();
+      }
     }
   }
 }
@@ -288,8 +296,9 @@ TEST(ParallelPlannerTest, IdenticalOnEdgeBatches) {
                   "duplicates");
 }
 
-// The parallel engine must route its packing through GreedyPacker in bulk:
-// ops near the sequence count, not S log P.
+// The engine must route its packing through GreedyPacker in bulk — inline
+// or pooled: ops near the sequence count, not S log P. A reintroduced
+// per-sequence heap walk or linear scan blows past this bound.
 TEST(ParallelPlannerTest, PackerOpCountStaysBulk) {
   const int kSeqs = 8192;
   const ClusterSpec cluster = MakeClusterA(32);  // P = 256.
@@ -302,15 +311,17 @@ TEST(ParallelPlannerTest, PackerOpCountStaysBulk) {
     }
     const int64_t average = (batch.total_tokens() + world - 1) / world;
     ThreadPool pool(2);
-    SequencePartitioner partitioner(
-        cluster,
-        {.token_capacity = average + average / 4, .fast_path = true, .pool = &pool});
-    PlannerScratch scratch;
-    const PartitionPlan plan = partitioner.Partition(batch, &scratch);
-    EXPECT_EQ(plan.total_tokens(), batch.total_tokens());
-    EXPECT_GT(scratch.packer_ops(), 0) << "parallel path must route through GreedyPacker";
-    EXPECT_LE(scratch.packer_ops(), static_cast<int64_t>(10) * (kSeqs + world))
-        << dist.name() << ": packing degraded to per-item heap walks";
+    for (ThreadPool* engine_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::string arm = engine_pool != nullptr ? " pooled" : " inline";
+      SequencePartitioner partitioner(
+          cluster, {.token_capacity = average + average / 4, .pool = engine_pool});
+      PlannerScratch scratch;
+      const PartitionPlan plan = partitioner.Partition(batch, &scratch);
+      EXPECT_EQ(plan.total_tokens(), batch.total_tokens());
+      EXPECT_GT(scratch.packer_ops(), 0) << "engine must route through GreedyPacker" << arm;
+      EXPECT_LE(scratch.packer_ops(), static_cast<int64_t>(10) * (kSeqs + world))
+          << dist.name() << arm << ": packing degraded to per-item heap walks";
+    }
   }
 }
 

@@ -65,20 +65,20 @@ void CheckRoundTrip(const PartitionPlan& plan) {
   EXPECT_EQ(decoded.Serialize(), bytes);
 }
 
-TEST(PlanIoTest, RoundTripAcrossAllThreeEngines) {
+TEST(PlanIoTest, RoundTripAcrossOracleAndEngine) {
   const ClusterSpec cluster = MakeClusterA(16);
   const Batch batch = RingHeavyBatch(512, 0x5eed);
 
   const PartitionPlan naive = MakePlan(batch, cluster, /*fast_path=*/false, nullptr);
-  const PartitionPlan fast = MakePlan(batch, cluster, /*fast_path=*/true, nullptr);
+  const PartitionPlan unpooled = MakePlan(batch, cluster, /*fast_path=*/true, nullptr);
   ThreadPool pool(3);
   const PartitionPlan parallel = MakePlan(batch, cluster, /*fast_path=*/true, &pool);
 
-  // The engines agree (the planner contract), so one wire image serves all.
-  ASSERT_TRUE(naive == fast);
+  // The paths agree (the planner contract), so one wire image serves all.
+  ASSERT_TRUE(naive == unpooled);
   ASSERT_TRUE(naive == parallel);
   CheckRoundTrip(naive);
-  CheckRoundTrip(fast);
+  CheckRoundTrip(unpooled);
   CheckRoundTrip(parallel);
   EXPECT_EQ(naive.Serialize(), parallel.Serialize());
 }

@@ -1,11 +1,12 @@
 // PlannerService (src/core/plan_service.h): stateless plans byte-identical
-// to the direct partitioner at every engine/thread setting, immutable handle
+// to the naive oracle at every thread setting (pooled or inline), immutable
+// handle
 // semantics (stable across later requests, storage recycling never aliases a
 // live handle), the multi-stream session table (independent per-stream
 // state and fallback policies, per-stream twin-digest determinism), and the
 // concurrency contract (N streams driven from N threads through one service
-// over a shared pool — the TSAN target, see the sanitizer recipe in
-// CMakeLists.txt).
+// over a shared pool, and concurrent inline plans on a pool-less service —
+// the TSAN targets, see the sanitizer recipe in CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -68,30 +69,19 @@ TEST(PlanServiceTest, StatelessByteIdenticalToDirectPartitionerAtEverySetting) {
   const Batch batch = SampleBatch(1024, 0xa11);
   const int64_t capacity = SlackCapacity(batch, rig.cluster);
 
-  SequencePartitioner direct(rig.cluster,
-                             SequencePartitioner::Options{.token_capacity = capacity});
+  SequencePartitioner direct(
+      rig.cluster, SequencePartitioner::Options{.token_capacity = capacity, .fast_path = false});
   const PartitionPlan reference = direct.Partition(batch);
 
-  struct Setting {
-    int threads;
-    bool fast_path;
-    PlanEngine expect;
-  };
-  const std::vector<Setting> settings = {
-      {0, false, PlanEngine::kNaive},          {0, true, PlanEngine::kSerialFast},
-      {1, true, PlanEngine::kParallelSharded}, {2, true, PlanEngine::kParallelSharded},
-      {4, true, PlanEngine::kParallelSharded},
-  };
-  for (const Setting& setting : settings) {
-    PlannerService service(PlanServiceOptions{.num_planner_threads = setting.threads});
+  // 0 = no pool (inline); N >= 1 = a pool of N contexts.
+  for (int threads : {0, 1, 2, 4}) {
+    PlannerService service(PlanServiceOptions{.num_planner_threads = threads});
     PlanRequest request = rig.Request(batch);
     request.options.token_capacity = capacity;
-    request.options.planner_fast_path = setting.fast_path;
     const PlanResponse response = service.Plan(request);
     ASSERT_NE(response.plan, nullptr);
-    EXPECT_TRUE(*response.plan == reference)
-        << "threads=" << setting.threads << " fast=" << setting.fast_path;
-    EXPECT_EQ(response.stats.engine, setting.expect);
+    EXPECT_TRUE(*response.plan == reference) << "threads=" << threads;
+    EXPECT_EQ(response.stats.engine, PlanEngine::kParallelSharded);
     EXPECT_EQ(response.digest, reference.StateDigest());
     EXPECT_EQ(response.stats.token_capacity, capacity);
     EXPECT_GT(response.stats.partition_time_us, 0);
@@ -341,6 +331,46 @@ TEST(PlanServiceTest, ConcurrentMultiStreamSoakIsDeterministicPerStream) {
     ASSERT_EQ(threaded[s].size(), reference[s].size());
     for (size_t it = 0; it < threaded[s].size(); ++it) {
       EXPECT_EQ(threaded[s][it], reference[s][it]) << "stream " << s << " iter " << it;
+    }
+  }
+}
+
+TEST(PlanServiceTest, InlineServiceServesConcurrentStatelessRequests) {
+  // num_planner_threads = 0: no pool and no pool lock, so concurrent
+  // stateless requests each run the sharded engine inline on their own
+  // thread and checked-out workspace. Every digest must equal a serial run's
+  // (TSAN target: plan_service is in the sanitizer regex).
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 12;
+  TestRig rig;
+  std::vector<Batch> batches;
+  for (int b = 0; b < kBatches; ++b) {
+    batches.push_back(SampleBatch(512, 0x1000 + b));
+  }
+  PlannerService serial(PlanServiceOptions{.num_planner_threads = 0});
+  std::vector<uint64_t> expect;
+  for (const Batch& batch : batches) {
+    expect.push_back(serial.Plan(rig.Request(batch)).digest);
+  }
+
+  PlannerService service(PlanServiceOptions{.num_planner_threads = 0});
+  std::vector<std::vector<uint64_t>> got(kThreads, std::vector<uint64_t>(kBatches, 0));
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      // Rotated start points keep every batch in flight on several threads.
+      for (int i = 0; i < kBatches; ++i) {
+        const int b = (t * 3 + i) % kBatches;
+        got[t][b] = service.Plan(rig.Request(batches[b])).digest;
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int b = 0; b < kBatches; ++b) {
+      EXPECT_EQ(got[t][b], expect[b]) << "thread " << t << " batch " << b;
     }
   }
 }

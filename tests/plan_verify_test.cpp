@@ -95,9 +95,9 @@ TEST(PlanVerifyTest, ValidPlansAcrossAllEnginesCertify) {
   Rig rig;
   ThreadPool pool(2);
   const PartitionPlan naive = rig.Plan(/*fast_path=*/false);
-  const PartitionPlan fast = rig.Plan(/*fast_path=*/true);
+  const PartitionPlan unpooled = rig.Plan(/*fast_path=*/true);
   const PartitionPlan sharded = rig.Plan(/*fast_path=*/true, &pool);
-  for (const PartitionPlan* plan : {&naive, &fast, &sharded}) {
+  for (const PartitionPlan* plan : {&naive, &unpooled, &sharded}) {
     const PlanVerifyResult verdict = VerifyPlan(*plan, &rig.batch, nullptr, rig.Options());
     EXPECT_TRUE(verdict.ok()) << verdict.message;
     EXPECT_GT(verdict.max_load_ratio, 0);

@@ -103,9 +103,8 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms = 3000) {
 }
 
 TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
-  // Cache off: the engine cases below deliberately share one cache key
-  // (their plans are byte-identical, which is exactly why the key ignores
-  // engine-selection knobs), and this test wants every engine to *run*.
+  // Cache off: this test wants every engine to *run*, not to be served from
+  // the cache.
   DaemonRig rig(DaemonOptions{
       .planner_threads = 4, .max_concurrent_plans = 4, .plan_cache = false});
   PlanClient client = rig.Client();
@@ -116,8 +115,6 @@ TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
     PlanningOptions options;
   };
   const EngineCase cases[] = {
-      {"naive", {.planner_fast_path = false}},
-      {"serial", {.use_shared_pool = false}},
       {"pooled", {}},
       {"global-ring", {.hierarchical_partitioning = false}},
   };
@@ -250,6 +247,16 @@ TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
   // connection stays up (framing is still in sync).
   std::string out;
   AppendFrame(FrameType::kRequest, "not a request", &out);
+  // Option flag bits 2 and 3 once selected the naive and serial engines: a
+  // request still setting either is malformed too, and gets no plan.
+  for (uint8_t retired : {uint8_t{1u << 2}, uint8_t{1u << 3}}) {
+    WireRequest request;
+    request.batch = SampleBatch(64, 3);
+    std::string payload = EncodeRequest(request);
+    const size_t flags_at = 4 + 1 + 8 + 4 + 4;  // Empty stream id.
+    payload[flags_at] = static_cast<char>(payload[flags_at] | retired);
+    AppendFrame(FrameType::kRequest, payload, &out);
+  }
   // Followed on the same connection by a valid request, which must succeed.
   WireRequest good;
   good.request_id = 42;
@@ -260,7 +267,7 @@ TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
   FrameDecoder decoder(kDefaultMaxFrameBytes);
   std::vector<WireResponse> responses;
   char buf[16384];
-  while (responses.size() < 2) {
+  while (responses.size() < 4) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     ASSERT_GT(n, 0) << "daemon closed the connection after a malformed request";
     decoder.Feed(buf, static_cast<size_t>(n));
@@ -274,9 +281,12 @@ TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
       responses.push_back(std::move(response));
     }
   }
-  EXPECT_EQ(responses[0].status, WireStatus::kMalformedRequest);
-  EXPECT_EQ(responses[1].status, WireStatus::kOk);
-  EXPECT_EQ(responses[1].request_id, 42u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(responses[i].status, WireStatus::kMalformedRequest) << i;
+    EXPECT_TRUE(responses[i].plan_bytes.empty()) << i;
+  }
+  EXPECT_EQ(responses[3].status, WireStatus::kOk);
+  EXPECT_EQ(responses[3].request_id, 42u);
   ::close(fd);
 }
 
@@ -301,11 +311,11 @@ TEST(PlannerDaemonTest, BadSemanticsTypedAndNoPartialMutation) {
     request.delta.emplace();
     EXPECT_EQ(client.Plan(std::move(request)).status, WireStatus::kBadRequest);
   }
-  {  // Sessions require the hierarchical fast path.
+  {  // Sessions require hierarchical planning.
     WireRequest request;
     request.stream_id = "s";
     request.batch = batch;
-    request.options.planner_fast_path = false;
+    request.options.hierarchical_partitioning = false;
     EXPECT_EQ(client.Plan(std::move(request)).status, WireStatus::kBadRequest);
   }
 

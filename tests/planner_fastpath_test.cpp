@@ -1,207 +1,18 @@
-// Fast-path planner equivalence and complexity guards.
-//
-// The heap-based planner fast path must produce byte-identical plans to the
-// reference greedy (same zones, ring groups, rank loads, and thresholds) for
-// every batch — including batches that force overflow restarts — and must do
-// so in O((S + P) log P) heap operations. These tests pin both properties.
+// LoadTracker: the addressable min-heap behind the sharded engine's z2 chunk
+// placement, the GreedyPacker's valley fallback, and the delta planner's node
+// loads, checked against a linear-scan reference. (Engine-vs-oracle plan
+// equivalence lives in tests/parallel_planner_test.cpp.)
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/common/load_tracker.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
-#include "src/core/partitioner.h"
-#include "src/data/datasets.h"
-#include "src/data/sampler.h"
-#include "src/topology/cluster.h"
 
 namespace zeppelin {
 namespace {
-
-SequencePartitioner::Options FastOptions(int64_t capacity) {
-  return {.token_capacity = capacity, .fast_path = true};
-}
-
-SequencePartitioner::Options NaiveOptions(int64_t capacity) {
-  return {.token_capacity = capacity, .fast_path = false};
-}
-
-// Full byte-level plan comparison with readable failure context: per-ring
-// headers first (so a divergence names the ring), then the rank arena as one
-// flat compare — the byte-identity definition of docs/PLAN_FORMAT.md.
-void ExpectPlansIdentical(const PartitionPlan& fast, const PartitionPlan& naive,
-                          const std::string& context) {
-  ASSERT_EQ(fast.inter_node.size(), naive.inter_node.size()) << context;
-  for (size_t i = 0; i < fast.inter_node.size(); ++i) {
-    EXPECT_EQ(fast.inter_node[i].seq_id, naive.inter_node[i].seq_id) << context << " ring " << i;
-    EXPECT_TRUE(fast.inter_node[i] == naive.inter_node[i]) << context << " ring " << i;
-  }
-  ASSERT_EQ(fast.intra_node.size(), naive.intra_node.size()) << context;
-  for (size_t i = 0; i < fast.intra_node.size(); ++i) {
-    EXPECT_EQ(fast.intra_node[i].seq_id, naive.intra_node[i].seq_id) << context << " ring " << i;
-    EXPECT_TRUE(fast.intra_node[i] == naive.intra_node[i]) << context << " ring " << i;
-  }
-  EXPECT_EQ(fast.rank_arena, naive.rank_arena) << context;
-  ASSERT_EQ(fast.local.size(), naive.local.size()) << context;
-  EXPECT_EQ(fast.tokens_per_rank, naive.tokens_per_rank) << context;
-  EXPECT_EQ(fast.threshold_s1, naive.threshold_s1) << context;
-  EXPECT_EQ(fast.threshold_s0, naive.threshold_s0) << context;
-  // The defaulted operator== covers every remaining field byte-for-byte.
-  EXPECT_TRUE(fast == naive) << context;
-}
-
-void CheckEquivalence(const ClusterSpec& cluster, const Batch& batch, int64_t capacity,
-                      const std::string& context) {
-  SequencePartitioner fast(cluster, FastOptions(capacity));
-  SequencePartitioner naive(cluster, NaiveOptions(capacity));
-  PlannerScratch scratch;  // Shared between paths: contents must not leak.
-  PartitionPlan fast_plan;
-  fast.Partition(batch, &scratch, &fast_plan);
-  PartitionPlan naive_plan;
-  naive.Partition(batch, &scratch, &naive_plan);
-  ExpectPlansIdentical(fast_plan, naive_plan, context);
-
-  // The parallel/sharded engine extends the same contract (exhaustive
-  // thread-count sweeps live in tests/parallel_planner_test.cpp).
-  ThreadPool pool(3);
-  SequencePartitioner::Options popts = FastOptions(capacity);
-  popts.pool = &pool;
-  SequencePartitioner parallel(cluster, popts);
-  PartitionPlan parallel_plan;
-  parallel.Partition(batch, &scratch, &parallel_plan);
-  ExpectPlansIdentical(parallel_plan, naive_plan, context + " [parallel]");
-}
-
-// --- Randomized equivalence across Table 2 distributions and clusters --------
-
-TEST(PlannerFastPathTest, EquivalentOnEvaluationDatasets) {
-  const std::vector<ClusterSpec> clusters = {MakeClusterA(2), MakeClusterA(8), MakeClusterC(4)};
-  for (const auto& dist : EvaluationDatasets()) {
-    for (const ClusterSpec& cluster : clusters) {
-      const int world = cluster.num_nodes * cluster.gpus_per_node;
-      for (uint64_t seed = 1; seed <= 5; ++seed) {
-        BatchSampler sampler(dist, static_cast<int64_t>(world) * 4096, seed);
-        const Batch batch = sampler.NextBatch();
-        // Paper-style 4k tokens/GPU capacity: exercises all three zones.
-        CheckEquivalence(cluster, batch, 4096,
-                         dist.name() + " " + cluster.name + " seed " + std::to_string(seed));
-      }
-    }
-  }
-}
-
-// Zero-slack capacity (L = ceil(total/world)) forces the packing loops to
-// overflow and the thresholds to shrink — the restart paths must still match
-// the reference exactly, including the incremental-continuation shortcut.
-TEST(PlannerFastPathTest, EquivalentUnderForcedOverflowRestarts) {
-  const std::vector<ClusterSpec> clusters = {MakeClusterA(4), MakeClusterC(8)};
-  for (const auto& dist : EvaluationDatasets()) {
-    for (const ClusterSpec& cluster : clusters) {
-      const int world = cluster.num_nodes * cluster.gpus_per_node;
-      for (uint64_t seed = 11; seed <= 14; ++seed) {
-        BatchSampler sampler(dist, static_cast<int64_t>(world) * 8192, seed);
-        const Batch batch = sampler.NextBatch();
-        const int64_t tight = (batch.total_tokens() + world - 1) / world;
-        SequencePartitioner probe(cluster, NaiveOptions(tight));
-        const PartitionPlan plan = probe.Partition(batch);
-        // The zero-slack capacity must actually shrink a threshold somewhere,
-        // otherwise this test is not exercising restarts.
-        const int64_t node_capacity = tight * cluster.gpus_per_node;
-        bool restarted = plan.threshold_s1 < node_capacity;
-        for (int64_t s0 : plan.threshold_s0) {
-          restarted = restarted || (s0 > 0 && s0 < tight);
-        }
-        EXPECT_TRUE(restarted) << dist.name() << " seed " << seed;
-        CheckEquivalence(cluster, batch, tight,
-                         dist.name() + " tight " + cluster.name + " seed " + std::to_string(seed));
-      }
-    }
-  }
-}
-
-TEST(PlannerFastPathTest, EquivalentWithZoneThresholdCaps) {
-  // Capped initial thresholds (the zone-aware D6 extension) force nonempty
-  // z2 / z1 zones with multi-node rings and multi-fragment splits.
-  const ClusterSpec cluster = MakeClusterA(4);
-  for (const auto& dist : EvaluationDatasets()) {
-    BatchSampler sampler(dist, 32 * 8192, 99);
-    const Batch batch = sampler.NextBatch();
-    for (int64_t inter_cap : {int64_t{8192}, int64_t{32768}}) {
-      SequencePartitioner::Options fast_opts{.token_capacity = 8192,
-                                             .max_inter_threshold = inter_cap,
-                                             .max_local_threshold = 2048,
-                                             .fast_path = true};
-      SequencePartitioner::Options naive_opts = fast_opts;
-      naive_opts.fast_path = false;
-      PartitionPlan fast_plan = SequencePartitioner(cluster, fast_opts).Partition(batch);
-      PartitionPlan naive_plan = SequencePartitioner(cluster, naive_opts).Partition(batch);
-      ExpectPlansIdentical(fast_plan, naive_plan, dist.name() + " capped");
-      // With a finite inter threshold below max_len, long sequences must
-      // actually be chunked (multi-node rings, or single-node rings when
-      // s_avg lets a sequence fit one bucket).
-      if (inter_cap <= batch.max_len()) {
-        EXPECT_FALSE(fast_plan.inter_node.empty() && fast_plan.intra_node.empty())
-            << dist.name();
-      }
-    }
-  }
-}
-
-TEST(PlannerFastPathTest, EquivalentOnEdgeBatches) {
-  const ClusterSpec one_node = MakeClusterA(1);
-  const ClusterSpec cluster = MakeClusterA(2);
-  auto make = [](std::vector<int64_t> lens) {
-    Batch b;
-    b.seq_lens = std::move(lens);
-    return b;
-  };
-  // Single sequence filling the cluster exactly.
-  CheckEquivalence(cluster, make({16 * 4096}), 4096, "single full");
-  // All-equal lengths (pure tie-breaking).
-  CheckEquivalence(cluster, make(std::vector<int64_t>(64, 1024)), 4096, "uniform");
-  // Duplicate lengths around the promotion boundary (41k tokens on a 64k
-  // cluster at L=4096 -> tight enough to promote, loose enough to fit).
-  CheckEquivalence(cluster, make({8192, 8192, 8192, 4096, 4096, 4096, 4096, 64, 64, 64}), 4096,
-                   "duplicates");
-  // One-node cluster: every z2 sequence is a single-node ring.
-  CheckEquivalence(one_node, make({16384, 8192, 2048, 512, 512}), 4096, "one node");
-}
-
-// --- Operation-count regression guard ----------------------------------------
-
-// Plan() on S = 8k sequences, P = 256 GPUs must stay within O((S+P) log P)
-// heap operations. A reintroduced linear scan or per-sequence re-sort blows
-// past this bound by an order of magnitude (S*P/8 alone is ~260k single ops).
-TEST(PlannerFastPathTest, HeapOperationCountStaysLogarithmic) {
-  const int kSeqs = 8192;
-  const ClusterSpec cluster = MakeClusterA(32);  // P = 256.
-  const int world = cluster.num_nodes * cluster.gpus_per_node;
-  ASSERT_EQ(world, 256);
-  const double log_p = std::log2(256.0);
-  const int64_t bound = static_cast<int64_t>(2.0 * (kSeqs + world) * log_p);
-
-  for (const auto& dist : EvaluationDatasets()) {
-    Rng rng(7);
-    Batch batch;
-    for (int i = 0; i < kSeqs; ++i) {
-      batch.seq_lens.push_back(dist.Sample(rng));
-    }
-    for (int slack_pct : {0, 25}) {
-      const int64_t average = (batch.total_tokens() + world - 1) / world;
-      const int64_t capacity = average + average * slack_pct / 100;
-      SequencePartitioner partitioner(cluster, FastOptions(capacity));
-      PlannerScratch scratch;
-      const PartitionPlan plan = partitioner.Partition(batch, &scratch);
-      EXPECT_EQ(plan.total_tokens(), batch.total_tokens());
-      EXPECT_GT(scratch.heap_ops(), 0) << "fast path must route through LoadTracker";
-      EXPECT_LE(scratch.heap_ops(), bound)
-          << dist.name() << " slack " << slack_pct << "%: heap op count suggests a "
-          << "linear scan crept back into the packing loops";
-    }
-  }
-}
 
 // --- LoadTracker unit behavior -----------------------------------------------
 
