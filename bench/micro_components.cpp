@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the planning-path components whose
 // cost the paper claims is negligible (Table 3's "Sequence Partition" row and
-// the Eq. 2 solver), plus the simulator engine itself.
+// the Eq. 2 solver), plus the simulator's emit and run stages.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "src/common/rng.h"
 #include "src/core/chunking.h"
@@ -97,6 +99,42 @@ void BM_SimEngineRingAttention(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimEngineRingAttention)->Arg(2)->Arg(8);
+
+void BM_EmitAndRunLayer(benchmark::State& state) {
+  // The simulator stages of one training iteration at the layered
+  // benchmark's train_iter shape (7B, 64 GPUs on cluster A, github, 256k
+  // tokens, seed 1): emit and simulate one layer forward and backward.
+  // Counters split each iteration into its emit and run time.
+  const ClusterSpec cluster = MakeClusterA(8);
+  const FabricResources fabric(cluster);
+  const CostModel cm(MakeLlama7B(), cluster);
+  BatchSampler sampler(MakeGithubDistribution(), 262144, 1);
+  const Batch batch = sampler.NextBatch();
+  ZeppelinStrategy zep;
+  zep.Plan(batch, cm, fabric);
+  const Engine engine(fabric);
+  double emit_us = 0;
+  double run_us = 0;
+  int64_t tasks = 0;
+  for (auto _ : state) {
+    for (const Direction d : {Direction::kForward, Direction::kBackward}) {
+      TaskGraph graph;
+      const auto t0 = std::chrono::steady_clock::now();
+      zep.EmitLayer(graph, d);
+      const auto t1 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(engine.Run(graph));
+      const auto t2 = std::chrono::steady_clock::now();
+      emit_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
+      run_us += std::chrono::duration<double, std::micro>(t2 - t1).count();
+      tasks += graph.size();
+    }
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["emit_us"] = emit_us / n;
+  state.counters["run_us"] = run_us / n;
+  state.counters["tasks"] = static_cast<double>(tasks) / n;
+}
+BENCHMARK(BM_EmitAndRunLayer)->Unit(benchmark::kMillisecond);
 
 void BM_TransportSolver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -81,49 +81,41 @@ std::vector<TaskId> DoubleRingStrategy::EmitLayer(TaskGraph& graph, Direction di
   const ClusterSpec& spec = fabric_->cluster();
   const int world = spec.world_size();
   const double scale = direction == Direction::kBackward ? kBackwardMultiplier : 1.0;
-  const std::string tag = direction == Direction::kForward ? "fwd" : "bwd";
+  const TaskLabel tag = graph.Intern(direction == Direction::kForward ? "fwd" : "bwd");
 
   std::vector<TaskId> recv(world, kInvalidTask);
+  std::vector<TaskId> next_recv(world, kInvalidTask);
   std::vector<TaskId> last_compute(world, kInvalidTask);
   std::vector<TaskId> linear_first(world, kInvalidTask);
 
   auto emit_attention = [&](const std::vector<TaskId>& gate) {
+    // Round t's tasks on `rank` wait on its gate (if any) in round 0, and on
+    // the KV block that arrived in the previous round after that.
+    auto round_deps = [&](int t, int rank) {
+      if (t > 0) {
+        return DepSpan(&recv[rank], 1);
+      }
+      return gate[rank] != kInvalidTask ? DepSpan(&gate[rank], 1) : DepSpan();
+    };
     for (int t = 0; t < world; ++t) {
-      std::vector<TaskId> next_recv(world, kInvalidTask);
+      next_recv.assign(world, kInvalidTask);
       if (t < world - 1) {
         for (int rank = 0; rank < world; ++rank) {
           const int next = Successor(spec, rank, t);
-          std::vector<TaskId> deps;
-          if (t == 0) {
-            if (gate[rank] != kInvalidTask) {
-              deps = {gate[rank]};
-            }
-          } else {
-            deps = {recv[rank]};
-          }
           const int64_t bytes =
               static_cast<int64_t>(static_cast<double>(round_bytes_[t][rank]) * scale);
-          next_recv[next] =
-              AddP2PAuto(graph, *fabric_, rank, next, bytes, std::move(deps),
-                         tag + ".dr.r" + std::to_string(t) + "." + std::to_string(rank));
+          next_recv[next] = AddP2PAuto(graph, *fabric_, rank, next, bytes, round_deps(t, rank),
+                                       tag.Then(LabelSuffix::kDoubleRingKv, t, rank));
         }
       }
       for (int rank = 0; rank < world; ++rank) {
-        std::vector<TaskId> deps;
-        if (t == 0) {
-          if (gate[rank] != kInvalidTask) {
-            deps = {gate[rank]};
-          }
-        } else {
-          deps = {recv[rank]};
-        }
         last_compute[rank] = graph.AddCompute(
             fabric_->ComputeLane(rank),
             cost_model_->ComputeTime(round_flops_[t][rank] * scale),
-            TaskCategory::kAttentionCompute, std::move(deps),
-            tag + ".dr.attn.r" + std::to_string(t) + "." + std::to_string(rank), rank);
+            TaskCategory::kAttentionCompute, round_deps(t, rank),
+            tag.Then(LabelSuffix::kDoubleRingAttn, t, rank), rank);
       }
-      recv = next_recv;
+      recv.swap(next_recv);
     }
   };
 
@@ -134,7 +126,7 @@ std::vector<TaskId> DoubleRingStrategy::EmitLayer(TaskGraph& graph, Direction di
       done[rank] = graph.AddCompute(fabric_->ComputeLane(rank),
                                     cost_model_->LinearTime(tokens_per_rank_[rank]) * scale,
                                     TaskCategory::kLinearCompute, {last_compute[rank]},
-                                    tag + ".linear." + std::to_string(rank), rank);
+                                    tag.Then(LabelSuffix::kLinear, rank), rank);
     }
     return done;
   }
@@ -142,7 +134,7 @@ std::vector<TaskId> DoubleRingStrategy::EmitLayer(TaskGraph& graph, Direction di
   for (int rank = 0; rank < world; ++rank) {
     linear_first[rank] = graph.AddCompute(
         fabric_->ComputeLane(rank), cost_model_->LinearTime(tokens_per_rank_[rank]) * scale,
-        TaskCategory::kLinearCompute, {}, tag + ".linear." + std::to_string(rank), rank);
+        TaskCategory::kLinearCompute, {}, tag.Then(LabelSuffix::kLinear, rank), rank);
   }
   emit_attention(linear_first);
   return last_compute;

@@ -133,18 +133,20 @@ std::vector<TaskId> HybridDpStrategy::EmitLayer(TaskGraph& graph, Direction dire
   const ClusterSpec& spec = fabric_->cluster();
   const int world = spec.world_size();
   const double scale = direction == Direction::kBackward ? kBackwardMultiplier : 1.0;
-  const std::string tag = direction == Direction::kForward ? "fwd" : "bwd";
+  const TaskLabel tag = graph.Intern(direction == Direction::kForward ? "fwd" : "bwd");
 
   // CP rings use plain ring attention (no routing layer — that is Zeppelin's
   // contribution).
   const RoutingLayer direct(*fabric_, RoutingOptions{.enabled = false});
   const AttentionEngine engine(*cost_model_, *fabric_, direct, AttentionEngineOptions{});
 
-  std::vector<std::vector<TaskId>> last(world);
+  RankTaskLists last;
+  last.Reset(world);
   for (const auto& ring : cp_rings_) {
-    engine.EmitRingSequence(graph, ring, direction, {}, tag + ".cp.s" + std::to_string(ring.seq_id),
+    engine.EmitRingSequence(graph, ring, direction, {}, tag.Then(LabelSuffix::kCpRing, ring.seq_id),
                             &last);
   }
+  last.Seal();
   // CP ranks run their linear stage on their shard tokens.
   std::vector<TaskId> done(world, kInvalidTask);
   std::vector<int64_t> cp_tokens(world, 0);
@@ -156,13 +158,16 @@ std::vector<TaskId> HybridDpStrategy::EmitLayer(TaskGraph& graph, Direction dire
   }
 
   for (int rank = 0; rank < world; ++rank) {
-    std::vector<TaskId> rank_tail = last[rank];
+    // The rank's dependency frontier: its CP ring tails, then one task.
+    DepSpan rank_tail = last[rank];
+    TaskId tail = kInvalidTask;
     if (cp_tokens[rank] > 0) {
-      const TaskId gate = graph.AddBarrier(rank_tail, tag + ".cp_gate." + std::to_string(rank));
-      rank_tail = {graph.AddCompute(fabric_->ComputeLane(rank),
-                                    cost_model_->LinearTime(cp_tokens[rank]) * scale,
-                                    TaskCategory::kLinearCompute, {gate},
-                                    tag + ".cp_linear." + std::to_string(rank), rank)};
+      const TaskId gate = graph.AddBarrier(rank_tail, tag.Then(LabelSuffix::kCpGate, rank));
+      tail = graph.AddCompute(fabric_->ComputeLane(rank),
+                              cost_model_->LinearTime(cp_tokens[rank]) * scale,
+                              TaskCategory::kLinearCompute, {gate},
+                              tag.Then(LabelSuffix::kCpLinear, rank), rank);
+      rank_tail = DepSpan(&tail, 1);
     }
     // DP micro-batches run serially after the CP share: attention kernel over
     // the micro-batch's packed sequences, then its linear modules.
@@ -173,17 +178,18 @@ std::vector<TaskId> HybridDpStrategy::EmitLayer(TaskGraph& graph, Direction dire
         attn_flops += cost_model_->CausalAttentionFlops(len);
         mb_tokens += len;
       }
+      const int mb_index = static_cast<int>(mb);
       const TaskId attn = graph.AddCompute(
           fabric_->ComputeLane(rank), cost_model_->ComputeTime(attn_flops * scale),
           TaskCategory::kAttentionCompute, rank_tail,
-          tag + ".dp_attn.mb" + std::to_string(mb) + "." + std::to_string(rank), rank);
-      const TaskId linear = graph.AddCompute(
-          fabric_->ComputeLane(rank), cost_model_->LinearTime(mb_tokens) * scale,
-          TaskCategory::kLinearCompute, {attn},
-          tag + ".dp_linear.mb" + std::to_string(mb) + "." + std::to_string(rank), rank);
-      rank_tail = {linear};
+          tag.Then(LabelSuffix::kDpAttn, mb_index, rank), rank);
+      tail = graph.AddCompute(fabric_->ComputeLane(rank),
+                              cost_model_->LinearTime(mb_tokens) * scale,
+                              TaskCategory::kLinearCompute, {attn},
+                              tag.Then(LabelSuffix::kDpLinear, mb_index, rank), rank);
+      rank_tail = DepSpan(&tail, 1);
     }
-    done[rank] = graph.AddBarrier(std::move(rank_tail), tag + ".done." + std::to_string(rank));
+    done[rank] = graph.AddBarrier(rank_tail, tag.Then(LabelSuffix::kDoneRank, rank));
   }
   return done;
 }

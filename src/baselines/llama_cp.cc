@@ -28,68 +28,51 @@ void LlamaCpStrategy::Plan(const Batch& batch, const CostModel& cost_model,
   }
 }
 
-TaskId LlamaCpStrategy::EmitAllGather(TaskGraph& graph, double scale,
-                                      const std::vector<TaskId>& deps,
-                                      const std::string& label) const {
+TaskId LlamaCpStrategy::EmitAllGather(TaskGraph& graph, double scale, DepSpan deps,
+                                      TaskLabel label) const {
   const ClusterSpec& spec = fabric_->cluster();
   const double volume = static_cast<double>(total_kv_bytes_) * scale;
   const int world = spec.world_size();
   const double gathered_fraction = world > 1 ? (world - 1.0) / world : 0.0;
+  const auto bytes = static_cast<int64_t>(volume * gathered_fraction);
 
   std::vector<TaskId> parts;
+  std::vector<ResourceId> channels;
   if (spec.num_nodes > 1) {
     // Cross-node bulk all-gather: every node both sends and receives
     // ~(N-1)/N of the volume through all its NICs in parallel.
     const double node_bw = spec.nic_bandwidth * spec.nics_per_node;
     const double duration = volume * gathered_fraction / node_bw + spec.inter_latency_us;
     for (int node = 0; node < spec.num_nodes; ++node) {
-      Task t;
-      t.duration_us = duration;
-      t.category = TaskCategory::kInterComm;
-      t.deps = deps;
-      t.bytes = static_cast<int64_t>(volume * gathered_fraction);
-      t.gpu = spec.GlobalRank(node, 0);
-      t.label = label + ".allgather.n" + std::to_string(node);
+      channels.clear();
       for (int nic = 0; nic < spec.nics_per_node; ++nic) {
-        t.resources.push_back(fabric_->NicTx(node, nic));
-        t.resources.push_back(fabric_->NicRx(node, nic));
+        channels.push_back(fabric_->NicTx(node, nic));
+        channels.push_back(fabric_->NicRx(node, nic));
       }
-      parts.push_back(graph.AddTransferLike(std::move(t)));
+      parts.push_back(graph.AddTask(duration, TaskCategory::kInterComm, channels, deps, bytes,
+                                    spec.GlobalRank(node, 0),
+                                    label.Then(LabelSuffix::kAllGatherNode, node)));
     }
   } else {
     // Single node: NVSwitch all-gather, each GPU's ingress receives the rest.
     const double duration =
         volume * gathered_fraction / (spec.nvswitch_bandwidth * spec.gpus_per_node) +
         spec.intra_latency_us;
-    Task t;
-    t.duration_us = duration;
-    t.category = TaskCategory::kIntraComm;
-    t.deps = deps;
-    t.bytes = static_cast<int64_t>(volume * gathered_fraction);
-    t.gpu = 0;
-    t.label = label + ".allgather";
     for (int g = 0; g < world; ++g) {
-      t.resources.push_back(fabric_->NvswitchEgress(g));
-      t.resources.push_back(fabric_->NvswitchIngress(g));
+      channels.push_back(fabric_->NvswitchEgress(g));
+      channels.push_back(fabric_->NvswitchIngress(g));
     }
-    parts.push_back(graph.AddTransferLike(std::move(t)));
+    parts.push_back(graph.AddTask(duration, TaskCategory::kIntraComm, channels, deps, bytes, 0,
+                                  label.Then(LabelSuffix::kAllGather)));
   }
-  return graph.AddBarrier(std::move(parts), label + ".allgather_done");
+  return graph.AddBarrier(parts, label.Then(LabelSuffix::kAllGatherDone));
 }
 
 std::vector<TaskId> LlamaCpStrategy::EmitLayer(TaskGraph& graph, Direction direction) {
   ZCHECK(cost_model_ != nullptr) << "Plan() must run before EmitLayer()";
   const int world = fabric_->cluster().world_size();
   const double scale = direction == Direction::kBackward ? kBackwardMultiplier : 1.0;
-  const std::string tag = direction == Direction::kForward ? "fwd" : "bwd";
-
-  auto to_deps = [&](const std::vector<TaskId>& v) {
-    std::vector<std::vector<TaskId>> deps(v.size());
-    for (size_t i = 0; i < v.size(); ++i) {
-      deps[i] = {v[i]};
-    }
-    return deps;
-  };
+  const TaskLabel tag = graph.Intern(direction == Direction::kForward ? "fwd" : "bwd");
 
   if (direction == Direction::kForward) {
     const TaskId gathered = EmitAllGather(graph, scale, {}, tag);
@@ -98,10 +81,10 @@ std::vector<TaskId> LlamaCpStrategy::EmitLayer(TaskGraph& graph, Direction direc
       attn[k] = graph.AddCompute(fabric_->ComputeLane(k),
                                  cost_model_->ComputeTime(attention_flops_per_rank_[k] * scale),
                                  TaskCategory::kAttentionCompute, {gathered},
-                                 tag + ".attn." + std::to_string(k), k);
+                                 tag.Then(LabelSuffix::kAttnRank, k), k);
     }
     return EmitLinearStage(graph, *cost_model_, *fabric_, tokens_per_rank_, direction,
-                           to_deps(attn), tag);
+                           RankDeps::OnePerRank(attn), tag);
   }
 
   // Backward: linear grad, then the KV gradient exchange (all-gather-sized
@@ -109,14 +92,14 @@ std::vector<TaskId> LlamaCpStrategy::EmitLayer(TaskGraph& graph, Direction direc
   // then attention backward.
   const std::vector<TaskId> linear =
       EmitLinearStage(graph, *cost_model_, *fabric_, tokens_per_rank_, direction, {}, tag);
-  const TaskId gathered =
-      EmitAllGather(graph, scale, {graph.AddBarrier(linear, tag + ".linear_done")}, tag);
+  const TaskId gathered = EmitAllGather(
+      graph, scale, {graph.AddBarrier(linear, tag.Then(LabelSuffix::kLinearDone))}, tag);
   std::vector<TaskId> attn(world);
   for (int k = 0; k < world; ++k) {
     attn[k] = graph.AddCompute(fabric_->ComputeLane(k),
                                cost_model_->ComputeTime(attention_flops_per_rank_[k] * scale),
                                TaskCategory::kAttentionCompute, {gathered},
-                               tag + ".attn." + std::to_string(k), k);
+                               tag.Then(LabelSuffix::kAttnRank, k), k);
   }
   return attn;
 }

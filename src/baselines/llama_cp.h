@@ -26,8 +26,7 @@ class LlamaCpStrategy : public Strategy {
   // Emits the bulk all-gather as one aggregate transfer per node occupying
   // all of that node's NIC channels (or NVSwitch channels on a single node).
   // Returns a barrier gating all ranks.
-  TaskId EmitAllGather(TaskGraph& graph, double scale, const std::vector<TaskId>& deps,
-                       const std::string& label) const;
+  TaskId EmitAllGather(TaskGraph& graph, double scale, DepSpan deps, TaskLabel label) const;
 
   const CostModel* cost_model_ = nullptr;
   const FabricResources* fabric_ = nullptr;

@@ -90,7 +90,7 @@ std::vector<TaskId> PackingUlyssesStrategy::EmitLayer(TaskGraph& graph, Directio
   const ClusterSpec& spec = fabric_->cluster();
   const int world = spec.world_size();
   const double scale = direction == Direction::kBackward ? kBackwardMultiplier : 1.0;
-  const std::string tag = direction == Direction::kForward ? "fwd" : "bwd";
+  const TaskLabel tag = graph.Intern(direction == Direction::kForward ? "fwd" : "bwd");
 
   // Ulysses runs inside groups of `group_size_` consecutive ranks; the
   // groups are independent data-parallel replicas.
@@ -99,14 +99,6 @@ std::vector<TaskId> PackingUlyssesStrategy::EmitLayer(TaskGraph& graph, Directio
       static_cast<int64_t>(cost_model_->model().hidden_size +
                            2 * cost_model_->model().kv_hidden()) *
       cost_model_->model().dtype_bytes;
-
-  auto to_deps = [&](const std::vector<TaskId>& v) {
-    std::vector<std::vector<TaskId>> deps(v.size());
-    for (size_t i = 0; i < v.size(); ++i) {
-      deps[i] = {v[i]};
-    }
-    return deps;
-  };
 
   std::vector<TaskId> a2a_out_done(world, kInvalidTask);
   for (int base = 0; base < world; base += g) {
@@ -130,8 +122,7 @@ std::vector<TaskId> PackingUlyssesStrategy::EmitLayer(TaskGraph& graph, Directio
     // All-to-all #1: switch from sequence- to head-sharding of Q/K/V.
     const CollectiveResult a2a_in =
         AllToAllV(graph, *fabric_, ranks, uniform_sends(qkv_bytes_per_token),
-                  TaskCategory::kInterComm, {},
-                  tag + ".ulysses_in.g" + std::to_string(base / g));
+                  TaskCategory::kInterComm, {}, tag.Then(LabelSuffix::kUlyssesIn, base / g));
 
     // Packed attention with a plain causal mask over each buffer (useful +
     // redundant flops together).
@@ -142,21 +133,21 @@ std::vector<TaskId> PackingUlyssesStrategy::EmitLayer(TaskGraph& graph, Directio
       const double flops = cost_model_->CausalAttentionFlops(pack_tokens) * scale;
       attn[i] = graph.AddCompute(fabric_->ComputeLane(rank), cost_model_->ComputeTime(flops),
                                  TaskCategory::kAttentionCompute, {a2a_in.done[i]},
-                                 tag + ".packed_attn." + std::to_string(rank), rank);
+                                 tag.Then(LabelSuffix::kPackedAttn, rank), rank);
     }
 
     // All-to-all #2: restore sequence sharding of the outputs.
     const CollectiveResult a2a_out =
         AllToAllV(graph, *fabric_, ranks, uniform_sends(cost_model_->HiddenBytesPerToken()),
-                  TaskCategory::kInterComm, to_deps(attn),
-                  tag + ".ulysses_out.g" + std::to_string(base / g));
+                  TaskCategory::kInterComm, RankDeps::OnePerRank(attn),
+                  tag.Then(LabelSuffix::kUlyssesOut, base / g));
     for (int i = 0; i < g; ++i) {
       a2a_out_done[base + i] = a2a_out.done[i];
     }
   }
 
   return EmitLinearStage(graph, *cost_model_, *fabric_, tokens_per_rank_, direction,
-                         to_deps(a2a_out_done), tag);
+                         RankDeps::OnePerRank(a2a_out_done), tag);
 }
 
 std::vector<int64_t> PackingUlyssesStrategy::LinearTokensPerRank() const {

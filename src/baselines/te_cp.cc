@@ -42,64 +42,44 @@ std::vector<TaskId> TeCpStrategy::EmitLayer(TaskGraph& graph, Direction directio
   ZCHECK(cost_model_ != nullptr) << "Plan() must run before EmitLayer()";
   const int world = fabric_->cluster().world_size();
   const double scale = direction == Direction::kBackward ? kBackwardMultiplier : 1.0;
-  const std::string tag = direction == Direction::kForward ? "fwd" : "bwd";
+  const TaskLabel tag = graph.Intern(direction == Direction::kForward ? "fwd" : "bwd");
 
-  auto to_deps = [&](const std::vector<TaskId>& v) {
-    std::vector<std::vector<TaskId>> deps(v.size());
-    for (size_t i = 0; i < v.size(); ++i) {
-      deps[i] = {v[i]};
-    }
-    return deps;
-  };
-
-  std::vector<std::vector<TaskId>> linear_gate;  // Per-rank deps for linear.
   std::vector<TaskId> attn_last(world, kInvalidTask);
+  std::vector<TaskId> recv(world, kInvalidTask);
+  std::vector<TaskId> next_recv(world, kInvalidTask);
 
-  auto emit_attention = [&](const std::vector<std::vector<TaskId>>& gate) {
-    std::vector<TaskId> recv(world, kInvalidTask);
+  auto emit_attention = [&](RankDeps gate) {
+    recv.assign(world, kInvalidTask);
     for (int r = 0; r < world; ++r) {
-      std::vector<TaskId> next_recv(world, kInvalidTask);
+      next_recv.assign(world, kInvalidTask);
       if (r < world - 1) {
         for (int k = 0; k < world; ++k) {
           const int next = (k + 1) % world;
-          std::vector<TaskId> send_deps;
-          if (r == 0) {
-            send_deps = gate.empty() ? std::vector<TaskId>{} : gate[k];
-          } else {
-            send_deps = {recv[k]};
-          }
           const int64_t bytes =
               static_cast<int64_t>(static_cast<double>(round_bytes_[r][k]) * scale);
           next_recv[next] = routing_->EmitTransfer(
-              graph, k, next, bytes, std::move(send_deps),
-              tag + ".kv.r" + std::to_string(r) + "." + std::to_string(k));
+              graph, k, next, bytes, r == 0 ? DepSpan(gate[k]) : DepSpan(&recv[k], 1),
+              tag.Then(LabelSuffix::kKv, r, k));
         }
       }
       for (int k = 0; k < world; ++k) {
-        std::vector<TaskId> deps;
-        if (r == 0) {
-          deps = gate.empty() ? std::vector<TaskId>{} : gate[k];
-        } else {
-          deps = {recv[k]};
-        }
         attn_last[k] = graph.AddCompute(
             fabric_->ComputeLane(k), cost_model_->ComputeTime(round_flops_[r][k] * scale),
-            TaskCategory::kAttentionCompute, std::move(deps),
-            tag + ".attn.r" + std::to_string(r) + "." + std::to_string(k), k);
+            TaskCategory::kAttentionCompute, r == 0 ? DepSpan(gate[k]) : DepSpan(&recv[k], 1),
+            tag.Then(LabelSuffix::kAttnRound, r, k), k);
       }
-      recv = next_recv;
+      recv.swap(next_recv);
     }
   };
 
   if (direction == Direction::kForward) {
     emit_attention({});
-    const std::vector<TaskId> linear = EmitLinearStage(
-        graph, *cost_model_, *fabric_, tokens_per_rank_, direction, to_deps(attn_last), tag);
-    return linear;
+    return EmitLinearStage(graph, *cost_model_, *fabric_, tokens_per_rank_, direction,
+                           RankDeps::OnePerRank(attn_last), tag);
   }
   const std::vector<TaskId> linear = EmitLinearStage(graph, *cost_model_, *fabric_,
                                                      tokens_per_rank_, direction, {}, tag);
-  emit_attention(to_deps(linear));
+  emit_attention(RankDeps::OnePerRank(linear));
   return attn_last;
 }
 

@@ -4,65 +4,48 @@
 #include "src/common/check.h"
 
 namespace zeppelin {
-namespace {
-
-std::vector<TaskId> DepsFor(const std::vector<std::vector<TaskId>>& deps, size_t k) {
-  if (deps.empty()) {
-    return {};
-  }
-  ZCHECK_LT(k, deps.size());
-  return deps[k];
-}
-
-}  // namespace
 
 CollectiveResult RingAllGather(TaskGraph& graph, const FabricResources& fabric,
                                const std::vector<int>& ranks,
                                const std::vector<int64_t>& bytes_per_rank,
-                               TaskCategory category, const std::vector<std::vector<TaskId>>& deps,
-                               const std::string& label) {
+                               TaskCategory category, RankDeps deps, LabelArg label) {
   const int r = static_cast<int>(ranks.size());
   ZCHECK_GT(r, 0);
   ZCHECK_EQ(bytes_per_rank.size(), ranks.size());
+  const TaskLabel base = graph.Resolve(label);
 
   CollectiveResult result;
   result.done.resize(r, kInvalidTask);
   if (r == 1) {
-    result.done[0] = graph.AddBarrier(DepsFor(deps, 0), label + ".done");
+    result.done[0] = graph.AddBarrier(deps[0], base.Then(LabelSuffix::kDone));
     return result;
   }
 
   // In round t, rank k forwards the chunk originally contributed by rank
   // (k - t) mod r to rank (k + 1) mod r. After r-1 rounds everyone has all
-  // chunks. prev_recv[k] is the transfer whose arrival rank k forwards next.
-  std::vector<TaskId> prev_recv(r, kInvalidTask);
-  std::vector<std::vector<TaskId>> recvs(r);
+  // chunks. recv[t * r + k] is the transfer that lands on rank k in round t;
+  // rank k forwards it in round t + 1.
+  std::vector<TaskId> recv((r - 1) * r, kInvalidTask);
   for (int t = 0; t < r - 1; ++t) {
-    std::vector<TaskId> this_recv(r, kInvalidTask);
     for (int k = 0; k < r; ++k) {
       const int next = (k + 1) % r;
       const int chunk_owner = ((k - t) % r + r) % r;
-      std::vector<TaskId> send_deps;
-      if (t == 0) {
-        send_deps = DepsFor(deps, k);
-      } else {
-        send_deps = {prev_recv[k]};
-      }
-      const TaskId xfer = AddP2P(graph, fabric, ranks[k], ranks[next],
-                                 bytes_per_rank[chunk_owner], category, std::move(send_deps),
-                                 label + ".ag.r" + std::to_string(t) + "." + std::to_string(k) +
-                                     "->" + std::to_string(next));
-      this_recv[next] = xfer;
-      recvs[next].push_back(xfer);
+      const DepSpan send_deps =
+          t == 0 ? DepSpan(deps[k]) : DepSpan(&recv[(t - 1) * r + k], 1);
+      recv[t * r + next] =
+          AddP2P(graph, fabric, ranks[k], ranks[next], bytes_per_rank[chunk_owner], category,
+                 send_deps, base.Then(LabelSuffix::kAllGatherHop, t, k, next));
     }
-    prev_recv = this_recv;
   }
+  std::vector<TaskId> all;
   for (int k = 0; k < r; ++k) {
-    std::vector<TaskId> all = recvs[k];
-    for (TaskId d : DepsFor(deps, k)) {
-      all.push_back(d);
+    all.clear();
+    for (int t = 0; t < r - 1; ++t) {
+      all.push_back(recv[t * r + k]);
     }
-    result.done[k] = graph.AddBarrier(std::move(all), label + ".done." + std::to_string(k));
+    const std::span<const TaskId> extra = deps[k];
+    all.insert(all.end(), extra.begin(), extra.end());
+    result.done[k] = graph.AddBarrier(all, base.Then(LabelSuffix::kDoneRank, k));
   }
   return result;
 }
@@ -70,72 +53,69 @@ CollectiveResult RingAllGather(TaskGraph& graph, const FabricResources& fabric,
 CollectiveResult AllToAllV(TaskGraph& graph, const FabricResources& fabric,
                            const std::vector<int>& ranks,
                            const std::vector<std::vector<int64_t>>& sends, TaskCategory category,
-                           const std::vector<std::vector<TaskId>>& deps,
-                           const std::string& label) {
+                           RankDeps deps, LabelArg label) {
   const int r = static_cast<int>(ranks.size());
   ZCHECK_GT(r, 0);
   ZCHECK_EQ(sends.size(), ranks.size());
+  const TaskLabel base = graph.Resolve(label);
 
-  std::vector<std::vector<TaskId>> incoming(r);
+  // xfer[i * r + j]: the transfer from ranks[i] to ranks[j], if any.
+  std::vector<TaskId> xfer(r * r, kInvalidTask);
   for (int i = 0; i < r; ++i) {
     ZCHECK_EQ(sends[i].size(), ranks.size());
     for (int j = 0; j < r; ++j) {
       if (i == j || sends[i][j] == 0) {
         continue;
       }
-      const TaskId xfer = AddP2P(graph, fabric, ranks[i], ranks[j], sends[i][j], category,
-                                 DepsFor(deps, i),
-                                 label + ".a2a." + std::to_string(i) + "->" + std::to_string(j));
-      incoming[j].push_back(xfer);
+      xfer[i * r + j] = AddP2P(graph, fabric, ranks[i], ranks[j], sends[i][j], category,
+                               deps[i], base.Then(LabelSuffix::kAllToAllHop, i, j));
     }
   }
   CollectiveResult result;
   result.done.resize(r, kInvalidTask);
+  std::vector<TaskId> all;
   for (int k = 0; k < r; ++k) {
-    std::vector<TaskId> all = incoming[k];
-    for (TaskId d : DepsFor(deps, k)) {
-      all.push_back(d);
+    all.clear();
+    for (int i = 0; i < r; ++i) {
+      if (xfer[i * r + k] != kInvalidTask) {
+        all.push_back(xfer[i * r + k]);
+      }
     }
-    result.done[k] = graph.AddBarrier(std::move(all), label + ".done." + std::to_string(k));
+    const std::span<const TaskId> extra = deps[k];
+    all.insert(all.end(), extra.begin(), extra.end());
+    result.done[k] = graph.AddBarrier(all, base.Then(LabelSuffix::kDoneRank, k));
   }
   return result;
 }
 
 CollectiveResult RingAllReduce(TaskGraph& graph, const FabricResources& fabric,
                                const std::vector<int>& ranks, int64_t bytes,
-                               TaskCategory category, const std::vector<std::vector<TaskId>>& deps,
-                               const std::string& label) {
+                               TaskCategory category, RankDeps deps, LabelArg label) {
   const int r = static_cast<int>(ranks.size());
   ZCHECK_GT(r, 0);
+  const TaskLabel base = graph.Resolve(label);
   CollectiveResult result;
   result.done.resize(r, kInvalidTask);
   if (r == 1) {
-    result.done[0] = graph.AddBarrier(DepsFor(deps, 0), label + ".done");
+    result.done[0] = graph.AddBarrier(deps[0], base.Then(LabelSuffix::kDone));
     return result;
   }
 
   const int64_t chunk = (bytes + r - 1) / r;
   std::vector<TaskId> prev(r, kInvalidTask);
+  std::vector<TaskId> this_recv(r, kInvalidTask);
   // Reduce-scatter then all-gather: 2(r-1) uniform ring steps.
   for (int t = 0; t < 2 * (r - 1); ++t) {
-    std::vector<TaskId> this_recv(r, kInvalidTask);
     for (int k = 0; k < r; ++k) {
       const int next = (k + 1) % r;
-      std::vector<TaskId> send_deps;
-      if (t == 0) {
-        send_deps = DepsFor(deps, k);
-      } else {
-        send_deps = {prev[k]};
-      }
-      const TaskId xfer =
-          AddP2P(graph, fabric, ranks[k], ranks[next], chunk, category, std::move(send_deps),
-                 label + ".ar.r" + std::to_string(t) + "." + std::to_string(k));
-      this_recv[next] = xfer;
+      const DepSpan send_deps = t == 0 ? DepSpan(deps[k]) : DepSpan(&prev[k], 1);
+      this_recv[next] = AddP2P(graph, fabric, ranks[k], ranks[next], chunk, category, send_deps,
+                               base.Then(LabelSuffix::kAllReduceHop, t, k));
     }
-    prev = this_recv;
+    prev.swap(this_recv);
   }
   for (int k = 0; k < r; ++k) {
-    result.done[k] = graph.AddBarrier({prev[k]}, label + ".done." + std::to_string(k));
+    result.done[k] = graph.AddBarrier({prev[k]}, base.Then(LabelSuffix::kDoneRank, k));
   }
   return result;
 }

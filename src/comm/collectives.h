@@ -11,7 +11,6 @@
 #define SRC_COMM_COLLECTIVES_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/sim/graph.h"
@@ -30,22 +29,20 @@ struct CollectiveResult {
 CollectiveResult RingAllGather(TaskGraph& graph, const FabricResources& fabric,
                                const std::vector<int>& ranks,
                                const std::vector<int64_t>& bytes_per_rank,
-                               TaskCategory category, const std::vector<std::vector<TaskId>>& deps,
-                               const std::string& label);
+                               TaskCategory category, RankDeps deps, LabelArg label);
 
 // Pairwise all-to-allv: sends[i][j] bytes move from ranks[i] to ranks[j].
 // All pairs are issued concurrently; fabric channels serialize them.
 CollectiveResult AllToAllV(TaskGraph& graph, const FabricResources& fabric,
                            const std::vector<int>& ranks,
                            const std::vector<std::vector<int64_t>>& sends, TaskCategory category,
-                           const std::vector<std::vector<TaskId>>& deps, const std::string& label);
+                           RankDeps deps, LabelArg label);
 
 // Ring all-reduce of `bytes` (reduce-scatter + all-gather, 2(R-1) steps of
 // bytes/R chunks).
 CollectiveResult RingAllReduce(TaskGraph& graph, const FabricResources& fabric,
                                const std::vector<int>& ranks, int64_t bytes,
-                               TaskCategory category, const std::vector<std::vector<TaskId>>& deps,
-                               const std::string& label);
+                               TaskCategory category, RankDeps deps, LabelArg label);
 
 }  // namespace zeppelin
 

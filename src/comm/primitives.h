@@ -8,8 +8,6 @@
 #define SRC_COMM_PRIMITIVES_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/sim/graph.h"
 #include "src/topology/path.h"
@@ -24,12 +22,12 @@ TaskCategory DefaultCommCategory(const TransferPath& path);
 // Adds a point-to-point copy of `bytes` from src_gpu to dst_gpu.
 // Returns the transfer task id (dependency handle for the receive side).
 TaskId AddP2P(TaskGraph& graph, const FabricResources& fabric, int src_gpu, int dst_gpu,
-              int64_t bytes, TaskCategory category, std::vector<TaskId> deps, std::string label,
+              int64_t bytes, TaskCategory category, DepSpan deps, LabelArg label,
               int src_nic = -1, int dst_nic = -1);
 
 // Same, but picks the category from the resolved path.
 TaskId AddP2PAuto(TaskGraph& graph, const FabricResources& fabric, int src_gpu, int dst_gpu,
-                  int64_t bytes, std::vector<TaskId> deps, std::string label, int src_nic = -1,
+                  int64_t bytes, DepSpan deps, LabelArg label, int src_nic = -1,
                   int dst_nic = -1);
 
 }  // namespace zeppelin

@@ -1,7 +1,5 @@
 #include "src/core/attention_engine.h"
 
-#include <map>
-
 #include "src/common/check.h"
 #include "src/core/chunking.h"
 
@@ -13,14 +11,6 @@ AttentionEngine::AttentionEngine(const CostModel& cost_model, const FabricResour
 
 namespace {
 
-std::vector<TaskId> RankDeps(const std::vector<std::vector<TaskId>>& deps, int rank) {
-  if (deps.empty()) {
-    return {};
-  }
-  ZCHECK_LT(static_cast<size_t>(rank), deps.size());
-  return deps[rank];
-}
-
 double DirectionScale(Direction direction) {
   return direction == Direction::kBackward ? kBackwardMultiplier : 1.0;
 }
@@ -28,12 +18,11 @@ double DirectionScale(Direction direction) {
 }  // namespace
 
 void AttentionEngine::EmitRingSequence(TaskGraph& graph, const RingView& ring,
-                                       Direction direction,
-                                       const std::vector<std::vector<TaskId>>& deps,
-                                       const std::string& label,
-                                       std::vector<std::vector<TaskId>>* last_task_per_rank) const {
+                                       Direction direction, RankDeps deps, LabelArg label,
+                                       RankTaskLists* last_task_per_rank) const {
   const int g = ring.group_size();
   ZCHECK_GT(g, 1) << "rings of size 1 are local sequences";
+  const TaskLabel base = graph.Resolve(label);
   const double scale = DirectionScale(direction);
   const ChunkScheme scheme = options_.chunk_scheme;
   // For the range-based schemes the assignment is materialized once into the
@@ -60,73 +49,70 @@ void AttentionEngine::EmitRingSequence(TaskGraph& graph, const RingView& ring,
   const int64_t kv_bytes_per_token = cost_model_->KvBytesPerToken();
 
   // recv[k]: arrival of the KV block rank k uses in the *next* round.
-  std::vector<TaskId> recv(g, kInvalidTask);
-  std::vector<TaskId> last_compute(g, kInvalidTask);
+  std::vector<TaskId>& recv = recv_scratch_;
+  std::vector<TaskId>& next_recv = next_recv_scratch_;
+  recv.assign(g, kInvalidTask);
   for (int r = 0; r < g; ++r) {
     // Sends for round r+1 are issued first: ring attention overlaps the
     // forwarding of the currently held KV with computation on it.
-    std::vector<TaskId> next_recv(g, kInvalidTask);
+    next_recv.assign(g, kInvalidTask);
     if (r < g - 1) {
       for (int k = 0; k < g; ++k) {
         const int next = (k + 1) % g;
         const int held_owner = ((k - r) % g + g) % g;
         const int64_t bytes = static_cast<int64_t>(
             static_cast<double>(tokens_at(held_owner) * kv_bytes_per_token) * scale);
-        std::vector<TaskId> send_deps =
-            r == 0 ? RankDeps(deps, ring.ranks[k]) : std::vector<TaskId>{recv[k]};
-        next_recv[next] = routing_->EmitTransfer(
-            graph, ring.ranks[k], ring.ranks[next], bytes, std::move(send_deps),
-            label + ".kv.r" + std::to_string(r) + "." + std::to_string(k));
+        const DepSpan send_deps = r == 0 ? DepSpan(deps[ring.ranks[k]]) : DepSpan(&recv[k], 1);
+        next_recv[next] = routing_->EmitTransfer(graph, ring.ranks[k], ring.ranks[next], bytes,
+                                                 send_deps, base.Then(LabelSuffix::kKv, r, k));
       }
     }
     for (int k = 0; k < g; ++k) {
       const double flops = round_flops(k, r) * scale;
-      std::vector<TaskId> compute_deps;
-      if (r == 0) {
-        compute_deps = RankDeps(deps, ring.ranks[k]);
-      } else {
-        compute_deps = {recv[k]};
-      }
+      const DepSpan compute_deps =
+          r == 0 ? DepSpan(deps[ring.ranks[k]]) : DepSpan(&recv[k], 1);
       const TaskId compute = graph.AddCompute(
           fabric_->ComputeLane(ring.ranks[k]), cost_model_->ComputeTime(flops),
-          TaskCategory::kAttentionCompute, std::move(compute_deps),
-          label + ".attn.r" + std::to_string(r) + "." + std::to_string(k), ring.ranks[k]);
-      last_compute[k] = compute;
+          TaskCategory::kAttentionCompute, compute_deps,
+          base.Then(LabelSuffix::kAttnRound, r, k), ring.ranks[k]);
+      if (r == g - 1) {
+        last_task_per_rank->Add(ring.ranks[k], compute);
+      }
     }
-    recv = next_recv;
-  }
-  for (int k = 0; k < g; ++k) {
-    (*last_task_per_rank)[ring.ranks[k]].push_back(last_compute[k]);
+    recv.swap(next_recv);
   }
 }
 
 void AttentionEngine::EmitLocals(TaskGraph& graph, const std::vector<LocalSequence>& locals,
-                                 Direction direction,
-                                 const std::vector<std::vector<TaskId>>& deps,
-                                 const std::string& label,
-                                 std::vector<std::vector<TaskId>>* last_task_per_rank) const {
+                                 Direction direction, RankDeps deps, TaskLabel label,
+                                 RankTaskLists* last_task_per_rank) const {
+  const int world = fabric_->cluster().world_size();
   const double scale = DirectionScale(direction);
   // All local sequences of a rank execute as one variable-length kernel.
-  std::map<int, double> flops_per_rank;
-  std::map<int, int> count_per_rank;
+  std::vector<double> flops_per_rank(world, 0.0);
+  std::vector<int> count_per_rank(world, 0);
   for (const auto& seq : locals) {
+    ZCHECK(seq.rank >= 0 && seq.rank < world) << "rank=" << seq.rank;
     flops_per_rank[seq.rank] += cost_model_->CausalAttentionFlops(seq.length) * scale;
     ++count_per_rank[seq.rank];
   }
-  for (const auto& [rank, flops] : flops_per_rank) {
+  for (int rank = 0; rank < world; ++rank) {
+    if (count_per_rank[rank] == 0) {
+      continue;
+    }
     const TaskId t = graph.AddCompute(
-        fabric_->ComputeLane(rank), cost_model_->ComputeTime(flops),
-        TaskCategory::kAttentionCompute, RankDeps(deps, rank),
-        label + ".local.varlen_x" + std::to_string(count_per_rank[rank]), rank);
-    (*last_task_per_rank)[rank].push_back(t);
+        fabric_->ComputeLane(rank), cost_model_->ComputeTime(flops_per_rank[rank]),
+        TaskCategory::kAttentionCompute, deps[rank],
+        label.Then(LabelSuffix::kLocalVarlen, count_per_rank[rank]), rank);
+    last_task_per_rank->Add(rank, t);
   }
 }
 
 std::vector<TaskId> AttentionEngine::Emit(TaskGraph& graph, const PartitionPlan& plan,
-                                          Direction direction,
-                                          const std::vector<std::vector<TaskId>>& deps,
-                                          const std::string& label) const {
+                                          Direction direction, RankDeps deps,
+                                          LabelArg label) const {
   const int world = fabric_->cluster().world_size();
+  const TaskLabel base = graph.Resolve(label);
 
   const QueueOrder order = direction == Direction::kForward
                                ? options_.forward_order
@@ -138,54 +124,56 @@ std::vector<TaskId> AttentionEngine::Emit(TaskGraph& graph, const PartitionPlan&
   // queue phases: each phase's first tasks wait on the previous phase's last
   // tasks on that rank, which is exactly the §3.2 queue ordering (a device
   // starts its intra-node queue only after its inter-node queue drains).
-  std::vector<std::vector<TaskId>> gate(world);
-  if (!deps.empty()) {
-    gate = deps;
-  }
+  // After the first phase the gate lives in one of two CSR buffers, written
+  // alternately so the next gate never overwrites the one it is built from.
+  RankDeps gate = deps;
+  std::vector<int32_t> gate_offsets[2];
+  std::vector<TaskId> gate_ids[2];
+  int next_buffer = 0;
+  RankTaskLists phase_last;
 
-  auto advance = [&](const std::vector<std::vector<TaskId>>& phase_last) {
+  auto advance = [&] {
+    phase_last.Seal();
+    std::vector<int32_t>& offsets = gate_offsets[next_buffer];
+    std::vector<TaskId>& ids = gate_ids[next_buffer];
+    offsets.assign(1, 0);
+    ids.clear();
     for (int r = 0; r < world; ++r) {
-      if (!phase_last[r].empty()) {
-        gate[r] = phase_last[r];
-      }
+      const std::span<const TaskId> last = phase_last[r];
+      const std::span<const TaskId> frontier = last.empty() ? gate[r] : last;
+      ids.insert(ids.end(), frontier.begin(), frontier.end());
+      offsets.push_back(static_cast<int32_t>(ids.size()));
     }
+    gate = RankDeps::Csr(offsets, ids);
+    next_buffer ^= 1;
   };
 
-  auto emit_inter = [&] {
-    std::vector<std::vector<TaskId>> phase_last(world);
-    for (RingView ring : plan.rings(plan.inter_node)) {
-      EmitRingSequence(graph, ring, direction, gate,
-                       label + ".inter.s" + std::to_string(ring.seq_id), &phase_last);
+  auto emit_rings = [&](const std::vector<RingRef>& refs, LabelSuffix zone) {
+    phase_last.Reset(world);
+    for (RingView ring : plan.rings(refs)) {
+      EmitRingSequence(graph, ring, direction, gate, base.Then(zone, ring.seq_id), &phase_last);
     }
-    advance(phase_last);
-  };
-  auto emit_intra = [&] {
-    std::vector<std::vector<TaskId>> phase_last(world);
-    for (RingView ring : plan.rings(plan.intra_node)) {
-      EmitRingSequence(graph, ring, direction, gate,
-                       label + ".intra.s" + std::to_string(ring.seq_id), &phase_last);
-    }
-    advance(phase_last);
+    advance();
   };
   auto emit_local = [&] {
-    std::vector<std::vector<TaskId>> phase_last(world);
-    EmitLocals(graph, plan.local, direction, gate, label, &phase_last);
-    advance(phase_last);
+    phase_last.Reset(world);
+    EmitLocals(graph, plan.local, direction, gate, base, &phase_last);
+    advance();
   };
 
   if (order == QueueOrder::kInterIntraLocal) {
-    emit_inter();
-    emit_intra();
+    emit_rings(plan.inter_node, LabelSuffix::kInterRing);
+    emit_rings(plan.intra_node, LabelSuffix::kIntraRing);
     emit_local();
   } else {
     emit_local();
-    emit_intra();
-    emit_inter();
+    emit_rings(plan.intra_node, LabelSuffix::kIntraRing);
+    emit_rings(plan.inter_node, LabelSuffix::kInterRing);
   }
 
   std::vector<TaskId> done(world);
   for (int r = 0; r < world; ++r) {
-    done[r] = graph.AddBarrier(gate[r], label + ".attn_done." + std::to_string(r));
+    done[r] = graph.AddBarrier(gate[r], base.Then(LabelSuffix::kAttnDone, r));
   }
   return done;
 }

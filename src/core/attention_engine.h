@@ -18,7 +18,6 @@
 #define SRC_CORE_ATTENTION_ENGINE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/core/chunking.h"
@@ -55,30 +54,30 @@ class AttentionEngine {
   // Emits the attention stage of one layer for `plan`. deps[r] gates rank r's
   // first task (pass {} for layer start). Returns one done-task per rank.
   std::vector<TaskId> Emit(TaskGraph& graph, const PartitionPlan& plan, Direction direction,
-                           const std::vector<std::vector<TaskId>>& deps,
-                           const std::string& label) const;
+                           RankDeps deps, LabelArg label) const;
 
   // Emits one ring sequence; exposed for baselines and tests. Takes a
   // non-owning view: plan rings resolve via PartitionPlan::view()/rings(),
-  // owning RingSequences convert implicitly. Appends each participating
-  // rank's final compute task to last_task_per_rank.
+  // owning RingSequences convert implicitly. Adds each participating rank's
+  // final compute task to last_task_per_rank (unsealed).
   void EmitRingSequence(TaskGraph& graph, const RingView& ring, Direction direction,
-                        const std::vector<std::vector<TaskId>>& deps, const std::string& label,
-                        std::vector<std::vector<TaskId>>* last_task_per_rank) const;
+                        RankDeps deps, LabelArg label, RankTaskLists* last_task_per_rank) const;
 
  private:
   void EmitLocals(TaskGraph& graph, const std::vector<LocalSequence>& locals,
-                  Direction direction, const std::vector<std::vector<TaskId>>& deps,
-                  const std::string& label,
-                  std::vector<std::vector<TaskId>>* last_task_per_rank) const;
+                  Direction direction, RankDeps deps, TaskLabel label,
+                  RankTaskLists* last_task_per_rank) const;
 
   const CostModel* cost_model_;
   const FabricResources* fabric_;
   const RoutingLayer* routing_;
   AttentionEngineOptions options_;
-  // Per-ring chunk-assignment workspace, recycled across EmitRingSequence
-  // calls (Emit is logically const; the scratch holds no observable state).
+  // Per-ring workspaces, recycled across EmitRingSequence calls (Emit is
+  // logically const; the scratch holds no observable state): the chunk
+  // assignment, and the KV arrivals of the current and the next round.
   mutable std::vector<ChunkPair> chunk_scratch_;
+  mutable std::vector<TaskId> recv_scratch_;
+  mutable std::vector<TaskId> next_recv_scratch_;
 };
 
 }  // namespace zeppelin

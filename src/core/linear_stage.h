@@ -5,7 +5,6 @@
 #define SRC_CORE_LINEAR_STAGE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/core/attention_engine.h"
@@ -20,9 +19,7 @@ namespace zeppelin {
 std::vector<TaskId> EmitLinearStage(TaskGraph& graph, const CostModel& cost_model,
                                     const FabricResources& fabric,
                                     const std::vector<int64_t>& tokens_per_rank,
-                                    Direction direction,
-                                    const std::vector<std::vector<TaskId>>& deps,
-                                    const std::string& label);
+                                    Direction direction, RankDeps deps, LabelArg label);
 
 }  // namespace zeppelin
 

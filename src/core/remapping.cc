@@ -41,19 +41,18 @@ void RemappingLayer::Plan(const std::vector<int64_t>& tokens_per_rank, RemapScra
 RemappingLayer::EmitResult RemappingLayer::Emit(TaskGraph& graph,
                                                 const std::vector<int64_t>& tokens_per_rank,
                                                 const RemapSolution& solution, bool inverse,
-                                                const std::vector<std::vector<TaskId>>& deps,
-                                                const std::string& label) const {
+                                                RankDeps deps, LabelArg label) const {
   const ClusterSpec& spec = fabric_->cluster();
   const int world = spec.world_size();
   ZCHECK_EQ(tokens_per_rank.size(), static_cast<size_t>(world));
 
   EmitResult result;
   if (!options_.enabled) {
+    const TaskLabel base = graph.Resolve(label);
     result.new_tokens = tokens_per_rank;
     result.done.resize(world);
     for (int k = 0; k < world; ++k) {
-      result.done[k] = graph.AddBarrier(deps.empty() ? std::vector<TaskId>{} : deps[k],
-                                        label + ".noremap." + std::to_string(k));
+      result.done[k] = graph.AddBarrier(deps[k], base.Then(LabelSuffix::kNoRemap, k));
     }
     return result;
   }
@@ -77,9 +76,8 @@ RemappingLayer::EmitResult RemappingLayer::Emit(TaskGraph& graph,
   for (int r = 0; r < world; ++r) {
     ranks[r] = r;
   }
-  const CollectiveResult a2a =
-      AllToAllV(graph, *fabric_, ranks, sends, TaskCategory::kRemapComm, deps, label);
-  result.done = a2a.done;
+  result.done =
+      AllToAllV(graph, *fabric_, ranks, sends, TaskCategory::kRemapComm, deps, label).done;
   return result;
 }
 

@@ -11,7 +11,6 @@
 #define SRC_CORE_REMAPPING_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/model/cost_model.h"
@@ -52,8 +51,8 @@ class RemappingLayer {
   // `inverse` = true). deps[k] gates rank k's sends. When the layer is
   // disabled, returns barriers and the original token distribution.
   EmitResult Emit(TaskGraph& graph, const std::vector<int64_t>& tokens_per_rank,
-                  const RemapSolution& solution, bool inverse,
-                  const std::vector<std::vector<TaskId>>& deps, const std::string& label) const;
+                  const RemapSolution& solution, bool inverse, RankDeps deps,
+                  LabelArg label) const;
 
   bool enabled() const { return options_.enabled; }
 

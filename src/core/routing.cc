@@ -7,76 +7,87 @@
 
 namespace zeppelin {
 
-RoutingLayer::RoutingLayer(const FabricResources& fabric, RoutingOptions options)
-    : fabric_(&fabric), options_(options) {}
-
 namespace {
 
-// One GPU per distinct NIC on `node`, starting with (and always including)
-// `anchor_gpu`'s NIC slot so the anchor's own slice avoids a dispatch hop.
-std::vector<int> ProxiesCoveringNics(const ClusterSpec& spec, int node, int anchor_gpu,
-                                     int max_count) {
-  std::vector<int> proxies;
-  std::vector<bool> nic_used(spec.nics_per_node, false);
+// Appends one GPU per distinct NIC on `anchor_gpu`'s node to `out`, starting
+// with (and always including) the anchor's NIC slot so the anchor's own
+// slice avoids a dispatch hop. `nic_used` is scratch.
+void AppendProxiesCoveringNics(const ClusterSpec& spec, int anchor_gpu, int max_count,
+                               std::vector<uint8_t>* nic_used, std::vector<int>* out) {
+  const size_t first = out->size();
+  nic_used->assign(spec.nics_per_node, 0);
   auto take = [&](int rank) {
     const int nic = spec.NicOf(rank);
-    if (!nic_used[nic]) {
-      nic_used[nic] = true;
-      proxies.push_back(rank);
+    if ((*nic_used)[nic] == 0) {
+      (*nic_used)[nic] = 1;
+      out->push_back(rank);
     }
   };
-  if (spec.NodeOf(anchor_gpu) == node) {
-    take(anchor_gpu);
-  }
+  const int node = spec.NodeOf(anchor_gpu);
+  take(anchor_gpu);
   for (int local = 0; local < spec.gpus_per_node; ++local) {
     take(spec.GlobalRank(node, local));
-    if (max_count > 0 && static_cast<int>(proxies.size()) >= max_count) {
+    if (max_count > 0 && static_cast<int>(out->size() - first) >= max_count) {
       break;
     }
   }
-  if (max_count > 0 && static_cast<int>(proxies.size()) > max_count) {
-    proxies.resize(max_count);
+  if (max_count > 0 && static_cast<int>(out->size() - first) > max_count) {
+    out->resize(first + max_count);
   }
-  return proxies;
 }
 
 }  // namespace
 
+RoutingLayer::RoutingLayer(const FabricResources& fabric, RoutingOptions options)
+    : fabric_(&fabric), options_(options) {
+  const ClusterSpec& spec = fabric.cluster();
+  const int world = spec.world_size();
+  proxy_begin_.reserve(world + 1);
+  proxy_begin_.push_back(0);
+  std::vector<uint8_t> nic_used;
+  size_t widest = 0;
+  for (int gpu = 0; gpu < world; ++gpu) {
+    const size_t before = proxies_.size();
+    AppendProxiesCoveringNics(spec, gpu, options_.max_proxies, &nic_used, &proxies_);
+    widest = std::max(widest, proxies_.size() - before);
+    proxy_begin_.push_back(static_cast<int>(proxies_.size()));
+  }
+  arrivals_.reserve(widest);
+}
+
 std::vector<int> RoutingLayer::SendProxies(int src_gpu, int dst_node) const {
-  const ClusterSpec& spec = fabric_->cluster();
   (void)dst_node;
-  return ProxiesCoveringNics(spec, spec.NodeOf(src_gpu), src_gpu, options_.max_proxies);
+  const std::span<const int> proxies = ProxiesOf(src_gpu);
+  return std::vector<int>(proxies.begin(), proxies.end());
 }
 
 std::vector<int> RoutingLayer::RecvProxies(int dst_gpu, int src_node) const {
-  const ClusterSpec& spec = fabric_->cluster();
   (void)src_node;
-  return ProxiesCoveringNics(spec, spec.NodeOf(dst_gpu), dst_gpu, options_.max_proxies);
+  const std::span<const int> proxies = ProxiesOf(dst_gpu);
+  return std::vector<int>(proxies.begin(), proxies.end());
 }
 
 TaskId RoutingLayer::EmitTransfer(TaskGraph& graph, int src_gpu, int dst_gpu, int64_t bytes,
-                                  std::vector<TaskId> deps, const std::string& label) const {
+                                  DepSpan deps, LabelArg label) const {
   const ClusterSpec& spec = fabric_->cluster();
   const int src_node = spec.NodeOf(src_gpu);
   const int dst_node = spec.NodeOf(dst_gpu);
 
   if (!options_.enabled || src_node == dst_node || bytes == 0) {
-    return AddP2PAuto(graph, *fabric_, src_gpu, dst_gpu, bytes, std::move(deps), label);
+    return AddP2PAuto(graph, *fabric_, src_gpu, dst_gpu, bytes, deps, label);
   }
 
-  std::vector<int> send_proxies = SendProxies(src_gpu, dst_node);
-  std::vector<int> recv_proxies = RecvProxies(dst_gpu, src_node);
+  const std::span<const int> send_proxies = ProxiesOf(src_gpu);
+  const std::span<const int> recv_proxies = ProxiesOf(dst_gpu);
   // Paper's pairing rule: one-to-one matching of senders and receivers.
   const int x = static_cast<int>(std::min(send_proxies.size(), recv_proxies.size()));
   ZCHECK_GT(x, 0);
   if (x == 1) {
-    return AddP2PAuto(graph, *fabric_, src_gpu, dst_gpu, bytes, std::move(deps), label);
+    return AddP2PAuto(graph, *fabric_, src_gpu, dst_gpu, bytes, deps, label);
   }
-  send_proxies.resize(x);
-  recv_proxies.resize(x);
 
-  std::vector<TaskId> combines;
-  combines.reserve(x);
+  const TaskLabel base = graph.Resolve(label);
+  arrivals_.clear();
   for (int i = 0; i < x; ++i) {
     const int64_t slice = bytes * (i + 1) / x - bytes * i / x;
     if (slice == 0) {
@@ -86,30 +97,28 @@ TaskId RoutingLayer::EmitTransfer(TaskGraph& graph, int src_gpu, int dst_gpu, in
     const int rp = recv_proxies[i];
 
     // Step 1: dispatch src -> send proxy (skipped when src is its own proxy).
-    std::vector<TaskId> transfer_deps = deps;
+    TaskId dispatch = kInvalidTask;
     if (sp != src_gpu) {
-      const TaskId dispatch =
-          AddP2P(graph, *fabric_, src_gpu, sp, slice, TaskCategory::kDispatchComm, deps,
-                 label + ".dispatch." + std::to_string(i));
-      transfer_deps = {dispatch};
+      dispatch = AddP2P(graph, *fabric_, src_gpu, sp, slice, TaskCategory::kDispatchComm, deps,
+                        base.Then(LabelSuffix::kDispatch, i));
     }
 
     // Step 2: inter-node transfer through the proxy pair's own NICs.
-    const TaskId transfer = AddP2P(graph, *fabric_, sp, rp, slice, TaskCategory::kInterComm,
-                                   std::move(transfer_deps),
-                                   label + ".nic." + std::to_string(i), spec.NicOf(sp),
-                                   spec.NicOf(rp));
+    const TaskId transfer =
+        AddP2P(graph, *fabric_, sp, rp, slice, TaskCategory::kInterComm,
+               dispatch != kInvalidTask ? DepSpan(&dispatch, 1) : deps,
+               base.Then(LabelSuffix::kNic, i), spec.NicOf(sp), spec.NicOf(rp));
 
     // Step 3: combine recv proxy -> dst (skipped when dst is its own proxy).
     if (rp != dst_gpu) {
-      combines.push_back(AddP2P(graph, *fabric_, rp, dst_gpu, slice,
-                                TaskCategory::kCombineComm, {transfer},
-                                label + ".combine." + std::to_string(i)));
+      arrivals_.push_back(AddP2P(graph, *fabric_, rp, dst_gpu, slice,
+                                 TaskCategory::kCombineComm, {transfer},
+                                 base.Then(LabelSuffix::kCombine, i)));
     } else {
-      combines.push_back(transfer);
+      arrivals_.push_back(transfer);
     }
   }
-  return graph.AddBarrier(std::move(combines), label + ".routed_done");
+  return graph.AddBarrier(arrivals_, base.Then(LabelSuffix::kRoutedDone));
 }
 
 double RoutingLayer::RoutedCostUs(const CostModel& cost_model, int64_t bytes, int x1, int x2) {

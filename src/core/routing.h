@@ -24,7 +24,7 @@
 #define SRC_CORE_ROUTING_H_
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "src/model/cost_model.h"
@@ -47,8 +47,8 @@ class RoutingLayer {
   // and returns a task id that completes when the data is fully on dst_gpu.
   // Falls back to a direct send when routing is disabled, the transfer is
   // intra-node, or only one proxy pair is available.
-  TaskId EmitTransfer(TaskGraph& graph, int src_gpu, int dst_gpu, int64_t bytes,
-                      std::vector<TaskId> deps, const std::string& label) const;
+  TaskId EmitTransfer(TaskGraph& graph, int src_gpu, int dst_gpu, int64_t bytes, DepSpan deps,
+                      LabelArg label) const;
 
   // Proxy ranks (global) the layer would use for a src-node -> dst-node
   // transfer originated by src_gpu. One GPU per distinct NIC, starting from
@@ -62,8 +62,23 @@ class RoutingLayer {
   static double DirectCostUs(const CostModel& cost_model, int64_t bytes);
 
  private:
+  // Proxies anchored on `gpu`: the send side when it sources a transfer, the
+  // receive side when it is the destination.
+  std::span<const int> ProxiesOf(int gpu) const {
+    return std::span<const int>(proxies_).subspan(proxy_begin_[gpu],
+                                                  proxy_begin_[gpu + 1] - proxy_begin_[gpu]);
+  }
+
   const FabricResources* fabric_;
   RoutingOptions options_;
+  // ProxiesOf(gpu) is proxies_[proxy_begin_[gpu], proxy_begin_[gpu + 1]),
+  // computed once per layer.
+  std::vector<int> proxy_begin_;
+  std::vector<int> proxies_;
+  // The slice-arrival tasks a routed transfer's done barrier waits on;
+  // recycled across EmitTransfer calls (logically const, holds no
+  // observable state), sized for the widest fan-out up front.
+  mutable std::vector<TaskId> arrivals_;
 };
 
 }  // namespace zeppelin

@@ -160,49 +160,36 @@ void ZeppelinStrategy::FinishPlanning(const CostModel& cost_model, const FabricR
 std::vector<TaskId> ZeppelinStrategy::EmitLayer(TaskGraph& graph, Direction direction) {
   ZCHECK(cost_model_ != nullptr) << "Plan() must run before EmitLayer()";
   ZCHECK(current_plan_ != nullptr) << "Plan() must run before EmitLayer()";
-  const std::string tag = direction == Direction::kForward ? "fwd" : "bwd";
+  // Each stage's per-rank done tasks gate the next stage, one task per rank.
+  auto after = [](const std::vector<TaskId>& done) { return RankDeps::OnePerRank(done); };
 
   if (direction == Direction::kForward) {
     // attention -> remap to balanced -> linear modules -> remap back.
-    const std::vector<TaskId> attn_done = engine_->Emit(graph, *current_plan_, direction, {}, tag);
-    auto to_deps = [](const std::vector<TaskId>& v) {
-      std::vector<std::vector<TaskId>> deps(v.size());
-      for (size_t i = 0; i < v.size(); ++i) {
-        deps[i] = {v[i]};
-      }
-      return deps;
-    };
-    const RemappingLayer::EmitResult remap_in = remapping_->Emit(
-        graph, current_plan_->tokens_per_rank, remap_solution_, /*inverse=*/false, to_deps(attn_done),
-        tag + ".remap_in");
+    const std::vector<TaskId> attn_done = engine_->Emit(graph, *current_plan_, direction, {}, "fwd");
+    const RemappingLayer::EmitResult remap_in =
+        remapping_->Emit(graph, current_plan_->tokens_per_rank, remap_solution_,
+                         /*inverse=*/false, after(attn_done), "fwd.remap_in");
     const std::vector<TaskId> linear_done =
         EmitLinearStage(graph, *cost_model_, *fabric_, remap_in.new_tokens, direction,
-                        to_deps(remap_in.done), tag);
+                        after(remap_in.done), "fwd");
     const RemappingLayer::EmitResult remap_out =
         remapping_->Emit(graph, remap_in.new_tokens, remap_solution_, /*inverse=*/true,
-                         to_deps(linear_done), tag + ".remap_out");
+                         after(linear_done), "fwd.remap_out");
     return remap_out.done;
   }
 
   // Backward mirrors the forward dataflow in reverse: gradients arrive in the
   // attention layout, get remapped to the balanced layout for the linear
   // backward, and return to the attention layout for the attention backward.
-  auto to_deps = [](const std::vector<TaskId>& v) {
-    std::vector<std::vector<TaskId>> deps(v.size());
-    for (size_t i = 0; i < v.size(); ++i) {
-      deps[i] = {v[i]};
-    }
-    return deps;
-  };
   const RemappingLayer::EmitResult remap_in = remapping_->Emit(
       graph, current_plan_->tokens_per_rank, remap_solution_, /*inverse=*/false, {}, "bwd.remap_in");
   const std::vector<TaskId> linear_done =
       EmitLinearStage(graph, *cost_model_, *fabric_, remap_in.new_tokens, direction,
-                      to_deps(remap_in.done), "bwd");
+                      after(remap_in.done), "bwd");
   const RemappingLayer::EmitResult remap_out = remapping_->Emit(
-      graph, remap_in.new_tokens, remap_solution_, /*inverse=*/true, to_deps(linear_done),
+      graph, remap_in.new_tokens, remap_solution_, /*inverse=*/true, after(linear_done),
       "bwd.remap_out");
-  return engine_->Emit(graph, *current_plan_, direction, to_deps(remap_out.done), "bwd");
+  return engine_->Emit(graph, *current_plan_, direction, after(remap_out.done), "bwd");
 }
 
 std::vector<int64_t> ZeppelinStrategy::LinearTokensPerRank() const { return linear_tokens_; }

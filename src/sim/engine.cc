@@ -1,8 +1,10 @@
 #include "src/sim/engine.h"
 
 #include <algorithm>
-#include <queue>
-#include <set>
+#include <functional>
+#include <span>
+#include <string>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -31,50 +33,86 @@ double SimResult::Utilization(ResourceId id) const {
 SimResult Engine::Run(const TaskGraph& graph, ChromeTraceWriter* trace) const {
   const int n = graph.size();
   const int num_resources = fabric_->num_resources();
+  const std::span<const double> duration = graph.durations();
+  const std::span<const TaskCategory> category = graph.categories();
+  const std::span<const int32_t> dep_begin = graph.dep_begin();
+  const std::span<const TaskId> dep_ids = graph.dep_ids();
+  const std::span<const int32_t> res_begin = graph.resource_begin();
+  const std::span<const ResourceId> res_ids = graph.resource_ids();
 
   SimResult result;
   result.start_us.assign(n, -1.0);
   result.finish_us.assign(n, -1.0);
   result.usage.assign(num_resources, ResourceUsage{});
 
-  std::vector<int> remaining_deps(n, 0);
-  std::vector<std::vector<TaskId>> dependents(n);
-  for (TaskId id = 0; id < n; ++id) {
-    const Task& t = graph.task(id);
-    remaining_deps[id] = static_cast<int>(t.deps.size());
-    for (TaskId dep : t.deps) {
-      dependents[dep].push_back(id);
+  // Dependents in CSR form, each list in ascending task id.
+  std::vector<int32_t> remaining_deps(n);
+  std::vector<int32_t> out_begin(n + 1, 0);
+  for (TaskId dep : dep_ids) {
+    ++out_begin[dep + 1];
+  }
+  for (int i = 0; i < n; ++i) {
+    out_begin[i + 1] += out_begin[i];
+  }
+  std::vector<TaskId> out_ids(dep_ids.size());
+  {
+    std::vector<int32_t> cursor(out_begin.begin(), out_begin.end() - 1);
+    for (TaskId id = 0; id < n; ++id) {
+      remaining_deps[id] = dep_begin[id + 1] - dep_begin[id];
+      for (int32_t k = dep_begin[id]; k < dep_begin[id + 1]; ++k) {
+        out_ids[cursor[dep_ids[k]]++] = id;
+      }
     }
   }
 
-  // Waiting queues in program order — the FIFO admission discipline.
-  std::vector<std::set<TaskId>> waiting(num_resources);
-  std::vector<bool> busy(num_resources, false);
+  // Waiting queues in program order — the FIFO admission discipline. Each
+  // resource's queue is a min-heap of task ids in its own slice of one arena,
+  // sized by how many tasks ever use the resource.
+  std::vector<int32_t> queue_begin(num_resources + 1, 0);
+  for (ResourceId r : res_ids) {
+    ZCHECK(r >= 0 && r < num_resources) << "resource=" << r;
+    ++queue_begin[r + 1];
+  }
+  for (int r = 0; r < num_resources; ++r) {
+    queue_begin[r + 1] += queue_begin[r];
+  }
+  std::vector<TaskId> queue_arena(res_ids.size());
+  std::vector<int32_t> queue_size(num_resources, 0);
+  std::vector<uint8_t> busy(num_resources, 0);
+  const std::greater<TaskId> min_first;
+  auto head = [&](ResourceId r) { return queue_arena[queue_begin[r]]; };
 
   // Completion events: (time, task). Ties resolved by task id for determinism.
-  using Event = std::pair<double, TaskId>;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> completions;
+  struct Event {
+    double time;
+    TaskId id;
+  };
+  std::vector<Event> completions;
+  completions.reserve(n);
+  auto earliest_first = [](const Event& a, const Event& b) {
+    return a.time > b.time || (a.time == b.time && a.id > b.id);
+  };
 
   // Resources that might be able to admit a task.
   std::vector<ResourceId> dirty;
   dirty.reserve(64);
 
   auto schedule_completion = [&](TaskId id, double start) {
-    const Task& t = graph.task(id);
     result.start_us[id] = start;
-    const double finish = start + t.duration_us;
-    completions.emplace(finish, id);
+    completions.push_back(Event{start + duration[id], id});
+    std::push_heap(completions.begin(), completions.end(), earliest_first);
   };
 
   auto make_ready = [&](TaskId id, double now) {
-    const Task& t = graph.task(id);
-    if (t.resources.empty()) {
+    if (res_begin[id] == res_begin[id + 1]) {
       schedule_completion(id, now);  // Barrier / free transfer: runs instantly.
       return;
     }
-    for (ResourceId r : t.resources) {
-      ZCHECK(r >= 0 && r < num_resources) << "resource=" << r;
-      waiting[r].insert(id);
+    for (int32_t k = res_begin[id]; k < res_begin[id + 1]; ++k) {
+      const ResourceId r = res_ids[k];
+      TaskId* queue = queue_arena.data() + queue_begin[r];
+      queue[queue_size[r]++] = id;
+      std::push_heap(queue, queue + queue_size[r], min_first);
       dirty.push_back(r);
     }
   };
@@ -83,14 +121,14 @@ SimResult Engine::Run(const TaskGraph& graph, ChromeTraceWriter* trace) const {
     while (!dirty.empty()) {
       const ResourceId r = dirty.back();
       dirty.pop_back();
-      if (busy[r] || waiting[r].empty()) {
+      if (busy[r] || queue_size[r] == 0) {
         continue;
       }
-      const TaskId head = *waiting[r].begin();
-      const Task& t = graph.task(head);
+      const TaskId task = head(r);
       bool can_start = true;
-      for (ResourceId tr : t.resources) {
-        if (busy[tr] || waiting[tr].empty() || *waiting[tr].begin() != head) {
+      for (int32_t k = res_begin[task]; k < res_begin[task + 1]; ++k) {
+        const ResourceId tr = res_ids[k];
+        if (busy[tr] || queue_size[tr] == 0 || head(tr) != task) {
           can_start = false;
           break;
         }
@@ -98,23 +136,35 @@ SimResult Engine::Run(const TaskGraph& graph, ChromeTraceWriter* trace) const {
       if (!can_start) {
         continue;
       }
-      for (ResourceId tr : t.resources) {
-        busy[tr] = true;
-        waiting[tr].erase(waiting[tr].begin());
-        result.usage[tr].busy_us += t.duration_us;
-        result.usage[tr].by_category[static_cast<int>(t.category)] += t.duration_us;
-        if (trace != nullptr && t.duration_us > 0) {
+      const double d = duration[task];
+      const int c = static_cast<int>(category[task]);
+      std::string name;
+      if (trace != nullptr && d > 0) {
+        name = graph.Label(task);
+        if (name.empty()) {
+          name = TaskCategoryName(category[task]);
+        }
+      }
+      for (int32_t k = res_begin[task]; k < res_begin[task + 1]; ++k) {
+        const ResourceId tr = res_ids[k];
+        busy[tr] = 1;
+        TaskId* queue = queue_arena.data() + queue_begin[tr];
+        std::pop_heap(queue, queue + queue_size[tr], min_first);
+        --queue_size[tr];
+        result.usage[tr].busy_us += d;
+        result.usage[tr].by_category[c] += d;
+        if (trace != nullptr && d > 0) {
           TraceEvent ev;
-          ev.name = t.label.empty() ? TaskCategoryName(t.category) : t.label;
-          ev.category = TaskCategoryName(t.category);
+          ev.name = name;
+          ev.category = TaskCategoryName(category[task]);
           ev.start_us = now;
-          ev.duration_us = t.duration_us;
+          ev.duration_us = d;
           ev.pid = fabric_->ResourceNode(tr);
           ev.tid = tr;
           trace->Add(ev);
         }
       }
-      schedule_completion(head, now);
+      schedule_completion(task, now);
       // Freed queue heads may unblock other tasks on these resources later;
       // nothing to re-check until completion. (Start consumed the heads.)
     }
@@ -130,23 +180,24 @@ SimResult Engine::Run(const TaskGraph& graph, ChromeTraceWriter* trace) const {
   try_start(0.0);
 
   while (!completions.empty()) {
-    const double now = completions.top().first;
+    const double now = completions.front().time;
     // Drain all completions at `now` before admitting new work, so admission
     // sees a consistent resource picture.
-    while (!completions.empty() && completions.top().first == now) {
-      const TaskId id = completions.top().second;
-      completions.pop();
-      const Task& t = graph.task(id);
+    while (!completions.empty() && completions.front().time == now) {
+      const TaskId id = completions.front().id;
+      std::pop_heap(completions.begin(), completions.end(), earliest_first);
+      completions.pop_back();
       result.finish_us[id] = now;
       result.makespan_us = std::max(result.makespan_us, now);
       ++completed;
-      for (ResourceId r : t.resources) {
-        busy[r] = false;
-        dirty.push_back(r);
+      for (int32_t k = res_begin[id]; k < res_begin[id + 1]; ++k) {
+        busy[res_ids[k]] = 0;
+        dirty.push_back(res_ids[k]);
       }
-      for (TaskId dep : dependents[id]) {
-        if (--remaining_deps[dep] == 0) {
-          make_ready(dep, now);
+      for (int32_t k = out_begin[id]; k < out_begin[id + 1]; ++k) {
+        const TaskId dependent = out_ids[k];
+        if (--remaining_deps[dependent] == 0) {
+          make_ready(dependent, now);
         }
       }
     }

@@ -11,6 +11,12 @@
 // Head-of-line blocking across resources is intentional — it is exactly the
 // behaviour of NCCL channels and of kernels queued on a stream, and it is
 // what produces the idle "bubbles" the paper's Fig. 12 discusses.
+//
+// Implementation: Run reads the graph's flat columns, builds the dependents
+// in CSR form, and keeps each resource's waiting tasks in a min-heap on task
+// id inside one arena. Completions pop in (time, task id) order. All of this
+// lives in workspaces local to one Run call, so an Engine is immutable and
+// Run may be called from several threads at once.
 #ifndef SRC_SIM_ENGINE_H_
 #define SRC_SIM_ENGINE_H_
 

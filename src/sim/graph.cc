@@ -1,7 +1,5 @@
 #include "src/sim/graph.h"
 
-#include <limits>
-
 #include "src/common/check.h"
 
 namespace zeppelin {
@@ -43,57 +41,113 @@ bool IsCommCategory(TaskCategory category) {
   }
 }
 
-TaskId TaskGraph::Push(Task task) {
-  ZCHECK_GE(task.duration_us, 0.0);
-  for (TaskId dep : task.deps) {
-    ZCHECK(dep >= 0 && dep < size()) << "dep=" << dep << " out of range (forward deps only)";
+TaskGraph::TaskGraph() : dep_begin_{0}, resource_begin_{0}, stems_{""} {}
+
+TaskId TaskGraph::AddTask(double duration_us, TaskCategory category,
+                          std::span<const ResourceId> resources, DepSpan deps, int64_t bytes,
+                          int gpu, LabelArg label) {
+  ZCHECK_GE(duration_us, 0.0);
+  const TaskId id = size();
+  for (TaskId dep : deps) {
+    ZCHECK(dep >= 0 && dep < id) << "dep=" << dep << " out of range (forward deps only)";
   }
-  tasks_.push_back(std::move(task));
-  return static_cast<TaskId>(tasks_.size() - 1);
+  duration_us_.push_back(duration_us);
+  category_.push_back(category);
+  bytes_.push_back(bytes);
+  gpu_.push_back(gpu);
+  label_.push_back(Resolve(label));
+  dep_ids_.insert(dep_ids_.end(), deps.begin(), deps.end());
+  dep_begin_.push_back(static_cast<int32_t>(dep_ids_.size()));
+  resource_ids_.insert(resource_ids_.end(), resources.begin(), resources.end());
+  resource_begin_.push_back(static_cast<int32_t>(resource_ids_.size()));
+  return id;
 }
 
 TaskId TaskGraph::AddCompute(ResourceId lane, double duration_us, TaskCategory category,
-                             std::vector<TaskId> deps, std::string label, int gpu) {
-  Task t;
-  t.duration_us = duration_us;
-  t.category = category;
-  t.resources = {lane};
-  t.deps = std::move(deps);
-  t.gpu = gpu;
-  t.label = std::move(label);
-  return Push(std::move(t));
+                             DepSpan deps, LabelArg label, int gpu) {
+  return AddTask(duration_us, category, std::span<const ResourceId>(&lane, 1), deps, 0, gpu,
+                 label);
 }
 
 TaskId TaskGraph::AddTransfer(const TransferPath& path, int64_t bytes, TaskCategory category,
-                              std::vector<TaskId> deps, std::string label, int src_gpu) {
+                              DepSpan deps, LabelArg label, int src_gpu) {
   ZCHECK_GE(bytes, 0);
-  Task t;
-  t.category = category;
-  t.resources = path.resources;
-  t.deps = std::move(deps);
-  t.bytes = bytes;
-  t.gpu = src_gpu;
-  t.label = std::move(label);
-  if (path.resources.empty()) {
-    t.duration_us = 0;  // Same-device: free.
-  } else {
+  double duration_us = 0;  // Same-device: free.
+  if (!path.resources.empty()) {
     ZCHECK_GT(path.bandwidth, 0.0);
-    t.duration_us = static_cast<double>(bytes) / path.bandwidth + path.latency_us;
+    duration_us = static_cast<double>(bytes) / path.bandwidth + path.latency_us;
   }
-  return Push(std::move(t));
+  return AddTask(duration_us, category, path.resources, deps, bytes, src_gpu, label);
 }
 
-TaskId TaskGraph::AddBarrier(std::vector<TaskId> deps, std::string label) {
-  Task t;
-  t.category = TaskCategory::kBarrier;
-  t.deps = std::move(deps);
-  t.label = std::move(label);
-  return Push(std::move(t));
+TaskId TaskGraph::AddBarrier(DepSpan deps, LabelArg label) {
+  return AddTask(0, TaskCategory::kBarrier, {}, deps, 0, -1, label);
 }
 
-const Task& TaskGraph::task(TaskId id) const {
+TaskLabel TaskGraph::Intern(std::string_view text) {
+  TaskLabel label;
+  if (text.empty()) {
+    return label;
+  }
+  auto it = stem_ids_.find(text);
+  if (it == stem_ids_.end()) {
+    const auto id = static_cast<uint32_t>(stems_.size());
+    stems_.emplace_back(text);
+    it = stem_ids_.emplace(std::string(text), id).first;
+  }
+  label.stem = it->second;
+  return label;
+}
+
+TaskLabel TaskGraph::Resolve(const LabelArg& label) {
+  return label.is_text_ ? Intern(label.text_) : label.label_;
+}
+
+std::string TaskGraph::Label(TaskId id) const {
   ZCHECK(id >= 0 && id < size()) << "task id=" << id;
-  return tasks_[id];
+  const TaskLabel& label = label_[id];
+  std::string out = stems_[label.stem];
+  int arg = 0;
+  for (LabelSuffix suffix : label.suffixes) {
+    if (suffix == LabelSuffix::kNone) {
+      break;
+    }
+    for (const char* p = kLabelSuffixFormat[static_cast<int>(suffix)]; *p != '\0'; ++p) {
+      if (*p == '#') {
+        out += std::to_string(label.args[arg++]);
+      } else {
+        out += *p;
+      }
+    }
+  }
+  return out;
+}
+
+Task TaskGraph::task(TaskId id) const {
+  ZCHECK(id >= 0 && id < size()) << "task id=" << id;
+  return Task{duration_us_[id], category_[id], resources(id), deps(id), bytes_[id], gpu_[id]};
+}
+
+void RankTaskLists::Seal() {
+  // Counting sort by rank, stable within a rank: count into offsets_[r + 1],
+  // turn counts into starts, place (advancing offsets_[r] to the end of rank
+  // r's run), then shift the ends back into starts.
+  offsets_.assign(ranks_ + 1, 0);
+  for (const auto& [rank, id] : entries_) {
+    ZCHECK(rank >= 0 && rank < ranks_) << "rank=" << rank;
+    ++offsets_[rank + 1];
+  }
+  for (int r = 0; r < ranks_; ++r) {
+    offsets_[r + 1] += offsets_[r];
+  }
+  ids_.resize(entries_.size());
+  for (const auto& [rank, id] : entries_) {
+    ids_[offsets_[rank]++] = id;
+  }
+  for (int r = ranks_; r > 0; --r) {
+    offsets_[r] = offsets_[r - 1];
+  }
+  offsets_[0] = 0;
 }
 
 }  // namespace zeppelin

@@ -5,10 +5,22 @@
 // Strategies therefore emit tasks in their intended per-resource execution
 // order — e.g. Zeppelin's attention engine adds the inter-node queue before
 // the intra-node queue before the local queue (§3.2).
+//
+// Layout: one column per task field, plus two CSR arenas (deps and
+// resources) indexed by per-task offsets. Adding a task appends to these
+// columns; nothing is allocated per task. Labels are TaskLabel records whose
+// text is formatted only when Label(id) asks for it.
 #ifndef SRC_SIM_GRAPH_H_
 #define SRC_SIM_GRAPH_H_
 
+#include <cstdint>
+#include <functional>
+#include <ranges>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/task.h"
@@ -18,31 +30,156 @@ namespace zeppelin {
 
 class TaskGraph {
  public:
+  TaskGraph();
+
+  // General form: a task occupying `resources` for `duration_us` once all
+  // `deps` have finished.
+  TaskId AddTask(double duration_us, TaskCategory category,
+                 std::span<const ResourceId> resources, DepSpan deps, int64_t bytes, int gpu,
+                 LabelArg label);
+
   // Compute kernel occupying a single lane.
-  TaskId AddCompute(ResourceId lane, double duration_us, TaskCategory category,
-                    std::vector<TaskId> deps, std::string label, int gpu);
+  TaskId AddCompute(ResourceId lane, double duration_us, TaskCategory category, DepSpan deps,
+                    LabelArg label, int gpu);
 
   // Point-to-point transfer along a resolved path. Duration is
   // bytes / path.bandwidth + path.latency. A same-GPU path (no resources)
   // completes instantly and merely propagates dependencies.
   TaskId AddTransfer(const TransferPath& path, int64_t bytes, TaskCategory category,
-                     std::vector<TaskId> deps, std::string label, int src_gpu);
+                     DepSpan deps, LabelArg label, int src_gpu);
 
   // Zero-duration scheduling node; handy for fan-in/fan-out points.
-  TaskId AddBarrier(std::vector<TaskId> deps, std::string label = "barrier");
+  TaskId AddBarrier(DepSpan deps, LabelArg label = "barrier");
 
-  // Escape hatch for composite operations (e.g. a bulk collective occupying
-  // many channels at once): the caller fills the Task fields directly.
-  TaskId AddTransferLike(Task task) { return Push(std::move(task)); }
+  // Label record for `text` as a stem (interned once per graph), and the
+  // record a LabelArg stands for on this graph.
+  TaskLabel Intern(std::string_view text);
+  TaskLabel Resolve(const LabelArg& label);
 
-  const Task& task(TaskId id) const;
-  int size() const { return static_cast<int>(tasks_.size()); }
-  const std::vector<Task>& tasks() const { return tasks_; }
+  // The label of a task as text, formatted from its record.
+  std::string Label(TaskId id) const;
+
+  int size() const { return static_cast<int>(duration_us_.size()); }
+  Task task(TaskId id) const;
+  // Every task in id order, as views.
+  auto tasks() const {
+    return std::views::iota(TaskId{0}, static_cast<TaskId>(size())) |
+           std::views::transform([this](TaskId id) { return task(id); });
+  }
+
+  // Columns, indexed by task id.
+  std::span<const double> durations() const { return duration_us_; }
+  std::span<const TaskCategory> categories() const { return category_; }
+  std::span<const ResourceId> resources(TaskId id) const {
+    return std::span<const ResourceId>(resource_ids_)
+        .subspan(resource_begin_[id], resource_begin_[id + 1] - resource_begin_[id]);
+  }
+  std::span<const TaskId> deps(TaskId id) const {
+    return std::span<const TaskId>(dep_ids_).subspan(dep_begin_[id],
+                                                     dep_begin_[id + 1] - dep_begin_[id]);
+  }
+  // The CSR arenas: task id's entries are [begin[id], begin[id + 1]).
+  std::span<const int32_t> dep_begin() const { return dep_begin_; }
+  std::span<const TaskId> dep_ids() const { return dep_ids_; }
+  std::span<const int32_t> resource_begin() const { return resource_begin_; }
+  std::span<const ResourceId> resource_ids() const { return resource_ids_; }
 
  private:
-  TaskId Push(Task task);
+  struct StemHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
 
-  std::vector<Task> tasks_;
+  std::vector<double> duration_us_;
+  std::vector<TaskCategory> category_;
+  std::vector<int64_t> bytes_;
+  std::vector<int32_t> gpu_;
+  std::vector<TaskLabel> label_;
+  std::vector<int32_t> dep_begin_;  // size() + 1 entries.
+  std::vector<TaskId> dep_ids_;
+  std::vector<int32_t> resource_begin_;  // size() + 1 entries.
+  std::vector<ResourceId> resource_ids_;
+  // Stem text by id (id 0 is the empty stem) and the reverse index.
+  std::vector<std::string> stems_;
+  std::unordered_map<std::string, uint32_t, StemHash, std::equal_to<>> stem_ids_;
+};
+
+// Per-rank dependency lists for the per-rank emit functions: rank r's first
+// task waits on deps[r]. A non-owning view over one of
+//   - nested vectors, one list per rank;
+//   - one task per rank (OnePerRank);
+//   - a CSR pair, rank r's list being ids[offsets[r], offsets[r + 1]).
+// A default-constructed RankDeps gates no rank.
+class RankDeps {
+ public:
+  RankDeps() = default;
+  RankDeps(const std::vector<std::vector<TaskId>>& lists) : lists_(&lists) {}
+
+  static RankDeps OnePerRank(std::span<const TaskId> ids) {
+    RankDeps deps;
+    deps.ids_ = ids;
+    return deps;
+  }
+  static RankDeps Csr(std::span<const int32_t> offsets, std::span<const TaskId> ids) {
+    RankDeps deps;
+    deps.offsets_ = offsets;
+    deps.ids_ = ids;
+    deps.csr_ = true;
+    return deps;
+  }
+
+  // True when no rank has a list at all.
+  bool empty() const {
+    return lists_ != nullptr ? lists_->empty() : (csr_ ? offsets_.empty() : ids_.empty());
+  }
+
+  std::span<const TaskId> operator[](int rank) const {
+    if (empty()) {
+      return {};
+    }
+    if (lists_ != nullptr) {
+      ZCHECK_LT(static_cast<size_t>(rank), lists_->size());
+      return (*lists_)[rank];
+    }
+    if (!csr_) {
+      return ids_.subspan(rank, 1);
+    }
+    return ids_.subspan(offsets_[rank], offsets_[rank + 1] - offsets_[rank]);
+  }
+
+ private:
+  const std::vector<std::vector<TaskId>>* lists_ = nullptr;
+  std::span<const int32_t> offsets_;
+  std::span<const TaskId> ids_;
+  bool csr_ = false;
+};
+
+// Per-rank task lists built by appending (rank, task) pairs. Seal() groups
+// them by rank, keeping append order within a rank; then they read as a
+// RankDeps or list by list.
+class RankTaskLists {
+ public:
+  // Drops every list and sizes the set for `ranks` ranks.
+  void Reset(int ranks) {
+    ranks_ = ranks;
+    entries_.clear();
+    offsets_.clear();
+    ids_.clear();
+  }
+  void Add(int rank, TaskId id) { entries_.emplace_back(rank, id); }
+  void Seal();
+
+  std::span<const TaskId> operator[](int rank) const {
+    return std::span<const TaskId>(ids_).subspan(offsets_[rank],
+                                                 offsets_[rank + 1] - offsets_[rank]);
+  }
+  RankDeps deps() const { return RankDeps::Csr(offsets_, ids_); }
+
+ private:
+  int ranks_ = 0;
+  std::vector<std::pair<int32_t, TaskId>> entries_;
+  std::vector<int32_t> offsets_;
+  std::vector<TaskId> ids_;
 };
 
 }  // namespace zeppelin

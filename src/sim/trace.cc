@@ -12,11 +12,13 @@ std::array<CategorySummary, kNumTaskCategories> SummarizeByCategory(const TaskGr
                                                                     const SimResult& result) {
   std::array<CategorySummary, kNumTaskCategories> out{};
   (void)result;
-  for (const Task& t : graph.tasks()) {
-    auto& s = out[static_cast<int>(t.category)];
+  const auto durations = graph.durations();
+  const auto categories = graph.categories();
+  for (TaskId id = 0; id < graph.size(); ++id) {
+    auto& s = out[static_cast<int>(categories[id])];
     ++s.task_count;
-    s.total_us += t.duration_us;
-    s.max_us = std::max(s.max_us, t.duration_us);
+    s.total_us += durations[id];
+    s.max_us = std::max(s.max_us, durations[id]);
   }
   for (auto& s : out) {
     if (s.task_count > 0) {

@@ -11,8 +11,9 @@ constexpr double kEps = 1e-9;
 std::string Describe(const TaskGraph& graph, TaskId id) {
   std::ostringstream out;
   out << "task " << id;
-  if (!graph.task(id).label.empty()) {
-    out << " ('" << graph.task(id).label << "')";
+  const std::string label = graph.Label(id);
+  if (!label.empty()) {
+    out << " ('" << label << "')";
   }
   return out.str();
 }
@@ -32,7 +33,7 @@ std::vector<ScheduleViolation> ValidateSchedule(const TaskGraph& graph, const Si
 
   // 1. Completion and duration consistency.
   for (TaskId id = 0; id < n; ++id) {
-    const Task& t = graph.task(id);
+    const Task t = graph.task(id);
     if (result.start_us[id] < 0 || result.finish_us[id] < 0) {
       violations.push_back({id, Describe(graph, id) + " never ran"});
       continue;
@@ -45,7 +46,7 @@ std::vector<ScheduleViolation> ValidateSchedule(const TaskGraph& graph, const Si
 
   // 2. Dependencies.
   for (TaskId id = 0; id < n; ++id) {
-    for (TaskId dep : graph.task(id).deps) {
+    for (TaskId dep : graph.deps(id)) {
       if (result.start_us[id] + kEps < result.finish_us[dep]) {
         violations.push_back(
             {id, Describe(graph, id) + " started before dependency " + std::to_string(dep)});
@@ -56,7 +57,7 @@ std::vector<ScheduleViolation> ValidateSchedule(const TaskGraph& graph, const Si
   // 3. Resource exclusivity: collect per-resource intervals and sort.
   std::vector<std::vector<std::pair<double, TaskId>>> intervals(num_resources);
   for (TaskId id = 0; id < n; ++id) {
-    const Task& t = graph.task(id);
+    const Task t = graph.task(id);
     if (t.duration_us <= 0) {
       continue;  // Zero-length tasks cannot overlap anything.
     }
@@ -95,7 +96,7 @@ std::vector<ScheduleViolation> ValidateSchedule(const TaskGraph& graph, const Si
           continue;  // Need a < b (program order) with b starting first.
         }
         double a_ready = 0;
-        for (TaskId dep : graph.task(a).deps) {
+        for (TaskId dep : graph.deps(a)) {
           a_ready = std::max(a_ready, result.finish_us[dep]);
         }
         if (a_ready + kEps < result.start_us[b]) {
@@ -103,7 +104,7 @@ std::vector<ScheduleViolation> ValidateSchedule(const TaskGraph& graph, const Si
           // admissible: multi-resource tasks may legitimately wait on another
           // resource. Only flag single-resource tasks, where admission is
           // unambiguous.
-          if (graph.task(a).resources.size() == 1) {
+          if (graph.resources(a).size() == 1) {
             violations.push_back({b, Describe(graph, b) + " overtook ready task " +
                                          std::to_string(a) + " on resource " +
                                          std::to_string(r)});

@@ -119,7 +119,7 @@ TransferPath FabricResources::Resolve(int src_gpu, int dst_gpu, int src_nic, int
   const int src_node = spec_.NodeOf(src_gpu);
   const int dst_node = spec_.NodeOf(dst_gpu);
   if (src_node == dst_node) {
-    path.resources = {NvswitchEgress(src_gpu), NvswitchIngress(dst_gpu)};
+    path.resources = PathResources(NvswitchEgress(src_gpu), NvswitchIngress(dst_gpu));
     path.bandwidth = spec_.nvswitch_bandwidth;
     path.latency_us = spec_.intra_latency_us;
     return path;
@@ -138,7 +138,7 @@ TransferPath FabricResources::Resolve(int src_gpu, int dst_gpu, int src_nic, int
   // does not contend with the NVSwitch fabric — so the path serializes only
   // on the two NIC directional channels. This is what lets the routing
   // layer's intra-node dispatch overlap with in-flight inter-node transfers.
-  path.resources = {NicTx(src_node, src_nic), NicRx(dst_node, dst_nic)};
+  path.resources = PathResources(NicTx(src_node, src_nic), NicRx(dst_node, dst_nic));
   path.bandwidth = spec_.nic_bandwidth;
   path.latency_us = spec_.inter_latency_us;
   path.crosses_node = true;

@@ -15,7 +15,9 @@
 #ifndef SRC_TOPOLOGY_PATH_H_
 #define SRC_TOPOLOGY_PATH_H_
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,9 +27,31 @@ namespace zeppelin {
 
 using ResourceId = int32_t;
 
+// The channels one transfer occupies, stored inline: a path crosses at most
+// two (NVSwitch egress + ingress, or NIC tx + rx); a same-GPU move crosses
+// none.
+class PathResources {
+ public:
+  static constexpr int kMaxChannels = 2;
+
+  PathResources() = default;
+  PathResources(ResourceId first, ResourceId second) : ids_{first, second}, size_(2) {}
+
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return static_cast<size_t>(size_); }
+  ResourceId operator[](size_t i) const { return ids_[i]; }
+  const ResourceId* begin() const { return ids_.data(); }
+  const ResourceId* end() const { return ids_.data() + size_; }
+  operator std::span<const ResourceId>() const { return {ids_.data(), size()}; }
+
+ private:
+  std::array<ResourceId, kMaxChannels> ids_{};
+  int size_ = 0;
+};
+
 struct TransferPath {
   // Channels the transfer occupies for its whole duration, in hop order.
-  std::vector<ResourceId> resources;
+  PathResources resources;
   // Bottleneck bandwidth in bytes/us; +inf for a same-GPU no-op "transfer".
   double bandwidth = 0;
   double latency_us = 0;

@@ -129,7 +129,7 @@ TEST_F(AttentionEngineTest, ForwardOrderRunsInterBeforeLocal) {
     if (t.category != TaskCategory::kAttentionCompute || t.gpu != 0) {
       continue;
     }
-    if (t.label.find("local") != std::string::npos) {
+    if (g.Label(id).find("local") != std::string::npos) {
       local_start = r.start_us[id];
     } else {
       last_ring_compute_start = std::max(last_ring_compute_start, r.start_us[id]);
@@ -156,7 +156,7 @@ TEST_F(AttentionEngineTest, BackwardOrderRunsLocalFirst) {
     if (t.category != TaskCategory::kAttentionCompute || t.gpu != 0) {
       continue;
     }
-    if (t.label.find("local") != std::string::npos) {
+    if (g.Label(id).find("local") != std::string::npos) {
       local_start = r.start_us[id];
     } else {
       first_ring_start = std::min(first_ring_start, r.start_us[id]);

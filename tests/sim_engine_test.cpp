@@ -107,19 +107,11 @@ TEST_F(SimEngineTest, MultiResourceTaskWaitsForAll) {
   const ResourceId r0 = fabric_.NvswitchEgress(0);
   const ResourceId r1 = fabric_.NvswitchIngress(1);
   // Occupy r1 first.
-  Task blocker;
-  blocker.duration_us = 20.0;
-  blocker.category = TaskCategory::kIntraComm;
-  blocker.resources = {r1};
-  blocker.label = "blocker";
-  g.AddTransferLike(std::move(blocker));
+  const ResourceId blocker[] = {r1};
+  g.AddTask(20.0, TaskCategory::kIntraComm, blocker, {}, 0, -1, "blocker");
   // Multi-resource task needs both r0 and r1.
-  Task both;
-  both.duration_us = 5.0;
-  both.category = TaskCategory::kIntraComm;
-  both.resources = {r0, r1};
-  both.label = "both";
-  const TaskId both_id = g.AddTransferLike(std::move(both));
+  const ResourceId both[] = {r0, r1};
+  const TaskId both_id = g.AddTask(5.0, TaskCategory::kIntraComm, both, {}, 0, -1, "both");
   const SimResult r = engine_.Run(g);
   EXPECT_DOUBLE_EQ(r.start_us[both_id], 20.0);
 }
@@ -129,12 +121,9 @@ TEST_F(SimEngineTest, NoDeadlockOnInterleavedMultiResourceTasks) {
   const ResourceId a = fabric_.NvswitchEgress(0);
   const ResourceId b = fabric_.NvswitchIngress(1);
   for (int i = 0; i < 20; ++i) {
-    Task t;
-    t.duration_us = 1.0;
-    t.category = TaskCategory::kIntraComm;
-    t.resources = (i % 2 == 0) ? std::vector<ResourceId>{a, b} : std::vector<ResourceId>{b, a};
-    t.label = "t" + std::to_string(i);
-    g.AddTransferLike(std::move(t));
+    const std::vector<ResourceId> resources =
+        (i % 2 == 0) ? std::vector<ResourceId>{a, b} : std::vector<ResourceId>{b, a};
+    g.AddTask(1.0, TaskCategory::kIntraComm, resources, {}, 0, -1, "t" + std::to_string(i));
   }
   const SimResult r = engine_.Run(g);  // ZCHECK inside fails on deadlock.
   EXPECT_DOUBLE_EQ(r.makespan_us, 20.0);

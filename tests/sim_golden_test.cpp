@@ -178,8 +178,6 @@ class Fnv1a {
   uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
-std::string LabelOf(const TaskGraph& graph, TaskId id) { return graph.task(id).label; }
-
 GoldenRecord Digest(const std::string& config, Direction direction, const TaskGraph& graph,
                     const SimResult& result, std::deque<std::string>* names) {
   Fnv1a result_hash;
@@ -195,7 +193,7 @@ GoldenRecord Digest(const std::string& config, Direction direction, const TaskGr
   }
   Fnv1a label_hash;
   for (TaskId id = 0; id < graph.size(); ++id) {
-    const std::string label = LabelOf(graph, id);
+    const std::string label = graph.Label(id);
     label_hash.Bytes(label.data(), label.size());
     label_hash.Bytes("\n", 1);
   }

@@ -202,19 +202,16 @@ TEST_P(EngineFuzzTest, MultiChannelTiesProduceLegalSchedules) {
       g.AddCompute(fabric.ComputeLane(gpu), duration, TaskCategory::kAttentionCompute,
                    std::move(deps), "c" + std::to_string(i), gpu);
     } else if (kind == 1) {
-      Task t;
-      t.duration_us = duration;
-      t.category = TaskCategory::kInterComm;
+      std::vector<ResourceId> resources;
       const int channels = 3 + static_cast<int>(rng.NextBounded(2));
-      while (static_cast<int>(t.resources.size()) < channels) {
+      while (static_cast<int>(resources.size()) < channels) {
         const auto r = static_cast<ResourceId>(rng.NextBounded(fabric.num_resources()));
-        if (std::find(t.resources.begin(), t.resources.end(), r) == t.resources.end()) {
-          t.resources.push_back(r);
+        if (std::find(resources.begin(), resources.end(), r) == resources.end()) {
+          resources.push_back(r);
         }
       }
-      t.deps = std::move(deps);
-      t.label = "m" + std::to_string(i);
-      g.AddTransferLike(std::move(t));
+      g.AddTask(duration, TaskCategory::kInterComm, resources, deps, 0, -1,
+                "m" + std::to_string(i));
     } else if (kind == 2) {
       const int src = static_cast<int>(rng.NextBounded(cluster.world_size()));
       const int dst = static_cast<int>(rng.NextBounded(cluster.world_size()));
