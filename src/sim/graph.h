@@ -128,17 +128,21 @@ class RankDeps {
     return deps;
   }
 
-  // True when no rank has a list at all.
-  bool empty() const {
-    return lists_ != nullptr ? lists_->empty() : (csr_ ? offsets_.empty() : ids_.empty());
+  // Number of ranks with a list; 0 gates no rank.
+  size_t size() const {
+    if (lists_ != nullptr) {
+      return lists_->size();
+    }
+    return csr_ ? (offsets_.empty() ? 0 : offsets_.size() - 1) : ids_.size();
   }
+  bool empty() const { return size() == 0; }
 
   std::span<const TaskId> operator[](int rank) const {
     if (empty()) {
       return {};
     }
+    ZCHECK(rank >= 0 && static_cast<size_t>(rank) < size()) << "rank=" << rank;
     if (lists_ != nullptr) {
-      ZCHECK_LT(static_cast<size_t>(rank), lists_->size());
       return (*lists_)[rank];
     }
     if (!csr_) {
@@ -155,8 +159,8 @@ class RankDeps {
 };
 
 // Per-rank task lists built by appending (rank, task) pairs. Seal() groups
-// them by rank, keeping append order within a rank; then they read as a
-// RankDeps or list by list.
+// them by rank, keeping append order within a rank; then they read list by
+// list.
 class RankTaskLists {
  public:
   // Drops every list and sizes the set for `ranks` ranks.
@@ -173,7 +177,6 @@ class RankTaskLists {
     return std::span<const TaskId>(ids_).subspan(offsets_[rank],
                                                  offsets_[rank + 1] - offsets_[rank]);
   }
-  RankDeps deps() const { return RankDeps::Csr(offsets_, ids_); }
 
  private:
   int ranks_ = 0;

@@ -205,7 +205,8 @@ struct TaskLabel {
 
 // Label argument of the graph-building functions: a record built on the same
 // graph (TaskGraph::Intern, TaskLabel::Then) or plain text, which the graph
-// interns as a stem when it uses the argument.
+// interns as a stem when it uses the argument. Text is held by reference, so
+// a LabelArg is only ever a function parameter, never stored.
 class LabelArg {
  public:
   LabelArg(TaskLabel label) : label_(label) {}

@@ -1,6 +1,9 @@
 // Stress and semantics tests for the discrete-event engine at scale.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/sim/engine.h"
 #include "src/sim/validate.h"
@@ -41,6 +44,43 @@ TEST(EngineStressTest, WideFanOutFanIn) {
   const SimResult result = engine.Run(g);
   // 2000 unit tasks over 16 lanes: exactly 125 per lane.
   EXPECT_DOUBLE_EQ(result.finish_us[sink], 125.0);
+}
+
+TEST(EngineStressTest, ConcurrentRunsShareOneEngine) {
+  // Engine::Run keeps all of its state in per-call workspaces, so one const
+  // Engine may simulate one graph from several threads at once.
+  Rng rng(77);
+  const FabricResources fabric(MakeClusterA(2));
+  const Engine engine(fabric);
+  TaskGraph g;
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<TaskId> deps;
+    if (g.size() > 0 && rng.NextBounded(4) != 0) {
+      deps.push_back(static_cast<TaskId>(rng.NextBounded(g.size())));
+    }
+    const int src = static_cast<int>(rng.NextBounded(16));
+    const int dst = static_cast<int>(rng.NextBounded(16));
+    if (i % 3 == 0) {
+      g.AddTransfer(fabric.Resolve(src, dst), 1 << 16, TaskCategory::kInterComm, deps, "", src);
+    } else {
+      g.AddCompute(fabric.ComputeLane(src), 1.0 + static_cast<double>(rng.NextBounded(5)),
+                   TaskCategory::kOtherCompute, deps, "", src);
+    }
+  }
+  const SimResult expected = engine.Run(g);
+  std::vector<SimResult> results(4);
+  std::vector<std::thread> threads;
+  for (auto& r : results) {
+    threads.emplace_back([&engine, &g, &r] { r = engine.Run(g); });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  for (const SimResult& r : results) {
+    EXPECT_EQ(r.makespan_us, expected.makespan_us);
+    EXPECT_EQ(r.start_us, expected.start_us);
+    EXPECT_EQ(r.finish_us, expected.finish_us);
+  }
 }
 
 TEST(EngineStressTest, RandomLayeredDagThroughput) {
