@@ -51,6 +51,11 @@ TaskId TaskGraph::AddTask(double duration_us, TaskCategory category,
   for (TaskId dep : deps) {
     ZCHECK(dep >= 0 && dep < id) << "dep=" << dep << " out of range (forward deps only)";
   }
+  for (size_t i = 0; i < resources.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      ZCHECK_NE(resources[i], resources[j]) << "a task occupies each resource once";
+    }
+  }
   duration_us_.push_back(duration_us);
   category_.push_back(category);
   bytes_.push_back(bytes);
