@@ -200,7 +200,7 @@ TEST_P(EngineFuzzTest, MultiChannelTiesProduceLegalSchedules) {
     if (kind == 0) {
       const int gpu = static_cast<int>(rng.NextBounded(cluster.world_size()));
       g.AddCompute(fabric.ComputeLane(gpu), duration, TaskCategory::kAttentionCompute,
-                   std::move(deps), "c" + std::to_string(i), gpu);
+                   deps, "c", gpu);
     } else if (kind == 1) {
       std::vector<ResourceId> resources;
       const int channels = 3 + static_cast<int>(rng.NextBounded(2));
@@ -210,15 +210,14 @@ TEST_P(EngineFuzzTest, MultiChannelTiesProduceLegalSchedules) {
           resources.push_back(r);
         }
       }
-      g.AddTask(duration, TaskCategory::kInterComm, resources, deps, 0, -1,
-                "m" + std::to_string(i));
+      g.AddTask(duration, TaskCategory::kInterComm, resources, deps, 0, -1, "m");
     } else if (kind == 2) {
       const int src = static_cast<int>(rng.NextBounded(cluster.world_size()));
       const int dst = static_cast<int>(rng.NextBounded(cluster.world_size()));
       g.AddTransfer(fabric.Resolve(src, dst), int64_t{1 << 20} * rng.NextBounded(3),
-                    TaskCategory::kIntraComm, std::move(deps), "x" + std::to_string(i), src);
+                    TaskCategory::kIntraComm, deps, "x", src);
     } else {
-      g.AddBarrier(std::move(deps), "b" + std::to_string(i));
+      g.AddBarrier(deps, "b");
     }
   }
 
