@@ -17,7 +17,7 @@
 // Output: a table plus machine-readable BENCH_cache.json:
 //   { "bench": "plan_cache", "model", "cluster", "quick", "requests",
 //     "distinct", "num_seqs", "zipf_s",
-//     "hits", "misses", "near_matches", "evictions", "verify_failures",
+//     "hits", "misses", "evictions", "verify_failures",
 //     "hit_rate", "cache_wall_ms", "nocache_wall_ms",
 //     "cache_plans_per_s", "nocache_plans_per_s", "speedup",
 //     "all_verified": bool, "digests_match": bool }
@@ -122,17 +122,14 @@ int main(int argc, char** argv) {
   // deterministic across reps (same schedule, fresh cache each time).
   const int reps = 3;
 
-  // Cache arm, configured as the daemon's serving tier deploys it: exact-tier
-  // hits only. (The near-match family tier rides delta sessions and is
-  // covered by tests/plan_cache_test.cpp; these batches all share one bucket
-  // family, so it would only add delta-rebase overhead to every miss here.)
+  // Cache arm, configured as the daemon's serving tier deploys it.
   bool all_verified = true;
   std::vector<uint64_t> cache_digests;
   PlanCacheCounters counters;
   double cache_wall_ms = 0;
   for (int rep = 0; rep < reps; ++rep) {
     PlannerService cache_service;
-    PlanCache cache(&cache_service, PlanCacheOptions{.near_match = false});
+    PlanCache cache(&cache_service);
     bool rep_verified = true;
     std::vector<uint64_t> digests;
     digests.reserve(requests);
@@ -182,8 +179,7 @@ int main(int argc, char** argv) {
 
   const double hit_rate =
       static_cast<double>(counters.hits) /
-      static_cast<double>(std::max<int64_t>(1, counters.hits + counters.misses +
-                                                   counters.near_matches));
+      static_cast<double>(std::max<int64_t>(1, counters.hits + counters.misses));
   const double cache_plans_per_s = requests / (cache_wall_ms / 1e3);
   const double nocache_plans_per_s = requests / (nocache_wall_ms / 1e3);
   const double speedup = cache_plans_per_s / nocache_plans_per_s;
@@ -224,8 +220,6 @@ int main(int argc, char** argv) {
   json.Value(static_cast<int64_t>(counters.hits));
   json.Key("misses");
   json.Value(static_cast<int64_t>(counters.misses));
-  json.Key("near_matches");
-  json.Value(static_cast<int64_t>(counters.near_matches));
   json.Key("evictions");
   json.Value(static_cast<int64_t>(counters.evictions));
   json.Key("verify_failures");

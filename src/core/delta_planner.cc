@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <tuple>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/core/partitioner_internal.h"
+#include "src/core/plan_verify.h"
 
 namespace zeppelin {
 
@@ -1311,37 +1313,6 @@ void DeltaPlanner::MaybeCompact() {
 
 namespace {
 
-bool CoverageCounts(const PartitionPlan& plan, int batch_size, std::vector<int>* counts) {
-  counts->assign(batch_size, 0);
-  auto tally = [&](int seq_id) {
-    if (seq_id < 0 || seq_id >= batch_size) {
-      return false;
-    }
-    return ++(*counts)[seq_id] == 1;
-  };
-  for (const RingRef& ring : plan.inter_node) {
-    if (!tally(ring.seq_id)) {
-      return false;
-    }
-  }
-  for (const RingRef& ring : plan.intra_node) {
-    if (!tally(ring.seq_id)) {
-      return false;
-    }
-  }
-  for (const LocalSequence& seq : plan.local) {
-    if (!tally(seq.seq_id)) {
-      return false;
-    }
-  }
-  for (int c : *counts) {
-    if (c != 1) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // All inter-node-zone rings (length >= s1, from either queue) as
 // (seq_id, length, rank list), sorted by sequence.
 std::vector<std::tuple<int, int64_t, std::vector<int>>> Z2RingSet(const PartitionPlan& plan) {
@@ -1361,192 +1332,82 @@ std::vector<std::tuple<int, int64_t, std::vector<int>>> Z2RingSet(const Partitio
   return out;
 }
 
-}  // namespace
-
-DeltaEquivalenceResult CheckDeltaEquivalence(const PartitionPlan& patched,
-                                             const PartitionPlan& replan,
-                                             const Batch& batch, double eps) {
-  DeltaEquivalenceResult result;
-  std::vector<int> counts;
-  if (!CoverageCounts(patched, batch.size(), &counts)) {
-    result.failure = "patched plan does not cover every sequence exactly once";
-    return result;
-  }
-  if (!CoverageCounts(replan, batch.size(), &counts)) {
-    result.failure = "replan does not cover every sequence exactly once";
-    return result;
-  }
-
-  // Arena validity of the patched plan: in-bounds headers, disjoint live
-  // spans. (Tightness is not required of delta plans — see docs/DELTA_PLANS.md.)
-  std::vector<uint8_t> used(patched.rank_arena.size(), 0);
-  auto check_queue = [&](const std::vector<RingRef>& queue) {
-    for (const RingRef& ring : queue) {
-      if (static_cast<size_t>(ring.rank_offset) + ring.rank_count > patched.rank_arena.size()) {
-        return false;
-      }
-      for (uint32_t f = 0; f < ring.rank_count; ++f) {
-        if (used[ring.rank_offset + f]++) {
-          return false;
-        }
-      }
+// Max rank load: raw tokens on a clean fabric (`degraded` null), speed-
+// weighted effective load over the surviving ranks on a degraded one.
+int64_t MaxRankLoad(const PartitionPlan& plan, const RankTopology* degraded) {
+  int64_t max_load = 0;
+  for (int rank = 0; rank < static_cast<int>(plan.tokens_per_rank.size()); ++rank) {
+    if (degraded == nullptr) {
+      max_load = std::max(max_load, plan.tokens_per_rank[rank]);
+    } else if (degraded->alive[rank]) {
+      max_load = std::max(max_load, degraded->EffectiveLoad(rank, plan.tokens_per_rank[rank]));
     }
-    return true;
-  };
-  if (!check_queue(patched.inter_node) || !check_queue(patched.intra_node)) {
-    result.failure = "patched plan arena spans out of bounds or overlapping";
-    return result;
+  }
+  return max_load;
+}
+
+// Both plans pass VerifyPlan (coverage, arena, conservation and — degraded —
+// dead-rank exclusion; the balance and capacity clauses are off), then the
+// relational clauses: s1 and z2 ring-set identity on a clean fabric, and the
+// patched/replan max-load ratio.
+DeltaEquivalenceResult CheckEquivalence(const PartitionPlan& patched,
+                                        const PartitionPlan& replan, const Batch& batch,
+                                        const RankTopology* degraded, double eps) {
+  DeltaEquivalenceResult result;
+  PlanVerifyOptions vopts;
+  vopts.eps = -1;
+  for (const auto& [plan, name] : {std::pair{&patched, "patched plan"},
+                                   std::pair{&replan, "replan"}}) {
+    const PlanVerifyResult verdict = VerifyPlan(*plan, &batch, degraded, vopts);
+    if (!verdict.ok()) {
+      result.failure = std::string(name) + " fails VerifyPlan (" +
+                       PlanVerifyStatusName(verdict.status) + "): " + verdict.message;
+      return result;
+    }
   }
 
-  const int64_t batch_tokens = batch.total_tokens();
-  if (patched.total_tokens() != batch_tokens) {
-    result.failure = "patched plan does not conserve tokens";
-    return result;
-  }
-  if (replan.total_tokens() != batch_tokens) {
-    result.failure = "replan does not conserve tokens";
-    return result;
-  }
-
-  if (patched.threshold_s1 != replan.threshold_s1) {
-    result.failure = "threshold_s1 mismatch (capacity-tight batch refined differently)";
-    return result;
-  }
-  if (Z2RingSet(patched) != Z2RingSet(replan)) {
-    result.failure = "inter-node-zone ring sets differ";
-    return result;
+  // On a degraded fabric zone thresholds and z2 chunking depend on the
+  // surviving ranks, so the patched plan legitimately keeps pre-failure zone
+  // structure the elastic replan would not reproduce.
+  if (degraded == nullptr) {
+    if (patched.threshold_s1 != replan.threshold_s1) {
+      result.failure = "threshold_s1 mismatch (capacity-tight batch refined differently)";
+      return result;
+    }
+    if (Z2RingSet(patched) != Z2RingSet(replan)) {
+      result.failure = "inter-node-zone ring sets differ";
+      return result;
+    }
   }
 
-  int64_t patched_max = 0;
-  int64_t replan_max = 0;
-  for (int64_t tokens : patched.tokens_per_rank) {
-    patched_max = std::max(patched_max, tokens);
-  }
-  for (int64_t tokens : replan.tokens_per_rank) {
-    replan_max = std::max(replan_max, tokens);
-  }
+  const int64_t patched_max = MaxRankLoad(patched, degraded);
+  const int64_t replan_max = MaxRankLoad(replan, degraded);
   result.max_load_ratio =
       replan_max > 0 ? static_cast<double>(patched_max) / static_cast<double>(replan_max) : 1.0;
   if (static_cast<double>(patched_max) > (1.0 + eps) * static_cast<double>(replan_max)) {
-    result.failure = "patched max rank load exceeds the eps bound";
+    result.failure = degraded == nullptr
+                         ? "patched max rank load exceeds the eps bound"
+                         : "patched max effective rank load exceeds the eps bound";
     return result;
   }
   result.ok = true;
   return result;
 }
 
+}  // namespace
+
+DeltaEquivalenceResult CheckDeltaEquivalence(const PartitionPlan& patched,
+                                             const PartitionPlan& replan,
+                                             const Batch& batch, double eps) {
+  return CheckEquivalence(patched, replan, batch, nullptr, eps);
+}
+
 DeltaEquivalenceResult CheckDeltaEquivalence(const PartitionPlan& patched,
                                              const PartitionPlan& replan,
                                              const Batch& batch,
                                              const RankTopology& topology, double eps) {
-  if (!topology.degraded()) {
-    return CheckDeltaEquivalence(patched, replan, batch, eps);
-  }
-
-  // Degraded fabric: the s1-identity and z2-set-identity clauses are dropped
-  // (the patched plan legitimately carries pre-failure zone structure the
-  // elastic replan would not reproduce); in their place, no plan may touch a
-  // dead rank and the eps bound moves to *effective* loads over the
-  // surviving ranks.
-  DeltaEquivalenceResult result;
-  std::vector<int> counts;
-  if (!CoverageCounts(patched, batch.size(), &counts)) {
-    result.failure = "patched plan does not cover every sequence exactly once";
-    return result;
-  }
-  if (!CoverageCounts(replan, batch.size(), &counts)) {
-    result.failure = "replan does not cover every sequence exactly once";
-    return result;
-  }
-
-  std::vector<uint8_t> used(patched.rank_arena.size(), 0);
-  auto check_queue = [&](const std::vector<RingRef>& queue) {
-    for (const RingRef& ring : queue) {
-      if (static_cast<size_t>(ring.rank_offset) + ring.rank_count > patched.rank_arena.size()) {
-        return false;
-      }
-      for (uint32_t f = 0; f < ring.rank_count; ++f) {
-        if (used[ring.rank_offset + f]++) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  if (!check_queue(patched.inter_node) || !check_queue(patched.intra_node)) {
-    result.failure = "patched plan arena spans out of bounds or overlapping";
-    return result;
-  }
-
-  const int64_t batch_tokens = batch.total_tokens();
-  if (patched.total_tokens() != batch_tokens) {
-    result.failure = "patched plan does not conserve tokens";
-    return result;
-  }
-  if (replan.total_tokens() != batch_tokens) {
-    result.failure = "replan does not conserve tokens";
-    return result;
-  }
-
-  const int world = topology.world();
-  auto excludes_dead = [&](const PartitionPlan& plan) {
-    if (static_cast<int>(plan.tokens_per_rank.size()) != world) {
-      return false;
-    }
-    auto ranks_alive = [&](const std::vector<RingRef>& queue) {
-      for (const RingRef& ring : queue) {
-        for (int rank : plan.ranks(ring)) {
-          if (rank < 0 || rank >= world || !topology.alive[rank]) {
-            return false;
-          }
-        }
-      }
-      return true;
-    };
-    if (!ranks_alive(plan.inter_node) || !ranks_alive(plan.intra_node)) {
-      return false;
-    }
-    for (const LocalSequence& seq : plan.local) {
-      if (seq.length > 0 &&
-          (seq.rank < 0 || seq.rank >= world || !topology.alive[seq.rank])) {
-        return false;
-      }
-    }
-    for (int rank = 0; rank < world; ++rank) {
-      if (!topology.alive[rank] && plan.tokens_per_rank[rank] != 0) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (!excludes_dead(patched)) {
-    result.failure = "patched plan assigns work to a dead rank";
-    return result;
-  }
-  if (!excludes_dead(replan)) {
-    result.failure = "replan assigns work to a dead rank";
-    return result;
-  }
-
-  int64_t patched_max = 0;
-  int64_t replan_max = 0;
-  for (int rank = 0; rank < world; ++rank) {
-    if (!topology.alive[rank]) {
-      continue;
-    }
-    patched_max =
-        std::max(patched_max, topology.EffectiveLoad(rank, patched.tokens_per_rank[rank]));
-    replan_max =
-        std::max(replan_max, topology.EffectiveLoad(rank, replan.tokens_per_rank[rank]));
-  }
-  result.max_load_ratio =
-      replan_max > 0 ? static_cast<double>(patched_max) / static_cast<double>(replan_max) : 1.0;
-  if (static_cast<double>(patched_max) > (1.0 + eps) * static_cast<double>(replan_max)) {
-    result.failure = "patched max effective rank load exceeds the eps bound";
-    return result;
-  }
-  result.ok = true;
-  return result;
+  return CheckEquivalence(patched, replan, batch, topology.degraded() ? &topology : nullptr,
+                          eps);
 }
 
 }  // namespace zeppelin

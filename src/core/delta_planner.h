@@ -362,14 +362,16 @@ class DeltaPlanner {
 
 // Executable form of the delta determinism contract: verifies that `patched`
 // is ring-set-equivalent to `replan` (a from-scratch plan on the same batch
-// at the same capacity) within load tolerance `eps`:
-//   1. coverage — every batch sequence appears exactly once in each plan;
-//   2. patched arena validity — headers in-bounds, live spans disjoint
-//      (tightness is intentionally not required of delta plans);
-//   3. token conservation in both plans;
-//   4. identical s1 and identical inter-node-zone ring set (sequence, length,
+// at the same capacity) within load tolerance `eps`. It is VerifyPlan
+// (src/core/plan_verify.h) on each plan — against the batch, with the
+// capacity and balance clauses off — plus the relational clauses only a pair
+// of plans can state:
+//   1. both plans pass VerifyPlan: coverage with matching lengths, arena
+//      validity (tightness is intentionally not required of delta plans),
+//      rank validity and token conservation;
+//   2. identical s1 and identical inter-node-zone ring set (sequence, length,
 //      exact rank list) across both queues;
-//   5. ε-bound — max(patched tokens_per_rank) <= (1+eps) * max(replan's).
+//   3. ε-bound — max(patched tokens_per_rank) <= (1+eps) * max(replan's).
 struct DeltaEquivalenceResult {
   bool ok = false;
   std::string failure;        // Empty when ok; first violated clause otherwise.
@@ -381,14 +383,12 @@ DeltaEquivalenceResult CheckDeltaEquivalence(const PartitionPlan& patched,
                                              const Batch& batch, double eps);
 
 // Topology-aware form for post-failure plans. On a clean topology it is the
-// check above. On a degraded one, clauses 4–5 change shape — zone thresholds
-// and z2 chunking are load-dependent on the surviving fabric, so s1 identity
-// and z2-ring-set identity cannot be required of a patched plan — and the
-// contract becomes:
-//   4'. dead-rank exclusion in BOTH plans — no ring span contains a dead
-//       rank, no live (length > 0) local sits on one, and every dead rank's
-//       tokens_per_rank is zero;
-//   5'. ε-bound on speed-weighted *effective* loads over the surviving
+// check above. On a degraded one, VerifyPlan also receives the topology (so
+// neither plan may touch a dead rank or declare load on one), and the
+// relational clauses change shape — zone thresholds and z2 chunking are
+// load-dependent on the surviving fabric, so s1 identity and z2-ring-set
+// identity cannot be required of a patched plan — leaving:
+//   3'. ε-bound on speed-weighted *effective* loads over the surviving
 //       fabric: max alive eff(patched) <= (1+eps) * max alive eff(replan).
 DeltaEquivalenceResult CheckDeltaEquivalence(const PartitionPlan& patched,
                                              const PartitionPlan& replan,

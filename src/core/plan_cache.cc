@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <numeric>
 #include <utility>
 
@@ -117,23 +116,6 @@ uint64_t CanonicalBatchSignature(const Batch& batch) {
   return h;
 }
 
-uint64_t BatchBucketSignature(const Batch& batch) {
-  // Sequence count + log2 length histogram: batches in one family have the
-  // same slot count (so a pure-resize BatchDelta always exists between them)
-  // and a similar length mix (so the patch stays below the churn fallback).
-  uint64_t buckets[64] = {};
-  for (int64_t len : batch.seq_lens) {
-    const int b = len <= 0 ? 0 : std::bit_width(static_cast<uint64_t>(len));
-    ++buckets[std::min(b, 63)];
-  }
-  uint64_t h = kFnvOffset;
-  h = FnvMix(h, batch.seq_lens.size());
-  for (uint64_t count : buckets) {
-    h = FnvMix(h, count);
-  }
-  return h;
-}
-
 namespace {
 
 uint64_t OptionsSignature(const PlanningOptions& options) {
@@ -170,27 +152,10 @@ size_t PlanCache::KeyHash::operator()(const PlanCacheKey& key) const {
   return static_cast<size_t>(h);
 }
 
-size_t PlanCache::FamilyKeyHash::operator()(const FamilyKey& key) const {
-  uint64_t h = kFnvOffset;
-  h = FnvMix(h, key.cost_digest);
-  h = FnvMix(h, key.fabric_digest);
-  h = FnvMix(h, key.bucket_sig);
-  h = FnvMix(h, key.options_sig);
-  return static_cast<size_t>(h);
-}
-
 PlanCache::PlanCache(PlannerService* service, PlanCacheOptions options)
     : service_(service), options_(options) {
   ZCHECK(service_ != nullptr) << "PlanCache without a service";
   options_.capacity = std::max<size_t>(options_.capacity, 1);
-  options_.family_capacity = std::max<size_t>(options_.family_capacity, 1);
-}
-
-PlanCache::~PlanCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [key, family] : family_lru_) {
-    service_->CloseSession(family->stream_id);
-  }
 }
 
 bool PlanCache::Cacheable(const PlanRequest& request) const {
@@ -393,68 +358,13 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
   return response;
 }
 
-std::shared_ptr<PlanCache::Family> PlanCache::FindOrCreateFamily(const FamilyKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = family_index_.find(key);
-  if (it != family_index_.end()) {
-    family_lru_.splice(family_lru_.begin(), family_lru_, it->second);
-    return family_lru_.front().second;
-  }
-  if (family_lru_.size() >= options_.family_capacity) {
-    const auto& [old_key, old_family] = family_lru_.back();
-    service_->CloseSession(old_family->stream_id);
-    family_index_.erase(old_key);
-    family_lru_.pop_back();
-    ++counters_.evictions;
-  }
-  auto family = std::make_shared<Family>();
-  family->stream_id = "~cache/" + std::to_string(next_family_id_++);
-  family_lru_.emplace_front(key, family);
-  family_index_[key] = family_lru_.begin();
-  return family;
-}
-
 PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request) {
   if (!Cacheable(request)) {
     return Plan(request);
   }
   const PlanCacheKey key = ComputePlanCacheKey(request);
-  const bool family_eligible =
-      options_.near_match && request.options.hierarchical_partitioning;
-  PlanResponse response;
-  bool near_match = false;
-  if (family_eligible) {
-    const FamilyKey fkey{key.cost_digest, key.fabric_digest,
-                         BatchBucketSignature(*request.batch), key.options_sig};
-    const std::shared_ptr<Family> family = FindOrCreateFamily(fkey);
-    // Serialize [delta derivation -> session call -> mirror advance]: the
-    // mirror must equal the session's tracked batch when the delta is built.
-    std::lock_guard<std::mutex> family_lock(family->mu);
-    PlanRequest session_request = request;
-    session_request.stream_id = family->stream_id;
-    BatchDelta delta;
-    bool patched_path = false;
-    if (family->based && family->last_batch.size() == request.batch->size() &&
-        service_->HasSession(family->stream_id)) {
-      for (int slot = 0; slot < request.batch->size(); ++slot) {
-        if (family->last_batch.seq_lens[slot] != request.batch->seq_lens[slot]) {
-          delta.resized.emplace_back(slot, request.batch->seq_lens[slot]);
-        }
-      }
-      session_request.delta = &delta;
-      patched_path = true;
-    }
-    response = service_->Plan(session_request);
-    family->last_batch = *request.batch;
-    family->based = true;
-    near_match = patched_path &&
-                 (response.stats.delta_outcome == DeltaOutcome::kApplied ||
-                  response.stats.delta_outcome == DeltaOutcome::kAppliedTopology);
-  } else {
-    response = service_->Plan(request);
-  }
-
-  response.stats.cache_outcome = near_match ? CacheOutcome::kNearMatch : CacheOutcome::kMiss;
+  PlanResponse response = service_->Plan(request);
+  response.stats.cache_outcome = CacheOutcome::kMiss;
   response.stats.verified = false;
   if (options_.verify) {
     PlanVerifyOptions vopts;
@@ -468,11 +378,7 @@ PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request) {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (near_match) {
-      ++counters_.near_matches;
-    } else {
-      ++counters_.misses;
-    }
+    ++counters_.misses;
     if (!options_.verify || response.stats.verified) {
       Entry entry;
       entry.key = key;
@@ -514,11 +420,6 @@ PlanCacheCounters PlanCache::counters() const {
 size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
-}
-
-size_t PlanCache::family_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return family_lru_.size();
 }
 
 void PlanCache::FillCounters(PlanStats* stats) const {

@@ -2,8 +2,8 @@
 // (docs/PLAN_CACHE.md).
 //
 // At production traffic most plan requests repeat — same cost model, same
-// fabric, same (or near-same) length histogram — yet every request pays the
-// full decision kernel. The cache keys each stateless request by
+// fabric, same length histogram — yet every request pays the full decision
+// kernel. The cache keys each stateless request by
 //
 //   (cost-model digest, fabric digest, canonicalized batch signature,
 //    planning-option signature)
@@ -12,27 +12,20 @@
 // (shareable by design, so a hit is zero-copy when the request's slot order
 // matches the cached batch, and an O(plan) seq-id remap when the batch is a
 // permutation of it — the canonical signature is order- and
-// renaming-invariant, see docs/PLAN_CACHE.md "Key derivation").
-//
-// Near-match tier: requests that miss the exact key but share a *histogram
-// bucket signature* (same sequence count, same log2-bucketed length
-// histogram) with earlier traffic are served through a per-family delta
-// session on the service — a cached plan plus a DeltaPlanner patch over the
-// resized slots — instead of a full re-plan. Families are themselves
-// LRU-bounded; evicting one closes its service session.
+// renaming-invariant, see docs/PLAN_CACHE.md "Key derivation"). A miss is a
+// plain PlannerService::Plan call, so the plan a request gets never depends
+// on earlier traffic.
 //
 // Certification: when `verify` is on (the default), every plan the cache
-// serves — hit, miss, or near-match — passes VerifyPlan (plan_verify.h)
-// before it is returned. A cached entry that fails (e.g. poisoned storage)
-// is dropped and replanned, never served; a freshly planned failure is
-// served with stats.verified == false so the caller can apply policy (the
-// daemon's verify-before-serve turns it into a typed kInternal).
+// serves — hit or miss — passes VerifyPlan (plan_verify.h) before it is
+// returned. A cached entry that fails (e.g. poisoned storage) is dropped and
+// replanned, never served; a freshly planned failure is served with
+// stats.verified == false so the caller can apply policy (the daemon's
+// verify-before-serve turns it into a typed kInternal).
 //
 // Thread safety: all public methods are safe to call concurrently. The LRU
 // index is guarded by one mutex held only for O(1)/O(size) bookkeeping;
-// planning and verification run outside it. Near-match planning serializes
-// per family (the family's delta session is stateful), never across
-// families.
+// planning and verification run outside it.
 #ifndef SRC_CORE_PLAN_CACHE_H_
 #define SRC_CORE_PLAN_CACHE_H_
 
@@ -41,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -51,14 +43,9 @@
 namespace zeppelin {
 
 struct PlanCacheOptions {
-  // Exact-tier entries resident at once (LRU beyond it).
+  // Entries resident at once (LRU beyond it).
   size_t capacity = 128;
-  // Near-match families resident at once (each owns one service session).
-  size_t family_capacity = 32;
-  // Enables the histogram-bucketed near-match tier (requires requests with
-  // hierarchical planning — others use the exact tier only).
-  bool near_match = true;
-  // Run VerifyPlan on every served plan (hit, miss, near-match).
+  // Run VerifyPlan on every served plan (hit and miss).
   bool verify = true;
   // Balance slack handed to the certifier (PlanVerifyOptions::eps).
   double verify_eps = 0.25;
@@ -68,9 +55,8 @@ struct PlanCacheOptions {
 struct PlanCacheCounters {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t near_matches = 0;  // Served via a family delta patch.
-  uint64_t evictions = 0;     // Exact entries + families displaced by the LRU.
-  uint64_t bypasses = 0;      // Session/delta requests passed straight through.
+  uint64_t evictions = 0;  // Entries displaced by the LRU.
+  uint64_t bypasses = 0;   // Session/delta requests passed straight through.
   uint64_t verify_failures = 0;
 };
 
@@ -92,19 +78,13 @@ uint64_t DigestFabric(const FabricResources& fabric);
 // Invariant to sequence order and slot renaming; sensitive to any length
 // change (the multiset of lengths, not their arrangement).
 uint64_t CanonicalBatchSignature(const Batch& batch);
-// The near-match family signature: sequence count + log2-bucketed length
-// histogram. Batches with equal bucket signatures are patch-distance
-// neighbors by construction.
-uint64_t BatchBucketSignature(const Batch& batch);
 // The full key for a request (ZCHECKs batch/cost_model/fabric non-null).
 PlanCacheKey ComputePlanCacheKey(const PlanRequest& request);
 
 class PlanCache {
  public:
-  // `service` is borrowed and must outlive the cache (the cache closes its
-  // family sessions on destruction).
+  // `service` is borrowed and must outlive the cache.
   explicit PlanCache(PlannerService* service, PlanCacheOptions options = {});
-  ~PlanCache();
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
@@ -113,18 +93,17 @@ class PlanCache {
   // requests bypass the cache entirely (kBypass).
   PlanResponse Plan(const PlanRequest& request);
 
-  // Lookup-only: a verified response on an exact-tier hit, nullopt on miss,
-  // bypass, or a poisoned entry (which is dropped). Lets callers with their
-  // own admission control (the daemon) serve hits without a planning permit.
+  // Lookup-only: a verified response on a hit (exact or remapped), nullopt
+  // on miss, bypass, or a poisoned entry (which is dropped). Lets callers
+  // with their own admission control (the daemon) serve hits without a
+  // planning permit.
   std::optional<PlanResponse> TryServe(const PlanRequest& request);
 
-  // Plans through the service (near-match family patch when possible, full
-  // plan otherwise) and inserts the result into the exact tier.
+  // Plans through the service and inserts the result into the cache.
   PlanResponse PlanAndInsert(const PlanRequest& request);
 
   PlanCacheCounters counters() const;
   size_t size() const;
-  size_t family_count() const;
   const PlanCacheOptions& options() const { return options_; }
 
   // Test hook: corrupts the cached plan stored under `request`'s key (drops
@@ -142,16 +121,6 @@ class PlanCache {
   struct KeyHash {
     size_t operator()(const PlanCacheKey& key) const;
   };
-  struct FamilyKey {
-    uint64_t cost_digest = 0;
-    uint64_t fabric_digest = 0;
-    uint64_t bucket_sig = 0;
-    uint64_t options_sig = 0;
-    bool operator==(const FamilyKey&) const = default;
-  };
-  struct FamilyKeyHash {
-    size_t operator()(const FamilyKey& key) const;
-  };
   struct Entry {
     PlanCacheKey key;
     std::vector<int64_t> seq_lens;  // The exact batch the plan covers.
@@ -160,16 +129,6 @@ class PlanCache {
     uint64_t digest = 0;    // StateDigest recorded when the plan was certified.
     bool verified = false;  // The stored handle passed VerifyPlan at insert.
     uint8_t remap_streak = 0;  // Consecutive serves that needed the remap tier.
-  };
-  // One near-match family: a service delta session plus the mirror of its
-  // tracked batch. `mu` serializes the [delta derivation -> service call ->
-  // mirror advance] critical section so the mirror never drifts from the
-  // session's state.
-  struct Family {
-    std::mutex mu;
-    std::string stream_id;
-    Batch last_batch;
-    bool based = false;
   };
 
   bool Cacheable(const PlanRequest& request) const;
@@ -180,7 +139,6 @@ class PlanCache {
                                                  const PartitionPlan& plan,
                                                  const Batch& batch) const;
   void InsertLocked(Entry entry);
-  std::shared_ptr<Family> FindOrCreateFamily(const FamilyKey& key);
   void FillCounters(PlanStats* stats) const;
 
   PlannerService* service_;
@@ -189,12 +147,6 @@ class PlanCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // Front = most recently used.
   std::unordered_map<PlanCacheKey, std::list<Entry>::iterator, KeyHash> index_;
-  std::list<std::pair<FamilyKey, std::shared_ptr<Family>>> family_lru_;
-  std::unordered_map<FamilyKey,
-                     std::list<std::pair<FamilyKey, std::shared_ptr<Family>>>::iterator,
-                     FamilyKeyHash>
-      family_index_;
-  uint64_t next_family_id_ = 1;
   PlanCacheCounters counters_;
 };
 

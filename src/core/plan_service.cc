@@ -42,8 +42,6 @@ const char* CacheOutcomeName(CacheOutcome outcome) {
       return "miss";
     case CacheOutcome::kHit:
       return "hit";
-    case CacheOutcome::kNearMatch:
-      return "near-match";
   }
   return "unknown";
 }

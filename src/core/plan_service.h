@@ -123,8 +123,7 @@ const char* PlanEngineName(PlanEngine engine);
 enum class CacheOutcome : uint8_t {
   kBypass = 0,  // Session/delta request, or no cache in front.
   kMiss,        // Full plan computed and inserted.
-  kHit,         // Served from the exact tier (zero planning work).
-  kNearMatch,   // Served as cached family plan + DeltaPlanner patch.
+  kHit,         // Served from the cache (zero planning work).
 };
 
 const char* CacheOutcomeName(CacheOutcome outcome);

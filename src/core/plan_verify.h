@@ -4,12 +4,12 @@
 // Every expensive plan computation ships with a cheap certificate: before a
 // plan from an untrusted or indirect source — the plan cache, a plan_io
 // file, a daemon response on the wire — reaches execution, VerifyPlan
-// re-checks the full validity contract in O(plan) without re-planning. It is
-// the standalone, topology-aware generalization of the clauses
-// CheckDeltaEquivalence (src/core/delta_planner.h) applies between a patched
-// plan and its replan twin, minus the twin: every clause below is judged
-// against the batch, the fabric, and the plan's own declared layout, so no
-// second plan is ever computed.
+// re-checks the full validity contract in O(plan) without re-planning. Every
+// clause below is judged against the batch, the fabric, and the plan's own
+// declared layout, so no second plan is ever computed. It is the repo's one
+// plan certifier: CheckDeltaEquivalence (src/core/delta_planner.h) runs it on
+// a patched plan and its replan twin and adds only the relational clauses a
+// pair of plans can state (s1 and z2 ring-set identity, max-load ratio).
 //
 // Clauses, in check order (the first violated clause is the typed verdict):
 //

@@ -327,7 +327,6 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
   if (options_.plan_cache) {
     PlanCacheOptions cache_options;
     cache_options.capacity = options_.plan_cache_capacity;
-    cache_options.near_match = options_.cache_near_match;
     cache_options.verify = options_.verify_before_serve;
     cache_ = std::make_unique<PlanCache>(service_.get(), cache_options);
   }
@@ -353,7 +352,6 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
   g_sessions_ = metrics_.GetGauge("daemon.sessions");
   g_cache_hits_ = metrics_.GetGauge("cache.hits");
   g_cache_misses_ = metrics_.GetGauge("cache.misses");
-  g_cache_near_matches_ = metrics_.GetGauge("cache.near_matches");
   g_cache_evictions_ = metrics_.GetGauge("cache.evictions");
   g_cache_verify_failures_ = metrics_.GetGauge("cache.verify_failures");
   for (int i = 0; i < obs::kNumStages; ++i) {
@@ -482,7 +480,6 @@ DaemonCounters PlannerDaemon::counters() const {
     const PlanCacheCounters cache = cache_->counters();
     out.cache_hits = cache.hits;
     out.cache_misses = cache.misses;
-    out.cache_near_matches = cache.near_matches;
     out.cache_evictions = cache.evictions;
     out.verify_failures += cache.verify_failures;
   }
@@ -499,7 +496,6 @@ std::string PlannerDaemon::StatsJson() {
     const PlanCacheCounters cache = cache_->counters();
     g_cache_hits_->Set(static_cast<int64_t>(cache.hits));
     g_cache_misses_->Set(static_cast<int64_t>(cache.misses));
-    g_cache_near_matches_->Set(static_cast<int64_t>(cache.near_matches));
     g_cache_evictions_->Set(static_cast<int64_t>(cache.evictions));
     g_cache_verify_failures_->Set(static_cast<int64_t>(cache.verify_failures));
   }

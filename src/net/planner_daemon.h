@@ -94,10 +94,6 @@ struct DaemonOptions {
   // permit (no planning happens) and repeat byte-identically.
   bool plan_cache = true;
   size_t plan_cache_capacity = 128;
-  // Near-match tier (cached family plan + delta patch). Off by default in
-  // the daemon: each family holds a service session open, which shifts the
-  // session_count telemetry operators watch for leaks.
-  bool cache_near_match = false;
   // Refuse to serve any plan that fails VerifyPlan (kInternal instead of a
   // corrupt plan). Covers cached, fresh, and session plans.
   bool verify_before_serve = true;
@@ -129,7 +125,6 @@ struct DaemonCounters {
   // Plan-cache telemetry (merged from the owned PlanCache at read time).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
-  uint64_t cache_near_matches = 0;
   uint64_t cache_evictions = 0;
   // Plans refused by verify-before-serve (cache-detected + daemon-detected).
   uint64_t verify_failures = 0;
@@ -211,8 +206,8 @@ class PlannerDaemon {
   // Declared before everything that holds instrument pointers into it.
   obs::MetricsRegistry metrics_;
   std::unique_ptr<PlannerService> service_;
-  // Declared after service_ so the cache is destroyed first (it closes its
-  // near-match family sessions against the still-live service).
+  // Declared after service_ so the cache (which borrows it) is destroyed
+  // first.
   std::unique_ptr<PlanCache> cache_;
   std::unique_ptr<AdmissionGate> gate_;
 
@@ -252,7 +247,6 @@ class PlannerDaemon {
   // snapshot time (the cache keeps its own lock-guarded truth).
   obs::Gauge* g_cache_hits_ = nullptr;
   obs::Gauge* g_cache_misses_ = nullptr;
-  obs::Gauge* g_cache_near_matches_ = nullptr;
   obs::Gauge* g_cache_evictions_ = nullptr;
   obs::Gauge* g_cache_verify_failures_ = nullptr;
   std::array<obs::Histogram*, obs::kNumStages> h_stage_{};

@@ -174,7 +174,7 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
     return Malformed(error, "request truncated before the fixed header");
   }
   const uint32_t version = in.GetU32();
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     return Malformed(error, "unknown request version");
   }
   const uint8_t kind = in.GetU8();
@@ -183,9 +183,6 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
       kind != static_cast<uint8_t>(RequestKind::kPing) &&
       kind != static_cast<uint8_t>(RequestKind::kStats)) {
     return Malformed(error, "unknown request kind");
-  }
-  if (kind == static_cast<uint8_t>(RequestKind::kStats) && version < 3) {
-    return Malformed(error, "stats requests require wire v3");
   }
   request->kind = static_cast<RequestKind>(kind);
   request->request_id = in.GetU64();
@@ -371,7 +368,7 @@ std::string EncodeResponse(const WireResponse& response) {
   PutU8(&out, static_cast<uint8_t>(response.stats.delta_outcome));
   PutU64(&out, static_cast<uint64_t>(response.stats.token_capacity));
   PutU64(&out, response.stats.session_count);
-  // v2: cache disposition + certification marker. The cumulative cache
+  // Cache disposition + certification marker. The cumulative cache
   // counters deliberately stay off the wire — repeated identical requests
   // must yield byte-identical responses (the cache-hit contract).
   PutU8(&out, static_cast<uint8_t>(response.stats.cache_outcome));
@@ -380,7 +377,7 @@ std::string EncodeResponse(const WireResponse& response) {
   PutU64(&out, response.digest);
   PutU64(&out, response.plan_bytes.size());
   out.append(response.plan_bytes);
-  // v3: the per-stage latency block (bounds-checked on parse exactly like
+  // The per-stage latency block (bounds-checked on parse exactly like
   // cache_outcome) and the stats-JSON section (kStats responses only).
   PutU8(&out, static_cast<uint8_t>(obs::kNumStages));
   for (double stage : response.stats.stage_us) {
@@ -410,7 +407,7 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
     return Malformed(error, "response truncated before the fixed header");
   }
   const uint32_t version = in.GetU32();
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     return Malformed(error, "unknown response version");
   }
   response->request_id = in.GetU64();
@@ -462,7 +459,7 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
   response->stats.token_capacity = static_cast<int64_t>(capacity);
   response->stats.session_count = in.GetU64();
   const uint8_t cache_outcome = in.GetU8();
-  if (cache_outcome > static_cast<uint8_t>(CacheOutcome::kNearMatch)) {
+  if (cache_outcome > static_cast<uint8_t>(CacheOutcome::kHit)) {
     return Malformed(error, "unknown cache outcome");
   }
   response->stats.cache_outcome = static_cast<CacheOutcome>(cache_outcome);
@@ -481,41 +478,39 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
                               static_cast<size_t>(plan_len));
   in.pos += static_cast<size_t>(plan_len);
 
-  if (version >= 3) {
-    // v3 stage block: bounds-checked like cache_outcome — a count over the
-    // cap or a non-finite/negative latency is a malformed response, never a
-    // silently-poisoned stat. Stages beyond obs::kNumStages (a future
-    // daemon) are validated and dropped.
-    if (!in.Have(1)) {
-      return Malformed(error, "response truncated before the stage block");
-    }
-    const uint8_t stage_count = in.GetU8();
-    if (stage_count > kMaxWireStages) {
-      return Malformed(error, "stage count out of range");
-    }
-    if (!in.Have(size_t{stage_count} * 8)) {
-      return Malformed(error, "response truncated inside the stage block");
-    }
-    for (uint8_t i = 0; i < stage_count; ++i) {
-      const double stage_us = in.GetF64();
-      if (!std::isfinite(stage_us) || stage_us < 0) {
-        return Malformed(error, "stage latency out of range");
-      }
-      if (i < static_cast<uint8_t>(obs::kNumStages)) {
-        response->stats.stage_us[i] = stage_us;
-      }
-    }
-    if (!in.Have(4)) {
-      return Malformed(error, "response truncated before the stats json");
-    }
-    const uint32_t stats_len = in.GetU32();
-    if (stats_len > kMaxWireStatsJsonBytes || !in.Have(stats_len)) {
-      return Malformed(error, "stats json section out of range");
-    }
-    response->stats_json.assign(reinterpret_cast<const char*>(in.data) + in.pos,
-                                stats_len);
-    in.pos += stats_len;
+  // Stage block: bounds-checked like cache_outcome — a count over the
+  // cap or a non-finite/negative latency is a malformed response, never a
+  // silently-poisoned stat. Stages beyond obs::kNumStages (a future
+  // daemon) are validated and dropped.
+  if (!in.Have(1)) {
+    return Malformed(error, "response truncated before the stage block");
   }
+  const uint8_t stage_count = in.GetU8();
+  if (stage_count > kMaxWireStages) {
+    return Malformed(error, "stage count out of range");
+  }
+  if (!in.Have(size_t{stage_count} * 8)) {
+    return Malformed(error, "response truncated inside the stage block");
+  }
+  for (uint8_t i = 0; i < stage_count; ++i) {
+    const double stage_us = in.GetF64();
+    if (!std::isfinite(stage_us) || stage_us < 0) {
+      return Malformed(error, "stage latency out of range");
+    }
+    if (i < static_cast<uint8_t>(obs::kNumStages)) {
+      response->stats.stage_us[i] = stage_us;
+    }
+  }
+  if (!in.Have(4)) {
+    return Malformed(error, "response truncated before the stats json");
+  }
+  const uint32_t stats_len = in.GetU32();
+  if (stats_len > kMaxWireStatsJsonBytes || !in.Have(stats_len)) {
+    return Malformed(error, "stats json section out of range");
+  }
+  response->stats_json.assign(reinterpret_cast<const char*>(in.data) + in.pos,
+                              stats_len);
+  in.pos += stats_len;
 
   if (in.pos != in.size) {
     return Malformed(error, "trailing bytes after the response");

@@ -34,12 +34,9 @@ namespace net {
 // Wire payload encoding version. v2 added the cache_outcome and verified
 // stats bytes to kOk responses. v3 added the kStats request kind, the
 // per-stage latency block, and the stats-JSON section to kOk responses.
-// Endpoints emit v3; parsers also accept v2 (a v2 response simply ends after
-// the plan bytes — stage_us and stats_json decode as empty), so a v3 client
-// interoperates with a v2 daemon and vice versa. Other versions are
-// rejected rather than guessed at.
+// Endpoints emit v3 and parsers accept only v3: any other version word is a
+// kMalformedRequest ("unknown ... version"), never guessed at.
 inline constexpr uint32_t kWireVersion = 3;
-inline constexpr uint32_t kMinWireVersion = 2;
 
 // Structural caps enforced by ParseRequest (beyond the frame-size cap):
 // stream ids are short tokens, sequence lengths and counts are bounded so
@@ -53,7 +50,7 @@ inline constexpr int64_t kMaxWireSeqLen = int64_t{1} << 40;
 inline constexpr int64_t kMaxWireTotalTokens = int64_t{1} << 47;
 inline constexpr uint32_t kMaxWireDeltaEntries = kMaxWireSeqs;
 inline constexpr uint32_t kMaxWireTopoEntries = 1u << 20;
-// v3 response caps: the per-stage latency block may carry at most this many
+// Response caps: the per-stage latency block may carry at most this many
 // entries (today obs::kNumStages = 9; headroom for future stages), and the
 // stats-JSON section is bounded so a lying daemon cannot force a huge
 // client-side allocation.
@@ -87,7 +84,7 @@ enum class RequestKind : uint8_t {
   kPing = 3,          // Liveness probe; returns an empty success.
   kStats = 4,         // Live introspection: returns the daemon's full metrics
                       //   snapshot as stats_json; idempotent, served without
-                      //   an admission permit (v3).
+                      //   an admission permit.
 };
 
 struct WireRequest {
@@ -119,7 +116,7 @@ struct WireResponse {
   double queue_wait_us = 0;
   uint64_t digest = 0;      // plan->StateDigest(); authenticates plan_bytes.
   std::string plan_bytes;   // SerializePlan() image; empty for close/ping.
-  // v3, kStats responses: the "zeppelin.metrics.v1" snapshot JSON
+  // kStats responses: the "zeppelin.metrics.v1" snapshot JSON
   // (docs/OBSERVABILITY.md). Empty on every other kind.
   std::string stats_json;
 };

@@ -10,7 +10,9 @@
 // partition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/load_tracker.h"
@@ -415,6 +417,109 @@ TEST(DeltaPlannerTest, RingChurnRecyclesAndCompactsArena) {
   // arena (plus the small-plan floor the trigger tolerates).
   EXPECT_LE(dp.arena_free_slots(),
             std::max<size_t>(64, dp.plan().rank_arena.size() / 2 + 1));
+}
+
+// --- Equivalence checker: one failing case per clause ---------------------------
+
+// A delta-patched plan and its from-scratch twin holding all three zones:
+// at L = 10240 on 4 nodes (node capacity 8L = 81920) the 131072-token
+// sequence chunks across nodes, the 16384-token ones form intra-node rings,
+// and the 2048-token fillers stay local. The delta resizes one filler, which
+// the planner patches in place.
+struct PatchedPair {
+  Batch batch;
+  PartitionPlan patched;
+  PartitionPlan replan;
+
+  DeltaEquivalenceResult Check() const {
+    return CheckDeltaEquivalence(patched, replan, batch, kEps);
+  }
+};
+
+PatchedPair MakePatchedPair() {
+  const ClusterSpec cluster = MakeClusterA(4);
+  Batch initial;
+  initial.seq_lens.assign(64, 2048);
+  initial.seq_lens.push_back(131072);
+  initial.seq_lens.push_back(16384);
+  initial.seq_lens.push_back(16384);
+  DeltaPlannerOptions options;
+  options.token_capacity = 10240;
+  options.replan_threshold = kThreshold;
+  DeltaPlanner dp(cluster, options);
+  dp.Rebase(initial);
+  BatchDelta resize;
+  resize.resized.emplace_back(0, 1024);
+  EXPECT_EQ(dp.Apply(resize), DeltaOutcome::kApplied);
+  SequencePartitioner ref(cluster,
+                          SequencePartitioner::Options{.token_capacity = dp.token_capacity()});
+  PlannerScratch scratch;
+  PatchedPair pair;
+  FullReplan(dp, &ref, &scratch, &pair.replan);
+  pair.batch = dp.batch();
+  pair.patched = dp.plan();
+  return pair;
+}
+
+TEST(DeltaEquivalenceTest, DroppedRingFailsVerifyPlan) {
+  PatchedPair pair = MakePatchedPair();
+  ASSERT_TRUE(pair.Check().ok) << pair.Check().failure;
+  ASSERT_FALSE(pair.patched.intra_node.empty());
+  pair.patched.intra_node.pop_back();
+  const DeltaEquivalenceResult eq = pair.Check();
+  EXPECT_FALSE(eq.ok);
+  EXPECT_NE(eq.failure.find("patched plan fails VerifyPlan (coverage)"), std::string::npos)
+      << eq.failure;
+}
+
+TEST(DeltaEquivalenceTest, ThresholdMismatchFails) {
+  PatchedPair pair = MakePatchedPair();
+  ASSERT_TRUE(pair.Check().ok) << pair.Check().failure;
+  pair.patched.threshold_s1 += 1;
+  const DeltaEquivalenceResult eq = pair.Check();
+  EXPECT_FALSE(eq.ok);
+  EXPECT_NE(eq.failure.find("threshold_s1"), std::string::npos) << eq.failure;
+}
+
+TEST(DeltaEquivalenceTest, ChangedZ2RankListFails) {
+  PatchedPair pair = MakePatchedPair();
+  ASSERT_TRUE(pair.Check().ok) << pair.Check().failure;
+  // Reverse one inter-node-zone ring's rank list: the same ranks carry the
+  // same loads, so only the z2 ring-set clause can see it.
+  RingRef* z2 = nullptr;
+  for (std::vector<RingRef>* queue : {&pair.patched.inter_node, &pair.patched.intra_node}) {
+    for (RingRef& ring : *queue) {
+      if (z2 == nullptr && ring.length >= pair.patched.threshold_s1 && ring.rank_count >= 2) {
+        z2 = &ring;
+      }
+    }
+  }
+  ASSERT_NE(z2, nullptr) << "config must produce an inter-node-zone ring";
+  const auto span = pair.patched.rank_arena.begin() + z2->rank_offset;
+  std::reverse(span, span + z2->rank_count);
+  const DeltaEquivalenceResult eq = pair.Check();
+  EXPECT_FALSE(eq.ok);
+  EXPECT_NE(eq.failure.find("inter-node-zone ring sets differ"), std::string::npos)
+      << eq.failure;
+}
+
+TEST(DeltaEquivalenceTest, PatchedOverloadFails) {
+  PatchedPair pair = MakePatchedPair();
+  const DeltaEquivalenceResult clean = pair.Check();
+  ASSERT_TRUE(clean.ok) << clean.failure;
+  // Pile every declared token onto the busiest rank: conservation and the
+  // touch sets still hold, so VerifyPlan (balance clause off) passes and
+  // only the relational max-load clause can see it.
+  std::vector<int64_t>& loads = pair.patched.tokens_per_rank;
+  const auto busiest = std::max_element(loads.begin(), loads.end());
+  const int64_t total = pair.patched.total_tokens();
+  std::fill(loads.begin(), loads.end(), 0);
+  *busiest = total;
+  const DeltaEquivalenceResult eq = pair.Check();
+  EXPECT_FALSE(eq.ok);
+  EXPECT_GT(eq.max_load_ratio, 1.0 + kEps);
+  EXPECT_NE(eq.failure.find("patched max rank load exceeds the eps bound"), std::string::npos)
+      << eq.failure;
 }
 
 // --- Strategy-level integration -------------------------------------------------

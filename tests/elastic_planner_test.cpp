@@ -307,6 +307,38 @@ TEST(ElasticMigrationTest, WithinBudgetMigratesInPlace) {
   EXPECT_TRUE(result.ok) << result.failure;
 }
 
+TEST(ElasticMigrationTest, WorkOnADeadRankFailsEquivalence) {
+  const ClusterSpec cluster = MakeClusterA(4);
+  const Batch batch = ShortBatch(512, 0x5eed);
+  DeltaPlannerOptions options = MakeOptions(batch, cluster);
+  options.token_capacity = 2 * options.token_capacity;
+  options.migration_budget = 100000;
+
+  DeltaPlanner dp(cluster, options);
+  dp.Rebase(batch);
+  const TopologyDelta kill = KillNode(cluster, 3);
+  ASSERT_EQ(dp.ApplyTopology(kill), DeltaOutcome::kAppliedTopology);
+  DeltaPlanner full(cluster, options);
+  FullElasticReplan(&full, kill, batch);
+  ASSERT_TRUE(
+      CheckDeltaEquivalence(dp.plan(), full.plan(), dp.batch(), dp.topology(), kEps).ok);
+
+  // Move one live local, tokens and all, onto a dead rank.
+  PartitionPlan patched = dp.plan();
+  const auto live = std::find_if(patched.local.begin(), patched.local.end(),
+                                 [](const LocalSequence& seq) { return seq.length > 0; });
+  ASSERT_NE(live, patched.local.end());
+  const int dead = kill.removed_ranks.front();
+  patched.tokens_per_rank[live->rank] -= live->length;
+  patched.tokens_per_rank[dead] += live->length;
+  live->rank = dead;
+  const DeltaEquivalenceResult result =
+      CheckDeltaEquivalence(patched, full.plan(), dp.batch(), dp.topology(), kEps);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.failure.find("patched plan fails VerifyPlan (dead-rank)"), std::string::npos)
+      << result.failure;
+}
+
 TEST(ElasticRestoreTest, FullRestoreReturnsToCleanBytePath) {
   const ClusterSpec cluster = MakeClusterA(4);
   const Batch batch = ShortBatch(512, 0x0dd);

@@ -304,7 +304,7 @@ TEST(FrameFuzzTest, TruncationsOfEveryPrefixAreTyped) {
 }
 
 TEST(FrameFuzzTest, CacheStatsBytesAreBoundChecked) {
-  // The v2 stats bytes (cache_outcome, verified) are single untrusted octets
+  // The stats bytes cache_outcome and verified are single untrusted octets
   // with small valid ranges. Every in-range value must round-trip; every
   // out-of-range value must be a typed kMalformedRequest — never a crash,
   // never a silently-clamped parse.
@@ -328,7 +328,7 @@ TEST(FrameFuzzTest, CacheStatsBytesAreBoundChecked) {
     std::string error;
     const WireStatus status =
         ParseResponse(FrameType::kResponse, patched, &parsed, &error);
-    if (value <= static_cast<int>(CacheOutcome::kNearMatch)) {
+    if (value <= static_cast<int>(CacheOutcome::kHit)) {
       ASSERT_EQ(status, WireStatus::kOk) << "cache_outcome " << value;
       EXPECT_EQ(parsed.stats.cache_outcome, static_cast<CacheOutcome>(value));
     } else {
@@ -557,8 +557,8 @@ TEST(FrameFuzzTest, V3TailTruncationAndByteSweepNeverCrash) {
   ok.stats_json = "{\"schema\":\"zeppelin.metrics.v1\"}";
   const std::string payload = EncodeResponse(ok);
 
-  // Every truncation point inside the v3 tail is a typed error (a v3 frame
-  // that stops mid-tail is corrupt; only a version<3 frame may omit it).
+  // Every truncation point inside the v3 tail is a typed error: the tail is
+  // mandatory, so a frame that stops mid-tail is corrupt.
   for (size_t cut = kStageCountAt; cut < payload.size(); ++cut) {
     WireResponse out;
     std::string err;

@@ -2,9 +2,9 @@
 // properties (randomized + seeded, twin-checked — permuting sequences or
 // renaming slots never changes the key, any semantic change always does),
 // exact-tier hit semantics (zero-copy repeats, seq-id remap for permuted
-// batches, every served plan certified), LRU eviction, the near-match
-// family tier, the poisoned-entry hook, and a concurrent hammer (the TSAN
-// target together with plan_service_test).
+// batches, every served plan certified), LRU eviction, the poisoned-entry
+// hook, and a concurrent hammer (the TSAN target together with
+// plan_service_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -212,7 +212,6 @@ TEST(PlanCacheTest, LruEvictsTheColdestEntry) {
   PlannerService service;
   PlanCacheOptions options;
   options.capacity = 2;
-  options.near_match = false;
   PlanCache cache(&service, options);
 
   const Batch a = SampleBatch(64, 1), b = SampleBatch(64, 2), c = SampleBatch(64, 3);
@@ -226,54 +225,6 @@ TEST(PlanCacheTest, LruEvictsTheColdestEntry) {
   EXPECT_EQ(cache.Plan(rig.Request(b)).stats.cache_outcome, CacheOutcome::kMiss);
 }
 
-TEST(PlanCacheTest, NearMatchServesAPatchedPlan) {
-  Rig rig;
-  PlannerService service;
-  PlanCache cache(&service);
-  Batch batch = SampleBatch(256, 0x7a7);
-
-  const PlanResponse first = cache.Plan(rig.Request(batch));
-  EXPECT_EQ(first.stats.cache_outcome, CacheOutcome::kMiss);
-
-  // Nudge a few lengths without leaving their log2 buckets: a different
-  // exact key, the same family bucket — the near-match tier's home turf.
-  // Shrinks, not grows: growth can outgrow the family's derived capacity,
-  // which legally rebases (and then counts as a miss, not a near-match).
-  Batch nudged = batch;
-  for (int slot : {3, 57, 200}) {
-    nudged.seq_lens[slot] -= 1;
-  }
-  ASSERT_EQ(BatchBucketSignature(batch), BatchBucketSignature(nudged));
-  const PlanResponse near = cache.Plan(rig.Request(nudged));
-  ASSERT_NE(near.plan, nullptr);
-  EXPECT_EQ(near.stats.cache_outcome, CacheOutcome::kNearMatch);
-  EXPECT_TRUE(near.stats.verified);
-  EXPECT_EQ(cache.counters().near_matches, 1u);
-
-  // The patched plan covers the nudged batch exactly.
-  PlanVerifyOptions opts;
-  opts.world = rig.cluster.world_size();
-  const PlanVerifyResult verdict = VerifyPlan(*near.plan, &nudged, nullptr, opts);
-  EXPECT_TRUE(verdict.ok()) << verdict.message;
-
-  // An exact repeat of the nudged batch is now a plain hit.
-  EXPECT_EQ(cache.Plan(rig.Request(nudged)).stats.cache_outcome, CacheOutcome::kHit);
-}
-
-TEST(PlanCacheTest, FamilyEvictionClosesItsSession) {
-  Rig rig;
-  PlannerService service;
-  PlanCacheOptions options;
-  options.family_capacity = 1;
-  PlanCache cache(&service, options);
-
-  cache.Plan(rig.Request(SampleBatch(64, 11)));
-  EXPECT_EQ(service.session_count(), 1u);
-  cache.Plan(rig.Request(SampleBatch(128, 12)));  // New family; old one evicted.
-  EXPECT_EQ(cache.family_count(), 1u);
-  EXPECT_EQ(service.session_count(), 1u);  // The evicted session was closed.
-}
-
 TEST(PlanCacheTest, PoisonedEntryIsNeverServed) {
   Rig rig;
   PlannerService service;
@@ -284,9 +235,8 @@ TEST(PlanCacheTest, PoisonedEntryIsNeverServed) {
   ASSERT_TRUE(cache.PoisonEntryForTest(rig.Request(batch)));
 
   // The poisoned entry is caught by the certifier, dropped, and replanned —
-  // the caller still receives a correct (and certified) plan. The replan
-  // rides the already-based family session (an empty-delta patch), so it
-  // surfaces as a near-match; only never as a hit of the poisoned bytes.
+  // the caller still receives a correct (and certified) plan. The replan is
+  // a plain miss, never a hit of the poisoned bytes.
   const PlanResponse replanned = cache.Plan(rig.Request(batch));
   EXPECT_NE(replanned.stats.cache_outcome, CacheOutcome::kHit);
   EXPECT_TRUE(replanned.stats.verified);
@@ -300,7 +250,7 @@ TEST(PlanCacheTest, PoisonedEntryIsNeverServed) {
 TEST(PlanCacheTest, SignatureCollisionIsAMissNotAVerifyFailure) {
   Rig rig;
   PlannerService service;
-  PlanCache cache(&service, {.near_match = false});
+  PlanCache cache(&service);
   const Batch planted = SampleBatch(256, 0xc0111);
   const Batch other = SampleBatch(256, 0xd1ff);
 
@@ -363,7 +313,7 @@ TEST(PlanCacheTest, ConcurrentMixedTrafficIsSafe) {
     thread.join();
   }
   const PlanCacheCounters counters = cache.counters();
-  EXPECT_EQ(counters.hits + counters.misses + counters.near_matches, 160u);
+  EXPECT_EQ(counters.hits + counters.misses, 160u);
   EXPECT_LE(cache.size(), 8u);
 }
 

@@ -18,7 +18,6 @@
 
 #include "src/net/plan_client.h"
 #include "src/net/wire.h"
-#include "src/obs/trace.h"
 
 namespace zeppelin {
 namespace net {
@@ -194,14 +193,12 @@ TEST(PlanClientTest, StatsIsIdempotentAndRetried) {
   EXPECT_EQ(sleeps, (std::vector<int>{10, 20}));
 }
 
-// --- wire v2 backward compatibility ------------------------------------------
+// --- wire version -----------------------------------------------------------
 //
-// A v3 parser must still decode frames from a v2 peer: same layout up through
-// the plan bytes, no stage block, no stats-JSON section. Downgrade real v3
-// encodes by rewriting the little-endian version word and (for responses)
-// truncating the v3 tail, which for an empty message and 4-byte plan starts
-// at byte 81 = 17 (header) + 34 (engine..sessions) + 2 (cache_outcome,
-// verified) + 8 (queue_wait) + 8 (digest) + 8 (plan_len) + 4 (plan).
+// Parsers accept exactly kWireVersion. Any other version word — older,
+// newer, or garbage — is a typed kMalformedRequest naming the version, for
+// requests and responses alike. Real encodes are rewritten in place through
+// their little-endian version word.
 
 void PatchVersion(std::string* payload, uint32_t version) {
   for (int i = 0; i < 4; ++i) {
@@ -209,67 +206,50 @@ void PatchVersion(std::string* payload, uint32_t version) {
   }
 }
 
-TEST(WireCompatTest, V2ResponseDecodesWithEmptyStageBlock) {
+TEST(WireVersionTest, OnlyTheCurrentVersionParses) {
+  WireRequest plan;
+  plan.request_id = 22;
+  plan.batch.seq_lens = {128, 256, 512};
+  WireRequest stats;
+  stats.request_id = 23;
+  stats.kind = RequestKind::kStats;
   WireResponse ok;
   ok.request_id = 21;
   ok.status = WireStatus::kOk;
   ok.digest = 0xfeed;
   ok.plan_bytes = "plan";
-  for (int i = 0; i < obs::kNumStages; ++i) {
-    ok.stats.stage_us[i] = 5.0 * (i + 1);
-  }
   ok.stats_json = "{\"schema\":\"zeppelin.metrics.v1\"}";
-  std::string payload = EncodeResponse(ok);
-  const size_t v3_tail_at = 81;
-  ASSERT_GT(payload.size(), v3_tail_at);
-  PatchVersion(&payload, 2);
-  payload.resize(v3_tail_at);
+  const std::string requests[] = {EncodeRequest(plan), EncodeRequest(stats)};
+  const std::string response = EncodeResponse(ok);
 
-  WireResponse parsed;
   std::string error;
-  ASSERT_EQ(ParseResponse(FrameType::kResponse, payload, &parsed, &error),
+  for (const std::string& payload : requests) {
+    WireRequest parsed;
+    ASSERT_EQ(ParseRequest(payload, &parsed, &error), WireStatus::kOk) << error;
+  }
+  WireResponse parsed_response;
+  ASSERT_EQ(ParseResponse(FrameType::kResponse, response, &parsed_response, &error),
             WireStatus::kOk)
       << error;
-  EXPECT_EQ(parsed.request_id, 21u);
-  EXPECT_EQ(parsed.digest, 0xfeedu);
-  EXPECT_EQ(parsed.plan_bytes, "plan");
-  // v2 carries no stage block and no stats JSON: both decode as empty.
-  for (int i = 0; i < obs::kNumStages; ++i) {
-    EXPECT_DOUBLE_EQ(parsed.stats.stage_us[i], 0.0) << i;
+
+  for (uint32_t version : {0u, 1u, 2u, 4u, 0xffffffffu}) {
+    for (std::string payload : requests) {
+      PatchVersion(&payload, version);
+      WireRequest parsed;
+      error.clear();
+      EXPECT_EQ(ParseRequest(payload, &parsed, &error), WireStatus::kMalformedRequest)
+          << "request version " << version;
+      EXPECT_NE(error.find("unknown request version"), std::string::npos) << error;
+    }
+    std::string payload = response;
+    PatchVersion(&payload, version);
+    WireResponse parsed;
+    error.clear();
+    EXPECT_EQ(ParseResponse(FrameType::kResponse, payload, &parsed, &error),
+              WireStatus::kMalformedRequest)
+        << "response version " << version;
+    EXPECT_NE(error.find("unknown response version"), std::string::npos) << error;
   }
-  EXPECT_TRUE(parsed.stats_json.empty());
-
-  // The same truncated payload with a v3 version word is corrupt, not legacy.
-  std::string v3_truncated = payload;
-  PatchVersion(&v3_truncated, 3);
-  WireResponse rejected;
-  EXPECT_EQ(ParseResponse(FrameType::kResponse, v3_truncated, &rejected, &error),
-            WireStatus::kMalformedRequest);
-}
-
-TEST(WireCompatTest, V2RequestStillParsesAndV2StatsIsRejected) {
-  WireRequest plan;
-  plan.request_id = 22;
-  plan.batch.seq_lens = {128, 256, 512};
-  std::string payload = EncodeRequest(plan);
-  PatchVersion(&payload, 2);
-  WireRequest parsed;
-  std::string error;
-  ASSERT_EQ(ParseRequest(payload, &parsed, &error), WireStatus::kOk) << error;
-  EXPECT_EQ(parsed.request_id, 22u);
-  EXPECT_EQ(parsed.batch.seq_lens.size(), 3u);
-
-  // kStats did not exist before v3: a v2 frame claiming it is malformed.
-  WireRequest stats;
-  stats.request_id = 23;
-  stats.kind = RequestKind::kStats;
-  std::string stats_payload = EncodeRequest(stats);
-  PatchVersion(&stats_payload, 2);
-  WireRequest out;
-  EXPECT_EQ(ParseRequest(stats_payload, &out, &error),
-            WireStatus::kMalformedRequest);
-  EXPECT_NE(error.find("stats requests require wire v3"), std::string::npos)
-      << error;
 }
 
 }  // namespace
