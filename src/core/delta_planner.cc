@@ -52,6 +52,7 @@ DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions optio
   ZCHECK_GE(options_.replan_threshold, 0);
   ZCHECK_GE(options_.migration_budget, 0);
   topo_.Reset(cluster_.world_size());
+  fabric_.Build(cluster_, &topo_);
 }
 
 void DeltaPlanner::set_options(DeltaPlannerOptions options) {
@@ -89,12 +90,6 @@ void DeltaPlanner::Rebase(const Batch& batch) {
 void DeltaPlanner::RebaseInternal() {
   ZCHECK_GT(batch_.size(), 0);
   EnsureCapacityFits(batch_.total_tokens());
-  if (topo_.degraded()) {
-    // SequencePartitioner assumes a uniform fabric; holes and speed skews go
-    // through the elastic from-scratch path (which captures its own state).
-    ElasticReplan();
-    return;
-  }
   partitioner_.set_options(SequencePartitioner::Options{
       .token_capacity = options_.token_capacity,
       .max_inter_threshold = options_.max_inter_threshold,
@@ -106,7 +101,10 @@ void DeltaPlanner::RebaseInternal() {
   if (options_.pool != nullptr && options_.pool_mutex != nullptr) {
     pool_lock = std::unique_lock<std::mutex>(*options_.pool_mutex);
   }
-  partitioner_.Partition(batch_, &scratch_, &plan_);
+  // The fabric state is a planning input: a degraded topology plans over
+  // the alive ranks with speed-normalized loads, a clean one byte for byte
+  // as the plain engine.
+  partitioner_.Partition(batch_, &scratch_, &plan_, &topo_);
   CaptureState();
 }
 
@@ -116,10 +114,7 @@ void DeltaPlanner::CaptureState() {
   const int n = batch_.size();
 
   node_capacity_ = static_cast<int64_t>(p) * options_.token_capacity;
-  s1_initial_ = node_capacity_;
-  if (options_.max_inter_threshold > 0) {
-    s1_initial_ = std::min(s1_initial_, options_.max_inter_threshold);
-  }
+  s1_initial_ = scratch_.threshold_s1_initial;
   base_refined_ = plan_.threshold_s1 < s1_initial_;
 
   // Inter-node chunk aggregates, as the engine left them in the scratch.
@@ -476,18 +471,19 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
 
   // Node-level packing of the delta set: on a clean fabric, one round-batched
   // GreedyPacker pass seeded from the live node loads (LoadTracker
-  // snapshot/restore); on a degraded one, the elastic scan packer (alive
+  // snapshot/restore); on a degraded one, the engine's degraded rule (alive
   // capacities, speed-normalized loads).
   const int count = static_cast<int>(place_.size());
   place_node_.resize(count);
-  if (topo_.degraded()) {
-    RefreshNodeTopology();
+  if (fabric_.degraded) {
+    ResetNodePicks();
     for (int i = 0; i < count; ++i) {
       const int64_t len = batch_.seq_lens[place_[i]];
-      const int node = PickNodeElastic(len);
+      const int node = node_picks_.Pick(len);
       if (node < 0) {
         return FallBack(DeltaOutcome::kRebasedCapacity);
       }
+      node_picks_.Add(node, len);
       node_loads_.add(node, len);
       place_node_[i] = node;
     }
@@ -523,7 +519,7 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
   }
 
   for (int node : dirty_nodes_) {
-    RepackNodeDispatch(node);
+    RepackNode(node);
   }
   MaybeCompact();
 
@@ -544,8 +540,15 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
 
 void DeltaPlanner::RepackNode(int node) {
   const int p = cluster_.gpus_per_node;
-  const int rank_base = node * p;
+  const int m = fabric_.alive(node);
   std::vector<int>& members = node_members_[node];
+  if (m == 0) {
+    // Evicting a dead node's intra ring dirties it; its members have all
+    // migrated off by now and no pick lands on it: nothing to re-pack.
+    ZCHECK(members.empty()) << "dead node " << node << " still owns members";
+    ZCHECK_EQ(node_loads_.load(node), 0) << "dead node " << node << " still owns load";
+    return;
+  }
   ++stats_.repacked_nodes;
 
   // Evict every member's current plan entry; pending members have none.
@@ -585,10 +588,13 @@ void DeltaPlanner::RepackNode(int node) {
     locations_[members[i]].member_pos = i;
   }
 
-  // Device base loads from the persistent inter-chunk aggregates, then the
-  // sharded engine's own Alg. 2 kernel.
-  planner_internal::ExpandChunkBase(chunk_whole_, chunk_rem_, node, p, &repack_slab_.chunk_base);
-  planner_internal::PackIntraNode(repack_keys_, repack_slab_.chunk_base, rank_base,
+  // Alive-device base loads from the persistent inter-chunk aggregates
+  // (recorded with divisor m: ApplyTopology re-plans before any liveness
+  // change on a chunk-carrying node), then the sharded engine's own Alg. 2
+  // kernel over the node's alive devices.
+  planner_internal::ExpandChunkBase(chunk_whole_, chunk_rem_, node, p, m,
+                                    &repack_slab_.chunk_base);
+  planner_internal::PackIntraNode(repack_keys_, repack_slab_.chunk_base, fabric_, node,
                                   options_.token_capacity, options_.max_local_threshold,
                                   &repack_slab_, &repack_out_);
 
@@ -619,11 +625,12 @@ void DeltaPlanner::RepackNode(int node) {
   for (const LocalSequence& seq : repack_out_.locals_z1) {
     commit_local(seq);
   }
+  std::fill_n(plan_.tokens_per_rank.begin() + node * p, p, int64_t{0});
+  const std::span<const int> ranks = fabric_.node_ranks(node);
   int64_t device_total = 0;
-  for (int d = 0; d < p; ++d) {
-    const int64_t load = repack_out_.device_loads[d];
-    plan_.tokens_per_rank[rank_base + d] = load;
-    device_total += load;
+  for (int d = 0; d < m; ++d) {
+    plan_.tokens_per_rank[ranks[d]] = repack_out_.device_loads[d];
+    device_total += repack_out_.device_loads[d];
   }
   ZCHECK_EQ(device_total, node_loads_.load(node))
       << "intra re-run must conserve node " << node << " tokens";
@@ -632,46 +639,12 @@ void DeltaPlanner::RepackNode(int node) {
 
 // --- Elastic topology patching ------------------------------------------------
 
-void DeltaPlanner::RefreshNodeTopology() {
-  const int num_nodes = cluster_.num_nodes;
-  const int p = cluster_.gpus_per_node;
-  node_alive_.assign(num_nodes, 0);
-  node_rate_.assign(num_nodes, 0);
-  for (int node = 0; node < num_nodes; ++node) {
-    for (int d = 0; d < p; ++d) {
-      const int rank = node * p + d;
-      if (topo_.alive[rank]) {
-        ++node_alive_[node];
-        node_rate_[node] += topo_.speed_q[rank];
-      }
-    }
-  }
-}
-
-int DeltaPlanner::PickNodeElastic(int64_t len) const {
-  // Speed-normalized node load: raw tokens rescaled to the full-node nominal
-  // rate p * kSpeedScale, so a half-alive or half-speed node looks twice as
-  // loaded per token and naturally receives less work. Raw capacity is the
-  // alive-device count times L. Deterministic: ties go to the lowest index.
-  const int num_nodes = cluster_.num_nodes;
-  const int64_t full_rate = static_cast<int64_t>(cluster_.gpus_per_node) * kSpeedScale;
-  int best = -1;
-  int64_t best_key = 0;
-  for (int node = 0; node < num_nodes; ++node) {
-    if (node_alive_[node] == 0) {
-      continue;
-    }
-    const int64_t raw = node_loads_.load(node);
-    if (raw + len > static_cast<int64_t>(node_alive_[node]) * options_.token_capacity) {
-      continue;
-    }
-    const int64_t key = raw * full_rate / node_rate_[node];
-    if (best < 0 || key < best_key) {
-      best = node;
-      best_key = key;
-    }
-  }
-  return best;
+void DeltaPlanner::ResetNodePicks() {
+  node_loads_.Snapshot(&loads_buf_);
+  node_picks_.Assign(fabric_.rates, static_cast<int64_t>(cluster_.gpus_per_node) * kSpeedScale,
+                     loads_buf_, [this](int node) {
+                       return static_cast<int64_t>(fabric_.alive(node)) * options_.token_capacity;
+                     });
 }
 
 bool DeltaPlanner::NodeHasChunks(int node) const {
@@ -687,38 +660,6 @@ bool DeltaPlanner::NodeHasChunks(int node) const {
     }
   }
   return false;
-}
-
-bool DeltaPlanner::NodeClean(int node) const {
-  const int p = cluster_.gpus_per_node;
-  for (int d = 0; d < p; ++d) {
-    const int rank = node * p + d;
-    if (!topo_.alive[rank] || topo_.speed_q[rank] != kSpeedScale) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void DeltaPlanner::RepackNodeDispatch(int node) {
-  if (NodeClean(node)) {
-    RepackNode(node);
-    return;
-  }
-  const int p = cluster_.gpus_per_node;
-  int alive = 0;
-  for (int d = 0; d < p; ++d) {
-    alive += topo_.alive[node * p + d] ? 1 : 0;
-  }
-  if (alive == 0) {
-    // Fully-dead nodes own no members or load by the time dirty nodes re-run
-    // (ApplyTopology migrated them off before dirtying).
-    ZCHECK(node_members_[node].empty()) << "dead node " << node << " still owns members";
-    ZCHECK_EQ(node_loads_.load(node), 0) << "dead node " << node << " still owns load";
-    return;
-  }
-  ++stats_.repacked_nodes;
-  RepackNodeElastic(node);
 }
 
 DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
@@ -737,6 +678,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   // The fabric state always advances, even when the plan cannot be patched:
   // every later Rebase/Apply must honor the new topology.
   topo_.Apply(delta);
+  fabric_.Build(cluster_, &topo_);
   if (!has_base_) {
     // Nothing to patch yet; not counted (no planning happened). The next
     // Apply()/Rebase() plans against the recorded fabric.
@@ -757,7 +699,6 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
     return FallBack(DeltaOutcome::kRebasedTopology);
   }
   const int p = cluster_.gpus_per_node;
-  RefreshNodeTopology();
 
   // Structural fallbacks. Chunk aggregates are keyed by the alive count they
   // were recorded under, so a liveness change on a chunk-carrying node (which
@@ -771,10 +712,10 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   }
   int64_t migrations = 0;
   for (int node = 0; node < cluster_.num_nodes; ++node) {
-    if (node_alive_[node] == 0) {
+    if (fabric_.alive(node) == 0) {
       migrations += static_cast<int64_t>(node_members_[node].size());
     } else if (node_loads_.load(node) >
-               static_cast<int64_t>(node_alive_[node]) * options_.token_capacity) {
+               static_cast<int64_t>(fabric_.alive(node)) * options_.token_capacity) {
       return FallBack(DeltaOutcome::kRebasedTopology);
     }
   }
@@ -791,7 +732,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   // within the node (restores never reach here — scale-up rebases above).
   auto touch = [&](int rank) {
     const int node = rank / p;
-    if (node_alive_[node] > 0) {
+    if (fabric_.alive(node) > 0) {
       MarkDirty(node);
     }
   };
@@ -807,7 +748,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   migrate_buf_.clear();
   for (int rank : delta.removed_ranks) {
     const int node = rank / p;
-    if (node_alive_[node] > 0 || node_members_[node].empty()) {
+    if (fabric_.alive(node) > 0 || node_members_[node].empty()) {
       continue;
     }
     const size_t start = migrate_buf_.size();
@@ -820,18 +761,20 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   stats_.migrated_sequences += static_cast<int64_t>(migrate_buf_.size());
 
   // Re-pack migrants cross-node, longest first (the shared packing order),
-  // through the elastic node packer; then the usual local/dirty split.
+  // through the degraded node pick; then the usual local/dirty split.
   std::sort(migrate_buf_.begin(), migrate_buf_.end(), [&](int a, int b) {
     const int64_t la = batch_.seq_lens[a];
     const int64_t lb = batch_.seq_lens[b];
     return la != lb ? la > lb : a < b;
   });
+  ResetNodePicks();
   for (int slot : migrate_buf_) {
     const int64_t len = batch_.seq_lens[slot];
-    const int node = PickNodeElastic(len);
+    const int node = node_picks_.Pick(len);
     if (node < 0) {
       return FallBack(DeltaOutcome::kRebasedCapacity);
     }
+    node_picks_.Add(node, len);
     node_loads_.add(node, len);
     SeqLocation& loc = locations_[slot];
     loc.kind = SeqLocation::Kind::kPending;
@@ -846,7 +789,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   }
 
   for (int node : dirty_nodes_) {
-    RepackNodeDispatch(node);
+    RepackNode(node);
   }
   MaybeCompact();
 
@@ -857,409 +800,6 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   base_imbalance_ = std::min(base_imbalance_, imbalance);
   ++stats_.applied_topology;
   return DeltaOutcome::kAppliedTopology;
-}
-
-// --- Elastic intra-node re-run (Alg. 2 over the alive devices) ----------------
-
-void DeltaPlanner::RepackNodeElastic(int node) {
-  const int p = cluster_.gpus_per_node;
-  const int rank_base = node * p;
-  const int64_t capacity = options_.token_capacity;
-  alive_buf_.clear();
-  for (int d = 0; d < p; ++d) {
-    if (topo_.alive[rank_base + d]) {
-      alive_buf_.push_back(d);
-    }
-  }
-  const int m = static_cast<int>(alive_buf_.size());
-  ZCHECK_GT(m, 0) << "elastic repack on a fully-dead node " << node;
-  std::vector<int>& members = node_members_[node];
-
-  // Evict every member's current plan entry; pending members have none.
-  for (int slot : members) {
-    SeqLocation& loc = locations_[slot];
-    switch (loc.kind) {
-      case SeqLocation::Kind::kIntraRing:
-        FreeRingSpan(plan_.intra_node[loc.pos]);
-        RemoveIntraHeaderAt(loc.pos);
-        break;
-      case SeqLocation::Kind::kLocal:
-        RemoveLocalAt(loc.pos);
-        break;
-      case SeqLocation::Kind::kPending:
-        break;
-      case SeqLocation::Kind::kZ2Ring:
-      case SeqLocation::Kind::kNone:
-        ZCHECK(false) << "invalid member state on node " << node;
-    }
-    loc.kind = SeqLocation::Kind::kPending;
-  }
-
-  std::sort(members.begin(), members.end(), [&](int a, int b) {
-    const int64_t la = batch_.seq_lens[a];
-    const int64_t lb = batch_.seq_lens[b];
-    return la != lb ? la > lb : a < b;
-  });
-  for (uint32_t i = 0; i < members.size(); ++i) {
-    locations_[members[i]].member_pos = i;
-  }
-
-  // Elastic chunk-base expansion: the aggregates were recorded with divisor
-  // m (ApplyTopology falls back before any liveness change on a chunk-
-  // carrying node, so the divisor always matches), and device d here is the
-  // d-th *alive* device. Buckets at r >= m must therefore be empty.
-  chunk_base_.resize(m);
-  for (int r = m; r < p; ++r) {
-    ZCHECK_EQ(chunk_rem_[static_cast<size_t>(node) * p + r], 0)
-        << "chunk aggregate divisor drift on node " << node;
-  }
-  for (int d = 0; d < m; ++d) {
-    int64_t share = chunk_whole_[node];
-    for (int r = 1; r < m; ++r) {
-      share += chunk_rem_[static_cast<size_t>(node) * p + r] * ((d + 1) * r / m - d * r / m);
-    }
-    chunk_base_[d] = share;
-  }
-
-  const int n = static_cast<int>(members.size());
-  int64_t s0 = capacity;
-  if (options_.max_local_threshold > 0) {
-    s0 = std::min(s0, options_.max_local_threshold);
-  }
-  int boundary = static_cast<int>(
-      std::partition_point(members.begin(), members.end(),
-                           [&](int slot) { return batch_.seq_lens[slot] >= s0; }) -
-      members.begin());
-
-  int restarts = 0;
-  for (;;) {
-    dev_raw_.assign(chunk_base_.begin(), chunk_base_.end());
-    ring_buf_.clear();
-    z0_buf_.clear();
-    z1_buf_.clear();
-
-    // The shared Alg. 2 fragmentation pass with p -> m: fragments spread
-    // round-robin over the alive devices only.
-    planner_internal::FragmentZone1(
-        boundary, m, [&](int i) { return batch_.seq_lens[members[i]]; },
-        [&](int i, int64_t len, int fragments, int cursor) {
-          ring_buf_.push_back({members[i], len, fragments, cursor});
-          planner_internal::ForEachFragment(
-              len, fragments, cursor, m,
-              [&](int /*f*/, int device, int64_t share) { dev_raw_[device] += share; });
-        },
-        [&](int i, int64_t len, int device) {
-          z1_buf_.push_back({members[i], len, rank_base + alive_buf_[device]});
-          dev_raw_[device] += len;
-        });
-
-    // z0: least *effective*-loaded alive device that still fits the raw
-    // capacity. (Differs from the homogeneous argmin-or-overflow pack_min by
-    // design: on a skewed fabric the argmin by effective load may be raw-
-    // full while another device still fits.)
-    bool overflowed = false;
-    for (int i = boundary; i < n; ++i) {
-      const int slot = members[i];
-      const int64_t len = batch_.seq_lens[slot];
-      int best = -1;
-      int64_t best_eff = 0;
-      for (int d = 0; d < m; ++d) {
-        if (dev_raw_[d] + len > capacity) {
-          continue;
-        }
-        const int64_t eff = topo_.EffectiveLoad(rank_base + alive_buf_[d], dev_raw_[d]);
-        if (best < 0 || eff < best_eff) {
-          best = d;
-          best_eff = eff;
-        }
-      }
-      if (best < 0) {
-        boundary = planner_internal::AdvanceZoneBoundary(
-            n, i, [&](int j) { return batch_.seq_lens[members[j]]; }, &s0);
-        overflowed = true;
-        break;
-      }
-      dev_raw_[best] += len;
-      z0_buf_.push_back({slot, len, rank_base + alive_buf_[best]});
-    }
-    if (!overflowed) {
-      break;
-    }
-    ZCHECK_LE(++restarts, n) << "elastic intra-node restart chain exceeded its bound";
-  }
-
-  for (const PendingRing& ring : ring_buf_) {
-    const uint32_t offset = AllocSpan(static_cast<uint32_t>(ring.fragments));
-    for (int f = 0; f < ring.fragments; ++f) {
-      plan_.rank_arena[offset + f] = rank_base + alive_buf_[(ring.cursor_start + f) % m];
-    }
-    SeqLocation& loc = locations_[ring.slot];
-    loc.kind = SeqLocation::Kind::kIntraRing;
-    loc.pos = static_cast<uint32_t>(plan_.intra_node.size());
-    plan_.intra_node.push_back({ring.slot, ring.length, Zone::kIntraNode, offset,
-                                static_cast<uint32_t>(ring.fragments)});
-    live_ranks_ += static_cast<uint32_t>(ring.fragments);
-  }
-  auto commit_local = [&](const LocalSequence& seq) {
-    SeqLocation& loc = locations_[seq.seq_id];
-    loc.kind = SeqLocation::Kind::kLocal;
-    loc.pos = static_cast<uint32_t>(plan_.local.size());
-    plan_.local.push_back(seq);
-  };
-  for (const LocalSequence& seq : z0_buf_) {
-    commit_local(seq);
-  }
-  for (const LocalSequence& seq : z1_buf_) {
-    commit_local(seq);
-  }
-  int64_t device_total = 0;
-  for (int d = 0; d < p; ++d) {
-    plan_.tokens_per_rank[rank_base + d] = 0;
-  }
-  for (int d = 0; d < m; ++d) {
-    plan_.tokens_per_rank[rank_base + alive_buf_[d]] = dev_raw_[d];
-    device_total += dev_raw_[d];
-  }
-  ZCHECK_EQ(device_total, node_loads_.load(node))
-      << "elastic intra re-run must conserve node " << node << " tokens";
-  plan_.threshold_s0[node] = s0;
-}
-
-// --- Elastic full re-plan (degraded-fabric Alg. 1 + per-node Alg. 2) ---------
-
-void DeltaPlanner::ElasticReplan() {
-  const int num_nodes = cluster_.num_nodes;
-  const int p = cluster_.gpus_per_node;
-  const int world = cluster_.world_size();
-  const int n = batch_.size();
-  const int64_t capacity = options_.token_capacity;
-
-  RefreshNodeTopology();
-  int alive_nodes = 0;
-  int64_t fabric_capacity = 0;
-  int64_t max_node_cap = 0;
-  for (int node = 0; node < num_nodes; ++node) {
-    const int64_t cap = static_cast<int64_t>(node_alive_[node]) * capacity;
-    alive_nodes += node_alive_[node] > 0 ? 1 : 0;
-    fabric_capacity += cap;
-    max_node_cap = std::max(max_node_cap, cap);
-  }
-  ZCHECK_GT(alive_nodes, 0) << "no alive nodes";
-  const int64_t total = batch_.total_tokens();
-  ZCHECK_LE(total, fabric_capacity)
-      << "batch does not fit the surviving fabric at capacity L=" << capacity;
-
-  node_capacity_ = static_cast<int64_t>(p) * capacity;
-  int64_t s1_init = std::min(node_capacity_, std::max<int64_t>(max_node_cap, 1));
-  if (options_.max_inter_threshold > 0) {
-    s1_init = std::min(s1_init, options_.max_inter_threshold);
-  }
-  s1_initial_ = s1_init;
-
-  plan_.tokens_per_rank.assign(world, 0);
-  plan_.threshold_s0.assign(num_nodes, 0);
-  slot_epoch_.assign(n, 0);
-  node_dirty_epoch_.assign(num_nodes, 0);
-  epoch_ = 0;
-  node_members_.resize(num_nodes);
-  free_spans_.clear();
-  free_total_ = 0;
-
-  // Length-descending, id-ascending order (Alg. 1 line 1).
-  order_buf_.resize(n);
-  for (int i = 0; i < n; ++i) {
-    order_buf_[i] = i;
-  }
-  std::sort(order_buf_.begin(), order_buf_.end(), [&](int a, int b) {
-    const int64_t la = batch_.seq_lens[a];
-    const int64_t lb = batch_.seq_lens[b];
-    return la != lb ? la > lb : a < b;
-  });
-
-  int64_t s1 = s1_init;
-  for (bool retry = true; retry;) {
-    retry = false;
-    plan_.inter_node.clear();
-    plan_.intra_node.clear();
-    plan_.local.clear();
-    plan_.rank_arena.clear();
-    live_ranks_ = 0;
-    locations_.assign(n, SeqLocation{});
-    for (std::vector<int>& members : node_members_) {
-      members.clear();
-    }
-    chunk_whole_.assign(num_nodes, 0);
-    chunk_rem_.assign(static_cast<size_t>(num_nodes) * p, 0);
-    loads_buf_.assign(num_nodes, 0);
-
-    const int boundary = static_cast<int>(
-        std::partition_point(order_buf_.begin(), order_buf_.end(),
-                             [&](int id) { return batch_.seq_lens[id] >= s1; }) -
-        order_buf_.begin());
-
-    // z2: chunk over the k least speed-normalized-loaded alive nodes
-    // (Alg. 1 lines 7-10 with N -> alive node count), spanning only alive
-    // devices; grow k when a chunk would overflow a small surviving node.
-    int64_t z2_total = 0;
-    for (int i = 0; i < boundary; ++i) {
-      z2_total += batch_.seq_lens[order_buf_[i]];
-    }
-    const double s_avg = static_cast<double>(z2_total) / alive_nodes;
-    const int64_t full_rate = static_cast<int64_t>(p) * kSpeedScale;
-    for (int i = 0; i < boundary; ++i) {
-      const int id = order_buf_[i];
-      const int64_t len = batch_.seq_lens[id];
-      int k = planner_internal::InterNodeChunkCount(len, s_avg, alive_nodes);
-      // All alive nodes by (speed-normalized load, index).
-      node_sel_.clear();
-      for (int node = 0; node < num_nodes; ++node) {
-        if (node_alive_[node] > 0) {
-          node_sel_.emplace_back(loads_buf_[node] * full_rate / node_rate_[node], node);
-        }
-      }
-      std::sort(node_sel_.begin(), node_sel_.end());
-      // Even chunks first, growing k while any chunk overflows its node.
-      // Even chunking can be infeasible outright on unevenly-degraded
-      // fabrics (len / alive_nodes exceeds a half-dead node's remaining
-      // room even though the total fits); then fall back to a
-      // capacity-greedy split that fills the least-loaded nodes first.
-      bool even = false;
-      for (; k <= alive_nodes; ++k) {
-        bool fits = true;
-        for (int c = 0; c < k; ++c) {
-          const int64_t chunk = len * (c + 1) / k - len * c / k;
-          const int node = node_sel_[c].second;
-          if (loads_buf_[node] + chunk >
-              static_cast<int64_t>(node_alive_[node]) * capacity) {
-            fits = false;
-            break;
-          }
-        }
-        if (fits) {
-          even = true;
-          break;
-        }
-      }
-      chunk_split_.assign(node_sel_.size(), 0);
-      if (even) {
-        chunk_split_.resize(k);
-        for (int c = 0; c < k; ++c) {
-          chunk_split_[c] = len * (c + 1) / k - len * c / k;
-        }
-      } else {
-        int64_t unplaced = len;
-        for (size_t c = 0; c < node_sel_.size() && unplaced > 0; ++c) {
-          const int node = node_sel_[c].second;
-          const int64_t room =
-              static_cast<int64_t>(node_alive_[node]) * capacity - loads_buf_[node];
-          const int64_t take = std::min(unplaced, std::max<int64_t>(room, 0));
-          chunk_split_[c] = take;
-          unplaced -= take;
-        }
-        ZCHECK_EQ(unplaced, 0)
-            << "z2 sequence " << id << " does not fit the surviving fabric";
-      }
-
-      int span = 0;
-      int used_nodes = 0;
-      for (size_t c = 0; c < chunk_split_.size(); ++c) {
-        if (chunk_split_[c] > 0) {
-          span += node_alive_[node_sel_[c].second];
-          ++used_nodes;
-        }
-      }
-      const bool inter = used_nodes > 1;
-      const uint32_t offset = AllocSpan(static_cast<uint32_t>(span));
-      int* out = plan_.rank_arena.data() + offset;
-      for (size_t c = 0; c < chunk_split_.size(); ++c) {
-        if (chunk_split_[c] == 0) {
-          continue;
-        }
-        const int node = node_sel_[c].second;
-        for (int d = 0; d < p; ++d) {
-          if (topo_.alive[node * p + d]) {
-            *out++ = node * p + d;
-          }
-        }
-      }
-      SeqLocation& loc = locations_[id];
-      loc.kind = SeqLocation::Kind::kZ2Ring;
-      loc.inter_queue = inter;
-      std::vector<RingRef>& queue = inter ? plan_.inter_node : plan_.intra_node;
-      loc.pos = static_cast<uint32_t>(queue.size());
-      loc.node = node_sel_[0].second;
-      queue.push_back({id, len, inter ? Zone::kInterNode : Zone::kIntraNode, offset,
-                       static_cast<uint32_t>(span)});
-      live_ranks_ += static_cast<uint32_t>(span);
-      for (size_t c = 0; c < chunk_split_.size(); ++c) {
-        const int64_t chunk = chunk_split_[c];
-        if (chunk == 0) {
-          continue;
-        }
-        const int node = node_sel_[c].second;
-        const int m = node_alive_[node];
-        const int64_t q = chunk / m;
-        chunk_whole_[node] += q;
-        ++chunk_rem_[static_cast<size_t>(node) * p + (chunk - q * m)];
-        loads_buf_[node] += chunk;
-      }
-    }
-
-    // z01 packing onto the best-fitting alive node by speed-normalized load
-    // (lines 11-19); an unplaceable sequence promotes the zone boundary.
-    for (int i = boundary; i < n; ++i) {
-      const int id = order_buf_[i];
-      const int64_t len = batch_.seq_lens[id];
-      int best = -1;
-      int64_t best_key = 0;
-      for (int node = 0; node < num_nodes; ++node) {
-        if (node_alive_[node] == 0 ||
-            loads_buf_[node] + len > static_cast<int64_t>(node_alive_[node]) * capacity) {
-          continue;
-        }
-        const int64_t key = loads_buf_[node] * full_rate / node_rate_[node];
-        if (best < 0 || key < best_key) {
-          best = node;
-          best_key = key;
-        }
-      }
-      if (best < 0) {
-        s1 = len;  // len == max remaining: the order is length-descending.
-        retry = true;
-        break;
-      }
-      loads_buf_[best] += len;
-      SeqLocation& loc = locations_[id];
-      loc.kind = SeqLocation::Kind::kPending;
-      loc.node = best;
-      loc.member_pos = static_cast<uint32_t>(node_members_[best].size());
-      node_members_[best].push_back(id);
-    }
-  }
-  plan_.threshold_s1 = s1;
-  base_refined_ = s1 < s1_initial_;
-
-  // Intra stage per surviving node (elastic Alg. 2 over the alive devices).
-  node_loads_.Restore(loads_buf_);
-  int64_t s0_default = capacity;
-  if (options_.max_local_threshold > 0) {
-    s0_default = std::min(s0_default, options_.max_local_threshold);
-  }
-  for (int node = 0; node < num_nodes; ++node) {
-    plan_.threshold_s0[node] = s0_default;
-    if (node_alive_[node] == 0) {
-      ZCHECK(node_members_[node].empty()) << "dead node " << node << " was packed";
-      continue;
-    }
-    RepackNodeElastic(node);
-  }
-
-  live_count_ = 0;
-  for (int64_t len : batch_.seq_lens) {
-    live_count_ += len > 0 ? 1 : 0;
-  }
-  base_imbalance_ = Imbalance();
-  has_base_ = true;
 }
 
 // --- Arena span management ----------------------------------------------------
@@ -1368,7 +908,7 @@ DeltaEquivalenceResult CheckEquivalence(const PartitionPlan& patched,
 
   // On a degraded fabric zone thresholds and z2 chunking depend on the
   // surviving ranks, so the patched plan legitimately keeps pre-failure zone
-  // structure the elastic replan would not reproduce.
+  // structure a from-scratch re-plan would not reproduce.
   if (degraded == nullptr) {
     if (patched.threshold_s1 != replan.threshold_s1) {
       result.failure = "threshold_s1 mismatch (capacity-tight batch refined differently)";

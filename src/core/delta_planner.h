@@ -31,6 +31,12 @@
 //   zone falls back to a full re-plan (Rebase). In long-tailed workloads z2
 //   churn is rare by construction.
 //
+// Full re-plans (Rebase and every fallback) are one call on every fabric:
+// SequencePartitioner::Partition with the planner's RankTopology, then
+// CaptureState. Fabric churn (ApplyTopology) patches through the same
+// dirty-node kernel and the engine's degraded node-pick rule, so the
+// degraded fabric has no planning code of its own (docs/ELASTIC.md).
+//
 // Fallback policy (full re-plan, also exposed in DeltaStats): no base plan
 // yet; churn fraction above DeltaPlannerOptions::replan_threshold; delta
 // touches the inter-node zone; the base plan's s1 was refined below its
@@ -65,6 +71,7 @@
 
 #include "src/common/greedy_packer.h"
 #include "src/common/load_tracker.h"
+#include "src/common/normalized_loads.h"
 #include "src/core/partitioner.h"
 #include "src/data/stream.h"
 #include "src/topology/cluster.h"
@@ -93,11 +100,12 @@ struct DeltaPlannerOptions {
   double replan_threshold = 0.05;
   // Elastic fallback knob: ApplyTopology() migrates at most this many
   // sequences off dead nodes per delta; past the budget it falls back to a
-  // full (elastic) re-plan instead (kRebasedMigration) — patching each
-  // migrant individually would cost more than re-planning.
+  // full re-plan on the surviving fabric instead (kRebasedMigration) —
+  // patching each migrant individually would cost more than re-planning.
   int64_t migration_budget = 256;
-  // Pool for full re-plans, as in SequencePartitioner::Options (null = the
-  // sharded engine runs inline). Non-owning; must outlive the planner.
+  // Pool for full re-plans on any fabric, as in SequencePartitioner::Options
+  // (null = the sharded engine runs inline). Non-owning; must outlive the
+  // planner.
   ThreadPool* pool = nullptr;
   // When the pool is shared with other planners (PlannerService hands every
   // session the same pool), this mutex is locked around each pooled full
@@ -168,8 +176,9 @@ class DeltaPlanner {
   // Apply(): migrate only the plan entries touching lost or slowed ranks —
   // a partially-killed or slowed node is re-run through the intra stage on
   // its alive devices; a fully-dead node's members are evicted and re-packed
-  // cross-node through the node-packing path — and fall back to a full
-  // (elastic, dead-rank-excluding) re-plan when the change is structural:
+  // cross-node through the degraded node pick — and fall back to a full
+  // re-plan on the surviving fabric (the engine with topology()) when the
+  // change is structural:
   //   kRebasedTopology  — the fabric *improved* (a rank restored or sped
   //                       up: patches only move load off dead/slowed ranks,
   //                       so a re-plan is what puts new capacity to work),
@@ -179,8 +188,8 @@ class DeltaPlanner {
   //                       node's load exceeds its reduced alive capacity;
   //   kRebasedMigration — dead-node migration exceeds migration_budget;
   // plus the shared capacity/imbalance guards. The topology state persists
-  // across rebases: every subsequent full re-plan excludes dead ranks and
-  // balances on speed-weighted effective loads. With no base plan the state
+  // across rebases: every subsequent full re-plan passes it to the engine,
+  // which excludes dead ranks and balances on speed-weighted loads. With no base plan the state
   // is recorded and kRebasedNoBase is returned without planning (uncounted;
   // the next Apply()/Rebase() plans against the new fabric).
   DeltaOutcome ApplyTopology(const TopologyDelta& delta);
@@ -229,38 +238,18 @@ class DeltaPlanner {
     uint32_t offset = 0;
     uint32_t count = 0;
   };
-  struct PendingRing {  // Elastic re-run: a ring decided but not yet emitted.
-    int slot = 0;
-    int64_t length = 0;
-    int fragments = 0;
-    int cursor_start = 0;
-  };
 
   void RebaseInternal();
   void CaptureState();
   void EnsureCapacityFits(int64_t total_tokens);
 
-  // From-scratch plan on a degraded fabric (dead or off-speed ranks), used by
-  // every rebase while topology() stays degraded: an elastic Alg. 1 over the
-  // alive node capacities (z2 rings span only alive devices, z01 packed onto
-  // the node with the lowest speed-normalized load that fits), then the
-  // elastic intra stage per alive node. Captures incremental state itself;
-  // SequencePartitioner cannot represent holes in the fabric, so this is a
-  // separate path — the clean fabric keeps the byte-identical engine path.
-  void ElasticReplan();
-  // Per-node alive-device list/rate caches (refreshed from topo_ on demand).
-  void RefreshNodeTopology();
-  // Node with the lowest speed-normalized load whose raw load still fits
-  // `len` under its alive capacity; -1 when none fits. Elastic counterpart of
-  // the GreedyPacker node-packing (scan-based; only runs on degraded fabrics).
-  int PickNodeElastic(int64_t len) const;
+  // Seeds node_picks_ with the live node loads over fabric_: degraded-fabric
+  // node placement follows the engine's own rule (NormalizedLoads).
+  void ResetNodePicks();
   // True when `node` carries inter-node chunk aggregates (z2 chunk counts are
   // keyed by the alive count they were recorded under, so liveness changes on
   // such a node are structural).
   bool NodeHasChunks(int node) const;
-  // True when every device of `node` is alive at nominal speed (the node
-  // qualifies for the byte-identical homogeneous repack path).
-  bool NodeClean(int node) const;
   DeltaOutcome ApplyViaRebase(const BatchDelta& delta, DeltaOutcome reason);
   DeltaOutcome FallBack(DeltaOutcome reason);  // Mid-patch: batch_ already new.
   void CountOutcome(DeltaOutcome reason);
@@ -284,16 +273,9 @@ class DeltaPlanner {
   // list: evicts every member's plan entry, re-derives s0 from the pinned
   // capacity, re-fragments z1 and re-packs z0, and emits into recycled or
   // tail arena spans. Runs the sharded engine's per-node kernel
-  // (planner_internal::PackIntraNode), so the re-pack is Alg. 2 exactly as a
-  // full plan computes it.
+  // (planner_internal::PackIntraNode) over the node's alive devices, so the
+  // re-pack is Alg. 2 exactly as a full plan computes it — clean or degraded.
   void RepackNode(int node);
-  // Elastic variant for degraded nodes: fragments and packs over the node's
-  // m alive devices only (chunk math with p -> m), balancing z0 placement on
-  // speed-weighted effective loads. RepackNodeDispatch routes clean nodes to
-  // the byte-identical homogeneous path and skips fully-dead nodes (which by
-  // then own no members or load).
-  void RepackNodeElastic(int node);
-  void RepackNodeDispatch(int node);
 
   uint32_t AllocSpan(uint32_t count);
   void FreeRingSpan(const RingRef& ring);
@@ -310,6 +292,7 @@ class DeltaPlanner {
 
   bool has_base_ = false;
   RankTopology topo_;          // Fabric state (persists across rebases).
+  FabricView fabric_;          // topo_ as the planner sees it (rebuilt with it).
   int64_t node_capacity_ = 0;  // gpus_per_node * token_capacity.
   int64_t s1_initial_ = 0;     // Initial inter-node threshold (pre-refinement).
   bool base_refined_ = false;  // Base plan ended with s1 < s1_initial_.
@@ -341,19 +324,8 @@ class DeltaPlanner {
   NodeIntraResult repack_out_;         // RepackNode: kernel output.
   std::vector<int> compact_buf_;
 
-  // Elastic scratch (RefreshNodeTopology output + repack/migration buffers).
-  std::vector<int64_t> chunk_base_;   // RepackNodeElastic: alive-device base.
-  std::vector<PendingRing> ring_buf_;
-  std::vector<LocalSequence> z0_buf_;
-  std::vector<LocalSequence> z1_buf_;
-  std::vector<int> node_alive_;       // Per node: alive device count m.
-  std::vector<int64_t> node_rate_;    // Per node: sum of alive speed_q.
-  std::vector<int> alive_buf_;        // One node's alive local device list.
-  std::vector<int64_t> dev_raw_;      // Per alive device: raw token load.
-  std::vector<int> migrate_buf_;      // Slots evicted off dead nodes.
-  std::vector<int> order_buf_;        // ElasticReplan sequence order.
-  std::vector<std::pair<int64_t, int>> node_sel_;  // ElasticReplan z2 node choice.
-  std::vector<int64_t> chunk_split_;  // ElasticReplan per-node chunk sizes.
+  std::vector<int> migrate_buf_;        // Slots evicted off dead nodes.
+  NormalizedLoads node_picks_;          // Degraded node placement.
 
   DeltaStats stats_;
 };

@@ -8,6 +8,7 @@
 #include "src/common/stats.h"
 #include "src/core/chunking.h"
 #include "src/core/partitioner_internal.h"
+#include "src/data/stream.h"
 
 namespace zeppelin {
 
@@ -98,6 +99,39 @@ int* RingStore::Append(int seq_id, int64_t length, Zone zone, int count) {
   return EmitRing(&refs, &ref_count, &arena, &rank_count, seq_id, length, zone, count);
 }
 
+void FabricView::Build(const ClusterSpec& cluster, const RankTopology* topology) {
+  const int num_nodes = cluster.num_nodes;
+  const int p = cluster.gpus_per_node;
+  if (topology != nullptr) {
+    ZCHECK_EQ(topology->world(), cluster.world_size()) << "topology/cluster world mismatch";
+  }
+  degraded = false;
+  alive_nodes = 0;
+  ranks.clear();
+  speeds.clear();
+  offsets.assign(num_nodes + 1, 0);
+  rates.assign(num_nodes, 0);
+  clean.assign(num_nodes, 1);
+  for (int node = 0; node < num_nodes; ++node) {
+    for (int d = 0; d < p; ++d) {
+      const int rank = node * p + d;
+      const bool alive = topology == nullptr || topology->alive[rank] != 0;
+      const int64_t speed = topology == nullptr ? kSpeedScale : topology->speed_q[rank];
+      if (!alive || speed != kSpeedScale) {
+        clean[node] = 0;
+        degraded = true;
+      }
+      if (alive) {
+        ranks.push_back(rank);
+        speeds.push_back(speed);
+        rates[node] += speed;
+      }
+    }
+    offsets[node + 1] = static_cast<int>(ranks.size());
+    alive_nodes += alive(node) > 0 ? 1 : 0;
+  }
+}
+
 SequencePartitioner::SequencePartitioner(const ClusterSpec& cluster, Options options)
     : cluster_(cluster), options_(options) {
   cluster_.Validate();
@@ -152,8 +186,7 @@ void BuildDescendingOrder(const Batch& batch, std::vector<int>* order) {
 // Structurally the seed implementation: fresh workspaces per pass, zone
 // re-splits, and whole-stage restarts on overflow. Kept (modulo the
 // partial-sort LeastLoaded and the flat-arena emission every path shares)
-// as the equivalence oracle, the bench baseline, and the sharded engine's
-// restart-chain fallback.
+// as the clean-fabric equivalence oracle and the bench baseline.
 
 void SequencePartitioner::PartitionInterNodeNaive(const Batch& batch, PartitionPlan* plan,
                                                   PlannerScratch* s) const {
@@ -173,6 +206,7 @@ void SequencePartitioner::PartitionInterNodeNaive(const Batch& batch, PartitionP
   if (options_.max_inter_threshold > 0) {
     s1 = std::min(s1, options_.max_inter_threshold);
   }
+  s->threshold_s1_initial = s1;
   for (bool retry = true; retry;) {
     retry = false;
     s->assignments.assign(num_nodes, NodeAssignment{});
@@ -353,19 +387,21 @@ void SequencePartitioner::PartitionIntraNodeNaive(const Batch& batch, int node,
 
 // --- Driver -----------------------------------------------------------------
 
-PartitionPlan SequencePartitioner::Partition(const Batch& batch) const {
+PartitionPlan SequencePartitioner::Partition(const Batch& batch,
+                                             const RankTopology* topology) const {
   PlannerScratch scratch;
-  return Partition(batch, &scratch);
+  return Partition(batch, &scratch, topology);
 }
 
-PartitionPlan SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch) const {
+PartitionPlan SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch,
+                                             const RankTopology* topology) const {
   PartitionPlan plan;
-  Partition(batch, scratch, &plan);
+  Partition(batch, scratch, &plan, topology);
   return plan;
 }
 
 void SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch,
-                                    PartitionPlan* plan) const {
+                                    PartitionPlan* plan, const RankTopology* topology) const {
   ZCHECK_GT(batch.size(), 0);
   ZCHECK(scratch != nullptr);
   ZCHECK(plan != nullptr);
@@ -382,12 +418,15 @@ void SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch,
   scratch->arena_count = 0;
 
   if (options_.fast_path) {
+    scratch->fabric.Build(cluster_, topology);
     PartitionParallel(batch, scratch, plan, options_.pool);
     // The key-build pass already summed the batch; skip the O(S) re-sum.
     ZCHECK_EQ(plan->total_tokens(), scratch->batch_total)
         << "partitioner must conserve tokens";
     return;
   }
+  ZCHECK(topology == nullptr || !topology->degraded())
+      << "the naive oracle plans clean fabrics only";
   PartitionInterNodeNaive(batch, plan, scratch);
   for (int node = 0; node < cluster_.num_nodes; ++node) {
     PartitionIntraNodeNaive(batch, node, scratch->assignments[node], plan, scratch);

@@ -17,6 +17,17 @@
 //   level, is balanced) placed round-robin, then packs local sequences onto
 //   the least-loaded devices, shrinking s0 and repeating on overflow.
 //
+// The fabric is an input, like the batch. Partition() takes an optional
+// RankTopology (dead ranks, per-rank speeds); a degraded fabric runs the
+// same two stages over the alive devices with speed-normalized loads (see
+// docs/ELASTIC.md): a node with m alive devices has capacity m*L, s1 starts
+// at the largest such capacity, z2 sequences chunk over the alive nodes of
+// least normalized load (growing k, or splitting capacity-greedily, when an
+// even chunk overflows a node), z01 sequences go to the node of least
+// normalized load with raw room, and each node's Alg. 2 runs over its m
+// alive devices. A null or clean topology is the clean fabric, planned
+// byte for byte as without one.
+//
 // The output plan lists, per zone, each sequence's ring group (the ordered
 // ranks that share it) — exactly what the attention engine (§3.2) executes.
 // Rings are stored flat: per-ring headers (RingRef) index into one contiguous
@@ -24,7 +35,8 @@
 // of bulk array writes instead of 64k vector constructions (see
 // docs/PLAN_FORMAT.md for the layout and its invariants).
 //
-// One engine plans; one oracle checks it. Both produce byte-identical plans:
+// One engine plans; one oracle checks it. On a clean fabric both produce
+// byte-identical plans:
 //
 //   Sharded engine (Options::fast_path, the default): sequences are kept as
 //   packed (length, id) keys sorted by one value radix sort; the z01 packing
@@ -35,16 +47,17 @@
 //   scratch slabs; plan materialization merges per-node ring stores and
 //   locals into the plan's flat arrays at precomputed offsets. Overflow
 //   restarts are incremental: the sorted keys and the zone boundary survive a
-//   restart, so it only replays placements. With Options::pool set, the
-//   per-node work and the merges fan out over the pool; without one, the same
-//   tasks run inline on the calling thread. The z01 *decision stream* itself
-//   stays sequential — greedy list scheduling is P-complete, so there is no
-//   exact parallel formulation.
+//   restart, so it only replays placements; the boundary strictly advances,
+//   so a restart chain is bounded by the sequence count. With Options::pool
+//   set, the per-node work and the merges fan out over the pool; without
+//   one, the same tasks run inline on the calling thread. The z01 *decision
+//   stream* itself stays sequential — greedy list scheduling is P-complete,
+//   so there is no exact parallel formulation. It is the only engine that
+//   plans degraded fabrics.
 //
 //   Naive oracle (fast_path = false): the reference linear-scan/partial-sort
-//   greedy, structurally the seed algorithm. Tests construct it as the
-//   equivalence oracle; the engine also falls back to its inter-node stage
-//   once should a restart chain ever exceed its worst-case bound.
+//   greedy, structurally the seed algorithm, for clean fabrics only. Tests
+//   and the scaling bench construct it as the equivalence oracle.
 //
 // Determinism contract: both paths break packing ties identically (lowest
 // load, then lowest bucket index), rings are emitted in the same global order
@@ -53,7 +66,7 @@
 // results are merged in node order. Plans are therefore byte-identical to the
 // oracle AND across any thread count, pool or no pool — header vectors and
 // the rank arena compare equal with the defaulted operator== — the property
-// tests/parallel_planner_test.cpp pins.
+// tests/parallel_planner_test.cpp pins (degraded plans: across thread counts).
 #ifndef SRC_CORE_PARTITIONER_H_
 #define SRC_CORE_PARTITIONER_H_
 
@@ -66,6 +79,7 @@
 
 #include "src/common/greedy_packer.h"
 #include "src/common/load_tracker.h"
+#include "src/common/normalized_loads.h"
 #include "src/core/zones.h"
 #include "src/data/sampler.h"
 #include "src/topology/cluster.h"
@@ -73,6 +87,7 @@
 namespace zeppelin {
 
 class ThreadPool;
+struct RankTopology;
 
 // Non-owning view of one ring: the header fields plus the resolved rank span.
 // This is what plan consumers (attention engine, metrics, baselines) execute;
@@ -257,6 +272,33 @@ struct RingStore {
   int* Append(int seq_id, int64_t length, Zone zone, int count);
 };
 
+// The fabric one Partition() call plans for, built once per call from the
+// caller's RankTopology (every rank alive at nominal speed when there is
+// none): per node, its alive ranks in ascending order with their quantized
+// speeds, and the node's speed rate (the sum of those speeds; 0 = dead).
+// Rings copy a node's rank row, the intra stage packs over it, and the
+// delta planner keeps one for its own node picks.
+struct FabricView {
+  bool degraded = false;         // Some rank is dead or off nominal speed.
+  int alive_nodes = 0;           // Nodes with at least one alive rank.
+  std::vector<int> ranks;        // Alive ranks, node-major, ascending.
+  std::vector<int64_t> speeds;   // speeds[i]: speed_q of ranks[i].
+  std::vector<int> offsets;      // Node n owns [offsets[n], offsets[n + 1]).
+  std::vector<int64_t> rates;    // Per node: sum of its alive speeds.
+  std::vector<uint8_t> clean;    // Per node: all devices alive at nominal speed.
+
+  // (Re)builds the view; a null topology is the clean fabric.
+  void Build(const ClusterSpec& cluster, const RankTopology* topology);
+
+  int alive(int node) const { return offsets[node + 1] - offsets[node]; }
+  std::span<const int> node_ranks(int node) const {
+    return {ranks.data() + offsets[node], static_cast<size_t>(alive(node))};
+  }
+  std::span<const int64_t> node_speeds(int node) const {
+    return {speeds.data() + offsets[node], static_cast<size_t>(alive(node))};
+  }
+};
+
 // Per-node output of the inter-node stage, input to the intra-node stage.
 struct NodeAssignment {
   // (seq_id, chunk length at this node) for inter-node sequences.
@@ -274,7 +316,7 @@ struct NodeIntraResult {
   RingStore rings;                       // Multi-fragment z1 rings (node-local offsets).
   std::vector<LocalSequence> locals;     // z0 locals (truncated on restart).
   std::vector<LocalSequence> locals_z1;  // Single-fragment z1 locals.
-  std::vector<int64_t> device_loads;     // Final per-device token loads.
+  std::vector<int64_t> device_loads;     // Final loads, one per alive device.
   int64_t threshold_s0 = 0;
 };
 
@@ -283,7 +325,8 @@ struct NodeIntraResult {
 // reused across Partition() calls without locking or steady-state
 // allocation.
 struct IntraWorkerSlab {
-  GreedyPacker packer;              // z0 device packing.
+  GreedyPacker packer;              // z0 device packing (clean node).
+  NormalizedLoads picks;            // z0 device packing (degraded node).
   std::vector<int64_t> loads;       // Plain per-device loads for the z1 phase.
   std::vector<int64_t> chunk_base;  // Inter-node chunk spreading per device.
   // Per-context partial chunk aggregates for the parallel re-label pass;
@@ -302,7 +345,10 @@ struct PlannerScratch {
   std::vector<int> least;            // k_least() output.
   std::vector<NodeAssignment> assignments;  // Naive inter-node stage output.
   std::vector<int> placed_node;      // placed_node[i]: node of z01 key i.
-  std::vector<std::vector<int>> node_ranks;  // Per node: its global ranks.
+  FabricView fabric;                 // The fabric this call plans for.
+  // One z2 sequence's placement: (node, chunk) pairs, node-ascending.
+  std::vector<std::pair<int, int64_t>> z2_split;
+  std::vector<std::pair<int64_t, int>> node_order;  // Degraded: (normalized load, node).
   // Aggregate of each node's inter-node chunks: the intra stage only needs
   // the per-device spread, which is fully determined by the sum of whole
   // shares floor(chunk/p) and a histogram of remainders chunk%p — so chunks
@@ -329,6 +375,7 @@ struct PlannerScratch {
   std::vector<int> key_count;            // Radix digit histogram.
   GreedyPacker node_packer;              // z01 packing onto nodes.
   std::vector<int64_t> node_loads_tmp;   // Heap -> packer seed buffer.
+  NormalizedLoads node_picks;            // Degraded fabric: node loads.
   std::vector<std::vector<uint64_t>> node_items;  // Per node: its z01 keys.
   std::vector<NodeIntraResult> intra_results;     // Per node: Alg. 2 output.
   std::vector<IntraWorkerSlab> intra_slabs;       // Per pool context.
@@ -336,6 +383,7 @@ struct PlannerScratch {
   std::vector<size_t> ring_offsets;      // Per node: header slot in plan->intra_node.
   std::vector<size_t> rank_offsets;      // Per node: rank slot in plan->rank_arena.
   int64_t batch_total = 0;               // Total tokens, folded into key build.
+  int64_t threshold_s1_initial = 0;      // s1 before refinement (the m*L cap).
 
   // Total GreedyPacker ops of the last Partition() (regression guard: bulk
   // commits keep this near the sequence count instead of S log P).
@@ -349,8 +397,8 @@ struct PlannerScratch {
 };
 
 // Runs Alg. 1/2 on a batch for a fixed cluster, producing a PartitionPlan.
-// Plans are byte-identical with or without a pool, at any pool size, and to
-// the naive oracle (see the header comment).
+// Plans are byte-identical with or without a pool, at any pool size, and —
+// on a clean fabric — to the naive oracle (see the header comment).
 class SequencePartitioner {
  public:
   struct Options {
@@ -381,13 +429,19 @@ class SequencePartitioner {
   const Options& options() const { return options_; }
   const ClusterSpec& cluster() const { return cluster_; }
 
+  // `topology` (optional, world-sized) is the fabric state: dead ranks get
+  // no work and loads balance by speed. Null or clean = the clean fabric.
+  // The naive oracle plans clean fabrics only.
+  //
   // One-shot form: allocates its own scratch and plan.
-  PartitionPlan Partition(const Batch& batch) const;
+  PartitionPlan Partition(const Batch& batch, const RankTopology* topology = nullptr) const;
   // Allocation-hoisted form: all intermediates live in `scratch`.
-  PartitionPlan Partition(const Batch& batch, PlannerScratch* scratch) const;
+  PartitionPlan Partition(const Batch& batch, PlannerScratch* scratch,
+                          const RankTopology* topology = nullptr) const;
   // Fully hoisted form: additionally recycles `plan`'s storage (pass the
   // previous iteration's plan back in); `plan` is reset, not appended to.
-  void Partition(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan) const;
+  void Partition(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan,
+                 const RankTopology* topology = nullptr) const;
 
  private:
   // Naive oracle. Alg. 1 emits z2 rings (inter-node and single-node) into
@@ -402,9 +456,10 @@ class SequencePartitioner {
   // Sharded engine (partitioner_parallel.cc) on `pool`, or inline when null.
   void PartitionParallel(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan,
                          ThreadPool* pool) const;
-  // Alg. 1 with round-batched z01 packing sharded into scratch->node_items;
-  // re-labelled single-node rings are materialized per context, writing
-  // headers and ranks into pre-reserved plan slots.
+  // Alg. 1 over scratch->fabric with z01 packing sharded into
+  // scratch->node_items (round-batched on a clean fabric); re-labelled
+  // single-node rings are materialized per context, writing headers and
+  // ranks into pre-reserved plan slots.
   void PartitionInterNodeSharded(const Batch& batch, PartitionPlan* plan,
                                  PlannerScratch* scratch, ThreadPool* pool) const;
   // Alg. 2 for one node into scratch->intra_results[node], using the scratch

@@ -1,5 +1,5 @@
 // Helpers shared by the naive oracle (partitioner.cc), the sharded engine
-// (partitioner_parallel.cc), and the delta planner's dirty-node re-pack. The
+// (partitioner_parallel.cc), and the delta planner's patch paths. The
 // chunk/fragment count math lives here so the paths cannot drift apart — the
 // bit-identical-plans contract depends on every path computing these
 // identically.
@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/core/partitioner.h"
 
 namespace zeppelin {
@@ -44,28 +45,35 @@ inline int IntraNodeFragmentCount(double len, double c_avg, int p) {
 
 // Records one inter-node chunk of `chunk` tokens on `node` in the aggregate
 // form the intra stage consumes: the sum of whole per-device shares
-// floor(chunk/p) and a histogram of remainders chunk % p. Both engines (and
-// the parallel re-label pass, via per-context partials) must encode chunks
-// identically or the bit-identical-plans contract breaks.
-inline void RecordChunkAggregate(int node, int64_t chunk, int p, std::vector<int64_t>* whole,
+// floor(chunk/m) over the node's m alive devices and a histogram of
+// remainders chunk % m, in row `node` of stride p (m == p on a clean node).
+// Both engines (and the parallel re-label pass, via per-context partials)
+// must encode chunks identically or the bit-identical-plans contract breaks.
+inline void RecordChunkAggregate(int node, int64_t chunk, int m, int p, std::vector<int64_t>* whole,
                                  std::vector<int64_t>* rem) {
-  const int64_t q = chunk / p;
+  const int64_t q = chunk / m;
   (*whole)[node] += q;
-  ++(*rem)[node * p + (chunk - q * p)];
+  ++(*rem)[static_cast<size_t>(node) * p + (chunk - q * m)];
 }
 
 // Expands `node`'s recorded chunk aggregates into the exact per-device base
-// loads (the inter-node chunk spreading of Alg. 2 lines 4-6): the share of a
-// chunk q*p + r on device d is q + (floor((d+1)r/p) - floor(dr/p)). Every
+// loads over its m alive devices (the inter-node chunk spreading of Alg. 2
+// lines 4-6): the share of a chunk q*m + r on device d is
+// q + (floor((d+1)r/m) - floor(dr/m)). The aggregates must have been recorded
+// with divisor m, so remainder buckets r >= m are empty (checked). Every
 // intra-stage consumer (sharded engine, delta re-pack) must expand
 // identically.
 inline void ExpandChunkBase(const std::vector<int64_t>& whole, const std::vector<int64_t>& rem,
-                            int node, int p, std::vector<int64_t>* out) {
-  out->resize(p);
-  for (int d = 0; d < p; ++d) {
+                            int node, int p, int m, std::vector<int64_t>* out) {
+  const int64_t* row = rem.data() + static_cast<size_t>(node) * p;
+  for (int r = m; r < p; ++r) {
+    ZCHECK_EQ(row[r], 0) << "chunk aggregate divisor drift on node " << node;
+  }
+  out->resize(m);
+  for (int d = 0; d < m; ++d) {
     int64_t share = whole[node];
-    for (int r = 1; r < p; ++r) {
-      share += rem[node * p + r] * ((d + 1) * r / p - d * r / p);
+    for (int r = 1; r < m; ++r) {
+      share += row[r] * ((d + 1) * r / m - d * r / m);
     }
     (*out)[d] = share;
   }
@@ -159,19 +167,22 @@ inline int* EmitRing(std::vector<RingRef>* refs, size_t* ref_count, std::vector<
 }
 
 // Alg. 2 for one node — the intra-node kernel of the sharded engine and of
-// the delta planner's dirty-node re-pack, so clean-fabric Alg. 2 exists once.
-// `keys` are the node's z01 sequences as packed keys sorted ascending
-// (length-descending, id-ascending); `chunk_base` holds the per-device
-// inter-node chunk loads (ExpandChunkBase output), and its size is the
-// node's device count p; device d is global rank rank_base + d. s0 starts at
+// the delta planner's dirty-node re-pack, so Alg. 2 exists once. `keys` are
+// the node's z01 sequences as packed keys sorted ascending (length-
+// descending, id-ascending); the node's alive devices are
+// fabric.node_ranks(node), and `chunk_base` holds their inter-node chunk
+// loads (ExpandChunkBase output, one per alive device). s0 starts at
 // `capacity`, capped by `max_local_threshold` when positive, and shrinks on
-// overflow. Writes rings (node-local arena offsets), z0 locals, single-
-// fragment z1 locals, final device loads, and the refined s0 into `out`;
-// `slab` supplies the packer and load scratch (`chunk_base` may alias
-// slab->chunk_base).
+// overflow. z1 fragments go round-robin over the alive devices. z0 packs
+// through the GreedyPacker on a clean node; on a degraded one each sequence
+// goes to the device of least speed-normalized load with room
+// (NormalizedLoads). A dead node must own no keys. Writes rings
+// (node-local arena offsets), z0 locals, single-fragment z1 locals, final
+// per-alive-device loads, and the refined s0 into `out`; `slab` supplies
+// the packer and load scratch (`chunk_base` may alias slab->chunk_base).
 void PackIntraNode(std::span<const uint64_t> keys, std::span<const int64_t> chunk_base,
-                   int rank_base, int64_t capacity, int64_t max_local_threshold,
-                   IntraWorkerSlab* slab, NodeIntraResult* out);
+                   const FabricView& fabric, int node, int64_t capacity,
+                   int64_t max_local_threshold, IntraWorkerSlab* slab, NodeIntraResult* out);
 
 }  // namespace planner_internal
 }  // namespace zeppelin

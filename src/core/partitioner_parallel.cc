@@ -11,6 +11,8 @@
 //      LoadTracker (few, long sequences); the z01 packing runs through the
 //      round-batched GreedyPacker and emits each sequence's key straight into
 //      its node's list — the per-node lists ARE the shard handoff to stage 3.
+//      On a degraded fabric both placements go over the alive nodes by
+//      speed-normalized load instead (PlaceZ2Degraded, NormalizedLoads).
 //      The decision stream is sequential on purpose: greedy list scheduling
 //      is P-complete, so an exact parallel z01 does not exist; batching, not
 //      threading, is what makes this stage cheap.
@@ -30,12 +32,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <numeric>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
 #include "src/core/partitioner.h"
 #include "src/core/partitioner_internal.h"
+#include "src/data/stream.h"
 
 namespace zeppelin {
 
@@ -144,29 +146,94 @@ int64_t BuildSortedKeys(const Batch& batch, PlannerScratch* s) {
 
 // --- Inter-node stage (Alg. 1), sharded engine --------------------------------
 
+namespace {
+
+// Chunk c of an even k-way split of `len` (Alg. 1 line 9).
+int64_t EvenChunk(int64_t len, int c, int k) { return len * (c + 1) / k - len * c / k; }
+
+// Degraded z2 placement (Alg. 1 lines 7-10 over the alive nodes): the k
+// alive nodes of least (speed-normalized load, index) take even chunks, in
+// ascending node order; k grows while a chunk overflows its node's m*L.
+// When no k fits (nodes of unequal capacity), a capacity-greedy split fills
+// the least-loaded nodes first. Leaves (node, chunk > 0) pairs in
+// s->z2_split, node-ascending, and charges them to s->node_picks.
+void PlaceZ2Degraded(int64_t len, int k, PlannerScratch* s) {
+  const FabricView& fabric = s->fabric;
+  NormalizedLoads& loads = s->node_picks;
+  s->node_order.clear();
+  for (int node = 0; node < static_cast<int>(fabric.rates.size()); ++node) {
+    if (fabric.rates[node] > 0) {
+      s->node_order.emplace_back(loads.key(node), node);
+    }
+  }
+  std::sort(s->node_order.begin(), s->node_order.end());
+  const int alive_nodes = static_cast<int>(s->node_order.size());
+  for (; k <= alive_nodes; ++k) {
+    s->least.resize(k);
+    for (int c = 0; c < k; ++c) {
+      s->least[c] = s->node_order[c].second;
+    }
+    std::sort(s->least.begin(), s->least.end());
+    bool fits = true;
+    for (int c = 0; c < k && fits; ++c) {
+      fits = EvenChunk(len, c, k) <= loads.room(s->least[c]);
+    }
+    if (fits) {
+      break;
+    }
+  }
+  s->z2_split.clear();
+  if (k <= alive_nodes) {
+    for (int c = 0; c < k; ++c) {
+      if (const int64_t chunk = EvenChunk(len, c, k); chunk > 0) {
+        s->z2_split.emplace_back(s->least[c], chunk);
+      }
+    }
+  } else {
+    int64_t unplaced = len;
+    for (int c = 0; c < alive_nodes && unplaced > 0; ++c) {
+      const int node = s->node_order[c].second;
+      const int64_t take = std::min(unplaced, std::max<int64_t>(loads.room(node), 0));
+      if (take > 0) {
+        s->z2_split.emplace_back(node, take);
+        unplaced -= take;
+      }
+    }
+    ZCHECK_EQ(unplaced, 0) << "z2 sequence does not fit the surviving fabric";
+    std::sort(s->z2_split.begin(), s->z2_split.end());
+  }
+  for (const auto& [node, chunk] : s->z2_split) {
+    loads.Add(node, chunk);
+  }
+}
+
+}  // namespace
+
 void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, PartitionPlan* plan,
                                                     PlannerScratch* s, ThreadPool* pool) const {
   const int num_nodes = cluster_.num_nodes;
   const int p = cluster_.gpus_per_node;
-  const int64_t node_capacity = static_cast<int64_t>(p) * options_.token_capacity;
+  const int64_t capacity = options_.token_capacity;
+  const int64_t node_capacity = static_cast<int64_t>(p) * capacity;
+  const FabricView& fabric = s->fabric;
   const int n = batch.size();
 
   const int64_t total = BuildSortedKeys(batch, s);
   s->batch_total = total;
-  ZCHECK_LE(total, static_cast<int64_t>(num_nodes) * node_capacity)
-      << "batch does not fit the cluster at capacity L=" << options_.token_capacity;
-
-  // Rank-list template per node (single-node rings memcpy it).
-  s->node_ranks.resize(num_nodes);
+  ZCHECK_GT(fabric.alive_nodes, 0) << "no alive nodes";
+  int64_t max_alive = 0;
   for (int node = 0; node < num_nodes; ++node) {
-    s->node_ranks[node].resize(p);
-    std::iota(s->node_ranks[node].begin(), s->node_ranks[node].end(), node * p);
+    max_alive = std::max<int64_t>(max_alive, fabric.alive(node));
   }
+  ZCHECK_LE(total, static_cast<int64_t>(fabric.ranks.size()) * capacity)
+      << "batch does not fit the cluster at capacity L=" << capacity;
 
-  int64_t s1 = node_capacity;  // Alg. 1 line 2.
+  // Alg. 1 line 2: the largest alive-node capacity m*L (P*L when clean).
+  int64_t s1 = max_alive * capacity;
   if (options_.max_inter_threshold > 0) {
     s1 = std::min(s1, options_.max_inter_threshold);
   }
+  s->threshold_s1_initial = s1;
   int boundary = KeyBoundary(s->keys, s1);
   // Running sum of the first `boundary` lengths; a restart only advances the
   // boundary, so the total decode work stays O(n) across all restarts.
@@ -176,24 +243,35 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
   }
   s->placed_node.resize(n);
 
-  auto record_chunk = [&](int node, int64_t chunk) {
-    planner_internal::RecordChunkAggregate(node, chunk, p, &s->node_chunk_whole,
-                                           &s->node_chunk_rem);
-  };
-  auto emit_single_node = [&](int id, int64_t len, int node) {
-    int* out = EmitRing(&plan->intra_node, &s->intra_ring_count, &plan->rank_arena,
-                        &s->arena_count, id, len, Zone::kIntraNode, p);
-    std::memcpy(out, s->node_ranks[node].data(), sizeof(int) * p);
-    record_chunk(node, len);
+  // Emits z2 sequence `id` over the (node, chunk) pairs of s->z2_split: one
+  // ring over the nodes' alive ranks (a single node makes it a single-node
+  // ring in the intra queue), plus each node's chunk aggregate.
+  auto emit_z2 = [&](int id, int64_t len) {
+    int span = 0;
+    for (const auto& [node, chunk] : s->z2_split) {
+      span += fabric.alive(node);
+    }
+    const bool inter = s->z2_split.size() > 1;
+    int* out = inter ? EmitRing(&plan->inter_node, &s->inter_ring_count, &plan->rank_arena,
+                                &s->arena_count, id, len, Zone::kInterNode, span)
+                     : EmitRing(&plan->intra_node, &s->intra_ring_count, &plan->rank_arena,
+                                &s->arena_count, id, len, Zone::kIntraNode, span);
+    for (const auto& [node, chunk] : s->z2_split) {
+      const std::span<const int> ranks = fabric.node_ranks(node);
+      std::memcpy(out, ranks.data(), sizeof(int) * ranks.size());
+      out += ranks.size();
+      planner_internal::RecordChunkAggregate(node, chunk, fabric.alive(node), p,
+                                             &s->node_chunk_whole, &s->node_chunk_rem);
+    }
   };
 
   int restarts = 0;
-  // Incremental-restart shortcut: when the aborted pass was pure z01 packing
-  // (empty z2) and every promoted sequence still chunks to k == 1 under the
-  // new s_avg, a full replay would place those very sequences on the very
-  // same nodes — so the restart only re-labels them (shard lists ->
-  // single-node z2 rings, read back from placed_node) and resumes where the
-  // aborted pass stopped.
+  // Incremental-restart shortcut (clean fabrics: it assumes rings of P
+  // ranks): when the aborted pass was pure z01 packing (empty z2) and every
+  // promoted sequence still chunks to k == 1 under the new s_avg, a full
+  // replay would place those very sequences on the very same nodes — so the
+  // restart only re-labels them (shard lists -> single-node z2 rings, read
+  // back from placed_node) and resumes where the aborted pass stopped.
   int continue_from = -1;
   for (;;) {
     int z2_start = 0;
@@ -231,9 +309,9 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
           ring.zone = Zone::kIntraNode;
           ring.rank_offset = static_cast<uint32_t>(i) * static_cast<uint32_t>(p);
           ring.rank_count = static_cast<uint32_t>(p);
-          std::memcpy(plan->rank_arena.data() + i * p, s->node_ranks[node].data(),
+          std::memcpy(plan->rank_arena.data() + i * p, fabric.node_ranks(node).data(),
                       sizeof(int) * p);
-          planner_internal::RecordChunkAggregate(node, len, p, &slab.relabel_whole,
+          planner_internal::RecordChunkAggregate(node, len, p, p, &slab.relabel_whole,
                                                  &slab.relabel_rem);
         }
       });
@@ -259,59 +337,71 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
       s->inter_ring_count = 0;
       s->intra_ring_count = 0;
       s->arena_count = 0;
-      s->node_loads.Reset(num_nodes);
+      if (fabric.degraded) {
+        s->node_loads_tmp.assign(num_nodes, 0);
+        s->node_picks.Assign(fabric.rates, static_cast<int64_t>(p) * kSpeedScale,
+                             s->node_loads_tmp, [&](int node) {
+                               return static_cast<int64_t>(fabric.alive(node)) * capacity;
+                             });
+      } else {
+        s->node_loads.Reset(num_nodes);
+      }
     }
 
-    // Chunk placement for z2 (lines 7-10), heap-based: z2 holds few, long
-    // sequences.
-    const double s_avg = static_cast<double>(z2_total) / num_nodes;
+    // Chunk placement for z2 (lines 7-10): z2 holds few, long sequences.
+    // Clean: heap-based k least. Degraded: over the alive nodes by
+    // speed-normalized load.
+    const double s_avg = static_cast<double>(z2_total) / fabric.alive_nodes;
     for (int i = z2_start; i < boundary; ++i) {
       const uint64_t key = s->keys[i];
       const int id = KeyId(key);
       const int64_t len = KeyLen(key);
-      const int k = InterNodeChunkCount(len, s_avg, num_nodes);
-
-      if (k == 1) {
-        emit_single_node(id, len, s->node_loads.add_min(len));
-        continue;
-      }
-
-      s->node_loads.k_least(k, &s->least);
-      std::sort(s->least.begin(), s->least.end());  // Keep ring order node-ascending.
-      int* out = EmitRing(&plan->inter_node, &s->inter_ring_count, &plan->rank_arena,
-                          &s->arena_count, id, len, Zone::kInterNode, k * p);
-      for (int node : s->least) {
-        const int rank_base = node * p;
-        for (int local = 0; local < p; ++local) {
-          *out++ = rank_base + local;
+      const int k = InterNodeChunkCount(len, s_avg, fabric.alive_nodes);
+      s->z2_split.clear();
+      if (fabric.degraded) {
+        PlaceZ2Degraded(len, k, s);
+      } else if (k == 1) {
+        s->z2_split.emplace_back(s->node_loads.add_min(len), len);
+      } else {
+        s->node_loads.k_least(k, &s->least);
+        std::sort(s->least.begin(), s->least.end());  // Keep ring order node-ascending.
+        for (int c = 0; c < k; ++c) {
+          s->z2_split.emplace_back(s->least[c], EvenChunk(len, c, k));
+          s->node_loads.add(s->least[c], s->z2_split.back().second);
         }
       }
-      int64_t prev_edge = 0;
-      for (int c = 0; c < k; ++c) {
-        const int64_t edge = len * (c + 1) / k;
-        const int64_t chunk = edge - prev_edge;
-        prev_edge = edge;
-        record_chunk(s->least[c], chunk);
-        s->node_loads.add(s->least[c], chunk);
-      }
+      emit_z2(id, len);
     }
 
-    // Round-batched z01 packing (lines 11-19): bulk-committed placements,
-    // sharded straight into per-node key lists.
-    s->node_loads_tmp.resize(num_nodes);
-    for (int node = 0; node < num_nodes; ++node) {
-      s->node_loads_tmp[node] = s->node_loads.load(node);
-    }
-    s->node_packer.Assign(s->node_loads_tmp);
     const uint64_t* z01 = s->keys.data() + boundary;
     const int count = n - boundary;
     // Packing writes only the placement stream (4 bytes per sequence); the
     // per-node shard lists are built by one scatter pass after the pass
     // succeeds, so an overflow-doomed pass never pays for them.
     int* placed = s->placed_node.data() + boundary;
-    const int packed = s->node_packer.Pack(
-        count, node_capacity, [z01](int i) { return KeyLen(z01[i]); },
-        [&](int i, int node, int64_t /*len*/) { placed[i] = node; });
+    int packed = 0;
+    if (!fabric.degraded) {
+      // Round-batched z01 packing (lines 11-19): bulk-committed placements.
+      s->node_loads_tmp.resize(num_nodes);
+      for (int node = 0; node < num_nodes; ++node) {
+        s->node_loads_tmp[node] = s->node_loads.load(node);
+      }
+      s->node_packer.Assign(s->node_loads_tmp);
+      packed = s->node_packer.Pack(
+          count, node_capacity, [z01](int i) { return KeyLen(z01[i]); },
+          [&](int i, int node, int64_t /*len*/) { placed[i] = node; });
+    } else {
+      // Degraded z01 packing: least speed-normalized load with raw room.
+      for (; packed < count; ++packed) {
+        const int64_t len = KeyLen(z01[packed]);
+        const int node = s->node_picks.Pick(len);
+        if (node < 0) {
+          break;
+        }
+        s->node_picks.Add(node, len);
+        placed[packed] = node;
+      }
+    }
     if (packed == count) {
       for (int node = 0; node < num_nodes; ++node) {
         s->node_items[node].clear();
@@ -333,32 +423,14 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
     // packing, and under the new s_avg even the longest promoted sequence
     // must chunk to a single node. Then the replay is a no-op re-labelling.
     const double next_avg = static_cast<double>(z2_total) / num_nodes;
-    if (boundary == 0 &&
+    if (!fabric.degraded && boundary == 0 &&
         static_cast<double>(KeyLen(s->keys[0])) <= std::max(next_avg, 1.0)) {
       continue_from = packed;
     }
     boundary = nb;
-    // The boundary strictly advances on every restart, so more than n
-    // restarts means a broken invariant; fall back to the naive oracle's
-    // inter-node stage once rather than looping.
-    if (++restarts > n) {
-      // The naive path rewinds the emission cursors itself and re-emits
-      // every ring into the recycled plan storage.
-      PartitionInterNodeNaive(batch, plan, s);
-      // Rebuild the shard lists and chunk aggregates the intra stage reads.
-      s->node_chunk_whole.assign(num_nodes, 0);
-      s->node_chunk_rem.assign(static_cast<size_t>(num_nodes) * p, 0);
-      for (int node = 0; node < num_nodes; ++node) {
-        s->node_items[node].clear();
-        for (const auto& [seq_id, chunk] : s->assignments[node].inter_chunks) {
-          record_chunk(node, chunk);
-        }
-        for (int id : s->assignments[node].sequences) {
-          s->node_items[node].push_back(PackKey(batch.seq_lens[id], id));
-        }
-      }
-      return;
-    }
+    // The boundary strictly advances on every restart, so the chain is
+    // bounded by the sequence count.
+    ZCHECK_LE(++restarts, n) << "inter-node restart chain exceeded its bound";
   }
   plan->threshold_s1 = s1;
 }
@@ -366,11 +438,15 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
 // --- Intra-node stage (Alg. 2), sharded engine --------------------------------
 
 void planner_internal::PackIntraNode(std::span<const uint64_t> keys,
-                                     std::span<const int64_t> chunk_base, int rank_base,
-                                     int64_t capacity, int64_t max_local_threshold,
-                                     IntraWorkerSlab* slab, NodeIntraResult* out) {
-  const int p = static_cast<int>(chunk_base.size());
+                                     std::span<const int64_t> chunk_base,
+                                     const FabricView& fabric, int node, int64_t capacity,
+                                     int64_t max_local_threshold, IntraWorkerSlab* slab,
+                                     NodeIntraResult* out) {
+  const std::span<const int> ranks = fabric.node_ranks(node);
+  const int m = static_cast<int>(ranks.size());
   const int n = static_cast<int>(keys.size());
+  ZCHECK_EQ(chunk_base.size(), ranks.size()) << "chunk base must cover the alive devices";
+  ZCHECK(m > 0 || n == 0) << "sequences packed onto dead node " << node;
 
   int64_t s0 = capacity;  // Alg. 2 line 1.
   if (max_local_threshold > 0) {
@@ -391,30 +467,48 @@ void planner_internal::PackIntraNode(std::span<const uint64_t> keys,
     // via the shared pass (cursor progression and fragment counts are
     // equivalence-critical across paths).
     FragmentZone1(
-        boundary, p, [&](int i) { return KeyLen(keys[i]); },
+        boundary, m, [&](int i) { return KeyLen(keys[i]); },
         [&](int i, int64_t len, int fragments, int cursor) {
-          int* ranks = out->rings.Append(KeyId(keys[i]), len, Zone::kIntraNode, fragments);
-          ForEachFragment(len, fragments, cursor, p, [&](int f, int device, int64_t share) {
-            ranks[f] = rank_base + device;
+          int* ring = out->rings.Append(KeyId(keys[i]), len, Zone::kIntraNode, fragments);
+          ForEachFragment(len, fragments, cursor, m, [&](int f, int device, int64_t share) {
+            ring[f] = ranks[device];
             slab->loads[device] += share;
           });
         },
         [&](int i, int64_t len, int device) {
           // A single-fragment "ring" is a local kernel (lands after this
           // node's z0 locals, like the oracle's ring conversion).
-          out->locals_z1.push_back({KeyId(keys[i]), len, rank_base + device});
+          out->locals_z1.push_back({KeyId(keys[i]), len, ranks[device]});
           slab->loads[device] += len;
         });
 
-    // Round-batched z0 packing onto least-loaded devices (lines 13-21).
-    slab->packer.Assign(slab->loads);
+    // z0 packing onto the least-loaded devices (lines 13-21): round-batched
+    // on a clean node, by speed-normalized load with room on a degraded one.
+    // On equal speeds the two agree: if the least-loaded device has no room,
+    // no device has.
     const uint64_t* z0 = keys.data() + boundary;
     const int count = n - boundary;
-    const int packed = slab->packer.Pack(
-        count, capacity, [z0](int i) { return KeyLen(z0[i]); },
-        [&](int i, int device, int64_t len) {
-          out->locals.push_back({KeyId(z0[i]), len, rank_base + device});
-        });
+    int packed = 0;
+    if (fabric.clean[node]) {
+      slab->packer.Assign(slab->loads);
+      packed = slab->packer.Pack(
+          count, capacity, [z0](int i) { return KeyLen(z0[i]); },
+          [&](int i, int device, int64_t len) {
+            out->locals.push_back({KeyId(z0[i]), len, ranks[device]});
+          });
+    } else {
+      slab->picks.Assign(fabric.node_speeds(node), kSpeedScale, slab->loads,
+                         [capacity](int) { return capacity; });
+      for (; packed < count; ++packed) {
+        const int64_t len = KeyLen(z0[packed]);
+        const int device = slab->picks.Pick(len);
+        if (device < 0) {
+          break;
+        }
+        slab->picks.Add(device, len);
+        out->locals.push_back({KeyId(z0[packed]), len, ranks[device]});
+      }
+    }
     if (packed == count) {
       break;
     }
@@ -427,16 +521,20 @@ void planner_internal::PackIntraNode(std::span<const uint64_t> keys,
     ZCHECK_LE(++restarts, n) << "intra-node restart chain exceeded its bound";
   }
 
-  slab->packer.Loads(&out->device_loads);
+  if (fabric.clean[node]) {
+    slab->packer.Loads(&out->device_loads);
+  } else {
+    out->device_loads = slab->picks.loads();
+  }
   out->threshold_s0 = s0;
 }
 
 void SequencePartitioner::PartitionIntraNodeSharded(int node, int context,
                                                     PlannerScratch* s) const {
-  const int p = cluster_.gpus_per_node;
   IntraWorkerSlab& slab = s->intra_slabs[context];
-  ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, p, &slab.chunk_base);
-  planner_internal::PackIntraNode(s->node_items[node], slab.chunk_base, node * p,
+  ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, cluster_.gpus_per_node,
+                  s->fabric.alive(node), &slab.chunk_base);
+  planner_internal::PackIntraNode(s->node_items[node], slab.chunk_base, s->fabric, node,
                                   options_.token_capacity, options_.max_local_threshold, &slab,
                                   &s->intra_results[node]);
 }
@@ -446,7 +544,6 @@ void SequencePartitioner::PartitionIntraNodeSharded(int node, int context,
 void SequencePartitioner::PartitionParallel(const Batch& batch, PlannerScratch* scratch,
                                             PartitionPlan* plan, ThreadPool* pool) const {
   const int num_nodes = cluster_.num_nodes;
-  const int p = cluster_.gpus_per_node;
   const int contexts = NumContexts(pool);
 
   if (static_cast<int>(scratch->intra_slabs.size()) < contexts) {
@@ -520,8 +617,9 @@ void SequencePartitioner::PartitionParallel(const Batch& batch, PlannerScratch* 
 
   for (int node = 0; node < num_nodes; ++node) {
     const NodeIntraResult& res = scratch->intra_results[node];
-    for (int d = 0; d < p; ++d) {
-      plan->tokens_per_rank[node * p + d] += res.device_loads[d];
+    const std::span<const int> ranks = scratch->fabric.node_ranks(node);
+    for (size_t d = 0; d < ranks.size(); ++d) {
+      plan->tokens_per_rank[ranks[d]] += res.device_loads[d];
     }
     plan->threshold_s0[node] = res.threshold_s0;
   }

@@ -75,8 +75,8 @@ TopologyDelta KillNode(const ClusterSpec& cluster, int node) {
 }
 
 // From-scratch reference on the surviving fabric: advance the twin's
-// topology without patching (no base), then re-plan the current batch. On a
-// degraded fabric Rebase runs the elastic engine; clean, the partitioner.
+// topology without patching (no base), then re-plan the current batch
+// (the partitioner, given the planner's topology).
 void FullElasticReplan(DeltaPlanner* twin, const TopologyDelta& topo, const Batch& batch) {
   twin->Invalidate();
   twin->ApplyTopology(topo);
@@ -296,6 +296,43 @@ TEST(ElasticMigrationTest, WithinBudgetMigratesInPlace) {
   EXPECT_GT(dp.stats().migrated_sequences, 0);
 
   // Dead ranks carry nothing.
+  for (int rank : kill.removed_ranks) {
+    EXPECT_EQ(dp.plan().tokens_per_rank[rank], 0) << "rank " << rank;
+  }
+
+  DeltaPlanner full(cluster, options);
+  FullElasticReplan(&full, kill, batch);
+  const DeltaEquivalenceResult result =
+      CheckDeltaEquivalence(dp.plan(), full.plan(), dp.batch(), dp.topology(), kEps);
+  EXPECT_TRUE(result.ok) << result.failure;
+}
+
+// The killed node owns an intra-node ring (z1) but no chunks: evicting the
+// ring marks the dead node dirty, and the dirty-node re-run must skip it.
+TEST(ElasticMigrationTest, WithinBudgetMigratesIntraRingOffDeadNode) {
+  const ClusterSpec cluster = MakeClusterA(4);
+  Batch batch = ShortBatch(512, 0x5eed);
+  for (int i = 0; i < 4; ++i) {
+    batch.seq_lens.push_back(150000);
+  }
+  DeltaPlannerOptions options = MakeOptions(batch, cluster);
+  options.token_capacity = 2 * options.token_capacity;
+  options.migration_budget = 100000;
+
+  DeltaPlanner dp(cluster, options);
+  dp.Rebase(batch);
+  const int p = cluster.gpus_per_node;
+  const int dead_node = 3;
+  ASSERT_TRUE(dp.plan().inter_node.empty()) << "precondition: no chunk rings";
+  ASSERT_TRUE(std::any_of(dp.plan().intra_node.begin(), dp.plan().intra_node.end(),
+                          [&](const RingRef& ring) {
+                            return dp.plan().rank_arena[ring.rank_offset] / p == dead_node;
+                          }))
+      << "precondition: the killed node owns an intra-node ring";
+
+  const TopologyDelta kill = KillNode(cluster, dead_node);
+  EXPECT_EQ(dp.ApplyTopology(kill), DeltaOutcome::kAppliedTopology);
+  EXPECT_GT(dp.stats().migrated_sequences, 0);
   for (int rank : kill.removed_ranks) {
     EXPECT_EQ(dp.plan().tokens_per_rank[rank], 0) << "rank " << rank;
   }

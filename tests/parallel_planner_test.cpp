@@ -4,8 +4,10 @@
 // The contract (partitioner.h): plans are byte-identical between the naive
 // oracle and the sharded engine, inline or on a pool of ANY thread count —
 // including batches that force overflow restarts and degenerate clusters.
-// These tests pin the contract and the GreedyPacker's placement-for-placement
-// equivalence with LoadTracker::pack_min.
+// These tests pin the contract (on clean fabrics, with or without a clean
+// topology; on degraded ones, across thread counts) and the GreedyPacker's
+// placement-for-placement equivalence with LoadTracker::pack_min, and
+// NormalizedLoads' pick-for-pick equivalence with the degraded packing rule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,11 +17,14 @@
 
 #include "src/common/greedy_packer.h"
 #include "src/common/load_tracker.h"
+#include "src/common/normalized_loads.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/partitioner.h"
+#include "src/core/plan_verify.h"
 #include "src/data/datasets.h"
 #include "src/data/sampler.h"
+#include "src/data/stream.h"
 #include "src/topology/cluster.h"
 
 namespace zeppelin {
@@ -160,6 +165,64 @@ TEST(GreedyPackerTest, BulkCommitsKeepOpsNearItemCount) {
       << "round batching degraded to per-item work";
 }
 
+// --- NormalizedLoads vs the rule it caches --------------------------------------
+
+// The degraded packing rule computed from its definition on every pick:
+// least raw * nominal / rate among live buckets with raw room, lowest index
+// on ties.
+int ReferenceNormalizedPick(const std::vector<int64_t>& rates, int64_t nominal,
+                            const std::vector<int64_t>& loads, const std::vector<int64_t>& caps,
+                            int64_t len) {
+  int best = -1;
+  int64_t best_key = 0;
+  for (size_t b = 0; b < rates.size(); ++b) {
+    if (rates[b] == 0 || loads[b] + len > caps[b]) {
+      continue;
+    }
+    const int64_t key = loads[b] * nominal / rates[b];
+    if (best < 0 || key < best_key) {
+      best = static_cast<int>(b);
+      best_key = key;
+    }
+  }
+  return best;
+}
+
+// Random rates (dead, the slowest quantized speed, nominal, fast), uneven
+// capacities and starting loads, and streams that run the buckets full: the
+// cached keys must reproduce the definition pick for pick.
+TEST(NormalizedLoadsTest, PicksMatchTheRuleOnRandomStreams) {
+  Rng rng(20261017);
+  for (int n : {1, 3, 8, 32}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      const int64_t nominal = kSpeedScale * (1 + static_cast<int64_t>(rng.NextBounded(8)));
+      std::vector<int64_t> rates(n);
+      std::vector<int64_t> caps(n);
+      std::vector<int64_t> loads(n);
+      for (int b = 0; b < n; ++b) {
+        const int64_t speeds[] = {0, 1, kSpeedScale / 2, kSpeedScale, 3 * kSpeedScale};
+        rates[b] = speeds[rng.NextBounded(5)] * (1 + static_cast<int64_t>(rng.NextBounded(4)));
+        caps[b] = 1000 * (1 + static_cast<int64_t>(rng.NextBounded(8)));
+        loads[b] = static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(caps[b])));
+      }
+      NormalizedLoads picks;
+      picks.Assign(rates, nominal, loads, [&](int b) { return caps[b]; });
+      for (int i = 0; i < 200; ++i) {
+        const int64_t len = static_cast<int64_t>(rng.NextBounded(600));
+        const int want = ReferenceNormalizedPick(rates, nominal, loads, caps, len);
+        ASSERT_EQ(picks.Pick(len), want) << "n=" << n << " trial=" << trial << " item " << i;
+        if (want < 0) {
+          break;
+        }
+        picks.Add(want, len);
+        loads[want] += len;
+        ASSERT_EQ(picks.room(want), caps[want] - loads[want]);
+      }
+      EXPECT_EQ(picks.loads(), loads);
+    }
+  }
+}
+
 // --- Plan equivalence across engines and thread counts -------------------------
 
 void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
@@ -176,15 +239,19 @@ void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
 }
 
 // Runs the naive oracle, then the sharded engine with no pool (inline, T=0)
-// and on pools of {1, 2, 3, 8} contexts; every plan must be byte-identical.
-// One scratch serves every run (twice each): steady-state reuse across
-// paths and context counts must not leak.
+// and on pools of {1, 2, 3, 8} contexts, each without a topology and with
+// an all-alive nominal-speed one; every plan must be byte-identical. One
+// scratch serves every run (twice each): steady-state reuse across paths,
+// context counts and fabric views must not leak.
 void CheckAllEngines(const ClusterSpec& cluster, const Batch& batch, int64_t capacity,
                      const std::string& context) {
   PlannerScratch scratch;
   SequencePartitioner naive(cluster,
                             {.token_capacity = capacity, .fast_path = false});
   const PartitionPlan naive_plan = naive.Partition(batch, &scratch);
+  RankTopology clean;
+  clean.Reset(cluster.world_size());
+  const RankTopology* const topologies[] = {nullptr, &clean};
 
   for (int threads : {0, 1, 2, 3, 8}) {
     std::optional<ThreadPool> pool;
@@ -193,11 +260,14 @@ void CheckAllEngines(const ClusterSpec& cluster, const Batch& batch, int64_t cap
     }
     SequencePartitioner parallel(
         cluster, {.token_capacity = capacity, .pool = pool ? &*pool : nullptr});
-    PartitionPlan parallel_plan;
-    parallel.Partition(batch, &scratch, &parallel_plan);
-    parallel.Partition(batch, &scratch, &parallel_plan);
-    ExpectPlansIdentical(parallel_plan, naive_plan,
-                         context + " [parallel T=" + std::to_string(threads) + "]");
+    for (const RankTopology* topology : topologies) {
+      PartitionPlan parallel_plan;
+      parallel.Partition(batch, &scratch, &parallel_plan, topology);
+      parallel.Partition(batch, &scratch, &parallel_plan, topology);
+      ExpectPlansIdentical(parallel_plan, naive_plan,
+                           context + " [parallel T=" + std::to_string(threads) +
+                               (topology != nullptr ? " clean topology]" : "]"));
+    }
   }
 }
 
@@ -294,6 +364,67 @@ TEST(ParallelPlannerTest, IdenticalOnEdgeBatches) {
   // Duplicates around the promotion boundary.
   CheckAllEngines(cluster, make({8192, 8192, 8192, 4096, 4096, 4096, 4096, 64, 64, 64}), 4096,
                   "duplicates");
+}
+
+// A degraded fabric plans through the same engine: the plan is byte-
+// identical with no pool and on pools of 1, 2 and 4, passes the certifier
+// with the topology, puts nothing on dead ranks, and keeps every alive
+// node's raw load within its alive capacity m*L.
+TEST(ParallelPlannerTest, DegradedPlansCertifiedAndThreadInvariant) {
+  const ClusterSpec cluster = MakeClusterA(4);  // 4 nodes x 8 GPUs.
+  const int p = cluster.gpus_per_node;
+  RankTopology topology;
+  topology.Reset(cluster.world_size());
+  TopologyDelta faults;
+  faults.removed_ranks = {p + 1, p + 4, p + 7};  // Node 1: 5 of 8 alive.
+  for (int d = 0; d < p; ++d) {
+    faults.removed_ranks.push_back(2 * p + d);  // Node 2: dead.
+  }
+  faults.speed_factors = {{2, 0.5}, {3 * p + 5, 0.5}};  // Nodes 0 and 3.
+  topology.Apply(faults);
+  const int64_t alive = topology.alive_count();
+
+  bool saw_inter = false;
+  for (const auto& dist : EvaluationDatasets()) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      BatchSampler sampler(dist, alive * 4096, seed);
+      const Batch batch = sampler.NextBatch();
+      const int64_t average = (batch.total_tokens() + alive - 1) / alive;
+      for (int64_t capacity : {average + average / 4, average + average / 32}) {
+        const std::string context = dist.name() + " seed " + std::to_string(seed) +
+                                    " L=" + std::to_string(capacity);
+        PlannerScratch scratch;
+        SequencePartitioner inline_engine(cluster, {.token_capacity = capacity});
+        const PartitionPlan plan = inline_engine.Partition(batch, &scratch, &topology);
+        for (int threads : {1, 2, 4}) {
+          ThreadPool pool(threads);
+          SequencePartitioner pooled(cluster, {.token_capacity = capacity, .pool = &pool});
+          PartitionPlan pooled_plan;
+          pooled.Partition(batch, &scratch, &pooled_plan, &topology);
+          pooled.Partition(batch, &scratch, &pooled_plan, &topology);
+          ExpectPlansIdentical(pooled_plan, plan, context + " T=" + std::to_string(threads));
+        }
+
+        const PlanVerifyResult verdict = VerifyPlan(plan, &batch, &topology, {.eps = -1});
+        EXPECT_TRUE(verdict.ok()) << context << ": " << verdict.message;
+        for (int node = 0; node < cluster.num_nodes; ++node) {
+          int64_t node_load = 0;
+          int m = 0;
+          for (int d = 0; d < p; ++d) {
+            const int rank = node * p + d;
+            if (!topology.alive[rank]) {
+              EXPECT_EQ(plan.tokens_per_rank[rank], 0) << context << " dead rank " << rank;
+            }
+            node_load += plan.tokens_per_rank[rank];
+            m += topology.alive[rank];
+          }
+          EXPECT_LE(node_load, m * capacity) << context << " node " << node;
+        }
+        saw_inter = saw_inter || !plan.inter_node.empty();
+      }
+    }
+  }
+  EXPECT_TRUE(saw_inter) << "no case exercised a multi-node ring on the degraded fabric";
 }
 
 // The engine must route its packing through GreedyPacker in bulk — inline
