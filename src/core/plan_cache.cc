@@ -50,8 +50,6 @@ inline uint64_t AvalancheMix(uint64_t z) {
   return z ^ (z >> 31);
 }
 
-}  // namespace
-
 uint64_t DigestCostModel(const CostModel& cost_model) {
   const TransformerConfig& m = cost_model.model();
   uint64_t h = kFnvOffset;
@@ -96,6 +94,8 @@ uint64_t DigestFabric(const FabricResources& fabric) {
   return h;
 }
 
+}  // namespace
+
 uint64_t CanonicalBatchSignature(const Batch& batch) {
   // A commutative digest of the length multiset: each length is avalanched
   // independently and the hashes are summed, so permuting sequence order or
@@ -117,6 +117,18 @@ uint64_t CanonicalBatchSignature(const Batch& batch) {
 }
 
 namespace {
+
+// The cache's certificate for a plan served against `request`. The derived
+// capacity is planner guidance, not a per-rank guarantee (engines promise the
+// eps certificate; a long local may sit above the memory-capped derivation),
+// so clause 6 stays off and clause 7 judges.
+bool Certified(const PartitionPlan& plan, const PlanRequest& request) {
+  PlanVerifyOptions vopts;
+  vopts.token_capacity = 0;
+  vopts.eps = kPlanCacheVerifyEps;
+  vopts.world = request.fabric->cluster().world_size();
+  return VerifyPlan(plan, request.batch, nullptr, vopts).ok();
+}
 
 uint64_t OptionsSignature(const PlanningOptions& options) {
   // Only the options that change the *plan bytes* participate in the key:
@@ -169,10 +181,7 @@ PlanResponse PlanCache::Plan(const PlanRequest& request) {
       std::lock_guard<std::mutex> lock(mu_);
       ++counters_.bypasses;
     }
-    PlanResponse response = service_->Plan(request);
-    response.stats.cache_outcome = CacheOutcome::kBypass;
-    FillCounters(&response.stats);
-    return response;
+    return service_->Plan(request);  // cache_outcome stays kBypass.
   }
   if (std::optional<PlanResponse> served = TryServe(request)) {
     return *std::move(served);
@@ -230,7 +239,6 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
   std::shared_ptr<const PartitionPlan> stored;
   PlanStats stored_stats;
   uint64_t stored_digest = 0;
-  bool stored_verified = false;
   bool exact = false;
   std::vector<int64_t> cached_lens;  // Filled only for the remap tier.
   {
@@ -244,7 +252,6 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
     stored = entry.plan;
     stored_stats = entry.stats;
     stored_digest = entry.digest;
-    stored_verified = entry.verified;
     // The exact-order compare happens under the lock so the hot path never
     // copies the cached length vector; the remap tier (rare) copies it.
     exact = entry.seq_lens == request.batch->seq_lens;
@@ -256,7 +263,6 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
   }
   std::shared_ptr<const PartitionPlan> plan;
   uint64_t served_digest = 0;
-  bool verified = false;
   if (exact) {
     // Exact-tier serve of the same immutable handle that was certified at
     // insert: re-running the full certifier would re-prove a theorem already
@@ -268,7 +274,6 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
     if (stored->StateDigest() == stored_digest) {
       plan = stored;
       served_digest = stored_digest;
-      verified = stored_verified;
     }
   } else {
     plan = RemapPlan(cached_lens, *stored, *request.batch);
@@ -279,43 +284,27 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
       // verify_failures for genuine certification faults.
       return std::nullopt;
     }
-    if (options_.verify) {
-      // A remapped twin is a freshly built object — certify it in full.
-      PlanVerifyOptions vopts;
-      // The derived capacity is planner guidance, not a per-rank guarantee
-      // (engines promise the eps certificate; a long local may sit above the
-      // memory-capped derivation) — so clause 6 stays off and clause 7 judges.
-      vopts.token_capacity = 0;
-      vopts.eps = options_.verify_eps;
-      vopts.world = request.fabric->cluster().world_size();
-      const PlanVerifyResult verdict = VerifyPlan(*plan, request.batch, nullptr, vopts);
-      if (!verdict.ok()) {
-        plan = nullptr;  // Poisoned entry: never serve, drop and replan.
-      } else {
-        verified = true;
-      }
-    }
-    if (plan != nullptr) {
+    // A remapped twin is a freshly built object — certify it in full.
+    if (!Certified(*plan, request)) {
+      plan = nullptr;  // Poisoned entry: never serve, drop and replan.
+    } else {
       served_digest = plan->StateDigest();
-      if (verified || !options_.verify) {
-        // A shape first planted by a permuted request would otherwise pay the
-        // remap on every subsequent serve — but re-anchoring eagerly thrashes
-        // when two orders alternate. Re-anchor to the order just served only
-        // after two consecutive remap serves (an exact serve resets the
-        // streak), so the entry converges to the dominant request order. The
-        // remapped plan was certified above, keeping the entry's
-        // digest/verified markers truthful.
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = index_.find(key);
-        if (it != index_.end() && it->second->plan == stored) {
-          Entry& entry = *it->second;
-          if (++entry.remap_streak >= 2) {
-            entry.seq_lens = request.batch->seq_lens;
-            entry.plan = plan;
-            entry.digest = served_digest;
-            entry.verified = verified;
-            entry.remap_streak = 0;
-          }
+      // A shape first planted by a permuted request would otherwise pay the
+      // remap on every subsequent serve — but re-anchoring eagerly thrashes
+      // when two orders alternate. Re-anchor to the order just served only
+      // after two consecutive remap serves (an exact serve resets the
+      // streak), so the entry converges to the dominant request order. The
+      // remapped plan was certified above, keeping the entry's digest
+      // truthful.
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = index_.find(key);
+      if (it != index_.end() && it->second->plan == stored) {
+        Entry& entry = *it->second;
+        if (++entry.remap_streak >= 2) {
+          entry.seq_lens = request.batch->seq_lens;
+          entry.plan = plan;
+          entry.digest = served_digest;
+          entry.remap_streak = 0;
         }
       }
     }
@@ -346,14 +335,11 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
   // paths, and the daemon test only compares hit responses field-wise.
   response.stats.session_count = service_->session_count();
   response.stats.cache_outcome = CacheOutcome::kHit;
-  response.stats.verified = verified;
+  response.stats.verified = true;
   response.digest = served_digest;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.hits;
-    response.stats.cache_hits = counters_.hits;
-    response.stats.cache_misses = counters_.misses;
-    response.stats.cache_evictions = counters_.evictions;
   }
   return response;
 }
@@ -362,37 +348,27 @@ PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request) {
   if (!Cacheable(request)) {
     return Plan(request);
   }
-  const PlanCacheKey key = ComputePlanCacheKey(request);
   PlanResponse response = service_->Plan(request);
+  if (response.status != PlanStatus::kOk) {
+    return response;
+  }
+  const PlanCacheKey key = ComputePlanCacheKey(request);
   response.stats.cache_outcome = CacheOutcome::kMiss;
-  response.stats.verified = false;
-  if (options_.verify) {
-    PlanVerifyOptions vopts;
-    vopts.token_capacity = 0;  // Same reasoning as the hit path: clause 7 judges.
-    vopts.eps = options_.verify_eps;
-    vopts.world = request.fabric->cluster().world_size();
-    const PlanVerifyResult verdict =
-        VerifyPlan(*response.plan, request.batch, nullptr, vopts);
-    response.stats.verified = verdict.ok();
-  }
+  response.stats.verified = Certified(*response.plan, request);
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.misses;
-    if (!options_.verify || response.stats.verified) {
-      Entry entry;
-      entry.key = key;
-      entry.seq_lens = request.batch->seq_lens;
-      entry.plan = response.plan;
-      entry.stats = response.stats;
-      entry.digest = response.digest;
-      entry.verified = response.stats.verified;
-      InsertLocked(std::move(entry));
-    } else {
-      ++counters_.verify_failures;
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counters_.misses;
+  if (response.stats.verified) {
+    Entry entry;
+    entry.key = key;
+    entry.seq_lens = request.batch->seq_lens;
+    entry.plan = response.plan;
+    entry.stats = response.stats;
+    entry.digest = response.digest;
+    InsertLocked(std::move(entry));
+  } else {
+    ++counters_.verify_failures;
   }
-  FillCounters(&response.stats);
   return response;
 }
 
@@ -420,13 +396,6 @@ PlanCacheCounters PlanCache::counters() const {
 size_t PlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
-}
-
-void PlanCache::FillCounters(PlanStats* stats) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  stats->cache_hits = counters_.hits;
-  stats->cache_misses = counters_.misses;
-  stats->cache_evictions = counters_.evictions;
 }
 
 bool PlanCache::PoisonEntryForTest(const PlanRequest& request) {

@@ -16,12 +16,13 @@
 // plain PlannerService::Plan call, so the plan a request gets never depends
 // on earlier traffic.
 //
-// Certification: when `verify` is on (the default), every plan the cache
-// serves — hit or miss — passes VerifyPlan (plan_verify.h) before it is
-// returned. A cached entry that fails (e.g. poisoned storage) is dropped and
-// replanned, never served; a freshly planned failure is served with
-// stats.verified == false so the caller can apply policy (the daemon's
-// verify-before-serve turns it into a typed kInternal).
+// Certification: every plan the cache serves — hit or miss — passes
+// VerifyPlan (plan_verify.h) before it is returned. A cached entry that
+// fails (e.g. poisoned storage) is dropped and replanned, never served; a
+// freshly planned failure is served with stats.verified == false so the
+// caller can apply policy (the daemon turns it into a typed kInternal). A
+// request the service rejects (PlanResponse::status) passes through
+// unverified and uncached.
 //
 // Thread safety: all public methods are safe to call concurrently. The LRU
 // index is guarded by one mutex held only for O(1)/O(size) bookkeeping;
@@ -42,13 +43,12 @@
 
 namespace zeppelin {
 
+// Balance slack the cache certifies every plan at (PlanVerifyOptions::eps).
+inline constexpr double kPlanCacheVerifyEps = 0.25;
+
 struct PlanCacheOptions {
   // Entries resident at once (LRU beyond it).
   size_t capacity = 128;
-  // Run VerifyPlan on every served plan (hit and miss).
-  bool verify = true;
-  // Balance slack handed to the certifier (PlanVerifyOptions::eps).
-  double verify_eps = 0.25;
 };
 
 // Monotonic counters over the cache's lifetime.
@@ -73,8 +73,6 @@ struct PlanCacheKey {
 
 // --- Key derivation (exposed for the canonicalization property tests) -------
 
-uint64_t DigestCostModel(const CostModel& cost_model);
-uint64_t DigestFabric(const FabricResources& fabric);
 // Invariant to sequence order and slot renaming; sensitive to any length
 // change (the multiset of lengths, not their arrangement).
 uint64_t CanonicalBatchSignature(const Batch& batch);
@@ -104,7 +102,6 @@ class PlanCache {
 
   PlanCacheCounters counters() const;
   size_t size() const;
-  const PlanCacheOptions& options() const { return options_; }
 
   // Test hook: corrupts the cached plan stored under `request`'s key (drops
   // one ring header), so verify-before-serve paths can be exercised. Returns
@@ -127,7 +124,6 @@ class PlanCache {
     std::shared_ptr<const PartitionPlan> plan;
     PlanStats stats;    // Engine/capacity of the producing plan call.
     uint64_t digest = 0;    // StateDigest recorded when the plan was certified.
-    bool verified = false;  // The stored handle passed VerifyPlan at insert.
     uint8_t remap_streak = 0;  // Consecutive serves that needed the remap tier.
   };
 
@@ -139,7 +135,6 @@ class PlanCache {
                                                  const PartitionPlan& plan,
                                                  const Batch& batch) const;
   void InsertLocked(Entry entry);
-  void FillCounters(PlanStats* stats) const;
 
   PlannerService* service_;
   PlanCacheOptions options_;

@@ -64,7 +64,7 @@ constexpr size_t kCountsBytes = 6 * 8;                  // Six section counts.
 constexpr size_t kTrailerBytes = 8;                     // StateDigest.
 
 PlanIoResult Fail(PlanIoStatus status, std::string message) {
-  return PlanIoResult{status, std::move(message)};
+  return PlanIoResult{.status = status, .message = std::move(message)};
 }
 
 }  // namespace
@@ -278,7 +278,9 @@ PlanIoResult ParsePlan(std::string_view bytes, PartitionPlan* plan, int max_worl
     return Fail(PlanIoStatus::kDigestMismatch, "decoded plan digests to a different value than "
                                                "the trailer — the payload was altered");
   }
-  return PlanIoResult{};
+  PlanIoResult authenticated;
+  authenticated.digest = actual_digest;
+  return authenticated;
 }
 
 PlanIoResult SavePlanFile(const std::string& path, const PartitionPlan& plan) {

@@ -64,6 +64,8 @@ const char* PlanIoStatusName(PlanIoStatus status);
 struct PlanIoResult {
   PlanIoStatus status = PlanIoStatus::kOk;
   std::string message;  // Human-readable detail; empty on success.
+  // ParsePlan success only: the StateDigest trailer it authenticated.
+  uint64_t digest = 0;
 
   bool ok() const { return status == PlanIoStatus::kOk; }
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <utility>
 
@@ -34,16 +35,47 @@ const char* PlanEngineName(PlanEngine engine) {
   return "unknown";
 }
 
-const char* CacheOutcomeName(CacheOutcome outcome) {
-  switch (outcome) {
-    case CacheOutcome::kBypass:
-      return "bypass";
-    case CacheOutcome::kMiss:
-      return "miss";
-    case CacheOutcome::kHit:
-      return "hit";
+PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* why) {
+  const Batch& batch = *request.batch;
+  if (batch.size() == 0) {
+    *why = "empty batch";
+    return PlanStatus::kBadRequest;
   }
-  return "unknown";
+  int64_t total = 0;
+  bool negative = false;
+  for (int64_t len : batch.seq_lens) {  // Branch-free, so it vectorizes.
+    total += len;
+    negative |= len < 0;
+  }
+  if (negative) {
+    *why = "batch has a negative sequence length";
+    return PlanStatus::kBadRequest;
+  }
+  if (total == 0) {
+    *why = "batch has no tokens (all sequences empty)";
+    return PlanStatus::kBadRequest;
+  }
+  const double threshold = request.options.delta_replan_threshold;
+  if (!std::isfinite(threshold) || threshold < 0) {
+    *why = "delta_replan_threshold must be finite and non-negative";
+    return PlanStatus::kBadRequest;
+  }
+  // The partitioner requires total <= world * L.
+  if (request.options.token_capacity != 0 &&
+      request.options.token_capacity < (total + world - 1) / world) {
+    *why = "token_capacity below ceil(total_tokens / world)";
+    return PlanStatus::kBadRequest;
+  }
+  if (request.stream_id.empty()) {
+    if (request.delta != nullptr) {
+      *why = "batch deltas require a session (non-empty stream id)";
+      return PlanStatus::kBadRequest;
+    }
+  } else if (!request.options.hierarchical_partitioning) {
+    *why = "sessions require hierarchical planning";
+    return PlanStatus::kBadRequest;
+  }
+  return PlanStatus::kOk;
 }
 
 PlannerService::PlannerService(PlanServiceOptions options)
@@ -122,6 +154,12 @@ PlanResponse PlannerService::Plan(const PlanRequest& request) {
   ZCHECK(request.batch != nullptr) << "PlanRequest without a batch";
   ZCHECK(request.cost_model != nullptr) << "PlanRequest without a cost model";
   ZCHECK(request.fabric != nullptr) << "PlanRequest without fabric resources";
+  PlanResponse rejected;
+  rejected.status =
+      CheckPlanRequest(request, request.fabric->cluster().world_size(), &rejected.error);
+  if (rejected.status != PlanStatus::kOk) {
+    return rejected;
+  }
   if (request.stream_id.empty()) {
     return PlanStateless(request);
   }
@@ -242,22 +280,47 @@ std::shared_ptr<PlannerService::Session> PlannerService::FindSession(
 }
 
 PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
-  ZCHECK(request.options.hierarchical_partitioning)
-      << "delta sessions require hierarchical partitioning (stream " << request.stream_id << ")";
   const Batch& batch = *request.batch;
   const ClusterSpec& spec = request.fabric->cluster();
-  const std::shared_ptr<Session> session = FindOrCreateSession(request.stream_id);
-
   PlanResponse response;
+  RankTopology all_alive;
+  all_alive.Reset(spec.world_size());
+  std::shared_ptr<Session> session = FindSession(request.stream_id);
+  // A first request that fails its checks must not leave a session behind.
+  if (!session && request.topology != nullptr &&
+      !CheckTopologyDelta(*request.topology, all_alive, &response.error)) {
+    response.status = PlanStatus::kBadDelta;
+    return response;
+  }
+  if (!session) {
+    session = FindOrCreateSession(request.stream_id);
+  }
+
   // Requests on the same stream serialize here; distinct streams proceed
   // concurrently (their only shared state is the pool, locked per-rebase).
   std::lock_guard<std::mutex> session_lock(session->mu);
 
+  // Session preconditions, checked against the state this lock guards before
+  // anything mutates it. A batch delta is checked only when the session will
+  // consume it; without a base the session re-plans from scratch.
+  const bool fresh = !session->planner || !(session->planner->cluster() == spec);
+  const bool needs_base = fresh || !session->planner->has_base() || request.delta == nullptr;
+  {
+    obs::TraceScope validate_span(obs::Stage::kValidate);
+    if ((request.topology != nullptr &&
+         !CheckTopologyDelta(*request.topology,
+                             fresh ? all_alive : session->planner->topology(),
+                             &response.error)) ||
+        (!needs_base &&
+         !CheckBatchDelta(*request.delta, session->planner->batch(), batch, &response.error))) {
+      response.status = PlanStatus::kBadDelta;
+      return response;
+    }
+  }
+
   const auto start = Clock::now();
   obs::TraceContext* tctx = obs::CurrentTrace();
   const double plan_start_us = tctx != nullptr ? obs::NowUs() : 0;
-  const bool needs_base = !session->planner || !(session->planner->cluster() == spec) ||
-                          !session->planner->has_base() || request.delta == nullptr;
   if (needs_base) {
     // (Re)establish the base: capacity pinned from this batch, zone caps
     // from the cached boundaries, and the memory model as the ceiling for
@@ -275,7 +338,7 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
       dopts.pool = &*pool_;
       dopts.pool_mutex = &pool_mu_;
     }
-    if (!session->planner || !(session->planner->cluster() == spec)) {
+    if (fresh) {
       session->planner.emplace(spec, dopts);
     } else {
       session->planner->set_options(dopts);
@@ -308,9 +371,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
     } else {
       session->last_outcome = batch_outcome;
     }
-    ZCHECK_EQ(session->planner->batch().size(), batch.size())
-        << "stream " << request.stream_id
-        << ": request batch does not match the session's tracked batch";
   }
   response.stats.partition_time_us = ElapsedUs(start);
   response.stats.stage_us[static_cast<int>(obs::Stage::kPlan)] =
@@ -362,19 +422,8 @@ bool PlannerService::CloseSession(const std::string& stream_id) {
   return sessions_.erase(stream_id) > 0;
 }
 
-void PlannerService::InvalidateSession(const std::string& stream_id) {
-  const std::shared_ptr<Session> session = FindSession(stream_id);
-  if (!session) {
-    return;
-  }
-  std::lock_guard<std::mutex> session_lock(session->mu);
-  if (session->planner) {
-    session->planner->Invalidate();
-  }
-}
-
-bool PlannerService::GetSessionStats(const std::string& stream_id, DeltaStats* out) const {
-  ZCHECK(out != nullptr);
+template <typename Fn>
+bool PlannerService::WithPlannedSession(const std::string& stream_id, Fn&& fn) const {
   const std::shared_ptr<Session> session = FindSession(stream_id);
   if (!session) {
     return false;
@@ -383,17 +432,34 @@ bool PlannerService::GetSessionStats(const std::string& stream_id, DeltaStats* o
   if (!session->planner) {
     return false;
   }
-  *out = session->planner->stats();
+  fn(*session);
   return true;
 }
 
+void PlannerService::InvalidateSession(const std::string& stream_id) {
+  WithPlannedSession(stream_id, [](Session& session) { session.planner->Invalidate(); });
+}
+
+bool PlannerService::GetSessionStats(const std::string& stream_id, DeltaStats* out) const {
+  ZCHECK(out != nullptr);
+  return WithPlannedSession(
+      stream_id, [out](const Session& session) { *out = session.planner->stats(); });
+}
+
+bool PlannerService::GetSessionTopology(const std::string& stream_id,
+                                        RankTopology* out) const {
+  ZCHECK(out != nullptr);
+  return WithPlannedSession(
+      stream_id, [out](const Session& session) { *out = session.planner->topology(); });
+}
+
 DeltaOutcome PlannerService::SessionLastOutcome(const std::string& stream_id) const {
-  const std::shared_ptr<Session> session = FindSession(stream_id);
-  if (!session) {
-    return DeltaOutcome::kRebasedNoBase;
-  }
-  std::lock_guard<std::mutex> session_lock(session->mu);
-  return session->last_outcome;
+  // A session that has not planned yet still reports kRebasedNoBase.
+  DeltaOutcome outcome = DeltaOutcome::kRebasedNoBase;
+  WithPlannedSession(stream_id, [&outcome](const Session& session) {
+    outcome = session.last_outcome;
+  });
+  return outcome;
 }
 
 }  // namespace zeppelin

@@ -5,7 +5,7 @@
 // with one PlannerService:
 //
 //   PlanRequest{batch, cost_model, fabric, options [, stream_id [, delta]]}
-//     -> PlanResponse{shared_ptr<const PartitionPlan>, PlanStats, digest}
+//     -> PlanResponse{status, shared_ptr<const PartitionPlan>, PlanStats, digest}
 //
 // Plans come back as *immutable handles*: a std::shared_ptr<const
 // PartitionPlan> whose contents never change after the response is built, so
@@ -103,6 +103,21 @@ struct PlanRequest {
   const TopologyDelta* topology = nullptr;
 };
 
+// The outcome of a plan request. Rejections leave every session untouched.
+enum class PlanStatus : uint8_t {
+  kOk = 0,
+  kBadRequest,  // Violates a request-only rule (see CheckPlanRequest).
+  kBadDelta,    // A session's batch or topology delta does not fit its state.
+};
+
+// The request-only preconditions of PlannerService::Plan, none of which need
+// session state: a non-empty batch with tokens and no negative length, a
+// finite non-negative delta_replan_threshold, an explicit token_capacity of
+// at least ceil(total_tokens / world), a batch delta only on a session, and
+// sessions only with hierarchical planning. kOk, or kBadRequest with `*why`
+// set. `request.batch` must be non-null.
+PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* why);
+
 // Which engine produced the response's plan. The values travel on the wire
 // (docs/DAEMON.md); 0 and 1 once named the naive and serial engines, which
 // the service no longer runs, and are never reused.
@@ -125,8 +140,6 @@ enum class CacheOutcome : uint8_t {
   kMiss,        // Full plan computed and inserted.
   kHit,         // Served from the cache (zero planning work).
 };
-
-const char* CacheOutcomeName(CacheOutcome outcome);
 
 struct PlanStats {
   PlanEngine engine = PlanEngine::kParallelSharded;
@@ -152,10 +165,6 @@ struct PlanStats {
   // the certifier did not run (cache off, bypass path) or failed (the cache
   // then refuses to store the plan; the daemon refuses to serve it).
   bool verified = false;
-  // Cumulative cache counters at response time (0 without a cache).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
   // Per-request stage latency breakdown (µs), indexed by obs::Stage. The
   // service fills kPlan/kMaterialize; the daemon overlays its own measured
   // stages (queue wait, decode, validate, cache lookup, verify, encode) on
@@ -167,6 +176,9 @@ struct PlanStats {
 };
 
 struct PlanResponse {
+  // Anything but kOk: `plan` is null and `error` says why.
+  PlanStatus status = PlanStatus::kOk;
+  std::string error;
   std::shared_ptr<const PartitionPlan> plan;
   PlanStats stats;
   // plan->StateDigest(): the per-response determinism/equivalence currency
@@ -196,9 +208,12 @@ class PlannerService {
   PlannerService(const PlannerService&) = delete;
   PlannerService& operator=(const PlannerService&) = delete;
 
-  // Plans one request. Aborts (ZCHECK) on malformed requests: null
-  // batch/cost_model/fabric, or a session delta whose batch disagrees with
-  // the session's tracked batch.
+  // Plans one request, or rejects it with a typed status: CheckPlanRequest
+  // first, then, under the session's lock, the topology delta against the
+  // session's fabric state (CheckTopologyDelta) and a batch delta the session
+  // will consume against its tracked batch (CheckBatchDelta -> kBadDelta).
+  // Only null batch/cost_model/fabric pointers abort (ZCHECK): those are
+  // programming errors, not bad input.
   PlanResponse Plan(const PlanRequest& request);
 
   // --- Session management ----------------------------------------------------
@@ -215,11 +230,12 @@ class PlannerService {
   // Copies the session's cumulative delta telemetry into `*out`. Returns
   // false if the stream id names no session.
   bool GetSessionStats(const std::string& stream_id, DeltaStats* out) const;
+  // Copies the session's fabric state into `*out`. Returns false if the
+  // stream id names no session or the session has not planned yet.
+  bool GetSessionTopology(const std::string& stream_id, RankTopology* out) const;
   // The session's last outcome (kApplied / kRebased*); kRebasedNoBase if the
   // stream id names no session.
   DeltaOutcome SessionLastOutcome(const std::string& stream_id) const;
-
-  const PlanServiceOptions& options() const { return options_; }
 
  private:
   // One delta stream's state. `mu` serializes requests on the same stream;
@@ -264,6 +280,10 @@ class PlannerService {
   // CloseSession (callers copy the shared_ptr under sessions_mu_, then lock
   // the session's own mutex — never a raw pointer across the gap).
   std::shared_ptr<Session> FindSession(const std::string& stream_id) const;
+  // Runs `fn(session)` under the session's lock if `stream_id` names a
+  // session that has planned; false otherwise.
+  template <typename Fn>
+  bool WithPlannedSession(const std::string& stream_id, Fn&& fn) const;
 
   PlanResponse PlanStateless(const PlanRequest& request);
   PlanResponse PlanSession(const PlanRequest& request);

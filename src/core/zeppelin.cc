@@ -65,6 +65,7 @@ void ZeppelinStrategy::Plan(const Batch& batch, const CostModel& cost_model,
   request.fabric = &fabric;
   request.options = BuildPlanningOptions();
   PlanResponse response = svc.Plan(request);
+  ZCHECK(response.status == PlanStatus::kOk) << "plan request rejected: " << response.error;
   current_plan_ = std::move(response.plan);
   last_stats_ = response.stats;
 
@@ -92,6 +93,7 @@ void ZeppelinStrategy::PlanDelta(const Batch& batch, const BatchDelta& delta,
   request.delta = &delta;
   request.topology = topology;
   PlanResponse response = service().Plan(request);
+  ZCHECK(response.status == PlanStatus::kOk) << "plan request rejected: " << response.error;
   current_plan_ = std::move(response.plan);
   last_stats_ = response.stats;
   last_delta_outcome_ = response.stats.delta_outcome;

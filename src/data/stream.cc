@@ -1,6 +1,7 @@
 #include "src/data/stream.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/common/check.h"
 
@@ -50,6 +51,36 @@ void ApplyBatchDelta(const BatchDelta& delta, Batch* batch,
   }
 }
 
+bool CheckBatchDelta(const BatchDelta& delta, const Batch& tracked, const Batch& request,
+                     std::string* why) {
+  std::vector<uint8_t> seen(tracked.size(), 0);
+  for (int slot : delta.removed) {
+    if (slot < 0 || slot >= tracked.size() || seen[slot]) {
+      *why = "delta removes an out-of-range or repeated slot";
+      return false;
+    }
+    seen[slot] = 1;
+  }
+  for (const auto& [slot, len] : delta.resized) {
+    if (slot < 0 || slot >= tracked.size() || seen[slot] || len < 0) {
+      *why = "delta resizes an out-of-range or repeated slot, or to a negative length";
+      return false;
+    }
+    seen[slot] = 1;
+  }
+  if (std::any_of(delta.added.begin(), delta.added.end(), [](int64_t len) { return len < 0; })) {
+    *why = "delta adds a negative length";
+    return false;
+  }
+  Batch patched = tracked;
+  ApplyBatchDelta(delta, &patched);
+  if (patched.seq_lens != request.seq_lens) {
+    *why = "delta applied to the session's tracked batch does not produce the request batch";
+    return false;
+  }
+  return true;
+}
+
 int64_t QuantizeSpeed(double factor) {
   ZCHECK_GT(factor, 0.0) << "speed factor must be positive";
   const double scaled = factor * static_cast<double>(kSpeedScale) + 0.5;
@@ -78,6 +109,39 @@ void RankTopology::Apply(const TopologyDelta& delta) {
     ZCHECK(rank >= 0 && rank < world()) << "speed rank out of range: " << rank;
     speed_q[rank] = QuantizeSpeed(factor);
   }
+}
+
+bool CheckTopologyDelta(const TopologyDelta& delta, const RankTopology& current,
+                        std::string* why) {
+  // Per rank: 0 dead, 1 alive, 2 killed or 3 restored by this delta (odd =
+  // alive afterwards).
+  const int world = current.world();
+  std::vector<uint8_t> state = current.alive;
+  for (int rank : delta.removed_ranks) {
+    if (rank < 0 || rank >= world || state[rank] != 1) {
+      *why = "topology removes an out-of-range, dead, or repeated rank";
+      return false;
+    }
+    state[rank] = 2;
+  }
+  for (int rank : delta.added_ranks) {
+    if (rank < 0 || rank >= world || state[rank] != 0) {
+      *why = "topology restores an out-of-range, alive, or repeated rank";
+      return false;
+    }
+    state[rank] = 3;
+  }
+  for (const auto& [rank, factor] : delta.speed_factors) {
+    if (rank < 0 || rank >= world || !std::isfinite(factor) || factor <= 0) {
+      *why = "topology speed factor out of range";
+      return false;
+    }
+  }
+  if (std::none_of(state.begin(), state.end(), [](uint8_t s) { return s & 1; })) {
+    *why = "topology would leave no alive ranks";
+    return false;
+  }
+  return true;
 }
 
 int RankTopology::alive_count() const {

@@ -55,6 +55,13 @@ struct BatchDelta {
 void ApplyBatchDelta(const BatchDelta& delta, Batch* batch,
                      std::vector<int>* added_slots = nullptr);
 
+// The checked form of ApplyBatchDelta's preconditions for an untrusted delta:
+// slots in `removed`/`resized` in range of `tracked` and not repeated across
+// both lists, every length >= 0, and `tracked` with the delta applied equal
+// to `request` slot for slot. False with `*why` set on the first violation.
+bool CheckBatchDelta(const BatchDelta& delta, const Batch& tracked, const Batch& request,
+                     std::string* why);
+
 // --- Topology churn ---------------------------------------------------------
 //
 // Production clusters churn *topology* as well as batches: a GPU drops
@@ -118,6 +125,14 @@ struct RankTopology {
 
   bool operator==(const RankTopology&) const = default;
 };
+
+// The checked form of RankTopology::Apply's preconditions for an untrusted
+// delta against `current`: removed ranks in range, alive and not repeated,
+// restored ranks in range, dead and not repeated, speed factors finite and
+// > 0 on in-range ranks, and at least one rank alive afterwards. False with
+// `*why` set on the first violation.
+bool CheckTopologyDelta(const TopologyDelta& delta, const RankTopology& current,
+                        std::string* why);
 
 // Fault-injection knobs for FaultStream.
 struct FaultStreamOptions {

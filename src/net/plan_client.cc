@@ -130,11 +130,22 @@ bool PlanClient::Connect(std::string* error) {
 
 PlanClientResult PlanClient::Attempt(const WireRequest& request) {
   PlanClientResult result;
+  // Transport failures leave the stream position unknown: drop the
+  // connection so the next attempt starts on a fresh one.
+  auto transport_error = [&](std::string message) {
+    Close();
+    result.status = WireStatus::kTransport;
+    result.message = std::move(message);
+    return result;
+  };
+  auto plan_rejected = [&](std::string message) {
+    result.status = WireStatus::kPlanRejected;
+    result.message = std::move(message);
+    return result;
+  };
   std::string error;
   if (fd_ < 0 && !Connect(&error)) {
-    result.status = WireStatus::kTransport;
-    result.message = error;
-    return result;
+    return transport_error(error);
   }
   const auto start = Clock::now();
   const auto deadline = start + std::chrono::milliseconds(options_.request_timeout_ms);
@@ -142,10 +153,7 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
   std::string out;
   AppendRequestFrame(request, &out);
   if (!SendAll(fd_, out.data(), out.size(), deadline)) {
-    Close();
-    result.status = WireStatus::kTransport;
-    result.message = "send failed or timed out";
-    return result;
+    return transport_error("send failed or timed out");
   }
 
   FrameDecoder decoder(options_.max_frame_bytes);
@@ -157,39 +165,24 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       break;
     }
     if (status != FrameStatus::kIncomplete) {
-      Close();
-      result.status = WireStatus::kTransport;
-      result.message = std::string("response framing: ") + FrameStatusName(status);
-      return result;
+      return transport_error(std::string("response framing: ") + FrameStatusName(status));
     }
     struct pollfd pfd = {fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, RemainingMs(deadline));
     if (ready == 0) {
-      Close();
-      result.status = WireStatus::kTransport;
-      result.message = "request timed out awaiting response";
-      return result;
+      return transport_error("request timed out awaiting response");
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      Close();
-      result.status = WireStatus::kTransport;
-      result.message = std::string("poll: ") + std::strerror(errno);
-      return result;
+      return transport_error(std::string("poll: ") + std::strerror(errno));
     }
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n == 0) {
-      Close();
-      result.status = WireStatus::kTransport;
-      result.message = "connection closed by daemon";
-      return result;
+      return transport_error("connection closed by daemon");
     }
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      Close();
-      result.status = WireStatus::kTransport;
-      result.message = std::string("recv: ") + std::strerror(errno);
-      return result;
+      return transport_error(std::string("recv: ") + std::strerror(errno));
     }
     decoder.Feed(buf, static_cast<size_t>(n));
   }
@@ -202,10 +195,7 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
                       Clock::now() - start)
                       .count();
   if (parsed != WireStatus::kOk) {
-    Close();
-    result.status = WireStatus::kTransport;
-    result.message = "response parse: " + parse_error;
-    return result;
+    return transport_error("response parse: " + parse_error);
   }
   // Error frames may carry id 0 when the daemon could not decode the request
   // far enough to learn its id (framing violations); those are addressed to
@@ -214,10 +204,7 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
   const bool wildcard_error =
       frame.type == FrameType::kError && response.request_id == 0;
   if (response.request_id != request.request_id && !wildcard_error) {
-    Close();
-    result.status = WireStatus::kTransport;
-    result.message = "response id mismatch";
-    return result;
+    return transport_error("response id mismatch");
   }
   result.status = response.status;
   result.message = std::move(response.message);
@@ -231,11 +218,17 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
     const PlanIoResult io =
         ParsePlan(result.plan_bytes, plan.get(), options_.max_world);
     if (!io.ok()) {
-      result.status = WireStatus::kPlanRejected;
-      result.message = "plan bytes rejected: " + io.message;
-      return result;
+      return plan_rejected("plan bytes rejected: " + io.message);
     }
-    if (options_.verify_plans && request.kind == RequestKind::kPlan) {
+    // The header digest is unauthenticated; the trailer ParsePlan just
+    // checked is not. Report a digest only when the two name the same plan.
+    if (io.digest != result.digest) {
+      return plan_rejected("response digest does not match the plan bytes");
+    }
+    // Certify against the request batch (coverage, arena, conservation —
+    // the balance clause stays off; the client cannot see the daemon's
+    // topology state).
+    if (request.kind == RequestKind::kPlan) {
       PlanVerifyOptions vopts;
       vopts.token_capacity = 0;
       vopts.eps = -1;
@@ -243,11 +236,9 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       const PlanVerifyResult verdict =
           VerifyPlan(*plan, &request.batch, nullptr, vopts);
       if (!verdict.ok()) {
-        result.status = WireStatus::kPlanRejected;
-        result.message = std::string("plan failed certification: ") +
-                         PlanVerifyStatusName(verdict.status) +
-                         (verdict.message.empty() ? "" : ": " + verdict.message);
-        return result;
+        return plan_rejected(std::string("plan failed certification: ") +
+                             PlanVerifyStatusName(verdict.status) +
+                             (verdict.message.empty() ? "" : ": " + verdict.message));
       }
     }
     result.plan = std::move(plan);

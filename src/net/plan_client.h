@@ -3,8 +3,10 @@
 // One client owns one TCP connection to one daemon and issues framed
 // requests synchronously. Robustness mirrors the daemon's: connect and
 // per-request timeouts, typed failures (WireStatus, never an exception or a
-// crash), ParsePlan validation of every received plan (a daemon cannot hand
-// back bytes that fail the plan_io digest check), and capped
+// crash), ParsePlan validation and VerifyPlan certification of every
+// received plan (a daemon cannot hand back bytes that fail the plan_io
+// digest check, a plan that does not cover the request batch, or a header
+// digest naming a different plan than the bytes carry), and capped
 // exponential-backoff retry with a strict idempotency rule:
 //
 //   - Stateless plans (empty stream_id), pings, and session closes (the
@@ -46,11 +48,6 @@ struct PlanClientOptions {
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   // ParsePlan rank-universe gate for received plans; 0 accepts any.
   int max_world = 0;
-  // Run VerifyPlan on every received plan against the request's batch
-  // (coverage, arena, conservation — the balance clause stays off; the
-  // client cannot see the daemon's topology state). Failures surface as
-  // kPlanRejected, exactly like corrupt plan bytes.
-  bool verify_plans = true;
   // Test seam: the backoff sleep. Defaults to a real sleep; tests install a
   // recorder to assert the schedule without waiting it out.
   std::function<void(int)> sleep_ms{};
@@ -66,6 +63,7 @@ struct PlanClientResult {
   std::string message;
   PlanStats stats;          // Success only.
   double queue_wait_us = 0; // Daemon-side admission wait (telemetry).
+  // The plan's StateDigest, authenticated against the received plan bytes.
   uint64_t digest = 0;
   // The raw SerializePlan image as received — the byte-identity currency
   // tests compare against an in-process SerializePlan.

@@ -9,8 +9,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
+#include <unordered_set>
 #include <utility>
 
 #include "src/common/check.h"
@@ -153,8 +153,8 @@ struct PlannerDaemon::AdmissionGate {
 };
 
 // One client connection. Owned jointly by the connection map and the reader
-// thread; `sessions` (the per-stream mirrors) is touched only by the reader
-// thread, so it needs no lock.
+// thread; `streams` is touched only by the reader thread, so it needs no
+// lock.
 struct PlannerDaemon::Connection {
   int fd = -1;
   uint64_t id = 0;
@@ -162,154 +162,41 @@ struct PlannerDaemon::Connection {
   std::mutex write_mu;
   std::atomic<int64_t> last_active_us{0};
   std::atomic<bool> done{false};
-
-  // The daemon-side mirror of a session's service state: the batch the
-  // service tracks and the fabric topology it has folded in. Every delta in
-  // an incoming request is validated against this mirror *before* the
-  // service sees it — the service ZCHECK-aborts on contract violations, so
-  // nothing unvalidated may cross that line — and the mirror advances only
-  // after the service call returns, keeping the two in lockstep.
-  struct SessionMirror {
-    Batch batch;
-    RankTopology topo;
-    bool has_base = false;
-  };
-  std::unordered_map<std::string, SessionMirror> sessions;
+  // Stream ids with a service session opened over this connection, closed
+  // when it ends. The sessions' state lives in the service alone.
+  std::unordered_set<std::string> streams;
 };
 
 namespace {
 
-// Semantic validation of a structurally-valid plan request against the
-// daemon's cluster and the session mirror (`prev_batch`/`prev_topo` null for
-// stateless requests or first contact). Returns kOk, kBadRequest, or
-// kBadDelta; on failure nothing may be applied anywhere. Mirrors every
-// ZCHECK precondition reachable from PlannerService::Plan (docs/DAEMON.md,
-// "Request validation").
-WireStatus ValidatePlan(const WireRequest& request, const Batch* prev_batch,
-                        const RankTopology* prev_topo, const ClusterSpec& spec,
-                        std::string* why) {
-  const int world = spec.world_size();
-  const Batch& batch = request.batch;
-  if (batch.size() == 0) {
-    *why = "empty batch";
-    return WireStatus::kBadRequest;
+// The wire's own limits on a plan request, on top of CheckPlanRequest.
+bool WithinWireLimits(const WireRequest& request, std::string* why) {
+  if (request.stream_id.empty() && request.topology.has_value()) {
+    // In-process stateless requests ignore a topology; the wire refuses it.
+    *why = "topology deltas require a session (non-empty stream id)";
+    return false;
   }
   int64_t total = 0;
-  for (int64_t len : batch.seq_lens) {
+  for (int64_t len : request.batch.seq_lens) {
     total += len;  // Each term <= kMaxWireSeqLen (parse), so no overflow
     if (total > kMaxWireTotalTokens) {  // before this cap trips.
       *why = "batch exceeds the total-token cap";
-      return WireStatus::kBadRequest;
+      return false;
     }
   }
-  if (total == 0) {
-    *why = "batch has no tokens (all sequences empty)";
-    return WireStatus::kBadRequest;
-  }
-  const double threshold = request.options.delta_replan_threshold;
-  if (!std::isfinite(threshold) || threshold < 0) {
-    *why = "delta_replan_threshold must be finite and non-negative";
-    return WireStatus::kBadRequest;
-  }
-  if (request.options.token_capacity > 0) {
-    // The partitioner requires total <= world * L; reject infeasible
-    // explicit capacities instead of letting the planner abort.
-    const int64_t needed = (total + world - 1) / world;
-    if (request.options.token_capacity < needed) {
-      *why = "token_capacity below ceil(total_tokens / world)";
-      return WireStatus::kBadRequest;
-    }
-  }
+  return true;
+}
 
-  const bool is_session = !request.stream_id.empty();
-  if (!is_session) {
-    if (request.delta.has_value() || request.topology.has_value()) {
-      *why = "batch/topology deltas require a session (non-empty stream id)";
+WireStatus ToWireStatus(PlanStatus status) {
+  switch (status) {
+    case PlanStatus::kOk:
+      return WireStatus::kOk;
+    case PlanStatus::kBadRequest:
       return WireStatus::kBadRequest;
-    }
-    return WireStatus::kOk;
-  }
-  if (!request.options.hierarchical_partitioning) {
-    *why = "sessions require hierarchical planning";
-    return WireStatus::kBadRequest;
-  }
-
-  // Topology delta: liveness preconditions against the mirrored fabric
-  // state (fresh = all alive), plus a floor of one surviving rank.
-  if (request.topology.has_value()) {
-    const TopologyDelta& topo = *request.topology;
-    std::vector<uint8_t> alive;
-    if (prev_topo != nullptr && prev_topo->world() == world) {
-      alive = prev_topo->alive;
-    } else {
-      alive.assign(world, 1);
-    }
-    int alive_count = 0;
-    for (uint8_t a : alive) {
-      alive_count += a;
-    }
-    std::vector<uint8_t> touched(world, 0);
-    for (int rank : topo.removed_ranks) {
-      if (rank < 0 || rank >= world || !alive[rank] || touched[rank]) {
-        *why = "topology removes an out-of-range, dead, or repeated rank";
-        return WireStatus::kBadDelta;
-      }
-      touched[rank] = 1;
-      alive[rank] = 0;
-      --alive_count;
-    }
-    for (int rank : topo.added_ranks) {
-      if (rank < 0 || rank >= world || alive[rank] || touched[rank]) {
-        *why = "topology restores an out-of-range, alive, or repeated rank";
-        return WireStatus::kBadDelta;
-      }
-      touched[rank] = 1;
-      alive[rank] = 1;
-      ++alive_count;
-    }
-    for (const auto& [rank, factor] : topo.speed_factors) {
-      if (rank < 0 || rank >= world || !std::isfinite(factor) || factor <= 0) {
-        *why = "topology speed factor out of range";
-        return WireStatus::kBadDelta;
-      }
-    }
-    if (alive_count < 1) {
-      *why = "topology would leave no alive ranks";
+    case PlanStatus::kBadDelta:
       return WireStatus::kBadDelta;
-    }
   }
-
-  // Batch delta: slot validity against the mirrored batch, then the
-  // PlanRequest contract — applying the delta to the previous batch must
-  // reproduce the request batch exactly. Only checked when the service will
-  // actually consume the delta (it rebases from scratch on first contact).
-  if (prev_batch != nullptr && request.delta.has_value()) {
-    const BatchDelta& delta = *request.delta;
-    const int prev_size = prev_batch->size();
-    std::vector<uint8_t> seen(prev_size, 0);
-    for (int slot : delta.removed) {
-      if (slot < 0 || slot >= prev_size || seen[slot]) {
-        *why = "delta removes an out-of-range or repeated slot";
-        return WireStatus::kBadDelta;
-      }
-      seen[slot] = 1;
-    }
-    for (const auto& [slot, len] : delta.resized) {
-      if (slot < 0 || slot >= prev_size || seen[slot] || len < 0) {
-        *why = "delta resizes an out-of-range or repeated slot";
-        return WireStatus::kBadDelta;
-      }
-      seen[slot] = 1;
-    }
-    Batch patched = *prev_batch;
-    ApplyBatchDelta(delta, &patched);
-    if (patched.seq_lens != batch.seq_lens) {
-      *why = "delta applied to the session's tracked batch does not produce "
-             "the request batch";
-      return WireStatus::kBadDelta;
-    }
-  }
-  return WireStatus::kOk;
+  return WireStatus::kInternal;
 }
 
 }  // namespace
@@ -327,7 +214,6 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
   if (options_.plan_cache) {
     PlanCacheOptions cache_options;
     cache_options.capacity = options_.plan_cache_capacity;
-    cache_options.verify = options_.verify_before_serve;
     cache_ = std::make_unique<PlanCache>(service_.get(), cache_options);
   }
   // Instrument registration is a construction-time event: the request path
@@ -628,16 +514,16 @@ void PlannerDaemon::ServeConnection(const std::shared_ptr<Connection>& conn) {
 }
 
 void PlannerDaemon::ReapSessions(Connection& conn) {
-  if (conn.sessions.empty()) {
+  if (conn.streams.empty()) {
     return;
   }
   uint64_t reaped = 0;
-  for (const auto& [stream_id, mirror] : conn.sessions) {
+  for (const std::string& stream_id : conn.streams) {
     if (service_->CloseSession(SessionKey(conn.id, stream_id))) {
       ++reaped;
     }
   }
-  conn.sessions.clear();
+  conn.streams.clear();
   c_sessions_reaped_->Inc(reaped);
 }
 
@@ -709,7 +595,7 @@ bool PlannerDaemon::HandleFrame(Connection& conn, const Frame& frame) {
     }
     case RequestKind::kCloseSession: {
       service_->CloseSession(SessionKey(conn.id, request.stream_id));
-      conn.sessions.erase(request.stream_id);
+      conn.streams.erase(request.stream_id);
       WireResponse response;
       response.request_id = request.request_id;
       response.stats.session_count = service_->session_count();
@@ -754,21 +640,34 @@ void PlannerDaemon::ObserveRequest(const obs::TraceContext& ctx, double total_us
 
 void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
                                std::chrono::steady_clock::time_point received) {
-  const Connection::SessionMirror* mirror = nullptr;
-  if (!request.stream_id.empty()) {
-    auto it = conn.sessions.find(request.stream_id);
-    if (it != conn.sessions.end()) {
-      mirror = &it->second;
-    }
+  const bool is_session = !request.stream_id.empty();
+  PlanRequest plan_request;
+  plan_request.batch = &request.batch;
+  plan_request.cost_model = &cost_model_;
+  plan_request.fabric = &fabric_;
+  plan_request.options = request.options;
+  if (is_session) {
+    plan_request.stream_id = SessionKey(conn.id, request.stream_id);
   }
-  const bool mirror_based = mirror != nullptr && mirror->has_base;
+  if (request.delta.has_value()) {
+    plan_request.delta = &*request.delta;
+  }
+  if (request.topology.has_value()) {
+    plan_request.topology = &*request.topology;
+  }
+
+  // The wire's own limits, then the request-only rules, checked before the
+  // cache probe because hits never reach the service. Session deltas are
+  // checked by the service itself, against the session state it owns
+  // (docs/DAEMON.md, "Request validation").
   std::string why;
   WireStatus valid;
   {
     obs::TraceScope validate_span(obs::Stage::kValidate);
-    valid = ValidatePlan(request, mirror_based ? &mirror->batch : nullptr,
-                         mirror != nullptr ? &mirror->topo : nullptr,
-                         logical_cluster_, &why);
+    valid = !WithinWireLimits(request, &why)
+                ? WireStatus::kBadRequest
+                : ToWireStatus(CheckPlanRequest(plan_request, logical_cluster_.world_size(),
+                                                &why));
   }
   if (valid != WireStatus::kOk) {
     c_bad_requests_->Inc();
@@ -776,29 +675,13 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
     return;
   }
 
-  const bool is_session = !request.stream_id.empty();
   // Exact-tier cache hits are served before (and without) an admission
   // permit: no planning happens, so a hit costs no planner capacity — and a
   // permit-free path keeps repeated responses byte-identical (zero queue
   // wait) under any load. TryServe drops + replans poisoned entries itself.
   if (!is_session && cache_ != nullptr) {
-    PlanRequest probe;
-    probe.batch = &request.batch;
-    probe.cost_model = &cost_model_;
-    probe.fabric = &fabric_;
-    probe.options = request.options;
-    if (std::optional<PlanResponse> served = cache_->TryServe(probe)) {
-      WireResponse response;
-      response.request_id = request.request_id;
-      response.stats = served->stats;
-      response.queue_wait_us = 0;
-      response.digest = served->digest;
-      {
-        obs::TraceScope encode_span(obs::Stage::kEncode);
-        response.plan_bytes = SerializePlan(*served->plan);
-      }
-      c_requests_ok_->Inc();
-      SendResponse(conn, response);
+    if (std::optional<PlanResponse> served = cache_->TryServe(plan_request)) {
+      ServePlan(conn, request.request_id, *served, /*queue_wait_us=*/0);
       return;
     }
   }
@@ -849,57 +732,35 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
     return;
   }
 
-  PlanRequest plan_request;
-  plan_request.batch = &request.batch;
-  plan_request.cost_model = &cost_model_;
-  plan_request.fabric = &fabric_;
-  plan_request.options = request.options;
-  if (is_session) {
-    plan_request.stream_id = SessionKey(conn.id, request.stream_id);
-    // The service rebases from scratch when the session has no base; only
-    // pass the delta when it will actually be consumed (mirror in lockstep).
-    if (mirror_based && request.delta.has_value()) {
-      plan_request.delta = &*request.delta;
-    }
-    if (request.topology.has_value()) {
-      plan_request.topology = &*request.topology;
-    }
-  }
   PlanResponse planned = !is_session && cache_ != nullptr
                              ? cache_->PlanAndInsert(plan_request)
                              : service_->Plan(plan_request);
   gate_->Release();
-
-  if (is_session) {
-    // Advance the mirror exactly as the service advanced: batch tracked,
-    // topology folded in (the fabric state advances even on fallback).
-    Connection::SessionMirror& m = conn.sessions[request.stream_id];
-    if (m.topo.world() != logical_cluster_.world_size()) {
-      m.topo.Reset(logical_cluster_.world_size());
-    }
-    if (request.topology.has_value()) {
-      m.topo.Apply(*request.topology);
-    }
-    m.batch = std::move(request.batch);
-    m.has_base = true;
+  if (planned.status != PlanStatus::kOk) {
+    c_bad_requests_->Inc();
+    SendError(conn, request.request_id, ToWireStatus(planned.status), planned.error);
+    return;
   }
-
-  if (options_.verify_before_serve && !planned.stats.verified) {
+  if (is_session) {
+    conn.streams.insert(request.stream_id);
+  }
+  if (!planned.stats.verified) {
     // Certify the paths the cache did not (sessions, cache off, or a fresh
-    // plan the cache refused to store). Sessions verify against the mirror's
+    // plan the cache refused to store). Sessions verify against their own
     // topology with the balance clause off: degraded/heterogeneous session
     // plans balance *effective* load under state the certifier should not
     // re-derive here, but coverage, conservation, arena and dead-rank
-    // placement are all still enforced.
-    const Connection::SessionMirror* m =
-        is_session ? &conn.sessions[request.stream_id] : nullptr;
+    // placement are all still enforced. The service accepted the request, so
+    // a session's tracked batch is the request batch.
+    RankTopology topo;
+    const bool has_topo =
+        is_session && service_->GetSessionTopology(plan_request.stream_id, &topo);
     PlanVerifyOptions vopts;
     vopts.token_capacity = 0;
     vopts.eps = -1;
     vopts.world = logical_cluster_.world_size();
     const PlanVerifyResult verdict =
-        VerifyPlan(*planned.plan, is_session ? &m->batch : &request.batch,
-                   is_session ? &m->topo : nullptr, vopts);
+        VerifyPlan(*planned.plan, &request.batch, has_topo ? &topo : nullptr, vopts);
     planned.stats.verified = verdict.ok();
     if (!verdict.ok()) {
       c_verify_failures_->Inc();
@@ -909,20 +770,27 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
     }
   }
 
+  ServePlan(conn, request.request_id, planned, queue_wait_us);
+}
+
+void PlannerDaemon::ServePlan(Connection& conn, uint64_t request_id,
+                              const PlanResponse& served, double queue_wait_us) {
   WireResponse response;
-  response.request_id = request.request_id;
-  response.stats = planned.stats;
+  response.request_id = request_id;
+  response.stats = served.stats;
   response.queue_wait_us = queue_wait_us;
-  response.digest = planned.digest;
+  response.digest = served.digest;
   {
     obs::TraceScope encode_span(obs::Stage::kEncode);
-    response.plan_bytes = SerializePlan(*planned.plan);
+    response.plan_bytes = SerializePlan(*served.plan);
   }
   // Overlay the daemon-side stages (queue wait, decode, validate, encode —
-  // plus plan/materialize/verify recorded by the layers below) onto the
-  // planned response. kWrite cannot appear in its own response: the write
-  // happens after these stats are encoded (histograms/--trace_out only).
-  if (const obs::TraceContext* tctx = obs::CurrentTrace()) {
+  // plus plan/materialize/verify recorded by the layers below) onto a
+  // planned response; hits keep their all-zero stage_us (byte identity).
+  // kWrite cannot appear in its own response: the write happens after these
+  // stats are encoded (histograms/--trace_out only).
+  const obs::TraceContext* tctx = obs::CurrentTrace();
+  if (tctx != nullptr && served.stats.cache_outcome != CacheOutcome::kHit) {
     response.stats.stage_us = tctx->stage_us;
   }
   c_requests_ok_->Inc();

@@ -6,14 +6,16 @@
 // design goal is robustness against untrusted clients and overload, not just
 // reachability:
 //
-//   - *Typed rejection, never a crash.* The planner library ZCHECK-aborts on
-//     contract violations, so no byte a client sends may reach it
-//     unvalidated. The daemon keeps a per-session mirror of the state the
-//     service tracks (the batch, the rank topology) and fully validates
-//     every request — frame, structure, and semantics — before touching the
-//     service; failures return a typed WireStatus and leave both the mirror
-//     and the service exactly as they were (no partially-applied session
-//     mutation).
+//   - *Typed rejection, never a crash.* The daemon checks framing,
+//     structure, the wire's token cap and the request-only rules
+//     (CheckPlanRequest) itself; the service checks session deltas against
+//     the session state it owns and answers with a typed PlanStatus. Every
+//     rejection becomes a typed WireStatus and leaves the session exactly as
+//     it was (no partially-applied session mutation). The daemon holds no
+//     session state of its own.
+//   - *Certified plans.* Every served plan (cached, fresh, or session)
+//     passes VerifyPlan first; one that fails is answered with kInternal,
+//     never served.
 //   - *Bounded admission.* At most `max_concurrent_plans` requests plan at
 //     once; at most `queue_limit` more may wait. Anything beyond is shed
 //     immediately with kOverloaded instead of queueing unboundedly, so
@@ -36,8 +38,8 @@
 // timeouts + finished-thread joining), and one reader thread per connection
 // that decodes, validates, plans (gated by the admission permits), and
 // replies in order. Requests on one connection therefore execute in arrival
-// order — which is what makes per-connection session mirrors race-free —
-// while distinct connections plan concurrently up to the admission limit.
+// order, while distinct connections plan concurrently up to the admission
+// limit.
 #ifndef SRC_NET_PLANNER_DAEMON_H_
 #define SRC_NET_PLANNER_DAEMON_H_
 
@@ -94,9 +96,6 @@ struct DaemonOptions {
   // permit (no planning happens) and repeat byte-identically.
   bool plan_cache = true;
   size_t plan_cache_capacity = 128;
-  // Refuse to serve any plan that fails VerifyPlan (kInternal instead of a
-  // corrupt plan). Covers cached, fresh, and session plans.
-  bool verify_before_serve = true;
   // Non-empty: drain every request's stage spans into a Chrome-trace JSON
   // file at this path (written on Stop; Perfetto-loadable). Empty disables
   // the sink; the per-stage histograms stay on either way.
@@ -189,8 +188,12 @@ class PlannerDaemon {
   bool HandleFrame(Connection& conn, const Frame& frame);
   void HandlePlan(Connection& conn, WireRequest& request,
                   std::chrono::steady_clock::time_point received);
-  // Closes every session the connection owns (service + mirror).
+  // Closes every session the connection opened.
   void ReapSessions(Connection& conn);
+  // Encodes and sends one served plan: a cache hit (zero queue wait) or a
+  // planned request.
+  void ServePlan(Connection& conn, uint64_t request_id, const PlanResponse& served,
+                 double queue_wait_us);
   bool SendResponse(Connection& conn, const WireResponse& response);
   void SendError(Connection& conn, uint64_t request_id, WireStatus status,
                  std::string message);

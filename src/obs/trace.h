@@ -35,7 +35,7 @@ namespace obs {
 enum class Stage : uint8_t {
   kQueueWait = 0,    // Admission wait (daemon gate).
   kDecode,           // Wire payload -> WireRequest structural parse.
-  kValidate,         // Semantic validation against the session mirror.
+  kValidate,         // Request checks: wire limits, CheckPlanRequest, session deltas.
   kCacheLookup,      // PlanCache::TryServe (exact tier probe + digest check).
   kPlan,             // Partition / delta Apply / Rebase (the decision kernel).
   kMaterialize,      // Session-plan bulk copy into the immutable handle.

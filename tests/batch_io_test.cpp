@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
 
 #include "src/data/batch_io.h"
 #include "src/data/datasets.h"
@@ -39,7 +42,8 @@ TEST(BatchIoTest, MalformedInputAborts) {
 }
 
 TEST(BatchIoTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/zeppelin_batches.txt";
+  const std::string path = ::testing::TempDir() + "/zeppelin_batches." +
+                           std::to_string(::getpid()) + ".txt";
   BatchSampler sampler(MakeGithubDistribution(), 65536, 5);
   std::vector<Batch> batches;
   for (int i = 0; i < 4; ++i) {

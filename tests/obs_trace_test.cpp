@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -100,7 +102,8 @@ TEST(TraceTest, SpanOverflowDropsSpansButKeepsTotals) {
 }
 
 TEST(TraceSinkTest, DrainAndFlushWritesChromeTrace) {
-  const std::string path = ::testing::TempDir() + "/obs_trace_test.json";
+  const std::string path = ::testing::TempDir() + "/obs_trace_test." +
+                           std::to_string(::getpid()) + ".json";
   TraceSink sink(path);
   TraceContext ctx;
   ctx.request_id = 7;

@@ -1,9 +1,10 @@
 // PlanClient (src/net/plan_client.h) failure handling without a real daemon:
 // the deterministic capped-exponential backoff schedule, retry behavior
 // against injected connection failures (dead port, accept-then-close, and
-// accept-then-stall servers), and the idempotency rule — stateless requests
+// accept-then-stall servers), the idempotency rule — stateless requests
 // retry up to the cap with recorded backoff sleeps, session plan requests
-// surface the first transport error with no retry and no sleep.
+// surface the first transport error with no retry and no sleep — and
+// kPlanRejected for canned responses the client must not trust.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,19 +17,29 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/core/plan_io.h"
+#include "src/core/plan_service.h"
+#include "src/data/datasets.h"
+#include "src/model/transformer.h"
 #include "src/net/plan_client.h"
 #include "src/net/wire.h"
+#include "src/topology/cluster.h"
+#include "src/topology/path.h"
 
 namespace zeppelin {
 namespace net {
 namespace {
 
-// A server that accepts connections and then misbehaves on purpose.
+// A server that accepts connections and then misbehaves on purpose: closes
+// at once, never answers, or answers every request with a canned response
+// (under the request's own id).
 class EvilServer {
  public:
-  enum class Mode { kCloseImmediately, kStall };
+  enum class Mode { kCloseImmediately, kStall, kCanned };
 
-  explicit EvilServer(Mode mode) : mode_(mode) {
+  explicit EvilServer(Mode mode, WireResponse canned = {})
+      : mode_(mode), canned_(std::move(canned)) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -67,13 +78,38 @@ class EvilServer {
       ++accepted_;
       if (mode_ == Mode::kCloseImmediately) {
         ::close(fd);
-      } else {
-        held_.push_back(fd);  // Never respond; the client must time out.
+        continue;
       }
+      if (mode_ == Mode::kCanned) {
+        Answer(fd);
+      }
+      held_.push_back(fd);  // kStall never responds; the client must time out.
     }
   }
 
+  void Answer(int fd) {
+    FrameDecoder decoder;
+    Frame frame;
+    char buf[4096];
+    while (decoder.Next(&frame) == FrameStatus::kIncomplete) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) {
+        return;
+      }
+      decoder.Feed(buf, static_cast<size_t>(n));
+    }
+    WireRequest request;
+    std::string error;
+    ParseRequest(frame.payload, &request, &error);
+    WireResponse response = canned_;
+    response.request_id = request.request_id;
+    std::string out;
+    AppendResponseFrame(response, &out);
+    ::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
+  }
+
   Mode mode_;
+  WireResponse canned_;
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stop_{false};
@@ -191,6 +227,91 @@ TEST(PlanClientTest, StatsIsIdempotentAndRetried) {
   EXPECT_EQ(result.status, WireStatus::kTransport);
   EXPECT_EQ(result.attempts, 3);
   EXPECT_EQ(sleeps, (std::vector<int>{10, 20}));
+}
+
+// --- kPlanRejected: responses the client must not trust ----------------------
+
+// A real plan for `batch` on a small cluster, and its wire image.
+struct CannedPlan {
+  Batch batch;
+  PlanResponse planned;
+  std::string bytes;
+
+  explicit CannedPlan(uint64_t seed) {
+    const LengthDistribution dist = DatasetByName("github");
+    Rng rng(seed);
+    for (int i = 0; i < 64; ++i) {
+      batch.seq_lens.push_back(dist.Sample(rng));
+    }
+    const ClusterSpec cluster = MakeClusterA(2);
+    const FabricResources fabric(cluster);
+    const CostModel cost_model(MakeLlama3B(), cluster);
+    PlannerService service;
+    PlanRequest request;
+    request.batch = &batch;
+    request.cost_model = &cost_model;
+    request.fabric = &fabric;
+    planned = service.Plan(request);
+    bytes = SerializePlan(*planned.plan);
+  }
+
+  WireResponse Response() const {
+    WireResponse response;
+    response.digest = planned.digest;
+    response.plan_bytes = bytes;
+    return response;
+  }
+};
+
+PlanClientResult PlanAgainst(const WireResponse& canned, const Batch& batch) {
+  EvilServer server(EvilServer::Mode::kCanned, canned);
+  std::vector<int> sleeps;
+  PlanClient client("127.0.0.1", server.port(), RecordingOptions(&sleeps, 0));
+  WireRequest request;
+  request.batch = batch;
+  return client.Plan(std::move(request));
+}
+
+TEST(PlanClientTest, HonestCannedResponseIsAccepted) {
+  const CannedPlan canned(1);
+  const PlanClientResult result = PlanAgainst(canned.Response(), canned.batch);
+  ASSERT_TRUE(result.ok()) << result.message;
+  EXPECT_EQ(result.digest, canned.planned.digest);
+  EXPECT_EQ(result.plan_bytes, canned.bytes);
+}
+
+TEST(PlanClientTest, CorruptPlanBytesAreRejected) {
+  const CannedPlan canned(2);
+  WireResponse response = canned.Response();
+  // 40 bytes from the end is inside tokens_per_rank (before the two node
+  // thresholds and the 8-byte digest trailer): the plan no longer digests to
+  // its trailer.
+  response.plan_bytes[response.plan_bytes.size() - 40] ^= 0x5a;
+  const PlanClientResult result = PlanAgainst(response, canned.batch);
+  EXPECT_EQ(result.status, WireStatus::kPlanRejected) << result.message;
+  EXPECT_NE(result.message.find("plan bytes rejected"), std::string::npos) << result.message;
+  EXPECT_EQ(result.plan, nullptr);
+}
+
+TEST(PlanClientTest, AuthenticPlanForAnotherBatchIsRejected) {
+  // Digest-valid bytes that certify fine for their own batch, answered to a
+  // request for a different one: VerifyPlan against the request batch fails.
+  const CannedPlan canned(3);
+  const CannedPlan other(4);
+  const PlanClientResult result = PlanAgainst(canned.Response(), other.batch);
+  EXPECT_EQ(result.status, WireStatus::kPlanRejected) << result.message;
+  EXPECT_NE(result.message.find("certification"), std::string::npos) << result.message;
+  EXPECT_EQ(result.plan, nullptr);
+}
+
+TEST(PlanClientTest, HeaderDigestMustMatchThePlanBytes) {
+  const CannedPlan canned(5);
+  WireResponse response = canned.Response();
+  response.digest ^= 1;
+  const PlanClientResult result = PlanAgainst(response, canned.batch);
+  EXPECT_EQ(result.status, WireStatus::kPlanRejected) << result.message;
+  EXPECT_NE(result.message.find("digest"), std::string::npos) << result.message;
+  EXPECT_EQ(result.plan, nullptr);
 }
 
 // --- wire version -----------------------------------------------------------

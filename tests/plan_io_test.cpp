@@ -4,6 +4,8 @@
 // headers, altered payloads, trailing garbage).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -229,7 +231,8 @@ TEST(PlanIoTest, RejectsHugeCountsWithoutAllocating) {
 
 TEST(PlanIoTest, FileRoundTripAndIoErrors) {
   const PartitionPlan plan = MakePlan(SampleBatch(512, 7), MakeClusterB(2), true, nullptr);
-  const std::string path = ::testing::TempDir() + "/plan_io_test.zpln";
+  const std::string path = ::testing::TempDir() + "/plan_io_test." +
+                           std::to_string(::getpid()) + ".zpln";
   ASSERT_TRUE(SavePlanFile(path, plan).ok());
   PartitionPlan loaded;
   const PlanIoResult result = LoadPlanFile(path, &loaded);

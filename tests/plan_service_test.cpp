@@ -9,7 +9,9 @@
 // the TSAN targets, see the sanitizer recipe in CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -17,6 +19,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/delta_planner.h"
+#include "src/core/plan_cache.h"
 #include "src/core/plan_io.h"
 #include "src/core/plan_service.h"
 #include "src/core/zeppelin.h"
@@ -476,6 +479,120 @@ TEST(PlanServiceTest, AdoptedSerializedPlanDrivesEmitLayer) {
   EXPECT_EQ(static_cast<int>(done.size()), rig.cluster.world_size());
   EXPECT_GT(graph.size(), 0);
   EXPECT_EQ(consumer.LinearTokensPerRank(), producer.LinearTokensPerRank());
+}
+
+// Every malformed request PlannerDaemonTest.BadSemanticsTypedAndNoPartialMutation
+// sends over the wire, plus session cases only the session's own state can
+// judge, straight through PlannerService::Plan: each gets its typed status
+// and no plan, and none mutates anything — the true delta afterwards patches
+// to a twin session's digest, and a rejected first request opens no session.
+TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
+  TestRig rig;
+  PlannerService service;
+  const int world = rig.cluster.world_size();
+  const Batch batch = SampleBatch(256, 13);
+  WorkloadStream stream(DatasetByName("github"), batch,
+                        StreamOptions{.churn_fraction = 0.05}, 7);
+  const BatchDelta delta = stream.Next();
+  ASSERT_FALSE(delta.empty());
+  const Batch& next = stream.batch();
+
+  PlanRequest base = rig.Request(batch);
+  base.stream_id = "s";
+  ASSERT_EQ(service.Plan(base).status, PlanStatus::kOk);
+
+  const Batch empty;
+  const Batch no_tokens{.seq_lens = {0, 0, 0}};
+  const Batch negative{.seq_lens = {128, -64}};
+  BatchDelta out_of_range;
+  out_of_range.removed.push_back(batch.size() + 100);
+  const BatchDelta no_churn;
+  // A slot both removed and resized, against the batch ApplyBatchDelta would
+  // produce from it (the resize lands, then the removal tombstones the slot).
+  BatchDelta repeated;
+  repeated.removed.push_back(3);
+  repeated.resized.emplace_back(3, 64);
+  Batch repeated_batch = batch;
+  repeated_batch.seq_lens[3] = 0;
+  // Same size as the tracked batch, but not what the delta produces.
+  BatchDelta wrong_resize;
+  wrong_resize.resized.emplace_back(5, batch.seq_lens[5] + 64);
+  TopologyDelta kill_out_of_range;
+  kill_out_of_range.removed_ranks.push_back(10000);
+  TopologyDelta restore_alive;
+  restore_alive.added_ranks.push_back(2);
+  TopologyDelta kill_all;
+  for (int rank = 0; rank < world; ++rank) {
+    kill_all.removed_ranks.push_back(rank);
+  }
+  TopologyDelta bad_speed;
+  bad_speed.speed_factors.emplace_back(1, std::nan(""));
+
+  struct Case {
+    const char* name;
+    PlanRequest request;
+    PlanStatus expected;
+  };
+  auto stateless = [&](const Batch& b) { return rig.Request(b); };
+  auto session = [&](const Batch& b, const BatchDelta* d, const TopologyDelta* t,
+                     const char* stream_id = "s") {
+    PlanRequest request = rig.Request(b);
+    request.stream_id = stream_id;
+    request.delta = d;
+    request.topology = t;
+    return request;
+  };
+  std::vector<Case> cases = {
+      {"empty batch", stateless(empty), PlanStatus::kBadRequest},
+      {"no tokens", stateless(no_tokens), PlanStatus::kBadRequest},
+      {"negative length", stateless(negative), PlanStatus::kBadRequest},
+      {"infeasible capacity", stateless(batch), PlanStatus::kBadRequest},
+      {"non-finite threshold", stateless(batch), PlanStatus::kBadRequest},
+      {"stateless delta", stateless(batch), PlanStatus::kBadRequest},
+      {"flat session", session(batch, nullptr, nullptr), PlanStatus::kBadRequest},
+      {"slot out of range", session(next, &out_of_range, nullptr), PlanStatus::kBadDelta},
+      {"delta misses the churn", session(next, &no_churn, nullptr), PlanStatus::kBadDelta},
+      {"slot removed and resized", session(repeated_batch, &repeated, nullptr),
+       PlanStatus::kBadDelta},
+      {"same size, wrong batch", session(batch, &wrong_resize, nullptr),
+       PlanStatus::kBadDelta},
+      {"kill out of range", session(batch, nullptr, &kill_out_of_range),
+       PlanStatus::kBadDelta},
+      {"restore an alive rank", session(batch, nullptr, &restore_alive),
+       PlanStatus::kBadDelta},
+      {"kill every rank", session(batch, nullptr, &kill_all), PlanStatus::kBadDelta},
+      {"non-finite speed", session(batch, nullptr, &bad_speed), PlanStatus::kBadDelta},
+      {"first contact kills every rank", session(batch, nullptr, &kill_all, "fresh"),
+       PlanStatus::kBadDelta},
+  };
+  cases[3].request.options.token_capacity = 1;
+  cases[4].request.options.delta_replan_threshold = std::numeric_limits<double>::infinity();
+  cases[5].request.delta = &delta;
+  cases[6].request.options.hierarchical_partitioning = false;
+
+  PlanCache cache(&service);
+  for (const Case& c : cases) {
+    const PlanResponse response = service.Plan(c.request);
+    EXPECT_EQ(response.status, c.expected) << c.name;
+    EXPECT_EQ(response.plan, nullptr) << c.name;
+    EXPECT_FALSE(response.error.empty()) << c.name;
+    // The cache answers the same, and stores nothing.
+    EXPECT_EQ(cache.Plan(c.request).status, c.expected) << c.name;
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(service.HasSession("fresh"));
+  EXPECT_EQ(service.session_count(), 1u);
+
+  PlanRequest good = session(next, &delta, nullptr);
+  const PlanResponse remote = service.Plan(good);
+  ASSERT_EQ(remote.status, PlanStatus::kOk) << remote.error;
+  PlanRequest twin_base = rig.Request(batch);
+  twin_base.stream_id = "twin";
+  ASSERT_EQ(service.Plan(twin_base).status, PlanStatus::kOk);
+  PlanRequest twin_step = session(next, &delta, nullptr, "twin");
+  const PlanResponse twin = service.Plan(twin_step);
+  EXPECT_EQ(remote.digest, twin.digest);
+  EXPECT_EQ(remote.stats.delta_outcome, twin.stats.delta_outcome);
 }
 
 }  // namespace

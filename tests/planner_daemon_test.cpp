@@ -684,8 +684,8 @@ TEST(PlannerDaemonTest, StageBreakdownOnWireAndZeroedOnCacheHit) {
 }
 
 TEST(PlannerDaemonTest, TraceOutCoversRequestStages) {
-  const std::string trace_path =
-      ::testing::TempDir() + "/planner_daemon_trace.json";
+  const std::string trace_path = ::testing::TempDir() + "/planner_daemon_trace." +
+                                 std::to_string(::getpid()) + ".json";
   {
     DaemonRig rig(DaemonOptions{.trace_out = trace_path});
     PlanClient client = rig.Client();
