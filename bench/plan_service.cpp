@@ -149,8 +149,8 @@ int main(int argc, char** argv) {
     for (int s = 0; s < streams; ++s) {
       DeltaStats stats;
       if (service.GetSessionStats("bench-" + std::to_string(s), &stats)) {
-        applied += stats.applied;
-        rebased += stats.rebased;
+        applied += stats.count(DeltaOutcome::kApplied);
+        rebased += stats.rebased();
       }
     }
 

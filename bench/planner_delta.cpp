@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     dopts.replan_threshold = replan_threshold;
     DeltaPlanner dp(cluster, dopts);
     dp.Rebase(initial);
-    const int64_t stats_base_applied = dp.stats().applied;
+    const int64_t stats_base_applied = dp.stats().count(DeltaOutcome::kApplied);
 
     // Full-replan arm: the inline sharded engine with persistent (warm) scratch —
     // what a non-streaming planner pays every iteration. Capacity tracks the
@@ -162,12 +162,12 @@ int main(int argc, char** argv) {
       low_churn_speedup = std::max(low_churn_speedup, speedup);
     }
     const DeltaStats& stats = dp.stats();
-    const int64_t applied = stats.applied - stats_base_applied;
+    const int64_t applied = stats.count(DeltaOutcome::kApplied) - stats_base_applied;
 
     table.AddRow({Table::Cell(churn, 3), Table::Cell(delta_us, 1), Table::Cell(full_us, 1),
                   Table::Cell(speedup, 1) + "x",
                   Table::Cell(applied) + "/" + Table::Cell(static_cast<int64_t>(iters)),
-                  Table::Cell(stats.rebased), Table::Cell(max_ratio, 3),
+                  Table::Cell(stats.rebased()), Table::Cell(max_ratio, 3),
                   point_equivalent ? "yes" : "NO"});
 
     json.BeginObject();
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     json.Key("applied");
     json.Value(applied);
     json.Key("rebased");
-    json.Value(stats.rebased);
+    json.Value(stats.rebased());
     json.Key("repacked_nodes");
     json.Value(stats.repacked_nodes);
     json.Key("evicted_rings");

@@ -174,8 +174,9 @@ int main(int argc, char** argv) {
     const DeltaStats& stats = dp.stats();
 
     table.AddRow({Table::Cell(rate, 3), Table::Cell(patch_us, 1), Table::Cell(full_us, 1),
-                  Table::Cell(speedup, 1) + "x", Table::Cell(stats.applied_topology),
-                  Table::Cell(stats.rebase_topology + stats.rebase_migration),
+                  Table::Cell(speedup, 1) + "x", Table::Cell(stats.count(DeltaOutcome::kAppliedTopology)),
+                  Table::Cell(stats.count(DeltaOutcome::kRebasedTopology) +
+                              stats.count(DeltaOutcome::kRebasedMigration)),
                   Table::Cell(stats.migrated_sequences), Table::Cell(max_ratio, 3),
                   point_equivalent ? "yes" : "NO"});
 
@@ -189,11 +190,11 @@ int main(int argc, char** argv) {
     json.Key("recovery_speedup");
     json.Value(speedup);
     json.Key("applied_topology");
-    json.Value(stats.applied_topology);
+    json.Value(stats.count(DeltaOutcome::kAppliedTopology));
     json.Key("rebase_topology");
-    json.Value(stats.rebase_topology);
+    json.Value(stats.count(DeltaOutcome::kRebasedTopology));
     json.Key("rebase_migration");
-    json.Value(stats.rebase_migration);
+    json.Value(stats.count(DeltaOutcome::kRebasedMigration));
     json.Key("migrated_sequences");
     json.Value(stats.migrated_sequences);
     json.Key("max_load_ratio");

@@ -443,10 +443,10 @@ int main(int argc, char** argv) {
       std::string topo_applied = "-";
       std::string migrated = "-";
       if (const auto* zeppelin = dynamic_cast<const ZeppelinStrategy*>(strategy.get())) {
-        if (const DeltaStats* stats = zeppelin->delta_stats()) {
-          patched = Table::Cell(stats->applied);
-          replanned = Table::Cell(stats->rebased);
-          topo_applied = Table::Cell(stats->applied_topology);
+        if (const std::optional<DeltaStats> stats = zeppelin->delta_stats()) {
+          patched = Table::Cell(stats->count(DeltaOutcome::kApplied));
+          replanned = Table::Cell(stats->rebased());
+          topo_applied = Table::Cell(stats->count(DeltaOutcome::kAppliedTopology));
           migrated = Table::Cell(stats->migrated_sequences);
         }
       }

@@ -28,17 +28,12 @@ void HybridDpStrategy::Plan(const Batch& batch, const CostModel& cost_model,
   const int world = spec.world_size();
   const int p = spec.gpus_per_node;
 
-  int64_t capacity = options_.token_capacity;
-  if (capacity == 0) {
-    // Same memory-headroom capacity rule as Zeppelin's partitioner.
-    const int64_t average = (batch.total_tokens() + world - 1) / world;
-    int64_t with_slack = average + average / 4;
-    const int64_t memory_cap = TokenCapacity(cost_model.model(), spec, world);
-    if (memory_cap > 0) {
-      with_slack = std::min(with_slack, memory_cap);
-    }
-    capacity = std::max(average, with_slack);
-  }
+  // Same memory-headroom capacity rule as Zeppelin's partitioner.
+  const int64_t capacity =
+      options_.token_capacity != 0
+          ? options_.token_capacity
+          : HeadroomCapacity(batch.total_tokens(), world,
+                             TokenCapacity(cost_model.model(), spec, world));
 
   auto seq_flops = [&](int64_t len) {
     return cost_model.CausalAttentionFlops(len) +

@@ -8,6 +8,7 @@
 #include "src/common/check.h"
 #include "src/core/partitioner_internal.h"
 #include "src/core/plan_verify.h"
+#include "src/model/memory.h"
 
 namespace zeppelin {
 
@@ -72,14 +73,8 @@ void DeltaPlanner::EnsureCapacityFits(int64_t total_tokens) {
   if (total_tokens <= world * options_.token_capacity) {
     return;
   }
-  // Same derivation as ZeppelinStrategy::Plan(): tight average plus 25%
-  // headroom, capped by the caller's ceiling when that still fits.
-  const int64_t average = (total_tokens + world - 1) / world;
-  int64_t raised = average + average / 4;
-  if (options_.capacity_ceiling > 0) {
-    raised = std::min(raised, options_.capacity_ceiling);
-  }
-  options_.token_capacity = std::max(raised, average);
+  // The service's derivation, over the alive devices and the caller's ceiling.
+  options_.token_capacity = HeadroomCapacity(total_tokens, world, options_.capacity_ceiling);
 }
 
 void DeltaPlanner::Rebase(const Batch& batch) {
@@ -197,39 +192,6 @@ double DeltaPlanner::Imbalance() const {
   }
   const double mean = static_cast<double>(total) / std::max(alive, 1);
   return mean > 0 ? static_cast<double>(max_load) / mean : 1.0;
-}
-
-void DeltaPlanner::CountOutcome(DeltaOutcome reason) {
-  ++stats_.rebased;
-  switch (reason) {
-    case DeltaOutcome::kRebasedNoBase:
-      ++stats_.rebase_no_base;
-      break;
-    case DeltaOutcome::kRebasedChurn:
-      ++stats_.rebase_churn;
-      break;
-    case DeltaOutcome::kRebasedZone:
-      ++stats_.rebase_zone;
-      break;
-    case DeltaOutcome::kRebasedRefined:
-      ++stats_.rebase_refined;
-      break;
-    case DeltaOutcome::kRebasedCapacity:
-      ++stats_.rebase_capacity;
-      break;
-    case DeltaOutcome::kRebasedImbalance:
-      ++stats_.rebase_imbalance;
-      break;
-    case DeltaOutcome::kRebasedTopology:
-      ++stats_.rebase_topology;
-      break;
-    case DeltaOutcome::kRebasedMigration:
-      ++stats_.rebase_migration;
-      break;
-    case DeltaOutcome::kApplied:
-    case DeltaOutcome::kAppliedTopology:
-      ZCHECK(false) << "applied outcomes are not rebase outcomes";
-  }
 }
 
 DeltaOutcome DeltaPlanner::ApplyViaRebase(const BatchDelta& delta, DeltaOutcome reason) {
@@ -379,7 +341,7 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
     return ApplyViaRebase(delta, DeltaOutcome::kRebasedNoBase);
   }
   if (delta.empty()) {
-    ++stats_.applied;
+    CountOutcome(DeltaOutcome::kApplied);
     return DeltaOutcome::kApplied;
   }
   // Churn fraction counts churned *slots*: a removal refilled by an addition
@@ -531,7 +493,7 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
   // the allowance tracks the best achieved quality rather than a stale base
   // (a full re-plan resets it exactly).
   base_imbalance_ = std::min(base_imbalance_, imbalance);
-  ++stats_.applied;
+  CountOutcome(DeltaOutcome::kApplied);
   stats_.patched_sequences += delta.size();
   return DeltaOutcome::kApplied;
 }
@@ -685,7 +647,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
     return DeltaOutcome::kRebasedNoBase;
   }
   if (delta.empty()) {
-    ++stats_.applied_topology;
+    CountOutcome(DeltaOutcome::kAppliedTopology);
     return DeltaOutcome::kAppliedTopology;
   }
   if (base_refined_) {
@@ -798,7 +760,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
     return FallBack(DeltaOutcome::kRebasedImbalance);
   }
   base_imbalance_ = std::min(base_imbalance_, imbalance);
-  ++stats_.applied_topology;
+  CountOutcome(DeltaOutcome::kAppliedTopology);
   return DeltaOutcome::kAppliedTopology;
 }
 

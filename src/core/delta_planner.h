@@ -64,8 +64,10 @@
 #ifndef SRC_CORE_DELTA_PLANNER_H_
 #define SRC_CORE_DELTA_PLANNER_H_
 
+#include <array>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -130,26 +132,26 @@ enum class DeltaOutcome : uint8_t {
   kRebasedMigration,  // Dead-node migration exceeded migration_budget.
 };
 
+inline constexpr int kNumDeltaOutcomes = static_cast<int>(DeltaOutcome::kRebasedMigration) + 1;
+
 const char* DeltaOutcomeName(DeltaOutcome outcome);
 
 // Cumulative counters over a DeltaPlanner's lifetime.
 struct DeltaStats {
-  int64_t applied = 0;            // Apply() calls that patched in place.
-  int64_t rebased = 0;            // Patch calls that fell back (all reasons).
-  int64_t rebase_no_base = 0;
-  int64_t rebase_churn = 0;
-  int64_t rebase_zone = 0;
-  int64_t rebase_refined = 0;
-  int64_t rebase_capacity = 0;
-  int64_t rebase_imbalance = 0;
-  int64_t applied_topology = 0;   // ApplyTopology() calls that patched.
-  int64_t rebase_topology = 0;    // Structural topology fallbacks.
-  int64_t rebase_migration = 0;   // Migration-budget fallbacks.
+  // Apply()/ApplyTopology() calls per outcome, indexed by DeltaOutcome.
+  std::array<int64_t, kNumDeltaOutcomes> outcomes{};
   int64_t migrated_sequences = 0;  // Sequences moved off dead nodes in place.
   int64_t patched_sequences = 0;  // Sequences placed by the delta path.
   int64_t evicted_rings = 0;      // Ring spans freed (delta + dirty re-runs).
   int64_t repacked_nodes = 0;     // Dirty-node Alg. 2 re-runs.
   int64_t compactions = 0;        // Arena compaction passes.
+
+  int64_t count(DeltaOutcome outcome) const { return outcomes[static_cast<int>(outcome)]; }
+  // Patch calls that fell back to a full re-plan (every kRebased* outcome).
+  int64_t rebased() const {
+    return std::accumulate(outcomes.begin(), outcomes.end(), int64_t{0}) -
+           count(DeltaOutcome::kApplied) - count(DeltaOutcome::kAppliedTopology);
+  }
 };
 
 // Keeps a PartitionPlan and the planner state that produced it alive across
@@ -252,7 +254,7 @@ class DeltaPlanner {
   bool NodeHasChunks(int node) const;
   DeltaOutcome ApplyViaRebase(const BatchDelta& delta, DeltaOutcome reason);
   DeltaOutcome FallBack(DeltaOutcome reason);  // Mid-patch: batch_ already new.
-  void CountOutcome(DeltaOutcome reason);
+  void CountOutcome(DeltaOutcome outcome) { ++stats_.outcomes[static_cast<int>(outcome)]; }
 
   // Removes `slot`'s current plan entry and rolls its load contributions out
   // of tokens_per_rank / node_loads_. Reads the slot's (old) length from

@@ -168,6 +168,12 @@ PlanCache::PlanCache(PlannerService* service, PlanCacheOptions options)
     : service_(service), options_(options) {
   ZCHECK(service_ != nullptr) << "PlanCache without a service";
   options_.capacity = std::max<size_t>(options_.capacity, 1);
+  obs::MetricsRegistry& metrics = service_->metrics();
+  hits_ = metrics.GetCounter("cache.hits");
+  misses_ = metrics.GetCounter("cache.misses");
+  evictions_ = metrics.GetCounter("cache.evictions");
+  bypasses_ = metrics.GetCounter("cache.bypasses");
+  verify_failures_ = metrics.GetCounter("cache.verify_failures");
 }
 
 bool PlanCache::Cacheable(const PlanRequest& request) const {
@@ -177,10 +183,7 @@ bool PlanCache::Cacheable(const PlanRequest& request) const {
 
 PlanResponse PlanCache::Plan(const PlanRequest& request) {
   if (!Cacheable(request)) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.bypasses;
-    }
+    bypasses_->Inc();
     return service_->Plan(request);  // cache_outcome stays kBypass.
   }
   if (std::optional<PlanResponse> served = TryServe(request)) {
@@ -310,8 +313,8 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
     }
   }
   if (plan == nullptr) {
+    verify_failures_->Inc();
     std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.verify_failures;
     auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.erase(it->second);
@@ -337,10 +340,7 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
   response.stats.cache_outcome = CacheOutcome::kHit;
   response.stats.verified = true;
   response.digest = served_digest;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.hits;
-  }
+  hits_->Inc();
   return response;
 }
 
@@ -355,20 +355,20 @@ PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request) {
   const PlanCacheKey key = ComputePlanCacheKey(request);
   response.stats.cache_outcome = CacheOutcome::kMiss;
   response.stats.verified = Certified(*response.plan, request);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.misses;
-  if (response.stats.verified) {
-    Entry entry;
-    entry.key = key;
-    entry.seq_lens = request.batch->seq_lens;
-    entry.plan = response.plan;
-    entry.stats = response.stats;
-    entry.digest = response.digest;
-    InsertLocked(std::move(entry));
-  } else {
-    ++counters_.verify_failures;
+  misses_->Inc();
+  if (!response.stats.verified) {
+    verify_failures_->Inc();
+    return response;
   }
+
+  Entry entry;
+  entry.key = key;
+  entry.seq_lens = request.batch->seq_lens;
+  entry.plan = response.plan;
+  entry.stats = response.stats;
+  entry.digest = response.digest;
+  std::lock_guard<std::mutex> lock(mu_);
+  InsertLocked(std::move(entry));
   return response;
 }
 
@@ -382,15 +382,18 @@ void PlanCache::InsertLocked(Entry entry) {
   if (lru_.size() >= options_.capacity) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
-    ++counters_.evictions;
+    evictions_->Inc();
   }
   lru_.push_front(std::move(entry));
   index_[lru_.front().key] = lru_.begin();
 }
 
 PlanCacheCounters PlanCache::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  return PlanCacheCounters{.hits = hits_->value(),
+                           .misses = misses_->value(),
+                           .evictions = evictions_->value(),
+                           .bypasses = bypasses_->value(),
+                           .verify_failures = verify_failures_->value()};
 }
 
 size_t PlanCache::size() const {

@@ -26,7 +26,8 @@
 //
 // Thread safety: all public methods are safe to call concurrently. The LRU
 // index is guarded by one mutex held only for O(1)/O(size) bookkeeping;
-// planning and verification run outside it.
+// planning, verification, and counting (lock-free registry counters) run
+// outside it.
 #ifndef SRC_CORE_PLAN_CACHE_H_
 #define SRC_CORE_PLAN_CACHE_H_
 
@@ -51,7 +52,9 @@ struct PlanCacheOptions {
   size_t capacity = 128;
 };
 
-// Monotonic counters over the cache's lifetime.
+// Monotonic counts of the cache.* counters in the service's registry
+// (PlannerService::metrics()). They are per service: every PlanCache over
+// one service counts into the same five counters.
 struct PlanCacheCounters {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -100,6 +103,7 @@ class PlanCache {
   // Plans through the service and inserts the result into the cache.
   PlanResponse PlanAndInsert(const PlanRequest& request);
 
+  // A read-only view of the service's cache.* counters.
   PlanCacheCounters counters() const;
   size_t size() const;
 
@@ -142,7 +146,13 @@ class PlanCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // Front = most recently used.
   std::unordered_map<PlanCacheKey, std::list<Entry>::iterator, KeyHash> index_;
-  PlanCacheCounters counters_;
+
+  // The cache.* counters, registered in the service's registry.
+  obs::Counter* hits_ = nullptr;
+  obs::Counter* misses_ = nullptr;
+  obs::Counter* evictions_ = nullptr;
+  obs::Counter* bypasses_ = nullptr;
+  obs::Counter* verify_failures_ = nullptr;
 };
 
 }  // namespace zeppelin

@@ -4,57 +4,12 @@
 #include <cstring>
 #include <limits>
 
+#include "src/common/le_codec.h"
+
 namespace zeppelin {
 namespace {
 
-// Little-endian fixed-width writers. The format is defined byte-wise, so the
-// encoder never relies on host struct layout or endianness.
-void PutU32(std::string* out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) {
-    b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  out->append(b, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) {
-    b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  out->append(b, 8);
-}
-
-void PutI32(std::string* out, int32_t v) { PutU32(out, static_cast<uint32_t>(v)); }
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-// Cursor-based reader; every Get* checks the remaining length first, so a
-// truncated input can never read past the end.
-struct Reader {
-  const unsigned char* data;
-  size_t size;
-  size_t pos = 0;
-
-  bool Have(size_t n) const { return size - pos >= n; }
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  uint64_t GetU64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  int32_t GetI32() { return static_cast<int32_t>(GetU32()); }
-  int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
-};
+using namespace le_codec;
 
 // Per-record wire sizes (see docs/PLAN_FORMAT.md, "Wire format").
 constexpr size_t kRingRecordBytes = 4 + 8 + 4 + 4 + 4;  // seq_id, length, zone, offset, count.

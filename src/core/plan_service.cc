@@ -80,6 +80,10 @@ PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* 
 
 PlannerService::PlannerService(PlanServiceOptions options)
     : options_(options), plan_pool_(std::make_shared<PlanPool>()) {
+  for (int i = 0; i < kNumDeltaOutcomes; ++i) {
+    delta_outcomes_[i] = metrics_.GetCounter(
+        std::string("delta.") + DeltaOutcomeName(static_cast<DeltaOutcome>(i)));
+  }
   plan_pool_->limit = std::max(0, options_.plan_pool_limit);
   if (options_.num_planner_threads >= 1) {
     pool_.emplace(std::clamp(options_.num_planner_threads, 1, ThreadPool::kMaxContexts));
@@ -120,16 +124,11 @@ int64_t PlannerService::DeriveCapacity(const Batch& batch, const CostModel& cost
   }
   // L is the per-device *memory* capacity (Alg. 1/2 input). The paper's
   // workloads size the batch to nearly fill memory (4k tokens/GPU), so L
-  // sits a modest headroom above the batch average; we model that with a
-  // 25% slack, additionally capped by the memory model when it binds.
+  // sits a modest headroom above the batch average, additionally capped by
+  // the memory model when it binds.
   const int world = spec.world_size();
-  const int64_t average = (batch.total_tokens() + world - 1) / world;
-  int64_t with_slack = average + average / 4;
-  const int64_t memory_cap = TokenCapacity(cost_model.model(), spec, world);
-  if (memory_cap > 0) {
-    with_slack = std::min(with_slack, memory_cap);
-  }
-  return std::max(average, with_slack);
+  return HeadroomCapacity(batch.total_tokens(), world,
+                          TokenCapacity(cost_model.model(), spec, world));
 }
 
 ZoneBoundaries PlannerService::CachedZones(const CostModel& cost_model,
@@ -379,6 +378,7 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
     tctx->AddSpan(obs::Stage::kPlan, plan_start_us, response.stats.partition_time_us);
   }
   response.stats.delta_outcome = session->last_outcome;
+  delta_outcomes_[static_cast<int>(session->last_outcome)]->Inc();
   const bool patched = session->last_outcome == DeltaOutcome::kApplied ||
                        session->last_outcome == DeltaOutcome::kAppliedTopology;
   response.stats.engine = patched ? PlanEngine::kDeltaPatch : PlanEngine::kParallelSharded;

@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "src/common/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/core/delta_planner.h"
 #include "src/core/partitioner.h"
@@ -162,8 +163,9 @@ struct PlanStats {
   // Cache disposition of this response (kBypass when no cache is involved).
   CacheOutcome cache_outcome = CacheOutcome::kBypass;
   // True when this plan passed VerifyPlan before being served. False means
-  // the certifier did not run (cache off, bypass path) or failed (the cache
-  // then refuses to store the plan; the daemon refuses to serve it).
+  // the certifier did not run (no cache in front, bypass path) or failed
+  // (the cache then refuses to store the plan; the daemon refuses to serve
+  // it).
   bool verified = false;
   // Per-request stage latency breakdown (µs), indexed by obs::Stage. The
   // service fills kPlan/kMaterialize; the daemon overlays its own measured
@@ -237,6 +239,12 @@ class PlannerService {
   // stream id names no session.
   DeltaOutcome SessionLastOutcome(const std::string& stream_id) const;
 
+  // The serving stack's one metrics registry (docs/OBSERVABILITY.md). The
+  // service counts every session response as delta.<DeltaOutcomeName>; the
+  // layers that borrow the service (PlanCache, PlannerDaemon) register their
+  // own instruments here, so one Snapshot() covers the whole stack.
+  obs::MetricsRegistry& metrics() { return metrics_; }
+
  private:
   // One delta stream's state. `mu` serializes requests on the same stream;
   // everything inside is owned by whoever holds `mu`.
@@ -294,6 +302,12 @@ class PlannerService {
                          const ClusterSpec& spec, const PlanningOptions& options) const;
   ZoneBoundaries CachedZones(const CostModel& cost_model, const ClusterSpec& spec);
   std::shared_ptr<Session> FindOrCreateSession(const std::string& stream_id);
+
+  // Declared first: instruments handed out from it must outlive every
+  // member (and every borrowing layer) that holds a pointer into it.
+  obs::MetricsRegistry metrics_;
+  // One counter per DeltaOutcome, indexed by it.
+  std::array<obs::Counter*, kNumDeltaOutcomes> delta_outcomes_{};
 
   PlanServiceOptions options_;
 

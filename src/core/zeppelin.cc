@@ -126,12 +126,13 @@ void ZeppelinStrategy::AdoptPlan(std::shared_ptr<const PartitionPlan> plan,
   FinishPlanning(cost_model, fabric);
 }
 
-const DeltaStats* ZeppelinStrategy::delta_stats() const {
+std::optional<DeltaStats> ZeppelinStrategy::delta_stats() const {
   PlannerService* svc = options_.service ? options_.service.get() : owned_service_.get();
-  if (svc == nullptr || !svc->GetSessionStats(options_.stream_id, &delta_stats_cache_)) {
-    return nullptr;
+  DeltaStats stats;
+  if (svc == nullptr || !svc->GetSessionStats(options_.stream_id, &stats)) {
+    return std::nullopt;
   }
-  return &delta_stats_cache_;
+  return stats;
 }
 
 void ZeppelinStrategy::FinishPlanning(const CostModel& cost_model, const FabricResources& fabric) {

@@ -142,9 +142,9 @@ class ZeppelinStrategy : public Strategy {
   // Full service-side telemetry of the last planning call (engine used,
   // partition/materialize split, fallback reason, capacity).
   const PlanStats& last_plan_stats() const { return last_stats_; }
-  // Delta-planning telemetry (valid after the first PlanDelta() call; null
-  // before, or after the session was closed).
-  const DeltaStats* delta_stats() const;
+  // Delta-planning telemetry (valid after the first PlanDelta() call;
+  // nullopt before, or after the session was closed).
+  std::optional<DeltaStats> delta_stats() const;
   DeltaOutcome last_delta_outcome() const { return last_delta_outcome_; }
 
   const ZeppelinOptions& options() const { return options_; }
@@ -168,7 +168,6 @@ class ZeppelinStrategy : public Strategy {
   std::shared_ptr<const PartitionPlan> current_plan_;
   PlanStats last_stats_;
   DeltaOutcome last_delta_outcome_ = DeltaOutcome::kRebasedNoBase;
-  mutable DeltaStats delta_stats_cache_;
 
   RemapSolution remap_solution_;
   std::vector<int64_t> linear_tokens_;

@@ -42,4 +42,13 @@ int64_t TokenCapacity(const TransformerConfig& model, const ClusterSpec& cluster
   return ComputeMemoryBreakdown(model, cluster, world_size).token_capacity;
 }
 
+int64_t HeadroomCapacity(int64_t total_tokens, int64_t devices, int64_t ceiling) {
+  const int64_t average = (total_tokens + devices - 1) / devices;
+  int64_t with_slack = average + average / 4;
+  if (ceiling > 0) {
+    with_slack = std::min(with_slack, ceiling);
+  }
+  return std::max(average, with_slack);
+}
+
 }  // namespace zeppelin

@@ -33,6 +33,11 @@ MemoryBreakdown ComputeMemoryBreakdown(const TransformerConfig& model, const Clu
 // Convenience: just the token capacity (0 if the model does not even fit).
 int64_t TokenCapacity(const TransformerConfig& model, const ClusterSpec& cluster, int world_size);
 
+// The derived L when none is configured: the batch average over `devices`
+// (rounded up) plus 25% headroom, capped by `ceiling` when it is positive, but
+// never below the average (the partitioner needs total <= devices * L).
+int64_t HeadroomCapacity(int64_t total_tokens, int64_t devices, int64_t ceiling);
+
 }  // namespace zeppelin
 
 #endif  // SRC_MODEL_MEMORY_H_

@@ -207,44 +207,36 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
       logical_cluster_(ApplyTensorParallelism(cluster, options.tensor_parallel)),
       fabric_(logical_cluster_),
       cost_model_(model, logical_cluster_, options.tensor_parallel),
-      options_(options) {
+      options_(options),
+      service_(PlanServiceOptions{.num_planner_threads = options.planner_threads}),
+      cache_(&service_) {
   options_.max_frame_bytes = std::min(options_.max_frame_bytes, kFrameHardCap);
-  service_ = std::make_unique<PlannerService>(
-      PlanServiceOptions{.num_planner_threads = options_.planner_threads});
-  if (options_.plan_cache) {
-    PlanCacheOptions cache_options;
-    cache_options.capacity = options_.plan_cache_capacity;
-    cache_ = std::make_unique<PlanCache>(service_.get(), cache_options);
-  }
   // Instrument registration is a construction-time event: the request path
   // only ever touches the returned pointers (relaxed atomics, no registry
   // lock). The names are the "zeppelin.metrics.v1" catalog
   // (docs/OBSERVABILITY.md).
-  c_connections_accepted_ = metrics_.GetCounter("daemon.connections_accepted");
-  c_connections_refused_ = metrics_.GetCounter("daemon.connections_refused");
-  c_requests_ok_ = metrics_.GetCounter("daemon.requests_ok");
-  c_shed_overload_ = metrics_.GetCounter("daemon.shed_overload");
-  c_shed_deadline_ = metrics_.GetCounter("daemon.shed_deadline");
-  c_rejected_shutdown_ = metrics_.GetCounter("daemon.rejected_shutdown");
-  c_malformed_frames_ = metrics_.GetCounter("daemon.malformed_frames");
-  c_malformed_requests_ = metrics_.GetCounter("daemon.malformed_requests");
-  c_bad_requests_ = metrics_.GetCounter("daemon.bad_requests");
-  c_sessions_reaped_ = metrics_.GetCounter("daemon.sessions_reaped");
-  c_verify_failures_ = metrics_.GetCounter("daemon.verify_failures");
-  c_stats_requests_ = metrics_.GetCounter("daemon.stats_requests");
-  g_queue_depth_ = metrics_.GetGauge("daemon.queue_depth");
-  g_active_plans_ = metrics_.GetGauge("daemon.active_plans");
-  g_connections_ = metrics_.GetGauge("daemon.connections");
-  g_sessions_ = metrics_.GetGauge("daemon.sessions");
-  g_cache_hits_ = metrics_.GetGauge("cache.hits");
-  g_cache_misses_ = metrics_.GetGauge("cache.misses");
-  g_cache_evictions_ = metrics_.GetGauge("cache.evictions");
-  g_cache_verify_failures_ = metrics_.GetGauge("cache.verify_failures");
+  obs::MetricsRegistry& metrics = service_.metrics();
+  c_connections_accepted_ = metrics.GetCounter("daemon.connections_accepted");
+  c_connections_refused_ = metrics.GetCounter("daemon.connections_refused");
+  c_requests_ok_ = metrics.GetCounter("daemon.requests_ok");
+  c_shed_overload_ = metrics.GetCounter("daemon.shed_overload");
+  c_shed_deadline_ = metrics.GetCounter("daemon.shed_deadline");
+  c_rejected_shutdown_ = metrics.GetCounter("daemon.rejected_shutdown");
+  c_malformed_frames_ = metrics.GetCounter("daemon.malformed_frames");
+  c_malformed_requests_ = metrics.GetCounter("daemon.malformed_requests");
+  c_bad_requests_ = metrics.GetCounter("daemon.bad_requests");
+  c_sessions_reaped_ = metrics.GetCounter("daemon.sessions_reaped");
+  c_verify_failures_ = metrics.GetCounter("daemon.verify_failures");
+  c_stats_requests_ = metrics.GetCounter("daemon.stats_requests");
+  g_queue_depth_ = metrics.GetGauge("daemon.queue_depth");
+  g_active_plans_ = metrics.GetGauge("daemon.active_plans");
+  g_connections_ = metrics.GetGauge("daemon.connections");
+  g_sessions_ = metrics.GetGauge("daemon.sessions");
   for (int i = 0; i < obs::kNumStages; ++i) {
-    h_stage_[i] = metrics_.GetHistogram(
+    h_stage_[i] = metrics.GetHistogram(
         std::string("stage_us.") + obs::StageName(static_cast<obs::Stage>(i)));
   }
-  h_request_us_ = metrics_.GetHistogram("request.total_us");
+  h_request_us_ = metrics.GetHistogram("request.total_us");
   gate_ = std::make_unique<AdmissionGate>(options_.max_concurrent_plans,
                                           options_.queue_limit, g_active_plans_,
                                           g_queue_depth_);
@@ -361,31 +353,20 @@ DaemonCounters PlannerDaemon::counters() const {
   out.malformed_requests = c_malformed_requests_->value();
   out.bad_requests = c_bad_requests_->value();
   out.sessions_reaped = c_sessions_reaped_->value();
-  out.verify_failures = c_verify_failures_->value();
-  if (cache_ != nullptr) {
-    const PlanCacheCounters cache = cache_->counters();
-    out.cache_hits = cache.hits;
-    out.cache_misses = cache.misses;
-    out.cache_evictions = cache.evictions;
-    out.verify_failures += cache.verify_failures;
-  }
+  const PlanCacheCounters cache = cache_.counters();
+  out.cache_hits = cache.hits;
+  out.cache_misses = cache.misses;
+  out.cache_evictions = cache.evictions;
+  out.verify_failures = c_verify_failures_->value() + cache.verify_failures;
   return out;
 }
 
 std::string PlannerDaemon::StatsJson() {
-  // Refresh the snapshot-time mirrors first: connection/session levels and
-  // the cache's lock-guarded counters. Everything else is already live in
-  // the instruments themselves.
+  // The connection and session levels are read at snapshot time; every other
+  // instrument is already live.
   g_connections_->Set(static_cast<int64_t>(connection_count()));
-  g_sessions_->Set(static_cast<int64_t>(service_->session_count()));
-  if (cache_ != nullptr) {
-    const PlanCacheCounters cache = cache_->counters();
-    g_cache_hits_->Set(static_cast<int64_t>(cache.hits));
-    g_cache_misses_->Set(static_cast<int64_t>(cache.misses));
-    g_cache_evictions_->Set(static_cast<int64_t>(cache.evictions));
-    g_cache_verify_failures_->Set(static_cast<int64_t>(cache.verify_failures));
-  }
-  return obs::MetricsToJson(metrics_.Snapshot());
+  g_sessions_->Set(static_cast<int64_t>(service_.session_count()));
+  return obs::MetricsToJson(service_.metrics().Snapshot());
 }
 
 size_t PlannerDaemon::connection_count() const {
@@ -519,7 +500,7 @@ void PlannerDaemon::ReapSessions(Connection& conn) {
   }
   uint64_t reaped = 0;
   for (const std::string& stream_id : conn.streams) {
-    if (service_->CloseSession(SessionKey(conn.id, stream_id))) {
+    if (service_.CloseSession(SessionKey(conn.id, stream_id))) {
       ++reaped;
     }
   }
@@ -594,21 +575,21 @@ bool PlannerDaemon::HandleFrame(Connection& conn, const Frame& frame) {
       return SendResponse(conn, response);
     }
     case RequestKind::kCloseSession: {
-      service_->CloseSession(SessionKey(conn.id, request.stream_id));
+      service_.CloseSession(SessionKey(conn.id, request.stream_id));
       conn.streams.erase(request.stream_id);
       WireResponse response;
       response.request_id = request.request_id;
-      response.stats.session_count = service_->session_count();
+      response.stats.session_count = service_.session_count();
       return SendResponse(conn, response);
     }
     case RequestKind::kStats: {
       // Live introspection: no admission permit (the snapshot only reads
-      // atomics + the cache counter mutex), so stats stay answerable while
-      // every planning permit is busy.
+      // atomics under the registry's registration lock), so stats stay
+      // answerable while every planning permit is busy.
       c_stats_requests_->Inc();
       WireResponse response;
       response.request_id = request.request_id;
-      response.stats.session_count = service_->session_count();
+      response.stats.session_count = service_.session_count();
       response.stats_json = StatsJson();
       return SendResponse(conn, response);
     }
@@ -678,12 +659,11 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
   // Exact-tier cache hits are served before (and without) an admission
   // permit: no planning happens, so a hit costs no planner capacity — and a
   // permit-free path keeps repeated responses byte-identical (zero queue
-  // wait) under any load. TryServe drops + replans poisoned entries itself.
-  if (!is_session && cache_ != nullptr) {
-    if (std::optional<PlanResponse> served = cache_->TryServe(plan_request)) {
-      ServePlan(conn, request.request_id, *served, /*queue_wait_us=*/0);
-      return;
-    }
+  // wait) under any load. TryServe drops + replans poisoned entries itself,
+  // and declines session requests.
+  if (std::optional<PlanResponse> served = cache_.TryServe(plan_request)) {
+    ServePlan(conn, request.request_id, *served, /*queue_wait_us=*/0);
+    return;
   }
 
   const auto deadline = request.deadline_ms == 0
@@ -732,9 +712,8 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
     return;
   }
 
-  PlanResponse planned = !is_session && cache_ != nullptr
-                             ? cache_->PlanAndInsert(plan_request)
-                             : service_->Plan(plan_request);
+  // Session requests pass through the cache to the service.
+  PlanResponse planned = cache_.PlanAndInsert(plan_request);
   gate_->Release();
   if (planned.status != PlanStatus::kOk) {
     c_bad_requests_->Inc();
@@ -743,18 +722,14 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
   }
   if (is_session) {
     conn.streams.insert(request.stream_id);
-  }
-  if (!planned.stats.verified) {
-    // Certify the paths the cache did not (sessions, cache off, or a fresh
-    // plan the cache refused to store). Sessions verify against their own
-    // topology with the balance clause off: degraded/heterogeneous session
-    // plans balance *effective* load under state the certifier should not
-    // re-derive here, but coverage, conservation, arena and dead-rank
-    // placement are all still enforced. The service accepted the request, so
-    // a session's tracked batch is the request batch.
+    // Session plans bypass the cache's certifier: verify against the
+    // session's own topology with the balance clause off. Degraded/
+    // heterogeneous session plans balance *effective* load under state the
+    // certifier should not re-derive here, but coverage, conservation, arena
+    // and dead-rank placement are all still enforced. The service accepted
+    // the request, so the session's tracked batch is the request batch.
     RankTopology topo;
-    const bool has_topo =
-        is_session && service_->GetSessionTopology(plan_request.stream_id, &topo);
+    const bool has_topo = service_.GetSessionTopology(plan_request.stream_id, &topo);
     PlanVerifyOptions vopts;
     vopts.token_capacity = 0;
     vopts.eps = -1;
@@ -768,8 +743,13 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
                 "plan failed certification: " + verdict.message);
       return;
     }
+  } else if (!planned.stats.verified) {
+    // A fresh plan the cache refused to certify (already counted in
+    // cache.verify_failures) is never served.
+    SendError(conn, request.request_id, WireStatus::kInternal,
+              "plan failed certification");
+    return;
   }
-
   ServePlan(conn, request.request_id, planned, queue_wait_us);
 }
 

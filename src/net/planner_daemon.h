@@ -91,11 +91,6 @@ struct DaemonOptions {
   // Test/bench hook: hold the admission permit this long before planning,
   // simulating a slow plan so queue/deadline behavior is observable.
   int debug_plan_delay_ms = 0;
-  // Content-addressed plan cache in front of the service
-  // (src/core/plan_cache.h). Exact-tier hits serve without an admission
-  // permit (no planning happens) and repeat byte-identically.
-  bool plan_cache = true;
-  size_t plan_cache_capacity = 128;
   // Non-empty: drain every request's stage spans into a Chrome-trace JSON
   // file at this path (written on Stop; Perfetto-loadable). Empty disables
   // the sink; the per-stage histograms stay on either way.
@@ -107,9 +102,9 @@ struct DaemonOptions {
 };
 
 // Point-in-time snapshot of the daemon's lifetime counters (telemetry + test
-// hooks). Backed by the lock-free obs::MetricsRegistry the daemon owns —
-// readable at any moment, not just at shutdown; counters() and StatsJson()
-// are two views of the same instruments.
+// hooks). Backed by the lock-free instruments in the owned service's
+// obs::MetricsRegistry — readable at any moment, not just at shutdown;
+// counters() and StatsJson() are two views of the same instruments.
 struct DaemonCounters {
   uint64_t connections_accepted = 0;
   uint64_t connections_refused = 0;
@@ -121,7 +116,7 @@ struct DaemonCounters {
   uint64_t malformed_requests = 0;
   uint64_t bad_requests = 0;      // Semantic rejections (incl. kBadDelta).
   uint64_t sessions_reaped = 0;   // Sessions closed on disconnect/idle/drain.
-  // Plan-cache telemetry (merged from the owned PlanCache at read time).
+  // Plan-cache telemetry (the registry's cache.* counters).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
@@ -158,17 +153,17 @@ class PlannerDaemon {
 
   // Owned service telemetry: tests assert session_count returns to baseline
   // after disconnects.
-  PlannerService& service() { return *service_; }
-  // The plan cache, or nullptr when options.plan_cache is false. Exposed for
+  PlannerService& service() { return service_; }
+  // The plan cache in front of the service (always on). Exposed for
   // telemetry and the poisoned-entry test hook.
-  PlanCache* cache() { return cache_.get(); }
+  PlanCache& cache() { return cache_; }
   const ClusterSpec& cluster() const { return logical_cluster_; }
 
   DaemonCounters counters() const;
   size_t connection_count() const;
 
-  // The full metrics snapshot as "zeppelin.metrics.v1" JSON: daemon
-  // counters, cache tiers, admission gauges, per-stage histograms. The same
+  // The service registry's snapshot as "zeppelin.metrics.v1" JSON: daemon,
+  // cache and delta counters, admission gauges, per-stage histograms. The same
   // payload kStats requests return over the wire; safe to call while the
   // daemon serves traffic.
   std::string StatsJson();
@@ -206,12 +201,12 @@ class PlannerDaemon {
   FabricResources fabric_;
   CostModel cost_model_;
   DaemonOptions options_;
-  // Declared before everything that holds instrument pointers into it.
-  obs::MetricsRegistry metrics_;
-  std::unique_ptr<PlannerService> service_;
+  // Owns the metrics registry, so it is declared before everything that
+  // holds instrument pointers into it.
+  PlannerService service_;
   // Declared after service_ so the cache (which borrows it) is destroyed
   // first.
-  std::unique_ptr<PlanCache> cache_;
+  PlanCache cache_;
   std::unique_ptr<AdmissionGate> gate_;
 
   int listen_fd_ = -1;
@@ -228,8 +223,8 @@ class PlannerDaemon {
   std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns_;
   uint64_t next_conn_id_ = 1;
 
-  // Lock-free instruments (registered once at construction; incremented
-  // without any lock — the shutdown-only counters_mu_ dump is gone).
+  // Lock-free instruments in service_.metrics() (registered once at
+  // construction; incremented without any lock).
   obs::Counter* c_connections_accepted_ = nullptr;
   obs::Counter* c_connections_refused_ = nullptr;
   obs::Counter* c_requests_ok_ = nullptr;
@@ -240,18 +235,12 @@ class PlannerDaemon {
   obs::Counter* c_malformed_requests_ = nullptr;
   obs::Counter* c_bad_requests_ = nullptr;
   obs::Counter* c_sessions_reaped_ = nullptr;
-  obs::Counter* c_verify_failures_ = nullptr;  // Daemon-detected only.
+  obs::Counter* c_verify_failures_ = nullptr;  // Session plans only.
   obs::Counter* c_stats_requests_ = nullptr;
   obs::Gauge* g_queue_depth_ = nullptr;   // Admission waiting room occupancy.
   obs::Gauge* g_active_plans_ = nullptr;  // Admission permits in use.
   obs::Gauge* g_connections_ = nullptr;
   obs::Gauge* g_sessions_ = nullptr;
-  // Mirrors of the owned PlanCache's monotonic counters, refreshed at
-  // snapshot time (the cache keeps its own lock-guarded truth).
-  obs::Gauge* g_cache_hits_ = nullptr;
-  obs::Gauge* g_cache_misses_ = nullptr;
-  obs::Gauge* g_cache_evictions_ = nullptr;
-  obs::Gauge* g_cache_verify_failures_ = nullptr;
   std::array<obs::Histogram*, obs::kNumStages> h_stage_{};
   obs::Histogram* h_request_us_ = nullptr;
 

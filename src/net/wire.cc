@@ -1,59 +1,16 @@
 #include "src/net/wire.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
+
+#include "src/common/le_codec.h"
 
 namespace zeppelin {
 namespace net {
 namespace {
 
-// Little-endian fixed-width writers (the plan_io.cc idiom: the format is
-// defined byte-wise and never relies on host layout).
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutF64(std::string* out, double v) { PutU64(out, std::bit_cast<uint64_t>(v)); }
-
-// Cursor-based reader; every Get* checks remaining length first, so a
-// truncated or lying payload can never read past the end.
-struct Reader {
-  const unsigned char* data;
-  size_t size;
-  size_t pos = 0;
-
-  bool Have(size_t n) const { return size - pos >= n; }
-  uint8_t GetU8() { return data[pos++]; }
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  uint64_t GetU64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  double GetF64() { return std::bit_cast<double>(GetU64()); }
-};
+using namespace le_codec;
 
 // Largest value accepted for any token count crossing the wire; keeps every
 // downstream int64 sum far from overflow (kMaxWireSeqs * this < 2^63).

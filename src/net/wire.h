@@ -10,11 +10,13 @@
 // Parsing follows the plan_io.h defensive discipline: little-endian
 // fixed-width fields, every count bounds-checked against the remaining
 // payload before any allocation, explicit caps on element values, trailing
-// bytes rejected. ParseRequest establishes *structural* validity only; the
-// daemon separately validates request *semantics* (capacity feasibility,
-// delta consistency against the session's tracked batch, topology liveness
-// preconditions) before any planner state is touched — see
-// docs/DAEMON.md, "Request validation".
+// bytes rejected. ParseRequest establishes *structural* validity only;
+// request *semantics* are checked before any planner state is touched: the
+// daemon checks the wire limits and the request-only rules
+// (CheckPlanRequest, e.g. capacity feasibility), and the service checks
+// session deltas (consistency against the session's tracked batch, topology
+// liveness preconditions) against the state it owns — see docs/DAEMON.md,
+// "Request validation".
 #ifndef SRC_NET_WIRE_H_
 #define SRC_NET_WIRE_H_
 

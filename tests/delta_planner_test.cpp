@@ -137,7 +137,7 @@ TEST(DeltaPlannerTest, EmptyDeltaIsIdentity) {
   EXPECT_EQ(dp.Apply(BatchDelta{}), DeltaOutcome::kApplied);
   EXPECT_EQ(dp.plan(), before) << "an empty delta must leave the plan byte-identical";
   EXPECT_EQ(dp.plan().StateDigest(), before.StateDigest());
-  EXPECT_EQ(dp.stats().applied, 1);
+  EXPECT_EQ(dp.stats().count(DeltaOutcome::kApplied), 1);
 }
 
 TEST(DeltaPlannerTest, FirstApplyWithoutBaseRebases) {
@@ -154,7 +154,7 @@ TEST(DeltaPlannerTest, FirstApplyWithoutBaseRebases) {
   EXPECT_EQ(dp.Apply(delta), DeltaOutcome::kRebasedNoBase);
   EXPECT_TRUE(dp.has_base());
   EXPECT_EQ(dp.batch().seq_lens[0], batch.seq_lens[0] + 64);
-  EXPECT_EQ(dp.stats().rebase_no_base, 1);
+  EXPECT_EQ(dp.stats().count(DeltaOutcome::kRebasedNoBase), 1);
 }
 
 TEST(DeltaPlannerTest, ChurnAboveThresholdFallsBackToByteIdenticalReplan) {
@@ -167,7 +167,7 @@ TEST(DeltaPlannerTest, ChurnAboveThresholdFallsBackToByteIdenticalReplan) {
                         99);
   const BatchDelta delta = stream.Next();
   EXPECT_EQ(dp.Apply(delta), DeltaOutcome::kRebasedChurn);
-  EXPECT_EQ(dp.stats().rebase_churn, 1);
+  EXPECT_EQ(dp.stats().count(DeltaOutcome::kRebasedChurn), 1);
 
   // A fallback is a full re-plan: byte-identical to partitioning the new
   // batch directly with the same engine and capacity.
@@ -209,7 +209,7 @@ TEST(DeltaPlannerTest, InterZoneChurnFallsBack) {
   BatchDelta grow;
   grow.resized.emplace_back(3, 90000);
   EXPECT_EQ(dp.Apply(grow), DeltaOutcome::kRebasedZone);
-  EXPECT_EQ(dp.stats().rebase_zone, 2);
+  EXPECT_EQ(dp.stats().count(DeltaOutcome::kRebasedZone), 2);
 }
 
 TEST(DeltaPlannerTest, ImbalanceDriftFallsBack) {
@@ -232,7 +232,7 @@ TEST(DeltaPlannerTest, ImbalanceDriftFallsBack) {
   BatchDelta delta;
   delta.removed = {0, 1, 2, 3, 4, 5, 6, 7};  // No refills: tombstones.
   EXPECT_EQ(dp.Apply(delta), DeltaOutcome::kRebasedImbalance);
-  EXPECT_EQ(dp.stats().rebase_imbalance, 1);
+  EXPECT_EQ(dp.stats().count(DeltaOutcome::kRebasedImbalance), 1);
   // The fallback re-plan heals the hole exactly.
   EXPECT_EQ(dp.plan().total_tokens(), dp.batch().total_tokens());
 }
@@ -351,7 +351,7 @@ void RunSoak(const SoakConfig& config) {
   }
   // The soak must actually exercise the patch path, not just fall back.
   EXPECT_GT(applied, 100) << "delta path barely exercised: " << applied << "/200 applied";
-  EXPECT_EQ(dp.stats().applied, applied);
+  EXPECT_EQ(dp.stats().count(DeltaOutcome::kApplied), applied);
 }
 
 TEST(DeltaPlannerSoakTest, LocalDominatedChurn) {
@@ -558,8 +558,8 @@ TEST(ZeppelinPlanDeltaTest, StreamedPlansExecuteAndConserveTokens) {
     EXPECT_EQ(linear_total, stream.batch().total_tokens());
   }
   EXPECT_GT(applied, 0) << "strategy-level delta path never engaged";
-  ASSERT_NE(strategy.delta_stats(), nullptr);
-  EXPECT_EQ(strategy.delta_stats()->applied, applied);
+  ASSERT_TRUE(strategy.delta_stats().has_value());
+  EXPECT_EQ(strategy.delta_stats()->count(DeltaOutcome::kApplied), applied);
 
   // Plan() invalidates the streamed state; the next PlanDelta re-bases.
   strategy.Plan(stream.batch(), trainer.cost_model(), trainer.fabric());

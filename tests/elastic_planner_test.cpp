@@ -269,7 +269,7 @@ TEST(ElasticMigrationTest, BudgetExceededFallsBackByteIdenticalToFromScratch) {
   const TopologyDelta kill = KillNode(cluster, 3);
   const DeltaOutcome outcome = dp.ApplyTopology(kill);
   EXPECT_EQ(outcome, DeltaOutcome::kRebasedMigration);
-  EXPECT_EQ(dp.stats().rebase_migration, 1);
+  EXPECT_EQ(dp.stats().count(DeltaOutcome::kRebasedMigration), 1);
   EXPECT_EQ(dp.stats().migrated_sequences, 0);
 
   // The fallback plan is byte-identical to a from-scratch elastic plan of
@@ -292,7 +292,7 @@ TEST(ElasticMigrationTest, WithinBudgetMigratesInPlace) {
   const TopologyDelta kill = KillNode(cluster, 3);
   const DeltaOutcome outcome = dp.ApplyTopology(kill);
   EXPECT_EQ(outcome, DeltaOutcome::kAppliedTopology);
-  EXPECT_EQ(dp.stats().applied_topology, 1);
+  EXPECT_EQ(dp.stats().count(DeltaOutcome::kAppliedTopology), 1);
   EXPECT_GT(dp.stats().migrated_sequences, 0);
 
   // Dead ranks carry nothing.

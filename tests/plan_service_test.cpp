@@ -9,10 +9,12 @@
 // the TSAN targets, see the sanitizer recipe in CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -184,7 +186,7 @@ TEST(PlanServiceTest, SessionPatchesAndStaysEquivalent) {
 
   DeltaStats stats;
   ASSERT_TRUE(service.GetSessionStats("s0", &stats));
-  EXPECT_EQ(stats.applied, applied);
+  EXPECT_EQ(stats.count(DeltaOutcome::kApplied), applied);
 }
 
 TEST(PlanServiceTest, SessionsHaveIndependentFallbackPolicies) {
@@ -230,7 +232,7 @@ TEST(PlanServiceTest, SessionsHaveIndependentFallbackPolicies) {
   EXPECT_GT(lenient_applied, 0);
   DeltaStats strict_stats;
   ASSERT_TRUE(service.GetSessionStats("strict", &strict_stats));
-  EXPECT_EQ(strict_stats.rebase_churn, 10);
+  EXPECT_EQ(strict_stats.count(DeltaOutcome::kRebasedChurn), 10);
 }
 
 TEST(PlanServiceTest, SessionLifecycle) {
@@ -454,8 +456,8 @@ TEST(PlanServiceTest, SharedServiceAcrossStrategiesWithDistinctStreams) {
   }
   EXPECT_EQ(a.partition_plan().total_tokens(), sa.batch().total_tokens());
   EXPECT_EQ(b.partition_plan().total_tokens(), sb.batch().total_tokens());
-  EXPECT_NE(a.delta_stats(), nullptr);
-  EXPECT_NE(b.delta_stats(), nullptr);
+  EXPECT_TRUE(a.delta_stats().has_value());
+  EXPECT_TRUE(b.delta_stats().has_value());
 }
 
 TEST(PlanServiceTest, AdoptedSerializedPlanDrivesEmitLayer) {
@@ -593,6 +595,71 @@ TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
   const PlanResponse twin = service.Plan(twin_step);
   EXPECT_EQ(remote.digest, twin.digest);
   EXPECT_EQ(remote.stats.delta_outcome, twin.stats.delta_outcome);
+}
+
+// One registry for the whole serving stack: the cache's counts and the
+// session outcomes land in service.metrics(), each written once at its source.
+TEST(PlanServiceTest, CacheAndSessionOutcomesCountIntoTheServiceRegistry) {
+  TestRig rig;
+  PlannerService service;
+  PlanCache cache(&service);
+  const Batch batch = SampleBatch(256, 0x5eed);
+
+  EXPECT_EQ(cache.Plan(rig.Request(batch)).stats.cache_outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(cache.Plan(rig.Request(batch)).stats.cache_outcome, CacheOutcome::kHit);
+
+  std::array<uint64_t, kNumDeltaOutcomes> tally{};
+  auto plan_session = [&](const Batch& b, const BatchDelta* delta) {
+    PlanRequest request = rig.Request(b);
+    request.stream_id = "s";
+    request.options.delta_replan_threshold = 0.5;
+    request.delta = delta;
+    const PlanResponse response = cache.Plan(request);
+    if (response.status == PlanStatus::kOk) {
+      ++tally[static_cast<int>(response.stats.delta_outcome)];
+    }
+    return response;
+  };
+  ASSERT_EQ(plan_session(batch, nullptr).status, PlanStatus::kOk);
+  WorkloadStream stream(DatasetByName("github"), batch,
+                        StreamOptions{.churn_fraction = 0.01}, 0x0c);
+  for (int it = 0; it < 12; ++it) {
+    const BatchDelta delta = stream.Next();
+    ASSERT_EQ(plan_session(stream.batch(), &delta).status, PlanStatus::kOk) << it;
+  }
+  // A rejected request is not a session response: it counts nowhere.
+  BatchDelta out_of_range;
+  out_of_range.removed.push_back(batch.size() + 100);
+  EXPECT_EQ(plan_session(stream.batch(), &out_of_range).status, PlanStatus::kBadDelta);
+
+  const obs::MetricsSnapshot snapshot = service.metrics().Snapshot();
+  auto counter = [&](const std::string& name) -> std::optional<uint64_t> {
+    for (const auto& [n, value] : snapshot.counters) {
+      if (n == name) {
+        return value;
+      }
+    }
+    return std::nullopt;
+  };
+  const PlanCacheCounters counters = cache.counters();
+  EXPECT_EQ(counters.hits, 1u);
+  EXPECT_EQ(counters.misses, 1u);
+  EXPECT_EQ(counters.bypasses, 14u);
+  EXPECT_EQ(counter("cache.hits"), counters.hits);
+  EXPECT_EQ(counter("cache.misses"), counters.misses);
+  EXPECT_EQ(counter("cache.evictions"), counters.evictions);
+  EXPECT_EQ(counter("cache.bypasses"), counters.bypasses);
+  EXPECT_EQ(counter("cache.verify_failures"), counters.verify_failures);
+  uint64_t session_responses = 0;
+  for (int i = 0; i < kNumDeltaOutcomes; ++i) {
+    const std::string name =
+        std::string("delta.") + DeltaOutcomeName(static_cast<DeltaOutcome>(i));
+    EXPECT_EQ(counter(name), tally[i]) << name;
+    session_responses += tally[i];
+  }
+  EXPECT_EQ(session_responses, 13u);
+  EXPECT_EQ(tally[static_cast<int>(DeltaOutcome::kRebasedNoBase)], 1u);
+  EXPECT_GT(tally[static_cast<int>(DeltaOutcome::kApplied)], 0u);
 }
 
 }  // namespace

@@ -103,10 +103,9 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms = 3000) {
 }
 
 TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
-  // Cache off: this test wants every engine to *run*, not to be served from
-  // the cache.
-  DaemonRig rig(DaemonOptions{
-      .planner_threads = 4, .max_concurrent_plans = 4, .plan_cache = false});
+  // Every case differs in its options, so each one misses the cache and its
+  // engine runs.
+  DaemonRig rig(DaemonOptions{.planner_threads = 4, .max_concurrent_plans = 4});
   PlanClient client = rig.Client();
   const Batch batch = SampleBatch(512, 7);
 
@@ -515,6 +514,15 @@ TEST(PlannerDaemonTest, RepeatedRequestsHitTheCacheByteIdentically) {
   EXPECT_EQ(counters.cache_hits, 2u);
   EXPECT_EQ(counters.verify_failures, 0u);
   EXPECT_EQ(counters.requests_ok, 3u);
+  // The cache counts into the service's registry, so kStats lists its
+  // totals under "counters".
+  const std::string json = rig.daemon.StatsJson();
+  const size_t counters_at = json.find("\"counters\":{");
+  const size_t gauges_at = json.find("\"gauges\":{");
+  const size_t hits_at = json.find("\"cache.hits\":2");
+  ASSERT_NE(hits_at, std::string::npos) << json;
+  EXPECT_GT(hits_at, counters_at) << json;
+  EXPECT_LT(hits_at, gauges_at) << json;
 }
 
 TEST(PlannerDaemonTest, PoisonedCacheEntryIsCaughtNotServed) {
@@ -534,8 +542,7 @@ TEST(PlannerDaemonTest, PoisonedCacheEntryIsCaughtNotServed) {
   key_request.batch = &batch;
   key_request.cost_model = &rig.cost_model;
   key_request.fabric = &rig.fabric;
-  ASSERT_NE(rig.daemon.cache(), nullptr);
-  ASSERT_TRUE(rig.daemon.cache()->PoisonEntryForTest(key_request));
+  ASSERT_TRUE(rig.daemon.cache().PoisonEntryForTest(key_request));
 
   // Verify-before-serve must catch the corruption, drop the entry, and serve
   // a freshly planned (and certified) plan instead of the poisoned bytes.
@@ -561,33 +568,12 @@ TEST(PlannerDaemonTest, PoisonedCacheEntryIsCaughtNotServed) {
   EXPECT_EQ(rig.daemon.counters().cache_hits, 1u);
 }
 
-TEST(PlannerDaemonTest, CacheOffPlansEveryRequest) {
-  DaemonRig rig(DaemonOptions{.plan_cache = false});
-  PlanClient client = rig.Client();
-  const Batch batch = SampleBatch(128, 0x0ff);
-  EXPECT_EQ(rig.daemon.cache(), nullptr);
-  for (int i = 0; i < 2; ++i) {
-    WireRequest request;
-    request.batch = batch;
-    const PlanClientResult result = client.Plan(std::move(request));
-    ASSERT_TRUE(result.ok()) << result.message;
-    EXPECT_EQ(result.stats.cache_outcome, CacheOutcome::kBypass);
-    // verify-before-serve certified it daemon-side even without a cache.
-    EXPECT_TRUE(result.stats.verified);
-  }
-  const DaemonCounters counters = rig.daemon.counters();
-  EXPECT_EQ(counters.cache_hits, 0u);
-  EXPECT_EQ(counters.cache_misses, 0u);
-}
-
 // --- observability (docs/OBSERVABILITY.md) -----------------------------------
 
 TEST(PlannerDaemonTest, StatsRequestUnderLoad) {
   // kStats answers consistently while plan traffic is in flight: it takes no
   // admission permit, so it cannot be shed behind the planners it observes.
-  DaemonRig rig(DaemonOptions{.planner_threads = 2,
-                              .max_concurrent_plans = 2,
-                              .plan_cache = false});
+  DaemonRig rig(DaemonOptions{.planner_threads = 2, .max_concurrent_plans = 2});
   constexpr int kClients = 4;
   constexpr int kPlansPerClient = 6;
   std::atomic<int> planned{0};
