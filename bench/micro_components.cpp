@@ -101,23 +101,44 @@ void BM_SimEngineRingAttention(benchmark::State& state) {
 BENCHMARK(BM_SimEngineRingAttention)->Arg(2)->Arg(8);
 
 void BM_EmitAndRunLayer(benchmark::State& state) {
-  // The simulator stages of one training iteration at the layered
-  // benchmark's train_iter shape (7B, 64 GPUs on cluster A, github, 256k
-  // tokens, seed 1): emit and simulate one layer forward and backward.
-  // Counters split each iteration into its emit and run time.
-  const ClusterSpec cluster = MakeClusterA(8);
+  // The simulator stages at two shapes, split by counters into emit and run
+  // time per iteration:
+  //   0: one training iteration at the layered benchmark's train_iter shape
+  //      (7B, 64 GPUs on cluster A, github, 256k tokens, seed 1): one layer
+  //      forward and backward.
+  //   1: the planner_scaling point S=2048/P=64 (3B, 64 GPUs on cluster A,
+  //      2048 github sequences drawn as planner_scaling draws them): one
+  //      forward layer.
+  const bool scaling_point = state.range(0) == 1;
+  const int gpus = 64;
+  const ClusterSpec cluster = MakeClusterA(gpus / 8);
   const FabricResources fabric(cluster);
-  const CostModel cm(MakeLlama7B(), cluster);
-  BatchSampler sampler(MakeGithubDistribution(), 262144, 1);
-  const Batch batch = sampler.NextBatch();
+  const CostModel cm(scaling_point ? MakeLlama3B() : MakeLlama7B(), cluster);
+  Batch batch;
+  if (scaling_point) {
+    const int num_seqs = 2048;
+    Rng rng(0x9e3779b97f4a7c15ull ^ (static_cast<uint64_t>(num_seqs) << 20) ^
+            static_cast<uint64_t>(gpus));
+    const LengthDistribution dist = MakeGithubDistribution();
+    for (int i = 0; i < num_seqs; ++i) {
+      batch.seq_lens.push_back(dist.Sample(rng));
+    }
+  } else {
+    BatchSampler sampler(MakeGithubDistribution(), 262144, 1);
+    batch = sampler.NextBatch();
+  }
   ZeppelinStrategy zep;
   zep.Plan(batch, cm, fabric);
   const Engine engine(fabric);
+  std::vector<Direction> directions = {Direction::kForward};
+  if (!scaling_point) {
+    directions.push_back(Direction::kBackward);
+  }
   double emit_us = 0;
   double run_us = 0;
   int64_t tasks = 0;
   for (auto _ : state) {
-    for (const Direction d : {Direction::kForward, Direction::kBackward}) {
+    for (const Direction d : directions) {
       TaskGraph graph;
       const auto t0 = std::chrono::steady_clock::now();
       zep.EmitLayer(graph, d);
@@ -134,7 +155,7 @@ void BM_EmitAndRunLayer(benchmark::State& state) {
   state.counters["run_us"] = run_us / n;
   state.counters["tasks"] = static_cast<double>(tasks) / n;
 }
-BENCHMARK(BM_EmitAndRunLayer)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EmitAndRunLayer)->ArgName("shape")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_TransportSolver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -106,12 +106,12 @@ std::vector<TaskId> PackingUlyssesStrategy::EmitLayer(TaskGraph& graph, Directio
     std::iota(ranks.begin(), ranks.end(), base);
 
     auto uniform_sends = [&](int64_t bytes_per_token) {
-      std::vector<std::vector<int64_t>> sends(g, std::vector<int64_t>(g, 0));
+      std::vector<int64_t> sends(g * g, 0);
       for (int i = 0; i < g; ++i) {
         for (int j = 0; j < g; ++j) {
           if (i != j) {
             const double share = static_cast<double>(tokens_per_rank_[base + i]) / g;
-            sends[i][j] =
+            sends[i * g + j] =
                 static_cast<int64_t>(share * static_cast<double>(bytes_per_token) * scale);
           }
         }

@@ -51,23 +51,21 @@ CollectiveResult RingAllGather(TaskGraph& graph, const FabricResources& fabric,
 }
 
 CollectiveResult AllToAllV(TaskGraph& graph, const FabricResources& fabric,
-                           const std::vector<int>& ranks,
-                           const std::vector<std::vector<int64_t>>& sends, TaskCategory category,
-                           RankDeps deps, LabelArg label) {
+                           const std::vector<int>& ranks, std::span<const int64_t> sends,
+                           TaskCategory category, RankDeps deps, LabelArg label) {
   const int r = static_cast<int>(ranks.size());
   ZCHECK_GT(r, 0);
-  ZCHECK_EQ(sends.size(), ranks.size());
+  ZCHECK_EQ(sends.size(), ranks.size() * ranks.size());
   const TaskLabel base = graph.Resolve(label);
 
   // xfer[i * r + j]: the transfer from ranks[i] to ranks[j], if any.
   std::vector<TaskId> xfer(r * r, kInvalidTask);
   for (int i = 0; i < r; ++i) {
-    ZCHECK_EQ(sends[i].size(), ranks.size());
     for (int j = 0; j < r; ++j) {
-      if (i == j || sends[i][j] == 0) {
+      if (i == j || sends[i * r + j] == 0) {
         continue;
       }
-      xfer[i * r + j] = AddP2P(graph, fabric, ranks[i], ranks[j], sends[i][j], category,
+      xfer[i * r + j] = AddP2P(graph, fabric, ranks[i], ranks[j], sends[i * r + j], category,
                                deps[i], base.Then(LabelSuffix::kAllToAllHop, i, j));
     }
   }

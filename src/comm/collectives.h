@@ -11,6 +11,7 @@
 #define SRC_COMM_COLLECTIVES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/sim/graph.h"
@@ -31,12 +32,12 @@ CollectiveResult RingAllGather(TaskGraph& graph, const FabricResources& fabric,
                                const std::vector<int64_t>& bytes_per_rank,
                                TaskCategory category, RankDeps deps, LabelArg label);
 
-// Pairwise all-to-allv: sends[i][j] bytes move from ranks[i] to ranks[j].
-// All pairs are issued concurrently; fabric channels serialize them.
+// Pairwise all-to-allv: sends[i * R + j] bytes move from ranks[i] to
+// ranks[j], for R = ranks.size() (the matrix in row-major order). All pairs
+// are issued concurrently; fabric channels serialize them.
 CollectiveResult AllToAllV(TaskGraph& graph, const FabricResources& fabric,
-                           const std::vector<int>& ranks,
-                           const std::vector<std::vector<int64_t>>& sends, TaskCategory category,
-                           RankDeps deps, LabelArg label);
+                           const std::vector<int>& ranks, std::span<const int64_t> sends,
+                           TaskCategory category, RankDeps deps, LabelArg label);
 
 // Ring all-reduce of `bytes` (reduce-scatter + all-gather, 2(R-1) steps of
 // bytes/R chunks).

@@ -32,6 +32,8 @@ class ChromeTraceWriter {
   bool WriteFile(const std::string& path) const;
 
   size_t event_count() const { return events_.size(); }
+  // Slices in the order they were added.
+  const std::vector<TraceEvent>& events() const { return events_; }
 
  private:
   struct ThreadName {

@@ -1,5 +1,7 @@
 #include "src/core/attention_engine.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 #include "src/core/chunking.h"
 
@@ -108,17 +110,21 @@ void AttentionEngine::EmitLocals(TaskGraph& graph, const std::vector<LocalSequen
   }
 }
 
+QueueOrder AttentionEngine::OrderFor(Direction direction) const {
+  if (direction == Direction::kForward) {
+    return options_.forward_order;
+  }
+  return options_.forward_order == QueueOrder::kInterIntraLocal ? QueueOrder::kLocalIntraInter
+                                                                : QueueOrder::kInterIntraLocal;
+}
+
 std::vector<TaskId> AttentionEngine::Emit(TaskGraph& graph, const PartitionPlan& plan,
                                           Direction direction, RankDeps deps,
                                           LabelArg label) const {
   const int world = fabric_->cluster().world_size();
   const TaskLabel base = graph.Resolve(label);
 
-  const QueueOrder order = direction == Direction::kForward
-                               ? options_.forward_order
-                               : (options_.forward_order == QueueOrder::kInterIntraLocal
-                                      ? QueueOrder::kLocalIntraInter
-                                      : QueueOrder::kInterIntraLocal);
+  const QueueOrder order = OrderFor(direction);
 
   // `gate[r]` carries the dependency frontier of rank r through the three
   // queue phases: each phase's first tasks wait on the previous phase's last
@@ -176,6 +182,69 @@ std::vector<TaskId> AttentionEngine::Emit(TaskGraph& graph, const PartitionPlan&
     done[r] = graph.AddBarrier(gate[r], base.Then(LabelSuffix::kAttnDone, r));
   }
   return done;
+}
+
+GraphSize AttentionEngine::EmitBound(const PartitionPlan& plan, Direction direction,
+                                     int64_t deps_per_rank) const {
+  const int world = fabric_->cluster().world_size();
+  // gate[r] is the length of rank r's dependency frontier, as Emit carries
+  // it through the phases; phase[r] counts the phase's last tasks on r.
+  std::vector<int64_t> gate(world, deps_per_rank);
+  std::vector<int64_t> phase(world);
+  GraphSize size;
+  auto advance = [&] {
+    for (int r = 0; r < world; ++r) {
+      if (phase[r] > 0) {
+        gate[r] = phase[r];
+      }
+    }
+  };
+  auto rings = [&](const std::vector<RingRef>& refs) {
+    std::fill(phase.begin(), phase.end(), 0);
+    for (RingView ring : plan.rings(refs)) {
+      const int g = ring.group_size();
+      for (int k = 0; k < g; ++k) {
+        const int rank = ring.ranks[k];
+        // g computes and g - 1 sends from this rank, the first of each gated
+        // by the frontier and the rest by one arrival.
+        size += GraphSize{g, gate[rank] + g - 1, g};
+        if (g > 1) {
+          const int next = ring.ranks[(k + 1) % g];
+          size += routing_->TransferBound(rank, next, gate[rank]);
+          size += routing_->TransferBound(rank, next, 1) * (g - 2);
+        }
+        ++phase[rank];
+      }
+    }
+    advance();
+  };
+  auto locals = [&] {
+    std::fill(phase.begin(), phase.end(), 0);
+    for (const LocalSequence& seq : plan.local) {
+      phase[seq.rank] = 1;  // One varlen kernel per rank with locals.
+    }
+    for (int r = 0; r < world; ++r) {
+      if (phase[r] > 0) {
+        size += GraphSize{1, gate[r], 1};
+      }
+    }
+    advance();
+  };
+  if (OrderFor(direction) == QueueOrder::kInterIntraLocal) {
+    rings(plan.inter_node);
+    rings(plan.intra_node);
+    locals();
+  } else {
+    locals();
+    rings(plan.intra_node);
+    rings(plan.inter_node);
+  }
+  // The per-rank done barriers.
+  size.tasks += world;
+  for (int r = 0; r < world; ++r) {
+    size.deps += gate[r];
+  }
+  return size;
 }
 
 }  // namespace zeppelin

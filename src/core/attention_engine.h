@@ -55,6 +55,10 @@ class AttentionEngine {
   // first task (pass {} for layer start). Returns one done-task per rank.
   std::vector<TaskId> Emit(TaskGraph& graph, const PartitionPlan& plan, Direction direction,
                            RankDeps deps, LabelArg label) const;
+  // Upper bound on what Emit adds for `plan` and `direction` when every
+  // deps[r] holds `deps_per_rank` tasks.
+  GraphSize EmitBound(const PartitionPlan& plan, Direction direction,
+                      int64_t deps_per_rank) const;
 
   // Emits one ring sequence; exposed for baselines and tests. Takes a
   // non-owning view: plan rings resolve via PartitionPlan::view()/rings(),
@@ -64,6 +68,9 @@ class AttentionEngine {
                         RankDeps deps, LabelArg label, RankTaskLists* last_task_per_rank) const;
 
  private:
+  // The queue order of `direction`: the configured forward order, reversed
+  // in backward.
+  QueueOrder OrderFor(Direction direction) const;
   void EmitLocals(TaskGraph& graph, const std::vector<LocalSequence>& locals,
                   Direction direction, RankDeps deps, TaskLabel label,
                   RankTaskLists* last_task_per_rank) const;

@@ -58,7 +58,7 @@ RemappingLayer::EmitResult RemappingLayer::Emit(TaskGraph& graph,
   }
 
   const int64_t bytes_per_token = cost_model_->HiddenBytesPerToken();
-  std::vector<std::vector<int64_t>> sends(world, std::vector<int64_t>(world, 0));
+  std::vector<int64_t> sends(world * world, 0);  // Row-major, sender by receiver.
   result.new_tokens = tokens_per_rank;
   for (int i = 0; i < world; ++i) {
     for (int j = 0; j < world; ++j) {
@@ -66,7 +66,7 @@ RemappingLayer::EmitResult RemappingLayer::Emit(TaskGraph& graph,
       if (moved == 0) {
         continue;
       }
-      sends[i][j] = moved * bytes_per_token;
+      sends[i * world + j] = moved * bytes_per_token;
       result.new_tokens[i] -= moved;
       result.new_tokens[j] += moved;
     }
@@ -79,6 +79,24 @@ RemappingLayer::EmitResult RemappingLayer::Emit(TaskGraph& graph,
   result.done =
       AllToAllV(graph, *fabric_, ranks, sends, TaskCategory::kRemapComm, deps, label).done;
   return result;
+}
+
+GraphSize RemappingLayer::EmitBound(const RemapSolution& solution,
+                                    int64_t deps_per_rank) const {
+  const int64_t world = fabric_->cluster().world_size();
+  if (!options_.enabled) {
+    return {world, world * deps_per_rank, 0};
+  }
+  int64_t moves = 0;
+  for (size_t i = 0; i < solution.transfer.size(); ++i) {
+    for (size_t j = 0; j < solution.transfer[i].size(); ++j) {
+      moves += i != j && solution.transfer[i][j] != 0;
+    }
+  }
+  // One transfer per move, gated like its sender, and one barrier per rank
+  // on its arrivals and its own deps.
+  return {moves + world, moves * (deps_per_rank + 1) + world * deps_per_rank,
+          moves * PathResources::kMaxChannels};
 }
 
 }  // namespace zeppelin

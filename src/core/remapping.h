@@ -54,6 +54,10 @@ class RemappingLayer {
                   const RemapSolution& solution, bool inverse, RankDeps deps,
                   LabelArg label) const;
 
+  // Upper bound on what Emit adds for `solution`, in either direction, when
+  // every deps[k] holds `deps_per_rank` tasks.
+  GraphSize EmitBound(const RemapSolution& solution, int64_t deps_per_rank) const;
+
   bool enabled() const { return options_.enabled; }
 
  private:

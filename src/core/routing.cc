@@ -121,6 +121,24 @@ TaskId RoutingLayer::EmitTransfer(TaskGraph& graph, int src_gpu, int dst_gpu, in
   return graph.AddBarrier(arrivals_, base.Then(LabelSuffix::kRoutedDone));
 }
 
+GraphSize RoutingLayer::TransferBound(int src_gpu, int dst_gpu, int64_t num_deps) const {
+  constexpr int64_t kChannels = PathResources::kMaxChannels;
+  const ClusterSpec& spec = fabric_->cluster();
+  const GraphSize direct{1, num_deps, kChannels};
+  if (!options_.enabled || spec.NodeOf(src_gpu) == spec.NodeOf(dst_gpu)) {
+    return direct;
+  }
+  const auto x = static_cast<int64_t>(
+      std::min(ProxiesOf(src_gpu).size(), ProxiesOf(dst_gpu).size()));
+  if (x == 1) {
+    return direct;
+  }
+  // Per slice a dispatch (gated by `deps`), the NIC transfer (gated by the
+  // dispatch, or by `deps` without one) and a combine; then a barrier on the
+  // x arrivals.
+  return {3 * x + 1, x * (num_deps + std::max<int64_t>(num_deps, 1) + 2), 3 * x * kChannels};
+}
+
 double RoutingLayer::RoutedCostUs(const CostModel& cost_model, int64_t bytes, int x1, int x2) {
   ZCHECK_GT(x1, 0);
   ZCHECK_GT(x2, 0);

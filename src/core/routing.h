@@ -49,6 +49,9 @@ class RoutingLayer {
   // intra-node, or only one proxy pair is available.
   TaskId EmitTransfer(TaskGraph& graph, int src_gpu, int dst_gpu, int64_t bytes, DepSpan deps,
                       LabelArg label) const;
+  // Upper bound on what one EmitTransfer from src_gpu to dst_gpu adds when
+  // `deps` holds `num_deps` tasks.
+  GraphSize TransferBound(int src_gpu, int dst_gpu, int64_t num_deps) const;
 
   // Proxy ranks (global) the layer would use for a src-node -> dst-node
   // transfer originated by src_gpu. One GPU per distinct NIC, starting from

@@ -163,6 +163,8 @@ void ZeppelinStrategy::FinishPlanning(const CostModel& cost_model, const FabricR
 std::vector<TaskId> ZeppelinStrategy::EmitLayer(TaskGraph& graph, Direction direction) {
   ZCHECK(cost_model_ != nullptr) << "Plan() must run before EmitLayer()";
   ZCHECK(current_plan_ != nullptr) << "Plan() must run before EmitLayer()";
+  const GraphSize bound = LayerBound(direction);
+  graph.Reserve(bound.tasks, bound.deps, bound.resources);
   // Each stage's per-rank done tasks gate the next stage, one task per rank.
   auto after = [](const std::vector<TaskId>& done) { return RankDeps::OnePerRank(done); };
 
@@ -193,6 +195,18 @@ std::vector<TaskId> ZeppelinStrategy::EmitLayer(TaskGraph& graph, Direction dire
       graph, remap_in.new_tokens, remap_solution_, /*inverse=*/true, after(linear_done),
       "bwd.remap_out");
   return engine_->Emit(graph, *current_plan_, direction, after(remap_out.done), "bwd");
+}
+
+GraphSize ZeppelinStrategy::LayerBound(Direction direction) const {
+  ZCHECK(current_plan_ != nullptr) << "Plan() must run before LayerBound()";
+  const int64_t world = fabric_->cluster().world_size();
+  // Attention is gated by nothing in forward and by one task per rank in
+  // backward; each remap and the linear stage by at most one task per rank.
+  GraphSize size =
+      engine_->EmitBound(*current_plan_, direction, direction == Direction::kForward ? 0 : 1);
+  size += remapping_->EmitBound(remap_solution_, 1) * 2;
+  size += GraphSize{world, world, world};  // One linear compute per rank.
+  return size;
 }
 
 std::vector<int64_t> ZeppelinStrategy::LinearTokensPerRank() const { return linear_tokens_; }

@@ -116,6 +116,9 @@ class ZeppelinStrategy : public Strategy {
   // attention queues + remap + linear stage (mirrored in backward). Plan(),
   // PlanDelta(), or AdoptPlan() must have run first.
   std::vector<TaskId> EmitLayer(TaskGraph& graph, Direction direction) override;
+  // Upper bound on what EmitLayer adds for the planned batch; EmitLayer
+  // reserves it up front so no column of the graph regrows mid-emit.
+  GraphSize LayerBound(Direction direction) const;
   // Post-remap token layout the linear modules see (balanced if remapping on).
   std::vector<int64_t> LinearTokensPerRank() const override;
 

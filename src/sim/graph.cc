@@ -43,6 +43,20 @@ bool IsCommCategory(TaskCategory category) {
 
 TaskGraph::TaskGraph() : dep_begin_{0}, resource_begin_{0}, stems_{""} {}
 
+void TaskGraph::Reserve(int64_t tasks, int64_t deps, int64_t resources) {
+  ZCHECK(tasks >= 0 && deps >= 0 && resources >= 0);
+  const size_t task_count = duration_us_.size() + static_cast<size_t>(tasks);
+  duration_us_.reserve(task_count);
+  category_.reserve(task_count);
+  bytes_.reserve(task_count);
+  gpu_.reserve(task_count);
+  label_.reserve(task_count);
+  dep_begin_.reserve(task_count + 1);
+  resource_begin_.reserve(task_count + 1);
+  dep_ids_.reserve(dep_ids_.size() + static_cast<size_t>(deps));
+  resource_ids_.reserve(resource_ids_.size() + static_cast<size_t>(resources));
+}
+
 TaskId TaskGraph::AddTask(double duration_us, TaskCategory category,
                           std::span<const ResourceId> resources, DepSpan deps, int64_t bytes,
                           int gpu, LabelArg label) {

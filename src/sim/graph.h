@@ -8,8 +8,9 @@
 //
 // Layout: one column per task field, plus two CSR arenas (deps and
 // resources) indexed by per-task offsets. Adding a task appends to these
-// columns; nothing is allocated per task. Labels are TaskLabel records whose
-// text is formatted only when Label(id) asks for it.
+// columns; nothing is allocated per task, and a caller that knows how much
+// it will add sizes the columns once with Reserve. Labels are TaskLabel
+// records whose text is formatted only when Label(id) asks for it.
 #ifndef SRC_SIM_GRAPH_H_
 #define SRC_SIM_GRAPH_H_
 
@@ -28,9 +29,34 @@
 
 namespace zeppelin {
 
+// Column entries a stretch of emission adds: tasks, and the dependency and
+// resource entries they hold. Emitters report upper bounds in this form so a
+// caller can size a graph's columns once (TaskGraph::Reserve).
+struct GraphSize {
+  int64_t tasks = 0;
+  int64_t deps = 0;
+  int64_t resources = 0;
+
+  GraphSize& operator+=(const GraphSize& other) {
+    tasks += other.tasks;
+    deps += other.deps;
+    resources += other.resources;
+    return *this;
+  }
+  friend GraphSize operator*(GraphSize size, int64_t times) {
+    return {size.tasks * times, size.deps * times, size.resources * times};
+  }
+};
+
 class TaskGraph {
  public:
   TaskGraph();
+
+  // Makes room for `tasks` more tasks holding `deps` dependency and
+  // `resources` resource entries between them, so adding them regrows no
+  // column. Call it once per stretch of emission: each call that grows a
+  // column reallocates it to exactly the requested size.
+  void Reserve(int64_t tasks, int64_t deps, int64_t resources);
 
   // General form: a task occupying `resources` for `duration_us` once all
   // `deps` have finished.

@@ -74,10 +74,10 @@ TEST_F(CollectivesTest, AllGatherRingTimeMatchesAnalytic) {
 TEST_F(CollectivesTest, AllToAllVMatrixVolumes) {
   TaskGraph g;
   const std::vector<int> ranks = {0, 1, 8};
-  std::vector<std::vector<int64_t>> sends = {
-      {0, 500, 700},
-      {200, 0, 0},
-      {0, 300, 0},
+  const std::vector<int64_t> sends = {
+      0,   500, 700,  //
+      200, 0,   0,    //
+      0,   300, 0,
   };
   AllToAllV(g, fabric_, ranks, sends, TaskCategory::kRemapComm, {}, "a2a");
   EXPECT_EQ(TotalBytes(g, TaskCategory::kRemapComm), 1700);
@@ -88,7 +88,7 @@ TEST_F(CollectivesTest, AllToAllVMatrixVolumes) {
 TEST_F(CollectivesTest, AllToAllVDoneGatesOnIncoming) {
   TaskGraph g;
   const std::vector<int> ranks = {0, 1};
-  std::vector<std::vector<int64_t>> sends = {{0, 1 << 20}, {0, 0}};
+  const std::vector<int64_t> sends = {0, 1 << 20, 0, 0};
   const CollectiveResult res =
       AllToAllV(g, fabric_, ranks, sends, TaskCategory::kRemapComm, {}, "a2a");
   const SimResult sim = engine_.Run(g);

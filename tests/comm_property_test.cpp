@@ -71,13 +71,13 @@ TEST_P(AllToAllPropertyTest, MatrixVolumesConserved) {
   std::vector<int> ranks(r);
   std::iota(ranks.begin(), ranks.end(), 0);
 
-  std::vector<std::vector<int64_t>> sends(r, std::vector<int64_t>(r, 0));
+  std::vector<int64_t> sends(r * r, 0);
   int64_t expected = 0;
   for (int i = 0; i < r; ++i) {
     for (int j = 0; j < r; ++j) {
       if (i != j && rng.NextBounded(2) == 0) {
-        sends[i][j] = static_cast<int64_t>(rng.NextBounded(1 << 20));
-        expected += sends[i][j];
+        sends[i * r + j] = static_cast<int64_t>(rng.NextBounded(1 << 20));
+        expected += sends[i * r + j];
       }
     }
   }

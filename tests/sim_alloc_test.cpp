@@ -40,7 +40,6 @@ TEST(SimAllocTest, EmitAndRunDoNotAllocatePerTask) {
   ZeppelinStrategy strategy;
   strategy.Plan(sampler.NextBatch(), trainer.cost_model(), trainer.fabric());
   const Engine engine(trainer.fabric());
-  const int world = trainer.fabric().cluster().world_size();
 
   for (const Direction d : {Direction::kForward, Direction::kBackward}) {
     TaskGraph graph;
@@ -53,9 +52,10 @@ TEST(SimAllocTest, EmitAndRunDoNotAllocatePerTask) {
     const long run_allocations = Allocations() - before_run;
 
     ASSERT_GT(graph.size(), 4000);
-    // Emit allocates per rank and per stage (result vectors, the remap
-    // matrix, column growth), never per task.
-    EXPECT_LT(emit_allocations, 8 * world) << graph.size() << " tasks";
+    // Emit sizes the graph's columns once and otherwise allocates per stage
+    // (result vectors, the remap matrix, label stems), never per rank or per
+    // task: 82-85 allocations for either direction at this shape.
+    EXPECT_LT(emit_allocations, 96) << graph.size() << " tasks";
     // Run allocates its fixed workspace and the SimResult, nothing per task.
     EXPECT_LT(run_allocations, 24) << graph.size() << " tasks";
     EXPECT_GT(result.makespan_us, 0.0);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/common/trace_json.h"
 #include "src/sim/engine.h"
 #include "src/sim/graph.h"
@@ -151,6 +153,30 @@ TEST_F(SimEngineTest, DeterministicAcrossRuns) {
   const SimResult r2 = engine_.Run(g);
   EXPECT_EQ(r1.start_us, r2.start_us);
   EXPECT_EQ(r1.makespan_us, r2.makespan_us);
+}
+
+TEST_F(SimEngineTest, CountersDescribeTheRun) {
+  TaskGraph g;
+  const ResourceId lane0 = fabric_.ComputeLane(0);
+  const ResourceId lane1 = fabric_.ComputeLane(1);
+  const TaskId a = g.AddCompute(lane0, 10.0, TaskCategory::kAttentionCompute, {}, "a", 0);
+  g.AddCompute(lane0, 5.0, TaskCategory::kAttentionCompute, {}, "b", 0);
+  const TaskId c = g.AddCompute(lane1, 10.0, TaskCategory::kAttentionCompute, {}, "c", 1);
+  g.AddBarrier({a, c}, "d");
+  // -0.0 durations: t + -0.0 == t, so these finish at the instant they start
+  // and neither adds an instant of its own beyond t = 0.
+  const TaskId e = g.AddCompute(lane1, -0.0, TaskCategory::kOtherCompute, {c}, "e", 1);
+  const TaskId f =
+      g.AddCompute(fabric_.ComputeLane(2), -0.0, TaskCategory::kOtherCompute, {}, "f", 2);
+  const SimResult r = engine_.Run(g);
+  EXPECT_EQ(r.counters.tasks, 6);
+  EXPECT_EQ(r.counters.event_instants, 3);  // t = 0, 10 and 15.
+  EXPECT_EQ(r.counters.peak_in_flight, 3);  // a, c and f at t = 0.
+  EXPECT_EQ(r.counters.peak_queue_depth, 2);  // a and b on lane 0.
+  EXPECT_DOUBLE_EQ(r.makespan_us, 15.0);
+  EXPECT_EQ(r.finish_us[e], 10.0);
+  EXPECT_EQ(r.finish_us[f], 0.0);
+  EXPECT_FALSE(std::signbit(r.finish_us[f]));
 }
 
 TEST_F(SimEngineTest, TraceCapturesEvents) {

@@ -16,6 +16,7 @@
 //   ZEPPELIN_GOLDEN_PRINT=1 ./sim_golden_test
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -31,6 +32,7 @@
 #include "src/baselines/llama_cp.h"
 #include "src/baselines/packing.h"
 #include "src/baselines/te_cp.h"
+#include "src/common/trace_json.h"
 #include "src/core/trainer.h"
 #include "src/core/zeppelin.h"
 #include "src/data/datasets.h"
@@ -278,6 +280,98 @@ TEST(SimGoldenTest, EveryRecordMatches) {
     EXPECT_EQ(got.makespan_us, want.makespan_us);
     EXPECT_EQ(got.result64, want.result64);
     EXPECT_EQ(got.label64, want.label64);
+  }
+}
+
+// Trace digests: FNV-1a over every chrome-trace slice (lane, start, duration,
+// name, category) of one simulated layer, with the slices sorted by (pid,
+// tid, start, name). Sorting pins the trace's content but not the order in
+// which same-instant slices were added, which the engine leaves open. Taken
+// from the engine that still admitted through a dirty-resource rescan.
+struct TraceGolden {
+  const char* config;
+  const char* direction;
+  size_t slices;
+  uint64_t trace64;
+};
+
+const TraceGolden kTraceGolden[] = {
+    {"train_iter/b0", "fwd", 11627, 0xfa2981d7e2da3f64ULL},
+    {"TE-CP/A16/github", "bwd", 752, 0xb9fecc860d62646bULL},
+};
+
+uint64_t TraceDigest(const ChromeTraceWriter& trace) {
+  std::vector<const TraceEvent*> slices;
+  for (const TraceEvent& ev : trace.events()) {
+    slices.push_back(&ev);
+  }
+  std::sort(slices.begin(), slices.end(), [](const TraceEvent* a, const TraceEvent* b) {
+    if (a->pid != b->pid) {
+      return a->pid < b->pid;
+    }
+    if (a->tid != b->tid) {
+      return a->tid < b->tid;
+    }
+    if (a->start_us != b->start_us) {
+      return a->start_us < b->start_us;
+    }
+    return a->name < b->name;
+  });
+  Fnv1a hash;
+  for (const TraceEvent* ev : slices) {
+    hash.Bytes(&ev->pid, sizeof(ev->pid));
+    hash.Bytes(&ev->tid, sizeof(ev->tid));
+    hash.Double(ev->start_us);
+    hash.Double(ev->duration_us);
+    hash.Bytes(ev->name.data(), ev->name.size());
+    hash.Bytes("\n", 1);
+    hash.Bytes(ev->category.data(), ev->category.size());
+    hash.Bytes("\n", 1);
+  }
+  return hash.value();
+}
+
+TEST(SimGoldenTest, TraceSlicesMatch) {
+  const TransformerConfig model = MakeLlama7B();
+  // The layered benchmark's training-iteration shape, first batch.
+  const Trainer train_iter(model, MakeClusterA(8));
+  BatchSampler train_sampler(MakeGithubDistribution(), 262144, /*seed=*/1);
+  ZeppelinStrategy zeppelin;
+  zeppelin.Plan(train_sampler.NextBatch(), train_iter.cost_model(), train_iter.fabric());
+  // A baseline: TE-CP on 16 GPUs of cluster A.
+  const Trainer small(model, MakeClusterA(2));
+  BatchSampler small_sampler(MakeGithubDistribution(), int64_t{4096} * 16, /*seed=*/1);
+  TeCpStrategy te_cp;
+  te_cp.Plan(small_sampler.NextBatch(), small.cost_model(), small.fabric());
+
+  struct Case {
+    const char* config;
+    Direction direction;
+    Strategy* strategy;
+    const Trainer* trainer;
+  };
+  const Case cases[] = {
+      {"train_iter/b0", Direction::kForward, &zeppelin, &train_iter},
+      {"TE-CP/A16/github", Direction::kBackward, &te_cp, &small},
+  };
+  ASSERT_EQ(std::size(cases), std::size(kTraceGolden));
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const Case& c = cases[i];
+    const char* direction = c.direction == Direction::kForward ? "fwd" : "bwd";
+    TaskGraph graph;
+    c.strategy->EmitLayer(graph, c.direction);
+    ChromeTraceWriter trace;
+    Engine(c.trainer->fabric()).Run(graph, &trace);
+    const uint64_t digest = TraceDigest(trace);
+    if (std::getenv("ZEPPELIN_GOLDEN_PRINT") != nullptr) {
+      std::printf("    {\"%s\", \"%s\", %zu, 0x%016" PRIx64 "ULL},\n", c.config, direction,
+                  trace.event_count(), digest);
+    }
+    SCOPED_TRACE(std::string(c.config) + " " + direction);
+    EXPECT_STREQ(c.config, kTraceGolden[i].config);
+    EXPECT_STREQ(direction, kTraceGolden[i].direction);
+    EXPECT_EQ(trace.event_count(), kTraceGolden[i].slices);
+    EXPECT_EQ(digest, kTraceGolden[i].trace64);
   }
 }
 

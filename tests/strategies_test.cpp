@@ -212,5 +212,39 @@ TEST_F(StrategiesTest, GlobalRingModeMatchesTeCpShape) {
   EXPECT_TRUE(zep.partition_plan().intra_node.empty());
 }
 
+TEST(ZeppelinLayerBoundTest, BoundCoversEveryEmittedLayer) {
+  // EmitLayer reserves LayerBound up front; an emitted layer that outgrew it
+  // would regrow the graph's columns mid-emit.
+  std::vector<ZeppelinOptions> variants(6);
+  variants[1].routing.enabled = false;
+  variants[2].remapping.enabled = false;
+  variants[3].engine.forward_order = QueueOrder::kLocalIntraInter;
+  variants[4].hierarchical_partitioning = false;
+  variants[5].routing.max_proxies = 2;
+  for (const ClusterSpec& cluster : {MakeClusterA(2), MakeClusterB(2), MakeClusterA(8)}) {
+    const FabricResources fabric(cluster);
+    const CostModel cost_model(MakeLlama7B(), cluster);
+    for (const LengthDistribution& dist : {MakeGithubDistribution(), MakeArxivDistribution()}) {
+      BatchSampler sampler(dist, int64_t{4096} * cluster.world_size(), /*seed=*/3);
+      const Batch batch = sampler.NextBatch();
+      for (size_t v = 0; v < variants.size(); ++v) {
+        ZeppelinStrategy zep(variants[v]);
+        zep.Plan(batch, cost_model, fabric);
+        for (const Direction d : {Direction::kForward, Direction::kBackward}) {
+          SCOPED_TRACE(dist.name() + " variant " + std::to_string(v) + " " +
+                       std::to_string(cluster.world_size()) + " GPUs " +
+                       (d == Direction::kForward ? "fwd" : "bwd"));
+          const GraphSize bound = zep.LayerBound(d);
+          TaskGraph g;
+          zep.EmitLayer(g, d);
+          EXPECT_LE(g.size(), bound.tasks);
+          EXPECT_LE(static_cast<int64_t>(g.dep_ids().size()), bound.deps);
+          EXPECT_LE(static_cast<int64_t>(g.resource_ids().size()), bound.resources);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace zeppelin

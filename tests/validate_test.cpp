@@ -229,6 +229,73 @@ TEST_P(EngineFuzzTest, MultiChannelTiesProduceLegalSchedules) {
   CheckDigest(kMixedDigest, GetParam(), SimDigest(result));
 }
 
+// Digests of the burst graphs' results, taken from the engine that still
+// admitted through a dirty-resource rescan and a (time, task id) binary heap
+// (seeds 1..30, in order).
+constexpr uint64_t kBurstDigest[30] = {
+    0x4c4d591d01be69a5ULL, 0x4eebe340478c97c5ULL, 0x18ebc65a22f4b581ULL,
+    0x254a2af39ef7f9c5ULL, 0x575a19a8277d297cULL, 0x9136aea330641d37ULL,
+    0xdfc8e13a38618245ULL, 0xa71c78c2e3955d38ULL, 0xd97a5c6690123205ULL,
+    0x96313f913d32aa02ULL, 0x52889c6aa391a4b9ULL, 0xbe145b70cc16ff45ULL,
+    0xb7e4e552b965802fULL, 0xfa48a772be6556c5ULL, 0x48a1ca738d68396eULL,
+    0xf5274f2ff0ee7308ULL, 0x4e647a024a1aebc8ULL, 0x165cc2651122bed2ULL,
+    0xc22e780cc4fecdacULL, 0x12622a0663418745ULL, 0xb10b3c5687f4cffcULL,
+    0x3708251eff0ee5c0ULL, 0x0b350d84bfdb2253ULL, 0x593bc6b450a2203cULL,
+    0x6ee5b2e018bae9dcULL, 0x3a7a0eec28557d38ULL, 0x3dc7328941297a12ULL,
+    0xc1afa81e7b528e42ULL, 0x87a9fe920e432d45ULL, 0x5e4666d580a104f3ULL,
+};
+
+// Burst fuzz: waves of tasks that finish at one instant and free 2-4 shared
+// channels each, so admission sees many freed resources and many newly ready
+// tasks at once. Durations include -0.0: a task started at t finishes at
+// t + -0.0 == t, which must stay in the same instant as t.
+TEST_P(EngineFuzzTest, SameInstantBurstsOnSharedChannels) {
+  Rng rng(2000 + GetParam());
+  const FabricResources fabric(MakeClusterA(1 + static_cast<int>(rng.NextBounded(2))));
+  // A small channel pool, so most multi-channel tasks contend.
+  const int pool = 4 + static_cast<int>(rng.NextBounded(5));
+  const double kDurations[] = {-0.0, 0.0, 1.0, 1.0, 3.0};
+  TaskGraph g;
+
+  std::vector<TaskId> wave;
+  std::vector<TaskId> next_wave;
+  const int waves = 6 + static_cast<int>(rng.NextBounded(6));
+  for (int w = 0; w < waves; ++w) {
+    next_wave.clear();
+    const int width = 4 + static_cast<int>(rng.NextBounded(12));
+    for (int i = 0; i < width; ++i) {
+      std::vector<TaskId> deps;
+      const int ndeps = wave.empty() ? 0 : 1 + static_cast<int>(rng.NextBounded(3));
+      for (int d = 0; d < ndeps; ++d) {
+        deps.push_back(wave[rng.NextBounded(wave.size())]);
+      }
+      const double duration = kDurations[rng.NextBounded(std::size(kDurations))];
+      if (rng.NextBounded(8) == 0) {
+        next_wave.push_back(g.AddBarrier(deps, "b"));
+        continue;
+      }
+      std::vector<ResourceId> resources;
+      const int channels = 2 + static_cast<int>(rng.NextBounded(3));
+      while (static_cast<int>(resources.size()) < channels) {
+        const auto r = static_cast<ResourceId>(rng.NextBounded(pool));
+        if (std::find(resources.begin(), resources.end(), r) == resources.end()) {
+          resources.push_back(r);
+        }
+      }
+      next_wave.push_back(
+          g.AddTask(duration, TaskCategory::kInterComm, resources, deps, 0, -1, "m"));
+    }
+    wave.swap(next_wave);
+  }
+
+  const Engine engine(fabric);
+  const SimResult result = engine.Run(g);
+  for (const auto& v : ValidateSchedule(g, result, fabric.num_resources())) {
+    ADD_FAILURE() << v.description;
+  }
+  CheckDigest(kBurstDigest, GetParam(), SimDigest(result));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest, ::testing::Range(1, 31));
 
 // Real strategy graphs: every strategy's emitted layer must simulate to a
