@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the planning-path components whose
 // cost the paper claims is negligible (Table 3's "Sequence Partition" row and
-// the Eq. 2 solver), plus the simulator's emit and run stages.
+// the Eq. 2 solver), the simulator's emit and run stages, and the codec steps
+// of one served plan.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -8,9 +9,13 @@
 #include "src/common/rng.h"
 #include "src/core/chunking.h"
 #include "src/core/partitioner.h"
+#include "src/core/plan_io.h"
+#include "src/core/plan_service.h"
+#include "src/core/plan_verify.h"
 #include "src/core/zeppelin.h"
 #include "src/data/datasets.h"
 #include "src/model/transformer.h"
+#include "src/net/wire.h"
 #include "src/sim/engine.h"
 #include "src/solver/minimax_remap.h"
 #include "src/solver/transport.h"
@@ -156,6 +161,69 @@ void BM_EmitAndRunLayer(benchmark::State& state) {
   state.counters["tasks"] = static_cast<double>(tasks) / n;
 }
 BENCHMARK(BM_EmitAndRunLayer)->ArgName("shape")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_ServedPlanCodec(benchmark::State& state) {
+  // The codec steps of one served plan at the layered benchmark's serve_sweep
+  // shape (3B, 512 GPUs on cluster A, fineweb, 8M tokens, seed 1), split by
+  // counters into microseconds per iteration: the daemon's SerializePlan,
+  // the client's ParsePlan and VerifyPlan (PlanClient's options: no capacity
+  // or balance clause), and the request's frame encode plus ParseRequest.
+  const ClusterSpec cluster = MakeClusterA(64);
+  const FabricResources fabric(cluster);
+  const CostModel cm(MakeLlama3B(), cluster);
+  BatchSampler sampler(MakeFinewebDistribution(), int64_t{16384} * 512, 1);
+  const Batch batch = sampler.NextBatch();
+  PlannerService service;
+  PlanRequest plan_request;
+  plan_request.batch = &batch;
+  plan_request.cost_model = &cm;
+  plan_request.fabric = &fabric;
+  const PlanResponse planned = service.Plan(plan_request);
+  PlanVerifyOptions vopts;
+  vopts.eps = -1;
+  vopts.world = cluster.world_size();
+  net::WireRequest request;
+  request.batch = batch;
+  double serialize_us = 0;
+  double parse_us = 0;
+  double verify_us = 0;
+  double request_us = 0;
+  size_t image_bytes = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::string image = SerializePlan(*planned.plan);
+    const auto t1 = std::chrono::steady_clock::now();
+    PartitionPlan decoded;
+    const PlanIoResult parsed = ParsePlan(image, &decoded, cluster.world_size());
+    const auto t2 = std::chrono::steady_clock::now();
+    const PlanVerifyResult verdict = VerifyPlan(decoded, &batch, nullptr, vopts);
+    const auto t3 = std::chrono::steady_clock::now();
+    std::string frame;
+    net::AppendRequestFrame(request, &frame);
+    net::WireRequest received;
+    std::string error;
+    const net::WireStatus status = net::ParseRequest(
+        std::string_view(frame).substr(net::kFrameHeaderBytes), &received, &error);
+    const auto t4 = std::chrono::steady_clock::now();
+    if (!parsed.ok() || !verdict.ok() || status != net::WireStatus::kOk) {
+      state.SkipWithError("served plan failed its round trip");
+      break;
+    }
+    image_bytes = image.size();
+    serialize_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
+    parse_us += std::chrono::duration<double, std::micro>(t2 - t1).count();
+    verify_us += std::chrono::duration<double, std::micro>(t3 - t2).count();
+    request_us += std::chrono::duration<double, std::micro>(t4 - t3).count();
+  }
+  const double n = static_cast<double>(state.iterations());
+  state.counters["serialize_us"] = serialize_us / n;
+  state.counters["parse_us"] = parse_us / n;
+  state.counters["verify_us"] = verify_us / n;
+  state.counters["request_us"] = request_us / n;
+  state.counters["image_bytes"] = static_cast<double>(image_bytes);
+  state.SetLabel(std::to_string(batch.size()) + " seqs");
+}
+BENCHMARK(BM_ServedPlanCodec)->Unit(benchmark::kMicrosecond);
 
 void BM_TransportSolver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -585,6 +588,191 @@ TEST(FrameFuzzTest, V3TailTruncationAndByteSweepNeverCrash) {
         ASSERT_FALSE(err.empty()) << "at " << at << " value " << value;
       }
     }
+  }
+}
+
+
+// --- Golden frame pins --------------------------------------------------------
+//
+// The FNV-1a of whole request and response frames, recorded from the
+// element-wise encoders. Every field a frame carries is fixed below (no
+// timings), so any encoder rewrite must reproduce every byte; a pin that
+// moves means the wire changed, which needs a kWireVersion bump. Print the
+// current values in table syntax with
+//   ZEPPELIN_GOLDEN_PRINT=1 ./frame_fuzz_test --gtest_filter='*Golden*'
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct FramePin {
+  const char* name;
+  size_t bytes;
+  uint64_t fnv;
+};
+
+// clang-format off
+constexpr FramePin kFramePins[] = {
+    {"request/stateless", 2104, 0xeb651abb6991ea8fULL},
+    {"request/session", 1681, 0x302e41855e589271ULL},
+    {"request/ping", 56, 0xfe31f0c074325712ULL},
+    {"request/stats", 56, 0xf1fd19b6f3129d2cULL},
+    {"response/stateless", 4478, 0x472569e7693d7953ULL},
+    {"response/session", 6146, 0xc6c080bf24d45a61ULL},
+    {"response/error", 68, 0x84c9a520c8ac05dcULL},
+    {"response/ping", 166, 0xf725f1b776da0e38ULL},
+    {"response/stats", 262, 0x1ef3fdb856ce548fULL},
+};
+// clang-format on
+
+// Fixed, non-zero stats so every stats field reaches the pinned bytes.
+PlanStats PinnedStats(const PlanResponse& planned, uint64_t sessions) {
+  PlanStats stats = planned.stats;
+  stats.partition_time_us = 812.25;
+  stats.materialize_time_us = 37.5;
+  stats.session_count = sessions;
+  stats.cache_outcome = sessions == 0 ? CacheOutcome::kMiss : CacheOutcome::kBypass;
+  stats.verified = true;
+  for (int i = 0; i < obs::kNumStages; ++i) {
+    stats.stage_us[i] = 1.5 * (i + 1);
+  }
+  return stats;
+}
+
+// The pinned requests and the planned responses they get, by name.
+struct GoldenWire {
+  std::vector<std::pair<std::string, WireRequest>> requests;
+  std::vector<std::pair<std::string, WireResponse>> responses;
+  // The plans behind the two plan responses, in response order.
+  std::vector<std::shared_ptr<const PartitionPlan>> plans;
+
+  GoldenWire() {
+    const ClusterSpec cluster = MakeClusterA(2);
+    FabricResources fabric(cluster);
+    CostModel cost_model(MakeLlama3B(), cluster);
+    PlannerService service;
+
+    WireRequest stateless;
+    stateless.request_id = 41;
+    stateless.batch = SampleBatch(256, 0x901d);
+    stateless.options.token_capacity = 1 << 20;
+    requests.emplace_back("request/stateless", stateless);
+
+    // A session's second request: a batch delta plus fabric churn.
+    const Batch first = SampleBatch(192, 0x5e55);
+    BatchDelta delta;
+    delta.removed = {1, 5};
+    delta.resized = {{2, 777}};
+    delta.added = {1234, 4321};
+    Batch second = first;
+    ApplyBatchDelta(delta, &second);
+    TopologyDelta topology;
+    topology.removed_ranks = {3};
+    topology.speed_factors = {{1, 0.5}};
+    WireRequest session;
+    session.request_id = 42;
+    session.deadline_ms = 250;
+    session.stream_id = "golden-stream";
+    session.options.zone_aware_thresholds = true;
+    session.options.delta_replan_threshold = 0.125;
+    session.batch = second;
+    session.delta = delta;
+    session.topology = topology;
+    requests.emplace_back("request/session", session);
+
+    WireRequest ping;
+    ping.request_id = 43;
+    ping.kind = RequestKind::kPing;
+    requests.emplace_back("request/ping", ping);
+
+    WireRequest stats;
+    stats.request_id = 44;
+    stats.kind = RequestKind::kStats;
+    requests.emplace_back("request/stats", stats);
+
+    PlanRequest plan_request;
+    plan_request.batch = &stateless.batch;
+    plan_request.cost_model = &cost_model;
+    plan_request.fabric = &fabric;
+    plan_request.options = stateless.options;
+    const PlanResponse stateless_plan = service.Plan(plan_request);
+    EXPECT_EQ(stateless_plan.status, PlanStatus::kOk) << stateless_plan.error;
+    WireResponse stateless_response;
+    stateless_response.request_id = 41;
+    stateless_response.stats = PinnedStats(stateless_plan, 0);
+    stateless_response.queue_wait_us = 12.75;
+    stateless_response.digest = stateless_plan.digest;
+    stateless_response.plan_bytes = SerializePlan(*stateless_plan.plan);
+    responses.emplace_back("response/stateless", stateless_response);
+    plans.push_back(stateless_plan.plan);
+
+    PlanRequest open;
+    open.batch = &first;
+    open.cost_model = &cost_model;
+    open.fabric = &fabric;
+    open.options = session.options;
+    open.stream_id = session.stream_id;
+    EXPECT_EQ(service.Plan(open).status, PlanStatus::kOk);
+    PlanRequest next = open;
+    next.batch = &session.batch;
+    next.delta = &*session.delta;
+    next.topology = &*session.topology;
+    const PlanResponse session_plan = service.Plan(next);
+    EXPECT_EQ(session_plan.status, PlanStatus::kOk) << session_plan.error;
+    WireResponse session_response;
+    session_response.request_id = 42;
+    session_response.stats = PinnedStats(session_plan, 1);
+    session_response.digest = session_plan.digest;
+    session_response.plan_bytes = SerializePlan(*session_plan.plan);
+    responses.emplace_back("response/session", session_response);
+    plans.push_back(session_plan.plan);
+
+    WireResponse error;
+    error.request_id = 45;
+    error.status = WireStatus::kBadDelta;
+    error.message = "delta removes slot 9 of an 8-slot batch";
+    responses.emplace_back("response/error", error);
+
+    WireResponse pong;
+    pong.request_id = 43;
+    responses.emplace_back("response/ping", pong);
+
+    WireResponse stats_response;
+    stats_response.request_id = 44;
+    stats_response.stats.session_count = 1;
+    stats_response.stats_json =
+        "{\"schema\":\"zeppelin.metrics.v1\",\"counters\":{\"daemon.requests_ok\":2},"
+        "\"gauges\":{},\"histograms\":{}}";
+    responses.emplace_back("response/stats", stats_response);
+  }
+};
+
+TEST(FrameFuzzTest, GoldenFramesAreByteIdentical) {
+  const GoldenWire wire;
+  std::vector<std::pair<std::string, std::string>> frames;
+  for (const auto& [name, request] : wire.requests) {
+    AppendRequestFrame(request, &frames.emplace_back(name, "").second);
+  }
+  for (const auto& [name, response] : wire.responses) {
+    AppendResponseFrame(response, &frames.emplace_back(name, "").second);
+  }
+  if (std::getenv("ZEPPELIN_GOLDEN_PRINT") != nullptr) {
+    for (const auto& [name, bytes] : frames) {
+      std::printf("    {\"%s\", %zu, 0x%016" PRIx64 "ULL},\n", name.c_str(), bytes.size(),
+                  Fnv1a(bytes));
+    }
+  }
+  ASSERT_EQ(frames.size(), std::size(kFramePins));
+  for (size_t i = 0; i < frames.size(); ++i) {
+    const auto& [name, bytes] = frames[i];
+    SCOPED_TRACE(name);
+    EXPECT_EQ(name, kFramePins[i].name);
+    EXPECT_EQ(bytes.size(), kFramePins[i].bytes);
+    EXPECT_EQ(Fnv1a(bytes), kFramePins[i].fnv);
   }
 }
 

@@ -6,9 +6,12 @@
 
 #include <unistd.h>
 
+#include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -23,8 +26,8 @@
 namespace zeppelin {
 namespace {
 
-Batch SampleBatch(int num_seqs, uint64_t seed) {
-  const LengthDistribution dist = DatasetByName("github");
+Batch SampleBatch(int num_seqs, uint64_t seed, const char* dataset = "github") {
+  const LengthDistribution dist = DatasetByName(dataset);
   Rng rng(seed);
   Batch batch;
   batch.seq_lens.reserve(num_seqs);
@@ -38,8 +41,8 @@ Batch SampleBatch(int num_seqs, uint64_t seed) {
 // threshold, and the two explicit multi-node-length heads above node
 // capacity — so the plan carries inter-node AND intra-node rings (not just
 // locals), exercising every wire section.
-Batch RingHeavyBatch(int num_seqs, uint64_t seed) {
-  Batch batch = SampleBatch(num_seqs, seed);
+Batch RingHeavyBatch(int num_seqs, uint64_t seed, const char* dataset = "github") {
+  Batch batch = SampleBatch(num_seqs, seed, dataset);
   batch.seq_lens.insert(batch.seq_lens.begin(), {1500000, 1400000});
   return batch;
 }
@@ -98,9 +101,9 @@ TEST(PlanIoTest, RoundTripEmptyAndTinyPlans) {
   CheckRoundTrip(tiny);
 }
 
-TEST(PlanIoTest, RoundTripDeltaPatchedPlanWithArenaSlack) {
-  // Delta-patched plans relax the tight-arena invariant (free-listed spans);
-  // the wire format must carry them verbatim all the same.
+// A plan after 20 delta patches of 2% churn: its arena carries free-listed
+// slack. `*patched` reports whether any delta was applied in place.
+PartitionPlan DeltaPatchedPlan(bool* patched) {
   const ClusterSpec cluster = MakeClusterA(2);
   Batch batch = SampleBatch(1024, 0xabc);
   const int64_t world = cluster.world_size();
@@ -111,12 +114,20 @@ TEST(PlanIoTest, RoundTripDeltaPatchedPlanWithArenaSlack) {
   dp.Rebase(batch);
   WorkloadStream stream(DatasetByName("github"), batch, StreamOptions{.churn_fraction = 0.02},
                         0xfeed);
-  bool patched = false;
+  *patched = false;
   for (int i = 0; i < 20; ++i) {
-    patched = dp.Apply(stream.Next()) == DeltaOutcome::kApplied || patched;
+    *patched = dp.Apply(stream.Next()) == DeltaOutcome::kApplied || *patched;
   }
+  return dp.plan();
+}
+
+TEST(PlanIoTest, RoundTripDeltaPatchedPlanWithArenaSlack) {
+  // Delta-patched plans relax the tight-arena invariant (free-listed spans);
+  // the wire format must carry them verbatim all the same.
+  bool patched = false;
+  const PartitionPlan plan = DeltaPatchedPlan(&patched);
   ASSERT_TRUE(patched);
-  CheckRoundTrip(dp.plan());
+  CheckRoundTrip(plan);
 }
 
 TEST(PlanIoTest, RejectsBadMagicAndVersion) {
@@ -249,6 +260,95 @@ TEST(PlanIoTest, DeserializeMemberMirrorsParse) {
   EXPECT_TRUE(decoded.Deserialize(plan.Serialize()));
   EXPECT_TRUE(decoded == plan);
   EXPECT_FALSE(decoded.Deserialize("not a plan"));
+}
+
+
+// --- Golden byte pins ---------------------------------------------------------
+//
+// The FNV-1a of every SerializePlan image below, recorded from the
+// element-wise encoder. An encoder rewrite must reproduce every byte; a pin
+// that moves means the format changed, which needs a kPlanFormatVersion bump.
+// Print the current values in table syntax with
+//   ZEPPELIN_GOLDEN_PRINT=1 ./plan_io_test --gtest_filter='*Golden*'
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct ImagePin {
+  const char* name;
+  size_t bytes;
+  uint64_t fnv;
+};
+
+// clang-format off
+constexpr ImagePin kImagePins[] = {
+    {"oracle/github", 10928, 0xf5d47c8acb07ab12ULL},
+    {"engine/github", 10928, 0xf5d47c8acb07ab12ULL},
+    {"oracle/arxiv", 10008, 0x3d86de7eb8e63c03ULL},
+    {"engine/arxiv", 10008, 0x3d86de7eb8e63c03ULL},
+    {"oracle/fineweb", 10208, 0xfbaf5451d3cdc816ULL},
+    {"engine/fineweb", 10208, 0xfbaf5451d3cdc816ULL},
+    {"delta-patched", 16600, 0x013946f66f6c80efULL},
+    {"empty", 72, 0x243e12be67f62445ULL},
+    {"no-tokens", 192, 0xf5ffe8fd0cc81413ULL},
+};
+// clang-format on
+
+std::vector<std::pair<std::string, PartitionPlan>> GoldenPlans() {
+  std::vector<std::pair<std::string, PartitionPlan>> plans;
+  const ClusterSpec cluster = MakeClusterA(16);
+  ThreadPool pool(3);
+  for (const char* dataset : {"github", "arxiv", "fineweb"}) {
+    const Batch batch = RingHeavyBatch(512, 0x901d, dataset);
+    plans.emplace_back(std::string("oracle/") + dataset,
+                       MakePlan(batch, cluster, /*fast_path=*/false, nullptr));
+    plans.emplace_back(std::string("engine/") + dataset,
+                       MakePlan(batch, cluster, /*fast_path=*/true, &pool));
+  }
+  bool patched = false;
+  plans.emplace_back("delta-patched", DeltaPatchedPlan(&patched));
+  EXPECT_TRUE(patched);
+  plans.emplace_back("empty", PartitionPlan{});
+  // Hand-built partial plan: rings and locals but no tokens section.
+  PartitionPlan no_tokens;
+  no_tokens.threshold_s1 = 2048;
+  no_tokens.threshold_s0 = {256, 512};
+  no_tokens.local.push_back({0, 300, 5});
+  no_tokens.local.push_back({2, 0, 1});
+  no_tokens.AddRing(no_tokens.inter_node, 1, 9000, Zone::kInterNode,
+                    std::vector<int>{8, 9, 10, 11});
+  no_tokens.AddRing(no_tokens.intra_node, 3, 1200, Zone::kIntraNode, std::vector<int>{2, 3});
+  plans.emplace_back("no-tokens", std::move(no_tokens));
+  return plans;
+}
+
+TEST(PlanIoTest, GoldenImagesAreByteIdentical) {
+  const auto plans = GoldenPlans();
+  if (std::getenv("ZEPPELIN_GOLDEN_PRINT") != nullptr) {
+    for (const auto& [name, plan] : plans) {
+      const std::string bytes = SerializePlan(plan);
+      std::printf("    {\"%s\", %zu, 0x%016" PRIx64 "ULL},\n", name.c_str(), bytes.size(),
+                  Fnv1a(bytes));
+    }
+  }
+  ASSERT_EQ(plans.size(), std::size(kImagePins));
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const auto& [name, plan] = plans[i];
+    const std::string bytes = SerializePlan(plan);
+    SCOPED_TRACE(name);
+    EXPECT_EQ(name, kImagePins[i].name);
+    EXPECT_EQ(bytes.size(), kImagePins[i].bytes);
+    EXPECT_EQ(Fnv1a(bytes), kImagePins[i].fnv);
+    // A decoded image re-serializes to the same bytes.
+    PartitionPlan decoded;
+    ASSERT_TRUE(ParsePlan(bytes, &decoded).ok());
+    EXPECT_EQ(SerializePlan(decoded), bytes);
+  }
 }
 
 }  // namespace
