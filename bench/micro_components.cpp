@@ -205,6 +205,8 @@ void BM_ServedPlanCodec(benchmark::State& state) {
     const net::WireStatus status = net::ParseRequest(
         std::string_view(frame).substr(net::kFrameHeaderBytes), &received, &error);
     const auto t4 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(decoded.local.data());
+    benchmark::DoNotOptimize(received.batch.seq_lens.data());
     if (!parsed.ok() || !verdict.ok() || status != net::WireStatus::kOk) {
       state.SkipWithError("served plan failed its round trip");
       break;

@@ -1,16 +1,24 @@
 // Planner-daemon bench: plans/s and tail latency of the TCP-served
 // PlannerService (src/net/planner_daemon.h) vs the in-process service —
-// what the framed protocol, the per-connection reader threads, and the
-// bounded admission gate cost on top of pure planning — plus an overload
-// arm measuring what the gate buys: beyond-capacity load is shed with
-// kOverloaded while the *admitted* requests keep a bounded p99.
+// what the framed protocol, the per-connection reader threads, the plan
+// cache, and the bounded admission gate cost on top of pure planning — plus
+// an overload arm measuring what the gate buys: beyond-capacity load is shed
+// with kOverloaded while the *admitted* requests keep a bounded p99.
 //
 // Arms:
 //   - in-process: one thread calling PlannerService::Plan directly
-//     (zero-copy, no sockets) — the floor.
-//   - daemon at {1, 16, 64} concurrent clients: each client is one TCP
-//     connection issuing stateless plan requests back-to-back; p50/p99 are
-//     client-observed round-trip latencies.
+//     (zero-copy, no sockets) — the floor of a planned request; and one
+//     thread calling PlanCache::TryServe on one cached batch — the floor of
+//     a cache hit.
+//   - daemon "hot" at {1, 16, 64} concurrent clients: each client is one TCP
+//     connection re-sending the same stateless batch back-to-back, so every
+//     request after the first is an exact cache hit. Its overhead is
+//     measured against the in-process hit.
+//   - daemon "cold" at {1, 16, 64} clients: each request carries a fresh
+//     batch, so every request misses and plans. Its overhead is measured
+//     against the in-process plan.
+//   Every point records the cache outcome of each reply; p50/p99 are
+//   client-observed round-trip latencies.
 //   - overload: 1 permit + queue_limit=4 + a fixed debug plan delay, hammered
 //     by 16 impatient clients. Reports the shed rate and checks admitted
 //     p99 <= (queue_limit + 2) * plan_delay — the bounded-queue guarantee
@@ -20,20 +28,25 @@
 //   { "bench": "planner_daemon", "model", "cluster", "quick", "num_seqs",
 //     "iters_per_client",
 //     "inprocess": { "plans_per_sec", "p50_us", "p99_us" },
-//     "points": [ { "clients", "total_plans", "wall_ms", "plans_per_sec",
-//                   "p50_us", "p99_us", "daemon_overhead_p50_us" } ],
+//     "inprocess_hit": { "p50_us", "p99_us" },
+//     "points": [ { "arm", "clients", "total_plans", "wall_ms",
+//                   "plans_per_sec", "p50_us", "p99_us", "cache_hits",
+//                   "cache_misses", "daemon_overhead_p50_us" } ],
 //     "overload": { "clients", "queue_limit", "plan_delay_ms", "offered",
 //                   "admitted", "shed", "shed_rate", "admitted_p50_us",
 //                   "admitted_p99_us", "p99_bound_us", "p99_within_bound" } }
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
+#include "src/core/plan_cache.h"
 #include "src/core/plan_service.h"
 #include "src/model/transformer.h"
 #include "src/net/plan_client.h"
@@ -55,15 +68,19 @@ double Percentile(std::vector<double> samples, double p) {
   return samples[at];
 }
 
-Batch SampleBenchBatch(int num_seqs) {
+Batch SampleBenchBatch(int num_seqs, uint64_t seed = 4242) {
   const LengthDistribution dist = DatasetByName("github");
-  Rng rng(4242);
+  Rng rng(seed);
   Batch batch;
   batch.seq_lens.reserve(num_seqs);
   for (int i = 0; i < num_seqs; ++i) {
     batch.seq_lens.push_back(dist.Sample(rng));
   }
   return batch;
+}
+
+double ElapsedUs(clock_type::time_point start) {
+  return std::chrono::duration<double, std::micro>(clock_type::now() - start).count();
 }
 
 }  // namespace
@@ -79,8 +96,9 @@ int main(int argc, char** argv) {
   const Batch batch = SampleBenchBatch(num_seqs);
 
   bench::PrintHeader("Planner daemon — served plans/s and tail latency (3B, Cluster A)");
-  std::printf("S=%d per request, %d requests per client, stateless\n\n", num_seqs,
-              iters_per_client);
+  std::printf("S=%d per request, %d requests per client, stateless; hot arms re-send one "
+              "batch (cache hits), cold arms a fresh batch per request (misses)\n\n",
+              num_seqs, iters_per_client);
 
   // --- In-process floor -----------------------------------------------------
   FabricResources fabric(cluster);
@@ -97,7 +115,7 @@ int main(int argc, char** argv) {
     request.fabric = &fabric;
     const auto t0 = clock_type::now();
     const PlanResponse response = local.Plan(request);
-    local_us.push_back(std::chrono::duration<double, std::micro>(clock_type::now() - t0).count());
+    local_us.push_back(ElapsedUs(t0));
     (void)response;
   }
   const double local_wall_ms =
@@ -105,6 +123,30 @@ int main(int argc, char** argv) {
   const double local_pps = local_iters / (local_wall_ms / 1000.0);
   const double local_p50 = Percentile(local_us, 0.5);
   const double local_p99 = Percentile(local_us, 0.99);
+
+  // The in-process cache-hit floor: PlanCache::TryServe on a cached batch
+  // (key derivation, lookup, and the digest re-check of the stored plan).
+  PlanCache local_cache(&local);
+  std::vector<double> hit_us;
+  hit_us.reserve(local_iters);
+  {
+    PlanRequest request;
+    request.batch = &batch;
+    request.cost_model = &cost_model;
+    request.fabric = &fabric;
+    local_cache.Plan(request);
+    for (int i = 0; i < local_iters; ++i) {
+      const auto t0 = clock_type::now();
+      const std::optional<PlanResponse> hit = local_cache.TryServe(request);
+      hit_us.push_back(ElapsedUs(t0));
+      if (!hit.has_value()) {
+        std::fprintf(stderr, "in-process cache missed a cached batch\n");
+        return 1;
+      }
+    }
+  }
+  const double hit_p50 = Percentile(hit_us, 0.5);
+  const double hit_p99 = Percentile(hit_us, 0.99);
 
   // --- Daemon throughput arms ----------------------------------------------
   net::DaemonOptions daemon_options;
@@ -120,49 +162,69 @@ int main(int argc, char** argv) {
   }
 
   struct Arm {
+    const char* name = "";
     int clients = 0;
     long total = 0;
     double wall_ms = 0;
     double pps = 0;
     double p50 = 0;
     double p99 = 0;
+    long hits = 0;
+    long misses = 0;
+    double overhead_p50 = 0;
   };
   std::vector<Arm> arms;
-  for (const int clients : client_counts) {
-    std::vector<std::vector<double>> latencies(clients);
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    const auto start = clock_type::now();
-    for (int c = 0; c < clients; ++c) {
-      threads.emplace_back([&, c] {
-        net::PlanClient client("127.0.0.1", daemon.port());
-        latencies[c].reserve(iters_per_client);
-        for (int i = 0; i < iters_per_client; ++i) {
-          net::WireRequest request;
-          request.batch = batch;
-          const net::PlanClientResult result = client.Plan(std::move(request));
-          if (result.ok()) {
-            latencies[c].push_back(result.rtt_us);
+  for (const bool cold : {false, true}) {
+    for (const int clients : client_counts) {
+      std::vector<std::vector<double>> latencies(clients);
+      std::vector<long> hits(clients, 0);
+      std::vector<long> misses(clients, 0);
+      std::vector<std::thread> threads;
+      threads.reserve(clients);
+      const auto start = clock_type::now();
+      for (int c = 0; c < clients; ++c) {
+        threads.emplace_back([&, c] {
+          net::PlanClient client("127.0.0.1", daemon.port());
+          latencies[c].reserve(iters_per_client);
+          for (int i = 0; i < iters_per_client; ++i) {
+            net::WireRequest request;
+            // A cold request's batch is drawn from a seed no other request
+            // uses, so it can only miss. rtt_us covers the round trip alone;
+            // the arm's wall time (and plans/s) includes the draws.
+            request.batch = cold ? SampleBenchBatch(
+                                       num_seqs, (uint64_t{1} << 40) + (uint64_t(clients) << 24) +
+                                                     (uint64_t(c) << 12) + i)
+                                 : batch;
+            const net::PlanClientResult result = client.Plan(std::move(request));
+            if (result.ok()) {
+              latencies[c].push_back(result.rtt_us);
+              hits[c] += result.stats.cache_outcome == CacheOutcome::kHit ? 1 : 0;
+              misses[c] += result.stats.cache_outcome == CacheOutcome::kMiss ? 1 : 0;
+            }
           }
-        }
-      });
+        });
+      }
+      for (std::thread& t : threads) {
+        t.join();
+      }
+      Arm arm;
+      arm.name = cold ? "cold" : "hot";
+      arm.clients = clients;
+      arm.wall_ms =
+          std::chrono::duration<double, std::milli>(clock_type::now() - start).count();
+      std::vector<double> merged;
+      for (int c = 0; c < clients; ++c) {
+        merged.insert(merged.end(), latencies[c].begin(), latencies[c].end());
+        arm.hits += hits[c];
+        arm.misses += misses[c];
+      }
+      arm.total = static_cast<long>(merged.size());
+      arm.pps = arm.total / (arm.wall_ms / 1000.0);
+      arm.p50 = Percentile(merged, 0.5);
+      arm.p99 = Percentile(merged, 0.99);
+      arm.overhead_p50 = arm.p50 - (cold ? local_p50 : hit_p50);
+      arms.push_back(arm);
     }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-    Arm arm;
-    arm.clients = clients;
-    arm.wall_ms =
-        std::chrono::duration<double, std::milli>(clock_type::now() - start).count();
-    std::vector<double> merged;
-    for (const auto& per_client : latencies) {
-      merged.insert(merged.end(), per_client.begin(), per_client.end());
-    }
-    arm.total = static_cast<long>(merged.size());
-    arm.pps = arm.total / (arm.wall_ms / 1000.0);
-    arm.p50 = Percentile(merged, 0.5);
-    arm.p99 = Percentile(merged, 0.99);
-    arms.push_back(arm);
   }
   daemon.Stop();
 
@@ -224,15 +286,21 @@ int main(int argc, char** argv) {
   const bool p99_within_bound = admitted_p99 <= p99_bound_us;
 
   // --- Report ---------------------------------------------------------------
-  Table table({"arm", "clients", "plans", "wall ms", "plans/s", "p50 us", "p99 us"});
-  table.AddRow({"in-process", "-", Table::Cell(static_cast<int64_t>(local_iters)),
-                Table::Cell(local_wall_ms, 1), Table::Cell(local_pps, 0),
-                Table::Cell(local_p50, 0), Table::Cell(local_p99, 0)});
+  Table table({"arm", "clients", "plans", "hits", "misses", "wall ms", "plans/s", "p50 us",
+               "p99 us", "overhead p50 us"});
+  table.AddRow({"in-process plan", "-", Table::Cell(static_cast<int64_t>(local_iters)), "-",
+                "-", Table::Cell(local_wall_ms, 1), Table::Cell(local_pps, 0),
+                Table::Cell(local_p50, 0), Table::Cell(local_p99, 0), "-"});
+  table.AddRow({"in-process hit", "-", Table::Cell(static_cast<int64_t>(local_iters)), "-", "-",
+                "-", "-", Table::Cell(hit_p50, 1), Table::Cell(hit_p99, 1), "-"});
   for (const Arm& arm : arms) {
-    table.AddRow({"daemon", Table::Cell(static_cast<int64_t>(arm.clients)),
-                  Table::Cell(static_cast<int64_t>(arm.total)), Table::Cell(arm.wall_ms, 1),
-                  Table::Cell(arm.pps, 0), Table::Cell(arm.p50, 0),
-                  Table::Cell(arm.p99, 0)});
+    table.AddRow({std::string("daemon ") + arm.name,
+                  Table::Cell(static_cast<int64_t>(arm.clients)),
+                  Table::Cell(static_cast<int64_t>(arm.total)),
+                  Table::Cell(static_cast<int64_t>(arm.hits)),
+                  Table::Cell(static_cast<int64_t>(arm.misses)), Table::Cell(arm.wall_ms, 1),
+                  Table::Cell(arm.pps, 0), Table::Cell(arm.p50, 0), Table::Cell(arm.p99, 0),
+                  Table::Cell(arm.overhead_p50, 0)});
   }
   table.Print();
   std::printf(
@@ -264,10 +332,19 @@ int main(int argc, char** argv) {
   json.Key("p99_us");
   json.Value(local_p99);
   json.EndObject();
+  json.Key("inprocess_hit");
+  json.BeginObject();
+  json.Key("p50_us");
+  json.Value(hit_p50);
+  json.Key("p99_us");
+  json.Value(hit_p99);
+  json.EndObject();
   json.Key("points");
   json.BeginArray();
   for (const Arm& arm : arms) {
     json.BeginObject();
+    json.Key("arm");
+    json.Value(arm.name);
     json.Key("clients");
     json.Value(static_cast<int64_t>(arm.clients));
     json.Key("total_plans");
@@ -280,8 +357,12 @@ int main(int argc, char** argv) {
     json.Value(arm.p50);
     json.Key("p99_us");
     json.Value(arm.p99);
+    json.Key("cache_hits");
+    json.Value(static_cast<int64_t>(arm.hits));
+    json.Key("cache_misses");
+    json.Value(static_cast<int64_t>(arm.misses));
     json.Key("daemon_overhead_p50_us");
-    json.Value(arm.p50 - local_p50);
+    json.Value(arm.overhead_p50);
     json.EndObject();
   }
   json.EndArray();

@@ -29,6 +29,7 @@
 #ifndef SRC_CORE_PLAN_IO_H_
 #define SRC_CORE_PLAN_IO_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -74,6 +75,17 @@ struct PlanIoResult {
 // PartitionPlan value (including delta-patched plans whose arena carries
 // free-listed slack) has exactly one encoding.
 std::string SerializePlan(const PartitionPlan& plan);
+
+// The exact length of SerializePlan(plan).
+size_t SerializedPlanSize(const PartitionPlan& plan);
+
+// Writes SerializePlan(plan)'s image into the SerializedPlanSize(plan) bytes
+// at `out`, with `digest` as the trailer instead of a fresh StateDigest()
+// pass. For a caller that already holds the plan's digest (the daemon serves
+// PlanResponse::digest, computed or re-checked against the plan before the
+// plan is served). A digest that does not match the plan makes an image that
+// ParsePlan rejects (kDigestMismatch).
+void SerializePlanInto(const PartitionPlan& plan, uint64_t digest, char* out);
 
 // Decodes `bytes` into `*plan`. On failure `*plan` is left in an
 // unspecified-but-valid state and the result carries the reason; on success

@@ -18,6 +18,16 @@ PlanVerifyResult Reject(PlanVerifyStatus status, const std::string& message) {
   return result;
 }
 
+// A rejection whose message streams `parts` in order. Cold and out of line:
+// the per-entry loops below only branch to it, so they carry no stream code.
+template <typename... Parts>
+[[gnu::cold, gnu::noinline]] PlanVerifyResult RejectWith(PlanVerifyStatus status,
+                                                         const Parts&... parts) {
+  std::ostringstream msg;
+  (msg << ... << parts);
+  return Reject(status, msg.str());
+}
+
 // The largest per-rank share a ring of `length` over `group` positions must
 // grant somewhere: position i holds chunks i and 2G-1-i, i.e. two chunks of
 // at most ceil(length / 2G) tokens each. Used as the indivisible-unit floor
@@ -73,15 +83,12 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
   }
   const int world = static_cast<int>(plan.tokens_per_rank.size());
   if (options.world > 0 && world != options.world) {
-    std::ostringstream msg;
-    msg << "plan targets " << world << " ranks but the fabric has " << options.world;
-    return Reject(PlanVerifyStatus::kMalformed, msg.str());
+    return RejectWith(PlanVerifyStatus::kMalformed, "plan targets ", world,
+                      " ranks but the fabric has ", options.world);
   }
   if (topology != nullptr && topology->world() != world) {
-    std::ostringstream msg;
-    msg << "plan targets " << world << " ranks but the topology tracks "
-        << topology->world();
-    return Reject(PlanVerifyStatus::kMalformed, msg.str());
+    return RejectWith(PlanVerifyStatus::kMalformed, "plan targets ", world,
+                      " ranks but the topology tracks ", topology->world());
   }
   for (int64_t tokens : plan.tokens_per_rank) {
     if (tokens < 0) {
@@ -148,9 +155,7 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
       for (int rank : plan.ranks(ring)) {
         const PlanVerifyStatus s = check_rank(rank);
         if (s != PlanVerifyStatus::kOk) {
-          std::ostringstream msg;
-          msg << "ring for sequence " << ring.seq_id << " references rank " << rank;
-          return Reject(s, msg.str());
+          return RejectWith(s, "ring for sequence ", ring.seq_id, " references rank ", rank);
         }
       }
     }
@@ -161,18 +166,14 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
     }
     const PlanVerifyStatus s = check_rank(seq.rank);
     if (s != PlanVerifyStatus::kOk) {
-      std::ostringstream msg;
-      msg << "local sequence " << seq.seq_id << " placed on rank " << seq.rank;
-      return Reject(s, msg.str());
+      return RejectWith(s, "local sequence ", seq.seq_id, " placed on rank ", seq.rank);
     }
   }
   if (topology != nullptr) {
     for (int rank = 0; rank < world; ++rank) {
       if (!topology->alive[rank] && plan.tokens_per_rank[rank] != 0) {
-        std::ostringstream msg;
-        msg << "dead rank " << rank << " declares " << plan.tokens_per_rank[rank]
-            << " tokens";
-        return Reject(PlanVerifyStatus::kDeadRank, msg.str());
+        return RejectWith(PlanVerifyStatus::kDeadRank, "dead rank ", rank, " declares ",
+                          plan.tokens_per_rank[rank], " tokens");
       }
     }
   }
@@ -193,22 +194,19 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
   PlanVerifyResult verdict;
   auto tally = [&](int seq_id, int64_t length, int64_t unit) {
     if (seq_id < 0 || seq_id >= universe) {
-      std::ostringstream msg;
-      msg << "sequence " << seq_id << " outside the batch universe [0, " << universe << ")";
-      verdict = Reject(PlanVerifyStatus::kCoverage, msg.str());
+      verdict = RejectWith(PlanVerifyStatus::kCoverage, "sequence ", seq_id,
+                           " outside the batch universe [0, ", universe, ")");
       return false;
     }
     if (seen[seq_id]++) {
-      std::ostringstream msg;
-      msg << "sequence " << seq_id << " covered more than once";
-      verdict = Reject(PlanVerifyStatus::kCoverage, msg.str());
+      verdict = RejectWith(PlanVerifyStatus::kCoverage, "sequence ", seq_id,
+                           " covered more than once");
       return false;
     }
     if (batch != nullptr && length != batch->seq_lens[seq_id]) {
-      std::ostringstream msg;
-      msg << "sequence " << seq_id << " planned at length " << length
-          << " but the batch has " << batch->seq_lens[seq_id];
-      verdict = Reject(PlanVerifyStatus::kLengthMismatch, msg.str());
+      verdict = RejectWith(PlanVerifyStatus::kLengthMismatch, "sequence ", seq_id,
+                           " planned at length ", length, " but the batch has ",
+                           batch->seq_lens[seq_id]);
       return false;
     }
     entry_tokens += length;
@@ -232,9 +230,8 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
   }
   for (int seq_id = 0; seq_id < universe; ++seq_id) {
     if (!seen[seq_id]) {
-      std::ostringstream msg;
-      msg << "sequence " << seq_id << " is not covered by any plan entry";
-      return Reject(PlanVerifyStatus::kCoverage, msg.str());
+      return RejectWith(PlanVerifyStatus::kCoverage, "sequence ", seq_id,
+                        " is not covered by any plan entry");
     }
   }
 
@@ -242,17 +239,13 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
   const int64_t expected = batch != nullptr ? batch->total_tokens() : entry_tokens;
   const int64_t declared = plan.total_tokens();
   if (declared != expected || entry_tokens != expected) {
-    std::ostringstream msg;
-    msg << "declared loads sum to " << declared << ", entries to " << entry_tokens
-        << ", batch holds " << expected;
-    return Reject(PlanVerifyStatus::kTokenMismatch, msg.str());
+    return RejectWith(PlanVerifyStatus::kTokenMismatch, "declared loads sum to ", declared,
+                      ", entries to ", entry_tokens, ", batch holds ", expected);
   }
   for (int rank = 0; rank < world; ++rank) {
     if (plan.tokens_per_rank[rank] > 0 && !touched[rank]) {
-      std::ostringstream msg;
-      msg << "rank " << rank << " declares " << plan.tokens_per_rank[rank]
-          << " tokens but no entry touches it";
-      return Reject(PlanVerifyStatus::kTokenMismatch, msg.str());
+      return RejectWith(PlanVerifyStatus::kTokenMismatch, "rank ", rank, " declares ",
+                        plan.tokens_per_rank[rank], " tokens but no entry touches it");
     }
   }
 
@@ -260,10 +253,9 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
   if (options.token_capacity > 0) {
     for (int rank = 0; rank < world; ++rank) {
       if (plan.tokens_per_rank[rank] > options.token_capacity) {
-        std::ostringstream msg;
-        msg << "rank " << rank << " carries " << plan.tokens_per_rank[rank]
-            << " tokens over the capacity " << options.token_capacity;
-        return Reject(PlanVerifyStatus::kCapacityOverflow, msg.str());
+        return RejectWith(PlanVerifyStatus::kCapacityOverflow, "rank ", rank, " carries ",
+                          plan.tokens_per_rank[rank], " tokens over the capacity ",
+                          options.token_capacity);
       }
     }
   }
@@ -300,10 +292,10 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
     verdict.max_load_ratio =
         ideal > 0 ? static_cast<double>(max_eff) / ideal : 0;
     if (static_cast<double>(max_eff) > allowed) {
-      std::ostringstream msg;
-      msg << "max effective rank load " << max_eff << " exceeds the (1+eps) bound "
-          << allowed << " (ideal " << ideal << ", unit " << unit_eff << ")";
-      PlanVerifyResult result = Reject(PlanVerifyStatus::kEpsImbalance, msg.str());
+      PlanVerifyResult result =
+          RejectWith(PlanVerifyStatus::kEpsImbalance, "max effective rank load ", max_eff,
+                     " exceeds the (1+eps) bound ", allowed, " (ideal ", ideal, ", unit ",
+                     unit_eff, ")");
       result.max_load_ratio = verdict.max_load_ratio;
       return result;
     }

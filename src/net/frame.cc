@@ -24,46 +24,98 @@ const char* FrameStatusName(FrameStatus status) {
   return "unknown";
 }
 
-void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
-  out->append(kFrameMagic, 4);
-  out->push_back(static_cast<char>(type));
-  out->append(3, '\0');
-  const uint32_t len = static_cast<uint32_t>(payload.size());
+char* AppendFrameHeader(FrameType type, size_t payload_size, std::string* out) {
+  const size_t at = out->size();
+  out->resize(at + kFrameHeaderBytes + payload_size);
+  char* header = out->data() + at;
+  std::memcpy(header, kFrameMagic, 4);
+  header[4] = static_cast<char>(type);
+  header[5] = header[6] = header[7] = 0;
+  const uint32_t len = static_cast<uint32_t>(payload_size);
   for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((len >> (8 * i)) & 0xff));
+    header[8 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
   }
-  out->append(payload.data(), payload.size());
+  return header + kFrameHeaderBytes;
+}
+
+void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
+  char* at = AppendFrameHeader(type, payload.size(), out);
+  if (!payload.empty()) {
+    std::memcpy(at, payload.data(), payload.size());
+  }
 }
 
 FrameDecoder::FrameDecoder(uint32_t max_frame_bytes)
     : max_frame_bytes_(std::min(max_frame_bytes, kFrameHardCap)) {}
 
+size_t FrameDecoder::frame_remaining() const {
+  const size_t available = end_ - consumed_;
+  if (poisoned() || available < kFrameHeaderBytes) {
+    return 0;
+  }
+  const unsigned char* head =
+      reinterpret_cast<const unsigned char*>(buffer_.get()) + consumed_;
+  uint32_t payload_len = 0;
+  for (int i = 0; i < 4; ++i) {
+    payload_len |= static_cast<uint32_t>(head[8 + i]) << (8 * i);
+  }
+  // Unvalidated until Next() sees it: never size a read past the cap.
+  const size_t frame = kFrameHeaderBytes + std::min(payload_len, max_frame_bytes_);
+  return frame > available ? frame - available : 0;
+}
+
+std::span<char> FrameDecoder::Space(size_t min_bytes) {
+  const size_t live = end_ - consumed_;
+  // Drop consumed bytes: all at once when nothing is live, else once they
+  // pass 64 KiB or the buffer would have to grow.
+  if (live == 0) {
+    consumed_ = end_ = 0;
+  } else if (consumed_ > (64u << 10) ||
+             (capacity_ - end_ < min_bytes && live + min_bytes <= capacity_)) {
+    std::memmove(buffer_.get(), buffer_.get() + consumed_, live);
+    consumed_ = 0;
+    end_ = live;
+  }
+  if (capacity_ - end_ < min_bytes) {
+    const size_t capacity = std::max(live + min_bytes, 2 * capacity_);
+    auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+    if (live > 0) {
+      std::memcpy(grown.get(), buffer_.get() + consumed_, live);
+    }
+    buffer_ = std::move(grown);
+    capacity_ = capacity;
+    consumed_ = 0;
+    end_ = live;
+  }
+  return {buffer_.get() + end_, capacity_ - end_};
+}
+
+void FrameDecoder::Commit(size_t n) {
+  if (!poisoned()) {
+    end_ += n;
+  }
+}
+
 void FrameDecoder::Feed(const char* data, size_t size) {
-  if (poisoned()) {
+  if (poisoned() || size == 0) {
     return;
   }
-  // Compact before growing: consumed bytes are dead weight, and dropping
-  // them keeps the buffer bounded by (header + one frame cap + one read).
-  if (consumed_ > 0 && consumed_ == buffer_.size()) {
-    buffer_.clear();
-    consumed_ = 0;
-  } else if (consumed_ > (64u << 10)) {
-    buffer_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  buffer_.append(data, size);
+  std::memcpy(Space(size).data(), data, size);
+  Commit(size);
 }
 
 FrameStatus FrameDecoder::Next(Frame* frame) {
   if (poisoned()) {
     return error_;
   }
-  const size_t available = buffer_.size() - consumed_;
+  const size_t available = end_ - consumed_;
+  if (available == 0) {
+    return FrameStatus::kIncomplete;
+  }
   // Validate the header prefix as soon as its bytes exist — a bad magic or
   // type is reportable before the full header arrives.
   const unsigned char* head =
-      reinterpret_cast<const unsigned char*>(buffer_.data()) + consumed_;
+      reinterpret_cast<const unsigned char*>(buffer_.get()) + consumed_;
   const size_t magic_have = std::min<size_t>(available, 4);
   if (std::memcmp(head, kFrameMagic, magic_have) != 0) {
     return error_ = FrameStatus::kBadMagic;
@@ -93,7 +145,7 @@ FrameStatus FrameDecoder::Next(Frame* frame) {
     return FrameStatus::kIncomplete;
   }
   frame->type = static_cast<FrameType>(type);
-  frame->payload.assign(buffer_, consumed_ + kFrameHeaderBytes, payload_len);
+  frame->payload = std::string_view(buffer_.get() + consumed_ + kFrameHeaderBytes, payload_len);
   consumed_ += kFrameHeaderBytes + payload_len;
   return FrameStatus::kOk;
 }

@@ -20,7 +20,10 @@
 #ifndef SRC_NET_FRAME_H_
 #define SRC_NET_FRAME_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -53,21 +56,28 @@ enum class FrameStatus : uint8_t {
 
 const char* FrameStatusName(FrameStatus status);
 
+// A decoded frame. The payload is a view into the decoder's buffer, valid
+// until the decoder is next fed (Feed, Space or Commit).
 struct Frame {
   FrameType type = FrameType::kRequest;
-  std::string payload;
+  std::string_view payload;
 };
 
-// Appends one complete frame (header + payload) to `*out`. The caller is
-// responsible for keeping payloads under the peer's frame cap.
+// Grows `*out` by one whole frame of `payload_size` bytes, writes its header,
+// and returns where the payload goes: the wire encoders build their payload
+// there in place. The caller keeps payloads under the peer's frame cap.
+char* AppendFrameHeader(FrameType type, size_t payload_size, std::string* out);
+
+// Appends one complete frame (header + a copy of `payload`) to `*out`.
 void AppendFrame(FrameType type, std::string_view payload, std::string* out);
 
 // Incremental frame decoder over a TCP byte stream. Feed() raw bytes in any
-// chunking; Next() yields complete frames until kIncomplete. Any framing
-// violation poisons the decoder permanently: further Next() calls return the
-// same error and further Feed() calls drop their bytes (the stream position
-// is undefined after a violation, and buffering unbounded garbage would be
-// its own denial-of-service vector).
+// chunking, or read straight into the buffer through Space() + Commit();
+// Next() yields complete frames until kIncomplete. Any framing violation
+// poisons the decoder permanently: further Next() calls return the same
+// error and further bytes are dropped (the stream position is undefined
+// after a violation, and buffering unbounded garbage would be its own
+// denial-of-service vector).
 class FrameDecoder {
  public:
   explicit FrameDecoder(uint32_t max_frame_bytes = kDefaultMaxFrameBytes);
@@ -75,18 +85,33 @@ class FrameDecoder {
   void Feed(const char* data, size_t size);
   void Feed(std::string_view bytes) { Feed(bytes.data(), bytes.size()); }
 
+  // Direct reads: Space(min_bytes) returns writable room for at least
+  // `min_bytes` at the end of the buffer; Commit(n) appends the first n bytes
+  // written there. A reader that sizes its reads by frame_remaining() takes
+  // a whole frame in one recv() with no copy through a bounce buffer.
+  std::span<char> Space(size_t min_bytes);
+  void Commit(size_t n);
+  // Bytes still missing from the frame at the head of the buffer once its
+  // header is in (its declared length capped at max_frame_bytes()), else 0.
+  size_t frame_remaining() const;
+
   // kOk fills `*frame`; kIncomplete means feed more bytes; anything else is
   // the latched framing error.
   FrameStatus Next(Frame* frame);
 
   bool poisoned() const { return error_ != FrameStatus::kOk; }
-  size_t buffered() const { return buffer_.size() - consumed_; }
+  size_t buffered() const { return end_ - consumed_; }
   uint32_t max_frame_bytes() const { return max_frame_bytes_; }
 
  private:
   uint32_t max_frame_bytes_;
-  std::string buffer_;
-  size_t consumed_ = 0;  // Bytes of buffer_ already handed out as frames.
+  // [consumed_, end_) of buffer_ holds the bytes not yet handed out as
+  // frames. Consumed bytes are dropped before the buffer grows; it grows
+  // geometrically, to at most twice one capped frame plus one read.
+  std::unique_ptr<char[]> buffer_;
+  size_t capacity_ = 0;
+  size_t consumed_ = 0;
+  size_t end_ = 0;
   FrameStatus error_ = FrameStatus::kOk;
 };
 

@@ -8,9 +8,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -156,9 +158,10 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
     return transport_error("send failed or timed out");
   }
 
+  // The reply is read straight into the decoder's buffer, each read sized to
+  // the rest of the frame once its header is in, and parsed there in place.
   FrameDecoder decoder(options_.max_frame_bytes);
   Frame frame;
-  char buf[16384];
   for (;;) {
     const FrameStatus status = decoder.Next(&frame);
     if (status == FrameStatus::kOk) {
@@ -176,7 +179,9 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       if (errno == EINTR) continue;
       return transport_error(std::string("poll: ") + std::strerror(errno));
     }
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    const std::span<char> space =
+        decoder.Space(std::max<size_t>(decoder.frame_remaining(), 16384));
+    const ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n == 0) {
       return transport_error("connection closed by daemon");
     }
@@ -184,13 +189,14 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return transport_error(std::string("recv: ") + std::strerror(errno));
     }
-    decoder.Feed(buf, static_cast<size_t>(n));
+    decoder.Commit(static_cast<size_t>(n));
   }
 
   WireResponse response;
+  std::string_view plan_image;
   std::string parse_error;
   const WireStatus parsed =
-      ParseResponse(frame.type, frame.payload, &response, &parse_error);
+      ParseResponse(frame.type, frame.payload, &response, &parse_error, &plan_image);
   result.rtt_us = std::chrono::duration_cast<std::chrono::microseconds>(
                       Clock::now() - start)
                       .count();
@@ -211,12 +217,11 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
   result.stats = response.stats;
   result.queue_wait_us = response.queue_wait_us;
   result.digest = response.digest;
-  result.plan_bytes = std::move(response.plan_bytes);
+  result.plan_bytes.assign(plan_image);
   result.stats_json = std::move(response.stats_json);
-  if (result.status == WireStatus::kOk && !result.plan_bytes.empty()) {
+  if (result.status == WireStatus::kOk && !plan_image.empty()) {
     auto plan = std::make_shared<PartitionPlan>();
-    const PlanIoResult io =
-        ParsePlan(result.plan_bytes, plan.get(), options_.max_world);
+    const PlanIoResult io = ParsePlan(plan_image, plan.get(), options_.max_world);
     if (!io.ok()) {
       return plan_rejected("plan bytes rejected: " + io.message);
     }

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/core/plan_io.h"
 #include "src/core/plan_verify.h"
 
 namespace zeppelin {
@@ -457,10 +456,13 @@ void PlannerDaemon::ReaperLoop() {
 
 void PlannerDaemon::ServeConnection(const std::shared_ptr<Connection>& conn) {
   FrameDecoder decoder(options_.max_frame_bytes);
-  std::vector<char> buf(64 << 10);
   bool close_conn = false;
   while (!close_conn && !stopping_.load()) {
-    const ssize_t n = ::recv(conn->fd, buf.data(), buf.size(), 0);
+    // Reads land in the decoder's buffer directly. A read is sized by what
+    // has arrived, never by a frame's declared length: a 12-byte header
+    // cannot make the daemon allocate a whole frame.
+    const std::span<char> space = decoder.Space(64 << 10);
+    const ssize_t n = ::recv(conn->fd, space.data(), space.size(), 0);
     if (n < 0 && errno == EINTR) {
       continue;
     }
@@ -468,7 +470,7 @@ void PlannerDaemon::ServeConnection(const std::shared_ptr<Connection>& conn) {
       break;  // EOF, error, or a shutdown() wakeup.
     }
     conn->last_active_us = NowUs();
-    decoder.Feed(buf.data(), static_cast<size_t>(n));
+    decoder.Commit(static_cast<size_t>(n));
     Frame frame;
     FrameStatus status;
     while ((status = decoder.Next(&frame)) == FrameStatus::kOk) {
@@ -509,14 +511,18 @@ void PlannerDaemon::ReapSessions(Connection& conn) {
 }
 
 bool PlannerDaemon::SendResponse(Connection& conn, const WireResponse& response) {
-  // kWrite covers response framing + the socket write. It necessarily lands
-  // *after* the response's own stats were encoded, so it reaches the stage
-  // histograms and --trace_out but never its own response's stage_us.
-  obs::TraceScope write_span(obs::Stage::kWrite);
   std::string out;
   AppendResponseFrame(response, &out);
+  return SendFrame(conn, out);
+}
+
+bool PlannerDaemon::SendFrame(Connection& conn, const std::string& frame) {
+  // kWrite covers the socket write. It necessarily lands *after* the
+  // response's own stats were encoded, so it reaches the stage histograms
+  // and --trace_out but never its own response's stage_us.
+  obs::TraceScope write_span(obs::Stage::kWrite);
   std::lock_guard<std::mutex> lock(conn.write_mu);
-  const bool ok = SendAll(conn.fd, out);
+  const bool ok = SendAll(conn.fd, frame);
   if (ok) {
     conn.last_active_us = NowUs();
   }
@@ -759,10 +765,14 @@ void PlannerDaemon::ServePlan(Connection& conn, uint64_t request_id,
   response.request_id = request_id;
   response.stats = served.stats;
   response.queue_wait_us = queue_wait_us;
+  // The digest the plan was certified under (computed by the service on a
+  // miss, re-checked against the plan by TryServe on a hit) doubles as the
+  // image's trailer: one pass over the plan, straight into the frame.
   response.digest = served.digest;
+  std::string out;
   {
     obs::TraceScope encode_span(obs::Stage::kEncode);
-    response.plan_bytes = SerializePlan(*served.plan);
+    AppendResponseFrame(response, &out, served.plan.get());
   }
   // Overlay the daemon-side stages (queue wait, decode, validate, encode —
   // plus plan/materialize/verify recorded by the layers below) onto a
@@ -771,10 +781,10 @@ void PlannerDaemon::ServePlan(Connection& conn, uint64_t request_id,
   // stats are encoded (histograms/--trace_out only).
   const obs::TraceContext* tctx = obs::CurrentTrace();
   if (tctx != nullptr && served.stats.cache_outcome != CacheOutcome::kHit) {
-    response.stats.stage_us = tctx->stage_us;
+    OverwriteStageUs(tctx->stage_us, &out);
   }
   c_requests_ok_->Inc();
-  SendResponse(conn, response);
+  SendFrame(conn, out);
 }
 
 }  // namespace net

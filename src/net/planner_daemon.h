@@ -190,6 +190,8 @@ class PlannerDaemon {
   void ServePlan(Connection& conn, uint64_t request_id, const PlanResponse& served,
                  double queue_wait_us);
   bool SendResponse(Connection& conn, const WireResponse& response);
+  // Writes one whole frame under the connection's write lock.
+  bool SendFrame(Connection& conn, const std::string& frame);
   void SendError(Connection& conn, uint64_t request_id, WireStatus status,
                  std::string message);
   // End-of-request telemetry: total + per-stage histograms, the slow-request

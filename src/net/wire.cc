@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
+#include "src/common/check.h"
 #include "src/common/le_codec.h"
+#include "src/core/plan_io.h"
 
 namespace zeppelin {
 namespace net {
@@ -28,6 +31,161 @@ WireStatus Malformed(std::string* error, const char* what) {
     *error = what;
   }
   return WireStatus::kMalformedRequest;
+}
+
+// Bulk-reads `n` u64 lengths (Have(8n) checked by the caller), then checks
+// them in one pass: false if any is above kMaxWireSeqLen.
+bool GetLengths(Reader& in, uint32_t n, std::vector<int64_t>* out) {
+  out->resize(n);
+  in.GetArray(std::span<int64_t>(*out));
+  for (const int64_t len : *out) {
+    if (static_cast<uint64_t>(len) > static_cast<uint64_t>(kMaxWireSeqLen)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Bulk-reads `n` u32 slot or rank ids (Have(4n) checked by the caller), then
+// checks them in one pass: false if any is above INT32_MAX.
+bool GetIds(Reader& in, uint32_t n, std::vector<int>* out) {
+  out->resize(n);
+  in.GetArray(std::span<int>(*out));
+  for (const int id : *out) {
+    if (static_cast<uint32_t>(id) > static_cast<uint32_t>(INT32_MAX)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The exact number of bytes WriteRequest writes for `request`.
+size_t RequestPayloadSize(const WireRequest& request) {
+  size_t size = 4 + 1 + 8 + 4 + 4 + request.stream_id.size() + 1 + 8 + 8 + 4 +
+                8 * request.batch.seq_lens.size() + 1 + 1;
+  if (request.delta.has_value()) {
+    const BatchDelta& d = *request.delta;
+    size += 4 + 4 * d.removed.size() + 4 + 12 * d.resized.size() + 4 + 8 * d.added.size();
+  }
+  if (request.topology.has_value()) {
+    const TopologyDelta& t = *request.topology;
+    size += 4 + 4 * t.removed_ranks.size() + 4 + 4 * t.added_ranks.size() + 4 +
+            12 * t.speed_factors.size();
+  }
+  return size;
+}
+
+void WriteRequest(const WireRequest& request, Writer& w) {
+  w.U32(kWireVersion);
+  w.U8(static_cast<uint8_t>(request.kind));
+  w.U64(request.request_id);
+  w.U32(request.deadline_ms);
+  w.U32(static_cast<uint32_t>(request.stream_id.size()));
+  w.Bytes(request.stream_id.data(), request.stream_id.size());
+
+  uint8_t flags = 0;
+  if (request.options.hierarchical_partitioning) flags |= kOptHierarchical;
+  if (request.options.zone_aware_thresholds) flags |= kOptZoneAware;
+  w.U8(flags);
+  w.U64(static_cast<uint64_t>(request.options.token_capacity));
+  w.F64(request.options.delta_replan_threshold);
+
+  w.U32(static_cast<uint32_t>(request.batch.seq_lens.size()));
+  w.Array(std::span<const int64_t>(request.batch.seq_lens));
+
+  w.U8(request.delta.has_value() ? 1 : 0);
+  if (request.delta.has_value()) {
+    const BatchDelta& d = *request.delta;
+    w.U32(static_cast<uint32_t>(d.removed.size()));
+    w.Array(std::span<const int>(d.removed));
+    w.U32(static_cast<uint32_t>(d.resized.size()));
+    for (const auto& [slot, len] : d.resized) {
+      w.I32(slot);
+      w.I64(len);
+    }
+    w.U32(static_cast<uint32_t>(d.added.size()));
+    w.Array(std::span<const int64_t>(d.added));
+  }
+
+  w.U8(request.topology.has_value() ? 1 : 0);
+  if (request.topology.has_value()) {
+    const TopologyDelta& t = *request.topology;
+    w.U32(static_cast<uint32_t>(t.removed_ranks.size()));
+    w.Array(std::span<const int>(t.removed_ranks));
+    w.U32(static_cast<uint32_t>(t.added_ranks.size()));
+    w.Array(std::span<const int>(t.added_ranks));
+    w.U32(static_cast<uint32_t>(t.speed_factors.size()));
+    for (const auto& [rank, factor] : t.speed_factors) {
+      w.I32(rank);
+      w.F64(factor);
+    }
+  }
+}
+
+// A kOk response's stage block: the stage count, then one f64 per stage.
+constexpr size_t kStageBlockBytes = 1 + 8 * obs::kNumStages;
+
+uint32_t MessageBytes(const WireResponse& response) {
+  return static_cast<uint32_t>(std::min<size_t>(response.message.size(), kMaxMessageBytes));
+}
+
+uint32_t StatsJsonBytes(const WireResponse& response) {
+  return static_cast<uint32_t>(
+      std::min<size_t>(response.stats_json.size(), kMaxWireStatsJsonBytes));
+}
+
+// The exact number of bytes WriteResponse writes for `response` with a
+// `plan_size`-byte plan section.
+size_t ResponsePayloadSize(const WireResponse& response, size_t plan_size) {
+  const size_t head = 4 + 8 + 1 + 4 + MessageBytes(response);
+  if (response.status != WireStatus::kOk) {
+    return head;
+  }
+  return head + 1 + 8 + 8 + 1 + 8 + 8 + 1 + 1 + 8 + 8 + 8 + plan_size + kStageBlockBytes + 4 +
+         StatsJsonBytes(response);
+}
+
+// Writes the response payload; the plan section is `plan`'s image, encoded
+// in place with response.digest as its trailer, or else response.plan_bytes.
+void WriteResponse(const WireResponse& response, const PartitionPlan* plan, size_t plan_size,
+                   Writer& w) {
+  w.U32(kWireVersion);
+  w.U64(response.request_id);
+  w.U8(static_cast<uint8_t>(response.status));
+  const uint32_t msg_len = MessageBytes(response);
+  w.U32(msg_len);
+  w.Bytes(response.message.data(), msg_len);
+  if (response.status != WireStatus::kOk) {
+    return;
+  }
+  w.U8(static_cast<uint8_t>(response.stats.engine));
+  w.F64(response.stats.partition_time_us);
+  w.F64(response.stats.materialize_time_us);
+  w.U8(static_cast<uint8_t>(response.stats.delta_outcome));
+  w.U64(static_cast<uint64_t>(response.stats.token_capacity));
+  w.U64(response.stats.session_count);
+  // Cache disposition + certification marker. The cumulative cache
+  // counters deliberately stay off the wire — repeated identical requests
+  // must yield byte-identical responses (the cache-hit contract).
+  w.U8(static_cast<uint8_t>(response.stats.cache_outcome));
+  w.U8(response.stats.verified ? 1 : 0);
+  w.F64(response.queue_wait_us);
+  w.U64(response.digest);
+  w.U64(plan_size);
+  if (plan != nullptr) {
+    SerializePlanInto(*plan, response.digest, w.Take(plan_size));
+  } else {
+    w.Bytes(response.plan_bytes.data(), plan_size);
+  }
+  // The per-stage latency block (bounds-checked on parse exactly like
+  // cache_outcome) and the stats-JSON section (kStats responses only).
+  w.U8(static_cast<uint8_t>(obs::kNumStages));
+  for (const double stage : response.stats.stage_us) {
+    w.F64(stage);
+  }
+  const uint32_t stats_len = StatsJsonBytes(response);
+  w.U32(stats_len);
+  w.Bytes(response.stats_json.data(), stats_len);
 }
 
 }  // namespace
@@ -63,69 +221,16 @@ const char* WireStatusName(WireStatus status) {
 }
 
 std::string EncodeRequest(const WireRequest& request) {
-  std::string out;
-  out.reserve(64 + request.stream_id.size() + 8 * request.batch.seq_lens.size());
-  PutU32(&out, kWireVersion);
-  PutU8(&out, static_cast<uint8_t>(request.kind));
-  PutU64(&out, request.request_id);
-  PutU32(&out, request.deadline_ms);
-  PutU32(&out, static_cast<uint32_t>(request.stream_id.size()));
-  out.append(request.stream_id);
-
-  uint8_t flags = 0;
-  if (request.options.hierarchical_partitioning) flags |= kOptHierarchical;
-  if (request.options.zone_aware_thresholds) flags |= kOptZoneAware;
-  PutU8(&out, flags);
-  PutU64(&out, static_cast<uint64_t>(request.options.token_capacity));
-  PutF64(&out, request.options.delta_replan_threshold);
-
-  PutU32(&out, static_cast<uint32_t>(request.batch.seq_lens.size()));
-  for (int64_t len : request.batch.seq_lens) {
-    PutU64(&out, static_cast<uint64_t>(len));
-  }
-
-  PutU8(&out, request.delta.has_value() ? 1 : 0);
-  if (request.delta.has_value()) {
-    const BatchDelta& d = *request.delta;
-    PutU32(&out, static_cast<uint32_t>(d.removed.size()));
-    for (int slot : d.removed) {
-      PutU32(&out, static_cast<uint32_t>(slot));
-    }
-    PutU32(&out, static_cast<uint32_t>(d.resized.size()));
-    for (const auto& [slot, len] : d.resized) {
-      PutU32(&out, static_cast<uint32_t>(slot));
-      PutU64(&out, static_cast<uint64_t>(len));
-    }
-    PutU32(&out, static_cast<uint32_t>(d.added.size()));
-    for (int64_t len : d.added) {
-      PutU64(&out, static_cast<uint64_t>(len));
-    }
-  }
-
-  PutU8(&out, request.topology.has_value() ? 1 : 0);
-  if (request.topology.has_value()) {
-    const TopologyDelta& t = *request.topology;
-    PutU32(&out, static_cast<uint32_t>(t.removed_ranks.size()));
-    for (int rank : t.removed_ranks) {
-      PutU32(&out, static_cast<uint32_t>(rank));
-    }
-    PutU32(&out, static_cast<uint32_t>(t.added_ranks.size()));
-    for (int rank : t.added_ranks) {
-      PutU32(&out, static_cast<uint32_t>(rank));
-    }
-    PutU32(&out, static_cast<uint32_t>(t.speed_factors.size()));
-    for (const auto& [rank, factor] : t.speed_factors) {
-      PutU32(&out, static_cast<uint32_t>(rank));
-      PutF64(&out, factor);
-    }
-  }
+  std::string out(RequestPayloadSize(request), '\0');
+  Writer w(out.data());
+  WriteRequest(request, w);
   return out;
 }
 
 WireStatus ParseRequest(std::string_view payload, WireRequest* request,
                         std::string* error) {
   *request = WireRequest{};
-  Reader in{reinterpret_cast<const unsigned char*>(payload.data()), payload.size()};
+  Reader in(payload);
 
   if (!in.Have(4 + 1 + 8 + 4 + 4)) {
     return Malformed(error, "request truncated before the fixed header");
@@ -152,8 +257,7 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
   if (!in.Have(id_len)) {
     return Malformed(error, "request truncated inside the stream id");
   }
-  request->stream_id.assign(reinterpret_cast<const char*>(in.data) + in.pos, id_len);
-  in.pos += id_len;
+  request->stream_id.assign(in.GetBytes(id_len));
 
   if (!in.Have(1 + 8 + 8)) {
     return Malformed(error, "request truncated before the options");
@@ -184,13 +288,8 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
   if (!in.Have(size_t{num_seqs} * 8)) {
     return Malformed(error, "request truncated inside the batch");
   }
-  request->batch.seq_lens.reserve(num_seqs);
-  for (uint32_t i = 0; i < num_seqs; ++i) {
-    const uint64_t len = in.GetU64();
-    if (len > static_cast<uint64_t>(kMaxWireSeqLen)) {
-      return Malformed(error, "sequence length out of range");
-    }
-    request->batch.seq_lens.push_back(static_cast<int64_t>(len));
+  if (!GetLengths(in, num_seqs, &request->batch.seq_lens)) {
+    return Malformed(error, "sequence length out of range");
   }
 
   if (!in.Have(1)) {
@@ -209,13 +308,8 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
     if (removed_n > kMaxWireDeltaEntries || !in.Have(size_t{removed_n} * 4)) {
       return Malformed(error, "delta removed section out of range");
     }
-    delta.removed.reserve(removed_n);
-    for (uint32_t i = 0; i < removed_n; ++i) {
-      const uint32_t slot = in.GetU32();
-      if (slot > static_cast<uint32_t>(INT32_MAX)) {
-        return Malformed(error, "delta slot out of range");
-      }
-      delta.removed.push_back(static_cast<int>(slot));
+    if (!GetIds(in, removed_n, &delta.removed)) {
+      return Malformed(error, "delta slot out of range");
     }
     if (!in.Have(4)) {
       return Malformed(error, "request truncated inside the delta");
@@ -241,13 +335,8 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
     if (added_n > kMaxWireDeltaEntries || !in.Have(size_t{added_n} * 8)) {
       return Malformed(error, "delta added section out of range");
     }
-    delta.added.reserve(added_n);
-    for (uint32_t i = 0; i < added_n; ++i) {
-      const uint64_t len = in.GetU64();
-      if (len > static_cast<uint64_t>(kMaxWireSeqLen)) {
-        return Malformed(error, "delta added length out of range");
-      }
-      delta.added.push_back(static_cast<int64_t>(len));
+    if (!GetLengths(in, added_n, &delta.added)) {
+      return Malformed(error, "delta added length out of range");
     }
     request->delta = std::move(delta);
   }
@@ -269,15 +358,7 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
       if (n > kMaxWireTopoEntries || !in.Have(size_t{n} * 4)) {
         return false;
       }
-      out->reserve(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        const uint32_t rank = in.GetU32();
-        if (rank > static_cast<uint32_t>(INT32_MAX)) {
-          return false;
-        }
-        out->push_back(static_cast<int>(rank));
-      }
-      return true;
+      return GetIds(in, n, out);
     };
     if (!read_ranks(&topo.removed_ranks) || !read_ranks(&topo.added_ranks)) {
       return Malformed(error, "topology rank section out of range");
@@ -300,66 +381,56 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
     request->topology = std::move(topo);
   }
 
-  if (in.pos != in.size) {
+  if (in.remaining() != 0) {
     return Malformed(error, "trailing bytes after the request");
   }
   return WireStatus::kOk;
 }
 
 std::string EncodeResponse(const WireResponse& response) {
-  std::string out;
-  out.reserve(96 + response.message.size() + response.plan_bytes.size());
-  PutU32(&out, kWireVersion);
-  PutU64(&out, response.request_id);
-  PutU8(&out, static_cast<uint8_t>(response.status));
-  const uint32_t msg_len = static_cast<uint32_t>(
-      std::min<size_t>(response.message.size(), kMaxMessageBytes));
-  PutU32(&out, msg_len);
-  out.append(response.message.data(), msg_len);
-  if (response.status != WireStatus::kOk) {
-    return out;
-  }
-  PutU8(&out, static_cast<uint8_t>(response.stats.engine));
-  PutF64(&out, response.stats.partition_time_us);
-  PutF64(&out, response.stats.materialize_time_us);
-  PutU8(&out, static_cast<uint8_t>(response.stats.delta_outcome));
-  PutU64(&out, static_cast<uint64_t>(response.stats.token_capacity));
-  PutU64(&out, response.stats.session_count);
-  // Cache disposition + certification marker. The cumulative cache
-  // counters deliberately stay off the wire — repeated identical requests
-  // must yield byte-identical responses (the cache-hit contract).
-  PutU8(&out, static_cast<uint8_t>(response.stats.cache_outcome));
-  PutU8(&out, response.stats.verified ? 1 : 0);
-  PutF64(&out, response.queue_wait_us);
-  PutU64(&out, response.digest);
-  PutU64(&out, response.plan_bytes.size());
-  out.append(response.plan_bytes);
-  // The per-stage latency block (bounds-checked on parse exactly like
-  // cache_outcome) and the stats-JSON section (kStats responses only).
-  PutU8(&out, static_cast<uint8_t>(obs::kNumStages));
-  for (double stage : response.stats.stage_us) {
-    PutF64(&out, stage);
-  }
-  const uint32_t stats_len = static_cast<uint32_t>(
-      std::min<size_t>(response.stats_json.size(), kMaxWireStatsJsonBytes));
-  PutU32(&out, stats_len);
-  out.append(response.stats_json.data(), stats_len);
+  const size_t plan_size = response.plan_bytes.size();
+  std::string out(ResponsePayloadSize(response, plan_size), '\0');
+  Writer w(out.data());
+  WriteResponse(response, nullptr, plan_size, w);
   return out;
 }
 
 void AppendRequestFrame(const WireRequest& request, std::string* out) {
-  AppendFrame(FrameType::kRequest, EncodeRequest(request), out);
+  const size_t size = RequestPayloadSize(request);
+  Writer w(AppendFrameHeader(FrameType::kRequest, size, out));
+  WriteRequest(request, w);
 }
 
-void AppendResponseFrame(const WireResponse& response, std::string* out) {
-  AppendFrame(response.status == WireStatus::kOk ? FrameType::kResponse : FrameType::kError,
-              EncodeResponse(response), out);
+void AppendResponseFrame(const WireResponse& response, std::string* out,
+                         const PartitionPlan* plan) {
+  const size_t plan_size =
+      plan != nullptr ? SerializedPlanSize(*plan) : response.plan_bytes.size();
+  const size_t size = ResponsePayloadSize(response, plan_size);
+  Writer w(AppendFrameHeader(
+      response.status == WireStatus::kOk ? FrameType::kResponse : FrameType::kError, size,
+      out));
+  WriteResponse(response, plan, plan_size, w);
+}
+
+void OverwriteStageUs(const std::array<double, obs::kNumStages>& stage_us, std::string* frame) {
+  // The frame ends with the stage block, then a zero stats-JSON length.
+  ZCHECK(frame->size() >= kFrameHeaderBytes + kStageBlockBytes + 4 &&
+         std::string_view(*frame).ends_with(std::string_view("\0\0\0\0", 4)))
+      << "OverwriteStageUs needs a kOk response frame without stats JSON";
+  Writer w(frame->data() + frame->size() - 4 - 8 * obs::kNumStages);
+  for (const double stage : stage_us) {
+    w.F64(stage);
+  }
 }
 
 WireStatus ParseResponse(FrameType type, std::string_view payload,
-                         WireResponse* response, std::string* error) {
+                         WireResponse* response, std::string* error,
+                         std::string_view* plan_image) {
   *response = WireResponse{};
-  Reader in{reinterpret_cast<const unsigned char*>(payload.data()), payload.size()};
+  if (plan_image != nullptr) {
+    *plan_image = {};
+  }
+  Reader in(payload);
   if (!in.Have(4 + 8 + 1 + 4)) {
     return Malformed(error, "response truncated before the fixed header");
   }
@@ -377,8 +448,7 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
   if (msg_len > kMaxMessageBytes || !in.Have(msg_len)) {
     return Malformed(error, "response truncated inside the message");
   }
-  response->message.assign(reinterpret_cast<const char*>(in.data) + in.pos, msg_len);
-  in.pos += msg_len;
+  response->message.assign(in.GetBytes(msg_len));
 
   // Error responses carry a success marker mismatch: kOk on the frame type
   // kError (or vice versa) is a protocol violation the caller detects.
@@ -387,7 +457,7 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
     return Malformed(error, "frame type disagrees with the response status");
   }
   if (response->status != WireStatus::kOk) {
-    if (in.pos != in.size) {
+    if (in.remaining() != 0) {
       return Malformed(error, "trailing bytes after the error response");
     }
     return WireStatus::kOk;
@@ -431,9 +501,12 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
   if (!in.Have(plan_len)) {
     return Malformed(error, "response truncated inside the plan bytes");
   }
-  response->plan_bytes.assign(reinterpret_cast<const char*>(in.data) + in.pos,
-                              static_cast<size_t>(plan_len));
-  in.pos += static_cast<size_t>(plan_len);
+  const std::string_view plan = in.GetBytes(static_cast<size_t>(plan_len));
+  if (plan_image != nullptr) {
+    *plan_image = plan;
+  } else {
+    response->plan_bytes.assign(plan);
+  }
 
   // Stage block: bounds-checked like cache_outcome — a count over the
   // cap or a non-finite/negative latency is a malformed response, never a
@@ -465,11 +538,9 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
   if (stats_len > kMaxWireStatsJsonBytes || !in.Have(stats_len)) {
     return Malformed(error, "stats json section out of range");
   }
-  response->stats_json.assign(reinterpret_cast<const char*>(in.data) + in.pos,
-                              stats_len);
-  in.pos += stats_len;
+  response->stats_json.assign(in.GetBytes(stats_len));
 
-  if (in.pos != in.size) {
+  if (in.remaining() != 0) {
     return Malformed(error, "trailing bytes after the response");
   }
   return WireStatus::kOk;

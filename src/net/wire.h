@@ -20,6 +20,7 @@
 #ifndef SRC_NET_WIRE_H_
 #define SRC_NET_WIRE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -118,20 +119,37 @@ struct WireResponse {
   double queue_wait_us = 0;
   uint64_t digest = 0;      // plan->StateDigest(); authenticates plan_bytes.
   std::string plan_bytes;   // SerializePlan() image; empty for close/ping.
+                            // A served plan is encoded into its frame in
+                            // place instead (AppendResponseFrame's `plan`).
   // kStats responses: the "zeppelin.metrics.v1" snapshot JSON
   // (docs/OBSERVABILITY.md). Empty on every other kind.
   std::string stats_json;
 };
 
 // --- Encoding ---------------------------------------------------------------
+//
+// Every encoder computes its exact size, grows its buffer once, and writes
+// the fields in place (src/common/le_codec.h); arrays go in bulk.
 
 std::string EncodeRequest(const WireRequest& request);
 std::string EncodeResponse(const WireResponse& response);
 
-// Frames in one step: request -> kRequest frame; response -> kResponse frame
-// when status == kOk, kError frame otherwise.
+// Frames in one step, writing the payload straight into `*out` behind the
+// frame header: request -> kRequest frame; response -> kResponse frame when
+// status == kOk, kError frame otherwise. A kOk response that serves a plan
+// passes `plan`: its image is encoded straight into the frame, with
+// response.digest as the image's trailer, and response.plan_bytes is not
+// read. The bytes equal those of the same response carrying
+// SerializePlan(*plan) in plan_bytes, provided response.digest is
+// plan->StateDigest().
 void AppendRequestFrame(const WireRequest& request, std::string* out);
-void AppendResponseFrame(const WireResponse& response, std::string* out);
+void AppendResponseFrame(const WireResponse& response, std::string* out,
+                         const PartitionPlan* plan = nullptr);
+
+// Rewrites the per-stage latencies of the kOk response frame `*frame`, whose
+// stats-JSON section must be empty. The daemon calls it once the frame is
+// built, so a planned response's stage block includes its own encode stage.
+void OverwriteStageUs(const std::array<double, obs::kNumStages>& stage_us, std::string* frame);
 
 // --- Parsing ----------------------------------------------------------------
 
@@ -141,9 +159,12 @@ void AppendResponseFrame(const WireResponse& response, std::string* out);
 WireStatus ParseRequest(std::string_view payload, WireRequest* request,
                         std::string* error);
 
-// Structural parse of a kResponse/kError frame payload (client side).
+// Structural parse of a kResponse/kError frame payload (client side). With
+// `plan_image` non-null the plan section is not copied: it is returned as a
+// view into `payload` and response->plan_bytes stays empty.
 WireStatus ParseResponse(FrameType type, std::string_view payload,
-                         WireResponse* response, std::string* error);
+                         WireResponse* response, std::string* error,
+                         std::string_view* plan_image = nullptr);
 
 }  // namespace net
 }  // namespace zeppelin

@@ -596,8 +596,9 @@ TEST(FrameFuzzTest, V3TailTruncationAndByteSweepNeverCrash) {
 //
 // The FNV-1a of whole request and response frames, recorded from the
 // element-wise encoders. Every field a frame carries is fixed below (no
-// timings), so any encoder rewrite must reproduce every byte; a pin that
-// moves means the wire changed, which needs a kWireVersion bump. Print the
+// timings), so any encoder rewrite must reproduce every byte. A pin that
+// moves means the wire changed (which needs a kWireVersion bump) or, for the
+// two plan responses, that the planner's output changed. Print the
 // current values in table syntax with
 //   ZEPPELIN_GOLDEN_PRINT=1 ./frame_fuzz_test --gtest_filter='*Golden*'
 
@@ -773,6 +774,31 @@ TEST(FrameFuzzTest, GoldenFramesAreByteIdentical) {
     EXPECT_EQ(name, kFramePins[i].name);
     EXPECT_EQ(bytes.size(), kFramePins[i].bytes);
     EXPECT_EQ(Fnv1a(bytes), kFramePins[i].fnv);
+  }
+}
+
+TEST(FrameFuzzTest, PlanEncodedInPlaceMatchesThePinnedFrames) {
+  // The daemon's path: the plan's image is encoded straight into the frame
+  // with the digest it carries, and a planned response's stage block is
+  // rewritten once the frame is built. Both plan responses must come out
+  // byte-identical to the pinned frames.
+  const GoldenWire wire;
+  for (size_t i = 0; i < wire.plans.size(); ++i) {
+    const auto& [name, response] = wire.responses[i];
+    SCOPED_TRACE(name);
+    WireResponse header = response;
+    header.plan_bytes.clear();
+    std::string in_place;
+    AppendResponseFrame(header, &in_place, wire.plans[i].get());
+    std::string reference;
+    AppendResponseFrame(response, &reference);
+    EXPECT_EQ(in_place, reference);
+
+    header.stats.stage_us = {};
+    std::string patched;
+    AppendResponseFrame(header, &patched, wire.plans[i].get());
+    OverwriteStageUs(response.stats.stage_us, &patched);
+    EXPECT_EQ(patched, reference);
   }
 }
 

@@ -266,8 +266,9 @@ TEST(PlanIoTest, DeserializeMemberMirrorsParse) {
 // --- Golden byte pins ---------------------------------------------------------
 //
 // The FNV-1a of every SerializePlan image below, recorded from the
-// element-wise encoder. An encoder rewrite must reproduce every byte; a pin
-// that moves means the format changed, which needs a kPlanFormatVersion bump.
+// element-wise encoder. An encoder rewrite must reproduce every byte. A pin
+// that moves means the format changed (which needs a kPlanFormatVersion
+// bump) or, for the planned images, that the planner's output changed.
 // Print the current values in table syntax with
 //   ZEPPELIN_GOLDEN_PRINT=1 ./plan_io_test --gtest_filter='*Golden*'
 
