@@ -48,22 +48,6 @@ void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
 FrameDecoder::FrameDecoder(uint32_t max_frame_bytes)
     : max_frame_bytes_(std::min(max_frame_bytes, kFrameHardCap)) {}
 
-size_t FrameDecoder::frame_remaining() const {
-  const size_t available = end_ - consumed_;
-  if (poisoned() || available < kFrameHeaderBytes) {
-    return 0;
-  }
-  const unsigned char* head =
-      reinterpret_cast<const unsigned char*>(buffer_.get()) + consumed_;
-  uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(head[8 + i]) << (8 * i);
-  }
-  // Unvalidated until Next() sees it: never size a read past the cap.
-  const size_t frame = kFrameHeaderBytes + std::min(payload_len, max_frame_bytes_);
-  return frame > available ? frame - available : 0;
-}
-
 std::span<char> FrameDecoder::Space(size_t min_bytes) {
   const size_t live = end_ - consumed_;
   // Drop consumed bytes: all at once when nothing is live, else once they

@@ -87,13 +87,9 @@ class FrameDecoder {
 
   // Direct reads: Space(min_bytes) returns writable room for at least
   // `min_bytes` at the end of the buffer; Commit(n) appends the first n bytes
-  // written there. A reader that sizes its reads by frame_remaining() takes
-  // a whole frame in one recv() with no copy through a bounce buffer.
+  // written there. A reader recv()s into it with no bounce buffer.
   std::span<char> Space(size_t min_bytes);
   void Commit(size_t n);
-  // Bytes still missing from the frame at the head of the buffer once its
-  // header is in (its declared length capped at max_frame_bytes()), else 0.
-  size_t frame_remaining() const;
 
   // kOk fills `*frame`; kIncomplete means feed more bytes; anything else is
   // the latched framing error.

@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -158,8 +157,10 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
     return transport_error("send failed or timed out");
   }
 
-  // The reply is read straight into the decoder's buffer, each read sized to
-  // the rest of the frame once its header is in, and parsed there in place.
+  // The reply is read straight into the decoder's buffer. Like the daemon, a
+  // read is sized by what has arrived (the buffer grows geometrically), never
+  // by the reply's declared length: a 12-byte header from a misbehaving
+  // daemon cannot make the client allocate a whole frame.
   FrameDecoder decoder(options_.max_frame_bytes);
   Frame frame;
   for (;;) {
@@ -179,8 +180,7 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       if (errno == EINTR) continue;
       return transport_error(std::string("poll: ") + std::strerror(errno));
     }
-    const std::span<char> space =
-        decoder.Space(std::max<size_t>(decoder.frame_remaining(), 16384));
+    const std::span<char> space = decoder.Space(16384);
     const ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n == 0) {
       return transport_error("connection closed by daemon");
@@ -193,10 +193,9 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
   }
 
   WireResponse response;
-  std::string_view plan_image;
   std::string parse_error;
   const WireStatus parsed =
-      ParseResponse(frame.type, frame.payload, &response, &parse_error, &plan_image);
+      ParseResponse(frame.type, frame.payload, &response, &parse_error);
   result.rtt_us = std::chrono::duration_cast<std::chrono::microseconds>(
                       Clock::now() - start)
                       .count();
@@ -217,11 +216,12 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
   result.stats = response.stats;
   result.queue_wait_us = response.queue_wait_us;
   result.digest = response.digest;
-  result.plan_bytes.assign(plan_image);
+  result.plan_bytes = std::move(response.plan_bytes);
   result.stats_json = std::move(response.stats_json);
-  if (result.status == WireStatus::kOk && !plan_image.empty()) {
+  if (result.status == WireStatus::kOk && !result.plan_bytes.empty()) {
     auto plan = std::make_shared<PartitionPlan>();
-    const PlanIoResult io = ParsePlan(plan_image, plan.get(), options_.max_world);
+    const PlanIoResult io =
+        ParsePlan(result.plan_bytes, plan.get(), options_.max_world);
     if (!io.ok()) {
       return plan_rejected("plan bytes rejected: " + io.message);
     }

@@ -424,12 +424,8 @@ void OverwriteStageUs(const std::array<double, obs::kNumStages>& stage_us, std::
 }
 
 WireStatus ParseResponse(FrameType type, std::string_view payload,
-                         WireResponse* response, std::string* error,
-                         std::string_view* plan_image) {
+                         WireResponse* response, std::string* error) {
   *response = WireResponse{};
-  if (plan_image != nullptr) {
-    *plan_image = {};
-  }
   Reader in(payload);
   if (!in.Have(4 + 8 + 1 + 4)) {
     return Malformed(error, "response truncated before the fixed header");
@@ -501,12 +497,7 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
   if (!in.Have(plan_len)) {
     return Malformed(error, "response truncated inside the plan bytes");
   }
-  const std::string_view plan = in.GetBytes(static_cast<size_t>(plan_len));
-  if (plan_image != nullptr) {
-    *plan_image = plan;
-  } else {
-    response->plan_bytes.assign(plan);
-  }
+  response->plan_bytes.assign(in.GetBytes(static_cast<size_t>(plan_len)));
 
   // Stage block: bounds-checked like cache_outcome — a count over the
   // cap or a non-finite/negative latency is a malformed response, never a

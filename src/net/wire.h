@@ -159,12 +159,9 @@ void OverwriteStageUs(const std::array<double, obs::kNumStages>& stage_us, std::
 WireStatus ParseRequest(std::string_view payload, WireRequest* request,
                         std::string* error);
 
-// Structural parse of a kResponse/kError frame payload (client side). With
-// `plan_image` non-null the plan section is not copied: it is returned as a
-// view into `payload` and response->plan_bytes stays empty.
+// Structural parse of a kResponse/kError frame payload (client side).
 WireStatus ParseResponse(FrameType type, std::string_view payload,
-                         WireResponse* response, std::string* error,
-                         std::string_view* plan_image = nullptr);
+                         WireResponse* response, std::string* error);
 
 }  // namespace net
 }  // namespace zeppelin
