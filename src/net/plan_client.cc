@@ -157,10 +157,10 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
     return transport_error("send failed or timed out");
   }
 
-  // The reply is read straight into the decoder's buffer. Like the daemon, a
-  // read is sized by what has arrived (the buffer grows geometrically), never
-  // by the reply's declared length: a 12-byte header from a misbehaving
-  // daemon cannot make the client allocate a whole frame.
+  // The reply is read straight into the decoder's buffer, 64 KiB at a time
+  // as the daemon reads requests: the buffer grows geometrically with what
+  // has arrived, never by the reply's declared length, so a 12-byte header
+  // from a misbehaving daemon cannot make the client allocate a whole frame.
   FrameDecoder decoder(options_.max_frame_bytes);
   Frame frame;
   for (;;) {
@@ -180,7 +180,7 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       if (errno == EINTR) continue;
       return transport_error(std::string("poll: ") + std::strerror(errno));
     }
-    const std::span<char> space = decoder.Space(16384);
+    const std::span<char> space = decoder.Space(64 << 10);
     const ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n == 0) {
       return transport_error("connection closed by daemon");
