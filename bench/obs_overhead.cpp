@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader("Observability overhead — tracing off / metrics / full spans (3B, Cluster A)");
   std::printf("S=%d, GPUs=%d, %d plans per arm\n", num_seqs, gpus, iters);
 
-  PlannerService service(PlanServiceOptions{.num_planner_threads = 0});
+  PlannerService service;
   obs::MetricsRegistry metrics;
   obs::Counter* c_ok = metrics.GetCounter("daemon.requests_ok");
   obs::Histogram* h_total = metrics.GetHistogram("request.total_us");

@@ -2,22 +2,22 @@
 // PlannerService (src/core/plan_service.h) — the multi-tenant streaming
 // scenario the service exists for: N independent delta streams (continuous-
 // batching queues / online-training shards) planned from N threads against
-// one session table and one shared planning pool.
+// one session table.
 //
 // For each stream count in {1, 4, 16}, N WorkloadStreams evolve N distinct
 // S-sequence batches for `iters` iterations each; every iteration is a
 // session request (base rebase first, then delta patches with the PR-4
 // fallback policy). Wall-clock is measured over the whole fan-out, so the
 // plans/sec figure includes session locking, handle materialization (the
-// O(plan) immutable-copy), digest computation, and any pool contention from
-// fallback re-plans — the end-to-end service cost, not just the patch
-// kernel (BENCH_delta.json isolates that). Each arm is then replayed
+// O(plan) immutable-copy), digest computation, and the fallback re-plans
+// each stream runs on its own thread — the end-to-end service cost, not just
+// the patch kernel (BENCH_delta.json isolates that). Each arm is then replayed
 // serially on a fresh service and the per-stream digest sequences must
 // match — the twin-digest determinism contract.
 //
 // Output: a table plus machine-readable BENCH_service.json:
 //   { "bench": "plan_service", "model", "cluster", "quick", "iters",
-//     "num_seqs", "gpus", "churn", "pool_threads",
+//     "num_seqs", "gpus", "churn",
 //     "points": [ { "streams", "total_plans", "wall_ms", "plans_per_sec",
 //                   "mean_plan_us", "applied", "rebased",
 //                   "digests_deterministic" } ],
@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
   const int iters = quick ? 8 : 40;
   const double churn = 0.01;
   const double threshold = 0.08;
-  const int pool_threads = 2;
   const std::vector<int> stream_counts = {1, 4, 16};
 
   const ClusterSpec cluster = MakeClusterA(gpus / 8);
@@ -55,8 +54,8 @@ int main(int argc, char** argv) {
   const LengthDistribution dist = DatasetByName("github");
 
   bench::PrintHeader("Plan service — concurrent-stream planning throughput (3B, Cluster A)");
-  std::printf("S=%d per stream, GPUs=%d, %d iterations per stream, churn=%.2f%%, pool=%d\n",
-              num_seqs, gpus, iters, churn * 100, pool_threads);
+  std::printf("S=%d per stream, GPUs=%d, %d iterations per stream, churn=%.2f%%\n", num_seqs,
+              gpus, iters, churn * 100);
   Table table({"streams", "plans", "wall ms", "plans/s", "mean us", "applied", "rebased",
                "deterministic"});
 
@@ -78,8 +77,6 @@ int main(int argc, char** argv) {
   json.Value(gpus);
   json.Key("churn");
   json.Value(churn);
-  json.Key("pool_threads");
-  json.Value(pool_threads);
   json.Key("points");
   json.BeginArray();
 
@@ -118,7 +115,7 @@ int main(int argc, char** argv) {
   double peak_plans_per_sec = 0;
   for (int streams : stream_counts) {
     // Concurrent arm: one thread per stream, one shared service.
-    PlannerService service(PlanServiceOptions{.num_planner_threads = pool_threads});
+    PlannerService service;
     std::vector<std::vector<uint64_t>> digests(streams);
     const auto t0 = clock::now();
     {
@@ -135,7 +132,7 @@ int main(int argc, char** argv) {
         std::chrono::duration<double, std::milli>(clock::now() - t0).count();
 
     // Serial twin: identical per-stream digest sequences required.
-    PlannerService twin(PlanServiceOptions{.num_planner_threads = 0});
+    PlannerService twin;
     bool deterministic = true;
     for (int s = 0; s < streams; ++s) {
       std::vector<uint64_t> reference;
@@ -204,8 +201,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "Expected shape: plans/sec grows with the stream count until the host's\n"
-      "cores saturate (delta patches on distinct sessions run fully in\n"
-      "parallel; only fallback re-plans serialize on the shared pool), and\n"
-      "every stream's digest sequence matches its serial twin exactly.\n");
+      "cores saturate (patches and fallback re-plans on distinct sessions\n"
+      "run fully in parallel), and every stream's digest sequence matches\n"
+      "its serial twin exactly.\n");
   return 0;
 }

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   // --- In-process floor -----------------------------------------------------
   FabricResources fabric(cluster);
   CostModel cost_model(model, cluster);
-  PlannerService local(PlanServiceOptions{.num_planner_threads = 2});
+  PlannerService local;
   const int local_iters = iters_per_client * 4;
   std::vector<double> local_us;
   local_us.reserve(local_iters);
@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
 
   // --- Daemon throughput arms ----------------------------------------------
   net::DaemonOptions daemon_options;
-  daemon_options.planner_threads = 2;
   daemon_options.max_concurrent_plans =
       std::max(4u, std::thread::hardware_concurrency() / 2);
   daemon_options.queue_limit = 4096;  // Throughput arms must not shed.

@@ -1,16 +1,15 @@
 // Planner-scaling bench: per-iteration Plan() cost of the hierarchical
-// partitioner — the naive oracle vs the sharded engine across thread counts.
+// partitioner — the naive oracle vs the sharded engine.
 //
 // The paper's premise (§3.1) is that two-level sequence partitioning is cheap
 // enough to run every iteration on the global batch. This harness sweeps the
 // batch size S and the cluster size P over the Table 2 length distributions
 // and times ZeppelinStrategy::Plan() (surfaced as partition_time_us) on the
-// sharded engine at num_planner_threads in {0 (inline, no pool), 1, 2, 4, 8},
-// against the reference linear-scan greedy ("naive", the seed algorithm),
-// which is timed through SequencePartitioner{.fast_path = false} directly at
-// the capacity the strategy derived. Every plan of every arm is verified
-// bit-identical to the oracle at every point — the determinism contract of
-// partitioner.h.
+// sharded engine against the reference linear-scan greedy ("naive", the seed
+// algorithm), which is timed through SequencePartitioner{.fast_path = false}
+// directly at the capacity the strategy derived. The engine's plan is
+// verified bit-identical to the oracle's at every point — the determinism
+// contract of partitioner.h.
 //
 // Each point also isolates the *materialization* cost of the plan
 // representation: the time to build the final plan's ring storage from its
@@ -25,27 +24,22 @@
 //
 // Output: a human-readable table plus machine-readable BENCH_planner.json:
 //   { "bench": "planner_scaling", "model": ..., "cluster": ...,
-//     "quick": bool, "reps": int, "threads": [0, 1, 2, 4, 8],
+//     "quick": bool, "reps": int,
 //     "points": [ { "dataset", "num_seqs", "gpus", "total_tokens",
-//                   "naive_partition_time_us",
-//                   "parallel": [ { "threads", "parallel_partition_time_us",
-//                                   "parallel_speedup", "plans_identical" } ],
-//                   "materialize_time_us", "legacy_materialize_time_us",
+//                   "naive_partition_time_us", "engine_partition_time_us",
+//                   "speedup", "materialize_time_us", "legacy_materialize_time_us",
 //                   "materialize_speedup", "materialize_warm_time_us",
 //                   "legacy_materialize_warm_time_us", "plans_identical" } ],
 //     "all_plans_identical": bool }
 // Times are the median over `reps` interleaved repetitions after one untimed
-// warmup (noise-robust and fair to every arm). parallel_speedup is the naive
-// oracle's time over the sharded engine's on the same point; threads = 0 is
-// the inline engine.
+// warmup (noise-robust and fair to both arms). speedup is the naive oracle's
+// time over the sharded engine's on the same point.
 #include <algorithm>
 #include <chrono>
-#include <memory>
 
 #include "src/core/partitioner.h"
 
 #include "bench/bench_util.h"
-#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
 #include "src/model/transformer.h"
@@ -61,25 +55,14 @@ volatile size_t sink;
 int main(int argc, char** argv) {
   using namespace zeppelin;
   const bool quick = bench::QuickMode(argc, argv);
-  const Flags flags(argc, argv);
   const int reps = quick ? 1 : 7;
   const std::vector<int> seq_counts = quick ? std::vector<int>{1024}
                                             : std::vector<int>{1024, 4096, 16384, 65536};
   const std::vector<int> gpu_counts = quick ? std::vector<int>{16, 64}
                                             : std::vector<int>{16, 64, 256, 512};
-  // Thread sweep for the sharded engine (0 = inline, no pool); --threads=N
-  // caps it (e.g. for a quick look at one setting), "--threads=auto" caps at
-  // the hardware.
-  std::vector<int> thread_counts = {0, 1, 2, 4, 8};
-  const int max_threads = flags.GetThreadCount("threads", thread_counts.back());
-  while (thread_counts.size() > 1 && thread_counts.back() > max_threads) {
-    thread_counts.pop_back();
-  }
 
   bench::PrintHeader("Planner scaling — naive oracle vs sharded engine (3B, Cluster A)");
-  Table table({"dataset", "seqs", "GPUs", "naive us",
-               "par@" + std::to_string(thread_counts.front()) + " us",
-               "par@" + std::to_string(thread_counts.back()) + " us", "naive/par", "mat us",
+  Table table({"dataset", "seqs", "GPUs", "naive us", "engine us", "naive/engine", "mat us",
                "mat x", "identical"});
 
   bench::JsonEmitter json;
@@ -94,12 +77,6 @@ int main(int argc, char** argv) {
   json.Value(quick);
   json.Key("reps");
   json.Value(reps);
-  json.Key("threads");
-  json.BeginArray();
-  for (int t : thread_counts) {
-    json.Value(t);
-  }
-  json.EndArray();
   json.Key("points");
   json.BeginArray();
 
@@ -125,51 +102,35 @@ int main(int argc, char** argv) {
           batch.seq_lens.push_back(dist.Sample(rng));
         }
 
-        std::vector<std::unique_ptr<ZeppelinStrategy>> parallel;
-        for (int t : thread_counts) {
-          ZeppelinOptions par_opts;
-          par_opts.num_planner_threads = t;
-          parallel.push_back(std::make_unique<ZeppelinStrategy>(par_opts));
-        }
+        ZeppelinStrategy engine;
         // The oracle plans at the capacity the strategy derives for this
-        // batch (the first Plan() call doubles as that arm's warmup).
-        parallel.front()->Plan(batch, trainer.cost_model(), trainer.fabric());
+        // batch (the first Plan() call doubles as the engine's warmup).
+        engine.Plan(batch, trainer.cost_model(), trainer.fabric());
         const SequencePartitioner naive(
             trainer.fabric().cluster(),
-            {.token_capacity = parallel.front()->last_plan_stats().token_capacity,
-             .fast_path = false});
+            {.token_capacity = engine.last_plan_stats().token_capacity, .fast_path = false});
         PlannerScratch naive_scratch;
         PartitionPlan naive_plan;
 
         using clock = std::chrono::steady_clock;
         std::vector<double> naive_times;
-        std::vector<std::vector<double>> parallel_times(thread_counts.size());
+        std::vector<double> engine_times;
         for (int r = 0; r < reps + 1; ++r) {
           const auto t0 = clock::now();
           naive.Partition(batch, &naive_scratch, &naive_plan);
           const double naive_time =
               std::chrono::duration<double, std::micro>(clock::now() - t0).count();
-          for (auto& arm : parallel) {
-            arm->Plan(batch, trainer.cost_model(), trainer.fabric());
-          }
+          engine.Plan(batch, trainer.cost_model(), trainer.fabric());
           if (r == 0) {
-            continue;  // Warmup: every arm grows its buffers untimed.
+            continue;  // Warmup: both arms grow their buffers untimed.
           }
           naive_times.push_back(naive_time);
-          for (size_t t = 0; t < parallel.size(); ++t) {
-            parallel_times[t].push_back(parallel[t]->partition_time_us());
-          }
+          engine_times.push_back(engine.partition_time_us());
         }
         const double naive_us = median(naive_times);
-
-        bool point_identical = true;
-        std::vector<double> par_us(parallel.size());
-        std::vector<bool> par_identical(parallel.size());
-        for (size_t t = 0; t < parallel.size(); ++t) {
-          par_us[t] = median(parallel_times[t]);
-          par_identical[t] = parallel[t]->partition_plan() == naive_plan;
-          point_identical = point_identical && par_identical[t];
-        }
+        const double engine_us = median(engine_times);
+        const double speedup = engine_us > 0 ? naive_us / engine_us : 0;
+        const bool point_identical = engine.partition_plan() == naive_plan;
         all_identical = all_identical && point_identical;
 
         // Materialization microbench: the cost of building the final plan's
@@ -261,8 +222,7 @@ int main(int argc, char** argv) {
 
         table.AddRow({dist.name(), Table::Cell(static_cast<int64_t>(num_seqs)),
                       Table::Cell(static_cast<int64_t>(gpus)), Table::Cell(naive_us, 1),
-                      Table::Cell(par_us.front(), 1), Table::Cell(par_us.back(), 1),
-                      Table::Cell(par_us.front() > 0 ? naive_us / par_us.front() : 0, 1) + "x",
+                      Table::Cell(engine_us, 1), Table::Cell(speedup, 1) + "x",
                       Table::Cell(mat_us, 1), Table::Cell(mat_speedup, 1) + "x",
                       point_identical ? "yes" : "NO"});
 
@@ -277,21 +237,10 @@ int main(int argc, char** argv) {
         json.Value(batch.total_tokens());
         json.Key("naive_partition_time_us");
         json.Value(naive_us);
-        json.Key("parallel");
-        json.BeginArray();
-        for (size_t t = 0; t < parallel.size(); ++t) {
-          json.BeginObject();
-          json.Key("threads");
-          json.Value(thread_counts[t]);
-          json.Key("parallel_partition_time_us");
-          json.Value(par_us[t]);
-          json.Key("parallel_speedup");
-          json.Value(par_us[t] > 0 ? naive_us / par_us[t] : 0);
-          json.Key("plans_identical");
-          json.Value(par_identical[t]);
-          json.EndObject();
-        }
-        json.EndArray();
+        json.Key("engine_partition_time_us");
+        json.Value(engine_us);
+        json.Key("speedup");
+        json.Value(speedup);
         json.Key("materialize_time_us");
         json.Value(mat_us);
         json.Key("legacy_materialize_time_us");
@@ -314,6 +263,7 @@ int main(int argc, char** argv) {
   json.EndObject();
 
   table.Print();
+  std::printf("\nall_plans_identical: %s\n", all_identical ? "true" : "false");
   const std::string out_path = "BENCH_planner.json";
   if (json.WriteFile(out_path)) {
     std::printf("\nwrote %s\n", out_path.c_str());
@@ -322,13 +272,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!all_identical) {
-    std::printf("ERROR: an engine's plan diverged from the naive reference\n");
+    std::printf("ERROR: the engine's plan diverged from the naive reference\n");
     return 1;
   }
   std::printf(
       "Expected shape: the engine's speedup over the naive oracle grows with\n"
-      "S and P (round-batched packing, O(log P) placements); its thread\n"
-      "scaling shows on multicore hosts at the largest sweep points. The\n"
+      "S and P (round-batched packing, O(log P) placements). The\n"
       "materialization columns compare the flat rank-arena plan layout\n"
       "against the legacy per-ring vector layout on identical plan data —\n"
       "the arena's bulk copies should win by >= 2x at the largest points.\n");

@@ -67,8 +67,6 @@ void PrintUsage() {
       "  --batch_file=path     replay a saved workload instead of sampling\n"
       "  --save_batches=path   save the sampled workload for replay\n"
       "  --strategies=te-cp,zeppelin   comma-separated strategy specs\n"
-      "  --planner_threads=1   Zeppelin planner contexts (0 = inline, no\n"
-      "                        pool; N = pool of N threads; auto)\n"
       "  --stream              online mode: evolve one batch via workload\n"
       "                        churn and re-plan per iteration (PlanDelta)\n"
       "  --stream_iters=50     stream iterations\n"
@@ -152,7 +150,6 @@ int main(int argc, char** argv) {
   const std::string strategy_specs =
       flags.GetString("strategies", "te-cp,llama-cp,hybrid-dp,zeppelin");
   StrategyDefaults strategy_defaults;
-  strategy_defaults.num_planner_threads = flags.GetThreadCount("planner_threads", 1);
   strategy_defaults.delta_replan_threshold = flags.GetDouble("delta_threshold", 0.05);
   const bool stream_mode = flags.GetBool("stream");
   const int stream_iters = std::max(1, static_cast<int>(flags.GetInt("stream_iters", 50)));

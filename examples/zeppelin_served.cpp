@@ -35,7 +35,6 @@ void PrintUsage() {
       "  --cluster=A           A|B|C (see zeppelin_cli --help)\n"
       "  --nodes=2             number of nodes\n"
       "  --tp=1                tensor parallelism inside nodes\n"
-      "  --planner_threads=1   planning contexts of the owned service\n"
       "  --max_concurrent=2    requests planning at once (admission permits)\n"
       "  --queue_limit=64      bounded waiting room; beyond it -> kOverloaded\n"
       "  --max_frame_bytes=N   frame payload cap (default 16 MiB)\n"
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
   options.port = static_cast<int>(flags.GetInt("port", 7077));
   options.bind_address = flags.GetString("bind", "127.0.0.1");
   options.tensor_parallel = static_cast<int>(flags.GetInt("tp", 1));
-  options.planner_threads = flags.GetThreadCount("planner_threads", 1);
   options.max_concurrent_plans = static_cast<int>(flags.GetInt("max_concurrent", 2));
   options.queue_limit = static_cast<int>(flags.GetInt("queue_limit", 64));
   options.max_frame_bytes =

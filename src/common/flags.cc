@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "src/common/thread_pool.h"
-
 namespace zeppelin {
 
 Flags::Flags(int argc, char** argv) {
@@ -74,20 +72,6 @@ bool Flags::GetBool(const std::string& key, bool fallback) const {
     return true;  // Bare --switch.
   }
   return e->value == "true" || e->value == "1" || e->value == "yes";
-}
-
-int Flags::GetThreadCount(const std::string& key, int fallback) const {
-  const Entry* e = Find(key);
-  if (e == nullptr || !e->has_value) {
-    return fallback;
-  }
-  if (e->value == "auto" || e->value == "hw") {
-    return ThreadPool::HardwareThreads();
-  }
-  // Numeric values pass through untouched — 0 keeps its caller-defined
-  // meaning (e.g. "no pool" for the planner); negatives fall back.
-  const int parsed = static_cast<int>(std::strtoll(e->value.c_str(), nullptr, 10));
-  return parsed < 0 ? fallback : parsed;
 }
 
 bool Flags::Has(const std::string& key) const { return Find(key) != nullptr; }

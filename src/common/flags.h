@@ -22,11 +22,6 @@ class Flags {
   double GetDouble(const std::string& key, double fallback) const;
   // True for `--key` or `--key=true|1|yes`.
   bool GetBool(const std::string& key, bool fallback = false) const;
-  // Thread-count flags (e.g. --planner_threads): a non-negative integer
-  // passed through as-is (0 keeps its caller-defined meaning), or "auto" /
-  // "hw" for the hardware concurrency. The shared convention for every tool
-  // that wires a thread knob into the planner.
-  int GetThreadCount(const std::string& key, int fallback) const;
 
   bool Has(const std::string& key) const;
 

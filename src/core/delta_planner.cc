@@ -46,7 +46,6 @@ DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions optio
                        .token_capacity = options.token_capacity,
                        .max_inter_threshold = options.max_inter_threshold,
                        .max_local_threshold = options.max_local_threshold,
-                       .pool = options.pool,
                    }) {
   cluster_.Validate();
   ZCHECK_GT(options_.token_capacity, 0);
@@ -89,13 +88,7 @@ void DeltaPlanner::RebaseInternal() {
       .token_capacity = options_.token_capacity,
       .max_inter_threshold = options_.max_inter_threshold,
       .max_local_threshold = options_.max_local_threshold,
-      .pool = options_.pool,
   });
-  // Shared pool (PlannerService): one pooled plan at a time, service-wide.
-  std::unique_lock<std::mutex> pool_lock;
-  if (options_.pool != nullptr && options_.pool_mutex != nullptr) {
-    pool_lock = std::unique_lock<std::mutex>(*options_.pool_mutex);
-  }
   // The fabric state is a planning input: a degraded topology plans over
   // the alive ranks with speed-normalized loads, a clean one byte for byte
   // as the plain engine.

@@ -66,7 +66,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -105,15 +104,6 @@ struct DeltaPlannerOptions {
   // full re-plan on the surviving fabric instead (kRebasedMigration) —
   // patching each migrant individually would cost more than re-planning.
   int64_t migration_budget = 256;
-  // Pool for full re-plans on any fabric, as in SequencePartitioner::Options
-  // (null = the sharded engine runs inline). Non-owning; must outlive the
-  // planner.
-  ThreadPool* pool = nullptr;
-  // When the pool is shared with other planners (PlannerService hands every
-  // session the same pool), this mutex is locked around each pooled full
-  // re-plan — ThreadPool batches admit one caller at a time. Delta patches
-  // never touch the pool, so they never take it. Null = pool is exclusive.
-  std::mutex* pool_mutex = nullptr;
 };
 
 // Why the last Apply()/ApplyTopology() patched or fell back (also counted in
@@ -156,8 +146,7 @@ struct DeltaStats {
 
 // Keeps a PartitionPlan and the planner state that produced it alive across
 // iterations, patching both in response to BatchDeltas. Not thread-safe; one
-// instance per planning thread (the full re-plans it issues may themselves
-// use the thread pool, like any Partition() call).
+// instance per planning thread.
 class DeltaPlanner {
  public:
   DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions options);

@@ -419,7 +419,7 @@ void SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch,
 
   if (options_.fast_path) {
     scratch->fabric.Build(cluster_, topology);
-    PartitionParallel(batch, scratch, plan, options_.pool);
+    PartitionSharded(batch, scratch, plan);
     // The key-build pass already summed the batch; skip the O(S) re-sum.
     ZCHECK_EQ(plan->total_tokens(), scratch->batch_total)
         << "partitioner must conserve tokens";

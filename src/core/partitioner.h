@@ -42,18 +42,13 @@
 //   packed (length, id) keys sorted by one value radix sort; the z01 packing
 //   runs through the round-batched GreedyPacker (bulk-committing blocks of
 //   placements instead of per-sequence heap walks) and shards its output
-//   directly into per-node key lists; the per-node intra-node stage (Alg. 2)
-//   is embarrassingly parallel and runs as one task per node with per-context
-//   scratch slabs; plan materialization merges per-node ring stores and
-//   locals into the plan's flat arrays at precomputed offsets. Overflow
-//   restarts are incremental: the sorted keys and the zone boundary survive a
-//   restart, so it only replays placements; the boundary strictly advances,
-//   so a restart chain is bounded by the sequence count. With Options::pool
-//   set, the per-node work and the merges fan out over the pool; without
-//   one, the same tasks run inline on the calling thread. The z01 *decision
-//   stream* itself stays sequential — greedy list scheduling is P-complete,
-//   so there is no exact parallel formulation. It is the only engine that
-//   plans degraded fabrics.
+//   directly into per-node key lists; the intra-node stage (Alg. 2) then
+//   runs once per node, appending each node's ring store and locals to the
+//   plan's flat arrays in node order. Overflow restarts are incremental: the
+//   sorted keys and the zone boundary survive a restart, so it only replays
+//   placements; the boundary strictly advances, so a restart chain is
+//   bounded by the sequence count. The engine runs on the calling thread. It
+//   is the only engine that plans degraded fabrics.
 //
 //   Naive oracle (fast_path = false): the reference linear-scan/partial-sort
 //   greedy, structurally the seed algorithm, for clean fabrics only. Tests
@@ -61,12 +56,12 @@
 //
 // Determinism contract: both paths break packing ties identically (lowest
 // load, then lowest bucket index), rings are emitted in the same global order
-// (so arena offsets match), every pool phase uses static task ownership and
-// writes to slots derived from node/sequence indices alone, and per-node
-// results are merged in node order. Plans are therefore byte-identical to the
-// oracle AND across any thread count, pool or no pool — header vectors and
-// the rank arena compare equal with the defaulted operator== — the property
-// tests/parallel_planner_test.cpp pins (degraded plans: across thread counts).
+// (so arena offsets match), and per-node results are appended in node order.
+// Plans are therefore byte-identical to the oracle — header vectors and the
+// rank arena compare equal with the defaulted operator== — and independent
+// of what a reused PlannerScratch held before: the properties
+// tests/parallel_planner_test.cpp pins (degraded plans: against a fresh
+// scratch).
 #ifndef SRC_CORE_PARTITIONER_H_
 #define SRC_CORE_PARTITIONER_H_
 
@@ -86,7 +81,6 @@
 
 namespace zeppelin {
 
-class ThreadPool;
 struct RankTopology;
 
 // Non-owning view of one ring: the header fields plus the resolved rank span.
@@ -262,8 +256,8 @@ struct PartitionPlan {
 
 // Growable flat ring storage (headers + one rank arena) with cursor-recycled
 // slots: Reset() rewinds the cursors without freeing, Append() reuses slots.
-// The parallel engine's per-node intra results are RingStores whose contents
-// are offset-shifted into the plan arena by the merge pass.
+// The sharded engine packs each node's intra rings into one, whose contents
+// are then offset-shifted into the plan arena.
 struct RingStore {
   std::vector<RingRef> refs;
   std::vector<int> arena;
@@ -315,10 +309,8 @@ struct NodeAssignment {
   std::vector<int> sequences;
 };
 
-// Per-node output of the intra-node kernel (planner_internal::PackIntraNode).
-// In a Partition() call every node owns exactly one of these, so pool tasks
-// write without synchronization and the merge pass copies them into the plan
-// at precomputed offsets, in node order (the determinism contract).
+// One node's output of the intra-node kernel (planner_internal::PackIntraNode),
+// appended to the plan before the next node is packed.
 struct NodeIntraResult {
   RingStore rings;                       // Multi-fragment z1 rings (node-local offsets).
   std::vector<LocalSequence> locals;     // z0 locals (truncated on restart).
@@ -327,19 +319,13 @@ struct NodeIntraResult {
   int64_t threshold_s0 = 0;
 };
 
-// Per-worker scratch slab for the intra-node stage: context c of the pool
-// always uses slab c (static ownership; inline runs use slab 0), so slabs are
-// reused across Partition() calls without locking or steady-state
-// allocation.
+// Scratch for the intra-node kernel, reused node after node and across
+// Partition() calls without steady-state allocation.
 struct IntraWorkerSlab {
   GreedyPacker packer;              // z0 device packing (clean node).
   NormalizedLoads picks;            // z0 device packing (degraded node).
   std::vector<int64_t> loads;       // Plain per-device loads for the z1 phase.
   std::vector<int64_t> chunk_base;  // Inter-node chunk spreading per device.
-  // Per-context partial chunk aggregates for the parallel re-label pass;
-  // merged (integer adds, order-free) into the global aggregates after.
-  std::vector<int64_t> relabel_whole;
-  std::vector<int64_t> relabel_rem;
 };
 
 // Reusable planning workspace. A planner that keeps one of these across
@@ -384,28 +370,19 @@ struct PlannerScratch {
   std::vector<int64_t> node_loads_tmp;   // Heap -> packer seed buffer.
   NormalizedLoads node_picks;            // Degraded fabric: node loads.
   std::vector<std::vector<uint64_t>> node_items;  // Per node: its z01 keys.
-  std::vector<NodeIntraResult> intra_results;     // Per node: Alg. 2 output.
-  std::vector<IntraWorkerSlab> intra_slabs;       // Per pool context.
-  std::vector<size_t> local_offsets;     // Per node: slot in plan->local.
-  std::vector<size_t> ring_offsets;      // Per node: header slot in plan->intra_node.
-  std::vector<size_t> rank_offsets;      // Per node: rank slot in plan->rank_arena.
+  NodeIntraResult intra_result;          // Alg. 2 output of the node in hand.
+  IntraWorkerSlab intra_slab;            // Alg. 2 kernel scratch.
   int64_t batch_total = 0;               // Total tokens, folded into key build.
   int64_t threshold_s1_initial = 0;      // s1 before refinement (the m*L cap).
 
   // Total GreedyPacker ops of the last Partition() (regression guard: bulk
   // commits keep this near the sequence count instead of S log P).
-  int64_t packer_ops() const {
-    int64_t total = node_packer.ops();
-    for (const IntraWorkerSlab& slab : intra_slabs) {
-      total += slab.packer.ops();
-    }
-    return total;
-  }
+  int64_t packer_ops() const { return node_packer.ops() + intra_slab.packer.ops(); }
 };
 
 // Runs Alg. 1/2 on a batch for a fixed cluster, producing a PartitionPlan.
-// Plans are byte-identical with or without a pool, at any pool size, and —
-// on a clean fabric — to the naive oracle (see the header comment).
+// On a clean fabric the engine's plans are byte-identical to the naive
+// oracle's (see the header comment).
 class SequencePartitioner {
  public:
   struct Options {
@@ -421,11 +398,6 @@ class SequencePartitioner {
     // false selects the naive oracle instead of the sharded engine — a test
     // and bench reference, never a serving configuration.
     bool fast_path = true;
-    // Non-owning. When set, the sharded engine fans its per-node intra tasks
-    // and merges out over this pool (one Partition() per pool at a time);
-    // null runs the same tasks inline on the calling thread. The pool must
-    // outlive the partitioner's calls.
-    ThreadPool* pool = nullptr;
   };
 
   SequencePartitioner(const ClusterSpec& cluster, Options options);
@@ -460,18 +432,12 @@ class SequencePartitioner {
   void PartitionIntraNodeNaive(const Batch& batch, int node, const NodeAssignment& assignment,
                                PartitionPlan* plan, PlannerScratch* scratch) const;
 
-  // Sharded engine (partitioner_parallel.cc) on `pool`, or inline when null.
-  void PartitionParallel(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan,
-                         ThreadPool* pool) const;
+  // Sharded engine (partitioner_parallel.cc).
+  void PartitionSharded(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan) const;
   // Alg. 1 over scratch->fabric with z01 packing sharded into
-  // scratch->node_items (round-batched on a clean fabric); re-labelled
-  // single-node rings are materialized per context, writing headers and
-  // ranks into pre-reserved plan slots.
+  // scratch->node_items (round-batched on a clean fabric).
   void PartitionInterNodeSharded(const Batch& batch, PartitionPlan* plan,
-                                 PlannerScratch* scratch, ThreadPool* pool) const;
-  // Alg. 2 for one node into scratch->intra_results[node], using the scratch
-  // slab owned by context `context`.
-  void PartitionIntraNodeSharded(int node, int context, PlannerScratch* scratch) const;
+                                 PlannerScratch* scratch) const;
 
   ClusterSpec cluster_;
   Options options_;

@@ -47,8 +47,8 @@ inline int IntraNodeFragmentCount(double len, double c_avg, int p) {
 // form the intra stage consumes: the sum of whole per-device shares
 // floor(chunk/m) over the node's m alive devices and a histogram of
 // remainders chunk % m, in row `node` of stride p (m == p on a clean node).
-// Both engines (and the parallel re-label pass, via per-context partials)
-// must encode chunks identically or the bit-identical-plans contract breaks.
+// Both engines must encode chunks identically or the bit-identical-plans
+// contract breaks.
 inline void RecordChunkAggregate(int node, int64_t chunk, int m, int p, std::vector<int64_t>* whole,
                                  std::vector<int64_t>* rem) {
   const int64_t q = chunk / m;

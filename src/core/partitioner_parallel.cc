@@ -1,40 +1,32 @@
 // The sharded planner engine (see the header comment in partitioner.h).
 //
-// Layout of one Partition() call:
+// Layout of one Partition() call, all on the calling thread:
 //
-//   1. Key build + value radix sort (serial): sequences become packed
+//   1. Key build + value radix sort: sequences become packed
 //      ((kLenMask - len) << 20 | id) keys; sorting the values directly gives
 //      the length-descending, id-ascending order with zero gathers, and the
 //      granularity of the lengths (trailing zero bits shared by every length)
 //      narrows the digit range — quantized workloads sort in one pass.
-//   2. Inter-node stage (serial): Alg. 1. The z2 chunking reuses the
-//      LoadTracker (few, long sequences); the z01 packing runs through the
-//      round-batched GreedyPacker and emits each sequence's key straight into
-//      its node's list — the per-node lists ARE the shard handoff to stage 3.
-//      On a degraded fabric both placements go over the alive nodes by
+//   2. Inter-node stage: Alg. 1. The z2 chunking reuses the LoadTracker
+//      (few, long sequences); the z01 packing runs through the round-batched
+//      GreedyPacker and emits each sequence's key straight into its node's
+//      list — the per-node lists are the shard handoff to stage 3. On a
+//      degraded fabric both placements go over the alive nodes by
 //      speed-normalized load instead (PlaceZ2Degraded, NormalizedLoads).
-//      The decision stream is sequential on purpose: greedy list scheduling
-//      is P-complete, so an exact parallel z01 does not exist; batching, not
-//      threading, is what makes this stage cheap.
-//   3. Intra-node stage (parallel): Alg. 2 is independent per node — one
-//      task per node (PackIntraNode), per-context scratch slabs, results into
-//      per-node RingStores (node-local arena offsets). Static task ownership
-//      (node n on context n % T) keeps slab reuse deterministic.
-//   4. Merge (parallel over nodes): per-node results copy into the plan's
-//      flat arrays — locals, ring headers (offset-shifted), and arena slices
-//      (one memcpy per node) — at offsets computed from per-node counts, in
-//      node order. Byte-identical to the oracle's append order at any thread
-//      count, with no per-ring allocation anywhere.
-//
-// Without a pool, stages 3 and 4 (and the re-label pass of stage 2) run the
-// same tasks inline on the calling thread as context 0: no pool is built, and
-// callers with their own scratch share no mutable state.
+//      Greedy list scheduling is P-complete, so the decision stream is
+//      sequential; batching is what makes this stage cheap.
+//   3. Intra-node stage: Alg. 2 per node (PackIntraNode) into one
+//      RingStore (node-local arena offsets) and scratch slab, reused node
+//      after node.
+//   4. Merge: each node's result appends to the plan's flat arrays before
+//      the next node is packed — locals, ring headers (offset-shifted), and
+//      the arena slice (one memcpy per node). That is the oracle's append
+//      order, so the bytes match it, with no per-ring allocation anywhere.
 #include <algorithm>
 #include <bit>
 #include <cstring>
 
 #include "src/common/check.h"
-#include "src/common/thread_pool.h"
 #include "src/core/partitioner.h"
 #include "src/core/partitioner_internal.h"
 #include "src/data/stream.h"
@@ -66,31 +58,6 @@ int KeyBoundary(std::span<const uint64_t> keys, int64_t threshold) {
   return static_cast<int>(std::partition_point(keys.begin(), keys.end(),
                                                [limit](uint64_t k) { return k <= limit; }) -
                           keys.begin());
-}
-
-// Pool dispatch with an inline fallback. Without a pool every batch runs on
-// the calling thread as context 0, in the order static ownership would give
-// context 0 anyway — so whether a pool exists cannot change the plan.
-int NumContexts(const ThreadPool* pool) { return pool != nullptr ? pool->num_contexts() : 1; }
-
-template <typename Fn>
-void RunTasks(ThreadPool* pool, int num_tasks, Fn&& fn) {
-  if (pool != nullptr) {
-    pool->RunTasks(num_tasks, fn);
-    return;
-  }
-  for (int task = 0; task < num_tasks; ++task) {
-    fn(task, 0);
-  }
-}
-
-template <typename Fn>
-void ParallelFor(ThreadPool* pool, int64_t n, Fn&& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(n, fn);
-  } else if (n > 0) {
-    fn(int64_t{0}, n, 0);
-  }
 }
 
 // Builds scratch->keys sorted ascending. Returns the batch's total tokens
@@ -210,7 +177,7 @@ void PlaceZ2Degraded(int64_t len, int k, PlannerScratch* s) {
 }  // namespace
 
 void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, PartitionPlan* plan,
-                                                    PlannerScratch* s, ThreadPool* pool) const {
+                                                    PlannerScratch* s) const {
   const int num_nodes = cluster_.num_nodes;
   const int p = cluster_.gpus_per_node;
   const int64_t capacity = options_.token_capacity;
@@ -276,15 +243,12 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
   for (;;) {
     int z2_start = 0;
     if (continue_from >= 0) {
-      // Re-label [0, continue_from): ring order matches a replay (it is the
-      // key order), chunk aggregates rebuild from zero (z2 was empty), and
-      // the packer's loads carry over exactly. The aborted pass emitted no
-      // rings, so header slot i and arena slice [i*p, (i+1)*p) are fully
-      // determined by the sequence index alone — each context writes its
-      // slice into pre-reserved plan storage with no synchronization, and the
-      // plan bytes are thread-count-invariant; the chunk aggregates
-      // accumulate through per-context partials merged with order-free
-      // integer adds.
+      // Re-label [0, continue_from) as single-node z2 rings on the nodes
+      // the aborted pass packed them onto: ring order matches a replay (it
+      // is the key order), chunk aggregates rebuild from zero (z2 was
+      // empty), and the packer's loads carry over exactly. The aborted pass
+      // emitted no rings, so header slot i and arena slice [i*p, (i+1)*p)
+      // belong to sequence i and are written in place, one bulk pass.
       const size_t relabel_rings = static_cast<size_t>(continue_from);
       if (plan->intra_node.size() < relabel_rings) {
         plan->intra_node.resize(relabel_rings);
@@ -292,37 +256,20 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
       if (plan->rank_arena.size() < relabel_rings * p) {
         plan->rank_arena.resize(relabel_rings * p);
       }
-      const int contexts = NumContexts(pool);
-      for (int c = 0; c < contexts; ++c) {
-        s->intra_slabs[c].relabel_whole.assign(num_nodes, 0);
-        s->intra_slabs[c].relabel_rem.assign(static_cast<size_t>(num_nodes) * p, 0);
-      }
-      ParallelFor(pool, continue_from, [&](int64_t begin, int64_t end, int context) {
-        IntraWorkerSlab& slab = s->intra_slabs[context];
-        for (int64_t i = begin; i < end; ++i) {
-          const uint64_t key = s->keys[i];
-          const int node = s->placed_node[i];
-          const int64_t len = KeyLen(key);
-          RingRef& ring = plan->intra_node[i];
-          ring.seq_id = KeyId(key);
-          ring.length = len;
-          ring.zone = Zone::kIntraNode;
-          ring.rank_offset = static_cast<uint32_t>(i) * static_cast<uint32_t>(p);
-          ring.rank_count = static_cast<uint32_t>(p);
-          std::memcpy(plan->rank_arena.data() + i * p, fabric.node_ranks(node).data(),
-                      sizeof(int) * p);
-          planner_internal::RecordChunkAggregate(node, len, p, p, &slab.relabel_whole,
-                                                 &slab.relabel_rem);
-        }
-      });
-      for (int c = 0; c < contexts; ++c) {
-        const IntraWorkerSlab& slab = s->intra_slabs[c];
-        for (int node = 0; node < num_nodes; ++node) {
-          s->node_chunk_whole[node] += slab.relabel_whole[node];
-        }
-        for (size_t r = 0; r < slab.relabel_rem.size(); ++r) {
-          s->node_chunk_rem[r] += slab.relabel_rem[r];
-        }
+      for (size_t i = 0; i < relabel_rings; ++i) {
+        const uint64_t key = s->keys[i];
+        const int node = s->placed_node[i];
+        const int64_t len = KeyLen(key);
+        RingRef& ring = plan->intra_node[i];
+        ring.seq_id = KeyId(key);
+        ring.length = len;
+        ring.zone = Zone::kIntraNode;
+        ring.rank_offset = static_cast<uint32_t>(i * p);
+        ring.rank_count = static_cast<uint32_t>(p);
+        std::memcpy(plan->rank_arena.data() + i * p, fabric.node_ranks(node).data(),
+                    sizeof(int) * p);
+        planner_internal::RecordChunkAggregate(node, len, p, p, &s->node_chunk_whole,
+                                               &s->node_chunk_rem);
       }
       s->intra_ring_count = relabel_rings;
       s->arena_count = relabel_rings * p;
@@ -529,104 +476,62 @@ void planner_internal::PackIntraNode(std::span<const uint64_t> keys,
   out->threshold_s0 = s0;
 }
 
-void SequencePartitioner::PartitionIntraNodeSharded(int node, int context,
-                                                    PlannerScratch* s) const {
-  IntraWorkerSlab& slab = s->intra_slabs[context];
-  ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, cluster_.gpus_per_node,
-                  s->fabric.alive(node), &slab.chunk_base);
-  planner_internal::PackIntraNode(s->node_items[node], slab.chunk_base, s->fabric, node,
-                                  options_.token_capacity, options_.max_local_threshold, &slab,
-                                  &s->intra_results[node]);
-}
-
 // --- Driver -------------------------------------------------------------------
 
-void SequencePartitioner::PartitionParallel(const Batch& batch, PlannerScratch* scratch,
-                                            PartitionPlan* plan, ThreadPool* pool) const {
+void SequencePartitioner::PartitionSharded(const Batch& batch, PlannerScratch* s,
+                                           PartitionPlan* plan) const {
   const int num_nodes = cluster_.num_nodes;
-  const int contexts = NumContexts(pool);
+  IntraWorkerSlab& slab = s->intra_slab;
+  NodeIntraResult& res = s->intra_result;
+  s->node_packer.ResetOps();
+  slab.packer.ResetOps();
+  s->node_items.resize(num_nodes);
 
-  if (static_cast<int>(scratch->intra_slabs.size()) < contexts) {
-    scratch->intra_slabs.resize(contexts);
-  }
-  scratch->node_packer.ResetOps();
-  for (IntraWorkerSlab& slab : scratch->intra_slabs) {
-    slab.packer.ResetOps();
-  }
-  scratch->node_items.resize(num_nodes);
-  scratch->intra_results.resize(num_nodes);
+  PartitionInterNodeSharded(batch, plan, s);
 
-  PartitionInterNodeSharded(batch, plan, scratch, pool);
-
-  // Alg. 2: one task per node; task `node` always runs on context
-  // node % contexts, so slab reuse and results are thread-count-invariant.
-  RunTasks(pool, num_nodes,
-           [&](int node, int context) { PartitionIntraNodeSharded(node, context, scratch); });
-
-  // Merge per-node results in node order — identical bytes to the oracle's
-  // per-node append order. Locals, ring headers, and arena slices
-  // all land at offsets precomputed from per-node counts, so the copy itself
-  // fans out over the pool with no synchronization.
-  scratch->local_offsets.resize(num_nodes + 1);
-  scratch->ring_offsets.resize(num_nodes + 1);
-  scratch->rank_offsets.resize(num_nodes + 1);
-  size_t total_locals = plan->local.size();
-  size_t ring_cursor = scratch->intra_ring_count;
-  size_t rank_cursor = scratch->arena_count;
+  // Alg. 2 per node, each result appended in node order — identical bytes
+  // to the oracle's per-node append order. Ring headers shift from
+  // node-local to plan-arena offsets; ranks are one slice copy per node.
   for (int node = 0; node < num_nodes; ++node) {
-    const NodeIntraResult& res = scratch->intra_results[node];
-    scratch->local_offsets[node] = total_locals;
-    scratch->ring_offsets[node] = ring_cursor;
-    scratch->rank_offsets[node] = rank_cursor;
-    total_locals += res.locals.size() + res.locals_z1.size();
-    ring_cursor += res.rings.ref_count;
-    rank_cursor += res.rings.rank_count;
-  }
-  scratch->local_offsets[num_nodes] = total_locals;
-  scratch->ring_offsets[num_nodes] = ring_cursor;
-  scratch->rank_offsets[num_nodes] = rank_cursor;
-  plan->local.resize(total_locals);
-  if (plan->intra_node.size() < ring_cursor) {
-    plan->intra_node.resize(ring_cursor);
-  }
-  if (plan->rank_arena.size() < rank_cursor) {
-    plan->rank_arena.resize(rank_cursor);
-  }
-  RunTasks(pool, num_nodes, [&](int node, int /*context*/) {
-    const NodeIntraResult& res = scratch->intra_results[node];
-    LocalSequence* dst = plan->local.data() + scratch->local_offsets[node];
-    dst = std::copy(res.locals.begin(), res.locals.end(), dst);
-    std::copy(res.locals_z1.begin(), res.locals_z1.end(), dst);
+    ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, cluster_.gpus_per_node,
+                    s->fabric.alive(node), &slab.chunk_base);
+    planner_internal::PackIntraNode(s->node_items[node], slab.chunk_base, s->fabric, node,
+                                    options_.token_capacity, options_.max_local_threshold,
+                                    &slab, &res);
 
-    // Headers shift from node-local to plan-arena offsets; ranks are one
-    // contiguous slice copy.
-    RingRef* headers = plan->intra_node.data() + scratch->ring_offsets[node];
-    const uint32_t shift = static_cast<uint32_t>(scratch->rank_offsets[node]);
+    plan->local.insert(plan->local.end(), res.locals.begin(), res.locals.end());
+    plan->local.insert(plan->local.end(), res.locals_z1.begin(), res.locals_z1.end());
+    const size_t rings_end = s->intra_ring_count + res.rings.ref_count;
+    const size_t ranks_end = s->arena_count + res.rings.rank_count;
+    if (plan->intra_node.size() < rings_end) {
+      plan->intra_node.resize(rings_end);
+    }
+    if (plan->rank_arena.size() < ranks_end) {
+      plan->rank_arena.resize(ranks_end);
+    }
+    const uint32_t shift = static_cast<uint32_t>(s->arena_count);
     for (size_t i = 0; i < res.rings.ref_count; ++i) {
       RingRef ring = res.rings.refs[i];
       ring.rank_offset += shift;
-      headers[i] = ring;
+      plan->intra_node[s->intra_ring_count + i] = ring;
     }
     if (res.rings.rank_count > 0) {
-      std::memcpy(plan->rank_arena.data() + scratch->rank_offsets[node], res.rings.arena.data(),
+      std::memcpy(plan->rank_arena.data() + s->arena_count, res.rings.arena.data(),
                   sizeof(int) * res.rings.rank_count);
     }
-  });
-  scratch->intra_ring_count = ring_cursor;
-  scratch->arena_count = rank_cursor;
+    s->intra_ring_count = rings_end;
+    s->arena_count = ranks_end;
 
-  for (int node = 0; node < num_nodes; ++node) {
-    const NodeIntraResult& res = scratch->intra_results[node];
-    const std::span<const int> ranks = scratch->fabric.node_ranks(node);
+    const std::span<const int> ranks = s->fabric.node_ranks(node);
     for (size_t d = 0; d < ranks.size(); ++d) {
       plan->tokens_per_rank[ranks[d]] += res.device_loads[d];
     }
     plan->threshold_s0[node] = res.threshold_s0;
   }
 
-  plan->inter_node.resize(scratch->inter_ring_count);
-  plan->intra_node.resize(scratch->intra_ring_count);
-  plan->rank_arena.resize(scratch->arena_count);
+  plan->inter_node.resize(s->inter_ring_count);
+  plan->intra_node.resize(s->intra_ring_count);
+  plan->rank_arena.resize(s->arena_count);
 }
 
 }  // namespace zeppelin

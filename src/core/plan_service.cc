@@ -78,15 +78,10 @@ PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* 
   return PlanStatus::kOk;
 }
 
-PlannerService::PlannerService(PlanServiceOptions options)
-    : options_(options), plan_pool_(std::make_shared<PlanPool>()) {
+PlannerService::PlannerService() : plan_pool_(std::make_shared<PlanPool>()) {
   for (int i = 0; i < kNumDeltaOutcomes; ++i) {
     delta_outcomes_[i] = metrics_.GetCounter(
         std::string("delta.") + DeltaOutcomeName(static_cast<DeltaOutcome>(i)));
-  }
-  plan_pool_->limit = std::max(0, options_.plan_pool_limit);
-  if (options_.num_planner_threads >= 1) {
-    pool_.emplace(std::clamp(options_.num_planner_threads, 1, ThreadPool::kMaxContexts));
   }
 }
 
@@ -110,7 +105,7 @@ std::shared_ptr<PartitionPlan> PlannerService::AcquirePlan() {
   return std::shared_ptr<PartitionPlan>(storage.release(), [pool](PartitionPlan* plan) {
     std::unique_ptr<PartitionPlan> owned(plan);
     std::lock_guard<std::mutex> lock(pool->mu);
-    if (static_cast<int>(pool->free.size()) < pool->limit) {
+    if (static_cast<int>(pool->free.size()) < kPlanPoolLimit) {
       pool->free.push_back(std::move(owned));
     }
   });
@@ -210,9 +205,6 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
     popts.max_inter_threshold = zones.intra_max;
     popts.max_local_threshold = zones.local_max;
   }
-  if (pool_.has_value()) {
-    popts.pool = &*pool_;
-  }
 
   // Check a reusable workspace out of the free list; concurrent stateless
   // requests each get their own, and steady-state traffic reuses them.
@@ -236,12 +228,6 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
   const auto start = Clock::now();
   {
     obs::TraceScope plan_span(obs::Stage::kPlan);
-    // ThreadPool batches admit one caller at a time; every pooled plan in
-    // the service serializes here (delta patches and inline plans never do).
-    std::unique_lock<std::mutex> pool_lock;
-    if (pool_.has_value()) {
-      pool_lock = std::unique_lock<std::mutex>(pool_mu_);
-    }
     ctx->partitioner->Partition(batch, &ctx->scratch, plan.get());
   }
   response.stats.partition_time_us = ElapsedUs(start);
@@ -296,7 +282,7 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
   }
 
   // Requests on the same stream serialize here; distinct streams proceed
-  // concurrently (their only shared state is the pool, locked per-rebase).
+  // concurrently.
   std::lock_guard<std::mutex> session_lock(session->mu);
 
   // Session preconditions, checked against the state this lock guards before
@@ -320,6 +306,7 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
   const auto start = Clock::now();
   obs::TraceContext* tctx = obs::CurrentTrace();
   const double plan_start_us = tctx != nullptr ? obs::NowUs() : 0;
+  DeltaOutcome outcome = DeltaOutcome::kRebasedNoBase;
   if (needs_base) {
     // (Re)establish the base: capacity pinned from this batch, zone caps
     // from the cached boundaries, and the memory model as the ceiling for
@@ -333,10 +320,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
       dopts.max_local_threshold = zones.local_max;
     }
     dopts.replan_threshold = request.options.delta_replan_threshold;
-    if (pool_.has_value()) {
-      dopts.pool = &*pool_;
-      dopts.pool_mutex = &pool_mu_;
-    }
     if (fresh) {
       session->planner.emplace(spec, dopts);
     } else {
@@ -350,7 +333,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
       session->planner->ApplyTopology(*request.topology);
     }
     session->planner->Rebase(batch);
-    session->last_outcome = DeltaOutcome::kRebasedNoBase;
   } else {
     // Fabric churn first (a topology fallback replans against the session's
     // tracked batch), then the batch delta patches on whatever base that
@@ -364,11 +346,11 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
     }
     const DeltaOutcome batch_outcome = session->planner->Apply(*request.delta);
     if (topo_active && topo_outcome != DeltaOutcome::kAppliedTopology) {
-      session->last_outcome = topo_outcome;
+      outcome = topo_outcome;
     } else if (topo_active && batch_outcome == DeltaOutcome::kApplied) {
-      session->last_outcome = DeltaOutcome::kAppliedTopology;
+      outcome = DeltaOutcome::kAppliedTopology;
     } else {
-      session->last_outcome = batch_outcome;
+      outcome = batch_outcome;
     }
   }
   response.stats.partition_time_us = ElapsedUs(start);
@@ -377,10 +359,10 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
   if (tctx != nullptr) {
     tctx->AddSpan(obs::Stage::kPlan, plan_start_us, response.stats.partition_time_us);
   }
-  response.stats.delta_outcome = session->last_outcome;
-  delta_outcomes_[static_cast<int>(session->last_outcome)]->Inc();
-  const bool patched = session->last_outcome == DeltaOutcome::kApplied ||
-                       session->last_outcome == DeltaOutcome::kAppliedTopology;
+  response.stats.delta_outcome = outcome;
+  delta_outcomes_[static_cast<int>(outcome)]->Inc();
+  const bool patched = outcome == DeltaOutcome::kApplied ||
+                       outcome == DeltaOutcome::kAppliedTopology;
   response.stats.engine = patched ? PlanEngine::kDeltaPatch : PlanEngine::kParallelSharded;
   response.stats.token_capacity = session->planner->token_capacity();
   response.stats.session_count = session_count();
@@ -451,15 +433,6 @@ bool PlannerService::GetSessionTopology(const std::string& stream_id,
   ZCHECK(out != nullptr);
   return WithPlannedSession(
       stream_id, [out](const Session& session) { *out = session.planner->topology(); });
-}
-
-DeltaOutcome PlannerService::SessionLastOutcome(const std::string& stream_id) const {
-  // A session that has not planned yet still reports kRebasedNoBase.
-  DeltaOutcome outcome = DeltaOutcome::kRebasedNoBase;
-  WithPlannedSession(stream_id, [&outcome](const Session& session) {
-    outcome = session.last_outcome;
-  });
-  return outcome;
 }
 
 }  // namespace zeppelin

@@ -34,11 +34,9 @@
 //     (callers need no external synchronization, but see the determinism
 //     caveat in docs/SERVICE_API.md: interleaving order is the caller's
 //     responsibility).
-//   - Full (re)plans share the service's ThreadPool under an internal lock;
-//     delta patches never touch the pool, so concurrent streams only
-//     contend when one of them falls back to a full re-plan. A service
-//     without a pool (num_planner_threads = 0) runs every full plan inline
-//     on the requesting thread, with no shared lock at all.
+//   - Every plan runs on the requesting thread. Full plans take no
+//     service-wide lock: concurrent stateless requests each check out their
+//     own workspace, and each session plans under its own lock only.
 //   - Returned handles are immune to later requests; they may outlive the
 //     service itself.
 #ifndef SRC_CORE_PLAN_SERVICE_H_
@@ -52,7 +50,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/core/delta_planner.h"
@@ -123,8 +120,7 @@ PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* 
 // (docs/DAEMON.md); 0 and 1 once named the naive and serial engines, which
 // the service no longer runs, and are never reused.
 enum class PlanEngine : uint8_t {
-  kParallelSharded = 2,  // Full (re)plan by the sharded engine, pooled or
-                         //   inline (byte-identical either way); on a
+  kParallelSharded = 2,  // Full (re)plan by the sharded engine; on a
                          //   degraded session fabric, its elastic re-plan.
   kDeltaPatch,       // Session request patched incrementally.
   kGlobalRing,       // hierarchical_partitioning = false ablation layout.
@@ -189,22 +185,14 @@ struct PlanResponse {
   uint64_t digest = 0;
 };
 
-struct PlanServiceOptions {
-  // Execution contexts of the shared planning pool (including the calling
-  // thread): 0 = no pool (every full plan runs the sharded engine inline on
-  // the requesting thread, so full plans never serialize on the pool lock),
-  // N >= 1 = pooled sharded engine for full (re)plans. Same semantics as
-  // ZeppelinOptions::num_planner_threads.
-  int num_planner_threads = 1;
-  // Immutable-plan storage recycled through the internal pool; handles
-  // released beyond this cap free normally.
-  int plan_pool_limit = 16;
-};
-
 // The planning service. Thread-safe per the concurrency contract above.
 class PlannerService {
  public:
-  explicit PlannerService(PlanServiceOptions options = {});
+  // Immutable-plan storage recycled through the internal pool; handles
+  // released beyond this many free normally.
+  static constexpr int kPlanPoolLimit = 16;
+
+  PlannerService();
   ~PlannerService();
 
   PlannerService(const PlannerService&) = delete;
@@ -235,9 +223,6 @@ class PlannerService {
   // Copies the session's fabric state into `*out`. Returns false if the
   // stream id names no session or the session has not planned yet.
   bool GetSessionTopology(const std::string& stream_id, RankTopology* out) const;
-  // The session's last outcome (kApplied / kRebased*); kRebasedNoBase if the
-  // stream id names no session.
-  DeltaOutcome SessionLastOutcome(const std::string& stream_id) const;
 
   // The serving stack's one metrics registry (docs/OBSERVABILITY.md). The
   // service counts every session response as delta.<DeltaOutcomeName>; the
@@ -251,7 +236,6 @@ class PlannerService {
   struct Session {
     std::mutex mu;
     std::optional<DeltaPlanner> planner;
-    DeltaOutcome last_outcome = DeltaOutcome::kRebasedNoBase;
   };
 
   // Reusable workspace for stateless full plans: checked out of a free list
@@ -267,7 +251,6 @@ class PlannerService {
   struct PlanPool {
     std::mutex mu;
     std::vector<std::unique_ptr<PartitionPlan>> free;
-    int limit = 16;
   };
 
   // Cache key is everything a ZoneClassifier's output depends on: the full
@@ -308,15 +291,6 @@ class PlannerService {
   obs::MetricsRegistry metrics_;
   // One counter per DeltaOutcome, indexed by it.
   std::array<obs::Counter*, kNumDeltaOutcomes> delta_outcomes_{};
-
-  PlanServiceOptions options_;
-
-  // Declared before the session table: sessions hold DeltaPlanners whose
-  // rebases reference the pool, so the pool must be destroyed last.
-  std::optional<ThreadPool> pool_;
-  // Serializes every use of pool_ (ThreadPool batches are not reentrant and
-  // admit one caller at a time). Delta patches never take this.
-  std::mutex pool_mu_;
 
   mutable std::mutex sessions_mu_;
   // shared_ptr values: a session stays alive for any request that looked it

@@ -6,8 +6,6 @@
 #include <limits>
 #include <sstream>
 
-#include "src/common/thread_pool.h"
-
 #include "src/baselines/double_ring.h"
 #include "src/baselines/hybrid_dp.h"
 #include "src/baselines/llama_cp.h"
@@ -53,21 +51,6 @@ bool KnobValue(const std::string& mod, const std::string& key, std::string* valu
   return true;
 }
 
-int ParseThreads(const std::string& value, const std::string& mod) {
-  if (value == "auto" || value == "hw") {
-    return ThreadPool::HardwareThreads();
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  // Range-check before narrowing: a silently truncated huge value would
-  // select an unintended thread count instead of failing the parse.
-  ZCHECK(end != nullptr && *end == '\0' && errno != ERANGE && parsed >= 0 &&
-         parsed <= std::numeric_limits<int>::max())
-      << "bad thread count in spec modifier: " << mod;
-  return static_cast<int>(parsed);
-}
-
 double ParseDouble(const std::string& value, const std::string& mod) {
   char* end = nullptr;
   const double parsed = std::strtod(value.c_str(), &end);
@@ -110,7 +93,6 @@ std::unique_ptr<Strategy> MakeStrategyByName(const std::string& spec,
   if (base == "zeppelin") {
     ZeppelinOptions options;
     // Defaults first; inline knob modifiers below override them.
-    options.num_planner_threads = defaults.num_planner_threads;
     options.delta_replan_threshold = defaults.delta_replan_threshold;
     options.service = defaults.service;
     for (size_t i = 1; i < parts.size(); ++i) {
@@ -130,8 +112,6 @@ std::unique_ptr<Strategy> MakeStrategyByName(const std::string& spec,
         options.engine.chunk_scheme = ChunkScheme::kContiguous;
       } else if (mod == "+localfirst") {
         options.engine.forward_order = QueueOrder::kLocalIntraInter;
-      } else if (KnobValue(mod, "threads", &value)) {
-        options.num_planner_threads = ParseThreads(value, mod);
       } else if (KnobValue(mod, "delta", &value)) {
         options.delta_replan_threshold = ParseDouble(value, mod);
       } else if (KnobValue(mod, "capacity", &value)) {

@@ -16,8 +16,6 @@
 // Zeppelin specs also accept inline *knob* modifiers (`+key=value`), so a
 // single spec string fully describes a configuration without side-channel
 // flags:
-//   zeppelin+threads=4               planner pool contexts (0 = no pool,
-//                                    inline; "auto" = hardware concurrency)
 //   zeppelin+delta=0.02              delta-replan threshold (PlanDelta)
 //   zeppelin+capacity=8192           explicit token capacity L per device
 //   zeppelin+stream=decode-7         PlannerService session key (distinct
@@ -25,10 +23,10 @@
 //   zeppelin+faults=0.01@7           fault-injection rate (and optional
 //                                    injector seed) for streaming drivers;
 //                                    wins over --fault_rate/--fault_seed
-//   zeppelin+threads=4+delta=0.02    modifiers compose left to right
-// The corresponding StrategyDefaults fields remain as aliases (typically fed
-// from --planner_threads / --delta_threshold flags); inline knobs take
-// precedence over defaults.
+//   zeppelin+stream=a+delta=0.02     modifiers compose left to right
+// The corresponding StrategyDefaults field remains as an alias (typically fed
+// from the --delta_threshold flag); inline knobs take precedence over
+// defaults.
 //
 // Cluster spec grammar: A|B|C (paper presets), case-insensitive.
 #ifndef SRC_CORE_REGISTRY_H_
@@ -50,11 +48,6 @@ class PlannerService;  // src/core/plan_service.h
 // variant. Each field is the *alias* of an inline knob modifier (see the
 // grammar above); an inline knob on the spec wins over the default.
 struct StrategyDefaults {
-  // ZeppelinOptions::num_planner_threads for zeppelin specs: 0 = sharded
-  // engine inline (no pool), N >= 1 = sharded engine on a pool of N
-  // contexts. Ignored by baselines.
-  // Inline form: +threads=N.
-  int num_planner_threads = 1;
   // ZeppelinOptions::delta_replan_threshold for zeppelin specs: streaming
   // (PlanDelta) fallback knob — full re-plan above this churn fraction or
   // imbalance drift. Ignored by baselines (their PlanDelta re-plans fully).

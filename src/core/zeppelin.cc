@@ -29,8 +29,7 @@ PlannerService& ZeppelinStrategy::service() {
     return *options_.service;
   }
   if (!owned_service_) {
-    owned_service_ = std::make_shared<PlannerService>(
-        PlanServiceOptions{.num_planner_threads = options_.num_planner_threads});
+    owned_service_ = std::make_shared<PlannerService>();
   }
   return *owned_service_;
 }

@@ -9,7 +9,7 @@
 // partition plan is held as an immutable std::shared_ptr<const PartitionPlan>
 // handle — the strategy keeps no mutable planning state of its own beyond
 // the routing/engine/remapping layers it emits through. Several strategies
-// can share one service (and thus one planning pool and session table) via
+// can share one service (and thus one session table) via
 // ZeppelinOptions::service.
 #ifndef SRC_CORE_ZEPPELIN_H_
 #define SRC_CORE_ZEPPELIN_H_
@@ -52,14 +52,6 @@ struct ZeppelinOptions {
   // smaller rings even when memory would allow bigger ones.
   bool zone_aware_thresholds = false;
 
-  // Execution contexts for the sharded planner engine (including the calling
-  // thread): 1 (the default) runs it on a one-context pool, N > 1 adds N-1
-  // pool workers for the per-node intra stage and merges, and 0 runs it
-  // inline with no pool at all. Plans are bit-identical at every setting.
-  // Applies to the strategy's private service only; a shared `service`
-  // brings its own pool.
-  int num_planner_threads = 1;
-
   // Streaming (PlanDelta) fallback knob: the delta planner re-plans from
   // scratch when the churn fraction exceeds this, or when the patched plan's
   // token imbalance drifts more than this above the last full re-plan's
@@ -72,9 +64,8 @@ struct ZeppelinOptions {
   std::string stream_id = "default";
 
   // Planner service to plan through. Null = the strategy lazily creates a
-  // private service sized by `num_planner_threads`. Supplying a shared
-  // service lets many strategies/streams plan through one pool and one
-  // session table (see docs/SERVICE_API.md).
+  // private service. Supplying a shared service lets many strategies/streams
+  // plan through one session table (see docs/SERVICE_API.md).
   std::shared_ptr<PlannerService> service;
 
   // Deterministic fault injection (docs/ELASTIC.md). The strategy never runs

@@ -153,9 +153,14 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
 
   std::string out;
   AppendRequestFrame(request, &out);
-  if (!SendAll(fd_, out.data(), out.size(), deadline)) {
-    return transport_error("send failed or timed out");
-  }
+  // A daemon may answer before it has read the whole request (a typed
+  // kOversizedFrame after the header, then close), which fails the send.
+  // The reply it sent first is still readable, so a failed send reads too,
+  // and reports a transport error only when no reply arrives.
+  const bool sent = SendAll(fd_, out.data(), out.size(), deadline);
+  auto read_error = [&](std::string message) {
+    return transport_error(sent ? std::move(message) : "send failed or timed out");
+  };
 
   // The reply is read straight into the decoder's buffer, 64 KiB at a time
   // as the daemon reads requests: the buffer grows geometrically with what
@@ -169,27 +174,30 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       break;
     }
     if (status != FrameStatus::kIncomplete) {
-      return transport_error(std::string("response framing: ") + FrameStatusName(status));
+      return read_error(std::string("response framing: ") + FrameStatusName(status));
     }
     struct pollfd pfd = {fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, RemainingMs(deadline));
     if (ready == 0) {
-      return transport_error("request timed out awaiting response");
+      return read_error("request timed out awaiting response");
     }
     if (ready < 0) {
       if (errno == EINTR) continue;
-      return transport_error(std::string("poll: ") + std::strerror(errno));
+      return read_error(std::string("poll: ") + std::strerror(errno));
     }
     const std::span<char> space = decoder.Space(64 << 10);
     const ssize_t n = ::recv(fd_, space.data(), space.size(), 0);
     if (n == 0) {
-      return transport_error("connection closed by daemon");
+      return read_error("connection closed by daemon");
     }
     if (n < 0) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return transport_error(std::string("recv: ") + std::strerror(errno));
+      return read_error(std::string("recv: ") + std::strerror(errno));
     }
     decoder.Commit(static_cast<size_t>(n));
+  }
+  if (!sent) {
+    Close();  // Part of the request never went out; the stream is unusable.
   }
 
   WireResponse response;

@@ -207,7 +207,6 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
       fabric_(logical_cluster_),
       cost_model_(model, logical_cluster_, options.tensor_parallel),
       options_(options),
-      service_(PlanServiceOptions{.num_planner_threads = options.planner_threads}),
       cache_(&service_) {
   options_.max_frame_bytes = std::min(options_.max_frame_bytes, kFrameHardCap);
   // Instrument registration is a construction-time event: the request path
@@ -402,13 +401,17 @@ void PlannerDaemon::AcceptLoop() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     conn->last_active_us = NowUs();
+    c_connections_accepted_->Inc();
     {
+      // The reader is started under the lock that publishes the connection:
+      // a reader that finishes at once is joined by the reaper, which must
+      // see `thread` assigned, or the last reference would destroy a
+      // joinable thread.
       std::lock_guard<std::mutex> lock(conns_mu_);
       conn->id = next_conn_id_++;
       conns_[conn->id] = conn;
+      conn->thread = std::thread([this, conn] { ServeConnection(conn); });
     }
-    c_connections_accepted_->Inc();
-    conn->thread = std::thread([this, conn] { ServeConnection(conn); });
   }
 }
 

@@ -74,8 +74,6 @@ struct DaemonOptions {
   // Tensor parallelism inside nodes (Trainer semantics: the served cluster
   // is ApplyTensorParallelism(cluster, tp)).
   int tensor_parallel = 1;
-  // PlanServiceOptions::num_planner_threads of the owned service.
-  int planner_threads = 1;
   // Admission permits: requests planning at once across all connections.
   int max_concurrent_plans = 2;
   // Bounded waiting room behind the permits; a request arriving with the

@@ -1,17 +1,17 @@
-// Parallel/sharded planner engine: the determinism contract and the bulk
-// packing kernel.
+// Sharded planner engine: the determinism contract and the bulk packing
+// kernel.
 //
 // The contract (partitioner.h): plans are byte-identical between the naive
-// oracle and the sharded engine, inline or on a pool of ANY thread count —
+// oracle and the sharded engine, whatever a reused scratch held before —
 // including batches that force overflow restarts and degenerate clusters.
 // These tests pin the contract (on clean fabrics, with or without a clean
-// topology; on degraded ones, across thread counts) and the GreedyPacker's
-// placement-for-placement equivalence with LoadTracker::pack_min, and
-// NormalizedLoads' pick-for-pick equivalence with the degraded packing rule.
+// topology; on degraded ones, against a fresh scratch) and the
+// GreedyPacker's placement-for-placement equivalence with
+// LoadTracker::pack_min, and NormalizedLoads' pick-for-pick equivalence with
+// the degraded packing rule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,7 +19,6 @@
 #include "src/common/load_tracker.h"
 #include "src/common/normalized_loads.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/partitioner.h"
 #include "src/core/plan_verify.h"
 #include "src/data/datasets.h"
@@ -223,7 +222,7 @@ TEST(NormalizedLoadsTest, PicksMatchTheRuleOnRandomStreams) {
   }
 }
 
-// --- Plan equivalence across engines and thread counts -------------------------
+// --- Plan equivalence across engines --------------------------------------------
 
 void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
                           const std::string& context) {
@@ -238,11 +237,10 @@ void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
   EXPECT_TRUE(got == want) << context;
 }
 
-// Runs the naive oracle, then the sharded engine with no pool (inline, T=0)
-// and on pools of {1, 2, 3, 8} contexts, each without a topology and with
+// Runs the naive oracle, then the sharded engine without a topology and with
 // an all-alive nominal-speed one; every plan must be byte-identical. One
-// scratch serves every run (twice each): steady-state reuse across paths,
-// context counts and fabric views must not leak.
+// scratch serves every run (the engine's twice each): steady-state reuse
+// across paths and fabric views must not leak.
 void CheckAllEngines(const ClusterSpec& cluster, const Batch& batch, int64_t capacity,
                      const std::string& context) {
   PlannerScratch scratch;
@@ -253,19 +251,13 @@ void CheckAllEngines(const ClusterSpec& cluster, const Batch& batch, int64_t cap
   clean.Reset(cluster.world_size());
   const RankTopology* const topologies[] = {nullptr, &clean};
 
-  for (int threads : {0, 1, 2, 3, 8}) {
-    std::optional<ThreadPool> pool;
-    if (threads > 0) {
-      pool.emplace(threads);
-    }
-    SequencePartitioner parallel(
-        cluster, {.token_capacity = capacity, .pool = pool ? &*pool : nullptr});
-    for (const RankTopology* topology : topologies) {
-      PartitionPlan parallel_plan;
-      parallel.Partition(batch, &scratch, &parallel_plan, topology);
-      parallel.Partition(batch, &scratch, &parallel_plan, topology);
-      ExpectPlansIdentical(parallel_plan, naive_plan,
-                           context + " [parallel T=" + std::to_string(threads) +
+  SequencePartitioner engine(cluster, {.token_capacity = capacity});
+  for (const RankTopology* topology : topologies) {
+    PartitionPlan engine_plan;
+    for (int run = 0; run < 2; ++run) {
+      engine.Partition(batch, &scratch, &engine_plan, topology);
+      ExpectPlansIdentical(engine_plan, naive_plan,
+                           context + " [engine run " + std::to_string(run) +
                                (topology != nullptr ? " clean topology]" : "]"));
     }
   }
@@ -325,22 +317,14 @@ TEST(ParallelPlannerTest, IdenticalWithZoneThresholdCaps) {
                                         .max_local_threshold = 2048,
                                         .fast_path = false};
       const PartitionPlan naive_plan = SequencePartitioner(cluster, base).Partition(batch);
-      for (int threads : {0, 1, 3}) {
-        std::optional<ThreadPool> pool;
-        if (threads > 0) {
-          pool.emplace(threads);
-        }
-        SequencePartitioner::Options opts = base;
-        opts.fast_path = true;
-        opts.pool = pool ? &*pool : nullptr;
-        const PartitionPlan got = SequencePartitioner(cluster, opts).Partition(batch);
-        ExpectPlansIdentical(got, naive_plan,
-                             dist.name() + " capped s1<=" + std::to_string(inter_cap) +
-                                 " T=" + std::to_string(threads));
-        // The caps force nonempty z2 / z1 zones — make sure rings exist so
-        // the ring-merge path is actually exercised.
-        EXPECT_FALSE(got.inter_node.empty() && got.intra_node.empty()) << dist.name();
-      }
+      SequencePartitioner::Options opts = base;
+      opts.fast_path = true;
+      const PartitionPlan got = SequencePartitioner(cluster, opts).Partition(batch);
+      ExpectPlansIdentical(got, naive_plan,
+                           dist.name() + " capped s1<=" + std::to_string(inter_cap));
+      // The caps force nonempty z2 / z1 zones — make sure rings exist so
+      // the ring-merge path is actually exercised.
+      EXPECT_FALSE(got.inter_node.empty() && got.intra_node.empty()) << dist.name();
     }
   }
 }
@@ -355,7 +339,7 @@ TEST(ParallelPlannerTest, IdenticalOnEdgeBatches) {
   };
   // Degenerate 1-node cluster: every z2 sequence is a single-node ring.
   CheckAllEngines(one_node, make({16384, 8192, 2048, 512, 512}), 4096, "one node");
-  // Fewer sequences than pool contexts.
+  // Two sequences: most of the engine's per-node work is empty.
   CheckAllEngines(cluster, make({4096, 64}), 4096, "tiny batch");
   // Single sequence filling the cluster exactly.
   CheckAllEngines(cluster, make({16 * 4096}), 4096, "single full");
@@ -367,10 +351,10 @@ TEST(ParallelPlannerTest, IdenticalOnEdgeBatches) {
 }
 
 // A degraded fabric plans through the same engine: the plan is byte-
-// identical with no pool and on pools of 1, 2 and 4, passes the certifier
-// with the topology, puts nothing on dead ranks, and keeps every alive
-// node's raw load within its alive capacity m*L.
-TEST(ParallelPlannerTest, DegradedPlansCertifiedAndThreadInvariant) {
+// identical on a fresh scratch and (twice) on one reused across every case,
+// passes the certifier with the topology, puts nothing on dead ranks, and
+// keeps every alive node's raw load within its alive capacity m*L.
+TEST(ParallelPlannerTest, DegradedPlansCertifiedAndScratchInvariant) {
   const ClusterSpec cluster = MakeClusterA(4);  // 4 nodes x 8 GPUs.
   const int p = cluster.gpus_per_node;
   RankTopology topology;
@@ -385,6 +369,7 @@ TEST(ParallelPlannerTest, DegradedPlansCertifiedAndThreadInvariant) {
   const int64_t alive = topology.alive_count();
 
   bool saw_inter = false;
+  PlannerScratch reused;
   for (const auto& dist : EvaluationDatasets()) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       BatchSampler sampler(dist, alive * 4096, seed);
@@ -393,16 +378,13 @@ TEST(ParallelPlannerTest, DegradedPlansCertifiedAndThreadInvariant) {
       for (int64_t capacity : {average + average / 4, average + average / 32}) {
         const std::string context = dist.name() + " seed " + std::to_string(seed) +
                                     " L=" + std::to_string(capacity);
-        PlannerScratch scratch;
-        SequencePartitioner inline_engine(cluster, {.token_capacity = capacity});
-        const PartitionPlan plan = inline_engine.Partition(batch, &scratch, &topology);
-        for (int threads : {1, 2, 4}) {
-          ThreadPool pool(threads);
-          SequencePartitioner pooled(cluster, {.token_capacity = capacity, .pool = &pool});
-          PartitionPlan pooled_plan;
-          pooled.Partition(batch, &scratch, &pooled_plan, &topology);
-          pooled.Partition(batch, &scratch, &pooled_plan, &topology);
-          ExpectPlansIdentical(pooled_plan, plan, context + " T=" + std::to_string(threads));
+        SequencePartitioner engine(cluster, {.token_capacity = capacity});
+        const PartitionPlan plan = engine.Partition(batch, &topology);
+        PartitionPlan reused_plan;
+        for (int run = 0; run < 2; ++run) {
+          engine.Partition(batch, &reused, &reused_plan, &topology);
+          ExpectPlansIdentical(reused_plan, plan,
+                               context + " reused scratch run " + std::to_string(run));
         }
 
         const PlanVerifyResult verdict = VerifyPlan(plan, &batch, &topology, {.eps = -1});
@@ -427,9 +409,9 @@ TEST(ParallelPlannerTest, DegradedPlansCertifiedAndThreadInvariant) {
   EXPECT_TRUE(saw_inter) << "no case exercised a multi-node ring on the degraded fabric";
 }
 
-// The engine must route its packing through GreedyPacker in bulk — inline
-// or pooled: ops near the sequence count, not S log P. A reintroduced
-// per-sequence heap walk or linear scan blows past this bound.
+// The engine must route its packing through GreedyPacker in bulk: ops near
+// the sequence count, not S log P. A reintroduced per-sequence heap walk or
+// linear scan blows past this bound.
 TEST(ParallelPlannerTest, PackerOpCountStaysBulk) {
   const int kSeqs = 8192;
   const ClusterSpec cluster = MakeClusterA(32);  // P = 256.
@@ -441,18 +423,13 @@ TEST(ParallelPlannerTest, PackerOpCountStaysBulk) {
       batch.seq_lens.push_back(dist.Sample(rng));
     }
     const int64_t average = (batch.total_tokens() + world - 1) / world;
-    ThreadPool pool(2);
-    for (ThreadPool* engine_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const std::string arm = engine_pool != nullptr ? " pooled" : " inline";
-      SequencePartitioner partitioner(
-          cluster, {.token_capacity = average + average / 4, .pool = engine_pool});
-      PlannerScratch scratch;
-      const PartitionPlan plan = partitioner.Partition(batch, &scratch);
-      EXPECT_EQ(plan.total_tokens(), batch.total_tokens());
-      EXPECT_GT(scratch.packer_ops(), 0) << "engine must route through GreedyPacker" << arm;
-      EXPECT_LE(scratch.packer_ops(), static_cast<int64_t>(10) * (kSeqs + world))
-          << dist.name() << arm << ": packing degraded to per-item heap walks";
-    }
+    SequencePartitioner partitioner(cluster, {.token_capacity = average + average / 4});
+    PlannerScratch scratch;
+    const PartitionPlan plan = partitioner.Partition(batch, &scratch);
+    EXPECT_EQ(plan.total_tokens(), batch.total_tokens());
+    EXPECT_GT(scratch.packer_ops(), 0) << "engine must route through GreedyPacker";
+    EXPECT_LE(scratch.packer_ops(), static_cast<int64_t>(10) * (kSeqs + world))
+        << dist.name() << ": packing degraded to per-item heap walks";
   }
 }
 

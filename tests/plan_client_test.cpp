@@ -3,7 +3,8 @@
 // against injected connection failures (dead port, accept-then-close, and
 // accept-then-stall servers), the idempotency rule — stateless requests
 // retry up to the cap with recorded backoff sleeps, session plan requests
-// surface the first transport error with no retry and no sleep — and
+// surface the first transport error with no retry and no sleep — a typed
+// reply that arrives while the request is still being sent, and
 // kPlanRejected for canned responses the client must not trust.
 #include <gtest/gtest.h>
 
@@ -32,11 +33,13 @@ namespace net {
 namespace {
 
 // A server that accepts connections and then misbehaves on purpose: closes
-// at once, never answers, or answers every request with a canned response
-// (under the request's own id).
+// at once, never answers, answers every request with a canned response
+// (under the request's own id), or rejects each request after its frame
+// header the way the daemon rejects an oversized frame — one typed error
+// frame, then close with the rest of the request unread.
 class EvilServer {
  public:
-  enum class Mode { kCloseImmediately, kStall, kCanned };
+  enum class Mode { kCloseImmediately, kStall, kCanned, kRejectHeader };
 
   explicit EvilServer(Mode mode, WireResponse canned = {})
       : mode_(mode), canned_(std::move(canned)) {
@@ -80,6 +83,11 @@ class EvilServer {
         ::close(fd);
         continue;
       }
+      if (mode_ == Mode::kRejectHeader) {
+        RejectHeader(fd);
+        ::close(fd);
+        continue;
+      }
       if (mode_ == Mode::kCanned) {
         Answer(fd);
       }
@@ -103,6 +111,19 @@ class EvilServer {
     ParseRequest(frame.payload, &request, &error);
     WireResponse response = canned_;
     response.request_id = request.request_id;
+    std::string out;
+    AppendResponseFrame(response, &out);
+    ::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
+  }
+
+  void RejectHeader(int fd) {
+    char header[kFrameHeaderBytes];
+    if (::recv(fd, header, sizeof(header), MSG_WAITALL) != static_cast<ssize_t>(sizeof(header))) {
+      return;
+    }
+    WireResponse response;
+    response.status = WireStatus::kOversizedFrame;
+    response.message = "framing error: oversized";
     std::string out;
     AppendResponseFrame(response, &out);
     ::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
@@ -195,6 +216,25 @@ TEST(PlanClientTest, StatelessPlanRetriesToTheCap) {
   EXPECT_EQ(result.attempts, 3);  // 1 try + 2 retries, each a fresh connect.
   EXPECT_EQ(sleeps, (std::vector<int>{10, 20}));
   EXPECT_GE(server.accepted(), 3);
+}
+
+// The server answers after the header and closes with most of the request
+// unread, so the client's send fails. The typed reply that arrived first
+// must still be the result: not a transport error, and no resend.
+TEST(PlanClientTest, TypedReplyToAPartlySentRequestIsNotRetried) {
+  EvilServer server(EvilServer::Mode::kRejectHeader);
+  std::vector<int> sleeps;
+  PlanClientOptions options = RecordingOptions(&sleeps, 3);
+  options.request_timeout_ms = 5000;
+  PlanClient client("127.0.0.1", server.port(), options);
+
+  WireRequest request;
+  request.batch.seq_lens.assign(size_t{4} << 20, 100);  // A 32 MiB frame.
+  const PlanClientResult result = client.Plan(std::move(request));
+  EXPECT_EQ(result.status, WireStatus::kOversizedFrame) << result.message;
+  EXPECT_EQ(result.attempts, 1);
+  EXPECT_TRUE(sleeps.empty());
+  EXPECT_EQ(server.accepted(), 1);
 }
 
 TEST(PlanClientTest, CloseSessionIsIdempotentAndRetried) {

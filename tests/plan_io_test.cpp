@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/delta_planner.h"
 #include "src/core/partitioner.h"
 #include "src/core/plan_io.h"
@@ -47,13 +46,12 @@ Batch RingHeavyBatch(int num_seqs, uint64_t seed, const char* dataset = "github"
   return batch;
 }
 
-PartitionPlan MakePlan(const Batch& batch, const ClusterSpec& cluster, bool fast_path,
-                       ThreadPool* pool) {
+PartitionPlan MakePlan(const Batch& batch, const ClusterSpec& cluster, bool fast_path) {
   const int64_t world = cluster.world_size();
   const int64_t average = (batch.total_tokens() + world - 1) / world;
   SequencePartitioner partitioner(
-      cluster, SequencePartitioner::Options{
-                   .token_capacity = average + average / 4, .fast_path = fast_path, .pool = pool});
+      cluster, SequencePartitioner::Options{.token_capacity = average + average / 4,
+                                            .fast_path = fast_path});
   return partitioner.Partition(batch);
 }
 
@@ -74,18 +72,14 @@ TEST(PlanIoTest, RoundTripAcrossOracleAndEngine) {
   const ClusterSpec cluster = MakeClusterA(16);
   const Batch batch = RingHeavyBatch(512, 0x5eed);
 
-  const PartitionPlan naive = MakePlan(batch, cluster, /*fast_path=*/false, nullptr);
-  const PartitionPlan unpooled = MakePlan(batch, cluster, /*fast_path=*/true, nullptr);
-  ThreadPool pool(3);
-  const PartitionPlan parallel = MakePlan(batch, cluster, /*fast_path=*/true, &pool);
+  const PartitionPlan naive = MakePlan(batch, cluster, /*fast_path=*/false);
+  const PartitionPlan engine = MakePlan(batch, cluster, /*fast_path=*/true);
 
-  // The paths agree (the planner contract), so one wire image serves all.
-  ASSERT_TRUE(naive == unpooled);
-  ASSERT_TRUE(naive == parallel);
+  // The paths agree (the planner contract), so one wire image serves both.
+  ASSERT_TRUE(naive == engine);
   CheckRoundTrip(naive);
-  CheckRoundTrip(unpooled);
-  CheckRoundTrip(parallel);
-  EXPECT_EQ(naive.Serialize(), parallel.Serialize());
+  CheckRoundTrip(engine);
+  EXPECT_EQ(naive.Serialize(), engine.Serialize());
 }
 
 TEST(PlanIoTest, RoundTripEmptyAndTinyPlans) {
@@ -131,7 +125,7 @@ TEST(PlanIoTest, RoundTripDeltaPatchedPlanWithArenaSlack) {
 }
 
 TEST(PlanIoTest, RejectsBadMagicAndVersion) {
-  const PartitionPlan plan = MakePlan(SampleBatch(256, 1), MakeClusterA(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(256, 1), MakeClusterA(2), true);
   std::string bytes = plan.Serialize();
   PartitionPlan decoded;
 
@@ -148,7 +142,7 @@ TEST(PlanIoTest, RejectsBadMagicAndVersion) {
 }
 
 TEST(PlanIoTest, RejectsTruncationAtEveryBoundary) {
-  const PartitionPlan plan = MakePlan(SampleBatch(512, 2), MakeClusterA(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(512, 2), MakeClusterA(2), true);
   const std::string bytes = plan.Serialize();
   PartitionPlan decoded;
   // Chop inside the counts, inside the headers, inside the arena, and just
@@ -163,7 +157,7 @@ TEST(PlanIoTest, RejectsTruncationAtEveryBoundary) {
 }
 
 TEST(PlanIoTest, RejectsCorruptedHeaderSpan) {
-  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 3), MakeClusterA(16), true, nullptr);
+  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 3), MakeClusterA(16), true);
   ASSERT_FALSE(plan.intra_node.empty());
   std::string bytes = plan.Serialize();
   // First intra_node header's rank_offset lives right after the inter_node
@@ -180,7 +174,7 @@ TEST(PlanIoTest, RejectsCorruptedHeaderSpan) {
 }
 
 TEST(PlanIoTest, RejectsAlteredPayloadViaDigest) {
-  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 4), MakeClusterA(16), true, nullptr);
+  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 4), MakeClusterA(16), true);
   ASSERT_FALSE(plan.rank_arena.empty());
   std::string bytes = plan.Serialize();
   // Flip one arena rank (structurally valid — ranks are not bounds-checked
@@ -206,7 +200,7 @@ TEST(PlanIoTest, RejectsOutOfUniverseRanks) {
   // so the digest trailer matches — only the rank-universe check (against
   // the plan's own tokens_per_rank count) can reject it before it drives
   // EmitLayer out of bounds.
-  PartitionPlan plan = MakePlan(RingHeavyBatch(512, 9), MakeClusterA(16), true, nullptr);
+  PartitionPlan plan = MakePlan(RingHeavyBatch(512, 9), MakeClusterA(16), true);
   ASSERT_FALSE(plan.rank_arena.empty());
   PartitionPlan decoded;
 
@@ -223,7 +217,7 @@ TEST(PlanIoTest, RejectsOutOfUniverseRanks) {
 }
 
 TEST(PlanIoTest, RejectsTrailingGarbage) {
-  const PartitionPlan plan = MakePlan(SampleBatch(256, 5), MakeClusterA(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(256, 5), MakeClusterA(2), true);
   std::string bytes = plan.Serialize();
   bytes += "extra";
   PartitionPlan decoded;
@@ -233,7 +227,7 @@ TEST(PlanIoTest, RejectsTrailingGarbage) {
 TEST(PlanIoTest, RejectsHugeCountsWithoutAllocating) {
   // A corrupted count field must read as truncation (payload is the
   // authority), not drive a giant resize.
-  std::string bytes = MakePlan(SampleBatch(64, 6), MakeClusterA(1), true, nullptr).Serialize();
+  std::string bytes = MakePlan(SampleBatch(64, 6), MakeClusterA(1), true).Serialize();
   const uint64_t huge = ~uint64_t{0} / 4;
   std::memcpy(bytes.data() + 8 + 24, &huge, sizeof(huge));  // arena_count slot.
   PartitionPlan decoded;
@@ -241,7 +235,7 @@ TEST(PlanIoTest, RejectsHugeCountsWithoutAllocating) {
 }
 
 TEST(PlanIoTest, FileRoundTripAndIoErrors) {
-  const PartitionPlan plan = MakePlan(SampleBatch(512, 7), MakeClusterB(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(512, 7), MakeClusterB(2), true);
   const std::string path = ::testing::TempDir() + "/plan_io_test." +
                            std::to_string(::getpid()) + ".zpln";
   ASSERT_TRUE(SavePlanFile(path, plan).ok());
@@ -255,7 +249,7 @@ TEST(PlanIoTest, FileRoundTripAndIoErrors) {
 }
 
 TEST(PlanIoTest, DeserializeMemberMirrorsParse) {
-  const PartitionPlan plan = MakePlan(SampleBatch(256, 8), MakeClusterA(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(256, 8), MakeClusterA(2), true);
   PartitionPlan decoded;
   EXPECT_TRUE(decoded.Deserialize(plan.Serialize()));
   EXPECT_TRUE(decoded == plan);
@@ -303,13 +297,12 @@ constexpr ImagePin kImagePins[] = {
 std::vector<std::pair<std::string, PartitionPlan>> GoldenPlans() {
   std::vector<std::pair<std::string, PartitionPlan>> plans;
   const ClusterSpec cluster = MakeClusterA(16);
-  ThreadPool pool(3);
   for (const char* dataset : {"github", "arxiv", "fineweb"}) {
     const Batch batch = RingHeavyBatch(512, 0x901d, dataset);
     plans.emplace_back(std::string("oracle/") + dataset,
-                       MakePlan(batch, cluster, /*fast_path=*/false, nullptr));
+                       MakePlan(batch, cluster, /*fast_path=*/false));
     plans.emplace_back(std::string("engine/") + dataset,
-                       MakePlan(batch, cluster, /*fast_path=*/true, &pool));
+                       MakePlan(batch, cluster, /*fast_path=*/true));
   }
   bool patched = false;
   plans.emplace_back("delta-patched", DeltaPatchedPlan(&patched));

@@ -1,12 +1,11 @@
 // PlannerService (src/core/plan_service.h): stateless plans byte-identical
-// to the naive oracle at every thread setting (pooled or inline), immutable
-// handle
-// semantics (stable across later requests, storage recycling never aliases a
-// live handle), the multi-stream session table (independent per-stream
-// state and fallback policies, per-stream twin-digest determinism), and the
-// concurrency contract (N streams driven from N threads through one service
-// over a shared pool, and concurrent inline plans on a pool-less service —
-// the TSAN targets, see the sanitizer recipe in CMakeLists.txt).
+// to the naive oracle, immutable handle semantics (stable across later
+// requests, storage recycling never aliases a live handle), the
+// multi-stream session table (independent per-stream state and fallback
+// policies, per-stream twin-digest determinism), and the concurrency
+// contract (N streams driven from N threads through one service, and
+// concurrent stateless plans — the TSAN targets, see the sanitizer recipe
+// in CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -69,7 +68,7 @@ struct TestRig {
   }
 };
 
-TEST(PlanServiceTest, StatelessByteIdenticalToDirectPartitionerAtEverySetting) {
+TEST(PlanServiceTest, StatelessByteIdenticalToDirectPartitioner) {
   TestRig rig;
   const Batch batch = SampleBatch(1024, 0xa11);
   const int64_t capacity = SlackCapacity(batch, rig.cluster);
@@ -78,14 +77,14 @@ TEST(PlanServiceTest, StatelessByteIdenticalToDirectPartitionerAtEverySetting) {
       rig.cluster, SequencePartitioner::Options{.token_capacity = capacity, .fast_path = false});
   const PartitionPlan reference = direct.Partition(batch);
 
-  // 0 = no pool (inline); N >= 1 = a pool of N contexts.
-  for (int threads : {0, 1, 2, 4}) {
-    PlannerService service(PlanServiceOptions{.num_planner_threads = threads});
+  // The second request reuses the workspace the first checked back in.
+  PlannerService service;
+  for (int run = 0; run < 2; ++run) {
     PlanRequest request = rig.Request(batch);
     request.options.token_capacity = capacity;
     const PlanResponse response = service.Plan(request);
     ASSERT_NE(response.plan, nullptr);
-    EXPECT_TRUE(*response.plan == reference) << "threads=" << threads;
+    EXPECT_TRUE(*response.plan == reference) << "run=" << run;
     EXPECT_EQ(response.stats.engine, PlanEngine::kParallelSharded);
     EXPECT_EQ(response.digest, reference.StateDigest());
     EXPECT_EQ(response.stats.token_capacity, capacity);
@@ -112,7 +111,7 @@ TEST(PlanServiceTest, GlobalRingLayout) {
 
 TEST(PlanServiceTest, HandlesAreImmutableAcrossLaterRequestsAndRecycling) {
   TestRig rig;
-  PlannerService service(PlanServiceOptions{.num_planner_threads = 0, .plan_pool_limit = 2});
+  PlannerService service;
   const Batch first = SampleBatch(512, 1);
   PlanResponse kept = service.Plan(rig.Request(first));
   const uint64_t kept_digest = kept.digest;
@@ -120,7 +119,7 @@ TEST(PlanServiceTest, HandlesAreImmutableAcrossLaterRequestsAndRecycling) {
 
   // Churn through more plans than the recycling pool holds, dropping each
   // handle immediately — storage reuse must never touch the live handle.
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < PlannerService::kPlanPoolLimit + 4; ++i) {
     const Batch other = SampleBatch(512, 100 + i);
     const PlanResponse response = service.Plan(rig.Request(other));
     ASSERT_NE(response.plan, kept.plan);
@@ -242,23 +241,23 @@ TEST(PlanServiceTest, SessionLifecycle) {
 
   PlanRequest base = rig.Request(batch);
   base.stream_id = "life";
-  service.Plan(base);
+  EXPECT_EQ(service.Plan(base).stats.delta_outcome, DeltaOutcome::kRebasedNoBase);
   EXPECT_TRUE(service.HasSession("life"));
-  EXPECT_EQ(service.SessionLastOutcome("life"), DeltaOutcome::kRebasedNoBase);
 
   // A few streamed steps (patched or fallen back per policy — either way the
   // session keeps a base), then invalidation: the next request must re-base.
   WorkloadStream stream(DatasetByName("github"), batch, StreamOptions{.churn_fraction = 0.01},
                         0x3);
+  DeltaOutcome last = DeltaOutcome::kRebasedNoBase;
   for (int it = 0; it < 3; ++it) {
     const BatchDelta delta = stream.Next();
     PlanRequest step = rig.Request(stream.batch());
     step.stream_id = "life";
     step.options.delta_replan_threshold = 0.5;
     step.delta = &delta;
-    service.Plan(step);
+    last = service.Plan(step).stats.delta_outcome;
   }
-  EXPECT_NE(service.SessionLastOutcome("life"), DeltaOutcome::kRebasedNoBase);
+  EXPECT_NE(last, DeltaOutcome::kRebasedNoBase);
 
   service.InvalidateSession("life");
   const BatchDelta empty;
@@ -316,19 +315,19 @@ std::vector<std::vector<uint64_t>> DriveStreams(PlannerService& service, const T
 
 TEST(PlanServiceTest, ConcurrentMultiStreamSoakIsDeterministicPerStream) {
   // The headline contract: N interleaved streams from N threads through one
-  // service (sharing its pool for fallback re-plans) produce, per stream,
-  // exactly the digest sequence a serial twin run produces. Run under TSAN
-  // via the sanitizer recipe (plan_service is in the regex).
+  // service produce, per stream, exactly the digest sequence a serial twin
+  // run produces. Run under TSAN via the sanitizer recipe (plan_service is
+  // in the regex).
   constexpr int kStreams = 4;
   constexpr int kIters = 25;
   TestRig rig;
 
-  PlannerService concurrent(PlanServiceOptions{.num_planner_threads = 2});
+  PlannerService concurrent;
   const std::vector<std::vector<uint64_t>> threaded =
       DriveStreams(concurrent, rig, kStreams, kIters, /*threaded=*/true);
   EXPECT_EQ(concurrent.session_count(), static_cast<size_t>(kStreams));
 
-  PlannerService serial(PlanServiceOptions{.num_planner_threads = 0});
+  PlannerService serial;
   const std::vector<std::vector<uint64_t>> reference =
       DriveStreams(serial, rig, kStreams, kIters, /*threaded=*/false);
 
@@ -340,11 +339,11 @@ TEST(PlanServiceTest, ConcurrentMultiStreamSoakIsDeterministicPerStream) {
   }
 }
 
-TEST(PlanServiceTest, InlineServiceServesConcurrentStatelessRequests) {
-  // num_planner_threads = 0: no pool and no pool lock, so concurrent
-  // stateless requests each run the sharded engine inline on their own
-  // thread and checked-out workspace. Every digest must equal a serial run's
-  // (TSAN target: plan_service is in the sanitizer regex).
+TEST(PlanServiceTest, ConcurrentStatelessRequestsMatchSerial) {
+  // Concurrent stateless requests each run the sharded engine on their own
+  // thread and checked-out workspace, with no service-wide lock. Every
+  // digest must equal a serial run's (TSAN target: plan_service is in the
+  // sanitizer regex).
   constexpr int kThreads = 4;
   constexpr int kBatches = 12;
   TestRig rig;
@@ -352,13 +351,13 @@ TEST(PlanServiceTest, InlineServiceServesConcurrentStatelessRequests) {
   for (int b = 0; b < kBatches; ++b) {
     batches.push_back(SampleBatch(512, 0x1000 + b));
   }
-  PlannerService serial(PlanServiceOptions{.num_planner_threads = 0});
+  PlannerService serial;
   std::vector<uint64_t> expect;
   for (const Batch& batch : batches) {
     expect.push_back(serial.Plan(rig.Request(batch)).digest);
   }
 
-  PlannerService service(PlanServiceOptions{.num_planner_threads = 0});
+  PlannerService service;
   std::vector<std::vector<uint64_t>> got(kThreads, std::vector<uint64_t>(kBatches, 0));
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
@@ -382,7 +381,7 @@ TEST(PlanServiceTest, InlineServiceServesConcurrentStatelessRequests) {
 
 TEST(PlanServiceTest, ConcurrentStatelessAndSessionTrafficCoexist) {
   TestRig rig;
-  PlannerService service(PlanServiceOptions{.num_planner_threads = 2});
+  PlannerService service;
   const Batch batch = SampleBatch(512, 0xd00d);
   const uint64_t expect = service.Plan(rig.Request(batch)).digest;
 
@@ -420,7 +419,7 @@ TEST(PlanServiceTest, ZeppelinStrategyIsAThinAdapter) {
   EXPECT_TRUE(*handle == strategy.partition_plan());
   const uint64_t first_digest = handle->StateDigest();
 
-  PlannerService service(PlanServiceOptions{.num_planner_threads = 1});
+  PlannerService service;
   PlanRequest request = rig.Request(batch);
   const PlanResponse response = service.Plan(request);
   EXPECT_TRUE(*response.plan == *handle);
@@ -433,7 +432,7 @@ TEST(PlanServiceTest, ZeppelinStrategyIsAThinAdapter) {
 
 TEST(PlanServiceTest, SharedServiceAcrossStrategiesWithDistinctStreams) {
   TestRig rig;
-  auto shared = std::make_shared<PlannerService>(PlanServiceOptions{.num_planner_threads = 1});
+  auto shared = std::make_shared<PlannerService>();
   ZeppelinOptions a_opts;
   a_opts.service = shared;
   a_opts.stream_id = "a";

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/partitioner.h"
 #include "src/core/plan_service.h"
 #include "src/core/plan_verify.h"
@@ -60,10 +59,10 @@ struct Rig {
   Batch batch = RingHeavyBatch(512, 0xce7);
   int64_t capacity = SlackCapacity(batch, cluster);
 
-  PartitionPlan Plan(bool fast_path, ThreadPool* pool = nullptr) const {
+  PartitionPlan Plan(bool fast_path) const {
     SequencePartitioner partitioner(
-        cluster, SequencePartitioner::Options{
-                     .token_capacity = capacity, .fast_path = fast_path, .pool = pool});
+        cluster,
+        SequencePartitioner::Options{.token_capacity = capacity, .fast_path = fast_path});
     return partitioner.Partition(batch);
   }
 
@@ -93,11 +92,9 @@ void ExpectSingleFault(const Rig& rig, const PartitionPlan& plan,
 
 TEST(PlanVerifyTest, ValidPlansAcrossAllEnginesCertify) {
   Rig rig;
-  ThreadPool pool(2);
   const PartitionPlan naive = rig.Plan(/*fast_path=*/false);
-  const PartitionPlan unpooled = rig.Plan(/*fast_path=*/true);
-  const PartitionPlan sharded = rig.Plan(/*fast_path=*/true, &pool);
-  for (const PartitionPlan* plan : {&naive, &unpooled, &sharded}) {
+  const PartitionPlan sharded = rig.Plan(/*fast_path=*/true);
+  for (const PartitionPlan* plan : {&naive, &sharded}) {
     const PlanVerifyResult verdict = VerifyPlan(*plan, &rig.batch, nullptr, rig.Options());
     EXPECT_TRUE(verdict.ok()) << verdict.message;
     EXPECT_GT(verdict.max_load_ratio, 0);

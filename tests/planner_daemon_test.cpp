@@ -63,9 +63,7 @@ struct DaemonRig {
   PlannerService local;
   PlannerDaemon daemon;
 
-  explicit DaemonRig(DaemonOptions options = {})
-      : local(PlanServiceOptions{.num_planner_threads = options.planner_threads}),
-        daemon(model, cluster, options) {
+  explicit DaemonRig(DaemonOptions options = {}) : daemon(model, cluster, options) {
     std::string error;
     if (!daemon.Start(&error)) {
       ADD_FAILURE() << "daemon start failed: " << error;
@@ -105,7 +103,7 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms = 3000) {
 TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
   // Every case differs in its options, so each one misses the cache and its
   // engine runs.
-  DaemonRig rig(DaemonOptions{.planner_threads = 4, .max_concurrent_plans = 4});
+  DaemonRig rig(DaemonOptions{.max_concurrent_plans = 4});
   PlanClient client = rig.Client();
   const Batch batch = SampleBatch(512, 7);
 
@@ -114,7 +112,7 @@ TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
     PlanningOptions options;
   };
   const EngineCase cases[] = {
-      {"pooled", {}},
+      {"sharded", {}},
       {"global-ring", {.hierarchical_partitioning = false}},
   };
   for (const EngineCase& c : cases) {
@@ -573,7 +571,7 @@ TEST(PlannerDaemonTest, PoisonedCacheEntryIsCaughtNotServed) {
 TEST(PlannerDaemonTest, StatsRequestUnderLoad) {
   // kStats answers consistently while plan traffic is in flight: it takes no
   // admission permit, so it cannot be shed behind the planners it observes.
-  DaemonRig rig(DaemonOptions{.planner_threads = 2, .max_concurrent_plans = 2});
+  DaemonRig rig(DaemonOptions{.max_concurrent_plans = 2});
   constexpr int kClients = 4;
   constexpr int kPlansPerClient = 6;
   std::atomic<int> planned{0};

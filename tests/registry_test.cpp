@@ -58,22 +58,19 @@ TEST(RegistryTest, UnknownSpecAborts) {
 
 TEST(RegistryTest, InlineKnobModifiersOverrideDefaults) {
   StrategyDefaults defaults;
-  defaults.num_planner_threads = 2;
   defaults.delta_replan_threshold = 0.10;
 
   // Defaults flow through when the spec carries no knobs (the alias path).
   auto plain = MakeStrategyByName("zeppelin", defaults);
   const auto* zep = dynamic_cast<const ZeppelinStrategy*>(plain.get());
   ASSERT_NE(zep, nullptr);
-  EXPECT_EQ(zep->options().num_planner_threads, 2);
   EXPECT_DOUBLE_EQ(zep->options().delta_replan_threshold, 0.10);
   EXPECT_EQ(zep->options().stream_id, "default");
 
   // Inline knobs win over the defaults and compose with toggles.
-  auto knobbed = MakeStrategyByName("zeppelin+threads=4+delta=0.02+capacity=8192", defaults);
+  auto knobbed = MakeStrategyByName("zeppelin+delta=0.02+capacity=8192", defaults);
   const auto* kz = dynamic_cast<const ZeppelinStrategy*>(knobbed.get());
   ASSERT_NE(kz, nullptr);
-  EXPECT_EQ(kz->options().num_planner_threads, 4);
   EXPECT_DOUBLE_EQ(kz->options().delta_replan_threshold, 0.02);
   EXPECT_EQ(kz->options().token_capacity, 8192);
 
@@ -82,21 +79,14 @@ TEST(RegistryTest, InlineKnobModifiersOverrideDefaults) {
   ASSERT_NE(sz, nullptr);
   EXPECT_EQ(sz->options().stream_id, "decode-7");  // '-' allowed in knob values.
   EXPECT_TRUE(sz->options().zone_aware_thresholds);
-
-  auto automatic = MakeStrategyByName("zeppelin+threads=auto");
-  const auto* az = dynamic_cast<const ZeppelinStrategy*>(automatic.get());
-  ASSERT_NE(az, nullptr);
-  EXPECT_GE(az->options().num_planner_threads, 1);
 }
 
 TEST(RegistryTest, MalformedKnobValuesAbort) {
-  EXPECT_DEATH(MakeStrategyByName("zeppelin+threads=lots"), "bad thread count");
+  // The planner runs on the calling thread; there is no thread-count knob.
+  EXPECT_DEATH(MakeStrategyByName("zeppelin+threads=4"), "unknown zeppelin modifier");
   EXPECT_DEATH(MakeStrategyByName("zeppelin+delta=x"), "bad numeric value");
-  EXPECT_DEATH(MakeStrategyByName("zeppelin+threads="), "empty value");
+  EXPECT_DEATH(MakeStrategyByName("zeppelin+delta="), "empty value");
   // Out-of-range values must fail the parse, not silently truncate.
-  EXPECT_DEATH(MakeStrategyByName("zeppelin+threads=4294967296"), "bad thread count");
-  EXPECT_DEATH(MakeStrategyByName("zeppelin+threads=9223372036854775808"),
-               "bad thread count");
   EXPECT_DEATH(MakeStrategyByName("zeppelin+capacity=1e19"), "capacity out of range");
 }
 
@@ -106,7 +96,7 @@ TEST(RegistryTest, KnobbedStrategyPlansAndStreams) {
   const CostModel cost_model(MakeLlama3B(), cluster);
   Batch batch;
   batch.seq_lens = {32768, 16384, 8192, 8192, 4096, 4096};
-  auto strategy = MakeStrategyByName("zeppelin+threads=2+delta=0.5+stream=reg-test");
+  auto strategy = MakeStrategyByName("zeppelin+delta=0.5+stream=reg-test");
   strategy->PlanDelta(batch, BatchDelta{}, cost_model, fabric);
   TaskGraph g;
   strategy->EmitLayer(g, Direction::kForward);
