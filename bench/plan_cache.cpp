@@ -5,14 +5,15 @@
 //
 // A Zipfian request stream (s = 1.1) over D distinct batches is driven
 // through two arms. The cache arm routes every request through
-// PlanCache::Plan — exact hits are served zero-copy (permuted repeats via
-// the O(plan) seq-id remap), misses plan once and populate the entry, and
-// every served plan must carry stats.verified (the certifier ran or the
-// entry was never served). The no-cache arm sends the identical request
-// sequence straight to PlannerService::Plan. Both arms are timed over the
-// whole replay, so the speedup includes key canonicalization, LRU
-// bookkeeping, and the VerifyPlan pass on every hit — the honest serving
-// cost, not just the lookup.
+// PlanCache::Plan — an exact hit parses the stored certified image (permuted
+// repeats go through the O(plan) seq-id remap), a miss plans once and
+// serializes the plan into the new entry, and every served plan must carry
+// stats.verified (it was certified before it was stored). The no-cache arm
+// sends the identical request sequence straight to PlannerService::Plan.
+// Both arms are timed over the whole replay, so the speedup includes key
+// derivation, LRU bookkeeping, the image encode on every miss and the
+// parse on every hit — the honest in-process serving cost, not just the
+// lookup.
 //
 // Output: a table plus machine-readable BENCH_cache.json:
 //   { "bench": "plan_cache", "model", "cluster", "quick", "requests",

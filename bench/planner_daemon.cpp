@@ -8,8 +8,9 @@
 // Arms:
 //   - in-process: one thread calling PlannerService::Plan directly
 //     (zero-copy, no sockets) — the floor of a planned request; and one
-//     thread calling PlanCache::TryServe on one cached batch — the floor of
-//     a cache hit.
+//     thread calling PlanCache::Plan on one cached batch — the floor of a
+//     cache hit that yields a plan: the exact-tier lookup plus the ParsePlan
+//     of the stored image.
 //   - daemon "hot" at {1, 16, 64} concurrent clients: each client is one TCP
 //     connection re-sending the same stateless batch back-to-back, so every
 //     request after the first is an exact cache hit. Its overhead is
@@ -38,7 +39,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,8 +124,9 @@ int main(int argc, char** argv) {
   const double local_p50 = Percentile(local_us, 0.5);
   const double local_p99 = Percentile(local_us, 0.99);
 
-  // The in-process cache-hit floor: PlanCache::TryServe on a cached batch
-  // (key derivation, lookup, and the digest re-check of the stored plan).
+  // The in-process cache-hit floor: PlanCache::Plan on a cached batch (the
+  // slot-order hash, the lookup and length compare, and the parse of the
+  // stored image, which re-checks its trailer).
   PlanCache local_cache(&local);
   std::vector<double> hit_us;
   hit_us.reserve(local_iters);
@@ -137,9 +138,9 @@ int main(int argc, char** argv) {
     local_cache.Plan(request);
     for (int i = 0; i < local_iters; ++i) {
       const auto t0 = clock_type::now();
-      const std::optional<PlanResponse> hit = local_cache.TryServe(request);
+      const PlanResponse hit = local_cache.Plan(request);
       hit_us.push_back(ElapsedUs(t0));
-      if (!hit.has_value()) {
+      if (hit.stats.cache_outcome != CacheOutcome::kHit) {
         std::fprintf(stderr, "in-process cache missed a cached batch\n");
         return 1;
       }

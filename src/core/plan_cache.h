@@ -5,29 +5,34 @@
 // fabric, same length histogram — yet every request pays the full decision
 // kernel. The cache keys each stateless request by
 //
-//   (cost-model digest, fabric digest, canonicalized batch signature,
+//   (cost-model digest, fabric digest, batch signature,
 //    planning-option signature)
 //
-// and serves repeats straight from a bounded LRU of immutable plan handles
-// (shareable by design, so a hit is zero-copy when the request's slot order
-// matches the cached batch, and an O(plan) seq-id remap when the batch is a
-// permutation of it — the canonical signature is order- and
-// renaming-invariant, see docs/PLAN_CACHE.md "Key derivation"). A miss is a
+// and serves repeats from a bounded LRU of certified plan images: the
+// SerializePlan bytes with their StateDigest trailer, the certificate
+// travelling with the bytes it certifies. Two tiers share each entry. The
+// exact tier is keyed by a cheap hash of the lengths in slot order and
+// confirmed by comparing the length vector, so a repeat is served as the
+// stored image itself, with no plan built and no byte encoded. The remap
+// tier is keyed by the order- and renaming-invariant canonical signature
+// and serves a permutation of a cached batch by parsing the image and
+// remapping its seq ids (docs/PLAN_CACHE.md "Key derivation"). A miss is a
 // plain PlannerService::Plan call, so the plan a request gets never depends
 // on earlier traffic.
 //
-// Certification: every plan the cache serves — hit or miss — passes
-// VerifyPlan (plan_verify.h) before it is returned. A cached entry that
-// fails (e.g. poisoned storage) is dropped and replanned, never served; a
-// freshly planned failure is served with stats.verified == false so the
-// caller can apply policy (the daemon turns it into a typed kInternal). A
-// request the service rejects (PlanResponse::status) passes through
-// unverified and uncached.
+// Certification: every plan enters the cache only after VerifyPlan
+// (plan_verify.h) passes, and is serialized once, at insert. An entry is
+// immutable from then on; every consumer of an image re-checks its trailer
+// (ParsePlan: the client, the in-process Plan, the remap tier), so a
+// corrupted entry is never accepted. A freshly planned failure is returned
+// with stats.verified == false and no image so the caller can apply policy
+// (the daemon turns it into a typed kInternal). A request the service
+// rejects (PlanResponse::status) passes through unverified and uncached.
 //
 // Thread safety: all public methods are safe to call concurrently. The LRU
-// index is guarded by one mutex held only for O(1)/O(size) bookkeeping;
-// planning, verification, and counting (lock-free registry counters) run
-// outside it.
+// index is guarded by one mutex held only for O(1)/O(S) bookkeeping;
+// hashing, planning, verification, encoding and counting (lock-free registry
+// instruments) run outside it.
 #ifndef SRC_CORE_PLAN_CACHE_H_
 #define SRC_CORE_PLAN_CACHE_H_
 
@@ -36,6 +41,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -64,11 +71,11 @@ struct PlanCacheCounters {
 };
 
 // The content address of a stateless plan request. Two requests with equal
-// keys are served by the same plan (up to a seq-id remap).
+// canonical keys are served by the same plan (up to a seq-id remap).
 struct PlanCacheKey {
   uint64_t cost_digest = 0;    // Model config + tensor parallelism.
-  uint64_t fabric_digest = 0;  // Cluster spec + per-rank speed factors.
-  uint64_t batch_sig = 0;      // Canonical (order-invariant) length multiset.
+  uint64_t fabric_digest = 0;  // FabricResources::digest().
+  uint64_t batch_sig = 0;      // Canonical or slot-order batch signature.
   uint64_t options_sig = 0;    // Plan-shape options (capacity, layout knobs).
 
   bool operator==(const PlanCacheKey&) const = default;
@@ -77,82 +84,101 @@ struct PlanCacheKey {
 // --- Key derivation (exposed for the canonicalization property tests) -------
 
 // Invariant to sequence order and slot renaming; sensitive to any length
-// change (the multiset of lengths, not their arrangement).
+// change (the multiset of lengths, not their arrangement). The remap tier's
+// batch signature.
 uint64_t CanonicalBatchSignature(const Batch& batch);
-// The full key for a request (ZCHECKs batch/cost_model/fabric non-null).
+// A hash of the lengths in slot order, in one cheap pass: the exact tier's
+// batch signature. Equal length vectors hash equal; a collision between
+// different ones costs nothing but a fall-through, because the exact tier
+// confirms every match by comparing the length vectors.
+uint64_t SlotOrderSignature(const Batch& batch);
+// The canonical (remap-tier) key for a request (ZCHECKs batch/cost_model/
+// fabric non-null).
 PlanCacheKey ComputePlanCacheKey(const PlanRequest& request);
+
+// The remap tier's slot pairing: (*remap)[c] is the request slot that cached
+// slot c serves, pairing equal lengths in slot order (a stable bijection).
+// False when the two length multisets differ — a canonical-signature
+// collision, which the cache answers as an ordinary miss, never as a
+// verify failure.
+bool PairSlotsByLength(std::span<const int64_t> cached, std::span<const int64_t> request,
+                       std::vector<int>* remap);
 
 class PlanCache {
  public:
   // `service` is borrowed and must outlive the cache.
   explicit PlanCache(PlannerService* service, PlanCacheOptions options = {});
+  // Takes the entries' bytes back out of cache.resident_bytes.
+  ~PlanCache();
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  // The cache-aware front door: TryServe, else PlanAndInsert. Session/delta
-  // requests bypass the cache entirely (kBypass).
+  // The cache-aware front door: TryServe, else PlanAndInsert. A hit's plan
+  // is parsed from the stored image (ParsePlan re-checks its trailer; an
+  // image that fails is counted in verify_failures and replanned).
+  // Session/delta requests bypass the cache entirely (kBypass).
   PlanResponse Plan(const PlanRequest& request);
 
-  // Lookup-only: a verified response on a hit (exact or remapped), nullopt
-  // on miss, bypass, or a poisoned entry (which is dropped). Lets callers
-  // with their own admission control (the daemon) serve hits without a
-  // planning permit.
+  // Lookup-only: a hit response (exact or remapped) carrying the certified
+  // image, or nullopt on miss or bypass. An exact hit builds nothing: its
+  // `plan` is null and `image` is the stored image. A remapped hit also
+  // carries the remapped plan. Lets callers with their own admission
+  // control (the daemon) serve hits without a planning permit.
   std::optional<PlanResponse> TryServe(const PlanRequest& request);
 
-  // Plans through the service and inserts the result into the cache.
+  // Plans through the service and, once the plan is certified, serializes
+  // it into a new entry's image — the response carries the same image.
   PlanResponse PlanAndInsert(const PlanRequest& request);
 
   // A read-only view of the service's cache.* counters.
   PlanCacheCounters counters() const;
   size_t size() const;
 
-  // Test hook: corrupts the cached plan stored under `request`'s key (drops
-  // one ring header), so verify-before-serve paths can be exercised. Returns
-  // false when the key has no entry.
-  bool PoisonEntryForTest(const PlanRequest& request);
-
-  // Test hook: moves the entry stored under `from`'s key to `to`'s key,
-  // simulating a batch-signature collision (two different multisets behind
-  // one key). Any entry already at `to`'s key is dropped. Returns false
-  // when `from`'s key has no entry.
-  bool RekeyEntryForTest(const PlanRequest& from, const PlanRequest& to);
-
  private:
   struct KeyHash {
     size_t operator()(const PlanCacheKey& key) const;
   };
+  using Image = std::shared_ptr<const std::string>;
   struct Entry {
-    PlanCacheKey key;
-    std::vector<int64_t> seq_lens;  // The exact batch the plan covers.
-    std::shared_ptr<const PartitionPlan> plan;
-    PlanStats stats;    // Engine/capacity of the producing plan call.
-    uint64_t digest = 0;    // StateDigest recorded when the plan was certified.
+    PlanCacheKey exact_key;      // batch_sig: SlotOrderSignature(seq_lens).
+    PlanCacheKey canonical_key;  // batch_sig: CanonicalBatchSignature.
+    std::vector<int64_t> seq_lens;  // The batch, in the image's slot order.
+    Image image;          // Certified SerializePlan image, trailer = digest.
+    PlanStats stats;      // Engine/capacity of the producing plan call.
+    uint64_t digest = 0;  // The image's StateDigest trailer.
     uint8_t remap_streak = 0;  // Consecutive serves that needed the remap tier.
   };
+  using Index = std::unordered_map<PlanCacheKey, std::list<Entry>::iterator, KeyHash>;
 
   bool Cacheable(const PlanRequest& request) const;
-  // Rebuilds `plan` with seq ids remapped from the cached slot order
-  // (`cached_lens`) to the request's. Null on a signature collision (the
-  // length multisets differ despite the equal key).
-  std::shared_ptr<const PartitionPlan> RemapPlan(const std::vector<int64_t>& cached_lens,
-                                                 const PartitionPlan& plan,
-                                                 const Batch& batch) const;
+  // The remap tier: serves a permutation of a cached batch from the entry
+  // under `canonical_key`, or nullopt (no entry, a signature collision, or
+  // an image that fails its checks — then the entry is dropped). A
+  // re-anchored entry is stored under `exact_key`, the request's.
+  std::optional<PlanResponse> ServeRemapped(const PlanCacheKey& exact_key,
+                                            const PlanCacheKey& canonical_key,
+                                            const PlanRequest& request);
+  // The bytes an entry holds (cache.resident_bytes).
+  static int64_t ResidentBytes(const Entry& entry);
   void InsertLocked(Entry entry);
+  void EraseLocked(std::list<Entry>::iterator it);
 
   PlannerService* service_;
   PlanCacheOptions options_;
 
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // Front = most recently used.
-  std::unordered_map<PlanCacheKey, std::list<Entry>::iterator, KeyHash> index_;
+  Index exact_index_;      // By Entry::exact_key.
+  Index canonical_index_;  // By Entry::canonical_key.
 
-  // The cache.* counters, registered in the service's registry.
+  // The cache.* instruments, registered in the service's registry.
   obs::Counter* hits_ = nullptr;
   obs::Counter* misses_ = nullptr;
   obs::Counter* evictions_ = nullptr;
   obs::Counter* bypasses_ = nullptr;
   obs::Counter* verify_failures_ = nullptr;
+  obs::Gauge* resident_bytes_ = nullptr;
 };
 
 }  // namespace zeppelin

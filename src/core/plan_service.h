@@ -183,6 +183,10 @@ struct PlanResponse {
   // (twin streams must produce identical digest sequences) and the value
   // the wire format's trailer authenticates.
   uint64_t digest = 0;
+  // The plan's certified SerializePlan image, with `digest` as its trailer,
+  // when a PlanCache stored or served this response (null otherwise). On an
+  // exact PlanCache::TryServe hit it is the whole answer and `plan` is null.
+  std::shared_ptr<const std::string> image;
 };
 
 // The planning service. Thread-safe per the concurrency contract above.

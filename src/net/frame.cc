@@ -24,18 +24,21 @@ const char* FrameStatusName(FrameStatus status) {
   return "unknown";
 }
 
+void WriteFrameHeader(FrameType type, size_t payload_size, char* out) {
+  std::memcpy(out, kFrameMagic, 4);
+  out[4] = static_cast<char>(type);
+  out[5] = out[6] = out[7] = 0;
+  const uint32_t len = static_cast<uint32_t>(payload_size);
+  for (int i = 0; i < 4; ++i) {
+    out[8 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
+  }
+}
+
 char* AppendFrameHeader(FrameType type, size_t payload_size, std::string* out) {
   const size_t at = out->size();
   out->resize(at + kFrameHeaderBytes + payload_size);
-  char* header = out->data() + at;
-  std::memcpy(header, kFrameMagic, 4);
-  header[4] = static_cast<char>(type);
-  header[5] = header[6] = header[7] = 0;
-  const uint32_t len = static_cast<uint32_t>(payload_size);
-  for (int i = 0; i < 4; ++i) {
-    header[8 + i] = static_cast<char>((len >> (8 * i)) & 0xff);
-  }
-  return header + kFrameHeaderBytes;
+  WriteFrameHeader(type, payload_size, out->data() + at);
+  return out->data() + at + kFrameHeaderBytes;
 }
 
 void AppendFrame(FrameType type, std::string_view payload, std::string* out) {

@@ -63,6 +63,10 @@ struct Frame {
   std::string_view payload;
 };
 
+// Writes the kFrameHeaderBytes header of a `payload_size`-byte frame at
+// `out`, for a caller that sends the payload from buffers of its own.
+void WriteFrameHeader(FrameType type, size_t payload_size, char* out);
+
 // Grows `*out` by one whole frame of `payload_size` bytes, writes its header,
 // and returns where the payload goes: the wire encoders build their payload
 // there in place. The caller keeps payloads under the peer's frame cap.

@@ -24,6 +24,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+double Us(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration<double, std::micro>(to - from).count();
+}
+
 int RemainingMs(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       deadline - Clock::now());
@@ -153,11 +157,16 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
 
   std::string out;
   AppendRequestFrame(request, &out);
+  const auto encoded = Clock::now();
+  result.stage_us.encode = Us(start, encoded);
   // A daemon may answer before it has read the whole request (a typed
   // kOversizedFrame after the header, then close), which fails the send.
   // The reply it sent first is still readable, so a failed send reads too,
   // and reports a transport error only when no reply arrives.
   const bool sent = SendAll(fd_, out.data(), out.size(), deadline);
+  const auto send_done = Clock::now();
+  result.stage_us.send = Us(encoded, send_done);
+  Clock::time_point first_bytes{};
   auto read_error = [&](std::string message) {
     return transport_error(sent ? std::move(message) : "send failed or timed out");
   };
@@ -194,8 +203,17 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
       return read_error(std::string("recv: ") + std::strerror(errno));
     }
+    if (first_bytes == Clock::time_point{}) {
+      first_bytes = Clock::now();
+    }
     decoder.Commit(static_cast<size_t>(n));
   }
+  const auto read_done = Clock::now();
+  if (first_bytes == Clock::time_point{}) {
+    first_bytes = read_done;  // The frame was already buffered.
+  }
+  result.stage_us.wait = Us(send_done, first_bytes);
+  result.stage_us.read = Us(first_bytes, read_done);
   if (!sent) {
     Close();  // Part of the request never went out; the stream is unusable.
   }
@@ -204,9 +222,9 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
   std::string parse_error;
   const WireStatus parsed =
       ParseResponse(frame.type, frame.payload, &response, &parse_error);
-  result.rtt_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      Clock::now() - start)
-                      .count();
+  Clock::time_point parsed_at = Clock::now();
+  result.stage_us.parse = Us(read_done, parsed_at);
+  result.rtt_us = std::chrono::duration_cast<std::chrono::microseconds>(parsed_at - start).count();
   if (parsed != WireStatus::kOk) {
     return transport_error("response parse: " + parse_error);
   }
@@ -238,6 +256,8 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
     if (io.digest != result.digest) {
       return plan_rejected("response digest does not match the plan bytes");
     }
+    parsed_at = Clock::now();
+    result.stage_us.parse = Us(read_done, parsed_at);
     // Certify against the request batch (coverage, arena, conservation —
     // the balance clause stays off; the client cannot see the daemon's
     // topology state).
@@ -248,6 +268,7 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
       vopts.world = options_.max_world;
       const PlanVerifyResult verdict =
           VerifyPlan(*plan, &request.batch, nullptr, vopts);
+      result.stage_us.verify = Us(parsed_at, Clock::now());
       if (!verdict.ok()) {
         return plan_rejected(std::string("plan failed certification: ") +
                              PlanVerifyStatusName(verdict.status) +

@@ -58,6 +58,17 @@ struct PlanClientOptions {
 // (0 = sleep before the first retry). Exposed for direct unit testing.
 int RetryBackoffMs(int attempt, const PlanClientOptions& options);
 
+// Where an attempt's time went on the client (µs). The stages are disjoint
+// and in order; together they span the attempt from encode to verify.
+struct ClientStageUs {
+  double encode = 0;  // Request frame encode.
+  double send = 0;    // Socket send of the request frame.
+  double wait = 0;    // Send done -> the first reply bytes read.
+  double read = 0;    // First reply bytes -> the whole reply frame.
+  double parse = 0;   // ParseResponse + ParsePlan of the reply.
+  double verify = 0;  // VerifyPlan of a received plan (kPlan only).
+};
+
 struct PlanClientResult {
   WireStatus status = WireStatus::kTransport;
   std::string message;
@@ -74,6 +85,7 @@ struct PlanClientResult {
   std::string stats_json;
   int attempts = 0;         // Total attempts made (1 = no retry).
   double rtt_us = 0;        // Last attempt's round-trip time.
+  ClientStageUs stage_us;   // Last attempt's client-side stages.
 
   bool ok() const { return status == WireStatus::kOk; }
 };

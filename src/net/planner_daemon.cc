@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -37,18 +38,40 @@ std::string SessionKey(uint64_t conn_id, const std::string& stream_id) {
   return "c" + std::to_string(conn_id) + "/" + stream_id;
 }
 
-bool SendAll(int fd, const std::string& bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+// Sends every part, in order, with gather writes: a partial write resumes
+// inside the part it stopped in.
+bool SendAll(int fd, std::initializer_list<std::string_view> parts) {
+  constexpr size_t kMaxParts = 3;
+  ZCHECK(parts.size() <= kMaxParts) << "a frame is sent in at most " << kMaxParts << " parts";
+  iovec iov[kMaxParts];
+  size_t count = 0;
+  for (const std::string_view part : parts) {
+    if (!part.empty()) {
+      iov[count++] = {const_cast<char*>(part.data()), part.size()};
+    }
+  }
+  iovec* next = iov;
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       return false;
     }
-    sent += static_cast<size_t>(n);
+    for (size_t sent = static_cast<size_t>(n); sent > 0;) {
+      const size_t step = std::min(sent, next->iov_len);
+      next->iov_base = static_cast<char*>(next->iov_base) + step;
+      next->iov_len -= step;
+      sent -= step;
+      if (next->iov_len == 0) {
+        ++next;
+        --count;
+      }
+    }
   }
   return true;
 }
@@ -516,16 +539,16 @@ void PlannerDaemon::ReapSessions(Connection& conn) {
 bool PlannerDaemon::SendResponse(Connection& conn, const WireResponse& response) {
   std::string out;
   AppendResponseFrame(response, &out);
-  return SendFrame(conn, out);
+  return SendFrame(conn, {out});
 }
 
-bool PlannerDaemon::SendFrame(Connection& conn, const std::string& frame) {
+bool PlannerDaemon::SendFrame(Connection& conn, std::initializer_list<std::string_view> parts) {
   // kWrite covers the socket write. It necessarily lands *after* the
   // response's own stats were encoded, so it reaches the stage histograms
   // and --trace_out but never its own response's stage_us.
   obs::TraceScope write_span(obs::Stage::kWrite);
   std::lock_guard<std::mutex> lock(conn.write_mu);
-  const bool ok = SendAll(conn.fd, frame);
+  const bool ok = SendAll(conn.fd, parts);
   if (ok) {
     conn.last_active_us = NowUs();
   }
@@ -665,11 +688,10 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
     return;
   }
 
-  // Exact-tier cache hits are served before (and without) an admission
-  // permit: no planning happens, so a hit costs no planner capacity — and a
-  // permit-free path keeps repeated responses byte-identical (zero queue
-  // wait) under any load. TryServe drops + replans poisoned entries itself,
-  // and declines session requests.
+  // Cache hits are served before (and without) an admission permit: no
+  // planning happens, so a hit costs no planner capacity — and a permit-free
+  // path keeps repeated responses byte-identical (zero queue wait) under any
+  // load. TryServe declines session requests.
   if (std::optional<PlanResponse> served = cache_.TryServe(plan_request)) {
     ServePlan(conn, request.request_id, *served, /*queue_wait_us=*/0);
     return;
@@ -768,26 +790,39 @@ void PlannerDaemon::ServePlan(Connection& conn, uint64_t request_id,
   response.request_id = request_id;
   response.stats = served.stats;
   response.queue_wait_us = queue_wait_us;
-  // The digest the plan was certified under (computed by the service on a
-  // miss, re-checked against the plan by TryServe on a hit) doubles as the
-  // image's trailer: one pass over the plan, straight into the frame.
+  // The digest the plan was certified under doubles as the image's trailer.
   response.digest = served.digest;
+  // A planned response carries the daemon-side stages measured so far
+  // (queue wait, decode, validate, cache lookup, plan, verify, encode);
+  // hits keep their all-zero stage_us (byte identity). kWrite cannot appear
+  // in its own response: the write happens after these stats are encoded
+  // (histograms/--trace_out only).
+  const obs::TraceContext* tctx = obs::CurrentTrace();
+  const bool overlay = tctx != nullptr && served.stats.cache_outcome != CacheOutcome::kHit;
+  c_requests_ok_->Inc();
+  if (served.image != nullptr) {
+    // The cache's certified image goes out as stored: a hit encodes no plan
+    // bytes, and a miss's one encode happened when the cache stored it.
+    if (overlay) {
+      response.stats.stage_us = tctx->stage_us;
+    }
+    std::string head;
+    std::string tail;
+    FrameResponseAroundImage(response, served.image->size(), &head, &tail);
+    SendFrame(conn, {head, *served.image, tail});
+    return;
+  }
+  // A session plan is not cached: its image is encoded straight into the
+  // frame, whose stage block is then rewritten to include the encode.
   std::string out;
   {
     obs::TraceScope encode_span(obs::Stage::kEncode);
     AppendResponseFrame(response, &out, served.plan.get());
   }
-  // Overlay the daemon-side stages (queue wait, decode, validate, encode —
-  // plus plan/materialize/verify recorded by the layers below) onto a
-  // planned response; hits keep their all-zero stage_us (byte identity).
-  // kWrite cannot appear in its own response: the write happens after these
-  // stats are encoded (histograms/--trace_out only).
-  const obs::TraceContext* tctx = obs::CurrentTrace();
-  if (tctx != nullptr && served.stats.cache_outcome != CacheOutcome::kHit) {
+  if (overlay) {
     OverwriteStageUs(tctx->stage_us, &out);
   }
-  c_requests_ok_->Inc();
-  SendFrame(conn, out);
+  SendFrame(conn, {out});
 }
 
 }  // namespace net

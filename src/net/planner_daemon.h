@@ -47,9 +47,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -153,7 +155,7 @@ class PlannerDaemon {
   // after disconnects.
   PlannerService& service() { return service_; }
   // The plan cache in front of the service (always on). Exposed for
-  // telemetry and the poisoned-entry test hook.
+  // telemetry.
   PlanCache& cache() { return cache_; }
   const ClusterSpec& cluster() const { return logical_cluster_; }
 
@@ -183,13 +185,16 @@ class PlannerDaemon {
                   std::chrono::steady_clock::time_point received);
   // Closes every session the connection opened.
   void ReapSessions(Connection& conn);
-  // Encodes and sends one served plan: a cache hit (zero queue wait) or a
-  // planned request.
+  // Frames and sends one served plan: a cache hit (zero queue wait) or a
+  // planned request. A plan the cache holds goes out as its stored image
+  // between a fresh header and stage block; a session plan is encoded into
+  // its frame.
   void ServePlan(Connection& conn, uint64_t request_id, const PlanResponse& served,
                  double queue_wait_us);
   bool SendResponse(Connection& conn, const WireResponse& response);
-  // Writes one whole frame under the connection's write lock.
-  bool SendFrame(Connection& conn, const std::string& frame);
+  // Writes one whole frame, given as consecutive parts, with one gather
+  // write under the connection's write lock.
+  bool SendFrame(Connection& conn, std::initializer_list<std::string_view> parts);
   void SendError(Connection& conn, uint64_t request_id, WireStatus status,
                  std::string message);
   // End-of-request telemetry: total + per-stage histograms, the slow-request

@@ -134,21 +134,18 @@ uint32_t StatsJsonBytes(const WireResponse& response) {
       std::min<size_t>(response.stats_json.size(), kMaxWireStatsJsonBytes));
 }
 
-// The exact number of bytes WriteResponse writes for `response` with a
-// `plan_size`-byte plan section.
-size_t ResponsePayloadSize(const WireResponse& response, size_t plan_size) {
+// The exact number of bytes WriteResponseHead writes for `response`.
+size_t ResponseHeadSize(const WireResponse& response) {
   const size_t head = 4 + 8 + 1 + 4 + MessageBytes(response);
   if (response.status != WireStatus::kOk) {
     return head;
   }
-  return head + 1 + 8 + 8 + 1 + 8 + 8 + 1 + 1 + 8 + 8 + 8 + plan_size + kStageBlockBytes + 4 +
-         StatsJsonBytes(response);
+  return head + 1 + 8 + 8 + 1 + 8 + 8 + 1 + 1 + 8 + 8 + 8;
 }
 
-// Writes the response payload; the plan section is `plan`'s image, encoded
-// in place with response.digest as its trailer, or else response.plan_bytes.
-void WriteResponse(const WireResponse& response, const PartitionPlan* plan, size_t plan_size,
-                   Writer& w) {
+// Writes the response payload through the plan section's length: all of it
+// for an error response.
+void WriteResponseHead(const WireResponse& response, size_t plan_size, Writer& w) {
   w.U32(kWireVersion);
   w.U64(response.request_id);
   w.U8(static_cast<uint8_t>(response.status));
@@ -172,13 +169,17 @@ void WriteResponse(const WireResponse& response, const PartitionPlan* plan, size
   w.F64(response.queue_wait_us);
   w.U64(response.digest);
   w.U64(plan_size);
-  if (plan != nullptr) {
-    SerializePlanInto(*plan, response.digest, w.Take(plan_size));
-  } else {
-    w.Bytes(response.plan_bytes.data(), plan_size);
-  }
-  // The per-stage latency block (bounds-checked on parse exactly like
-  // cache_outcome) and the stats-JSON section (kStats responses only).
+}
+
+// The bytes of a kOk response after its plan section.
+size_t ResponseTailSize(const WireResponse& response) {
+  return kStageBlockBytes + 4 + StatsJsonBytes(response);
+}
+
+// Writes a kOk response's payload after the plan section: the per-stage
+// latency block (bounds-checked on parse exactly like cache_outcome) and the
+// stats-JSON section (kStats responses only).
+void WriteResponseTail(const WireResponse& response, Writer& w) {
   w.U8(static_cast<uint8_t>(obs::kNumStages));
   for (const double stage : response.stats.stage_us) {
     w.F64(stage);
@@ -186,6 +187,31 @@ void WriteResponse(const WireResponse& response, const PartitionPlan* plan, size
   const uint32_t stats_len = StatsJsonBytes(response);
   w.U32(stats_len);
   w.Bytes(response.stats_json.data(), stats_len);
+}
+
+// The exact number of bytes WriteResponse writes for `response` with a
+// `plan_size`-byte plan section.
+size_t ResponsePayloadSize(const WireResponse& response, size_t plan_size) {
+  if (response.status != WireStatus::kOk) {
+    return ResponseHeadSize(response);
+  }
+  return ResponseHeadSize(response) + plan_size + ResponseTailSize(response);
+}
+
+// Writes the response payload; the plan section is `plan`'s image, encoded
+// in place with response.digest as its trailer, or else response.plan_bytes.
+void WriteResponse(const WireResponse& response, const PartitionPlan* plan, size_t plan_size,
+                   Writer& w) {
+  WriteResponseHead(response, plan_size, w);
+  if (response.status != WireStatus::kOk) {
+    return;
+  }
+  if (plan != nullptr) {
+    SerializePlanInto(*plan, response.digest, w.Take(plan_size));
+  } else {
+    w.Bytes(response.plan_bytes.data(), plan_size);
+  }
+  WriteResponseTail(response, w);
 }
 
 }  // namespace
@@ -410,6 +436,21 @@ void AppendResponseFrame(const WireResponse& response, std::string* out,
       response.status == WireStatus::kOk ? FrameType::kResponse : FrameType::kError, size,
       out));
   WriteResponse(response, plan, plan_size, w);
+}
+
+void FrameResponseAroundImage(const WireResponse& response, size_t image_size,
+                              std::string* head, std::string* tail) {
+  ZCHECK(response.status == WireStatus::kOk) << "only a kOk response carries a plan image";
+  size_t at = head->size();
+  head->resize(at + kFrameHeaderBytes + ResponseHeadSize(response));
+  WriteFrameHeader(FrameType::kResponse, ResponsePayloadSize(response, image_size),
+                   head->data() + at);
+  Writer h(head->data() + at + kFrameHeaderBytes);
+  WriteResponseHead(response, image_size, h);
+  at = tail->size();
+  tail->resize(at + ResponseTailSize(response));
+  Writer t(tail->data() + at);
+  WriteResponseTail(response, t);
 }
 
 void OverwriteStageUs(const std::array<double, obs::kNumStages>& stage_us, std::string* frame) {

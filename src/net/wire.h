@@ -119,8 +119,9 @@ struct WireResponse {
   double queue_wait_us = 0;
   uint64_t digest = 0;      // plan->StateDigest(); authenticates plan_bytes.
   std::string plan_bytes;   // SerializePlan() image; empty for close/ping.
-                            // A served plan is encoded into its frame in
-                            // place instead (AppendResponseFrame's `plan`).
+                            // The daemon frames a served plan around its
+                            // image (FrameResponseAroundImage) or encodes
+                            // it in place (AppendResponseFrame's `plan`).
   // kStats responses: the "zeppelin.metrics.v1" snapshot JSON
   // (docs/OBSERVABILITY.md). Empty on every other kind.
   std::string stats_json;
@@ -146,9 +147,19 @@ void AppendRequestFrame(const WireRequest& request, std::string* out);
 void AppendResponseFrame(const WireResponse& response, std::string* out,
                          const PartitionPlan* plan = nullptr);
 
+// Frames a kOk response around a plan image the caller already holds (the
+// plan cache's certified bytes) without copying it: `*head` grows by the
+// frame header and the payload through the plan section's length, `*tail`
+// by the stage block and the stats-JSON section. head + image + tail is the
+// frame AppendResponseFrame writes for the same response carrying the image
+// in plan_bytes; response.plan_bytes is not read. The daemon sends the three
+// parts with one gather write.
+void FrameResponseAroundImage(const WireResponse& response, size_t image_size,
+                              std::string* head, std::string* tail);
+
 // Rewrites the per-stage latencies of the kOk response frame `*frame`, whose
-// stats-JSON section must be empty. The daemon calls it once the frame is
-// built, so a planned response's stage block includes its own encode stage.
+// stats-JSON section must be empty. The daemon calls it once a session
+// response's frame is built, so its stage block includes its own encode.
 void OverwriteStageUs(const std::array<double, obs::kNumStages>& stage_us, std::string* frame);
 
 // --- Parsing ----------------------------------------------------------------

@@ -36,11 +36,11 @@ enum class Stage : uint8_t {
   kQueueWait = 0,    // Admission wait (daemon gate).
   kDecode,           // Wire payload -> WireRequest structural parse.
   kValidate,         // Request checks: wire limits, CheckPlanRequest, session deltas.
-  kCacheLookup,      // PlanCache::TryServe (exact tier probe + digest check).
+  kCacheLookup,      // PlanCache::TryServe (slot-order hash + length compare; remap tier).
   kPlan,             // Partition / delta Apply / Rebase (the decision kernel).
   kMaterialize,      // Session-plan bulk copy into the immutable handle.
   kVerify,           // VerifyPlan certification.
-  kEncode,           // SerializePlan -> plan bytes.
+  kEncode,           // SerializePlan -> plan bytes (a cached plan: once, at insert).
   kWrite,            // Response frame encode + socket write.
   kCount,
 };

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 
 namespace zeppelin {
 
@@ -17,8 +18,33 @@ FabricResources::FabricResources(const ClusterSpec& spec) : spec_(spec) {
   nic_tx_base_ = ingress_base_ + gpus;
   nic_rx_base_ = nic_tx_base_ + nics;
   num_resources_ = nic_rx_base_ + nics;
-  rank_speed_.assign(gpus, 1.0);
+  const ClusterSpec& c = spec_;
+  uint64_t h = kFnvOffset;
+  h = FnvMixString(h, c.name);
+  h = FnvMix(h, static_cast<uint64_t>(c.num_nodes));
+  h = FnvMix(h, static_cast<uint64_t>(c.gpus_per_node));
+  h = FnvMix(h, static_cast<uint64_t>(c.nics_per_node));
+  h = FnvMixDouble(h, c.nic_bandwidth);
+  h = FnvMixDouble(h, c.nvswitch_bandwidth);
+  h = FnvMixDouble(h, c.intra_latency_us);
+  h = FnvMixDouble(h, c.inter_latency_us);
+  h = FnvMixDouble(h, c.gpu_effective_tflops);
+  h = FnvMixDouble(h, c.kernel_launch_us);
+  h = FnvMixDouble(h, c.gpu_memory_bytes);
+  h = FnvMixDouble(h, c.hbm_bandwidth);
+  h = FnvMix(h, c.gpu_to_nic.size());
+  for (int nic : c.gpu_to_nic) {
+    h = FnvMix(h, static_cast<uint64_t>(nic));
+  }
+  spec_digest_ = h;
+  ResetRankSpeeds();
 }
+
+uint64_t FabricResources::SpeedTerm(int gpu, double factor) {
+  return AvalancheMix(FnvMixDouble(FnvMix(kFnvOffset, static_cast<uint64_t>(gpu)), factor));
+}
+
+uint64_t FabricResources::digest() const { return FnvMix(spec_digest_, speed_digest_); }
 
 double FabricResources::rank_speed(int gpu) const {
   ZCHECK(gpu >= 0 && gpu < spec_.world_size()) << "gpu=" << gpu;
@@ -28,11 +54,17 @@ double FabricResources::rank_speed(int gpu) const {
 void FabricResources::set_rank_speed(int gpu, double factor) {
   ZCHECK(gpu >= 0 && gpu < spec_.world_size()) << "gpu=" << gpu;
   ZCHECK(factor > 0) << "speed factor must be positive: " << factor;
+  // The speed digest is a sum of per-rank terms: swap this rank's term.
+  speed_digest_ += SpeedTerm(gpu, factor) - SpeedTerm(gpu, rank_speed_[gpu]);
   rank_speed_[gpu] = factor;
 }
 
 void FabricResources::ResetRankSpeeds() {
   rank_speed_.assign(spec_.world_size(), 1.0);
+  speed_digest_ = 0;
+  for (int gpu = 0; gpu < spec_.world_size(); ++gpu) {
+    speed_digest_ += SpeedTerm(gpu, 1.0);
+  }
 }
 
 bool FabricResources::heterogeneous() const {

@@ -94,9 +94,20 @@ class FabricResources {
   // True when any rank is off nominal speed.
   bool heterogeneous() const;
 
+  // The fabric's identity for content-addressed caches (PlanCache): the
+  // cluster spec, its GPU->NIC map and every rank's speed factor. The
+  // mutators keep it current (set_rank_speed in O(1)), so reading it costs
+  // nothing on a request path.
+  uint64_t digest() const;
+
  private:
+  // One rank's term of the commutative speed digest.
+  static uint64_t SpeedTerm(int gpu, double factor);
+
   ClusterSpec spec_;
   std::vector<double> rank_speed_;
+  uint64_t spec_digest_ = 0;
+  uint64_t speed_digest_ = 0;  // Sum of SpeedTerm over every rank.
   int compute_base_ = 0;
   int egress_base_ = 0;
   int ingress_base_ = 0;

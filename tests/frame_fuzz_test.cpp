@@ -802,6 +802,24 @@ TEST(FrameFuzzTest, PlanEncodedInPlaceMatchesThePinnedFrames) {
   }
 }
 
+TEST(FrameFuzzTest, FramesAroundAStoredImageMatchThePinnedFrames) {
+  // The daemon's cache path: a fresh header and stage block around the
+  // stored plan image, sent as three parts, must be the pinned frame.
+  const GoldenWire wire;
+  for (size_t i = 0; i < wire.plans.size(); ++i) {
+    const auto& [name, response] = wire.responses[i];
+    SCOPED_TRACE(name);
+    WireResponse header = response;
+    header.plan_bytes.clear();
+    std::string head;
+    std::string tail;
+    FrameResponseAroundImage(header, response.plan_bytes.size(), &head, &tail);
+    std::string reference;
+    AppendResponseFrame(response, &reference);
+    EXPECT_EQ(head + response.plan_bytes + tail, reference);
+  }
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace zeppelin

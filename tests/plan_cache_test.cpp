@@ -1,10 +1,11 @@
 // PlanCache (src/core/plan_cache.h): the cache-key canonicalization
 // properties (randomized + seeded, twin-checked — permuting sequences or
-// renaming slots never changes the key, any semantic change always does),
-// exact-tier hit semantics (zero-copy repeats, seq-id remap for permuted
-// batches, every served plan certified), LRU eviction, the poisoned-entry
-// hook, and a concurrent hammer (the TSAN target together with
-// plan_service_test).
+// renaming slots never changes the canonical key, any semantic change always
+// does), the slot-order signature and the remap tier's slot pairing as free
+// functions, hit semantics (an exact hit is the stored certified image, a
+// permuted batch is remapped, certified and re-anchored), LRU eviction, the
+// resident-bytes gauge, and a concurrent hammer (the TSAN target together
+// with plan_service_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/plan_cache.h"
+#include "src/core/plan_io.h"
 #include "src/core/plan_service.h"
 #include "src/core/plan_verify.h"
 #include "src/data/datasets.h"
@@ -106,9 +108,17 @@ TEST(PlanCacheKeyTest, AnySemanticChangeSplitsTheKey) {
     EXPECT_NE(base, ComputePlanCacheKey(other_cluster.Request(batch)));
 
     // A topology change surfaced through the fabric: one straggler rank.
+    // The fabric keeps its digest current, so restoring the rank's speed
+    // restores the key.
     Rig slowed;
-    slowed.fabric.set_rank_speed(static_cast<int>(rng.NextBounded(16)), 0.5);
+    const int straggler = static_cast<int>(rng.NextBounded(16));
+    slowed.fabric.set_rank_speed(straggler, 0.5);
     EXPECT_NE(base, ComputePlanCacheKey(slowed.Request(batch)));
+    slowed.fabric.set_rank_speed(straggler, 1.0);
+    EXPECT_EQ(base, ComputePlanCacheKey(slowed.Request(batch)));
+    slowed.fabric.set_rank_speed(straggler, 0.25);
+    slowed.fabric.ResetRankSpeeds();
+    EXPECT_EQ(base, ComputePlanCacheKey(slowed.Request(batch)));
 
     // A planning-option change that alters the plan bytes.
     PlanRequest optioned = rig.Request(batch);
@@ -163,7 +173,55 @@ TEST(PlanCacheKeyTest, EqualTotalMultisetsSplitTheKey) {
   }
 }
 
-TEST(PlanCacheTest, ExactHitIsZeroCopyAndCertified) {
+TEST(PlanCacheKeyTest, SlotOrderSignatureSeesEverySlot) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    // Odd sizes leave a tail past the last whole round of the hash's lanes.
+    const Batch batch = SampleBatch(64 + static_cast<int>(seed), seed);
+    const uint64_t sig = SlotOrderSignature(batch);
+    EXPECT_EQ(sig, SlotOrderSignature(Batch(batch)));  // A copy hashes equal.
+    Rng rng(seed * 131);
+    for (int trial = 0; trial < 8; ++trial) {
+      Batch changed = batch;
+      changed.seq_lens[rng.NextBounded(changed.seq_lens.size())] += 64;
+      EXPECT_NE(sig, SlotOrderSignature(changed)) << "seed " << seed;
+    }
+    Batch swapped = batch;
+    const auto [lo, hi] = std::minmax_element(swapped.seq_lens.begin(), swapped.seq_lens.end());
+    std::iter_swap(lo, hi);
+    EXPECT_NE(sig, SlotOrderSignature(swapped)) << "seed " << seed;
+    Batch shrunk = batch;
+    shrunk.seq_lens.pop_back();
+    EXPECT_NE(sig, SlotOrderSignature(shrunk)) << "seed " << seed;
+  }
+}
+
+TEST(PlanCacheKeyTest, RemapPairingIsABijectionOrACollision) {
+  // A permutation pairs every cached slot with a request slot of the same
+  // length, one to one.
+  const Batch batch = SampleBatch(256, 0x9a1);
+  const Batch shuffled = Permuted(batch, 0x77);
+  std::vector<int> remap;
+  ASSERT_TRUE(PairSlotsByLength(batch.seq_lens, shuffled.seq_lens, &remap));
+  ASSERT_EQ(remap.size(), batch.seq_lens.size());
+  std::vector<bool> taken(remap.size(), false);
+  for (size_t c = 0; c < remap.size(); ++c) {
+    ASSERT_GE(remap[c], 0);
+    ASSERT_LT(static_cast<size_t>(remap[c]), remap.size());
+    EXPECT_FALSE(taken[remap[c]]);
+    taken[remap[c]] = true;
+    EXPECT_EQ(batch.seq_lens[c], shuffled.seq_lens[remap[c]]);
+  }
+  // A different multiset behind an equal signature (a collision) pairs
+  // nothing: the cache answers it as a miss, never a verify failure.
+  Batch other = shuffled;
+  other.seq_lens.front() += 64;
+  EXPECT_FALSE(PairSlotsByLength(batch.seq_lens, other.seq_lens, &remap));
+  Batch shorter = shuffled;
+  shorter.seq_lens.pop_back();
+  EXPECT_FALSE(PairSlotsByLength(batch.seq_lens, shorter.seq_lens, &remap));
+}
+
+TEST(PlanCacheTest, ExactHitServesTheStoredImage) {
   Rig rig;
   PlannerService service;
   PlanCache cache(&service);
@@ -171,16 +229,31 @@ TEST(PlanCacheTest, ExactHitIsZeroCopyAndCertified) {
 
   const PlanResponse miss = cache.Plan(rig.Request(batch));
   ASSERT_NE(miss.plan, nullptr);
+  ASSERT_NE(miss.image, nullptr);
   EXPECT_EQ(miss.stats.cache_outcome, CacheOutcome::kMiss);
   EXPECT_TRUE(miss.stats.verified);
+  // The miss was serialized once, and its response carries those bytes.
+  EXPECT_EQ(*miss.image, SerializePlan(*miss.plan));
 
+  // Lookup-only: the exact tier builds no plan and no bytes — it hands out
+  // the very image the miss stored.
+  const std::optional<PlanResponse> served = cache.TryServe(rig.Request(batch));
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(served->plan, nullptr);
+  EXPECT_EQ(served->image.get(), miss.image.get());
+  EXPECT_EQ(served->digest, miss.digest);
+  EXPECT_EQ(served->stats.cache_outcome, CacheOutcome::kHit);
+  EXPECT_TRUE(served->stats.verified);
+
+  // The in-process front door parses the image into a plan of its own.
   const PlanResponse hit = cache.Plan(rig.Request(batch));
   EXPECT_EQ(hit.stats.cache_outcome, CacheOutcome::kHit);
   EXPECT_TRUE(hit.stats.verified);
-  EXPECT_EQ(hit.plan.get(), miss.plan.get());  // Shared immutable handle.
+  ASSERT_NE(hit.plan, nullptr);
+  EXPECT_EQ(SerializePlan(*hit.plan), *miss.image);
   EXPECT_EQ(hit.digest, miss.digest);
   EXPECT_EQ(hit.stats.partition_time_us, 0);
-  EXPECT_EQ(cache.counters().hits, 1u);
+  EXPECT_EQ(cache.counters().hits, 2u);
   EXPECT_EQ(cache.counters().misses, 1u);
 }
 
@@ -207,6 +280,70 @@ TEST(PlanCacheTest, PermutedBatchHitsWithARemappedPlan) {
   EXPECT_EQ(hit.plan->tokens_per_rank, miss.plan->tokens_per_rank);
 }
 
+TEST(PlanCacheTest, RemapTierReanchorsToTheServedOrder) {
+  Rig rig;
+  PlannerService service;
+  PlanCache cache(&service);
+  const Batch batch = SampleBatch(256, 0x7e4);
+  const Batch shuffled = Permuted(batch, 0x52);
+  ASSERT_EQ(cache.Plan(rig.Request(batch)).stats.cache_outcome, CacheOutcome::kMiss);
+
+  // Two consecutive remap serves: each builds, certifies and encodes a plan
+  // for the permuted order (the remap tier carries the plan it built).
+  std::shared_ptr<const std::string> remapped_image;
+  for (int serve = 0; serve < 2; ++serve) {
+    const std::optional<PlanResponse> remapped = cache.TryServe(rig.Request(shuffled));
+    ASSERT_TRUE(remapped.has_value());
+    ASSERT_NE(remapped->plan, nullptr) << "serve " << serve;
+    ASSERT_NE(remapped->image, nullptr);
+    EXPECT_TRUE(remapped->stats.verified);
+    EXPECT_EQ(*remapped->image, SerializePlan(*remapped->plan));
+    remapped_image = remapped->image;
+  }
+  // The entry re-anchored to the permuted order: its next serve is an exact
+  // hit of the image the second remap certified.
+  const std::optional<PlanResponse> exact = cache.TryServe(rig.Request(shuffled));
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_EQ(exact->plan, nullptr);
+  EXPECT_EQ(exact->image.get(), remapped_image.get());
+  PartitionPlan parsed;
+  ASSERT_TRUE(ParsePlan(*exact->image, &parsed).ok());
+  PlanVerifyOptions opts;
+  opts.world = rig.cluster.world_size();
+  const PlanVerifyResult verdict = VerifyPlan(parsed, &shuffled, nullptr, opts);
+  EXPECT_TRUE(verdict.ok()) << verdict.message;
+
+  // The original order is now the permutation, still served by one entry.
+  const std::optional<PlanResponse> original = cache.TryServe(rig.Request(batch));
+  ASSERT_TRUE(original.has_value());
+  EXPECT_NE(original->plan, nullptr);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.counters().verify_failures, 0u);
+}
+
+TEST(PlanCacheTest, ResidentBytesTrackTheImagesHeld) {
+  Rig rig;
+  PlannerService service;
+  const obs::Gauge* resident = service.metrics().GetGauge("cache.resident_bytes");
+  const Batch a = SampleBatch(64, 11), b = SampleBatch(96, 12), c = SampleBatch(128, 13);
+  {
+    PlanCacheOptions options;
+    options.capacity = 2;
+    PlanCache cache(&service, options);
+    const auto held = [](const PlanResponse& r, const Batch& batch) {
+      return static_cast<int64_t>(r.image->size() + 8 * batch.seq_lens.size());
+    };
+    const PlanResponse ra = cache.Plan(rig.Request(a));
+    const PlanResponse rb = cache.Plan(rig.Request(b));
+    EXPECT_EQ(resident->value(), held(ra, a) + held(rb, b));
+    cache.Plan(rig.Request(a));  // A hit holds nothing new.
+    EXPECT_EQ(resident->value(), held(ra, a) + held(rb, b));
+    const PlanResponse rc = cache.Plan(rig.Request(c));  // Evicts b.
+    EXPECT_EQ(resident->value(), held(ra, a) + held(rc, c));
+  }
+  EXPECT_EQ(resident->value(), 0);  // A destroyed cache holds nothing.
+}
+
 TEST(PlanCacheTest, LruEvictsTheColdestEntry) {
   Rig rig;
   PlannerService service;
@@ -223,53 +360,6 @@ TEST(PlanCacheTest, LruEvictsTheColdestEntry) {
   EXPECT_EQ(cache.counters().evictions, 1u);
   EXPECT_EQ(cache.Plan(rig.Request(a)).stats.cache_outcome, CacheOutcome::kHit);
   EXPECT_EQ(cache.Plan(rig.Request(b)).stats.cache_outcome, CacheOutcome::kMiss);
-}
-
-TEST(PlanCacheTest, PoisonedEntryIsNeverServed) {
-  Rig rig;
-  PlannerService service;
-  PlanCache cache(&service);
-  const Batch batch = SampleBatch(256, 0xbad);
-
-  const PlanResponse miss = cache.Plan(rig.Request(batch));
-  ASSERT_TRUE(cache.PoisonEntryForTest(rig.Request(batch)));
-
-  // The poisoned entry is caught by the certifier, dropped, and replanned —
-  // the caller still receives a correct (and certified) plan. The replan is
-  // a plain miss, never a hit of the poisoned bytes.
-  const PlanResponse replanned = cache.Plan(rig.Request(batch));
-  EXPECT_NE(replanned.stats.cache_outcome, CacheOutcome::kHit);
-  EXPECT_TRUE(replanned.stats.verified);
-  EXPECT_EQ(replanned.digest, miss.digest);
-  EXPECT_EQ(cache.counters().verify_failures, 1u);
-
-  // And the replanned insert restored a healthy entry.
-  EXPECT_EQ(cache.Plan(rig.Request(batch)).stats.cache_outcome, CacheOutcome::kHit);
-}
-
-TEST(PlanCacheTest, SignatureCollisionIsAMissNotAVerifyFailure) {
-  Rig rig;
-  PlannerService service;
-  PlanCache cache(&service);
-  const Batch planted = SampleBatch(256, 0xc0111);
-  const Batch other = SampleBatch(256, 0xd1ff);
-
-  ASSERT_EQ(cache.Plan(rig.Request(planted)).stats.cache_outcome, CacheOutcome::kMiss);
-  ASSERT_TRUE(cache.RekeyEntryForTest(rig.Request(planted), rig.Request(other)));
-
-  // `other` now finds an entry holding a different length multiset — a
-  // simulated signature collision. That is not a poisoned entry: it must be
-  // served as an ordinary miss with a correct plan, without touching the
-  // verify-failure counter, and the replacement entry must hit afterwards.
-  const PlanResponse miss = cache.Plan(rig.Request(other));
-  EXPECT_EQ(miss.stats.cache_outcome, CacheOutcome::kMiss);
-  EXPECT_TRUE(miss.stats.verified);
-  EXPECT_EQ(cache.counters().verify_failures, 0u);
-
-  const PlanResponse hit = cache.Plan(rig.Request(other));
-  EXPECT_EQ(hit.stats.cache_outcome, CacheOutcome::kHit);
-  EXPECT_EQ(hit.digest, miss.digest);
-  EXPECT_EQ(cache.counters().verify_failures, 0u);
 }
 
 TEST(PlanCacheTest, SessionRequestsBypassTheCache) {

@@ -5,8 +5,10 @@
 // back to baseline — the leak regression), typed rejection of oversized
 // frames / malformed requests / bad semantics with the connection surviving
 // where the framing allows it, bounded admission (kOverloaded), per-request
-// deadlines (kDeadlineExceeded), graceful drain (kShuttingDown), and
-// session privacy across connections.
+// deadlines (kDeadlineExceeded), graceful drain (kShuttingDown), session
+// privacy across connections, the cache's hit path (hits encode nothing and
+// repeat the miss's bytes; permutations take the remap tier), and the
+// client's own stage timings.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +16,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -523,47 +526,99 @@ TEST(PlannerDaemonTest, RepeatedRequestsHitTheCacheByteIdentically) {
   EXPECT_LT(hits_at, gauges_at) << json;
 }
 
-TEST(PlannerDaemonTest, PoisonedCacheEntryIsCaughtNotServed) {
+// Reads one histogram's count out of a metrics.v1 snapshot (0 when the
+// histogram has no record yet).
+uint64_t HistogramCount(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":{\"count\":";
+  const size_t at = json.find(key);
+  return at == std::string::npos ? 0 : std::stoull(json.substr(at + key.size()));
+}
+
+TEST(PlannerDaemonTest, CacheHitsEncodeNothing) {
   DaemonRig rig;
   PlanClient client = rig.Client();
-  const Batch batch = SampleBatch(256, 0xdead);
+  const Batch batch = SampleBatch(256, 0xe4c0de);
+  constexpr int kRepeats = 6;
+  std::vector<PlanClientResult> results;
+  for (int i = 0; i < kRepeats; ++i) {
+    WireRequest request;
+    request.batch = batch;
+    results.push_back(client.Plan(std::move(request)));
+    ASSERT_TRUE(results.back().ok()) << results.back().message;
+  }
+  EXPECT_EQ(results.front().stats.cache_outcome, CacheOutcome::kMiss);
+  for (int i = 1; i < kRepeats; ++i) {
+    EXPECT_EQ(results[i].stats.cache_outcome, CacheOutcome::kHit);
+    EXPECT_EQ(results[i].plan_bytes, results.front().plan_bytes);  // The miss's bytes.
+    EXPECT_EQ(results[i].digest, results.front().digest);
+  }
+  // Histograms are recorded after the response is written.
+  ASSERT_TRUE(WaitFor([&] {
+    return HistogramCount(rig.daemon.StatsJson(), "request.total_us") == kRepeats;
+  }));
+  // Only the miss encoded a plan image: a hit sends the stored one.
+  const std::string json = rig.daemon.StatsJson();
+  EXPECT_EQ(HistogramCount(json, "stage_us.encode"), rig.daemon.counters().cache_misses);
+  EXPECT_EQ(HistogramCount(json, "stage_us.encode"), 1u) << json;
+  EXPECT_EQ(HistogramCount(json, "stage_us.cache_lookup"), static_cast<uint64_t>(kRepeats));
+}
 
-  WireRequest request;
-  request.batch = batch;
-  const PlanClientResult first = client.Plan(std::move(request));
-  ASSERT_TRUE(first.ok()) << first.message;
+TEST(PlannerDaemonTest, PermutedBatchIsServedThroughTheRemapTier) {
+  DaemonRig rig;
+  PlanClient client = rig.Client();
+  const Batch batch = SampleBatch(256, 0x9e4a);
+  Batch permuted = batch;
+  std::reverse(permuted.seq_lens.begin(), permuted.seq_lens.end());
 
-  // Corrupt the stored entry through the test hook. The daemon shares the
-  // rig's (model, cluster) identity, so the rig-side request addresses the
-  // same cache slot.
-  PlanRequest key_request;
-  key_request.batch = &batch;
-  key_request.cost_model = &rig.cost_model;
-  key_request.fabric = &rig.fabric;
-  ASSERT_TRUE(rig.daemon.cache().PoisonEntryForTest(key_request));
+  WireRequest first;
+  first.batch = batch;
+  const PlanClientResult miss = client.Plan(std::move(first));
+  ASSERT_TRUE(miss.ok()) << miss.message;
+  EXPECT_EQ(miss.stats.cache_outcome, CacheOutcome::kMiss);
 
-  // Verify-before-serve must catch the corruption, drop the entry, and serve
-  // a freshly planned (and certified) plan instead of the poisoned bytes.
-  WireRequest repeat;
-  repeat.batch = batch;
-  const PlanClientResult replanned = client.Plan(std::move(repeat));
-  ASSERT_TRUE(replanned.ok()) << replanned.message;
-  EXPECT_NE(replanned.stats.cache_outcome, CacheOutcome::kHit);
-  EXPECT_TRUE(replanned.stats.verified);
-  EXPECT_EQ(replanned.plan_bytes, first.plan_bytes);
-  EXPECT_EQ(replanned.digest, first.digest);
-
+  // The client certifies each reply against its own request batch, so an
+  // ok() reply for the permutation is a plan for the permuted slot order.
+  std::vector<PlanClientResult> remapped;
+  for (int i = 0; i < 3; ++i) {
+    WireRequest request;
+    request.batch = permuted;
+    remapped.push_back(client.Plan(std::move(request)));
+    ASSERT_TRUE(remapped.back().ok()) << remapped.back().message;
+    EXPECT_EQ(remapped.back().stats.cache_outcome, CacheOutcome::kHit);
+    EXPECT_TRUE(remapped.back().stats.verified);
+  }
+  EXPECT_NE(remapped.front().plan_bytes, miss.plan_bytes);
+  EXPECT_EQ(remapped.front().plan->tokens_per_rank, miss.plan->tokens_per_rank);
+  // After two remap serves the entry re-anchored: the third is an exact hit
+  // of the image the second certified.
+  EXPECT_EQ(remapped[2].plan_bytes, remapped[1].plan_bytes);
   const DaemonCounters counters = rig.daemon.counters();
-  EXPECT_EQ(counters.verify_failures, 1u);
-  EXPECT_EQ(counters.cache_misses, 2u);
+  EXPECT_EQ(counters.cache_misses, 1u);
+  EXPECT_EQ(counters.cache_hits, 3u);
+  EXPECT_EQ(counters.verify_failures, 0u);
+}
 
-  // The replacement entry is healthy: the next repeat is a hit again.
-  WireRequest again;
-  again.batch = batch;
-  const PlanClientResult hit = client.Plan(std::move(again));
-  ASSERT_TRUE(hit.ok()) << hit.message;
-  EXPECT_EQ(hit.stats.cache_outcome, CacheOutcome::kHit);
-  EXPECT_EQ(rig.daemon.counters().cache_hits, 1u);
+TEST(PlannerDaemonTest, ClientTimesItsOwnStages) {
+  DaemonRig rig;
+  PlanClient client = rig.Client();
+  const Batch batch = SampleBatch(256, 0xc11e47);
+  for (const CacheOutcome outcome : {CacheOutcome::kMiss, CacheOutcome::kHit}) {
+    WireRequest request;
+    request.batch = batch;
+    const PlanClientResult result = client.Plan(std::move(request));
+    ASSERT_TRUE(result.ok()) << result.message;
+    EXPECT_EQ(result.stats.cache_outcome, outcome);
+    const ClientStageUs& s = result.stage_us;
+    for (const double stage : {s.encode, s.send, s.wait, s.read, s.parse, s.verify}) {
+      EXPECT_GE(stage, 0.0);
+    }
+    EXPECT_GT(s.wait + s.read, 0.0);
+    EXPECT_GT(s.parse, 0.0);
+    EXPECT_GT(s.verify, 0.0);
+    // The stages through the response parse lie inside the round trip (whole
+    // µs, truncated).
+    EXPECT_LE(s.encode + s.send + s.wait + s.read, result.rtt_us + 1.0);
+  }
 }
 
 // --- observability (docs/OBSERVABILITY.md) -----------------------------------
