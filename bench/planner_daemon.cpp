@@ -9,7 +9,7 @@
 //   - in-process: one thread calling PlannerService::Plan directly
 //     (zero-copy, no sockets) — the floor of a planned request; and one
 //     thread calling PlanCache::Plan on one cached batch — the floor of a
-//     cache hit that yields a plan: the exact-tier lookup plus the ParsePlan
+//     cache hit that yields a plan: the cache lookup plus the ParsePlan
 //     of the stored image.
 //   - daemon "hot" at {1, 16, 64} concurrent clients: each client is one TCP
 //     connection re-sending the same stateless batch back-to-back, so every

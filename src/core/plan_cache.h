@@ -1,30 +1,28 @@
 // PlanCache: the content-addressed plan cache in front of PlannerService
 // (docs/PLAN_CACHE.md).
 //
-// At production traffic most plan requests repeat — same cost model, same
-// fabric, same length histogram — yet every request pays the full decision
-// kernel. The cache keys each stateless request by
+// The planner runs once per iteration on the global batch as the data loader
+// hands it, so the repeats worth serving are the same batch in the same slot
+// order (sweep jobs sharing a data order, epoch replays). The cache keys each
+// stateless request by
 //
-//   (cost-model digest, fabric digest, batch signature,
+//   (cost-model digest, fabric digest, slot-order batch signature,
 //    planning-option signature)
 //
 // and serves repeats from a bounded LRU of certified plan images: the
 // SerializePlan bytes with their StateDigest trailer, the certificate
-// travelling with the bytes it certifies. Two tiers share each entry. The
-// exact tier is keyed by a cheap hash of the lengths in slot order and
-// confirmed by comparing the length vector, so a repeat is served as the
-// stored image itself, with no plan built and no byte encoded. The remap
-// tier is keyed by the order- and renaming-invariant canonical signature
-// and serves a permutation of a cached batch by parsing the image and
-// remapping its seq ids (docs/PLAN_CACHE.md "Key derivation"). A miss is a
-// plain PlannerService::Plan call, so the plan a request gets never depends
-// on earlier traffic.
+// travelling with the bytes it certifies. A key match is confirmed by
+// comparing the length vector, so a repeat is served as the stored image
+// itself, with no plan built and no byte encoded (docs/PLAN_CACHE.md "Key
+// derivation"). Any other batch, a permutation included, is a miss: a plain
+// PlannerService::Plan call, so the plan a request gets never depends on
+// earlier traffic.
 //
 // Certification: every plan enters the cache only after VerifyPlan
 // (plan_verify.h) passes, and is serialized once, at insert. An entry is
 // immutable from then on; every consumer of an image re-checks its trailer
-// (ParsePlan: the client, the in-process Plan, the remap tier), so a
-// corrupted entry is never accepted. A freshly planned failure is returned
+// (ParsePlan: the client, the in-process Plan), so a corrupted entry is never
+// accepted. A freshly planned failure is returned
 // with stats.verified == false and no image so the caller can apply policy
 // (the daemon turns it into a typed kInternal). A request the service
 // rejects (PlanResponse::status) passes through unverified and uncached.
@@ -41,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,39 +67,26 @@ struct PlanCacheCounters {
   uint64_t verify_failures = 0;
 };
 
-// The content address of a stateless plan request. Two requests with equal
-// canonical keys are served by the same plan (up to a seq-id remap).
+// The content address of a stateless plan request. Requests with equal keys
+// and equal length vectors are served by the same plan image.
 struct PlanCacheKey {
   uint64_t cost_digest = 0;    // Model config + tensor parallelism.
   uint64_t fabric_digest = 0;  // FabricResources::digest().
-  uint64_t batch_sig = 0;      // Canonical or slot-order batch signature.
+  uint64_t batch_sig = 0;      // SlotOrderSignature(batch).
   uint64_t options_sig = 0;    // Plan-shape options (capacity, layout knobs).
 
   bool operator==(const PlanCacheKey&) const = default;
 };
 
-// --- Key derivation (exposed for the canonicalization property tests) -------
+// --- Key derivation (exposed for the key property tests) --------------------
 
-// Invariant to sequence order and slot renaming; sensitive to any length
-// change (the multiset of lengths, not their arrangement). The remap tier's
-// batch signature.
-uint64_t CanonicalBatchSignature(const Batch& batch);
-// A hash of the lengths in slot order, in one cheap pass: the exact tier's
-// batch signature. Equal length vectors hash equal; a collision between
-// different ones costs nothing but a fall-through, because the exact tier
-// confirms every match by comparing the length vectors.
+// A hash of the lengths in slot order, in one cheap pass: the key's batch
+// signature. Equal length vectors hash equal; a collision between different
+// ones costs nothing but a miss, because every match is confirmed by
+// comparing the length vectors.
 uint64_t SlotOrderSignature(const Batch& batch);
-// The canonical (remap-tier) key for a request (ZCHECKs batch/cost_model/
-// fabric non-null).
+// The key for a request (ZCHECKs batch/cost_model/fabric non-null).
 PlanCacheKey ComputePlanCacheKey(const PlanRequest& request);
-
-// The remap tier's slot pairing: (*remap)[c] is the request slot that cached
-// slot c serves, pairing equal lengths in slot order (a stable bijection).
-// False when the two length multisets differ — a canonical-signature
-// collision, which the cache answers as an ordinary miss, never as a
-// verify failure.
-bool PairSlotsByLength(std::span<const int64_t> cached, std::span<const int64_t> request,
-                       std::vector<int>* remap);
 
 class PlanCache {
  public:
@@ -120,11 +104,10 @@ class PlanCache {
   // Session/delta requests bypass the cache entirely (kBypass).
   PlanResponse Plan(const PlanRequest& request);
 
-  // Lookup-only: a hit response (exact or remapped) carrying the certified
-  // image, or nullopt on miss or bypass. An exact hit builds nothing: its
-  // `plan` is null and `image` is the stored image. A remapped hit also
-  // carries the remapped plan. Lets callers with their own admission
-  // control (the daemon) serve hits without a planning permit.
+  // Lookup-only: a hit response carrying the stored certified image, or
+  // nullopt on miss or bypass. A hit builds nothing: its `plan` is null.
+  // Lets callers with their own admission control (the daemon) serve hits
+  // without a planning permit.
   std::optional<PlanResponse> TryServe(const PlanRequest& request);
 
   // Plans through the service and, once the plan is certified, serializes
@@ -141,24 +124,14 @@ class PlanCache {
   };
   using Image = std::shared_ptr<const std::string>;
   struct Entry {
-    PlanCacheKey exact_key;      // batch_sig: SlotOrderSignature(seq_lens).
-    PlanCacheKey canonical_key;  // batch_sig: CanonicalBatchSignature.
+    PlanCacheKey key;
     std::vector<int64_t> seq_lens;  // The batch, in the image's slot order.
     Image image;          // Certified SerializePlan image, trailer = digest.
     PlanStats stats;      // Engine/capacity of the producing plan call.
     uint64_t digest = 0;  // The image's StateDigest trailer.
-    uint8_t remap_streak = 0;  // Consecutive serves that needed the remap tier.
   };
-  using Index = std::unordered_map<PlanCacheKey, std::list<Entry>::iterator, KeyHash>;
 
   bool Cacheable(const PlanRequest& request) const;
-  // The remap tier: serves a permutation of a cached batch from the entry
-  // under `canonical_key`, or nullopt (no entry, a signature collision, or
-  // an image that fails its checks — then the entry is dropped). A
-  // re-anchored entry is stored under `exact_key`, the request's.
-  std::optional<PlanResponse> ServeRemapped(const PlanCacheKey& exact_key,
-                                            const PlanCacheKey& canonical_key,
-                                            const PlanRequest& request);
   // The bytes an entry holds (cache.resident_bytes).
   static int64_t ResidentBytes(const Entry& entry);
   void InsertLocked(Entry entry);
@@ -169,8 +142,7 @@ class PlanCache {
 
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // Front = most recently used.
-  Index exact_index_;      // By Entry::exact_key.
-  Index canonical_index_;  // By Entry::canonical_key.
+  std::unordered_map<PlanCacheKey, std::list<Entry>::iterator, KeyHash> index_;
 
   // The cache.* instruments, registered in the service's registry.
   obs::Counter* hits_ = nullptr;

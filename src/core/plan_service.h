@@ -184,8 +184,8 @@ struct PlanResponse {
   // the wire format's trailer authenticates.
   uint64_t digest = 0;
   // The plan's certified SerializePlan image, with `digest` as its trailer,
-  // when a PlanCache stored or served this response (null otherwise). On an
-  // exact PlanCache::TryServe hit it is the whole answer and `plan` is null.
+  // when a PlanCache stored or served this response (null otherwise). On a
+  // PlanCache::TryServe hit it is the whole answer and `plan` is null.
   std::shared_ptr<const std::string> image;
 };
 

@@ -100,7 +100,7 @@ std::vector<int64_t> StandardBinEdges() {
 std::string BinLabel(int64_t lo, int64_t hi) {
   auto k = [](int64_t v) { return std::to_string(v / 1024) + "k"; };
   if (lo == 0) {
-    return "<" + k(hi);
+    return std::string("<").append(k(hi));
   }
   return std::to_string(lo / 1024) + "-" + k(hi);
 }

@@ -35,7 +35,7 @@ int64_t NowUs() {
 }
 
 std::string SessionKey(uint64_t conn_id, const std::string& stream_id) {
-  return "c" + std::to_string(conn_id) + "/" + stream_id;
+  return std::string("c").append(std::to_string(conn_id)).append("/").append(stream_id);
 }
 
 // Sends every part, in order, with gather writes: a partial write resumes

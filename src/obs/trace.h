@@ -36,7 +36,7 @@ enum class Stage : uint8_t {
   kQueueWait = 0,    // Admission wait (daemon gate).
   kDecode,           // Wire payload -> WireRequest structural parse.
   kValidate,         // Request checks: wire limits, CheckPlanRequest, session deltas.
-  kCacheLookup,      // PlanCache::TryServe (slot-order hash + length compare; remap tier).
+  kCacheLookup,      // PlanCache::TryServe (slot-order hash + length compare).
   kPlan,             // Partition / delta Apply / Rebase (the decision kernel).
   kMaterialize,      // Session-plan bulk copy into the immutable handle.
   kVerify,           // VerifyPlan certification.

@@ -82,7 +82,10 @@ std::string FormatTimelineReport(const TaskGraph& graph, const FabricResources& 
 
   Table nic_table({"nic", "tx_util", "rx_util"});
   for (const auto& u : ComputeNicUtilization(fabric, result)) {
-    nic_table.AddRow({"n" + std::to_string(u.node) + ".nic" + std::to_string(u.nic),
+    nic_table.AddRow({std::string("n")
+                          .append(std::to_string(u.node))
+                          .append(".nic")
+                          .append(std::to_string(u.nic)),
                       Table::Cell(u.tx_utilization, 3), Table::Cell(u.rx_utilization, 3)});
   }
   out << nic_table.ToString();

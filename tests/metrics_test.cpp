@@ -1,81 +1,12 @@
+// Length-mixture distributions (src/data/mixture.h): component weights are
+// normalized and a zero-weight component contributes no mass.
 #include <gtest/gtest.h>
 
-#include <numeric>
-
-#include "src/core/metrics.h"
-#include "src/core/partitioner.h"
-#include "src/core/zeppelin.h"
-#include "src/data/datasets.h"
+#include "src/data/distribution.h"
 #include "src/data/mixture.h"
-#include "src/model/transformer.h"
 
 namespace zeppelin {
 namespace {
-
-class MetricsTest : public ::testing::Test {
- protected:
-  MetricsTest() : fabric_(MakeClusterA(2)), cost_model_(MakeLlama7B(), fabric_.cluster()) {}
-
-  PartitionPlan PlanFor(std::vector<int64_t> lens, int64_t capacity = 8192) {
-    Batch batch;
-    batch.seq_lens = std::move(lens);
-    SequencePartitioner partitioner(fabric_.cluster(), {.token_capacity = capacity});
-    return partitioner.Partition(batch);
-  }
-
-  FabricResources fabric_;
-  CostModel cost_model_;
-};
-
-TEST_F(MetricsTest, FlopsAccountForWholeBatch) {
-  const PartitionPlan plan = PlanFor({65536, 12288, 8192, 2048, 2048, 1024});
-  const PlanMetrics m = ComputePlanMetrics(plan, cost_model_);
-  const double total_flops =
-      std::accumulate(m.attention_flops_per_rank.begin(), m.attention_flops_per_rank.end(), 0.0);
-  double expected = 0;
-  for (const int64_t len : {65536, 12288, 8192, 2048, 2048, 1024}) {
-    expected += cost_model_.CausalAttentionFlops(len);
-  }
-  EXPECT_NEAR(total_flops / expected, 1.0, 1e-9);
-}
-
-TEST_F(MetricsTest, LocalOnlyPlanHasZeroComm) {
-  const PartitionPlan plan = PlanFor(std::vector<int64_t>(32, 2048));
-  const PlanMetrics m = ComputePlanMetrics(plan, cost_model_);
-  EXPECT_EQ(m.total_comm_bytes, 0);
-  EXPECT_EQ(m.total_inter_node_bytes, 0);
-}
-
-TEST_F(MetricsTest, InterRingProducesCrossNodeBytes) {
-  const PartitionPlan plan = PlanFor({131072}, 8192);  // Must span both nodes.
-  const PlanMetrics m = ComputePlanMetrics(plan, cost_model_);
-  EXPECT_GT(m.total_comm_bytes, 0);
-  EXPECT_GT(m.total_inter_node_bytes, 0);
-  EXPECT_LT(m.total_inter_node_bytes, m.total_comm_bytes);
-  // Only boundary ranks carry cross-node bytes: 2 boundaries in a 2-node ring.
-  int cross_senders = 0;
-  for (int64_t b : m.inter_node_bytes_per_rank) {
-    cross_senders += b > 0;
-  }
-  EXPECT_EQ(cross_senders, 2);
-}
-
-TEST_F(MetricsTest, ImbalanceMetricsAreSane) {
-  const PartitionPlan plan = PlanFor({49152, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024,
-                                      1024, 1024, 1024, 1024, 1024, 1024, 2048});
-  const PlanMetrics m = ComputePlanMetrics(plan, cost_model_);
-  EXPECT_GE(m.token_imbalance, 1.0);
-  EXPECT_GE(m.flop_imbalance, 1.0);
-}
-
-TEST_F(MetricsTest, DescribePlanMentionsZonesAndThresholds) {
-  const PartitionPlan plan = PlanFor({65536, 12288, 2048, 2048, 1024, 1024}, 8192);
-  const std::string description = DescribePlan(plan, cost_model_);
-  EXPECT_NE(description.find("inter-node"), std::string::npos);
-  EXPECT_NE(description.find("local"), std::string::npos);
-  EXPECT_NE(description.find("thresholds"), std::string::npos);
-  EXPECT_NE(description.find("imbalance"), std::string::npos);
-}
 
 TEST(MixtureTest, MixtureNormalizesComponents) {
   const LengthDistribution mix = MakeMixtureDistribution(

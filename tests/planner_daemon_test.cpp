@@ -7,8 +7,8 @@
 // where the framing allows it, bounded admission (kOverloaded), per-request
 // deadlines (kDeadlineExceeded), graceful drain (kShuttingDown), session
 // privacy across connections, the cache's hit path (hits encode nothing and
-// repeat the miss's bytes; permutations take the remap tier), and the
-// client's own stage timings.
+// repeat the miss's bytes; a permutation is a miss planned for its own slot
+// order), and the client's own stage timings.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -373,6 +373,29 @@ TEST(PlannerDaemonTest, BadSemanticsTypedAndNoPartialMutation) {
   EXPECT_GE(rig.daemon.counters().bad_requests, 7u);
 }
 
+TEST(PlannerDaemonTest, TotalTokenCapIsATypedBadRequest) {
+  DaemonRig rig;
+  PlanClient client = rig.Client();
+  // Every length passes parse (<= kMaxWireSeqLen); their sum does not pass
+  // the daemon's total-token cap.
+  constexpr int64_t kSeqs = kMaxWireTotalTokens / kMaxWireSeqLen + 1;
+  WireRequest over;
+  over.batch.seq_lens.assign(kSeqs, kMaxWireSeqLen);
+  const PlanClientResult rejected = client.Plan(std::move(over));
+  EXPECT_EQ(rejected.status, WireStatus::kBadRequest);
+  EXPECT_NE(rejected.message.find("total-token cap"), std::string::npos) << rejected.message;
+  EXPECT_EQ(rig.daemon.counters().bad_requests, 1u);
+
+  // The connection survives: the same one then serves a valid request.
+  WireRequest good;
+  good.batch = SampleBatch(64, 0x7c4);
+  const PlanClientResult served = client.Plan(std::move(good));
+  ASSERT_TRUE(served.ok()) << served.message;
+  EXPECT_EQ(served.attempts, 1);
+  EXPECT_EQ(rig.daemon.counters().connections_accepted, 1u);
+  EXPECT_EQ(rig.daemon.counters().bad_requests, 1u);
+}
+
 TEST(PlannerDaemonTest, OverloadShedsBeyondBoundedQueue) {
   DaemonRig rig(DaemonOptions{.max_concurrent_plans = 1,
                               .queue_limit = 0,
@@ -563,7 +586,7 @@ TEST(PlannerDaemonTest, CacheHitsEncodeNothing) {
   EXPECT_EQ(HistogramCount(json, "stage_us.cache_lookup"), static_cast<uint64_t>(kRepeats));
 }
 
-TEST(PlannerDaemonTest, PermutedBatchIsServedThroughTheRemapTier) {
+TEST(PlannerDaemonTest, PermutedBatchIsAMissPlannedForItsOwnOrder) {
   DaemonRig rig;
   PlanClient client = rig.Client();
   const Batch batch = SampleBatch(256, 0x9e4a);
@@ -572,29 +595,32 @@ TEST(PlannerDaemonTest, PermutedBatchIsServedThroughTheRemapTier) {
 
   WireRequest first;
   first.batch = batch;
-  const PlanClientResult miss = client.Plan(std::move(first));
+  const PlanClientResult original = client.Plan(std::move(first));
+  ASSERT_TRUE(original.ok()) << original.message;
+  EXPECT_EQ(original.stats.cache_outcome, CacheOutcome::kMiss);
+
+  // The cache keys the batch as sent: the permutation is a miss, certified,
+  // and its bytes are the in-process service's plan of the permuted order.
+  WireRequest second;
+  second.batch = permuted;
+  const PlanClientResult miss = client.Plan(std::move(second));
   ASSERT_TRUE(miss.ok()) << miss.message;
   EXPECT_EQ(miss.stats.cache_outcome, CacheOutcome::kMiss);
+  EXPECT_TRUE(miss.stats.verified);
+  const PlanResponse local = rig.LocalPlan(permuted, PlanningOptions{});
+  EXPECT_EQ(miss.digest, local.digest);
+  EXPECT_EQ(miss.plan_bytes, SerializePlan(*local.plan));
 
-  // The client certifies each reply against its own request batch, so an
-  // ok() reply for the permutation is a plan for the permuted slot order.
-  std::vector<PlanClientResult> remapped;
-  for (int i = 0; i < 3; ++i) {
-    WireRequest request;
-    request.batch = permuted;
-    remapped.push_back(client.Plan(std::move(request)));
-    ASSERT_TRUE(remapped.back().ok()) << remapped.back().message;
-    EXPECT_EQ(remapped.back().stats.cache_outcome, CacheOutcome::kHit);
-    EXPECT_TRUE(remapped.back().stats.verified);
-  }
-  EXPECT_NE(remapped.front().plan_bytes, miss.plan_bytes);
-  EXPECT_EQ(remapped.front().plan->tokens_per_rank, miss.plan->tokens_per_rank);
-  // After two remap serves the entry re-anchored: the third is an exact hit
-  // of the image the second certified.
-  EXPECT_EQ(remapped[2].plan_bytes, remapped[1].plan_bytes);
+  // A repeat of the permuted order is a hit of the bytes its miss stored.
+  WireRequest third;
+  third.batch = permuted;
+  const PlanClientResult hit = client.Plan(std::move(third));
+  ASSERT_TRUE(hit.ok()) << hit.message;
+  EXPECT_EQ(hit.stats.cache_outcome, CacheOutcome::kHit);
+  EXPECT_EQ(hit.plan_bytes, miss.plan_bytes);
   const DaemonCounters counters = rig.daemon.counters();
-  EXPECT_EQ(counters.cache_misses, 1u);
-  EXPECT_EQ(counters.cache_hits, 3u);
+  EXPECT_EQ(counters.cache_misses, 2u);
+  EXPECT_EQ(counters.cache_hits, 1u);
   EXPECT_EQ(counters.verify_failures, 0u);
 }
 

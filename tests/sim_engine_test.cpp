@@ -125,7 +125,8 @@ TEST_F(SimEngineTest, NoDeadlockOnInterleavedMultiResourceTasks) {
   for (int i = 0; i < 20; ++i) {
     const std::vector<ResourceId> resources =
         (i % 2 == 0) ? std::vector<ResourceId>{a, b} : std::vector<ResourceId>{b, a};
-    g.AddTask(1.0, TaskCategory::kIntraComm, resources, {}, 0, -1, "t" + std::to_string(i));
+    g.AddTask(1.0, TaskCategory::kIntraComm, resources, {}, 0, -1,
+              std::string("t").append(std::to_string(i)));
   }
   const SimResult r = engine_.Run(g);  // ZCHECK inside fails on deadlock.
   EXPECT_DOUBLE_EQ(r.makespan_us, 20.0);

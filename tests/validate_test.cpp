@@ -156,15 +156,16 @@ TEST_P(EngineFuzzTest, RandomDagsProduceLegalSchedules) {
     if (kind == 0) {
       const int gpu = static_cast<int>(rng.NextBounded(cluster.world_size()));
       g.AddCompute(fabric.ComputeLane(gpu), 1.0 + static_cast<double>(rng.NextBounded(50)),
-                   TaskCategory::kAttentionCompute, std::move(deps), "c" + std::to_string(i),
-                   gpu);
+                   TaskCategory::kAttentionCompute, std::move(deps),
+                   std::string("c").append(std::to_string(i)), gpu);
     } else if (kind == 1) {
       const int src = static_cast<int>(rng.NextBounded(cluster.world_size()));
       const int dst = static_cast<int>(rng.NextBounded(cluster.world_size()));
       g.AddTransfer(fabric.Resolve(src, dst), 1 + static_cast<int64_t>(rng.NextBounded(1 << 22)),
-                    TaskCategory::kIntraComm, std::move(deps), "x" + std::to_string(i), src);
+                    TaskCategory::kIntraComm, std::move(deps),
+                    std::string("x").append(std::to_string(i)), src);
     } else {
-      g.AddBarrier(std::move(deps), "b" + std::to_string(i));
+      g.AddBarrier(std::move(deps), std::string("b").append(std::to_string(i)));
     }
   }
 
