@@ -80,13 +80,6 @@ class Writer {
     }
   }
 
-  // Hands the next `size` bytes to a nested encoder and skips past them.
-  char* Take(size_t size) {
-    char* at = p_;
-    p_ += size;
-    return at;
-  }
-
  private:
   template <typename U>
   void Store(U v) {

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "src/common/check.h"
+#include "src/common/hash.h"
 #include "src/common/stats.h"
 #include "src/core/chunking.h"
 #include "src/core/partitioner_internal.h"
@@ -24,21 +25,6 @@ double PartitionPlan::TokenImbalance() const {
   std::vector<double> loads(tokens_per_rank.begin(), tokens_per_rank.end());
   return 1.0 + ImbalanceRatio(loads);
 }
-
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-inline uint64_t FnvMix(uint64_t h, uint64_t v) {
-  // Fold 8 bytes at a time; FNV-1a is defined bytewise but a 64-bit fold
-  // keeps the same avalanche quality at 1/8 the multiplies, and the digest
-  // only needs to be a stable fingerprint, not the reference constant.
-  h ^= v;
-  return h * kFnvPrime;
-}
-
-}  // namespace
 
 uint64_t PartitionPlan::StateDigest() const {
   // Per-entry hashes combine by addition within each queue (invariant to

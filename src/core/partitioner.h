@@ -67,8 +67,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -238,16 +236,6 @@ struct PartitionPlan {
   // plans always digest equal, so full-replan engines can also use it as a
   // cheap identity probe.
   uint64_t StateDigest() const;
-
-  // Versioned binary wire format (src/core/plan_io.{h,cc}; spec in
-  // docs/PLAN_FORMAT.md "Wire format"): Serialize() emits the canonical byte
-  // string (magic + version + headers + arena + digest trailer; round-trips
-  // byte-identically), Deserialize() parses and digest-checks it, returning
-  // false on any corruption — plan_io.h exposes the granular status codes.
-  // `max_world` > 0 additionally rejects plans whose rank universe exceeds
-  // the target fabric (PlanIoStatus::kRankUniverse).
-  std::string Serialize() const;
-  bool Deserialize(std::string_view bytes, int max_world = 0);
 
   // Byte-identity across planner paths (the engine-vs-oracle equivalence
   // contract): headers compare field-wise, the rank arena as one flat array.

@@ -41,16 +41,28 @@ uint64_t OptionsSignature(const PlanningOptions& options) {
   return h;
 }
 
-// The cache's certificate for a plan served against `request`. The derived
-// capacity is planner guidance, not a per-rank guarantee (engines promise the
-// eps certificate; a long local may sit above the memory-capped derivation),
-// so clause 6 stays off and clause 7 judges.
-bool Certified(const PartitionPlan& plan, const PlanRequest& request) {
+// The certificate for a plan served against `request`. The derived capacity
+// is planner guidance, not a per-rank guarantee (engines promise the eps
+// certificate; a long local may sit above the memory-capped derivation), so
+// clause 6 stays off and clause 7 judges a stateless plan. A session plan
+// balances effective load under its session's degraded/heterogeneous state,
+// which the certifier should not re-derive, so its balance clause is off;
+// coverage, conservation, arena and dead-rank placement are still checked,
+// against the session's own topology. The service accepted the request, so
+// the session's tracked batch is the request batch.
+bool Certified(const PartitionPlan& plan, const PlanRequest& request,
+               const PlannerService& service) {
   PlanVerifyOptions vopts;
   vopts.token_capacity = 0;
-  vopts.eps = kPlanCacheVerifyEps;
   vopts.world = request.fabric->cluster().world_size();
-  return VerifyPlan(plan, request.batch, nullptr, vopts).ok();
+  if (request.stream_id.empty()) {
+    vopts.eps = kPlanCacheVerifyEps;
+    return VerifyPlan(plan, request.batch, nullptr, vopts).ok();
+  }
+  RankTopology topology;
+  const bool has_topology = service.GetSessionTopology(request.stream_id, &topology);
+  vopts.eps = -1;
+  return VerifyPlan(plan, request.batch, has_topology ? &topology : nullptr, vopts).ok();
 }
 
 // `plan`'s image with `digest` as its trailer, in one pass.
@@ -139,36 +151,33 @@ bool PlanCache::Cacheable(const PlanRequest& request) const {
 }
 
 PlanResponse PlanCache::Plan(const PlanRequest& request) {
-  if (!Cacheable(request)) {
-    bypasses_->Inc();
-    return service_->Plan(request);  // cache_outcome stays kBypass.
-  }
-  std::optional<PlanResponse> served = TryServe(request);
+  PlanCacheKey key;
+  std::optional<PlanResponse> served = TryServe(request, &key);
   if (!served.has_value()) {
-    return PlanAndInsert(request);
+    return PlanAndInsert(request, key);
   }
   // A hit carries the image alone. ParsePlan re-checks its trailer, so an
   // entry whose bytes changed is never accepted here; the replan replaces it.
   auto plan = std::make_shared<PartitionPlan>();
   if (!ParsePlan(*served->image, plan.get()).ok()) {
     verify_failures_->Inc();
-    return PlanAndInsert(request);
+    return PlanAndInsert(request, key);
   }
   served->plan = std::move(plan);
   return *std::move(served);
 }
 
-std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
+std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request, PlanCacheKey* key) {
   if (!Cacheable(request)) {
     return std::nullopt;
   }
   // Covers the whole probe: the key, the LRU lookup and the length compare.
   obs::TraceScope lookup_span(obs::Stage::kCacheLookup);
-  const PlanCacheKey key = ComputePlanCacheKey(request);
+  *key = ComputePlanCacheKey(request);
   PlanResponse served;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
+    auto it = index_.find(*key);
     // The length compare confirms the hash: a collision is a miss.
     if (it == index_.end() || it->second->seq_lens != request.batch->seq_lens) {
       return std::nullopt;
@@ -197,30 +206,36 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
   return served;
 }
 
-PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request) {
-  if (!Cacheable(request)) {
-    return Plan(request);
+PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request, const PlanCacheKey& key) {
+  const bool cacheable = Cacheable(request);
+  if (!cacheable) {
+    bypasses_->Inc();  // cache_outcome stays kBypass.
   }
   PlanResponse response = service_->Plan(request);
   if (response.status != PlanStatus::kOk) {
     return response;
   }
-  response.stats.cache_outcome = CacheOutcome::kMiss;
-  response.stats.verified = Certified(*response.plan, request);
-  misses_->Inc();
+  if (cacheable) {
+    response.stats.cache_outcome = CacheOutcome::kMiss;
+    misses_->Inc();
+  }
+  response.stats.verified = Certified(*response.plan, request, *service_);
   if (!response.stats.verified) {
     verify_failures_->Inc();
     return response;
   }
   {
-    // The one encode a plan gets: the entry's image is what this response,
-    // and every hit after it, serves.
+    // The one encode a served plan gets: the image is what this response,
+    // and every hit on the entry stored below, serves.
     obs::TraceScope encode_span(obs::Stage::kEncode);
     response.image = Serialize(*response.plan, response.digest);
   }
+  if (!cacheable) {
+    return response;
+  }
 
   Entry entry;
-  entry.key = ComputePlanCacheKey(request);
+  entry.key = key;
   entry.seq_lens = request.batch->seq_lens;
   entry.image = response.image;
   entry.stats = response.stats;

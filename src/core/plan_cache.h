@@ -18,14 +18,16 @@
 // PlannerService::Plan call, so the plan a request gets never depends on
 // earlier traffic.
 //
-// Certification: every plan enters the cache only after VerifyPlan
-// (plan_verify.h) passes, and is serialized once, at insert. An entry is
-// immutable from then on; every consumer of an image re-checks its trailer
-// (ParsePlan: the client, the in-process Plan), so a corrupted entry is never
-// accepted. A freshly planned failure is returned
-// with stats.verified == false and no image so the caller can apply policy
-// (the daemon turns it into a typed kInternal). A request the service
-// rejects (PlanResponse::status) passes through unverified and uncached.
+// Certification: PlanAndInsert is where every served plan is certified and
+// encoded. Each freshly planned kOk response, stateless or session, passes
+// VerifyPlan (plan_verify.h) and is serialized once into its image; only a
+// stateless one is also stored. An entry is immutable from then on; every
+// consumer of an image re-checks its trailer (ParsePlan: the client, the
+// in-process Plan), so a corrupted entry is never accepted. A plan that fails
+// the certifier is returned with stats.verified == false and no image so the
+// caller can apply policy (the daemon turns it into a typed kInternal). A
+// request the service rejects (PlanResponse::status) passes through
+// unverified and uncached.
 //
 // Thread safety: all public methods are safe to call concurrently. The LRU
 // index is guarded by one mutex held only for O(1)/O(S) bookkeeping;
@@ -63,7 +65,7 @@ struct PlanCacheCounters {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;  // Entries displaced by the LRU.
-  uint64_t bypasses = 0;   // Session/delta requests passed straight through.
+  uint64_t bypasses = 0;   // Session/delta requests, planned but not stored.
   uint64_t verify_failures = 0;
 };
 
@@ -101,18 +103,23 @@ class PlanCache {
   // The cache-aware front door: TryServe, else PlanAndInsert. A hit's plan
   // is parsed from the stored image (ParsePlan re-checks its trailer; an
   // image that fails is counted in verify_failures and replanned).
-  // Session/delta requests bypass the cache entirely (kBypass).
   PlanResponse Plan(const PlanRequest& request);
 
   // Lookup-only: a hit response carrying the stored certified image, or
   // nullopt on miss or bypass. A hit builds nothing: its `plan` is null.
-  // Lets callers with their own admission control (the daemon) serve hits
-  // without a planning permit.
-  std::optional<PlanResponse> TryServe(const PlanRequest& request);
+  // For a cacheable request `*key` is set to its key, which a miss hands on
+  // to PlanAndInsert. Lets callers with their own admission control (the
+  // daemon) serve hits without a planning permit.
+  std::optional<PlanResponse> TryServe(const PlanRequest& request, PlanCacheKey* key);
 
   // Plans through the service and, once the plan is certified, serializes
-  // it into a new entry's image — the response carries the same image.
-  PlanResponse PlanAndInsert(const PlanRequest& request);
+  // it into the response's image. A stateless plan is certified at
+  // kPlanCacheVerifyEps and its image stored under `key`, the key TryServe
+  // set for `request`. A session/delta request bypasses the store (kBypass,
+  // `key` unread): its plan is certified against the session's topology
+  // with the balance clause off, because it balances effective load under
+  // session state the certifier does not re-derive.
+  PlanResponse PlanAndInsert(const PlanRequest& request, const PlanCacheKey& key);
 
   // A read-only view of the service's cache.* counters.
   PlanCacheCounters counters() const;

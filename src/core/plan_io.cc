@@ -271,12 +271,4 @@ PlanIoResult LoadPlanFile(const std::string& path, PartitionPlan* plan, int max_
   return ParsePlan(bytes, plan, max_world);
 }
 
-// PartitionPlan wire-format members (declared in partitioner.h, implemented
-// here so the plan type itself stays free of I/O includes).
-std::string PartitionPlan::Serialize() const { return SerializePlan(*this); }
-
-bool PartitionPlan::Deserialize(std::string_view bytes, int max_world) {
-  return ParsePlan(bytes, this, max_world).ok();
-}
-
 }  // namespace zeppelin

@@ -6,8 +6,8 @@
 // header queues, the local queue, the single rank-arena blob, the per-rank
 // token layout, the thresholds, and a StateDigest trailer. All integers are
 // little-endian and fixed-width; there is no padding, so the encoding of a
-// plan is a pure function of its bytes — Serialize(Deserialize(b)) == b and
-// Deserialize(Serialize(p)) == p field-for-field, including arena offsets
+// plan is a pure function of its bytes — SerializePlan(ParsePlan(b)) == b and
+// ParsePlan(SerializePlan(p)) == p field-for-field, including arena offsets
 // (the byte-identity currency of the planner contract).
 //
 // Deserialization is defensive: every section count is bounds-checked
@@ -81,9 +81,9 @@ size_t SerializedPlanSize(const PartitionPlan& plan);
 
 // Writes SerializePlan(plan)'s image into the SerializedPlanSize(plan) bytes
 // at `out`, with `digest` as the trailer instead of a fresh StateDigest()
-// pass. For a caller that already holds the plan's digest (the daemon serves
-// PlanResponse::digest, computed or re-checked against the plan before the
-// plan is served). A digest that does not match the plan makes an image that
+// pass. For a caller that already holds the plan's digest (the plan cache
+// encodes every served plan under the PlanResponse::digest the service
+// computed). A digest that does not match the plan makes an image that
 // ParsePlan rejects (kDigestMismatch).
 void SerializePlanInto(const PartitionPlan& plan, uint64_t digest, char* out);
 

@@ -159,9 +159,8 @@ struct PlanStats {
   // Cache disposition of this response (kBypass when no cache is involved).
   CacheOutcome cache_outcome = CacheOutcome::kBypass;
   // True when this plan passed VerifyPlan before being served. False means
-  // the certifier did not run (no cache in front, bypass path) or failed
-  // (the cache then refuses to store the plan; the daemon refuses to serve
-  // it).
+  // the certifier did not run (no cache in front) or failed (the cache then
+  // neither encodes nor stores the plan; the daemon refuses to serve it).
   bool verified = false;
   // Per-request stage latency breakdown (µs), indexed by obs::Stage. The
   // service fills kPlan/kMaterialize; the daemon overlays its own measured
@@ -184,7 +183,8 @@ struct PlanResponse {
   // the wire format's trailer authenticates.
   uint64_t digest = 0;
   // The plan's certified SerializePlan image, with `digest` as its trailer,
-  // when a PlanCache stored or served this response (null otherwise). On a
+  // when a PlanCache certified or served this response (null otherwise):
+  // the bytes the daemon sends. A miss shares it with the stored entry; on a
   // PlanCache::TryServe hit it is the whole answer and `plan` is null.
   std::shared_ptr<const std::string> image;
 };

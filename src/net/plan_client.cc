@@ -280,7 +280,7 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
   return result;
 }
 
-PlanClientResult PlanClient::Roundtrip(WireRequest request) {
+PlanClientResult PlanClient::Roundtrip(WireRequest& request) {
   request.request_id = next_request_id_++;
   // Idempotency rule: a session *plan* mutates daemon state exactly once, so
   // it must never be blind-resent. Everything else is safe to retry.
@@ -304,26 +304,26 @@ PlanClientResult PlanClient::Roundtrip(WireRequest request) {
 
 PlanClientResult PlanClient::Plan(WireRequest request) {
   request.kind = RequestKind::kPlan;
-  return Roundtrip(std::move(request));
+  return Roundtrip(request);
 }
 
 PlanClientResult PlanClient::Ping() {
   WireRequest request;
   request.kind = RequestKind::kPing;
-  return Roundtrip(std::move(request));
+  return Roundtrip(request);
 }
 
 PlanClientResult PlanClient::Stats() {
   WireRequest request;
   request.kind = RequestKind::kStats;
-  return Roundtrip(std::move(request));
+  return Roundtrip(request);
 }
 
 PlanClientResult PlanClient::CloseSession(const std::string& stream_id) {
   WireRequest request;
   request.kind = RequestKind::kCloseSession;
   request.stream_id = stream_id;
-  return Roundtrip(std::move(request));
+  return Roundtrip(request);
 }
 
 }  // namespace net

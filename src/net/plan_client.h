@@ -121,8 +121,9 @@ class PlanClient {
  private:
   // One send+recv attempt on the current connection (connecting if needed).
   PlanClientResult Attempt(const WireRequest& request);
-  // Retry loop around Attempt per the idempotency rule above.
-  PlanClientResult Roundtrip(WireRequest request);
+  // Retry loop around Attempt per the idempotency rule above; assigns
+  // `request.request_id`.
+  PlanClientResult Roundtrip(WireRequest& request);
 
   std::string host_;
   int port_;

@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/core/plan_verify.h"
 
 namespace zeppelin {
 namespace net {
@@ -247,7 +246,6 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
   c_malformed_requests_ = metrics.GetCounter("daemon.malformed_requests");
   c_bad_requests_ = metrics.GetCounter("daemon.bad_requests");
   c_sessions_reaped_ = metrics.GetCounter("daemon.sessions_reaped");
-  c_verify_failures_ = metrics.GetCounter("daemon.verify_failures");
   c_stats_requests_ = metrics.GetCounter("daemon.stats_requests");
   g_queue_depth_ = metrics.GetGauge("daemon.queue_depth");
   g_active_plans_ = metrics.GetGauge("daemon.active_plans");
@@ -378,7 +376,7 @@ DaemonCounters PlannerDaemon::counters() const {
   out.cache_hits = cache.hits;
   out.cache_misses = cache.misses;
   out.cache_evictions = cache.evictions;
-  out.verify_failures = c_verify_failures_->value() + cache.verify_failures;
+  out.verify_failures = cache.verify_failures;
   return out;
 }
 
@@ -691,8 +689,10 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
   // Cache hits are served before (and without) an admission permit: no
   // planning happens, so a hit costs no planner capacity — and a permit-free
   // path keeps repeated responses byte-identical (zero queue wait) under any
-  // load. TryServe declines session requests.
-  if (std::optional<PlanResponse> served = cache_.TryServe(plan_request)) {
+  // load. TryServe declines session requests; a miss keeps the key it
+  // derived for the insert.
+  PlanCacheKey key;
+  if (std::optional<PlanResponse> served = cache_.TryServe(plan_request, &key)) {
     ServePlan(conn, request.request_id, *served, /*queue_wait_us=*/0);
     return;
   }
@@ -743,8 +743,9 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
     return;
   }
 
-  // Session requests pass through the cache to the service.
-  PlanResponse planned = cache_.PlanAndInsert(plan_request);
+  // The cache certifies and encodes every planned response; it stores only
+  // stateless ones.
+  PlanResponse planned = cache_.PlanAndInsert(plan_request, key);
   gate_->Release();
   if (planned.status != PlanStatus::kOk) {
     c_bad_requests_->Inc();
@@ -753,30 +754,10 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
   }
   if (is_session) {
     conn.streams.insert(request.stream_id);
-    // Session plans bypass the cache's certifier: verify against the
-    // session's own topology with the balance clause off. Degraded/
-    // heterogeneous session plans balance *effective* load under state the
-    // certifier should not re-derive here, but coverage, conservation, arena
-    // and dead-rank placement are all still enforced. The service accepted
-    // the request, so the session's tracked batch is the request batch.
-    RankTopology topo;
-    const bool has_topo = service_.GetSessionTopology(plan_request.stream_id, &topo);
-    PlanVerifyOptions vopts;
-    vopts.token_capacity = 0;
-    vopts.eps = -1;
-    vopts.world = logical_cluster_.world_size();
-    const PlanVerifyResult verdict =
-        VerifyPlan(*planned.plan, &request.batch, has_topo ? &topo : nullptr, vopts);
-    planned.stats.verified = verdict.ok();
-    if (!verdict.ok()) {
-      c_verify_failures_->Inc();
-      SendError(conn, request.request_id, WireStatus::kInternal,
-                "plan failed certification: " + verdict.message);
-      return;
-    }
-  } else if (!planned.stats.verified) {
-    // A fresh plan the cache refused to certify (already counted in
-    // cache.verify_failures) is never served.
+  }
+  if (!planned.stats.verified) {
+    // A plan the cache refused to certify (counted in cache.verify_failures)
+    // is never served.
     SendError(conn, request.request_id, WireStatus::kInternal,
               "plan failed certification");
     return;
@@ -797,32 +778,17 @@ void PlannerDaemon::ServePlan(Connection& conn, uint64_t request_id,
   // hits keep their all-zero stage_us (byte identity). kWrite cannot appear
   // in its own response: the write happens after these stats are encoded
   // (histograms/--trace_out only).
-  const obs::TraceContext* tctx = obs::CurrentTrace();
-  const bool overlay = tctx != nullptr && served.stats.cache_outcome != CacheOutcome::kHit;
+  if (const obs::TraceContext* tctx = obs::CurrentTrace();
+      tctx != nullptr && served.stats.cache_outcome != CacheOutcome::kHit) {
+    response.stats.stage_us = tctx->stage_us;
+  }
   c_requests_ok_->Inc();
-  if (served.image != nullptr) {
-    // The cache's certified image goes out as stored: a hit encodes no plan
-    // bytes, and a miss's one encode happened when the cache stored it.
-    if (overlay) {
-      response.stats.stage_us = tctx->stage_us;
-    }
-    std::string head;
-    std::string tail;
-    FrameResponseAroundImage(response, served.image->size(), &head, &tail);
-    SendFrame(conn, {head, *served.image, tail});
-    return;
-  }
-  // A session plan is not cached: its image is encoded straight into the
-  // frame, whose stage block is then rewritten to include the encode.
-  std::string out;
-  {
-    obs::TraceScope encode_span(obs::Stage::kEncode);
-    AppendResponseFrame(response, &out, served.plan.get());
-  }
-  if (overlay) {
-    OverwriteStageUs(tctx->stage_us, &out);
-  }
-  SendFrame(conn, {out});
+  // The cache's certified image goes out as it was encoded, once, by the
+  // cache: the daemon writes only the header and stage block around it.
+  std::string head;
+  std::string tail;
+  FrameResponseAroundImage(response, served.image->size(), &head, &tail);
+  SendFrame(conn, {head, *served.image, tail});
 }
 
 }  // namespace net

@@ -120,7 +120,8 @@ struct DaemonCounters {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_evictions = 0;
-  // Plans refused by verify-before-serve (cache-detected + daemon-detected).
+  // Plans refused by verify-before-serve (the registry's
+  // cache.verify_failures).
   uint64_t verify_failures = 0;
 };
 
@@ -186,9 +187,8 @@ class PlannerDaemon {
   // Closes every session the connection opened.
   void ReapSessions(Connection& conn);
   // Frames and sends one served plan: a cache hit (zero queue wait) or a
-  // planned request. A plan the cache holds goes out as its stored image
-  // between a fresh header and stage block; a session plan is encoded into
-  // its frame.
+  // planned request. Its image, encoded by the cache, goes out as it is
+  // between a fresh header and stage block, in one gather write.
   void ServePlan(Connection& conn, uint64_t request_id, const PlanResponse& served,
                  double queue_wait_us);
   bool SendResponse(Connection& conn, const WireResponse& response);
@@ -240,7 +240,6 @@ class PlannerDaemon {
   obs::Counter* c_malformed_requests_ = nullptr;
   obs::Counter* c_bad_requests_ = nullptr;
   obs::Counter* c_sessions_reaped_ = nullptr;
-  obs::Counter* c_verify_failures_ = nullptr;  // Session plans only.
   obs::Counter* c_stats_requests_ = nullptr;
   obs::Gauge* g_queue_depth_ = nullptr;   // Admission waiting room occupancy.
   obs::Gauge* g_active_plans_ = nullptr;  // Admission permits in use.

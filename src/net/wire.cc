@@ -7,7 +7,6 @@
 
 #include "src/common/check.h"
 #include "src/common/le_codec.h"
-#include "src/core/plan_io.h"
 
 namespace zeppelin {
 namespace net {
@@ -198,19 +197,14 @@ size_t ResponsePayloadSize(const WireResponse& response, size_t plan_size) {
   return ResponseHeadSize(response) + plan_size + ResponseTailSize(response);
 }
 
-// Writes the response payload; the plan section is `plan`'s image, encoded
-// in place with response.digest as its trailer, or else response.plan_bytes.
-void WriteResponse(const WireResponse& response, const PartitionPlan* plan, size_t plan_size,
-                   Writer& w) {
+// Writes the response payload, its plan section response.plan_bytes.
+void WriteResponse(const WireResponse& response, Writer& w) {
+  const size_t plan_size = response.plan_bytes.size();
   WriteResponseHead(response, plan_size, w);
   if (response.status != WireStatus::kOk) {
     return;
   }
-  if (plan != nullptr) {
-    SerializePlanInto(*plan, response.digest, w.Take(plan_size));
-  } else {
-    w.Bytes(response.plan_bytes.data(), plan_size);
-  }
+  w.Bytes(response.plan_bytes.data(), plan_size);
   WriteResponseTail(response, w);
 }
 
@@ -414,10 +408,9 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
 }
 
 std::string EncodeResponse(const WireResponse& response) {
-  const size_t plan_size = response.plan_bytes.size();
-  std::string out(ResponsePayloadSize(response, plan_size), '\0');
+  std::string out(ResponsePayloadSize(response, response.plan_bytes.size()), '\0');
   Writer w(out.data());
-  WriteResponse(response, nullptr, plan_size, w);
+  WriteResponse(response, w);
   return out;
 }
 
@@ -427,15 +420,12 @@ void AppendRequestFrame(const WireRequest& request, std::string* out) {
   WriteRequest(request, w);
 }
 
-void AppendResponseFrame(const WireResponse& response, std::string* out,
-                         const PartitionPlan* plan) {
-  const size_t plan_size =
-      plan != nullptr ? SerializedPlanSize(*plan) : response.plan_bytes.size();
-  const size_t size = ResponsePayloadSize(response, plan_size);
+void AppendResponseFrame(const WireResponse& response, std::string* out) {
+  const size_t size = ResponsePayloadSize(response, response.plan_bytes.size());
   Writer w(AppendFrameHeader(
       response.status == WireStatus::kOk ? FrameType::kResponse : FrameType::kError, size,
       out));
-  WriteResponse(response, plan, plan_size, w);
+  WriteResponse(response, w);
 }
 
 void FrameResponseAroundImage(const WireResponse& response, size_t image_size,
@@ -451,17 +441,6 @@ void FrameResponseAroundImage(const WireResponse& response, size_t image_size,
   tail->resize(at + ResponseTailSize(response));
   Writer t(tail->data() + at);
   WriteResponseTail(response, t);
-}
-
-void OverwriteStageUs(const std::array<double, obs::kNumStages>& stage_us, std::string* frame) {
-  // The frame ends with the stage block, then a zero stats-JSON length.
-  ZCHECK(frame->size() >= kFrameHeaderBytes + kStageBlockBytes + 4 &&
-         std::string_view(*frame).ends_with(std::string_view("\0\0\0\0", 4)))
-      << "OverwriteStageUs needs a kOk response frame without stats JSON";
-  Writer w(frame->data() + frame->size() - 4 - 8 * obs::kNumStages);
-  for (const double stage : stage_us) {
-    w.F64(stage);
-  }
 }
 
 WireStatus ParseResponse(FrameType type, std::string_view payload,

@@ -20,7 +20,6 @@
 #ifndef SRC_NET_WIRE_H_
 #define SRC_NET_WIRE_H_
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -119,9 +118,10 @@ struct WireResponse {
   double queue_wait_us = 0;
   uint64_t digest = 0;      // plan->StateDigest(); authenticates plan_bytes.
   std::string plan_bytes;   // SerializePlan() image; empty for close/ping.
-                            // The daemon frames a served plan around its
-                            // image (FrameResponseAroundImage) or encodes
-                            // it in place (AppendResponseFrame's `plan`).
+                            // The daemon frames a served plan around the
+                            // image the plan cache encoded
+                            // (FrameResponseAroundImage) and leaves this
+                            // empty.
   // kStats responses: the "zeppelin.metrics.v1" snapshot JSON
   // (docs/OBSERVABILITY.md). Empty on every other kind.
   std::string stats_json;
@@ -137,30 +137,19 @@ std::string EncodeResponse(const WireResponse& response);
 
 // Frames in one step, writing the payload straight into `*out` behind the
 // frame header: request -> kRequest frame; response -> kResponse frame when
-// status == kOk, kError frame otherwise. A kOk response that serves a plan
-// passes `plan`: its image is encoded straight into the frame, with
-// response.digest as the image's trailer, and response.plan_bytes is not
-// read. The bytes equal those of the same response carrying
-// SerializePlan(*plan) in plan_bytes, provided response.digest is
-// plan->StateDigest().
+// status == kOk, kError frame otherwise.
 void AppendRequestFrame(const WireRequest& request, std::string* out);
-void AppendResponseFrame(const WireResponse& response, std::string* out,
-                         const PartitionPlan* plan = nullptr);
+void AppendResponseFrame(const WireResponse& response, std::string* out);
 
 // Frames a kOk response around a plan image the caller already holds (the
 // plan cache's certified bytes) without copying it: `*head` grows by the
 // frame header and the payload through the plan section's length, `*tail`
 // by the stage block and the stats-JSON section. head + image + tail is the
 // frame AppendResponseFrame writes for the same response carrying the image
-// in plan_bytes; response.plan_bytes is not read. The daemon sends the three
-// parts with one gather write.
+// in plan_bytes; response.plan_bytes is not read. The daemon sends every
+// served plan this way, the three parts in one gather write.
 void FrameResponseAroundImage(const WireResponse& response, size_t image_size,
                               std::string* head, std::string* tail);
-
-// Rewrites the per-stage latencies of the kOk response frame `*frame`, whose
-// stats-JSON section must be empty. The daemon calls it once a session
-// response's frame is built, so its stage block includes its own encode.
-void OverwriteStageUs(const std::array<double, obs::kNumStages>& stage_us, std::string* frame);
 
 // --- Parsing ----------------------------------------------------------------
 

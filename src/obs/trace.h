@@ -40,8 +40,8 @@ enum class Stage : uint8_t {
   kPlan,             // Partition / delta Apply / Rebase (the decision kernel).
   kMaterialize,      // Session-plan bulk copy into the immutable handle.
   kVerify,           // VerifyPlan certification.
-  kEncode,           // SerializePlan -> plan bytes (a cached plan: once, at insert).
-  kWrite,            // Response frame encode + socket write.
+  kEncode,           // SerializePlan -> plan bytes (once per plan, in PlanCache).
+  kWrite,            // Socket write of the response frame.
   kCount,
 };
 

@@ -277,7 +277,7 @@ TEST(ElasticMigrationTest, BudgetExceededFallsBackByteIdenticalToFromScratch) {
   DeltaPlanner scratch(cluster, options);
   FullElasticReplan(&scratch, kill, batch);
   EXPECT_EQ(dp.plan().StateDigest(), scratch.plan().StateDigest());
-  EXPECT_EQ(dp.plan().Serialize(), scratch.plan().Serialize());
+  EXPECT_EQ(SerializePlan(dp.plan()), SerializePlan(scratch.plan()));
 }
 
 TEST(ElasticMigrationTest, WithinBudgetMigratesInPlace) {
@@ -399,7 +399,7 @@ TEST(ElasticRestoreTest, FullRestoreReturnsToCleanBytePath) {
   DeltaPlanner clean(cluster, options);
   clean.Rebase(batch);
   EXPECT_EQ(dp.plan().StateDigest(), clean.plan().StateDigest());
-  EXPECT_EQ(dp.plan().Serialize(), clean.plan().Serialize());
+  EXPECT_EQ(SerializePlan(dp.plan()), SerializePlan(clean.plan()));
 }
 
 TEST(ElasticSlowdownTest, StragglersShedEffectiveLoad) {
@@ -433,7 +433,7 @@ TEST(PlanIoElasticTest, RankUniverseGateRejectsOversizedPlans) {
   const Batch batch = ShortBatch(128, 0x10);
   DeltaPlanner dp(cluster, MakeOptions(batch, cluster));
   dp.Rebase(batch);
-  const std::string bytes = dp.plan().Serialize();
+  const std::string bytes = SerializePlan(dp.plan());
 
   PartitionPlan parsed;
   // A smaller fabric must refuse the plan with the typed status.
@@ -442,11 +442,7 @@ TEST(PlanIoElasticTest, RankUniverseGateRejectsOversizedPlans) {
   // An exact-fit bound and the unbounded default both accept it.
   EXPECT_EQ(ParsePlan(bytes, &parsed, /*max_world=*/16).status, PlanIoStatus::kOk);
   EXPECT_EQ(ParsePlan(bytes, &parsed, /*max_world=*/0).status, PlanIoStatus::kOk);
-
-  PartitionPlan round_trip;
-  EXPECT_FALSE(round_trip.Deserialize(bytes, /*max_world=*/8));
-  EXPECT_TRUE(round_trip.Deserialize(bytes, /*max_world=*/16));
-  EXPECT_EQ(round_trip.StateDigest(), dp.plan().StateDigest());
+  EXPECT_EQ(parsed.StateDigest(), dp.plan().StateDigest());
 }
 
 // --- PlannerService topology path ----------------------------------------------

@@ -1,9 +1,9 @@
 // PlanCache (src/core/plan_cache.h): the cache-key properties (randomized +
 // seeded, twin-checked — any semantic change, a permutation of the batch
 // included, splits the key), the slot-order signature as a free function, hit
-// semantics (a hit is the stored certified image), LRU eviction, the
-// resident-bytes gauge, and a concurrent hammer (the TSAN target together
-// with plan_service_test).
+// semantics (a hit is the stored certified image), session plans (certified
+// and encoded, never stored), LRU eviction, the resident-bytes gauge, and a
+// concurrent hammer (the TSAN target together with plan_service_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,8 +159,10 @@ TEST(PlanCacheTest, HitServesTheStoredImage) {
 
   // Lookup-only: a hit builds no plan and no bytes — it hands out the very
   // image the miss stored.
-  const std::optional<PlanResponse> served = cache.TryServe(rig.Request(batch));
+  PlanCacheKey key;
+  const std::optional<PlanResponse> served = cache.TryServe(rig.Request(batch), &key);
   ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(key, ComputePlanCacheKey(rig.Request(batch)));
   EXPECT_EQ(served->plan, nullptr);
   EXPECT_EQ(served->image.get(), miss.image.get());
   EXPECT_EQ(served->digest, miss.digest);
@@ -230,6 +232,36 @@ TEST(PlanCacheTest, SessionRequestsBypassTheCache) {
   const PlanResponse response = cache.Plan(request);
   EXPECT_EQ(response.stats.cache_outcome, CacheOutcome::kBypass);
   EXPECT_EQ(cache.counters().bypasses, 1u);
+  EXPECT_EQ(cache.size(), 0u);
+  service.CloseSession("stream");
+}
+
+TEST(PlanCacheTest, SessionPlansAreCertifiedAndEncodedButNotStored) {
+  Rig rig;
+  PlannerService service;
+  PlanCache cache(&service);
+  const Batch batch = SampleBatch(128, 0x5e55);
+  PlanRequest request = rig.Request(batch);
+  request.stream_id = "stream";
+  // A session request has no key: PlanAndInsert leaves the one given unread.
+  const PlanResponse response = cache.PlanAndInsert(request, PlanCacheKey{});
+  ASSERT_EQ(response.status, PlanStatus::kOk) << response.error;
+  ASSERT_NE(response.plan, nullptr);
+  EXPECT_TRUE(response.stats.verified);
+  EXPECT_EQ(response.stats.cache_outcome, CacheOutcome::kBypass);
+  // The one encode a served plan gets, with the certified digest as trailer.
+  ASSERT_NE(response.image, nullptr);
+  EXPECT_EQ(*response.image, SerializePlan(*response.plan));
+  PartitionPlan parsed;
+  const PlanIoResult io = ParsePlan(*response.image, &parsed);
+  ASSERT_TRUE(io.ok()) << io.message;
+  EXPECT_EQ(io.digest, response.digest);
+  EXPECT_EQ(parsed.StateDigest(), response.digest);
+
+  const PlanCacheCounters counters = cache.counters();
+  EXPECT_EQ(counters.bypasses, 1u);
+  EXPECT_EQ(counters.misses, 0u);
+  EXPECT_EQ(counters.verify_failures, 0u);
   EXPECT_EQ(cache.size(), 0u);
   service.CloseSession("stream");
 }

@@ -466,10 +466,10 @@ TEST(PlanServiceTest, AdoptedSerializedPlanDrivesEmitLayer) {
   const Batch batch = SampleBatch(512, 0xace);
   ZeppelinStrategy producer;
   producer.Plan(batch, rig.cost_model, rig.fabric);
-  const std::string bytes = producer.plan_handle()->Serialize();
+  const std::string bytes = SerializePlan(*producer.plan_handle());
 
   PartitionPlan decoded;
-  ASSERT_TRUE(decoded.Deserialize(bytes));
+  ASSERT_TRUE(ParsePlan(bytes, &decoded).ok());
   auto plan = std::make_shared<const PartitionPlan>(std::move(decoded));
 
   ZeppelinStrategy consumer;
@@ -610,7 +610,7 @@ TEST(PlanServiceTest, CacheAndSessionOutcomesCountIntoTheServiceRegistry) {
   std::array<uint64_t, kNumDeltaOutcomes> tally{};
   auto plan_session = [&](const Batch& b, const BatchDelta* delta) {
     PlanRequest request = rig.Request(b);
-    request.stream_id = "s";
+    request.stream_id = std::string("s");
     request.options.delta_replan_threshold = 0.5;
     request.delta = delta;
     const PlanResponse response = cache.Plan(request);

@@ -160,6 +160,8 @@ TEST(PlannerDaemonTest, DeltaSessionMatchesInProcess) {
     }
     const PlanClientResult remote = client.Plan(std::move(request));
     ASSERT_TRUE(remote.ok()) << "iteration " << it << ": " << remote.message;
+    EXPECT_TRUE(remote.stats.verified) << "iteration " << it;
+    EXPECT_EQ(remote.stats.cache_outcome, CacheOutcome::kBypass) << "iteration " << it;
 
     const PlanResponse local = rig.LocalPlan(stream.batch(), options, "twin",
                                              it > 0 ? &delta : nullptr);
@@ -173,6 +175,7 @@ TEST(PlannerDaemonTest, DeltaSessionMatchesInProcess) {
   }
   // The stream must actually exercise the patch path, not rebase throughout.
   EXPECT_GT(patched, 10);
+  EXPECT_EQ(rig.daemon.counters().verify_failures, 0u);
 
   const PlanClientResult closed = client.CloseSession("twin");
   ASSERT_TRUE(closed.ok());
