@@ -11,12 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/load_tracker.h"
 #include "src/core/delta_planner.h"
+#include "src/core/plan_io.h"
 #include "src/core/trainer.h"
 #include "src/core/zeppelin.h"
 #include "src/data/datasets.h"
@@ -520,6 +525,234 @@ TEST(DeltaEquivalenceTest, PatchedOverloadFails) {
   EXPECT_GT(eq.max_load_ratio, 1.0 + kEps);
   EXPECT_NE(eq.failure.find("patched max rank load exceeds the eps bound"), std::string::npos)
       << eq.failure;
+}
+
+// --- Golden byte pins for the delta path ---------------------------------------
+//
+// One seeded session on one DeltaPlanner: each step folds a FaultStream
+// topology delta (rank kills, restores) and then a WorkloadStream batch
+// delta; a last step kills a whole node. Every call's outcome and the FNV-1a
+// of SerializePlan(plan()) after it are pinned, so a rewrite of the patch
+// path must reproduce every plan byte of the session. A pin that moves means
+// the delta planner's output changed. Print the current values in table
+// syntax with
+//   ZEPPELIN_GOLDEN_PRINT=1 ./delta_planner_test --gtest_filter='*Golden*'
+
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct DeltaStepPin {
+  const char* outcome;
+  uint64_t fnv;
+};
+
+// clang-format off
+constexpr DeltaStepPin kDeltaStreamPins[] = {
+    {"applied:topology", 0x60f0ec8f38c386e6ULL},
+    {"applied", 0xac38471419bd73f7ULL},
+    {"applied:topology", 0xac38471419bd73f7ULL},
+    {"applied", 0xf099f6313ee878cfULL},
+    {"applied:topology", 0xf099f6313ee878cfULL},
+    {"applied", 0xcb2b016e7c42649eULL},
+    {"applied:topology", 0x0a2e6f3607c04429ULL},
+    {"applied", 0xcd1844983078408eULL},
+    {"applied:topology", 0xcd1844983078408eULL},
+    {"applied", 0x56f155e226c89ff0ULL},
+    {"applied:topology", 0x56f155e226c89ff0ULL},
+    {"applied", 0x13d24c9d7968553cULL},
+    {"applied:topology", 0x13d24c9d7968553cULL},
+    {"applied", 0xfdaffa05ed5dce7aULL},
+    {"applied:topology", 0xa1a118fde76828daULL},
+    {"applied", 0xe5c16765bd859e67ULL},
+    {"applied:topology", 0xe5c16765bd859e67ULL},
+    {"rebased:imbalance", 0x403f1773088a24c7ULL},
+    {"rebased:topology", 0x0ca75a203b490e61ULL},
+    {"applied", 0x2578ee1d1baefa94ULL},
+    {"applied:topology", 0x2578ee1d1baefa94ULL},
+    {"applied", 0x8919efcdb88a5eb6ULL},
+    {"applied:topology", 0x4241ef610570f896ULL},
+    {"applied", 0xf1ead1ab49cd6452ULL},
+    {"applied:topology", 0xf1ead1ab49cd6452ULL},
+    {"applied", 0xaa6505c09469753cULL},
+    {"rebased:topology", 0xa58ae59331ebb17aULL},
+    {"applied", 0xaef6ef100907d854ULL},
+    {"applied:topology", 0xaef6ef100907d854ULL},
+    {"applied", 0x318212cab703c9baULL},
+    {"applied:topology", 0x8d7eda16e9be98d1ULL},
+    {"applied", 0x2c8ada08f8ef2387ULL},
+    {"applied:topology", 0x2c8ada08f8ef2387ULL},
+    {"applied", 0x5b5bce8c87b1c0d5ULL},
+    {"rebased:topology", 0xdd245fde28c531a6ULL},
+    {"applied", 0x9fb01ecbd6eaa89eULL},
+    {"applied:topology", 0x9fb01ecbd6eaa89eULL},
+    {"applied", 0x0a98f0154c7f580dULL},
+    {"applied:topology", 0xd5d2eb580b719577ULL},
+    {"applied", 0x09599deb664692ecULL},
+    {"applied:topology", 0x09599deb664692ecULL},
+    {"applied", 0x3d11043778a7bc35ULL},
+    {"rebased:topology", 0x70ec16ff25e6c35fULL},
+    {"applied", 0x0744e82d1196038eULL},
+    {"applied:topology", 0x0744e82d1196038eULL},
+    {"applied", 0x9fa0f987d8ddf3edULL},
+    {"applied:topology", 0xaada6b11132abcbcULL},
+    {"applied", 0xe4d452568a3a1464ULL},
+    {"applied:topology", 0xe4d452568a3a1464ULL},
+    {"applied", 0x7a6984f5ccbf67a3ULL},
+    {"rebased:topology", 0x84c4baf7120009eaULL},
+    {"applied", 0x07f9ca40dc2eb70eULL},
+    {"applied:topology", 0x07f9ca40dc2eb70eULL},
+    {"applied", 0xb9f69161b9d836bbULL},
+    {"applied:topology", 0x5c06535f0d28b152ULL},
+    {"applied", 0xd736a10932cc774eULL},
+    {"applied:topology", 0xd736a10932cc774eULL},
+    {"rebased:imbalance", 0x20542cfc43c7c803ULL},
+    {"rebased:topology", 0x900519260f93cab1ULL},
+    {"applied", 0x98b861feac85df6eULL},
+    {"applied:topology", 0x98b861feac85df6eULL},
+    {"applied", 0x36130874e4eda1baULL},
+    {"applied:topology", 0xf1929c0f06fe72afULL},
+    {"applied", 0x60227cb3f4766893ULL},
+    {"applied:topology", 0x60227cb3f4766893ULL},
+    {"applied", 0x9311f30630765025ULL},
+    {"rebased:topology", 0xf80ab87f8b984314ULL},
+    {"applied", 0xb69cb4b054486f30ULL},
+    {"applied:topology", 0xb69cb4b054486f30ULL},
+    {"applied", 0x6bff0fd993c25312ULL},
+    {"applied:topology", 0x9b5ab5fae5db6c9cULL},
+    {"applied", 0xb0b634a81f32dc2cULL},
+    {"applied:topology", 0xb0b634a81f32dc2cULL},
+    {"applied", 0x74c3e64456a4523bULL},
+    {"rebased:topology", 0xdb6f01920af131f3ULL},
+    {"applied", 0xcea16825c6582cbeULL},
+    {"applied:topology", 0xcea16825c6582cbeULL},
+    {"applied", 0x54f77f4c3a162876ULL},
+    {"applied:topology", 0x5a2df8def86a395dULL},
+    {"applied", 0x10a6c1f600932970ULL},
+    {"applied:topology", 0x10a6c1f600932970ULL},
+    {"applied", 0xa98773c547451d43ULL},
+    {"rebased:topology", 0x63b25a12be6214f3ULL},
+    {"applied", 0xd66c3407e388214cULL},
+    {"applied:topology", 0xd66c3407e388214cULL},
+    {"applied", 0x58e7595a2a79d6fbULL},
+    {"applied:topology", 0xd8ac1de67e85c23aULL},
+    {"applied", 0x9a22fe8a35af7f76ULL},
+    {"applied:topology", 0x9a22fe8a35af7f76ULL},
+    {"applied", 0xfcb2cc4867b1e823ULL},
+    {"rebased:topology", 0x7e38afb3ca4f0f26ULL},
+    {"applied", 0xfb2a70309b9c239fULL},
+    {"applied:topology", 0xfb2a70309b9c239fULL},
+    {"applied", 0x195df2f61f990453ULL},
+    {"applied:topology", 0x31a4cee525d6a52dULL},
+    {"applied", 0xfb2103f4cef3fcbeULL},
+    {"applied:topology", 0xfb2103f4cef3fcbeULL},
+    {"applied", 0x58a11e6823de88dfULL},
+    {"rebased:topology", 0x943722c773d7f2caULL},
+    {"applied", 0x20b6cb79223b7bc5ULL},
+    {"applied:topology", 0x20b6cb79223b7bc5ULL},
+    {"applied", 0x44138d7fb487b2a9ULL},
+    {"applied:topology", 0x159ff88c9cd24e65ULL},
+    {"applied", 0xbcfdc4f27e5348a7ULL},
+    {"applied:topology", 0xbcfdc4f27e5348a7ULL},
+    {"applied", 0x50c392527d591958ULL},
+    {"rebased:topology", 0x7fbd924b9c03540aULL},
+    {"applied", 0xdb2f364f142579d4ULL},
+    {"applied:topology", 0xdb2f364f142579d4ULL},
+    {"applied", 0x128bd827297fbe5fULL},
+    {"applied:topology", 0x37293ed6425292ccULL},
+    {"applied", 0x4225d57d39d7f7cdULL},
+    {"applied:topology", 0x4225d57d39d7f7cdULL},
+    {"applied", 0xe2f1535ac21618e2ULL},
+    {"rebased:topology", 0xbc46ba2c46ce802bULL},
+    {"applied", 0xb13b98a206c48fa3ULL},
+    {"applied:topology", 0xb13b98a206c48fa3ULL},
+    {"applied", 0x8e0ebb1c4e8e3258ULL},
+    {"applied:topology", 0x1fc657be91c9efc3ULL},
+    {"applied", 0x50137cc07d9a057bULL},
+    {"applied:topology", 0xb649d15e38c50f49ULL},
+};
+// clang-format on
+
+TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
+  const ClusterSpec cluster = MakeClusterA(16);
+  const LengthDistribution dist = DatasetByName("fineweb");
+  // Short fineweb sequences plus 48 z1-length ones: the stream churns the
+  // long ones away, so freed ring spans pile up until the arena compacts.
+  Batch initial = SampleBatch(dist, 448, 0x9a1d);
+  for (int i = 0; i < 48; ++i) {
+    initial.seq_lens.push_back(200000 + 512 * (i % 8));
+  }
+  DeltaPlanner dp(cluster, MakeOptions(initial, cluster, /*threshold=*/1.0));
+  dp.Rebase(initial);
+  ASSERT_TRUE(dp.plan().inter_node.empty()) << "precondition: no chunk rings";
+
+  FaultStream faults(cluster.world_size(),
+                     FaultStreamOptions{.fault_rate = 0.002,
+                                        .restore_after = 6,
+                                        .min_alive = cluster.world_size() / 2},
+                     0x90d1);
+  WorkloadStream stream(dist, initial,
+                        StreamOptions{.churn_fraction = 0.06, .drop_fraction = 0.1}, 0x5e55);
+
+  std::vector<DeltaOutcome> outcomes;
+  std::vector<uint64_t> fnvs;
+  int batch_fallbacks = 0;
+  int topology_fallbacks = 0;
+  bool degraded_repack = false;
+  auto record = [&](DeltaOutcome outcome) {
+    outcomes.push_back(outcome);
+    fnvs.push_back(Fnv1a(SerializePlan(dp.plan())));
+  };
+  for (int step = 0; step < 60; ++step) {
+    const int64_t repacked = dp.stats().repacked_nodes;
+    const DeltaOutcome topo = dp.ApplyTopology(faults.Next());
+    record(topo);
+    topology_fallbacks += topo != DeltaOutcome::kAppliedTopology ? 1 : 0;
+    degraded_repack |= topo == DeltaOutcome::kAppliedTopology && dp.topology().degraded() &&
+                       dp.stats().repacked_nodes > repacked;
+    const DeltaOutcome batch = dp.Apply(stream.Next());
+    record(batch);
+    batch_fallbacks += batch != DeltaOutcome::kApplied ? 1 : 0;
+  }
+  // A whole-node kill on a node without chunks migrates its members in place.
+  TopologyDelta kill;
+  for (int d = 0; d < cluster.gpus_per_node; ++d) {
+    const int rank = 3 * cluster.gpus_per_node + d;
+    if (dp.topology().alive[rank]) {
+      kill.removed_ranks.push_back(rank);
+    }
+  }
+  record(dp.ApplyTopology(kill));
+
+  if (std::getenv("ZEPPELIN_GOLDEN_PRINT") != nullptr) {
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      std::printf("    {\"%s\", 0x%016" PRIx64 "ULL},\n", DeltaOutcomeName(outcomes[i]),
+                  fnvs[i]);
+    }
+  }
+  ASSERT_EQ(outcomes.size(), std::size(kDeltaStreamPins));
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_STREQ(DeltaOutcomeName(outcomes[i]), kDeltaStreamPins[i].outcome);
+    EXPECT_EQ(fnvs[i], kDeltaStreamPins[i].fnv);
+  }
+
+  // The session reaches every path the pins must cover: batch and topology
+  // patches, a fallback of each kind, a compaction, an intra re-run on a
+  // node the fabric delta degraded, and a dead-node migration.
+  const DeltaStats& stats = dp.stats();
+  EXPECT_GT(stats.count(DeltaOutcome::kApplied), 0);
+  EXPECT_GT(stats.count(DeltaOutcome::kAppliedTopology), 0);
+  EXPECT_GT(batch_fallbacks, 0);
+  EXPECT_GT(topology_fallbacks, 0);
+  EXPECT_GT(stats.compactions, 0);
+  EXPECT_TRUE(degraded_repack);
+  EXPECT_EQ(outcomes.back(), DeltaOutcome::kAppliedTopology);
+  EXPECT_GT(stats.migrated_sequences, 0);
 }
 
 // --- Strategy-level integration -------------------------------------------------
