@@ -6,7 +6,7 @@
 // batch size S and the cluster size P over the Table 2 length distributions
 // and times ZeppelinStrategy::Plan() (surfaced as partition_time_us) on the
 // sharded engine against the reference linear-scan greedy ("naive", the seed
-// algorithm), which is timed through SequencePartitioner{.fast_path = false}
+// algorithm), which is timed through SequencePartitioner::PartitionNaive
 // directly at the capacity the strategy derived. The engine's plan is
 // verified bit-identical to the oracle's at every point — the determinism
 // contract of partitioner.h.
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
         engine.Plan(batch, trainer.cost_model(), trainer.fabric());
         const SequencePartitioner naive(
             trainer.fabric().cluster(),
-            {.token_capacity = engine.last_plan_stats().token_capacity, .fast_path = false});
+            {.token_capacity = engine.last_plan_stats().token_capacity});
         PlannerScratch naive_scratch;
         PartitionPlan naive_plan;
 
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
         std::vector<double> engine_times;
         for (int r = 0; r < reps + 1; ++r) {
           const auto t0 = clock::now();
-          naive.Partition(batch, &naive_scratch, &naive_plan);
+          naive.PartitionNaive(batch, &naive_scratch, &naive_plan);
           const double naive_time =
               std::chrono::duration<double, std::micro>(clock::now() - t0).count();
           engine.Plan(batch, trainer.cost_model(), trainer.fabric());

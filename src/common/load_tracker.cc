@@ -33,14 +33,6 @@ void LoadTracker::Assign(const std::vector<int64_t>& loads) {
   ++ops_;
 }
 
-void LoadTracker::Snapshot(std::vector<int64_t>* out) const {
-  const int n = size();
-  out->resize(n);
-  for (int i = 0; i < n; ++i) {
-    (*out)[i] = heap_[pos_[i]] >> kIndexBits;
-  }
-}
-
 void LoadTracker::k_least(int k, std::vector<int>* out) {
   const int n = size();
   ZCHECK(k >= 0 && k <= n) << "k=" << k << " n=" << n;

@@ -94,16 +94,6 @@ class LoadTracker {
   // in steady state.
   void k_least(int k, std::vector<int>* out);
 
-  // State snapshot/restore for planners that keep tracker state across
-  // planning calls (the delta planner persists per-node loads between
-  // iterations this way). Snapshot() exports the per-bucket loads in bucket
-  // order (overwrites `out`, allocation-free in steady state); Restore()
-  // rebuilds the heap from a snapshot. Restore(Snapshot()) round-trips to an
-  // observationally identical tracker: same loads, same (load, index) order,
-  // so every subsequent operation sequence behaves identically. O(n) each.
-  void Snapshot(std::vector<int64_t>* out) const;
-  void Restore(const std::vector<int64_t>& loads) { Assign(loads); }
-
   // Heap-operation counter (one tick per public call plus one per level a
   // sift traverses). Lets tests assert the planner stays O((S + P) log P):
   // a reintroduced linear scan shows up as an op count explosion.

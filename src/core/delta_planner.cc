@@ -52,7 +52,6 @@ DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions optio
   ZCHECK_GE(options_.replan_threshold, 0);
   ZCHECK_GE(options_.migration_budget, 0);
   topo_.Reset(cluster_.world_size());
-  fabric_.Build(cluster_, &topo_);
 }
 
 void DeltaPlanner::set_options(DeltaPlannerOptions options) {
@@ -102,12 +101,7 @@ void DeltaPlanner::CaptureState() {
   const int n = batch_.size();
 
   node_capacity_ = static_cast<int64_t>(p) * options_.token_capacity;
-  s1_initial_ = scratch_.threshold_s1_initial;
-  base_refined_ = plan_.threshold_s1 < s1_initial_;
-
-  // Inter-node chunk aggregates, as the engine left them in the scratch.
-  chunk_whole_ = scratch_.node_chunk_whole;
-  chunk_rem_ = scratch_.node_chunk_rem;
+  base_refined_ = plan_.threshold_s1 < scratch_.threshold_s1_initial;
 
   locations_.assign(n, SeqLocation{});
   slot_epoch_.assign(n, 0);
@@ -150,11 +144,10 @@ void DeltaPlanner::CaptureState() {
     node_members_[loc.node].push_back(seq.seq_id);
   }
 
-  loads_buf_.assign(num_nodes, 0);
+  node_loads_.assign(num_nodes, 0);
   for (int r = 0; r < cluster_.world_size(); ++r) {
-    loads_buf_[r / p] += plan_.tokens_per_rank[r];
+    node_loads_[r / p] += plan_.tokens_per_rank[r];
   }
-  node_loads_.Restore(loads_buf_);
 
   live_count_ = 0;
   for (int64_t len : batch_.seq_lens) {
@@ -187,16 +180,9 @@ double DeltaPlanner::Imbalance() const {
   return mean > 0 ? static_cast<double>(max_load) / mean : 1.0;
 }
 
-DeltaOutcome DeltaPlanner::ApplyViaRebase(const BatchDelta& delta, DeltaOutcome reason) {
-  ApplyBatchDelta(delta, &batch_);
-  RebaseInternal();
-  CountOutcome(reason);
-  return reason;
-}
-
 DeltaOutcome DeltaPlanner::FallBack(DeltaOutcome reason) {
   // The delta already landed in batch_ and the plan/state may be half
-  // patched; a full re-plan rebuilds both from the batch alone.
+  // patched (or untouched); a full re-plan rebuilds both from the batch alone.
   RebaseInternal();
   CountOutcome(reason);
   return reason;
@@ -250,7 +236,6 @@ void DeltaPlanner::EvictSlot(int slot) {
       const LocalSequence& entry = plan_.local[loc.pos];
       ZCHECK_EQ(entry.seq_id, slot);
       plan_.tokens_per_rank[entry.rank] -= old_len;
-      node_loads_.add(loc.node, -old_len);
       RemoveMember(loc.node, loc.member_pos);
       RemoveLocalAt(loc.pos);
       break;
@@ -267,7 +252,6 @@ void DeltaPlanner::EvictSlot(int slot) {
           [&](int f, int /*device*/, int64_t share) {
             plan_.tokens_per_rank[plan_.rank_arena[ring.rank_offset + f]] -= share;
           });
-      node_loads_.add(loc.node, -old_len);
       FreeRingSpan(ring);
       RemoveMember(loc.node, loc.member_pos);
       RemoveIntraHeaderAt(loc.pos);
@@ -284,6 +268,8 @@ void DeltaPlanner::EvictSlot(int slot) {
       ZCHECK(false) << "duplicate or unplaced slot in delta: " << slot;
       break;
   }
+  node_loads_[loc.node] -= old_len;
+  ZCHECK_GE(node_loads_[loc.node], 0) << "node " << loc.node << " load went negative";
   loc.kind = SeqLocation::Kind::kNone;
   loc.node = -1;
 }
@@ -329,13 +315,75 @@ bool DeltaPlanner::PlaceLocal(int slot, int node) {
   return true;
 }
 
-DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
-  if (!has_base_) {
-    return ApplyViaRebase(delta, DeltaOutcome::kRebasedNoBase);
+void DeltaPlanner::Admit(int slot, int node) {
+  SeqLocation& loc = locations_[slot];
+  ZCHECK(loc.kind == SeqLocation::Kind::kNone) << "placing a still-placed slot " << slot;
+  loc.kind = SeqLocation::Kind::kPending;
+  loc.node = node;
+  loc.member_pos = static_cast<uint32_t>(node_members_[node].size());
+  node_members_[node].push_back(slot);
+  if (batch_.seq_lens[slot] >= plan_.threshold_s0[node]) {
+    MarkDirty(node);  // z1-length: joins the node's fragmentation stage.
+  } else if (!IsDirty(node) && !PlaceLocal(slot, node)) {
+    MarkDirty(node);  // Device overflow: let Alg. 2 refinement resolve it.
   }
-  if (delta.empty()) {
-    CountOutcome(DeltaOutcome::kApplied);
-    return DeltaOutcome::kApplied;
+  // Dirty nodes keep the slot pending; RepackNode places it.
+}
+
+void DeltaPlanner::SortPlaceForPacking() {
+  // Length-descending, id-ascending: the order every packing stage uses.
+  std::sort(place_.begin(), place_.end(), [&](int a, int b) {
+    const int64_t la = batch_.seq_lens[a];
+    const int64_t lb = batch_.seq_lens[b];
+    return la != lb ? la > lb : a < b;
+  });
+}
+
+bool DeltaPlanner::PickNodes() {
+  const FabricView& fabric = scratch_.fabric;
+  node_picks_.Assign(fabric.rates, static_cast<int64_t>(cluster_.gpus_per_node) * kSpeedScale,
+                     node_loads_, [&](int node) {
+                       return static_cast<int64_t>(fabric.alive(node)) * options_.token_capacity;
+                     });
+  place_node_.resize(place_.size());
+  for (size_t i = 0; i < place_.size(); ++i) {
+    const int64_t len = batch_.seq_lens[place_[i]];
+    const int node = node_picks_.Pick(len);
+    if (node < 0) {
+      return false;
+    }
+    node_picks_.Add(node, len);
+    node_loads_[node] += len;
+    place_node_[i] = node;
+  }
+  return true;
+}
+
+DeltaOutcome DeltaPlanner::FinishPatch(DeltaOutcome applied, size_t patched) {
+  for (size_t i = 0; i < place_.size(); ++i) {
+    Admit(place_[i], place_node_[i]);
+  }
+  for (int node : dirty_nodes_) {
+    RepackNode(node);
+  }
+  MaybeCompact();
+
+  const double imbalance = Imbalance();
+  if (imbalance > base_imbalance_ + options_.replan_threshold) {
+    return FallBack(DeltaOutcome::kRebasedImbalance);
+  }
+  // Ratchet the drift reference downward when a patch improves balance, so
+  // the allowance tracks the best achieved quality rather than a stale base
+  // (a full re-plan resets it exactly).
+  base_imbalance_ = std::min(base_imbalance_, imbalance);
+  CountOutcome(applied);
+  stats_.patched_sequences += static_cast<int64_t>(patched);
+  return applied;
+}
+
+DeltaOutcome DeltaPlanner::BatchFallbackReason(const BatchDelta& delta) const {
+  if (!has_base_) {
+    return DeltaOutcome::kRebasedNoBase;
   }
   // Churn fraction counts churned *slots*: a removal refilled by an addition
   // is one replaced slot, not two changes (extra additions open new slots,
@@ -344,29 +392,42 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
       std::max(delta.removed.size(), delta.added.size()) + delta.resized.size();
   const double churn = static_cast<double>(churn_slots) / std::max(live_count_, 1);
   if (churn > options_.replan_threshold) {
-    return ApplyViaRebase(delta, DeltaOutcome::kRebasedChurn);
+    return DeltaOutcome::kRebasedChurn;
   }
   if (base_refined_) {
-    return ApplyViaRebase(delta, DeltaOutcome::kRebasedRefined);
+    return DeltaOutcome::kRebasedRefined;
   }
   // Inter-node-zone churn: every z2 decision (chunk counts via s_avg, node
   // choices) is globally coupled, so any endpoint in z2 forces a re-plan.
+  const int64_t s1 = scratch_.threshold_s1_initial;
   for (int slot : delta.removed) {
     ZCHECK(slot >= 0 && slot < batch_.size()) << "removed slot out of range: " << slot;
-    if (batch_.seq_lens[slot] >= s1_initial_) {
-      return ApplyViaRebase(delta, DeltaOutcome::kRebasedZone);
+    if (batch_.seq_lens[slot] >= s1) {
+      return DeltaOutcome::kRebasedZone;
     }
   }
   for (const auto& [slot, new_len] : delta.resized) {
     ZCHECK(slot >= 0 && slot < batch_.size()) << "resized slot out of range: " << slot;
-    if (batch_.seq_lens[slot] >= s1_initial_ || new_len >= s1_initial_) {
-      return ApplyViaRebase(delta, DeltaOutcome::kRebasedZone);
+    if (batch_.seq_lens[slot] >= s1 || new_len >= s1) {
+      return DeltaOutcome::kRebasedZone;
     }
   }
   for (int64_t len : delta.added) {
-    if (len >= s1_initial_) {
-      return ApplyViaRebase(delta, DeltaOutcome::kRebasedZone);
+    if (len >= s1) {
+      return DeltaOutcome::kRebasedZone;
     }
+  }
+  return DeltaOutcome::kApplied;
+}
+
+DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
+  if (has_base_ && delta.empty()) {
+    CountOutcome(DeltaOutcome::kApplied);
+    return DeltaOutcome::kApplied;
+  }
+  if (const DeltaOutcome reason = BatchFallbackReason(delta); reason != DeltaOutcome::kApplied) {
+    ApplyBatchDelta(delta, &batch_);
+    return FallBack(reason);
   }
 
   // ---- Patch path ----------------------------------------------------------
@@ -417,34 +478,19 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
   for (int slot : added_slots_) {
     consider(slot);
   }
-  // Length-descending, id-ascending: the order every packing stage uses.
-  std::sort(place_.begin(), place_.end(), [&](int a, int b) {
-    const int64_t la = batch_.seq_lens[a];
-    const int64_t lb = batch_.seq_lens[b];
-    return la != lb ? la > lb : a < b;
-  });
+  SortPlaceForPacking();
 
   // Node-level packing of the delta set: on a clean fabric, one round-batched
-  // GreedyPacker pass seeded from the live node loads (LoadTracker
-  // snapshot/restore); on a degraded one, the engine's degraded rule (alive
-  // capacities, speed-normalized loads).
-  const int count = static_cast<int>(place_.size());
-  place_node_.resize(count);
-  if (fabric_.degraded) {
-    ResetNodePicks();
-    for (int i = 0; i < count; ++i) {
-      const int64_t len = batch_.seq_lens[place_[i]];
-      const int node = node_picks_.Pick(len);
-      if (node < 0) {
-        return FallBack(DeltaOutcome::kRebasedCapacity);
-      }
-      node_picks_.Add(node, len);
-      node_loads_.add(node, len);
-      place_node_[i] = node;
+  // GreedyPacker pass seeded from the live node loads; on a degraded one, the
+  // engine's degraded rule (alive capacities, speed-normalized loads).
+  if (scratch_.fabric.degraded) {
+    if (!PickNodes()) {
+      return FallBack(DeltaOutcome::kRebasedCapacity);
     }
   } else {
-    node_loads_.Snapshot(&loads_buf_);
-    delta_packer_.Assign(loads_buf_);
+    const int count = static_cast<int>(place_.size());
+    place_node_.resize(count);
+    delta_packer_.Assign(node_loads_);
     const int packed =
         delta_packer_.Pack(count, node_capacity_,
                            [&](int i) { return batch_.seq_lens[place_[i]]; },
@@ -452,56 +498,23 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
     if (packed < count) {
       return FallBack(DeltaOutcome::kRebasedCapacity);
     }
-    delta_packer_.Loads(&loads_buf_);
-    node_loads_.Restore(loads_buf_);
+    delta_packer_.Loads(&node_loads_);
   }
-
-  for (int i = 0; i < count; ++i) {
-    const int slot = place_[i];
-    const int node = place_node_[i];
-    SeqLocation& loc = locations_[slot];
-    ZCHECK(loc.kind == SeqLocation::Kind::kNone) << "placing a still-placed slot " << slot;
-    loc.kind = SeqLocation::Kind::kPending;
-    loc.node = node;
-    loc.member_pos = static_cast<uint32_t>(node_members_[node].size());
-    node_members_[node].push_back(slot);
-    if (batch_.seq_lens[slot] >= plan_.threshold_s0[node]) {
-      MarkDirty(node);  // z1-length: joins the node's fragmentation stage.
-    } else if (!IsDirty(node) && !PlaceLocal(slot, node)) {
-      MarkDirty(node);  // Device overflow: let Alg. 2 refinement resolve it.
-    }
-    // Dirty nodes keep the slot pending; RepackNode places it below.
-  }
-
-  for (int node : dirty_nodes_) {
-    RepackNode(node);
-  }
-  MaybeCompact();
-
-  const double imbalance = Imbalance();
-  if (imbalance > base_imbalance_ + options_.replan_threshold) {
-    return FallBack(DeltaOutcome::kRebasedImbalance);
-  }
-  // Ratchet the drift reference downward when a patch improves balance, so
-  // the allowance tracks the best achieved quality rather than a stale base
-  // (a full re-plan resets it exactly).
-  base_imbalance_ = std::min(base_imbalance_, imbalance);
-  CountOutcome(DeltaOutcome::kApplied);
-  stats_.patched_sequences += delta.size();
-  return DeltaOutcome::kApplied;
+  return FinishPatch(DeltaOutcome::kApplied, delta.size());
 }
 
 // --- Dirty-node intra-node re-run (Alg. 2) ----------------------------------
 
 void DeltaPlanner::RepackNode(int node) {
   const int p = cluster_.gpus_per_node;
-  const int m = fabric_.alive(node);
+  const FabricView& fabric = scratch_.fabric;
+  const int m = fabric.alive(node);
   std::vector<int>& members = node_members_[node];
   if (m == 0) {
     // Evicting a dead node's intra ring dirties it; its members have all
     // migrated off by now and no pick lands on it: nothing to re-pack.
     ZCHECK(members.empty()) << "dead node " << node << " still owns members";
-    ZCHECK_EQ(node_loads_.load(node), 0) << "dead node " << node << " still owns load";
+    ZCHECK_EQ(node_loads_[node], 0) << "dead node " << node << " still owns load";
     return;
   }
   ++stats_.repacked_nodes;
@@ -547,9 +560,9 @@ void DeltaPlanner::RepackNode(int node) {
   // (recorded with divisor m: ApplyTopology re-plans before any liveness
   // change on a chunk-carrying node), then the sharded engine's own Alg. 2
   // kernel over the node's alive devices.
-  planner_internal::ExpandChunkBase(chunk_whole_, chunk_rem_, node, p, m,
-                                    &repack_slab_.chunk_base);
-  planner_internal::PackIntraNode(repack_keys_, repack_slab_.chunk_base, fabric_, node,
+  planner_internal::ExpandChunkBase(scratch_.node_chunk_whole, scratch_.node_chunk_rem, node, p,
+                                    m, &repack_slab_.chunk_base);
+  planner_internal::PackIntraNode(repack_keys_, repack_slab_.chunk_base, fabric, node,
                                   options_.token_capacity, options_.max_local_threshold,
                                   &repack_slab_, &repack_out_);
 
@@ -581,36 +594,25 @@ void DeltaPlanner::RepackNode(int node) {
     commit_local(seq);
   }
   std::fill_n(plan_.tokens_per_rank.begin() + node * p, p, int64_t{0});
-  const std::span<const int> ranks = fabric_.node_ranks(node);
+  const std::span<const int> ranks = fabric.node_ranks(node);
   int64_t device_total = 0;
   for (int d = 0; d < m; ++d) {
     plan_.tokens_per_rank[ranks[d]] = repack_out_.device_loads[d];
     device_total += repack_out_.device_loads[d];
   }
-  ZCHECK_EQ(device_total, node_loads_.load(node))
+  ZCHECK_EQ(device_total, node_loads_[node])
       << "intra re-run must conserve node " << node << " tokens";
   plan_.threshold_s0[node] = repack_out_.threshold_s0;
 }
 
 // --- Elastic topology patching ------------------------------------------------
 
-void DeltaPlanner::ResetNodePicks() {
-  node_loads_.Snapshot(&loads_buf_);
-  node_picks_.Assign(fabric_.rates, static_cast<int64_t>(cluster_.gpus_per_node) * kSpeedScale,
-                     loads_buf_, [this](int node) {
-                       return static_cast<int64_t>(fabric_.alive(node)) * options_.token_capacity;
-                     });
-}
-
 bool DeltaPlanner::NodeHasChunks(int node) const {
   // Every recorded chunk lands in exactly one remainder bucket (including
   // r == 0), so the bucket sum is the node's chunk count.
-  if (chunk_rem_.empty()) {
-    return false;
-  }
   const int p = cluster_.gpus_per_node;
   for (int r = 0; r < p; ++r) {
-    if (chunk_rem_[static_cast<size_t>(node) * p + r] > 0) {
+    if (scratch_.node_chunk_rem[static_cast<size_t>(node) * p + r] > 0) {
       return true;
     }
   }
@@ -633,7 +635,6 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   // The fabric state always advances, even when the plan cannot be patched:
   // every later Rebase/Apply must honor the new topology.
   topo_.Apply(delta);
-  fabric_.Build(cluster_, &topo_);
   if (!has_base_) {
     // Nothing to patch yet; not counted (no planning happened). The next
     // Apply()/Rebase() plans against the recorded fabric.
@@ -665,12 +666,16 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
       return FallBack(DeltaOutcome::kRebasedTopology);
     }
   }
+  // The patch plans over the new fabric (a fallback's re-plan rebuilds the
+  // view itself).
+  scratch_.fabric.Build(cluster_, &topo_);
+  const FabricView& fabric = scratch_.fabric;
   int64_t migrations = 0;
   for (int node = 0; node < cluster_.num_nodes; ++node) {
-    if (fabric_.alive(node) == 0) {
+    if (fabric.alive(node) == 0) {
       migrations += static_cast<int64_t>(node_members_[node].size());
-    } else if (node_loads_.load(node) >
-               static_cast<int64_t>(fabric_.alive(node)) * options_.token_capacity) {
+    } else if (node_loads_[node] >
+               static_cast<int64_t>(fabric.alive(node)) * options_.token_capacity) {
       return FallBack(DeltaOutcome::kRebasedTopology);
     }
   }
@@ -687,7 +692,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   // within the node (restores never reach here — scale-up rebases above).
   auto touch = [&](int rank) {
     const int node = rank / p;
-    if (fabric_.alive(node) > 0) {
+    if (fabric.alive(node) > 0) {
       MarkDirty(node);
     }
   };
@@ -700,61 +705,27 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
 
   // Evict the members of fully-dead nodes into the migration set (copy the
   // member list first: EvictSlot swap-erases the list it walks).
-  migrate_buf_.clear();
+  place_.clear();
   for (int rank : delta.removed_ranks) {
     const int node = rank / p;
-    if (fabric_.alive(node) > 0 || node_members_[node].empty()) {
+    if (fabric.alive(node) > 0 || node_members_[node].empty()) {
       continue;
     }
-    const size_t start = migrate_buf_.size();
-    migrate_buf_.insert(migrate_buf_.end(), node_members_[node].begin(),
-                        node_members_[node].end());
-    for (size_t i = start; i < migrate_buf_.size(); ++i) {
-      EvictSlot(migrate_buf_[i]);
+    const size_t start = place_.size();
+    place_.insert(place_.end(), node_members_[node].begin(), node_members_[node].end());
+    for (size_t i = start; i < place_.size(); ++i) {
+      EvictSlot(place_[i]);
     }
   }
-  stats_.migrated_sequences += static_cast<int64_t>(migrate_buf_.size());
+  stats_.migrated_sequences += static_cast<int64_t>(place_.size());
 
   // Re-pack migrants cross-node, longest first (the shared packing order),
   // through the degraded node pick; then the usual local/dirty split.
-  std::sort(migrate_buf_.begin(), migrate_buf_.end(), [&](int a, int b) {
-    const int64_t la = batch_.seq_lens[a];
-    const int64_t lb = batch_.seq_lens[b];
-    return la != lb ? la > lb : a < b;
-  });
-  ResetNodePicks();
-  for (int slot : migrate_buf_) {
-    const int64_t len = batch_.seq_lens[slot];
-    const int node = node_picks_.Pick(len);
-    if (node < 0) {
-      return FallBack(DeltaOutcome::kRebasedCapacity);
-    }
-    node_picks_.Add(node, len);
-    node_loads_.add(node, len);
-    SeqLocation& loc = locations_[slot];
-    loc.kind = SeqLocation::Kind::kPending;
-    loc.node = node;
-    loc.member_pos = static_cast<uint32_t>(node_members_[node].size());
-    node_members_[node].push_back(slot);
-    if (len >= plan_.threshold_s0[node]) {
-      MarkDirty(node);
-    } else if (!IsDirty(node) && !PlaceLocal(slot, node)) {
-      MarkDirty(node);
-    }
+  SortPlaceForPacking();
+  if (!PickNodes()) {
+    return FallBack(DeltaOutcome::kRebasedCapacity);
   }
-
-  for (int node : dirty_nodes_) {
-    RepackNode(node);
-  }
-  MaybeCompact();
-
-  const double imbalance = Imbalance();
-  if (imbalance > base_imbalance_ + options_.replan_threshold) {
-    return FallBack(DeltaOutcome::kRebasedImbalance);
-  }
-  base_imbalance_ = std::min(base_imbalance_, imbalance);
-  CountOutcome(DeltaOutcome::kAppliedTopology);
-  return DeltaOutcome::kAppliedTopology;
+  return FinishPatch(DeltaOutcome::kAppliedTopology, 0);
 }
 
 // --- Arena span management ----------------------------------------------------

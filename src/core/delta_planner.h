@@ -4,9 +4,9 @@
 // iterations' batches differ by a handful of sequences, yet a full
 // SequencePartitioner::Partition() re-plans all S sequences from scratch
 // every iteration. The DeltaPlanner keeps the planner's decision state alive
-// between iterations — per-node loads (LoadTracker), per-node membership,
-// the inter-node chunk aggregates, the zone thresholds, and the flat
-// RingRef/rank_arena plan itself — and applies a BatchDelta by evicting only
+// between iterations — per-node loads, per-node membership, the inter-node
+// chunk aggregates, the zone thresholds, and the flat RingRef/rank_arena
+// plan itself — and applies a BatchDelta by evicting only
 // the affected plan entries, re-packing only the changed sequences (through
 // the same round-batched GreedyPacker the parallel engine uses), and patching
 // headers and arena spans in place. Cost is O(|delta| · log P + dirty-node
@@ -71,7 +71,6 @@
 #include <vector>
 
 #include "src/common/greedy_packer.h"
-#include "src/common/load_tracker.h"
 #include "src/common/normalized_loads.h"
 #include "src/core/partitioner.h"
 #include "src/data/stream.h"
@@ -234,19 +233,17 @@ class DeltaPlanner {
   void CaptureState();
   void EnsureCapacityFits(int64_t total_tokens);
 
-  // Seeds node_picks_ with the live node loads over fabric_: degraded-fabric
-  // node placement follows the engine's own rule (NormalizedLoads).
-  void ResetNodePicks();
   // True when `node` carries inter-node chunk aggregates (z2 chunk counts are
   // keyed by the alive count they were recorded under, so liveness changes on
   // such a node are structural).
   bool NodeHasChunks(int node) const;
-  DeltaOutcome ApplyViaRebase(const BatchDelta& delta, DeltaOutcome reason);
-  DeltaOutcome FallBack(DeltaOutcome reason);  // Mid-patch: batch_ already new.
+  // Why `delta` cannot be patched in place, or kApplied when it can.
+  DeltaOutcome BatchFallbackReason(const BatchDelta& delta) const;
+  DeltaOutcome FallBack(DeltaOutcome reason);  // batch_ already holds the delta.
   void CountOutcome(DeltaOutcome outcome) { ++stats_.outcomes[static_cast<int>(outcome)]; }
 
   // Removes `slot`'s current plan entry and rolls its load contributions out
-  // of tokens_per_rank / node_loads_. Reads the slot's (old) length from
+  // of tokens_per_rank / node_loads_ (a node load never goes negative). Reads the slot's (old) length from
   // batch_, so it must run before the delta lands in batch_.
   void EvictSlot(int slot);
   void RemoveIntraHeaderAt(uint32_t pos);
@@ -258,6 +255,17 @@ class DeltaPlanner {
   // overflow (caller marks the node dirty instead).
   bool PlaceLocal(int slot, int node);
   void MarkDirty(int node);
+  // The one patch routine of Apply() and ApplyTopology(). SortPlaceForPacking
+  // orders place_ length-descending; PickNodes chooses place_node_ by the
+  // engine's degraded node rule (NormalizedLoads over the alive capacities),
+  // charging node_loads_, and returns false on overflow. Admit makes `slot`
+  // a pending member of `node`, then places it as a local or marks the node
+  // dirty. FinishPatch admits every place_ slot, re-runs the dirty nodes,
+  // compacts, and applies the imbalance guard before counting `applied`.
+  void SortPlaceForPacking();
+  bool PickNodes();
+  void Admit(int slot, int node);
+  DeltaOutcome FinishPatch(DeltaOutcome applied, size_t patched);
   bool IsDirty(int node) const { return node_dirty_epoch_[node] == epoch_; }
 
   // Re-runs the intra-node stage (Alg. 2) for one dirty node over its member
@@ -277,24 +285,25 @@ class DeltaPlanner {
   ClusterSpec cluster_;
   DeltaPlannerOptions options_;
   SequencePartitioner partitioner_;
-  PlannerScratch scratch_;
   PartitionPlan plan_;
   Batch batch_;
 
+  // The engine's state for the base plan, read in place between rebases:
+  // threshold_s1_initial, node_chunk_* (a delta never changes z2 chunks) and
+  // fabric (ApplyTopology rebuilds it from topo_). Only RebaseInternal's
+  // Partition call writes the rest.
+  PlannerScratch scratch_;
+
   bool has_base_ = false;
   RankTopology topo_;          // Fabric state (persists across rebases).
-  FabricView fabric_;          // topo_ as the planner sees it (rebuilt with it).
   int64_t node_capacity_ = 0;  // gpus_per_node * token_capacity.
-  int64_t s1_initial_ = 0;     // Initial inter-node threshold (pre-refinement).
-  bool base_refined_ = false;  // Base plan ended with s1 < s1_initial_.
+  bool base_refined_ = false;  // Base plan ended with s1 < threshold_s1_initial.
   double base_imbalance_ = 1.0;
   int live_count_ = 0;         // Non-tombstone sequences in batch_.
 
   std::vector<SeqLocation> locations_;        // Per slot.
   std::vector<std::vector<int>> node_members_;  // Per node: its z01 slots.
-  LoadTracker node_loads_;
-  std::vector<int64_t> chunk_whole_;  // Inter-chunk aggregates (see
-  std::vector<int64_t> chunk_rem_;    // PlannerScratch::node_chunk_*).
+  std::vector<int64_t> node_loads_;             // Per node: its token total.
 
   std::vector<FreeSpan> free_spans_;
   size_t free_total_ = 0;
@@ -309,14 +318,11 @@ class DeltaPlanner {
   std::vector<int> place_;       // Slots to (re)place, length-descending.
   std::vector<int> place_node_;  // Node chosen for each placed slot.
   GreedyPacker delta_packer_;
-  std::vector<int64_t> loads_buf_;
   std::vector<uint64_t> repack_keys_;  // RepackNode: members as packed keys.
   IntraWorkerSlab repack_slab_;        // RepackNode: kernel scratch.
   NodeIntraResult repack_out_;         // RepackNode: kernel output.
   std::vector<int> compact_buf_;
-
-  std::vector<int> migrate_buf_;        // Slots evicted off dead nodes.
-  NormalizedLoads node_picks_;          // Degraded node placement.
+  NormalizedLoads node_picks_;         // Degraded node placement.
 
   DeltaStats stats_;
 };

@@ -373,6 +373,27 @@ void SequencePartitioner::PartitionIntraNodeNaive(const Batch& batch, int node,
 
 // --- Driver -----------------------------------------------------------------
 
+namespace {
+
+// Resets `plan` and rewinds the scratch's emission cursors: ring headers and
+// arena slots are cursor-managed (storage recycled across calls), then
+// trimmed to the live counts at the end.
+void BeginPlan(const ClusterSpec& cluster, const Batch& batch, PlannerScratch* scratch,
+               PartitionPlan* plan) {
+  ZCHECK_GT(batch.size(), 0);
+  ZCHECK(scratch != nullptr);
+  ZCHECK(plan != nullptr);
+  plan->local.clear();
+  plan->tokens_per_rank.assign(cluster.world_size(), 0);
+  plan->threshold_s0.assign(cluster.num_nodes, 0);
+  plan->threshold_s1 = 0;
+  scratch->inter_ring_count = 0;
+  scratch->intra_ring_count = 0;
+  scratch->arena_count = 0;
+}
+
+}  // namespace
+
 PartitionPlan SequencePartitioner::Partition(const Batch& batch,
                                              const RankTopology* topology) const {
   PlannerScratch scratch;
@@ -388,31 +409,23 @@ PartitionPlan SequencePartitioner::Partition(const Batch& batch, PlannerScratch*
 
 void SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch,
                                     PartitionPlan* plan, const RankTopology* topology) const {
-  ZCHECK_GT(batch.size(), 0);
-  ZCHECK(scratch != nullptr);
-  ZCHECK(plan != nullptr);
+  BeginPlan(cluster_, batch, scratch, plan);
+  scratch->fabric.Build(cluster_, topology);
+  PartitionSharded(batch, scratch, plan);
+  // The key-build pass already summed the batch; skip the O(S) re-sum.
+  ZCHECK_EQ(plan->total_tokens(), scratch->batch_total) << "partitioner must conserve tokens";
+}
 
-  plan->local.clear();
-  plan->tokens_per_rank.assign(cluster_.world_size(), 0);
-  plan->threshold_s0.assign(cluster_.num_nodes, 0);
-  plan->threshold_s1 = 0;
+PartitionPlan SequencePartitioner::PartitionNaive(const Batch& batch) const {
+  PlannerScratch scratch;
+  PartitionPlan plan;
+  PartitionNaive(batch, &scratch, &plan);
+  return plan;
+}
 
-  // Ring headers and arena slots are cursor-managed (storage recycled
-  // across calls), then trimmed to the live counts at the end.
-  scratch->inter_ring_count = 0;
-  scratch->intra_ring_count = 0;
-  scratch->arena_count = 0;
-
-  if (options_.fast_path) {
-    scratch->fabric.Build(cluster_, topology);
-    PartitionSharded(batch, scratch, plan);
-    // The key-build pass already summed the batch; skip the O(S) re-sum.
-    ZCHECK_EQ(plan->total_tokens(), scratch->batch_total)
-        << "partitioner must conserve tokens";
-    return;
-  }
-  ZCHECK(topology == nullptr || !topology->degraded())
-      << "the naive oracle plans clean fabrics only";
+void SequencePartitioner::PartitionNaive(const Batch& batch, PlannerScratch* scratch,
+                                         PartitionPlan* plan) const {
+  BeginPlan(cluster_, batch, scratch, plan);
   PartitionInterNodeNaive(batch, plan, scratch);
   for (int node = 0; node < cluster_.num_nodes; ++node) {
     PartitionIntraNodeNaive(batch, node, scratch->assignments[node], plan, scratch);
@@ -420,9 +433,7 @@ void SequencePartitioner::Partition(const Batch& batch, PlannerScratch* scratch,
   plan->inter_node.resize(scratch->inter_ring_count);
   plan->intra_node.resize(scratch->intra_ring_count);
   plan->rank_arena.resize(scratch->arena_count);
-
-  ZCHECK_EQ(plan->total_tokens(), batch.total_tokens())
-      << "partitioner must conserve tokens";
+  ZCHECK_EQ(plan->total_tokens(), batch.total_tokens()) << "partitioner must conserve tokens";
 }
 
 }  // namespace zeppelin

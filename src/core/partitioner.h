@@ -38,7 +38,7 @@
 // One engine plans; one oracle checks it. On a clean fabric both produce
 // byte-identical plans:
 //
-//   Sharded engine (Options::fast_path, the default): sequences are kept as
+//   Sharded engine (Partition()): sequences are kept as
 //   packed (length, id) keys sorted by one value radix sort; the z01 packing
 //   runs through the round-batched GreedyPacker (bulk-committing blocks of
 //   placements instead of per-sequence heap walks) and shards its output
@@ -50,9 +50,9 @@
 //   bounded by the sequence count. The engine runs on the calling thread. It
 //   is the only engine that plans degraded fabrics.
 //
-//   Naive oracle (fast_path = false): the reference linear-scan/partial-sort
+//   Naive oracle (PartitionNaive()): the reference linear-scan/partial-sort
 //   greedy, structurally the seed algorithm, for clean fabrics only. Tests
-//   and the scaling bench construct it as the equivalence oracle.
+//   and the scaling bench call it as the equivalence oracle.
 //
 // Determinism contract: both paths break packing ties identically (lowest
 // load, then lowest bucket index), rings are emitted in the same global order
@@ -383,9 +383,6 @@ class SequencePartitioner {
     // iterative refinement still only ever shrinks the thresholds.
     int64_t max_inter_threshold = 0;  // Caps s1.
     int64_t max_local_threshold = 0;  // Caps s0.
-    // false selects the naive oracle instead of the sharded engine — a test
-    // and bench reference, never a serving configuration.
-    bool fast_path = true;
   };
 
   SequencePartitioner(const ClusterSpec& cluster, Options options);
@@ -398,7 +395,6 @@ class SequencePartitioner {
 
   // `topology` (optional, world-sized) is the fabric state: dead ranks get
   // no work and loads balance by speed. Null or clean = the clean fabric.
-  // The naive oracle plans clean fabrics only.
   //
   // One-shot form: allocates its own scratch and plan.
   PartitionPlan Partition(const Batch& batch, const RankTopology* topology = nullptr) const;
@@ -409,6 +405,12 @@ class SequencePartitioner {
   // previous iteration's plan back in); `plan` is reset, not appended to.
   void Partition(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan,
                  const RankTopology* topology = nullptr) const;
+
+  // The naive oracle on the clean fabric, byte-identical to Partition()
+  // there: a test and bench reference, never a serving path. The two forms
+  // mirror Partition()'s one-shot and fully hoisted ones.
+  PartitionPlan PartitionNaive(const Batch& batch) const;
+  void PartitionNaive(const Batch& batch, PlannerScratch* scratch, PartitionPlan* plan) const;
 
  private:
   // Naive oracle. Alg. 1 emits z2 rings (inter-node and single-node) into

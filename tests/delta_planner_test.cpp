@@ -19,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/common/load_tracker.h"
 #include "src/core/delta_planner.h"
 #include "src/core/plan_io.h"
 #include "src/core/trainer.h"
@@ -67,34 +66,6 @@ void FullReplan(const DeltaPlanner& dp, SequencePartitioner* ref, PlannerScratch
                 PartitionPlan* plan) {
   ref->set_options(SequencePartitioner::Options{.token_capacity = dp.token_capacity()});
   ref->Partition(dp.batch(), scratch, plan);
-}
-
-// --- LoadTracker snapshot/restore ---------------------------------------------
-
-TEST(LoadTrackerSnapshotTest, RoundTripPreservesLoadsAndOrder) {
-  LoadTracker tracker(8);
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    tracker.add(static_cast<int>(rng.NextBounded(8)), static_cast<int64_t>(rng.NextBounded(1000)));
-  }
-  std::vector<int64_t> snapshot;
-  tracker.Snapshot(&snapshot);
-  ASSERT_EQ(snapshot.size(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(snapshot[i], tracker.load(i));
-  }
-
-  LoadTracker restored;
-  restored.Restore(snapshot);
-  // Observationally identical: same loads and the same (load, index) pop
-  // order under an identical operation sequence.
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(restored.load(i), tracker.load(i));
-  }
-  for (int i = 0; i < 50; ++i) {
-    const int64_t w = 64 * (1 + static_cast<int64_t>(rng.NextBounded(32)));
-    EXPECT_EQ(tracker.add_min(w), restored.add_min(w)) << "divergence at op " << i;
-  }
 }
 
 // --- StateDigest ---------------------------------------------------------------

@@ -244,14 +244,13 @@ void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
 void CheckAllEngines(const ClusterSpec& cluster, const Batch& batch, int64_t capacity,
                      const std::string& context) {
   PlannerScratch scratch;
-  SequencePartitioner naive(cluster,
-                            {.token_capacity = capacity, .fast_path = false});
-  const PartitionPlan naive_plan = naive.Partition(batch, &scratch);
+  SequencePartitioner engine(cluster, {.token_capacity = capacity});
+  PartitionPlan naive_plan;
+  engine.PartitionNaive(batch, &scratch, &naive_plan);
   RankTopology clean;
   clean.Reset(cluster.world_size());
   const RankTopology* const topologies[] = {nullptr, &clean};
 
-  SequencePartitioner engine(cluster, {.token_capacity = capacity});
   for (const RankTopology* topology : topologies) {
     PartitionPlan engine_plan;
     for (int run = 0; run < 2; ++run) {
@@ -292,8 +291,8 @@ TEST(ParallelPlannerTest, IdenticalUnderForcedOverflowRestarts) {
         const Batch batch = sampler.NextBatch();
         const int64_t tight = (batch.total_tokens() + world - 1) / world;
         // The tight capacity must actually shrink a threshold somewhere.
-        SequencePartitioner probe(cluster, {.token_capacity = tight, .fast_path = false});
-        const PartitionPlan plan = probe.Partition(batch);
+        SequencePartitioner probe(cluster, {.token_capacity = tight});
+        const PartitionPlan plan = probe.PartitionNaive(batch);
         bool restarted = plan.threshold_s1 < tight * cluster.gpus_per_node;
         for (int64_t s0 : plan.threshold_s0) {
           restarted = restarted || (s0 > 0 && s0 < tight);
@@ -312,14 +311,11 @@ TEST(ParallelPlannerTest, IdenticalWithZoneThresholdCaps) {
     BatchSampler sampler(dist, 32 * 8192, 99);
     const Batch batch = sampler.NextBatch();
     for (int64_t inter_cap : {int64_t{8192}, int64_t{32768}}) {
-      SequencePartitioner::Options base{.token_capacity = 8192,
-                                        .max_inter_threshold = inter_cap,
-                                        .max_local_threshold = 2048,
-                                        .fast_path = false};
-      const PartitionPlan naive_plan = SequencePartitioner(cluster, base).Partition(batch);
-      SequencePartitioner::Options opts = base;
-      opts.fast_path = true;
-      const PartitionPlan got = SequencePartitioner(cluster, opts).Partition(batch);
+      const SequencePartitioner partitioner(cluster, {.token_capacity = 8192,
+                                                      .max_inter_threshold = inter_cap,
+                                                      .max_local_threshold = 2048});
+      const PartitionPlan naive_plan = partitioner.PartitionNaive(batch);
+      const PartitionPlan got = partitioner.Partition(batch);
       ExpectPlansIdentical(got, naive_plan,
                            dist.name() + " capped s1<=" + std::to_string(inter_cap));
       // The caps force nonempty z2 / z1 zones — make sure rings exist so

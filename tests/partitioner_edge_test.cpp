@@ -193,10 +193,12 @@ TEST(PartitionerArenaTest, ArenaTightAcrossShapes) {
   // the concatenation of the live ring spans.
   const ClusterSpec spec = MakeClusterA(2);
   BatchSampler sampler(MakeGithubDistribution(), 16 * 8192, 17);
-  for (bool fast : {false, true}) {
-    SequencePartitioner partitioner(spec, {.token_capacity = 8192, .fast_path = fast});
+  const SequencePartitioner partitioner(spec, {.token_capacity = 8192});
+  for (bool naive : {true, false}) {
     for (int i = 0; i < 3; ++i) {
-      const PartitionPlan plan = partitioner.Partition(sampler.NextBatch());
+      const Batch batch = sampler.NextBatch();
+      const PartitionPlan plan =
+          naive ? partitioner.PartitionNaive(batch) : partitioner.Partition(batch);
       ExpectArenaTight(plan);
     }
   }

@@ -46,13 +46,12 @@ Batch RingHeavyBatch(int num_seqs, uint64_t seed, const char* dataset = "github"
   return batch;
 }
 
-PartitionPlan MakePlan(const Batch& batch, const ClusterSpec& cluster, bool fast_path) {
+PartitionPlan MakePlan(const Batch& batch, const ClusterSpec& cluster, bool naive = false) {
   const int64_t world = cluster.world_size();
   const int64_t average = (batch.total_tokens() + world - 1) / world;
   SequencePartitioner partitioner(
-      cluster, SequencePartitioner::Options{.token_capacity = average + average / 4,
-                                            .fast_path = fast_path});
-  return partitioner.Partition(batch);
+      cluster, SequencePartitioner::Options{.token_capacity = average + average / 4});
+  return naive ? partitioner.PartitionNaive(batch) : partitioner.Partition(batch);
 }
 
 // Round-trip contract: ParsePlan(SerializePlan(p)) == p (operator==, i.e.
@@ -72,8 +71,8 @@ TEST(PlanIoTest, RoundTripAcrossOracleAndEngine) {
   const ClusterSpec cluster = MakeClusterA(16);
   const Batch batch = RingHeavyBatch(512, 0x5eed);
 
-  const PartitionPlan naive = MakePlan(batch, cluster, /*fast_path=*/false);
-  const PartitionPlan engine = MakePlan(batch, cluster, /*fast_path=*/true);
+  const PartitionPlan naive = MakePlan(batch, cluster, /*naive=*/true);
+  const PartitionPlan engine = MakePlan(batch, cluster);
 
   // The paths agree (the planner contract), so one wire image serves both.
   ASSERT_TRUE(naive == engine);
@@ -125,7 +124,7 @@ TEST(PlanIoTest, RoundTripDeltaPatchedPlanWithArenaSlack) {
 }
 
 TEST(PlanIoTest, RejectsBadMagicAndVersion) {
-  const PartitionPlan plan = MakePlan(SampleBatch(256, 1), MakeClusterA(2), true);
+  const PartitionPlan plan = MakePlan(SampleBatch(256, 1), MakeClusterA(2));
   std::string bytes = SerializePlan(plan);
   PartitionPlan decoded;
 
@@ -142,7 +141,7 @@ TEST(PlanIoTest, RejectsBadMagicAndVersion) {
 }
 
 TEST(PlanIoTest, RejectsTruncationAtEveryBoundary) {
-  const PartitionPlan plan = MakePlan(SampleBatch(512, 2), MakeClusterA(2), true);
+  const PartitionPlan plan = MakePlan(SampleBatch(512, 2), MakeClusterA(2));
   const std::string bytes = SerializePlan(plan);
   PartitionPlan decoded;
   // Chop inside the counts, inside the headers, inside the arena, and just
@@ -157,7 +156,7 @@ TEST(PlanIoTest, RejectsTruncationAtEveryBoundary) {
 }
 
 TEST(PlanIoTest, RejectsCorruptedHeaderSpan) {
-  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 3), MakeClusterA(16), true);
+  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 3), MakeClusterA(16));
   ASSERT_FALSE(plan.intra_node.empty());
   std::string bytes = SerializePlan(plan);
   // First intra_node header's rank_offset lives right after the inter_node
@@ -174,7 +173,7 @@ TEST(PlanIoTest, RejectsCorruptedHeaderSpan) {
 }
 
 TEST(PlanIoTest, RejectsAlteredPayloadViaDigest) {
-  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 4), MakeClusterA(16), true);
+  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 4), MakeClusterA(16));
   ASSERT_FALSE(plan.rank_arena.empty());
   std::string bytes = SerializePlan(plan);
   // Flip one arena rank (structurally valid — ranks are not bounds-checked
@@ -200,7 +199,7 @@ TEST(PlanIoTest, RejectsOutOfUniverseRanks) {
   // so the digest trailer matches — only the rank-universe check (against
   // the plan's own tokens_per_rank count) can reject it before it drives
   // EmitLayer out of bounds.
-  PartitionPlan plan = MakePlan(RingHeavyBatch(512, 9), MakeClusterA(16), true);
+  PartitionPlan plan = MakePlan(RingHeavyBatch(512, 9), MakeClusterA(16));
   ASSERT_FALSE(plan.rank_arena.empty());
   PartitionPlan decoded;
 
@@ -217,7 +216,7 @@ TEST(PlanIoTest, RejectsOutOfUniverseRanks) {
 }
 
 TEST(PlanIoTest, RejectsTrailingGarbage) {
-  const PartitionPlan plan = MakePlan(SampleBatch(256, 5), MakeClusterA(2), true);
+  const PartitionPlan plan = MakePlan(SampleBatch(256, 5), MakeClusterA(2));
   std::string bytes = SerializePlan(plan);
   bytes += "extra";
   PartitionPlan decoded;
@@ -227,7 +226,7 @@ TEST(PlanIoTest, RejectsTrailingGarbage) {
 TEST(PlanIoTest, RejectsHugeCountsWithoutAllocating) {
   // A corrupted count field must read as truncation (payload is the
   // authority), not drive a giant resize.
-  std::string bytes = SerializePlan(MakePlan(SampleBatch(64, 6), MakeClusterA(1), true));
+  std::string bytes = SerializePlan(MakePlan(SampleBatch(64, 6), MakeClusterA(1)));
   const uint64_t huge = ~uint64_t{0} / 4;
   std::memcpy(bytes.data() + 8 + 24, &huge, sizeof(huge));  // arena_count slot.
   PartitionPlan decoded;
@@ -235,7 +234,7 @@ TEST(PlanIoTest, RejectsHugeCountsWithoutAllocating) {
 }
 
 TEST(PlanIoTest, FileRoundTripAndIoErrors) {
-  const PartitionPlan plan = MakePlan(SampleBatch(512, 7), MakeClusterB(2), true);
+  const PartitionPlan plan = MakePlan(SampleBatch(512, 7), MakeClusterB(2));
   const std::string path = ::testing::TempDir() + "/plan_io_test." +
                            std::to_string(::getpid()) + ".zpln";
   ASSERT_TRUE(SavePlanFile(path, plan).ok());
@@ -292,9 +291,9 @@ std::vector<std::pair<std::string, PartitionPlan>> GoldenPlans() {
   for (const char* dataset : {"github", "arxiv", "fineweb"}) {
     const Batch batch = RingHeavyBatch(512, 0x901d, dataset);
     plans.emplace_back(std::string("oracle/") + dataset,
-                       MakePlan(batch, cluster, /*fast_path=*/false));
+                       MakePlan(batch, cluster, /*naive=*/true));
     plans.emplace_back(std::string("engine/") + dataset,
-                       MakePlan(batch, cluster, /*fast_path=*/true));
+                       MakePlan(batch, cluster));
   }
   bool patched = false;
   plans.emplace_back("delta-patched", DeltaPatchedPlan(&patched));

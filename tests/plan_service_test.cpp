@@ -73,9 +73,8 @@ TEST(PlanServiceTest, StatelessByteIdenticalToDirectPartitioner) {
   const Batch batch = SampleBatch(1024, 0xa11);
   const int64_t capacity = SlackCapacity(batch, rig.cluster);
 
-  SequencePartitioner direct(
-      rig.cluster, SequencePartitioner::Options{.token_capacity = capacity, .fast_path = false});
-  const PartitionPlan reference = direct.Partition(batch);
+  SequencePartitioner direct(rig.cluster, SequencePartitioner::Options{.token_capacity = capacity});
+  const PartitionPlan reference = direct.PartitionNaive(batch);
 
   // The second request reuses the workspace the first checked back in.
   PlannerService service;

@@ -59,11 +59,10 @@ struct Rig {
   Batch batch = RingHeavyBatch(512, 0xce7);
   int64_t capacity = SlackCapacity(batch, cluster);
 
-  PartitionPlan Plan(bool fast_path) const {
-    SequencePartitioner partitioner(
-        cluster,
-        SequencePartitioner::Options{.token_capacity = capacity, .fast_path = fast_path});
-    return partitioner.Partition(batch);
+  PartitionPlan Plan(bool naive) const {
+    SequencePartitioner partitioner(cluster,
+                                    SequencePartitioner::Options{.token_capacity = capacity});
+    return naive ? partitioner.PartitionNaive(batch) : partitioner.Partition(batch);
   }
 
   PlanVerifyOptions Options() const {
@@ -92,8 +91,8 @@ void ExpectSingleFault(const Rig& rig, const PartitionPlan& plan,
 
 TEST(PlanVerifyTest, ValidPlansAcrossAllEnginesCertify) {
   Rig rig;
-  const PartitionPlan naive = rig.Plan(/*fast_path=*/false);
-  const PartitionPlan sharded = rig.Plan(/*fast_path=*/true);
+  const PartitionPlan naive = rig.Plan(/*naive=*/true);
+  const PartitionPlan sharded = rig.Plan(/*naive=*/false);
   for (const PartitionPlan* plan : {&naive, &sharded}) {
     const PlanVerifyResult verdict = VerifyPlan(*plan, &rig.batch, nullptr, rig.Options());
     EXPECT_TRUE(verdict.ok()) << verdict.message;
