@@ -266,7 +266,7 @@ struct RingStore {
 // none): per node, its alive ranks in ascending order with their quantized
 // speeds, and the node's speed rate (the sum of those speeds; 0 = dead).
 // Rings copy a node's rank row, the intra stage packs over it, and the
-// delta planner keeps one for its own node picks.
+// delta planner's patches read it from its scratch.
 struct FabricView {
   bool degraded = false;         // Some rank is dead or off nominal speed.
   int alive_nodes = 0;           // Nodes with at least one alive rank.
@@ -318,8 +318,10 @@ struct IntraWorkerSlab {
 
 // Reusable planning workspace. A planner that keeps one of these across
 // iterations (see ZeppelinStrategy) runs Partition() without steady-state
-// heap allocations: every intermediate lives here and only grows. The
-// contents are meaningless between calls.
+// heap allocations: every intermediate lives here and only grows. After
+// Partition() returns, a caller may read threshold_s1_initial, node_chunk_*
+// and fabric, which describe the plan just made (DeltaPlanner patches from
+// them); every other field is meaningless between calls.
 struct PlannerScratch {
   // Inter-node stage.
   LoadTracker node_loads;            // z2 chunk placement.

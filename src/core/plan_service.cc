@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/core/partitioner_internal.h"
 #include "src/model/memory.h"
 
 namespace zeppelin {
@@ -14,6 +15,9 @@ namespace zeppelin {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+static_assert(kMaxPlanSeqs == planner_internal::kIdxMask + 1);
+static_assert(kMaxPlanSeqLen == planner_internal::kLenMask);
 
 double ElapsedUs(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
@@ -41,18 +45,33 @@ PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* 
     *why = "empty batch";
     return PlanStatus::kBadRequest;
   }
-  int64_t total = 0;
-  bool negative = false;
-  for (int64_t len : batch.seq_lens) {  // Branch-free, so it vectorizes.
-    total += len;
-    negative |= len < 0;
+  if (static_cast<int64_t>(batch.seq_lens.size()) > kMaxPlanSeqs) {
+    *why = "batch exceeds the sequence-count cap";
+    return PlanStatus::kBadRequest;
   }
-  if (negative) {
+  // Unsigned, so a hostile batch cannot overflow the sum. A negative length
+  // sets the top bit of `bits`, an oversized one a bit above kMaxPlanSeqLen;
+  // with both ruled out, the count cap bounds `total` below 2^63.
+  uint64_t total = 0;
+  uint64_t bits = 0;
+  for (int64_t len : batch.seq_lens) {  // Branch-free, so it vectorizes.
+    total += static_cast<uint64_t>(len);
+    bits |= static_cast<uint64_t>(len);
+  }
+  if (static_cast<int64_t>(bits) < 0) {
     *why = "batch has a negative sequence length";
+    return PlanStatus::kBadRequest;
+  }
+  if (bits > static_cast<uint64_t>(kMaxPlanSeqLen)) {
+    *why = "batch has a sequence length above the key-range cap";
     return PlanStatus::kBadRequest;
   }
   if (total == 0) {
     *why = "batch has no tokens (all sequences empty)";
+    return PlanStatus::kBadRequest;
+  }
+  if (total > static_cast<uint64_t>(kMaxPlanTokens)) {
+    *why = "batch exceeds the total-token cap";
     return PlanStatus::kBadRequest;
   }
   const double threshold = request.options.delta_replan_threshold;
@@ -62,7 +81,7 @@ PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* 
   }
   // The partitioner requires total <= world * L.
   if (request.options.token_capacity != 0 &&
-      request.options.token_capacity < (total + world - 1) / world) {
+      request.options.token_capacity < (static_cast<int64_t>(total) + world - 1) / world) {
     *why = "token_capacity below ceil(total_tokens / world)";
     return PlanStatus::kBadRequest;
   }

@@ -108,12 +108,21 @@ enum class PlanStatus : uint8_t {
   kBadDelta,    // A session's batch or topology delta does not fit its state.
 };
 
+// The batch shapes a plan request may carry: the planner's packed sequence
+// keys hold a 20-bit sequence id and a 43-bit length, and the total-token
+// cap keeps every downstream product (speed-quantized effective loads,
+// node-capacity sums) inside int64.
+inline constexpr int64_t kMaxPlanSeqs = int64_t{1} << 20;
+inline constexpr int64_t kMaxPlanSeqLen = (int64_t{1} << 43) - 1;
+inline constexpr int64_t kMaxPlanTokens = int64_t{1} << 47;
+
 // The request-only preconditions of PlannerService::Plan, none of which need
-// session state: a non-empty batch with tokens and no negative length, a
-// finite non-negative delta_replan_threshold, an explicit token_capacity of
-// at least ceil(total_tokens / world), a batch delta only on a session, and
-// sessions only with hierarchical planning. kOk, or kBadRequest with `*why`
-// set. `request.batch` must be non-null.
+// session state: a non-empty batch of at most kMaxPlanSeqs sequences, with
+// tokens, no negative length, no length above kMaxPlanSeqLen and at most
+// kMaxPlanTokens in total; a finite non-negative delta_replan_threshold; an
+// explicit token_capacity of at least ceil(total_tokens / world); a batch
+// delta only on a session; and sessions only with hierarchical planning.
+// kOk, or kBadRequest with `*why` set. `request.batch` must be non-null.
 PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* why);
 
 // Which engine produced the response's plan. The values travel on the wire

@@ -190,20 +190,13 @@ struct PlannerDaemon::Connection {
 
 namespace {
 
-// The wire's own limits on a plan request, on top of CheckPlanRequest.
+// The wire's own rule on a plan request, on top of CheckPlanRequest (which
+// owns every batch-shape limit).
 bool WithinWireLimits(const WireRequest& request, std::string* why) {
   if (request.stream_id.empty() && request.topology.has_value()) {
     // In-process stateless requests ignore a topology; the wire refuses it.
     *why = "topology deltas require a session (non-empty stream id)";
     return false;
-  }
-  int64_t total = 0;
-  for (int64_t len : request.batch.seq_lens) {
-    total += len;  // Each term <= kMaxWireSeqLen (parse), so no overflow
-    if (total > kMaxWireTotalTokens) {  // before this cap trips.
-      *why = "batch exceeds the total-token cap";
-      return false;
-    }
   }
   return true;
 }

@@ -46,10 +46,9 @@ inline constexpr uint32_t kWireVersion = 3;
 inline constexpr uint32_t kMaxStreamIdBytes = 256;
 inline constexpr uint32_t kMaxWireSeqs = 1u << 24;
 inline constexpr int64_t kMaxWireSeqLen = int64_t{1} << 40;
-// A whole batch may not exceed this many tokens (checked by the daemon's
-// semantic validation): keeps every downstream product — speed-quantized
-// effective loads (x kSpeedScale), node-capacity sums — inside int64.
-inline constexpr int64_t kMaxWireTotalTokens = int64_t{1} << 47;
+// The batch's sequence count and token total are capped tighter by the
+// daemon's semantic validation (CheckPlanRequest: kMaxPlanSeqs,
+// kMaxPlanTokens).
 inline constexpr uint32_t kMaxWireDeltaEntries = kMaxWireSeqs;
 inline constexpr uint32_t kMaxWireTopoEntries = 1u << 20;
 // Response caps: the per-stage latency block may carry at most this many

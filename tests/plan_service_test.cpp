@@ -595,6 +595,39 @@ TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
   EXPECT_EQ(remote.stats.delta_outcome, twin.stats.delta_outcome);
 }
 
+// Every batch-shape limit is a typed kBadRequest from CheckPlanRequest, for
+// stateless and session requests alike: one sequence past the packed-key id
+// range, one length past the key's length range (including lengths whose
+// signed sum overflows), and a token total past the cap.
+TEST(PlanServiceTest, BatchShapeCapsAreTypedBadRequests) {
+  TestRig rig;
+  PlannerService service;
+  Batch too_many;
+  too_many.seq_lens.assign(kMaxPlanSeqs + 1, 1);
+  const Batch too_long{.seq_lens = {64, kMaxPlanSeqLen + 1}};
+  const Batch overflowing{.seq_lens = {std::numeric_limits<int64_t>::max(),
+                                       std::numeric_limits<int64_t>::max(), 64}};
+  Batch too_many_tokens;
+  too_many_tokens.seq_lens.assign(kMaxPlanTokens / (int64_t{1} << 40) + 1, int64_t{1} << 40);
+  struct Case {
+    const Batch* batch;
+    const char* message;
+  };
+  for (const Case& c : {Case{&too_many, "sequence-count cap"}, Case{&too_long, "key-range cap"},
+                        Case{&overflowing, "key-range cap"},
+                        Case{&too_many_tokens, "total-token cap"}}) {
+    for (const char* stream_id : {"", "s"}) {
+      PlanRequest request = rig.Request(*c.batch);
+      request.stream_id = stream_id;
+      const PlanResponse response = service.Plan(request);
+      EXPECT_EQ(response.status, PlanStatus::kBadRequest) << c.message;
+      EXPECT_EQ(response.plan, nullptr) << c.message;
+      EXPECT_NE(response.error.find(c.message), std::string::npos) << response.error;
+    }
+  }
+  EXPECT_EQ(service.session_count(), 0u);
+}
+
 // One registry for the whole serving stack: the cache's counts and the
 // session outcomes land in service.metrics(), each written once at its source.
 TEST(PlanServiceTest, CacheAndSessionOutcomesCountIntoTheServiceRegistry) {
