@@ -504,6 +504,16 @@ TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
   const Batch empty;
   const Batch no_tokens{.seq_lens = {0, 0, 0}};
   const Batch negative{.seq_lens = {128, -64}};
+  // Batch-shape caps: one sequence past the packed-key id range, one length
+  // past its length range (also lengths whose signed sum overflows), and a
+  // token total past the cap.
+  Batch too_many;
+  too_many.seq_lens.assign(kMaxPlanSeqs + 1, 1);
+  const Batch too_long{.seq_lens = {64, kMaxPlanSeqLen + 1}};
+  const Batch overflowing{.seq_lens = {std::numeric_limits<int64_t>::max(),
+                                       std::numeric_limits<int64_t>::max(), 64}};
+  Batch too_many_tokens;
+  too_many_tokens.seq_lens.assign(kMaxPlanTokens / (int64_t{1} << 40) + 1, int64_t{1} << 40);
   BatchDelta out_of_range;
   out_of_range.removed.push_back(batch.size() + 100);
   const BatchDelta no_churn;
@@ -546,6 +556,12 @@ TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
       {"empty batch", stateless(empty), PlanStatus::kBadRequest},
       {"no tokens", stateless(no_tokens), PlanStatus::kBadRequest},
       {"negative length", stateless(negative), PlanStatus::kBadRequest},
+      {"too many sequences", stateless(too_many), PlanStatus::kBadRequest},
+      {"session with too many sequences", session(too_many, nullptr, nullptr, "fresh"),
+       PlanStatus::kBadRequest},
+      {"length past the key range", stateless(too_long), PlanStatus::kBadRequest},
+      {"overflowing lengths", stateless(overflowing), PlanStatus::kBadRequest},
+      {"too many tokens", stateless(too_many_tokens), PlanStatus::kBadRequest},
       {"infeasible capacity", stateless(batch), PlanStatus::kBadRequest},
       {"non-finite threshold", stateless(batch), PlanStatus::kBadRequest},
       {"stateless delta", stateless(batch), PlanStatus::kBadRequest},
@@ -565,10 +581,10 @@ TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
       {"first contact kills every rank", session(batch, nullptr, &kill_all, "fresh"),
        PlanStatus::kBadDelta},
   };
-  cases[3].request.options.token_capacity = 1;
-  cases[4].request.options.delta_replan_threshold = std::numeric_limits<double>::infinity();
-  cases[5].request.delta = &delta;
-  cases[6].request.options.hierarchical_partitioning = false;
+  cases[8].request.options.token_capacity = 1;
+  cases[9].request.options.delta_replan_threshold = std::numeric_limits<double>::infinity();
+  cases[10].request.delta = &delta;
+  cases[11].request.options.hierarchical_partitioning = false;
 
   PlanCache cache(&service);
   for (const Case& c : cases) {
@@ -593,39 +609,6 @@ TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
   const PlanResponse twin = service.Plan(twin_step);
   EXPECT_EQ(remote.digest, twin.digest);
   EXPECT_EQ(remote.stats.delta_outcome, twin.stats.delta_outcome);
-}
-
-// Every batch-shape limit is a typed kBadRequest from CheckPlanRequest, for
-// stateless and session requests alike: one sequence past the packed-key id
-// range, one length past the key's length range (including lengths whose
-// signed sum overflows), and a token total past the cap.
-TEST(PlanServiceTest, BatchShapeCapsAreTypedBadRequests) {
-  TestRig rig;
-  PlannerService service;
-  Batch too_many;
-  too_many.seq_lens.assign(kMaxPlanSeqs + 1, 1);
-  const Batch too_long{.seq_lens = {64, kMaxPlanSeqLen + 1}};
-  const Batch overflowing{.seq_lens = {std::numeric_limits<int64_t>::max(),
-                                       std::numeric_limits<int64_t>::max(), 64}};
-  Batch too_many_tokens;
-  too_many_tokens.seq_lens.assign(kMaxPlanTokens / (int64_t{1} << 40) + 1, int64_t{1} << 40);
-  struct Case {
-    const Batch* batch;
-    const char* message;
-  };
-  for (const Case& c : {Case{&too_many, "sequence-count cap"}, Case{&too_long, "key-range cap"},
-                        Case{&overflowing, "key-range cap"},
-                        Case{&too_many_tokens, "total-token cap"}}) {
-    for (const char* stream_id : {"", "s"}) {
-      PlanRequest request = rig.Request(*c.batch);
-      request.stream_id = stream_id;
-      const PlanResponse response = service.Plan(request);
-      EXPECT_EQ(response.status, PlanStatus::kBadRequest) << c.message;
-      EXPECT_EQ(response.plan, nullptr) << c.message;
-      EXPECT_NE(response.error.find(c.message), std::string::npos) << response.error;
-    }
-  }
-  EXPECT_EQ(service.session_count(), 0u);
 }
 
 // One registry for the whole serving stack: the cache's counts and the

@@ -376,18 +376,23 @@ TEST(PlannerDaemonTest, BadSemanticsTypedAndNoPartialMutation) {
   EXPECT_GE(rig.daemon.counters().bad_requests, 7u);
 }
 
-TEST(PlannerDaemonTest, TotalTokenCapIsATypedBadRequest) {
+TEST(PlannerDaemonTest, BatchShapeCapsAreTypedBadRequests) {
   DaemonRig rig;
   PlanClient client = rig.Client();
-  // Every length passes parse (<= kMaxWireSeqLen); their sum does not pass
-  // the daemon's total-token cap.
-  constexpr int64_t kSeqs = kMaxPlanTokens / kMaxWireSeqLen + 1;
-  WireRequest over;
-  over.batch.seq_lens.assign(kSeqs, kMaxWireSeqLen);
-  const PlanClientResult rejected = client.Plan(std::move(over));
+  // Both batches pass parse (lengths <= kMaxWireSeqLen, counts <= 2^24).
+  // The first's token total is past the cap; the second has one sequence
+  // past the planner's packed-key id range, which used to abort the daemon.
+  WireRequest over_tokens;
+  over_tokens.batch.seq_lens.assign(kMaxPlanTokens / kMaxWireSeqLen + 1, kMaxWireSeqLen);
+  WireRequest over_count;
+  over_count.batch.seq_lens.assign(kMaxPlanSeqs + 1, 1);
+  const PlanClientResult rejected = client.Plan(std::move(over_tokens));
   EXPECT_EQ(rejected.status, WireStatus::kBadRequest);
   EXPECT_NE(rejected.message.find("total-token cap"), std::string::npos) << rejected.message;
-  EXPECT_EQ(rig.daemon.counters().bad_requests, 1u);
+  const PlanClientResult too_many = client.Plan(std::move(over_count));
+  EXPECT_EQ(too_many.status, WireStatus::kBadRequest);
+  EXPECT_NE(too_many.message.find("sequence-count cap"), std::string::npos) << too_many.message;
+  EXPECT_EQ(rig.daemon.counters().bad_requests, 2u);
 
   // The connection survives: the same one then serves a valid request.
   WireRequest good;
@@ -396,28 +401,7 @@ TEST(PlannerDaemonTest, TotalTokenCapIsATypedBadRequest) {
   ASSERT_TRUE(served.ok()) << served.message;
   EXPECT_EQ(served.attempts, 1);
   EXPECT_EQ(rig.daemon.counters().connections_accepted, 1u);
-  EXPECT_EQ(rig.daemon.counters().bad_requests, 1u);
-}
-
-// One sequence past the planner's packed-key id range passes parse (the wire
-// admits 2^24) and must be a typed rejection, not a daemon abort.
-TEST(PlannerDaemonTest, SequenceCountCapIsATypedBadRequest) {
-  DaemonRig rig;
-  PlanClient client = rig.Client();
-  WireRequest over;
-  over.batch.seq_lens.assign(kMaxPlanSeqs + 1, 1);
-  const PlanClientResult rejected = client.Plan(std::move(over));
-  EXPECT_EQ(rejected.status, WireStatus::kBadRequest);
-  EXPECT_NE(rejected.message.find("sequence-count cap"), std::string::npos) << rejected.message;
-  EXPECT_EQ(rig.daemon.counters().bad_requests, 1u);
-
-  // The connection survives: the same one then serves a valid request.
-  WireRequest good;
-  good.batch = SampleBatch(64, 0x7c5);
-  const PlanClientResult served = client.Plan(std::move(good));
-  ASSERT_TRUE(served.ok()) << served.message;
-  EXPECT_EQ(served.attempts, 1);
-  EXPECT_EQ(rig.daemon.counters().connections_accepted, 1u);
+  EXPECT_EQ(rig.daemon.counters().bad_requests, 2u);
 }
 
 TEST(PlannerDaemonTest, OverloadShedsBeyondBoundedQueue) {
