@@ -243,8 +243,9 @@ class DeltaPlanner {
   void CountOutcome(DeltaOutcome outcome) { ++stats_.outcomes[static_cast<int>(outcome)]; }
 
   // Removes `slot`'s current plan entry and rolls its load contributions out
-  // of tokens_per_rank / node_loads_ (a node load never goes negative). Reads the slot's (old) length from
-  // batch_, so it must run before the delta lands in batch_.
+  // of tokens_per_rank / node_loads_ (a node load never goes negative). Reads
+  // the slot's (old) length from batch_, so it must run before the delta
+  // lands in batch_.
   void EvictSlot(int slot);
   void RemoveIntraHeaderAt(uint32_t pos);
   void RemoveLocalAt(uint32_t pos);
@@ -255,13 +256,11 @@ class DeltaPlanner {
   // overflow (caller marks the node dirty instead).
   bool PlaceLocal(int slot, int node);
   void MarkDirty(int node);
-  // The one patch routine of Apply() and ApplyTopology(). SortPlaceForPacking
-  // orders place_ length-descending; PickNodes chooses place_node_ by the
-  // engine's degraded node rule (NormalizedLoads over the alive capacities),
-  // charging node_loads_, and returns false on overflow. Admit makes `slot`
-  // a pending member of `node`, then places it as a local or marks the node
-  // dirty. FinishPatch admits every place_ slot, re-runs the dirty nodes,
-  // compacts, and applies the imbalance guard before counting `applied`.
+  // The patch steps Apply() and ApplyTopology() share. PickNodes places
+  // place_ by the engine's degraded node rule, charging node_loads_ (false on
+  // overflow). Admit makes `slot` a pending member of `node`, then places it
+  // as a local or marks the node dirty. FinishPatch admits every place_ slot,
+  // re-runs the dirty nodes, compacts, and guards the imbalance.
   void SortPlaceForPacking();
   bool PickNodes();
   void Admit(int slot, int node);
