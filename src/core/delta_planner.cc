@@ -38,6 +38,18 @@ const char* DeltaOutcomeName(DeltaOutcome outcome) {
   return "unknown";
 }
 
+const char* TopologyFallbackName(TopologyFallback cause) {
+  switch (cause) {
+    case TopologyFallback::kDeadNodeRestore:
+      return "dead-node-restore";
+    case TopologyFallback::kChunkNodeLiveness:
+      return "chunk-node-liveness";
+    case TopologyFallback::kSurvivorOverload:
+      return "survivor-overload";
+  }
+  return "unknown";
+}
+
 DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions options)
     : cluster_(cluster),
       options_(options),
@@ -160,6 +172,23 @@ void DeltaPlanner::CaptureState() {
   has_base_ = true;
 }
 
+int DeltaPlanner::BottleneckRank() const {
+  // The alive rank of highest effective load, ties to the lowest index.
+  int best = -1;
+  int64_t best_eff = 0;
+  for (int r = 0; r < static_cast<int>(plan_.tokens_per_rank.size()); ++r) {
+    if (!topo_.alive[r]) {
+      continue;
+    }
+    const int64_t eff = topo_.EffectiveLoad(r, plan_.tokens_per_rank[r]);
+    if (best < 0 || eff > best_eff) {
+      best = r;
+      best_eff = eff;
+    }
+  }
+  return best;
+}
+
 double DeltaPlanner::Imbalance() const {
   // Speed-weighted effective loads over the alive ranks: on a clean topology
   // this is exactly max/mean of tokens_per_rank (eff == raw at nominal
@@ -186,6 +215,11 @@ DeltaOutcome DeltaPlanner::FallBack(DeltaOutcome reason) {
   RebaseInternal();
   CountOutcome(reason);
   return reason;
+}
+
+DeltaOutcome DeltaPlanner::FallBackTopology(TopologyFallback cause) {
+  ++stats_.topology_fallbacks[static_cast<int>(cause)];
+  return FallBack(DeltaOutcome::kRebasedTopology);
 }
 
 // --- Eviction ---------------------------------------------------------------
@@ -620,16 +654,27 @@ bool DeltaPlanner::NodeHasChunks(int node) const {
 }
 
 DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
-  // Scale-up detection (before the fold: it compares against the old
-  // speeds): rank restores and speed increases add capacity a patch cannot
-  // exploit — migration only moves load *off* dead and slowed ranks, and the
-  // drift guard's base reference predates the improvement, so a patched
-  // plan would leave the new capacity idle while still passing the guard.
-  bool fabric_improved = !delta.added_ranks.empty();
-  for (const auto& [rank, factor] : delta.speed_factors) {
-    if (QuantizeSpeed(factor) > topo_.speed_q[rank]) {
-      fabric_improved = true;
-      break;
+  // A restored rank re-joins its node's members, so its node must have had
+  // an alive rank before the delta: a fully-dead node has none.
+  const int p = cluster_.gpus_per_node;
+  const bool restores_dead_node =
+      std::any_of(delta.added_ranks.begin(), delta.added_ranks.end(), [&](int rank) {
+        ZCHECK(rank >= 0 && rank < topo_.world()) << "added rank out of range: " << rank;
+        const auto first = topo_.alive.begin() + (rank / p) * p;
+        return std::none_of(first, first + p, [](uint8_t alive) { return alive != 0; });
+      });
+  // The drift guard's reference is the imbalance the plan's most loaded rank
+  // sets. Killing that rank on a node that survives voids it: the patch
+  // keeps the node's load in place, while a re-plan of the fabric without
+  // the rank (a slow outlier, say) can balance far better than the
+  // reference the patch would be held to. A whole-node kill re-packs the
+  // node's load cross-node instead.
+  int killed_bottleneck = -1;
+  if (has_base_ && !delta.removed_ranks.empty()) {
+    const int bottleneck = BottleneckRank();
+    if (std::find(delta.removed_ranks.begin(), delta.removed_ranks.end(), bottleneck) !=
+        delta.removed_ranks.end()) {
+      killed_bottleneck = bottleneck;
     }
   }
   // The fabric state always advances, even when the plan cannot be patched:
@@ -649,21 +694,20 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
     // diverge from what refinement would choose — same rule as Apply().
     return FallBack(DeltaOutcome::kRebasedRefined);
   }
-  if (fabric_improved) {
-    // Scale-up is structural: re-plan so restored/accelerated ranks take
-    // load immediately (docs/ELASTIC.md "Scale-up rebases").
-    return FallBack(DeltaOutcome::kRebasedTopology);
+  if (restores_dead_node) {
+    return FallBackTopology(TopologyFallback::kDeadNodeRestore);
   }
-  const int p = cluster_.gpus_per_node;
 
   // Structural fallbacks. Chunk aggregates are keyed by the alive count they
   // were recorded under, so a liveness change on a chunk-carrying node (which
   // includes every node a z2 ring touches) invalidates them; a surviving
   // node whose raw load exceeds its reduced alive capacity cannot be fixed
   // by an intra re-run alone.
-  for (int rank : delta.removed_ranks) {
-    if (NodeHasChunks(rank / p)) {
-      return FallBack(DeltaOutcome::kRebasedTopology);
+  for (const std::vector<int>* ranks : {&delta.removed_ranks, &delta.added_ranks}) {
+    for (int rank : *ranks) {
+      if (NodeHasChunks(rank / p)) {
+        return FallBackTopology(TopologyFallback::kChunkNodeLiveness);
+      }
     }
   }
   // The patch plans over the new fabric (a fallback's re-plan rebuilds the
@@ -676,20 +720,23 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
       migrations += static_cast<int64_t>(node_members_[node].size());
     } else if (node_loads_[node] >
                static_cast<int64_t>(fabric.alive(node)) * options_.token_capacity) {
-      return FallBack(DeltaOutcome::kRebasedTopology);
+      return FallBackTopology(TopologyFallback::kSurvivorOverload);
     }
   }
   if (migrations > options_.migration_budget) {
     return FallBack(DeltaOutcome::kRebasedMigration);
+  }
+  if (killed_bottleneck >= 0 && fabric.alive(killed_bottleneck / p) > 0) {
+    return FallBack(DeltaOutcome::kRebasedImbalance);
   }
 
   // ---- Patch path ----------------------------------------------------------
   ++epoch_;
   dirty_nodes_.clear();
 
-  // Every surviving node the delta touches re-runs its intra stage: kills
-  // change the device set, slowdowns change the effective-load balance
-  // within the node (restores never reach here — scale-up rebases above).
+  // Every surviving node the delta touches re-runs its intra stage over its
+  // alive devices: kills and restores change the device set, speed changes
+  // the effective-load balance within the node.
   auto touch = [&](int rank) {
     const int node = rank / p;
     if (fabric.alive(node) > 0) {
@@ -697,6 +744,9 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
     }
   };
   for (int rank : delta.removed_ranks) {
+    touch(rank);
+  }
+  for (int rank : delta.added_ranks) {
     touch(rank);
   }
   for (const auto& [rank, factor] : delta.speed_factors) {

@@ -116,8 +116,7 @@ enum class DeltaOutcome : uint8_t {
   kRebasedCapacity,   // Packing overflow or batch outgrew the capacity.
   kRebasedImbalance,  // Patched imbalance drifted past the threshold.
   kAppliedTopology,   // Topology delta patched incrementally.
-  kRebasedTopology,   // Topology change was structural (chunk-carrying node
-                      // changed liveness, or a survivor node overloaded).
+  kRebasedTopology,   // Topology change was structural (TopologyFallback).
   kRebasedMigration,  // Dead-node migration exceeded migration_budget.
 };
 
@@ -125,10 +124,25 @@ inline constexpr int kNumDeltaOutcomes = static_cast<int>(DeltaOutcome::kRebased
 
 const char* DeltaOutcomeName(DeltaOutcome outcome);
 
+// Why an ApplyTopology() call fell back with kRebasedTopology (counted in
+// DeltaStats::topology_fallbacks).
+enum class TopologyFallback : uint8_t {
+  kDeadNodeRestore = 0,  // A rank restored onto a node with no alive rank.
+  kChunkNodeLiveness,    // Liveness changed on a node carrying z2 chunks.
+  kSurvivorOverload,     // A surviving node's load exceeds its alive capacity.
+};
+
+inline constexpr int kNumTopologyFallbacks =
+    static_cast<int>(TopologyFallback::kSurvivorOverload) + 1;
+
+const char* TopologyFallbackName(TopologyFallback cause);
+
 // Cumulative counters over a DeltaPlanner's lifetime.
 struct DeltaStats {
   // Apply()/ApplyTopology() calls per outcome, indexed by DeltaOutcome.
   std::array<int64_t, kNumDeltaOutcomes> outcomes{};
+  // kRebasedTopology calls per cause, indexed by TopologyFallback.
+  std::array<int64_t, kNumTopologyFallbacks> topology_fallbacks{};
   int64_t migrated_sequences = 0;  // Sequences moved off dead nodes in place.
   int64_t patched_sequences = 0;  // Sequences placed by the delta path.
   int64_t evicted_rings = 0;      // Ring spans freed (delta + dirty re-runs).
@@ -162,16 +176,15 @@ class DeltaPlanner {
   DeltaOutcome Apply(const BatchDelta& delta);
 
   // Folds a topology change (rank kills/restores/slowdowns) into the planner
-  // and patches the plan under the surviving fabric. The patch policy mirrors
-  // Apply(): migrate only the plan entries touching lost or slowed ranks —
-  // a partially-killed or slowed node is re-run through the intra stage on
-  // its alive devices; a fully-dead node's members are evicted and re-packed
-  // cross-node through the degraded node pick — and fall back to a full
-  // re-plan on the surviving fabric (the engine with topology()) when the
-  // change is structural:
-  //   kRebasedTopology  — the fabric *improved* (a rank restored or sped
-  //                       up: patches only move load off dead/slowed ranks,
-  //                       so a re-plan is what puts new capacity to work),
+  // and patches the plan under the new fabric. The patch policy mirrors
+  // Apply(): only the nodes the delta touches change — a node that lost,
+  // regained or re-rated a rank but keeps an alive one re-runs its intra
+  // stage over its alive devices (its members and node load stay put); a
+  // fully-dead node's members are evicted and re-packed cross-node through
+  // the degraded node pick — and fall back to a full re-plan on the new
+  // fabric (the engine with topology()) when the change is structural:
+  //   kRebasedTopology  — a rank restored onto a node with no alive rank
+  //                       (it has no members; its work must cross nodes),
   //                       liveness changed on a node carrying inter-node
   //                       chunks (the chunk aggregates are keyed by the alive
   //                       count they were recorded under), or a surviving
@@ -240,6 +253,7 @@ class DeltaPlanner {
   // Why `delta` cannot be patched in place, or kApplied when it can.
   DeltaOutcome BatchFallbackReason(const BatchDelta& delta) const;
   DeltaOutcome FallBack(DeltaOutcome reason);  // batch_ already holds the delta.
+  DeltaOutcome FallBackTopology(TopologyFallback cause);
   void CountOutcome(DeltaOutcome outcome) { ++stats_.outcomes[static_cast<int>(outcome)]; }
 
   // Removes `slot`'s current plan entry and rolls its load contributions out
@@ -280,6 +294,8 @@ class DeltaPlanner {
   void MaybeCompact();
 
   double Imbalance() const;
+  // The alive rank Imbalance() takes its max from.
+  int BottleneckRank() const;
 
   ClusterSpec cluster_;
   DeltaPlannerOptions options_;

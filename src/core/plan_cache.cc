@@ -65,13 +65,6 @@ bool Certified(const PartitionPlan& plan, const PlanRequest& request,
   return VerifyPlan(plan, request.batch, has_topology ? &topology : nullptr, vopts).ok();
 }
 
-// `plan`'s image with `digest` as its trailer, in one pass.
-std::shared_ptr<const std::string> Serialize(const PartitionPlan& plan, uint64_t digest) {
-  auto image = std::make_shared<std::string>(SerializedPlanSize(plan), '\0');
-  SerializePlanInto(plan, digest, image->data());
-  return image;
-}
-
 }  // namespace
 
 uint64_t SlotOrderSignature(const Batch& batch) {
@@ -159,7 +152,7 @@ PlanResponse PlanCache::Plan(const PlanRequest& request) {
   // A hit carries the image alone. ParsePlan re-checks its trailer, so an
   // entry whose bytes changed is never accepted here; the replan replaces it.
   auto plan = std::make_shared<PartitionPlan>();
-  if (!ParsePlan(*served->image, plan.get()).ok()) {
+  if (!ParsePlan(served->image.view(), plan.get()).ok()) {
     verify_failures_->Inc();
     return PlanAndInsert(request, key);
   }
@@ -228,7 +221,7 @@ PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request, const PlanCach
     // The one encode a served plan gets: the image is what this response,
     // and every hit on the entry stored below, serves.
     obs::TraceScope encode_span(obs::Stage::kEncode);
-    response.image = Serialize(*response.plan, response.digest);
+    response.image = PlanImage::Encode(*response.plan, response.digest);
   }
   if (!cacheable) {
     return response;
@@ -246,7 +239,7 @@ PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request, const PlanCach
 }
 
 int64_t PlanCache::ResidentBytes(const Entry& entry) {
-  return static_cast<int64_t>(entry.image->size() + sizeof(int64_t) * entry.seq_lens.size());
+  return static_cast<int64_t>(entry.image.size() + sizeof(int64_t) * entry.seq_lens.size());
 }
 
 void PlanCache::InsertLocked(Entry entry) {

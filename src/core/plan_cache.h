@@ -129,11 +129,10 @@ class PlanCache {
   struct KeyHash {
     size_t operator()(const PlanCacheKey& key) const;
   };
-  using Image = std::shared_ptr<const std::string>;
   struct Entry {
     PlanCacheKey key;
     std::vector<int64_t> seq_lens;  // The batch, in the image's slot order.
-    Image image;          // Certified SerializePlan image, trailer = digest.
+    PlanImage image;      // Certified SerializePlan image, trailer = digest.
     PlanStats stats;      // Engine/capacity of the producing plan call.
     uint64_t digest = 0;  // The image's StateDigest trailer.
   };

@@ -46,6 +46,9 @@ const char* PlanIoStatusName(PlanIoStatus status) {
   return "unknown";
 }
 
+namespace {
+
+// The exact length of SerializePlan(plan).
 size_t SerializedPlanSize(const PartitionPlan& plan) {
   return kPreambleBytes + kCountsBytes + 8 +
          kRingRecordBytes * (plan.inter_node.size() + plan.intra_node.size()) +
@@ -89,10 +92,19 @@ void SerializePlanInto(const PartitionPlan& plan, uint64_t digest, char* out) {
   w.U64(digest);
 }
 
+}  // namespace
+
 std::string SerializePlan(const PartitionPlan& plan) {
   std::string out(SerializedPlanSize(plan), '\0');
   SerializePlanInto(plan, plan.StateDigest(), out.data());
   return out;
+}
+
+PlanImage PlanImage::Encode(const PartitionPlan& plan, uint64_t digest) {
+  const size_t size = SerializedPlanSize(plan);
+  std::shared_ptr<char[]> bytes = std::make_shared_for_overwrite<char[]>(size);
+  SerializePlanInto(plan, digest, bytes.get());
+  return PlanImage(std::move(bytes), size);
 }
 
 PlanIoResult ParsePlan(std::string_view bytes, PartitionPlan* plan, int max_world) {

@@ -31,8 +31,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "src/core/partitioner.h"
 
@@ -76,16 +78,30 @@ struct PlanIoResult {
 // free-listed slack) has exactly one encoding.
 std::string SerializePlan(const PartitionPlan& plan);
 
-// The exact length of SerializePlan(plan).
-size_t SerializedPlanSize(const PartitionPlan& plan);
+// An encoded plan shared by reference: a plan-cache entry and every response
+// that serves it hold the same bytes. The buffer is allocated at its final
+// size and written once, with no fill pass before the encode.
+class PlanImage {
+ public:
+  PlanImage() = default;
 
-// Writes SerializePlan(plan)'s image into the SerializedPlanSize(plan) bytes
-// at `out`, with `digest` as the trailer instead of a fresh StateDigest()
-// pass. For a caller that already holds the plan's digest (the plan cache
-// encodes every served plan under the PlanResponse::digest the service
-// computed). A digest that does not match the plan makes an image that
-// ParsePlan rejects (kDigestMismatch).
-void SerializePlanInto(const PartitionPlan& plan, uint64_t digest, char* out);
+  // SerializePlan(plan)'s bytes with `digest` as the trailer instead of a
+  // fresh StateDigest() pass, for a caller that already holds the plan's
+  // digest (the plan cache encodes every served plan under the
+  // PlanResponse::digest the service computed). A digest that does not match
+  // the plan makes an image that ParsePlan rejects (kDigestMismatch).
+  static PlanImage Encode(const PartitionPlan& plan, uint64_t digest);
+
+  std::string_view view() const { return {bytes_.get(), size_}; }
+  size_t size() const { return size_; }
+
+ private:
+  PlanImage(std::shared_ptr<const char[]> bytes, size_t size)
+      : bytes_(std::move(bytes)), size_(size) {}
+
+  std::shared_ptr<const char[]> bytes_;
+  size_t size_ = 0;
+};
 
 // Decodes `bytes` into `*plan`. On failure `*plan` is left in an
 // unspecified-but-valid state and the result carries the reason; on success

@@ -102,6 +102,11 @@ PlannerService::PlannerService() : plan_pool_(std::make_shared<PlanPool>()) {
     delta_outcomes_[i] = metrics_.GetCounter(
         std::string("delta.") + DeltaOutcomeName(static_cast<DeltaOutcome>(i)));
   }
+  for (int i = 0; i < kNumTopologyFallbacks; ++i) {
+    topology_fallbacks_[i] = metrics_.GetCounter(
+        std::string("delta.topology_fallback.") +
+        TopologyFallbackName(static_cast<TopologyFallback>(i)));
+  }
 }
 
 PlannerService::~PlannerService() = default;
@@ -361,7 +366,12 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
     const bool topo_active = request.topology != nullptr && !request.topology->empty();
     DeltaOutcome topo_outcome = DeltaOutcome::kAppliedTopology;
     if (topo_active) {
+      const std::array<int64_t, kNumTopologyFallbacks> before =
+          session->planner->stats().topology_fallbacks;
       topo_outcome = session->planner->ApplyTopology(*request.topology);
+      for (int i = 0; i < kNumTopologyFallbacks; ++i) {
+        topology_fallbacks_[i]->Inc(session->planner->stats().topology_fallbacks[i] - before[i]);
+      }
     }
     const DeltaOutcome batch_outcome = session->planner->Apply(*request.delta);
     if (topo_active && topo_outcome != DeltaOutcome::kAppliedTopology) {

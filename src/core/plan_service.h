@@ -54,6 +54,7 @@
 #include "src/obs/trace.h"
 #include "src/core/delta_planner.h"
 #include "src/core/partitioner.h"
+#include "src/core/plan_io.h"
 #include "src/core/zones.h"
 #include "src/data/sampler.h"
 #include "src/data/stream.h"
@@ -192,10 +193,10 @@ struct PlanResponse {
   // the wire format's trailer authenticates.
   uint64_t digest = 0;
   // The plan's certified SerializePlan image, with `digest` as its trailer,
-  // when a PlanCache certified or served this response (null otherwise):
+  // when a PlanCache certified or served this response (empty otherwise):
   // the bytes the daemon sends. A miss shares it with the stored entry; on a
   // PlanCache::TryServe hit it is the whole answer and `plan` is null.
-  std::shared_ptr<const std::string> image;
+  PlanImage image;
 };
 
 // The planning service. Thread-safe per the concurrency contract above.
@@ -304,6 +305,8 @@ class PlannerService {
   obs::MetricsRegistry metrics_;
   // One counter per DeltaOutcome, indexed by it.
   std::array<obs::Counter*, kNumDeltaOutcomes> delta_outcomes_{};
+  // delta.topology_fallback.*: each session's kRebasedTopology by cause.
+  std::array<obs::Counter*, kNumTopologyFallbacks> topology_fallbacks_{};
 
   mutable std::mutex sessions_mu_;
   // shared_ptr values: a session stays alive for any request that looked it

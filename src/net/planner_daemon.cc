@@ -240,6 +240,7 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
   c_bad_requests_ = metrics.GetCounter("daemon.bad_requests");
   c_sessions_reaped_ = metrics.GetCounter("daemon.sessions_reaped");
   c_stats_requests_ = metrics.GetCounter("daemon.stats_requests");
+  c_oversized_replies_ = metrics.GetCounter("daemon.oversized_replies");
   g_queue_depth_ = metrics.GetGauge("daemon.queue_depth");
   g_active_plans_ = metrics.GetGauge("daemon.active_plans");
   g_connections_ = metrics.GetGauge("daemon.connections");
@@ -365,6 +366,7 @@ DaemonCounters PlannerDaemon::counters() const {
   out.malformed_requests = c_malformed_requests_->value();
   out.bad_requests = c_bad_requests_->value();
   out.sessions_reaped = c_sessions_reaped_->value();
+  out.oversized_replies = c_oversized_replies_->value();
   const PlanCacheCounters cache = cache_.counters();
   out.cache_hits = cache.hits;
   out.cache_misses = cache.misses;
@@ -775,13 +777,25 @@ void PlannerDaemon::ServePlan(Connection& conn, uint64_t request_id,
       tctx != nullptr && served.stats.cache_outcome != CacheOutcome::kHit) {
     response.stats.stage_us = tctx->stage_us;
   }
-  c_requests_ok_->Inc();
   // The cache's certified image goes out as it was encoded, once, by the
   // cache: the daemon writes only the header and stage block around it.
   std::string head;
   std::string tail;
-  FrameResponseAroundImage(response, served.image->size(), &head, &tail);
-  SendFrame(conn, {head, *served.image, tail});
+  FrameResponseAroundImage(response, served.image.size(), &head, &tail);
+  // A reply is held to the cap requests are: a client decoding with the
+  // same limit could not receive a larger frame. The connection keeps
+  // serving; a session has still advanced to this plan.
+  const size_t payload = head.size() - kFrameHeaderBytes + served.image.size() + tail.size();
+  if (payload > options_.max_frame_bytes) {
+    c_oversized_replies_->Inc();
+    SendError(conn, request_id, WireStatus::kOversizedFrame,
+              std::string("plan reply of ")
+                  .append(std::to_string(payload))
+                  .append(" bytes exceeds max_frame_bytes"));
+    return;
+  }
+  c_requests_ok_->Inc();
+  SendFrame(conn, {head, served.image.view(), tail});
 }
 
 }  // namespace net

@@ -116,6 +116,7 @@ struct DaemonCounters {
   uint64_t malformed_requests = 0;
   uint64_t bad_requests = 0;      // Semantic rejections (incl. kBadDelta).
   uint64_t sessions_reaped = 0;   // Sessions closed on disconnect/idle/drain.
+  uint64_t oversized_replies = 0;  // Plans answered kOversizedFrame instead.
   // Plan-cache telemetry (the registry's cache.* counters).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -188,7 +189,8 @@ class PlannerDaemon {
   void ReapSessions(Connection& conn);
   // Frames and sends one served plan: a cache hit (zero queue wait) or a
   // planned request. Its image, encoded by the cache, goes out as it is
-  // between a fresh header and stage block, in one gather write.
+  // between a fresh header and stage block, in one gather write; a frame
+  // over max_frame_bytes is answered kOversizedFrame instead.
   void ServePlan(Connection& conn, uint64_t request_id, const PlanResponse& served,
                  double queue_wait_us);
   bool SendResponse(Connection& conn, const WireResponse& response);
@@ -241,6 +243,7 @@ class PlannerDaemon {
   obs::Counter* c_bad_requests_ = nullptr;
   obs::Counter* c_sessions_reaped_ = nullptr;
   obs::Counter* c_stats_requests_ = nullptr;
+  obs::Counter* c_oversized_replies_ = nullptr;
   obs::Gauge* g_queue_depth_ = nullptr;   // Admission waiting room occupancy.
   obs::Gauge* g_active_plans_ = nullptr;  // Admission permits in use.
   obs::Gauge* g_connections_ = nullptr;

@@ -63,7 +63,9 @@ inline constexpr uint32_t kMaxWireStatsJsonBytes = 1u << 20;
 enum class WireStatus : uint8_t {
   kOk = 0,
   kMalformedFrame = 1,    // Framing violation; the connection closes.
-  kOversizedFrame = 2,    // Frame over the size cap; the connection closes.
+  kOversizedFrame = 2,    // Frame over the size cap: a request frame closes
+                          //   the connection; a plan reply over it is not
+                          //   sent and the connection keeps serving.
   kMalformedRequest = 3,  // Request payload failed structural parsing.
   kBadRequest = 4,        // Semantic validation failed (empty batch,
                           //   infeasible capacity, bad options, ...).

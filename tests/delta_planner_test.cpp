@@ -502,11 +502,11 @@ TEST(DeltaEquivalenceTest, PatchedOverloadFails) {
 //
 // One seeded session on one DeltaPlanner: each step folds a FaultStream
 // topology delta (rank kills, restores) and then a WorkloadStream batch
-// delta; a last step kills a whole node. Every call's outcome and the FNV-1a
-// of SerializePlan(plan()) after it are pinned, so a rewrite of the patch
-// path must reproduce every plan byte of the session. A pin that moves means
-// the delta planner's output changed. Print the current values in table
-// syntax with
+// delta; a last step kills a whole node and one more restores one of its
+// ranks. Every call's outcome and the FNV-1a of SerializePlan(plan()) after
+// it are pinned, so a rewrite of the patch path must reproduce every plan
+// byte of the session. A pin that moves means the delta planner's output
+// changed. Print the current values in table syntax with
 //   ZEPPELIN_GOLDEN_PRINT=1 ./delta_planner_test --gtest_filter='*Golden*'
 
 uint64_t Fnv1a(std::string_view bytes) {
@@ -542,109 +542,110 @@ constexpr DeltaStepPin kDeltaStreamPins[] = {
     {"applied", 0xe5c16765bd859e67ULL},
     {"applied:topology", 0xe5c16765bd859e67ULL},
     {"rebased:imbalance", 0x403f1773088a24c7ULL},
-    {"rebased:topology", 0x0ca75a203b490e61ULL},
-    {"applied", 0x2578ee1d1baefa94ULL},
-    {"applied:topology", 0x2578ee1d1baefa94ULL},
-    {"applied", 0x8919efcdb88a5eb6ULL},
-    {"applied:topology", 0x4241ef610570f896ULL},
-    {"applied", 0xf1ead1ab49cd6452ULL},
-    {"applied:topology", 0xf1ead1ab49cd6452ULL},
-    {"applied", 0xaa6505c09469753cULL},
-    {"rebased:topology", 0xa58ae59331ebb17aULL},
-    {"applied", 0xaef6ef100907d854ULL},
-    {"applied:topology", 0xaef6ef100907d854ULL},
-    {"applied", 0x318212cab703c9baULL},
-    {"applied:topology", 0x8d7eda16e9be98d1ULL},
-    {"applied", 0x2c8ada08f8ef2387ULL},
-    {"applied:topology", 0x2c8ada08f8ef2387ULL},
-    {"applied", 0x5b5bce8c87b1c0d5ULL},
-    {"rebased:topology", 0xdd245fde28c531a6ULL},
-    {"applied", 0x9fb01ecbd6eaa89eULL},
-    {"applied:topology", 0x9fb01ecbd6eaa89eULL},
-    {"applied", 0x0a98f0154c7f580dULL},
-    {"applied:topology", 0xd5d2eb580b719577ULL},
-    {"applied", 0x09599deb664692ecULL},
-    {"applied:topology", 0x09599deb664692ecULL},
-    {"applied", 0x3d11043778a7bc35ULL},
-    {"rebased:topology", 0x70ec16ff25e6c35fULL},
-    {"applied", 0x0744e82d1196038eULL},
-    {"applied:topology", 0x0744e82d1196038eULL},
-    {"applied", 0x9fa0f987d8ddf3edULL},
-    {"applied:topology", 0xaada6b11132abcbcULL},
-    {"applied", 0xe4d452568a3a1464ULL},
-    {"applied:topology", 0xe4d452568a3a1464ULL},
-    {"applied", 0x7a6984f5ccbf67a3ULL},
-    {"rebased:topology", 0x84c4baf7120009eaULL},
-    {"applied", 0x07f9ca40dc2eb70eULL},
-    {"applied:topology", 0x07f9ca40dc2eb70eULL},
-    {"applied", 0xb9f69161b9d836bbULL},
-    {"applied:topology", 0x5c06535f0d28b152ULL},
-    {"applied", 0xd736a10932cc774eULL},
-    {"applied:topology", 0xd736a10932cc774eULL},
+    {"applied:topology", 0x48ab43a61d8c1019ULL},
+    {"applied", 0x9f4a1974fb523f62ULL},
+    {"applied:topology", 0x9f4a1974fb523f62ULL},
+    {"applied", 0xc133392662b55127ULL},
+    {"applied:topology", 0x72ced6ed7a117b71ULL},
+    {"applied", 0x812311647fbeb935ULL},
+    {"applied:topology", 0x812311647fbeb935ULL},
+    {"applied", 0xa0e083515f3bec24ULL},
+    {"applied:topology", 0xe5b2e131a79695f7ULL},
+    {"applied", 0x46753c9786289e1cULL},
+    {"applied:topology", 0x46753c9786289e1cULL},
+    {"applied", 0xc9bd89cb102211feULL},
+    {"applied:topology", 0xf567fd358d715e69ULL},
+    {"applied", 0x825ff0d277b7e880ULL},
+    {"applied:topology", 0x825ff0d277b7e880ULL},
+    {"applied", 0xb0de0b2ffa3c6388ULL},
+    {"applied:topology", 0x024d53cfce542515ULL},
+    {"rebased:imbalance", 0x741d86ce53d62ee2ULL},
+    {"applied:topology", 0x741d86ce53d62ee2ULL},
+    {"applied", 0x3d9c34013ce64587ULL},
+    {"applied:topology", 0xbf8cb0a75323033cULL},
+    {"applied", 0xd937a6a5f35b4b54ULL},
+    {"applied:topology", 0xd937a6a5f35b4b54ULL},
+    {"applied", 0xa80c4309154c6001ULL},
+    {"applied:topology", 0xf5fa1bd97a2dd994ULL},
+    {"applied", 0xa387472fcd772b25ULL},
+    {"applied:topology", 0xa387472fcd772b25ULL},
+    {"applied", 0xe584bbfb812dfb0fULL},
+    {"applied:topology", 0xe3a21441f876437bULL},
+    {"applied", 0xb94aa1ff5d645ec9ULL},
+    {"applied:topology", 0xb94aa1ff5d645ec9ULL},
+    {"applied", 0x5cfbc9be17b1fc15ULL},
+    {"applied:topology", 0x0210982fea40b66fULL},
+    {"applied", 0x0e8fb850b30a2b61ULL},
+    {"applied:topology", 0x0e8fb850b30a2b61ULL},
+    {"applied", 0xd7f5b3164743f8eeULL},
+    {"applied:topology", 0x59a6b107fd556913ULL},
+    {"applied", 0xfcce2218ce2a9ba4ULL},
+    {"applied:topology", 0xfcce2218ce2a9ba4ULL},
     {"rebased:imbalance", 0x20542cfc43c7c803ULL},
-    {"rebased:topology", 0x900519260f93cab1ULL},
-    {"applied", 0x98b861feac85df6eULL},
-    {"applied:topology", 0x98b861feac85df6eULL},
-    {"applied", 0x36130874e4eda1baULL},
-    {"applied:topology", 0xf1929c0f06fe72afULL},
-    {"applied", 0x60227cb3f4766893ULL},
-    {"applied:topology", 0x60227cb3f4766893ULL},
-    {"applied", 0x9311f30630765025ULL},
-    {"rebased:topology", 0xf80ab87f8b984314ULL},
-    {"applied", 0xb69cb4b054486f30ULL},
-    {"applied:topology", 0xb69cb4b054486f30ULL},
-    {"applied", 0x6bff0fd993c25312ULL},
-    {"applied:topology", 0x9b5ab5fae5db6c9cULL},
-    {"applied", 0xb0b634a81f32dc2cULL},
-    {"applied:topology", 0xb0b634a81f32dc2cULL},
-    {"applied", 0x74c3e64456a4523bULL},
-    {"rebased:topology", 0xdb6f01920af131f3ULL},
-    {"applied", 0xcea16825c6582cbeULL},
-    {"applied:topology", 0xcea16825c6582cbeULL},
-    {"applied", 0x54f77f4c3a162876ULL},
-    {"applied:topology", 0x5a2df8def86a395dULL},
-    {"applied", 0x10a6c1f600932970ULL},
-    {"applied:topology", 0x10a6c1f600932970ULL},
-    {"applied", 0xa98773c547451d43ULL},
-    {"rebased:topology", 0x63b25a12be6214f3ULL},
-    {"applied", 0xd66c3407e388214cULL},
-    {"applied:topology", 0xd66c3407e388214cULL},
-    {"applied", 0x58e7595a2a79d6fbULL},
-    {"applied:topology", 0xd8ac1de67e85c23aULL},
-    {"applied", 0x9a22fe8a35af7f76ULL},
-    {"applied:topology", 0x9a22fe8a35af7f76ULL},
-    {"applied", 0xfcb2cc4867b1e823ULL},
-    {"rebased:topology", 0x7e38afb3ca4f0f26ULL},
-    {"applied", 0xfb2a70309b9c239fULL},
-    {"applied:topology", 0xfb2a70309b9c239fULL},
-    {"applied", 0x195df2f61f990453ULL},
-    {"applied:topology", 0x31a4cee525d6a52dULL},
-    {"applied", 0xfb2103f4cef3fcbeULL},
-    {"applied:topology", 0xfb2103f4cef3fcbeULL},
-    {"applied", 0x58a11e6823de88dfULL},
-    {"rebased:topology", 0x943722c773d7f2caULL},
-    {"applied", 0x20b6cb79223b7bc5ULL},
-    {"applied:topology", 0x20b6cb79223b7bc5ULL},
-    {"applied", 0x44138d7fb487b2a9ULL},
-    {"applied:topology", 0x159ff88c9cd24e65ULL},
-    {"applied", 0xbcfdc4f27e5348a7ULL},
-    {"applied:topology", 0xbcfdc4f27e5348a7ULL},
-    {"applied", 0x50c392527d591958ULL},
-    {"rebased:topology", 0x7fbd924b9c03540aULL},
-    {"applied", 0xdb2f364f142579d4ULL},
-    {"applied:topology", 0xdb2f364f142579d4ULL},
-    {"applied", 0x128bd827297fbe5fULL},
-    {"applied:topology", 0x37293ed6425292ccULL},
-    {"applied", 0x4225d57d39d7f7cdULL},
-    {"applied:topology", 0x4225d57d39d7f7cdULL},
-    {"applied", 0xe2f1535ac21618e2ULL},
-    {"rebased:topology", 0xbc46ba2c46ce802bULL},
-    {"applied", 0xb13b98a206c48fa3ULL},
-    {"applied:topology", 0xb13b98a206c48fa3ULL},
-    {"applied", 0x8e0ebb1c4e8e3258ULL},
-    {"applied:topology", 0x1fc657be91c9efc3ULL},
-    {"applied", 0x50137cc07d9a057bULL},
-    {"applied:topology", 0xb649d15e38c50f49ULL},
+    {"applied:topology", 0xa2f42c71af731f05ULL},
+    {"applied", 0x188e8a72e3077c62ULL},
+    {"applied:topology", 0x188e8a72e3077c62ULL},
+    {"applied", 0xe8a4f3b4a0c2b9eeULL},
+    {"applied:topology", 0x5615091a47ebe9b3ULL},
+    {"applied", 0xd3091f3596e49505ULL},
+    {"applied:topology", 0xd3091f3596e49505ULL},
+    {"applied", 0x613f3092ca0f0ac3ULL},
+    {"applied:topology", 0xf8a583b8a3a24197ULL},
+    {"applied", 0x941c87073c50af59ULL},
+    {"applied:topology", 0x941c87073c50af59ULL},
+    {"applied", 0x3a65bf5f4e186dcbULL},
+    {"applied:topology", 0xb9c74be2b5423f0bULL},
+    {"applied", 0x91fac399ac0eba59ULL},
+    {"applied:topology", 0x91fac399ac0eba59ULL},
+    {"applied", 0xc982225ac140f74fULL},
+    {"applied:topology", 0x1cf79a30a8ece5bbULL},
+    {"applied", 0x73a174c4c2926fd6ULL},
+    {"applied:topology", 0x73a174c4c2926fd6ULL},
+    {"applied", 0xb0862c38b76f0190ULL},
+    {"applied:topology", 0x6053ee6f2f0220ebULL},
+    {"applied", 0x17690b2f65acb8acULL},
+    {"applied:topology", 0x17690b2f65acb8acULL},
+    {"applied", 0x666e5284d05bdf50ULL},
+    {"applied:topology", 0x8ada5a91c82591b3ULL},
+    {"applied", 0x7d917337752c871bULL},
+    {"applied:topology", 0x7d917337752c871bULL},
+    {"applied", 0x9e3b8940e3761d82ULL},
+    {"applied:topology", 0xf90e469b74e37b71ULL},
+    {"applied", 0xce00ede1c329bf5fULL},
+    {"applied:topology", 0xce00ede1c329bf5fULL},
+    {"applied", 0x8d5bbd584e9aa2d1ULL},
+    {"applied:topology", 0x5d85822704f2db8dULL},
+    {"applied", 0x08254ca056e33243ULL},
+    {"applied:topology", 0x08254ca056e33243ULL},
+    {"applied", 0x26ec56c7118a4139ULL},
+    {"applied:topology", 0x40c8c8d1827b8e26ULL},
+    {"applied", 0x87fb1d640b8770c5ULL},
+    {"applied:topology", 0x87fb1d640b8770c5ULL},
+    {"applied", 0x33bf9c3a993abe15ULL},
+    {"applied:topology", 0xfb232865dd4fca33ULL},
+    {"applied", 0x209a9344997ba4b5ULL},
+    {"applied:topology", 0x209a9344997ba4b5ULL},
+    {"applied", 0x1828cb94af525a19ULL},
+    {"applied:topology", 0xd38606352fdb66feULL},
+    {"applied", 0xf927a69367eec13cULL},
+    {"applied:topology", 0xf927a69367eec13cULL},
+    {"applied", 0xe3753e3c109a1892ULL},
+    {"applied:topology", 0x855ad1962c921162ULL},
+    {"applied", 0x29c6661a7b71d95dULL},
+    {"applied:topology", 0x29c6661a7b71d95dULL},
+    {"applied", 0x7156e7b0762e11dfULL},
+    {"applied:topology", 0xb687c4e379bc75e9ULL},
+    {"applied", 0x6b803c56ddf53ea3ULL},
+    {"applied:topology", 0x6b803c56ddf53ea3ULL},
+    {"applied", 0xe632902c60d779afULL},
+    {"applied:topology", 0x1ece555568bc3ee4ULL},
+    {"applied", 0x034c59de790c1678ULL},
+    {"applied:topology", 0x034c59de790c1678ULL},
+    {"applied", 0xf5f3ff094c01572bULL},
+    {"applied:topology", 0x4f63a760190e46c3ULL},
+    {"applied", 0xb6c6260109995ee2ULL},
+    {"rebased:imbalance", 0x192b65e6af688622ULL},
+    {"rebased:topology", 0x2d5a5f365c135766ULL},
 };
 // clang-format on
 
@@ -673,6 +674,7 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
   std::vector<uint64_t> fnvs;
   int batch_fallbacks = 0;
   int topology_fallbacks = 0;
+  int restore_patches = 0;
   bool degraded_repack = false;
   auto record = [&](DeltaOutcome outcome) {
     outcomes.push_back(outcome);
@@ -680,9 +682,11 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
   };
   for (int step = 0; step < 60; ++step) {
     const int64_t repacked = dp.stats().repacked_nodes;
-    const DeltaOutcome topo = dp.ApplyTopology(faults.Next());
+    const TopologyDelta fault = faults.Next();
+    const DeltaOutcome topo = dp.ApplyTopology(fault);
     record(topo);
     topology_fallbacks += topo != DeltaOutcome::kAppliedTopology ? 1 : 0;
+    restore_patches += topo == DeltaOutcome::kAppliedTopology && !fault.added_ranks.empty();
     degraded_repack |= topo == DeltaOutcome::kAppliedTopology && dp.topology().degraded() &&
                        dp.stats().repacked_nodes > repacked;
     const DeltaOutcome batch = dp.Apply(stream.Next());
@@ -698,6 +702,12 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
     }
   }
   record(dp.ApplyTopology(kill));
+  // Restoring one rank of the dead node cannot re-join a member list: the
+  // work has to cross nodes, so the planner re-plans.
+  TopologyDelta restore;
+  restore.added_ranks.push_back(3 * cluster.gpus_per_node);
+  record(dp.ApplyTopology(restore));
+  topology_fallbacks += outcomes.back() == DeltaOutcome::kRebasedTopology ? 1 : 0;
 
   if (std::getenv("ZEPPELIN_GOLDEN_PRINT") != nullptr) {
     for (size_t i = 0; i < outcomes.size(); ++i) {
@@ -713,17 +723,21 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
   }
 
   // The session reaches every path the pins must cover: batch and topology
-  // patches, a fallback of each kind, a compaction, an intra re-run on a
-  // node the fabric delta degraded, and a dead-node migration.
+  // patches (restores included), a fallback of each kind, a compaction, an
+  // intra re-run on a node the fabric delta degraded, a dead-node migration
+  // (which the imbalance guard then replaces with a re-plan) and a
+  // dead-node restore.
   const DeltaStats& stats = dp.stats();
   EXPECT_GT(stats.count(DeltaOutcome::kApplied), 0);
   EXPECT_GT(stats.count(DeltaOutcome::kAppliedTopology), 0);
+  EXPECT_GT(restore_patches, 0);
   EXPECT_GT(batch_fallbacks, 0);
   EXPECT_GT(topology_fallbacks, 0);
   EXPECT_GT(stats.compactions, 0);
   EXPECT_TRUE(degraded_repack);
-  EXPECT_EQ(outcomes.back(), DeltaOutcome::kAppliedTopology);
   EXPECT_GT(stats.migrated_sequences, 0);
+  EXPECT_EQ(outcomes.back(), DeltaOutcome::kRebasedTopology);
+  EXPECT_EQ(stats.topology_fallbacks[static_cast<int>(TopologyFallback::kDeadNodeRestore)], 1);
 }
 
 // --- Strategy-level integration -------------------------------------------------

@@ -4,8 +4,10 @@
 // holding the degraded equivalence contract on the surviving fabric at every
 // step, twin-pipeline digest determinism, the migration-budget fallback
 // (byte-identical to a from-scratch elastic plan), restore-to-clean byte
-// identity, the rank-universe gate in the plan wire format, the
-// PlannerService topology path, and the registry's +faults= knob.
+// identity, in-place restores and speed increases with the two restore
+// fallbacks (dead node, chunk-carrying node), the rank-universe gate in the
+// plan wire format, the PlannerService topology path and its per-cause
+// fallback counters, and the registry's +faults= knob.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "src/core/delta_planner.h"
 #include "src/core/plan_io.h"
 #include "src/core/plan_service.h"
+#include "src/core/plan_verify.h"
 #include "src/core/registry.h"
 #include "src/core/zeppelin.h"
 #include "src/data/datasets.h"
@@ -402,6 +405,168 @@ TEST(ElasticRestoreTest, FullRestoreReturnsToCleanBytePath) {
   EXPECT_EQ(SerializePlan(dp.plan()), SerializePlan(clean.plan()));
 }
 
+// The topology delta that takes a fresh planner from the clean fabric to
+// `topology`: every dead rank killed, every off-nominal speed re-rated.
+TopologyDelta FromClean(const RankTopology& topology) {
+  TopologyDelta delta;
+  for (int rank = 0; rank < topology.world(); ++rank) {
+    if (!topology.alive[rank]) {
+      delta.removed_ranks.push_back(rank);
+    }
+    if (topology.speed_q[rank] != kSpeedScale) {
+      delta.speed_factors.emplace_back(rank, topology.speed(rank));
+    }
+  }
+  return delta;
+}
+
+// A patched topology step must pass VerifyPlan with every clause on (the
+// planner's pinned capacity, the balance certificate, the world) and the
+// degraded equivalence contract against a from-scratch elastic re-plan.
+void ExpectCertifiedAndEquivalent(const DeltaPlanner& dp) {
+  PlanVerifyOptions vopts;
+  vopts.token_capacity = dp.token_capacity();
+  vopts.world = dp.cluster().world_size();
+  const PlanVerifyResult verdict = VerifyPlan(dp.plan(), &dp.batch(), &dp.topology(), vopts);
+  EXPECT_TRUE(verdict.ok()) << PlanVerifyStatusName(verdict.status) << ": " << verdict.message;
+
+  DeltaPlanner full(dp.cluster(), dp.options());
+  FullElasticReplan(&full, FromClean(dp.topology()), dp.batch());
+  ASSERT_EQ(full.topology(), dp.topology());
+  const DeltaEquivalenceResult result =
+      CheckDeltaEquivalence(dp.plan(), full.plan(), dp.batch(), dp.topology(), kElasticEps);
+  EXPECT_TRUE(result.ok) << result.failure << " (ratio " << result.max_load_ratio << ")";
+}
+
+// The alive rank of `node` carrying the fewest tokens: a kill there never
+// takes the plan's most loaded rank.
+int LeastLoadedRank(const DeltaPlanner& dp, int node) {
+  const int p = dp.cluster().gpus_per_node;
+  int best = -1;
+  for (int rank = node * p; rank < (node + 1) * p; ++rank) {
+    if (dp.topology().alive[rank] &&
+        (best < 0 || dp.plan().tokens_per_rank[rank] < dp.plan().tokens_per_rank[best])) {
+      best = rank;
+    }
+  }
+  return best;
+}
+
+int64_t TopologyFallbacks(const DeltaPlanner& dp, TopologyFallback cause) {
+  return dp.stats().topology_fallbacks[static_cast<int>(cause)];
+}
+
+TEST(ElasticRestoreTest, PartialNodeRestorePatchesAndPutsTheRankToWork) {
+  const ClusterSpec cluster = MakeClusterA(4);
+  const Batch batch = ShortBatch(512, 0x0dd);
+  DeltaPlanner dp(cluster, MakeOptions(batch, cluster));
+  dp.Rebase(batch);
+  TopologyDelta kill;
+  kill.removed_ranks.push_back(LeastLoadedRank(dp, 1));
+  dp.ApplyTopology(kill);  // Patched or re-planned; either leaves the rank idle.
+  ASSERT_EQ(dp.plan().tokens_per_rank[kill.removed_ranks[0]], 0);
+
+  TopologyDelta restore;
+  restore.added_ranks = kill.removed_ranks;
+  EXPECT_EQ(dp.ApplyTopology(restore), DeltaOutcome::kAppliedTopology);
+  EXPECT_FALSE(dp.topology().degraded());
+  EXPECT_GT(dp.plan().tokens_per_rank[restore.added_ranks[0]], 0);
+  ExpectCertifiedAndEquivalent(dp);
+}
+
+TEST(ElasticRestoreTest, RestoreOntoADeadNodeRePlans) {
+  const ClusterSpec cluster = MakeClusterA(4);
+  const Batch batch = ShortBatch(512, 0x0dd);
+  DeltaPlanner dp(cluster, MakeOptions(batch, cluster));
+  dp.Rebase(batch);
+  dp.ApplyTopology(KillNode(cluster, 2));
+
+  // Node 2 has no alive rank and so no members: its work must cross nodes.
+  TopologyDelta restore;
+  restore.added_ranks.push_back(2 * cluster.gpus_per_node + 3);
+  EXPECT_EQ(dp.ApplyTopology(restore), DeltaOutcome::kRebasedTopology);
+  EXPECT_EQ(TopologyFallbacks(dp, TopologyFallback::kDeadNodeRestore), 1);
+  EXPECT_GT(dp.plan().tokens_per_rank[restore.added_ranks[0]], 0);
+  ExpectCertifiedAndEquivalent(dp);
+}
+
+TEST(ElasticRestoreTest, RestoreOnAChunkCarryingNodeRePlans) {
+  const ClusterSpec cluster = MakeClusterA(4);
+  Batch batch = ShortBatch(512, 0x0dd);
+  // One sequence past P*L: an inter-node ring that chunks over every node.
+  batch.seq_lens.push_back(batch.total_tokens());
+  DeltaPlanner dp(cluster, MakeOptions(batch, cluster));
+  dp.Rebase(batch);
+  const int p = cluster.gpus_per_node;
+  const int rank = LeastLoadedRank(dp, 1);
+  auto chunked_on_node = [&] {
+    return std::any_of(dp.plan().inter_node.begin(), dp.plan().inter_node.end(),
+                       [&](const RingRef& ring) {
+                         const std::span<const int> ranks = dp.plan().ranks(ring);
+                         return std::any_of(ranks.begin(), ranks.end(),
+                                            [&](int r) { return r / p == rank / p; });
+                       });
+  };
+  ASSERT_TRUE(chunked_on_node()) << "precondition: node 1 carries inter-node chunks";
+
+  TopologyDelta kill;
+  kill.removed_ranks.push_back(rank);
+  EXPECT_EQ(dp.ApplyTopology(kill), DeltaOutcome::kRebasedTopology);
+  ASSERT_TRUE(chunked_on_node()) << "precondition: the re-plan keeps node 1's chunks";
+
+  TopologyDelta restore;
+  restore.added_ranks.push_back(rank);
+  EXPECT_EQ(dp.ApplyTopology(restore), DeltaOutcome::kRebasedTopology);
+  EXPECT_EQ(TopologyFallbacks(dp, TopologyFallback::kChunkNodeLiveness), 2);
+  ExpectCertifiedAndEquivalent(dp);
+}
+
+// One delta kills a rank on node 0 and restores one on node 1: the kill's
+// checks, the restore's dirty mark and the shared guards run in one patch.
+TEST(ElasticRestoreTest, KillAndRestoreInOneDeltaPatch) {
+  const ClusterSpec cluster = MakeClusterA(4);
+  const Batch batch = ShortBatch(512, 0x0dd);
+  // A kill moves its rank's load onto the node's 7 survivors (+14% on them):
+  // a drift budget above that lets the patch stand.
+  DeltaPlanner dp(cluster, MakeOptions(batch, cluster, /*threshold=*/0.25));
+  dp.Rebase(batch);
+  TopologyDelta first;
+  first.removed_ranks.push_back(LeastLoadedRank(dp, 1));
+  ASSERT_EQ(dp.ApplyTopology(first), DeltaOutcome::kAppliedTopology);
+
+  TopologyDelta mixed;
+  mixed.removed_ranks.push_back(LeastLoadedRank(dp, 0));
+  mixed.added_ranks = first.removed_ranks;
+  const int64_t repacked = dp.stats().repacked_nodes;
+  EXPECT_EQ(dp.ApplyTopology(mixed), DeltaOutcome::kAppliedTopology);
+  EXPECT_EQ(dp.stats().repacked_nodes, repacked + 2);
+  EXPECT_EQ(dp.plan().tokens_per_rank[mixed.removed_ranks[0]], 0);
+  EXPECT_GT(dp.plan().tokens_per_rank[mixed.added_ranks[0]], 0);
+  ExpectCertifiedAndEquivalent(dp);
+}
+
+TEST(ElasticSlowdownTest, SpeedIncreasePatchesAndTheRankTakesLoad) {
+  const ClusterSpec cluster = MakeClusterA(4);
+  const Batch batch = ShortBatch(512, 0x51);
+  DeltaPlanner dp(cluster, MakeOptions(batch, cluster));
+  dp.Rebase(batch);
+  const int rank = 3;
+  TopologyDelta slow;
+  slow.speed_factors.emplace_back(rank, 0.5);
+  ASSERT_EQ(dp.ApplyTopology(slow), DeltaOutcome::kAppliedTopology);
+  const int64_t slowed_tokens = dp.plan().tokens_per_rank[rank];
+
+  TopologyDelta fast;
+  fast.speed_factors.emplace_back(rank, 1.0);
+  EXPECT_EQ(dp.ApplyTopology(fast), DeltaOutcome::kAppliedTopology);
+  EXPECT_FALSE(dp.topology().degraded());
+  // At the new speed the rank's effective load is its raw load: the re-run
+  // hands it more than it carried while slow.
+  EXPECT_GT(dp.topology().EffectiveLoad(rank, dp.plan().tokens_per_rank[rank]),
+            dp.topology().EffectiveLoad(rank, slowed_tokens));
+  ExpectCertifiedAndEquivalent(dp);
+}
+
 TEST(ElasticSlowdownTest, StragglersShedEffectiveLoad) {
   const LengthDistribution dist = DatasetByName("github");
   const ClusterSpec cluster = MakeClusterA(4);
@@ -498,6 +663,51 @@ TEST(PlanServiceElasticTest, SessionAppliesTopologyAndReportsSessionCount) {
   ASSERT_NE(flat.plan, nullptr);
   EXPECT_NE(flat.stats.engine, PlanEngine::kDeltaPatch);
   EXPECT_EQ(flat.stats.session_count, 0u);
+}
+
+// Each topology fallback a session answers bumps delta.rebased:topology and
+// exactly one delta.topology_fallback.* counter, named for its cause.
+TEST(PlanServiceElasticTest, TopologyFallbacksAreCountedByCause) {
+  const ClusterSpec cluster = MakeClusterA(2);
+  FabricResources fabric(cluster);
+  CostModel cost_model(MakeLlama3B(), cluster);
+  PlannerService service;
+  const LengthDistribution dist = DatasetByName("github");
+  WorkloadStream stream(dist, SampleBatch(dist, 384, 0xe6),
+                        StreamOptions{.stream_id = "s", .churn_fraction = 0.01}, 0xa);
+  PlanRequest request;
+  request.batch = &stream.batch();
+  request.cost_model = &cost_model;
+  request.fabric = &fabric;
+  request.stream_id = "s";
+  ASSERT_EQ(service.Plan(request).status, PlanStatus::kOk);
+
+  auto step = [&](const TopologyDelta& topology) {
+    const BatchDelta delta = stream.Next();
+    request.delta = &delta;
+    request.topology = &topology;
+    const PlanResponse response = service.Plan(request);
+    EXPECT_EQ(response.status, PlanStatus::kOk) << response.error;
+    return response.stats.delta_outcome;
+  };
+  step(KillNode(cluster, 1));
+  TopologyDelta restore;
+  restore.added_ranks.push_back(cluster.gpus_per_node);
+  EXPECT_EQ(step(restore), DeltaOutcome::kRebasedTopology);
+
+  auto counter = [&](const std::string& name) {
+    for (const auto& [key, value] : service.metrics().Snapshot().counters) {
+      if (key == name) {
+        return static_cast<int64_t>(value);
+      }
+    }
+    ADD_FAILURE() << name << " is not registered";
+    return int64_t{-1};
+  };
+  EXPECT_EQ(counter("delta.rebased:topology"), 1);
+  EXPECT_EQ(counter("delta.topology_fallback.dead-node-restore"), 1);
+  EXPECT_EQ(counter("delta.topology_fallback.chunk-node-liveness"), 0);
+  EXPECT_EQ(counter("delta.topology_fallback.survivor-overload"), 0);
 }
 
 // --- Registry / strategy surface -----------------------------------------------

@@ -151,11 +151,11 @@ TEST(PlanCacheTest, HitServesTheStoredImage) {
 
   const PlanResponse miss = cache.Plan(rig.Request(batch));
   ASSERT_NE(miss.plan, nullptr);
-  ASSERT_NE(miss.image, nullptr);
+  ASSERT_GT(miss.image.size(), 0u);
   EXPECT_EQ(miss.stats.cache_outcome, CacheOutcome::kMiss);
   EXPECT_TRUE(miss.stats.verified);
   // The miss was serialized once, and its response carries those bytes.
-  EXPECT_EQ(*miss.image, SerializePlan(*miss.plan));
+  EXPECT_EQ(miss.image.view(), SerializePlan(*miss.plan));
 
   // Lookup-only: a hit builds no plan and no bytes — it hands out the very
   // image the miss stored.
@@ -164,7 +164,7 @@ TEST(PlanCacheTest, HitServesTheStoredImage) {
   ASSERT_TRUE(served.has_value());
   EXPECT_EQ(key, ComputePlanCacheKey(rig.Request(batch)));
   EXPECT_EQ(served->plan, nullptr);
-  EXPECT_EQ(served->image.get(), miss.image.get());
+  EXPECT_EQ(served->image.view().data(), miss.image.view().data());
   EXPECT_EQ(served->digest, miss.digest);
   EXPECT_EQ(served->stats.cache_outcome, CacheOutcome::kHit);
   EXPECT_TRUE(served->stats.verified);
@@ -174,7 +174,7 @@ TEST(PlanCacheTest, HitServesTheStoredImage) {
   EXPECT_EQ(hit.stats.cache_outcome, CacheOutcome::kHit);
   EXPECT_TRUE(hit.stats.verified);
   ASSERT_NE(hit.plan, nullptr);
-  EXPECT_EQ(SerializePlan(*hit.plan), *miss.image);
+  EXPECT_EQ(SerializePlan(*hit.plan), miss.image.view());
   EXPECT_EQ(hit.digest, miss.digest);
   EXPECT_EQ(hit.stats.partition_time_us, 0);
   EXPECT_EQ(cache.counters().hits, 2u);
@@ -191,7 +191,7 @@ TEST(PlanCacheTest, ResidentBytesTrackTheImagesHeld) {
     options.capacity = 2;
     PlanCache cache(&service, options);
     const auto held = [](const PlanResponse& r, const Batch& batch) {
-      return static_cast<int64_t>(r.image->size() + 8 * batch.seq_lens.size());
+      return static_cast<int64_t>(r.image.size() + 8 * batch.seq_lens.size());
     };
     const PlanResponse ra = cache.Plan(rig.Request(a));
     const PlanResponse rb = cache.Plan(rig.Request(b));
@@ -250,10 +250,10 @@ TEST(PlanCacheTest, SessionPlansAreCertifiedAndEncodedButNotStored) {
   EXPECT_TRUE(response.stats.verified);
   EXPECT_EQ(response.stats.cache_outcome, CacheOutcome::kBypass);
   // The one encode a served plan gets, with the certified digest as trailer.
-  ASSERT_NE(response.image, nullptr);
-  EXPECT_EQ(*response.image, SerializePlan(*response.plan));
+  ASSERT_GT(response.image.size(), 0u);
+  EXPECT_EQ(response.image.view(), SerializePlan(*response.plan));
   PartitionPlan parsed;
-  const PlanIoResult io = ParsePlan(*response.image, &parsed);
+  const PlanIoResult io = ParsePlan(response.image.view(), &parsed);
   ASSERT_TRUE(io.ok()) << io.message;
   EXPECT_EQ(io.digest, response.digest);
   EXPECT_EQ(parsed.StateDigest(), response.digest);

@@ -3,7 +3,7 @@
 // PlannerService across engines and across a delta-stream session, session
 // reaping on abrupt disconnect and idle timeout (PlanStats::session_count
 // back to baseline — the leak regression), typed rejection of oversized
-// frames / malformed requests / bad semantics with the connection surviving
+// frames and replies / malformed requests / bad semantics with the connection surviving
 // where the framing allows it, bounded admission (kOverloaded), per-request
 // deadlines (kDeadlineExceeded), graceful drain (kShuttingDown), session
 // privacy across connections, the cache's hit path (hits encode nothing and
@@ -234,6 +234,31 @@ TEST(PlannerDaemonTest, OversizedFrameTypedRejection) {
   good.batch = SampleBatch(64, 1);
   const PlanClientResult ok = client.Plan(std::move(good));
   ASSERT_TRUE(ok.ok()) << ok.message;
+}
+
+// A request under the daemon's frame cap whose plan reply is over it: the
+// reply is refused with a typed status instead of a frame the client's
+// decoder could not accept, and the connection keeps serving.
+TEST(PlannerDaemonTest, OversizedReplyTypedAndConnectionSurvives) {
+  DaemonRig rig(DaemonOptions{.max_frame_bytes = 64 << 10});
+  PlanClient client = rig.Client(PlanClientOptions{.max_frame_bytes = 64 << 10});
+  // 6,000 locals: a ~48 KB request and a ~100 KB plan image.
+  WireRequest request;
+  request.batch.seq_lens.assign(6000, 64);
+  const PlanClientResult refused = client.Plan(std::move(request));
+  EXPECT_EQ(refused.status, WireStatus::kOversizedFrame) << refused.message;
+  EXPECT_NE(refused.message.find("exceeds max_frame_bytes"), std::string::npos)
+      << refused.message;
+  EXPECT_EQ(rig.daemon.counters().oversized_replies, 1u);
+  EXPECT_EQ(rig.daemon.counters().requests_ok, 0u);
+
+  WireRequest good;
+  good.batch = SampleBatch(64, 0x7c5);
+  const PlanClientResult served = client.Plan(std::move(good));
+  ASSERT_TRUE(served.ok()) << served.message;
+  EXPECT_EQ(served.attempts, 1);
+  EXPECT_EQ(rig.daemon.counters().connections_accepted, 1u);
+  EXPECT_EQ(rig.daemon.counters().malformed_frames, 0u);
 }
 
 TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
