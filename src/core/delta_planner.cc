@@ -46,6 +46,8 @@ const char* TopologyFallbackName(TopologyFallback cause) {
       return "chunk-node-liveness";
     case TopologyFallback::kSurvivorOverload:
       return "survivor-overload";
+    case TopologyFallback::kDegradedBase:
+      return "degraded-base";
   }
   return "unknown";
 }
@@ -169,24 +171,9 @@ void DeltaPlanner::CaptureState() {
   free_total_ = 0;
   live_ranks_ = plan_.rank_arena.size();
   base_imbalance_ = Imbalance();
+  base_degraded_nodes_ = static_cast<int>(
+      std::count(scratch_.fabric.clean.begin(), scratch_.fabric.clean.end(), uint8_t{0}));
   has_base_ = true;
-}
-
-int DeltaPlanner::BottleneckRank() const {
-  // The alive rank of highest effective load, ties to the lowest index.
-  int best = -1;
-  int64_t best_eff = 0;
-  for (int r = 0; r < static_cast<int>(plan_.tokens_per_rank.size()); ++r) {
-    if (!topo_.alive[r]) {
-      continue;
-    }
-    const int64_t eff = topo_.EffectiveLoad(r, plan_.tokens_per_rank[r]);
-    if (best < 0 || eff > best_eff) {
-      best = r;
-      best_eff = eff;
-    }
-  }
-  return best;
 }
 
 double DeltaPlanner::Imbalance() const {
@@ -659,23 +646,12 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   const int p = cluster_.gpus_per_node;
   const bool restores_dead_node =
       std::any_of(delta.added_ranks.begin(), delta.added_ranks.end(), [&](int rank) {
-        ZCHECK(rank >= 0 && rank < topo_.world()) << "added rank out of range: " << rank;
         const auto first = topo_.alive.begin() + (rank / p) * p;
         return std::none_of(first, first + p, [](uint8_t alive) { return alive != 0; });
       });
-  // The drift guard's reference is the imbalance the plan's most loaded rank
-  // sets. Killing that rank on a node that survives voids it: the patch
-  // keeps the node's load in place, while a re-plan of the fabric without
-  // the rank (a slow outlier, say) can balance far better than the
-  // reference the patch would be held to. A whole-node kill re-packs the
-  // node's load cross-node instead.
-  int killed_bottleneck = -1;
-  if (has_base_ && !delta.removed_ranks.empty()) {
-    const int bottleneck = BottleneckRank();
-    if (std::find(delta.removed_ranks.begin(), delta.removed_ranks.end(), bottleneck) !=
-        delta.removed_ranks.end()) {
-      killed_bottleneck = bottleneck;
-    }
+  bool scales_up = !delta.added_ranks.empty();
+  for (const auto& [rank, factor] : delta.speed_factors) {
+    scales_up = scales_up || QuantizeSpeed(factor) > topo_.speed_q[rank];
   }
   // The fabric state always advances, even when the plan cannot be patched:
   // every later Rebase/Apply must honor the new topology.
@@ -710,23 +686,45 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
       }
     }
   }
+  // The drift guard's reference is the base plan's balance on the base
+  // fabric. Where the degraded rule placed more than the drift budget's
+  // share of nodes, that balance says little of what a re-plan reaches on a
+  // fabric with more capacity: re-plan a scale-up instead of holding it to
+  // the old reference.
+  if (scales_up && base_degraded_nodes_ > options_.replan_threshold * cluster_.num_nodes) {
+    return FallBackTopology(TopologyFallback::kDegradedBase);
+  }
   // The patch plans over the new fabric (a fallback's re-plan rebuilds the
   // view itself).
   scratch_.fabric.Build(cluster_, &topo_);
   const FabricView& fabric = scratch_.fabric;
   int64_t migrations = 0;
+  int64_t total_load = 0;
+  int64_t total_rate = 0;
+  double peak_node_load = 0;  // Highest node load per unit of alive speed.
   for (int node = 0; node < cluster_.num_nodes; ++node) {
+    total_load += node_loads_[node];
     if (fabric.alive(node) == 0) {
       migrations += static_cast<int64_t>(node_members_[node].size());
-    } else if (node_loads_[node] >
-               static_cast<int64_t>(fabric.alive(node)) * options_.token_capacity) {
+      continue;
+    }
+    if (node_loads_[node] > static_cast<int64_t>(fabric.alive(node)) * options_.token_capacity) {
       return FallBackTopology(TopologyFallback::kSurvivorOverload);
     }
+    total_rate += fabric.rates[node];
+    peak_node_load = std::max(peak_node_load, static_cast<double>(node_loads_[node]) /
+                                                  static_cast<double>(fabric.rates[node]));
   }
   if (migrations > options_.migration_budget) {
     return FallBack(DeltaOutcome::kRebasedMigration);
   }
-  if (killed_bottleneck >= 0 && fabric.alive(killed_bottleneck / p) > 0) {
+  // The patch keeps every surviving node's load, and a node's busiest
+  // device carries at least the node's load over its alive speed: a kill
+  // that lifts its node's survivors past the drift budget re-plans here,
+  // before any patch work.
+  if (total_load > 0 &&
+      peak_node_load * static_cast<double>(total_rate) / static_cast<double>(total_load) >
+          base_imbalance_ + options_.replan_threshold) {
     return FallBack(DeltaOutcome::kRebasedImbalance);
   }
 

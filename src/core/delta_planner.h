@@ -130,10 +130,11 @@ enum class TopologyFallback : uint8_t {
   kDeadNodeRestore = 0,  // A rank restored onto a node with no alive rank.
   kChunkNodeLiveness,    // Liveness changed on a node carrying z2 chunks.
   kSurvivorOverload,     // A surviving node's load exceeds its alive capacity.
+  kDegradedBase,         // A scale-up on a base planned around many degraded nodes.
 };
 
 inline constexpr int kNumTopologyFallbacks =
-    static_cast<int>(TopologyFallback::kSurvivorOverload) + 1;
+    static_cast<int>(TopologyFallback::kDegradedBase) + 1;
 
 const char* TopologyFallbackName(TopologyFallback cause);
 
@@ -187,14 +188,19 @@ class DeltaPlanner {
   //                       (it has no members; its work must cross nodes),
   //                       liveness changed on a node carrying inter-node
   //                       chunks (the chunk aggregates are keyed by the alive
-  //                       count they were recorded under), or a surviving
-  //                       node's load exceeds its reduced alive capacity;
+  //                       count they were recorded under), a surviving
+  //                       node's load exceeds its reduced alive capacity, or
+  //                       a restore or speed-up lands on a base plan whose
+  //                       fabric had more than replan_threshold of its nodes
+  //                       degraded (TopologyFallback names the cause);
   //   kRebasedMigration — dead-node migration exceeds migration_budget;
-  // plus the shared capacity/imbalance guards. The topology state persists
-  // across rebases: every subsequent full re-plan passes it to the engine,
-  // which excludes dead ranks and balances on speed-weighted loads. With no base plan the state
-  // is recorded and kRebasedNoBase is returned without planning (uncounted;
-  // the next Apply()/Rebase() plans against the new fabric).
+  // plus the shared capacity/imbalance guards (the imbalance guard also runs
+  // before any patch work, on the busiest node's load over its alive speed).
+  // The topology state persists across rebases: every subsequent full
+  // re-plan passes it to the engine, which excludes dead ranks and balances
+  // on speed-weighted loads. With no base plan the state is recorded and
+  // kRebasedNoBase is returned without planning (uncounted; the next
+  // Apply()/Rebase() plans against the new fabric).
   DeltaOutcome ApplyTopology(const TopologyDelta& delta);
 
   // The fabric state all planning paths currently honor (dead ranks receive
@@ -294,8 +300,6 @@ class DeltaPlanner {
   void MaybeCompact();
 
   double Imbalance() const;
-  // The alive rank Imbalance() takes its max from.
-  int BottleneckRank() const;
 
   ClusterSpec cluster_;
   DeltaPlannerOptions options_;
@@ -314,6 +318,7 @@ class DeltaPlanner {
   int64_t node_capacity_ = 0;  // gpus_per_node * token_capacity.
   bool base_refined_ = false;  // Base plan ended with s1 < threshold_s1_initial.
   double base_imbalance_ = 1.0;
+  int base_degraded_nodes_ = 0;  // Nodes not clean on the base plan's fabric.
   int live_count_ = 0;         // Non-tombstone sequences in batch_.
 
   std::vector<SeqLocation> locations_;        // Per slot.

@@ -781,11 +781,10 @@ void PlannerDaemon::ServePlan(Connection& conn, uint64_t request_id,
   // cache: the daemon writes only the header and stage block around it.
   std::string head;
   std::string tail;
-  FrameResponseAroundImage(response, served.image.size(), &head, &tail);
+  const size_t payload = FrameResponseAroundImage(response, served.image.size(), &head, &tail);
   // A reply is held to the cap requests are: a client decoding with the
   // same limit could not receive a larger frame. The connection keeps
   // serving; a session has still advanced to this plan.
-  const size_t payload = head.size() - kFrameHeaderBytes + served.image.size() + tail.size();
   if (payload > options_.max_frame_bytes) {
     c_oversized_replies_->Inc();
     SendError(conn, request_id, WireStatus::kOversizedFrame,

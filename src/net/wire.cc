@@ -428,19 +428,20 @@ void AppendResponseFrame(const WireResponse& response, std::string* out) {
   WriteResponse(response, w);
 }
 
-void FrameResponseAroundImage(const WireResponse& response, size_t image_size,
-                              std::string* head, std::string* tail) {
+size_t FrameResponseAroundImage(const WireResponse& response, size_t image_size,
+                                std::string* head, std::string* tail) {
   ZCHECK(response.status == WireStatus::kOk) << "only a kOk response carries a plan image";
+  const size_t payload = ResponsePayloadSize(response, image_size);
   size_t at = head->size();
   head->resize(at + kFrameHeaderBytes + ResponseHeadSize(response));
-  WriteFrameHeader(FrameType::kResponse, ResponsePayloadSize(response, image_size),
-                   head->data() + at);
+  WriteFrameHeader(FrameType::kResponse, payload, head->data() + at);
   Writer h(head->data() + at + kFrameHeaderBytes);
   WriteResponseHead(response, image_size, h);
   at = tail->size();
   tail->resize(at + ResponseTailSize(response));
   Writer t(tail->data() + at);
   WriteResponseTail(response, t);
+  return payload;
 }
 
 WireStatus ParseResponse(FrameType type, std::string_view payload,

@@ -147,10 +147,11 @@ void AppendResponseFrame(const WireResponse& response, std::string* out);
 // frame header and the payload through the plan section's length, `*tail`
 // by the stage block and the stats-JSON section. head + image + tail is the
 // frame AppendResponseFrame writes for the same response carrying the image
-// in plan_bytes; response.plan_bytes is not read. The daemon sends every
-// served plan this way, the three parts in one gather write.
-void FrameResponseAroundImage(const WireResponse& response, size_t image_size,
-                              std::string* head, std::string* tail);
+// in plan_bytes; response.plan_bytes is not read. Returns the frame's
+// payload size (the frame less its header). The daemon sends every served
+// plan this way, the three parts in one gather write.
+size_t FrameResponseAroundImage(const WireResponse& response, size_t image_size,
+                                std::string* head, std::string* tail);
 
 // --- Parsing ----------------------------------------------------------------
 

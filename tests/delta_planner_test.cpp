@@ -725,8 +725,9 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
   // The session reaches every path the pins must cover: batch and topology
   // patches (restores included), a fallback of each kind, a compaction, an
   // intra re-run on a node the fabric delta degraded, a dead-node migration
-  // (which the imbalance guard then replaces with a re-plan) and a
-  // dead-node restore.
+  // (which the imbalance guard then replaces with a re-plan; a served
+  // migration patch is pinned in elastic_planner_test's
+  // WithinBudgetMigratesInPlace) and a dead-node restore.
   const DeltaStats& stats = dp.stats();
   EXPECT_GT(stats.count(DeltaOutcome::kApplied), 0);
   EXPECT_GT(stats.count(DeltaOutcome::kAppliedTopology), 0);

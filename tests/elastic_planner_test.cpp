@@ -86,6 +86,21 @@ void FullElasticReplan(DeltaPlanner* twin, const TopologyDelta& topo, const Batc
   twin->Rebase(batch);
 }
 
+// The topology delta that takes a fresh planner from the clean fabric to
+// `topology`: every dead rank killed, every off-nominal speed re-rated.
+TopologyDelta FromClean(const RankTopology& topology) {
+  TopologyDelta delta;
+  for (int rank = 0; rank < topology.world(); ++rank) {
+    if (!topology.alive[rank]) {
+      delta.removed_ranks.push_back(rank);
+    }
+    if (topology.speed_q[rank] != kSpeedScale) {
+      delta.speed_factors.emplace_back(rank, topology.speed(rank));
+    }
+  }
+  return delta;
+}
+
 bool IsTopologyOutcome(DeltaOutcome outcome) {
   return outcome == DeltaOutcome::kAppliedTopology ||
          outcome == DeltaOutcome::kRebasedTopology ||
@@ -210,6 +225,57 @@ TEST(ElasticSoakTest, EquivalentOnSurvivingFabricAtEveryStep) {
   }
 }
 
+// Every topology patch that restores or speeds up a rank holds the degraded
+// equivalence contract, over consecutive seeds of a restore-heavy stream
+// (restores three steps after each fault): on 4 nodes at 5% faults, where
+// the fabric a base plan was made on is often degraded, and on 16 nodes at
+// 1%, where most scale-ups patch.
+TEST(ElasticSoakTest, PatchedScaleUpsHoldTheContractOverSeeds) {
+  const LengthDistribution dist = DatasetByName("github");
+  struct Case {
+    int nodes;
+    double fault_rate;
+    int num_seqs;
+    int seeds;
+  };
+  int patched_scale_ups = 0;
+  for (const Case& c : {Case{4, 0.05, 512, 8}, Case{16, 0.01, 1024, 4}}) {
+    const ClusterSpec cluster = MakeClusterA(c.nodes);
+    for (int seed = 0; seed < c.seeds; ++seed) {
+      const Batch initial = SampleBatch(dist, c.num_seqs, 0x5e5 + seed);
+      DeltaPlanner dp(cluster, MakeOptions(initial, cluster));
+      dp.Rebase(initial);
+      FaultStream faults(cluster.world_size(),
+                         FaultStreamOptions{.fault_rate = c.fault_rate,
+                                            .restore_after = 3,
+                                            .slowdown_rate = c.fault_rate / 2,
+                                            .min_speed = 0.5,
+                                            .min_alive = cluster.world_size() / 2},
+                         0x7e57 + seed);
+      WorkloadStream stream(dist, initial, StreamOptions{.churn_fraction = 0.005}, 0xbeef + seed);
+      for (int iter = 0; iter < 30; ++iter) {
+        const TopologyDelta topo = faults.Next();
+        bool scales_up = !topo.added_ranks.empty();
+        for (const auto& [rank, factor] : topo.speed_factors) {
+          scales_up = scales_up || QuantizeSpeed(factor) > dp.topology().speed_q[rank];
+        }
+        if (dp.ApplyTopology(topo) == DeltaOutcome::kAppliedTopology && scales_up) {
+          ++patched_scale_ups;
+          DeltaPlanner full(cluster, dp.options());
+          FullElasticReplan(&full, FromClean(dp.topology()), dp.batch());
+          const DeltaEquivalenceResult result = CheckDeltaEquivalence(
+              dp.plan(), full.plan(), dp.batch(), dp.topology(), kElasticEps);
+          ASSERT_TRUE(result.ok) << c.nodes << " nodes, seed " << seed << ", iter " << iter
+                                 << ": " << result.failure << " (ratio "
+                                 << result.max_load_ratio << ")";
+        }
+        dp.Apply(stream.Next());
+      }
+    }
+  }
+  EXPECT_GT(patched_scale_ups, 0);
+}
+
 // Twin pipelines (same planner options, fault seed, and workload seed) must
 // report identical outcomes and byte-identical plans every iteration — the
 // digest determinism currency extended to fabric churn.
@@ -297,6 +363,9 @@ TEST(ElasticMigrationTest, WithinBudgetMigratesInPlace) {
   EXPECT_EQ(outcome, DeltaOutcome::kAppliedTopology);
   EXPECT_EQ(dp.stats().count(DeltaOutcome::kAppliedTopology), 1);
   EXPECT_GT(dp.stats().migrated_sequences, 0);
+  // The patched migration, pinned byte for byte (the session golden's
+  // whole-node kill ends in an imbalance re-plan).
+  EXPECT_EQ(dp.plan().StateDigest(), 0xe6a64e0b152ab1a4ULL);
 
   // Dead ranks carry nothing.
   for (int rank : kill.removed_ranks) {
@@ -405,21 +474,6 @@ TEST(ElasticRestoreTest, FullRestoreReturnsToCleanBytePath) {
   EXPECT_EQ(SerializePlan(dp.plan()), SerializePlan(clean.plan()));
 }
 
-// The topology delta that takes a fresh planner from the clean fabric to
-// `topology`: every dead rank killed, every off-nominal speed re-rated.
-TopologyDelta FromClean(const RankTopology& topology) {
-  TopologyDelta delta;
-  for (int rank = 0; rank < topology.world(); ++rank) {
-    if (!topology.alive[rank]) {
-      delta.removed_ranks.push_back(rank);
-    }
-    if (topology.speed_q[rank] != kSpeedScale) {
-      delta.speed_factors.emplace_back(rank, topology.speed(rank));
-    }
-  }
-  return delta;
-}
-
 // A patched topology step must pass VerifyPlan with every clause on (the
 // planner's pinned capacity, the balance certificate, the world) and the
 // degraded equivalence contract against a from-scratch elastic re-plan.
@@ -438,8 +492,7 @@ void ExpectCertifiedAndEquivalent(const DeltaPlanner& dp) {
   EXPECT_TRUE(result.ok) << result.failure << " (ratio " << result.max_load_ratio << ")";
 }
 
-// The alive rank of `node` carrying the fewest tokens: a kill there never
-// takes the plan's most loaded rank.
+// The alive rank of `node` carrying the fewest tokens.
 int LeastLoadedRank(const DeltaPlanner& dp, int node) {
   const int p = dp.cluster().gpus_per_node;
   int best = -1;
@@ -457,8 +510,10 @@ int64_t TopologyFallbacks(const DeltaPlanner& dp, TopologyFallback cause) {
 }
 
 TEST(ElasticRestoreTest, PartialNodeRestorePatchesAndPutsTheRankToWork) {
-  const ClusterSpec cluster = MakeClusterA(4);
-  const Batch batch = ShortBatch(512, 0x0dd);
+  // 16 nodes: one degraded node is within the drift budget's share of the
+  // fabric, so the restore patches whether or not the kill re-planned.
+  const ClusterSpec cluster = MakeClusterA(16);
+  const Batch batch = ShortBatch(2048, 0x0dd);
   DeltaPlanner dp(cluster, MakeOptions(batch, cluster));
   dp.Rebase(batch);
   TopologyDelta kill;
@@ -486,6 +541,28 @@ TEST(ElasticRestoreTest, RestoreOntoADeadNodeRePlans) {
   restore.added_ranks.push_back(2 * cluster.gpus_per_node + 3);
   EXPECT_EQ(dp.ApplyTopology(restore), DeltaOutcome::kRebasedTopology);
   EXPECT_EQ(TopologyFallbacks(dp, TopologyFallback::kDeadNodeRestore), 1);
+  EXPECT_GT(dp.plan().tokens_per_rank[restore.added_ranks[0]], 0);
+  ExpectCertifiedAndEquivalent(dp);
+}
+
+// On 4 nodes one degraded node is past the drift budget's share: a re-plan
+// made around it says little of what the restored fabric allows.
+TEST(ElasticRestoreTest, RestoreOnADegradedBaseRePlans) {
+  const ClusterSpec cluster = MakeClusterA(4);
+  const Batch batch = ShortBatch(512, 0x0dd);
+  DeltaPlanner dp(cluster, MakeOptions(batch, cluster));
+  dp.Rebase(batch);
+  TopologyDelta kill;
+  kill.removed_ranks.push_back(LeastLoadedRank(dp, 1));
+  // The kill lifts node 1's survivors by 8/7, past the drift budget: the
+  // pre-patch bound re-plans on the degraded fabric.
+  ASSERT_EQ(dp.ApplyTopology(kill), DeltaOutcome::kRebasedImbalance);
+
+  TopologyDelta restore;
+  restore.added_ranks = kill.removed_ranks;
+  EXPECT_EQ(dp.ApplyTopology(restore), DeltaOutcome::kRebasedTopology);
+  EXPECT_EQ(TopologyFallbacks(dp, TopologyFallback::kDegradedBase), 1);
+  EXPECT_FALSE(dp.topology().degraded());
   EXPECT_GT(dp.plan().tokens_per_rank[restore.added_ranks[0]], 0);
   ExpectCertifiedAndEquivalent(dp);
 }
@@ -708,6 +785,7 @@ TEST(PlanServiceElasticTest, TopologyFallbacksAreCountedByCause) {
   EXPECT_EQ(counter("delta.topology_fallback.dead-node-restore"), 1);
   EXPECT_EQ(counter("delta.topology_fallback.chunk-node-liveness"), 0);
   EXPECT_EQ(counter("delta.topology_fallback.survivor-overload"), 0);
+  EXPECT_EQ(counter("delta.topology_fallback.degraded-base"), 0);
 }
 
 // --- Registry / strategy surface -----------------------------------------------
