@@ -503,10 +503,12 @@ TEST(DeltaEquivalenceTest, PatchedOverloadFails) {
 // One seeded session on one DeltaPlanner: each step folds a FaultStream
 // topology delta (rank kills, restores) and then a WorkloadStream batch
 // delta; a last step kills a whole node and one more restores one of its
-// ranks. Every call's outcome and the FNV-1a of SerializePlan(plan()) after
-// it are pinned, so a rewrite of the patch path must reproduce every plan
-// byte of the session. A pin that moves means the delta planner's output
-// changed. Print the current values in table syntax with
+// ranks. Every call's outcome, the FNV-1a of SerializePlan(plan()) after it,
+// and the plan's StateDigest are pinned. The digest pins content (rings,
+// locals, loads, thresholds) independent of arena layout and queue order,
+// so a rewrite of the patch path that only moves bytes keeps it; the byte
+// FNV pins the layout too. A digest that moves means the delta planner's
+// decisions changed. Print the current values in table syntax with
 //   ZEPPELIN_GOLDEN_PRINT=1 ./delta_planner_test --gtest_filter='*Golden*'
 
 uint64_t Fnv1a(std::string_view bytes) {
@@ -520,132 +522,133 @@ uint64_t Fnv1a(std::string_view bytes) {
 struct DeltaStepPin {
   const char* outcome;
   uint64_t fnv;
+  uint64_t digest;
 };
 
 // clang-format off
 constexpr DeltaStepPin kDeltaStreamPins[] = {
-    {"applied:topology", 0x60f0ec8f38c386e6ULL},
-    {"applied", 0xac38471419bd73f7ULL},
-    {"applied:topology", 0xac38471419bd73f7ULL},
-    {"applied", 0xf099f6313ee878cfULL},
-    {"applied:topology", 0xf099f6313ee878cfULL},
-    {"applied", 0xcb2b016e7c42649eULL},
-    {"applied:topology", 0x0a2e6f3607c04429ULL},
-    {"applied", 0xcd1844983078408eULL},
-    {"applied:topology", 0xcd1844983078408eULL},
-    {"applied", 0x56f155e226c89ff0ULL},
-    {"applied:topology", 0x56f155e226c89ff0ULL},
-    {"applied", 0x13d24c9d7968553cULL},
-    {"applied:topology", 0x13d24c9d7968553cULL},
-    {"applied", 0xfdaffa05ed5dce7aULL},
-    {"applied:topology", 0xa1a118fde76828daULL},
-    {"applied", 0xe5c16765bd859e67ULL},
-    {"applied:topology", 0xe5c16765bd859e67ULL},
-    {"rebased:imbalance", 0x403f1773088a24c7ULL},
-    {"applied:topology", 0x48ab43a61d8c1019ULL},
-    {"applied", 0x9f4a1974fb523f62ULL},
-    {"applied:topology", 0x9f4a1974fb523f62ULL},
-    {"applied", 0xc133392662b55127ULL},
-    {"applied:topology", 0x72ced6ed7a117b71ULL},
-    {"applied", 0x812311647fbeb935ULL},
-    {"applied:topology", 0x812311647fbeb935ULL},
-    {"applied", 0xa0e083515f3bec24ULL},
-    {"applied:topology", 0xe5b2e131a79695f7ULL},
-    {"applied", 0x46753c9786289e1cULL},
-    {"applied:topology", 0x46753c9786289e1cULL},
-    {"applied", 0xc9bd89cb102211feULL},
-    {"applied:topology", 0xf567fd358d715e69ULL},
-    {"applied", 0x825ff0d277b7e880ULL},
-    {"applied:topology", 0x825ff0d277b7e880ULL},
-    {"applied", 0xb0de0b2ffa3c6388ULL},
-    {"applied:topology", 0x024d53cfce542515ULL},
-    {"rebased:imbalance", 0x741d86ce53d62ee2ULL},
-    {"applied:topology", 0x741d86ce53d62ee2ULL},
-    {"applied", 0x3d9c34013ce64587ULL},
-    {"applied:topology", 0xbf8cb0a75323033cULL},
-    {"applied", 0xd937a6a5f35b4b54ULL},
-    {"applied:topology", 0xd937a6a5f35b4b54ULL},
-    {"applied", 0xa80c4309154c6001ULL},
-    {"applied:topology", 0xf5fa1bd97a2dd994ULL},
-    {"applied", 0xa387472fcd772b25ULL},
-    {"applied:topology", 0xa387472fcd772b25ULL},
-    {"applied", 0xe584bbfb812dfb0fULL},
-    {"applied:topology", 0xe3a21441f876437bULL},
-    {"applied", 0xb94aa1ff5d645ec9ULL},
-    {"applied:topology", 0xb94aa1ff5d645ec9ULL},
-    {"applied", 0x5cfbc9be17b1fc15ULL},
-    {"applied:topology", 0x0210982fea40b66fULL},
-    {"applied", 0x0e8fb850b30a2b61ULL},
-    {"applied:topology", 0x0e8fb850b30a2b61ULL},
-    {"applied", 0xd7f5b3164743f8eeULL},
-    {"applied:topology", 0x59a6b107fd556913ULL},
-    {"applied", 0xfcce2218ce2a9ba4ULL},
-    {"applied:topology", 0xfcce2218ce2a9ba4ULL},
-    {"rebased:imbalance", 0x20542cfc43c7c803ULL},
-    {"applied:topology", 0xa2f42c71af731f05ULL},
-    {"applied", 0x188e8a72e3077c62ULL},
-    {"applied:topology", 0x188e8a72e3077c62ULL},
-    {"applied", 0xe8a4f3b4a0c2b9eeULL},
-    {"applied:topology", 0x5615091a47ebe9b3ULL},
-    {"applied", 0xd3091f3596e49505ULL},
-    {"applied:topology", 0xd3091f3596e49505ULL},
-    {"applied", 0x613f3092ca0f0ac3ULL},
-    {"applied:topology", 0xf8a583b8a3a24197ULL},
-    {"applied", 0x941c87073c50af59ULL},
-    {"applied:topology", 0x941c87073c50af59ULL},
-    {"applied", 0x3a65bf5f4e186dcbULL},
-    {"applied:topology", 0xb9c74be2b5423f0bULL},
-    {"applied", 0x91fac399ac0eba59ULL},
-    {"applied:topology", 0x91fac399ac0eba59ULL},
-    {"applied", 0xc982225ac140f74fULL},
-    {"applied:topology", 0x1cf79a30a8ece5bbULL},
-    {"applied", 0x73a174c4c2926fd6ULL},
-    {"applied:topology", 0x73a174c4c2926fd6ULL},
-    {"applied", 0xb0862c38b76f0190ULL},
-    {"applied:topology", 0x6053ee6f2f0220ebULL},
-    {"applied", 0x17690b2f65acb8acULL},
-    {"applied:topology", 0x17690b2f65acb8acULL},
-    {"applied", 0x666e5284d05bdf50ULL},
-    {"applied:topology", 0x8ada5a91c82591b3ULL},
-    {"applied", 0x7d917337752c871bULL},
-    {"applied:topology", 0x7d917337752c871bULL},
-    {"applied", 0x9e3b8940e3761d82ULL},
-    {"applied:topology", 0xf90e469b74e37b71ULL},
-    {"applied", 0xce00ede1c329bf5fULL},
-    {"applied:topology", 0xce00ede1c329bf5fULL},
-    {"applied", 0x8d5bbd584e9aa2d1ULL},
-    {"applied:topology", 0x5d85822704f2db8dULL},
-    {"applied", 0x08254ca056e33243ULL},
-    {"applied:topology", 0x08254ca056e33243ULL},
-    {"applied", 0x26ec56c7118a4139ULL},
-    {"applied:topology", 0x40c8c8d1827b8e26ULL},
-    {"applied", 0x87fb1d640b8770c5ULL},
-    {"applied:topology", 0x87fb1d640b8770c5ULL},
-    {"applied", 0x33bf9c3a993abe15ULL},
-    {"applied:topology", 0xfb232865dd4fca33ULL},
-    {"applied", 0x209a9344997ba4b5ULL},
-    {"applied:topology", 0x209a9344997ba4b5ULL},
-    {"applied", 0x1828cb94af525a19ULL},
-    {"applied:topology", 0xd38606352fdb66feULL},
-    {"applied", 0xf927a69367eec13cULL},
-    {"applied:topology", 0xf927a69367eec13cULL},
-    {"applied", 0xe3753e3c109a1892ULL},
-    {"applied:topology", 0x855ad1962c921162ULL},
-    {"applied", 0x29c6661a7b71d95dULL},
-    {"applied:topology", 0x29c6661a7b71d95dULL},
-    {"applied", 0x7156e7b0762e11dfULL},
-    {"applied:topology", 0xb687c4e379bc75e9ULL},
-    {"applied", 0x6b803c56ddf53ea3ULL},
-    {"applied:topology", 0x6b803c56ddf53ea3ULL},
-    {"applied", 0xe632902c60d779afULL},
-    {"applied:topology", 0x1ece555568bc3ee4ULL},
-    {"applied", 0x034c59de790c1678ULL},
-    {"applied:topology", 0x034c59de790c1678ULL},
-    {"applied", 0xf5f3ff094c01572bULL},
-    {"applied:topology", 0x4f63a760190e46c3ULL},
-    {"applied", 0xb6c6260109995ee2ULL},
-    {"rebased:imbalance", 0x192b65e6af688622ULL},
-    {"rebased:topology", 0x2d5a5f365c135766ULL},
+    {"applied:topology", 0x60f0ec8f38c386e6ULL, 0x47dfa133d410fec2ULL},
+    {"applied", 0xac38471419bd73f7ULL, 0x62dac59010f3408fULL},
+    {"applied:topology", 0xac38471419bd73f7ULL, 0x62dac59010f3408fULL},
+    {"applied", 0xf099f6313ee878cfULL, 0xbeb82e53145751faULL},
+    {"applied:topology", 0xf099f6313ee878cfULL, 0xbeb82e53145751faULL},
+    {"applied", 0xcb2b016e7c42649eULL, 0x543b78b235d818cdULL},
+    {"applied:topology", 0x0a2e6f3607c04429ULL, 0x5e495282a1c02e7aULL},
+    {"applied", 0xcd1844983078408eULL, 0x496cb6f2c38e5a9dULL},
+    {"applied:topology", 0xcd1844983078408eULL, 0x496cb6f2c38e5a9dULL},
+    {"applied", 0x56f155e226c89ff0ULL, 0xa5ac9f0d989618b6ULL},
+    {"applied:topology", 0x56f155e226c89ff0ULL, 0xa5ac9f0d989618b6ULL},
+    {"applied", 0x13d24c9d7968553cULL, 0xfd44c31a6d525733ULL},
+    {"applied:topology", 0x13d24c9d7968553cULL, 0xfd44c31a6d525733ULL},
+    {"applied", 0xfdaffa05ed5dce7aULL, 0x6ccc0ad4791bb86eULL},
+    {"applied:topology", 0xa1a118fde76828daULL, 0x49d472333019b636ULL},
+    {"applied", 0xe5c16765bd859e67ULL, 0x9ad8871459fbfd06ULL},
+    {"applied:topology", 0xe5c16765bd859e67ULL, 0x9ad8871459fbfd06ULL},
+    {"rebased:imbalance", 0x403f1773088a24c7ULL, 0xd4d6bb3a8470608fULL},
+    {"applied:topology", 0x48ab43a61d8c1019ULL, 0x05ecfe39a6333405ULL},
+    {"applied", 0x9f4a1974fb523f62ULL, 0x5b2082510574dbabULL},
+    {"applied:topology", 0x9f4a1974fb523f62ULL, 0x5b2082510574dbabULL},
+    {"applied", 0xc133392662b55127ULL, 0x50cba2fbe52c4499ULL},
+    {"applied:topology", 0x72ced6ed7a117b71ULL, 0xe1c8298b8430d8fbULL},
+    {"applied", 0x812311647fbeb935ULL, 0xf47eff26fef068a5ULL},
+    {"applied:topology", 0x812311647fbeb935ULL, 0xf47eff26fef068a5ULL},
+    {"applied", 0xa0e083515f3bec24ULL, 0x3fbe4fe4db12461fULL},
+    {"applied:topology", 0xe5b2e131a79695f7ULL, 0x85c8a45af220a9a6ULL},
+    {"applied", 0x46753c9786289e1cULL, 0x98b04e3cfb8a9cbfULL},
+    {"applied:topology", 0x46753c9786289e1cULL, 0x98b04e3cfb8a9cbfULL},
+    {"applied", 0xc9bd89cb102211feULL, 0xc8d31381b7dbf3fcULL},
+    {"applied:topology", 0xf567fd358d715e69ULL, 0xd0d40899faca52e3ULL},
+    {"applied", 0x825ff0d277b7e880ULL, 0xe856459a77badbbaULL},
+    {"applied:topology", 0x825ff0d277b7e880ULL, 0xe856459a77badbbaULL},
+    {"applied", 0xb0de0b2ffa3c6388ULL, 0x894bf45be9c78c2cULL},
+    {"applied:topology", 0x024d53cfce542515ULL, 0xf4defa6a1c8b2d80ULL},
+    {"rebased:imbalance", 0x741d86ce53d62ee2ULL, 0xe4e5a1cf8fb47f75ULL},
+    {"applied:topology", 0x741d86ce53d62ee2ULL, 0xe4e5a1cf8fb47f75ULL},
+    {"applied", 0x3d9c34013ce64587ULL, 0xcc931ee467c008d6ULL},
+    {"applied:topology", 0xbf8cb0a75323033cULL, 0xffd3597391ecbb14ULL},
+    {"applied", 0xd937a6a5f35b4b54ULL, 0xef8b43d16115846fULL},
+    {"applied:topology", 0xd937a6a5f35b4b54ULL, 0xef8b43d16115846fULL},
+    {"applied", 0xa80c4309154c6001ULL, 0x81d7731d3e1f6ba2ULL},
+    {"applied:topology", 0xf5fa1bd97a2dd994ULL, 0xd06aa44380a30332ULL},
+    {"applied", 0xa387472fcd772b25ULL, 0x0b7d73e3631025d9ULL},
+    {"applied:topology", 0xa387472fcd772b25ULL, 0x0b7d73e3631025d9ULL},
+    {"applied", 0xe584bbfb812dfb0fULL, 0x7b45a3bddbcb00bfULL},
+    {"applied:topology", 0xe3a21441f876437bULL, 0x7771551130ccb840ULL},
+    {"applied", 0xb94aa1ff5d645ec9ULL, 0x27d2159846593b11ULL},
+    {"applied:topology", 0xb94aa1ff5d645ec9ULL, 0x27d2159846593b11ULL},
+    {"applied", 0x5cfbc9be17b1fc15ULL, 0xdf6bbe2c5b454dc1ULL},
+    {"applied:topology", 0x0210982fea40b66fULL, 0x9fc38c8ee0db384eULL},
+    {"applied", 0x0e8fb850b30a2b61ULL, 0x48778dd32a7efba1ULL},
+    {"applied:topology", 0x0e8fb850b30a2b61ULL, 0x48778dd32a7efba1ULL},
+    {"applied", 0xd7f5b3164743f8eeULL, 0x820a9b101da67649ULL},
+    {"applied:topology", 0x59a6b107fd556913ULL, 0xfd04900022b83996ULL},
+    {"applied", 0xfcce2218ce2a9ba4ULL, 0x63187c344a08dce8ULL},
+    {"applied:topology", 0xfcce2218ce2a9ba4ULL, 0x63187c344a08dce8ULL},
+    {"rebased:imbalance", 0x20542cfc43c7c803ULL, 0xfe6ec3352a626384ULL},
+    {"applied:topology", 0xa2f42c71af731f05ULL, 0x44bffaa845eb8785ULL},
+    {"applied", 0x188e8a72e3077c62ULL, 0x5c3361aebedcd641ULL},
+    {"applied:topology", 0x188e8a72e3077c62ULL, 0x5c3361aebedcd641ULL},
+    {"applied", 0xe8a4f3b4a0c2b9eeULL, 0x7409664c55f03ae6ULL},
+    {"applied:topology", 0x5615091a47ebe9b3ULL, 0xe2b26df198486272ULL},
+    {"applied", 0xd3091f3596e49505ULL, 0x21e668eafdacb18aULL},
+    {"applied:topology", 0xd3091f3596e49505ULL, 0x21e668eafdacb18aULL},
+    {"applied", 0x613f3092ca0f0ac3ULL, 0x59c88e24fb8e8141ULL},
+    {"applied:topology", 0xf8a583b8a3a24197ULL, 0x14e9eb72ea5552ecULL},
+    {"applied", 0x941c87073c50af59ULL, 0xcf367fb9563a4ee5ULL},
+    {"applied:topology", 0x941c87073c50af59ULL, 0xcf367fb9563a4ee5ULL},
+    {"applied", 0x3a65bf5f4e186dcbULL, 0x636cdc9e06bfe3ebULL},
+    {"applied:topology", 0xb9c74be2b5423f0bULL, 0x7b3bff729a5b7045ULL},
+    {"applied", 0x91fac399ac0eba59ULL, 0xee833876462f3353ULL},
+    {"applied:topology", 0x91fac399ac0eba59ULL, 0xee833876462f3353ULL},
+    {"applied", 0xc982225ac140f74fULL, 0x0f91b1548363578eULL},
+    {"applied:topology", 0x1cf79a30a8ece5bbULL, 0x4900e99af8417889ULL},
+    {"applied", 0x73a174c4c2926fd6ULL, 0xa6f190db8f73ef8aULL},
+    {"applied:topology", 0x73a174c4c2926fd6ULL, 0xa6f190db8f73ef8aULL},
+    {"applied", 0xb0862c38b76f0190ULL, 0xfe4640cbe01eaf8aULL},
+    {"applied:topology", 0x6053ee6f2f0220ebULL, 0xcfcfc4c52f9b3268ULL},
+    {"applied", 0x17690b2f65acb8acULL, 0x99e40d737a934c26ULL},
+    {"applied:topology", 0x17690b2f65acb8acULL, 0x99e40d737a934c26ULL},
+    {"applied", 0x666e5284d05bdf50ULL, 0xa07905b4553d263aULL},
+    {"applied:topology", 0x8ada5a91c82591b3ULL, 0x80fecda8a0bf3b0fULL},
+    {"applied", 0x7d917337752c871bULL, 0x508fe9c15a741a64ULL},
+    {"applied:topology", 0x7d917337752c871bULL, 0x508fe9c15a741a64ULL},
+    {"applied", 0x9e3b8940e3761d82ULL, 0xc5249df45a0375fbULL},
+    {"applied:topology", 0xf90e469b74e37b71ULL, 0x1628cc2987a40981ULL},
+    {"applied", 0xce00ede1c329bf5fULL, 0x00f21403e5885839ULL},
+    {"applied:topology", 0xce00ede1c329bf5fULL, 0x00f21403e5885839ULL},
+    {"applied", 0x8d5bbd584e9aa2d1ULL, 0x8d3bafd2adfa197eULL},
+    {"applied:topology", 0x5d85822704f2db8dULL, 0x2e39204ccd15f977ULL},
+    {"applied", 0x08254ca056e33243ULL, 0xc8a1060af0e03090ULL},
+    {"applied:topology", 0x08254ca056e33243ULL, 0xc8a1060af0e03090ULL},
+    {"applied", 0x26ec56c7118a4139ULL, 0x983309263e0800d9ULL},
+    {"applied:topology", 0x40c8c8d1827b8e26ULL, 0x90d2af1f9e6a5cafULL},
+    {"applied", 0x87fb1d640b8770c5ULL, 0x1a3aeab65188f080ULL},
+    {"applied:topology", 0x87fb1d640b8770c5ULL, 0x1a3aeab65188f080ULL},
+    {"applied", 0x33bf9c3a993abe15ULL, 0x1a705a236b2d14f4ULL},
+    {"applied:topology", 0xfb232865dd4fca33ULL, 0x847ab95fa8aaef16ULL},
+    {"applied", 0x209a9344997ba4b5ULL, 0x66c4678705a20ab1ULL},
+    {"applied:topology", 0x209a9344997ba4b5ULL, 0x66c4678705a20ab1ULL},
+    {"applied", 0x1828cb94af525a19ULL, 0xf62959858db09b64ULL},
+    {"applied:topology", 0xd38606352fdb66feULL, 0x0c306ec6972d79b6ULL},
+    {"applied", 0xf927a69367eec13cULL, 0xefa256c99e4a2a9bULL},
+    {"applied:topology", 0xf927a69367eec13cULL, 0xefa256c99e4a2a9bULL},
+    {"applied", 0xe3753e3c109a1892ULL, 0x065c8380f18951d1ULL},
+    {"applied:topology", 0x855ad1962c921162ULL, 0x8aa68215608c3741ULL},
+    {"applied", 0x29c6661a7b71d95dULL, 0x20be09b54cc68188ULL},
+    {"applied:topology", 0x29c6661a7b71d95dULL, 0x20be09b54cc68188ULL},
+    {"applied", 0x7156e7b0762e11dfULL, 0xa82c708c916ddfa3ULL},
+    {"applied:topology", 0xb687c4e379bc75e9ULL, 0x1e14acdd53b200a4ULL},
+    {"applied", 0x6b803c56ddf53ea3ULL, 0x980bb23f2e12eadeULL},
+    {"applied:topology", 0x6b803c56ddf53ea3ULL, 0x980bb23f2e12eadeULL},
+    {"applied", 0xe632902c60d779afULL, 0xab687a9ac50e1708ULL},
+    {"applied:topology", 0x1ece555568bc3ee4ULL, 0x78f610aaba0f7957ULL},
+    {"applied", 0x034c59de790c1678ULL, 0x52902a05d85deed2ULL},
+    {"applied:topology", 0x034c59de790c1678ULL, 0x52902a05d85deed2ULL},
+    {"applied", 0xf5f3ff094c01572bULL, 0x8042f615db1c0df9ULL},
+    {"applied:topology", 0x4f63a760190e46c3ULL, 0x9a79518dd868ecdfULL},
+    {"applied", 0xb6c6260109995ee2ULL, 0xbd0be137f38e7a10ULL},
+    {"rebased:imbalance", 0x192b65e6af688622ULL, 0x974ca55b0e78f213ULL},
+    {"rebased:topology", 0x2d5a5f365c135766ULL, 0x49433d01655adbaeULL},
 };
 // clang-format on
 
@@ -672,6 +675,7 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
 
   std::vector<DeltaOutcome> outcomes;
   std::vector<uint64_t> fnvs;
+  std::vector<uint64_t> digests;
   int batch_fallbacks = 0;
   int topology_fallbacks = 0;
   int restore_patches = 0;
@@ -679,6 +683,7 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
   auto record = [&](DeltaOutcome outcome) {
     outcomes.push_back(outcome);
     fnvs.push_back(Fnv1a(SerializePlan(dp.plan())));
+    digests.push_back(dp.plan().StateDigest());
   };
   for (int step = 0; step < 60; ++step) {
     const int64_t repacked = dp.stats().repacked_nodes;
@@ -711,8 +716,8 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
 
   if (std::getenv("ZEPPELIN_GOLDEN_PRINT") != nullptr) {
     for (size_t i = 0; i < outcomes.size(); ++i) {
-      std::printf("    {\"%s\", 0x%016" PRIx64 "ULL},\n", DeltaOutcomeName(outcomes[i]),
-                  fnvs[i]);
+      std::printf("    {\"%s\", 0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL},\n",
+                  DeltaOutcomeName(outcomes[i]), fnvs[i], digests[i]);
     }
   }
   ASSERT_EQ(outcomes.size(), std::size(kDeltaStreamPins));
@@ -720,6 +725,7 @@ TEST(DeltaPlannerGoldenTest, SessionPlansAreByteIdentical) {
     SCOPED_TRACE(i);
     EXPECT_STREQ(DeltaOutcomeName(outcomes[i]), kDeltaStreamPins[i].outcome);
     EXPECT_EQ(fnvs[i], kDeltaStreamPins[i].fnv);
+    EXPECT_EQ(digests[i], kDeltaStreamPins[i].digest);
   }
 
   // The session reaches every path the pins must cover: batch and topology
