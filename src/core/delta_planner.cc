@@ -1,7 +1,8 @@
 #include "src/core/delta_planner.h"
 
 #include <algorithm>
-#include <cstring>
+#include <numeric>
+#include <span>
 #include <tuple>
 #include <utility>
 
@@ -111,88 +112,97 @@ void DeltaPlanner::RebaseInternal() {
 
 void DeltaPlanner::CaptureState() {
   const int num_nodes = cluster_.num_nodes;
-  const int p = cluster_.gpus_per_node;
   const int n = batch_.size();
 
-  node_capacity_ = static_cast<int64_t>(p) * options_.token_capacity;
+  node_capacity_ = static_cast<int64_t>(cluster_.gpus_per_node) * options_.token_capacity;
   base_refined_ = plan_.threshold_s1 < scratch_.threshold_s1_initial;
+  plan_stale_ = false;
+  // The engine's per-node results become the patchable state; the scratch
+  // gets the old ones back as storage for the next re-plan.
+  node_results_.swap(scratch_.node_results);
 
   locations_.assign(n, SeqLocation{});
   slot_epoch_.assign(n, 0);
   node_dirty_epoch_.assign(num_nodes, 0);
   epoch_ = 0;
   node_members_.resize(num_nodes);
-  for (std::vector<int>& members : node_members_) {
-    members.clear();
-  }
-
-  for (uint32_t i = 0; i < plan_.inter_node.size(); ++i) {
-    SeqLocation& loc = locations_[plan_.inter_node[i].seq_id];
-    loc.kind = SeqLocation::Kind::kZ2Ring;
-    loc.inter_queue = true;
-    loc.pos = i;
-  }
-  for (uint32_t i = 0; i < plan_.intra_node.size(); ++i) {
-    const RingRef& ring = plan_.intra_node[i];
-    SeqLocation& loc = locations_[ring.seq_id];
-    loc.pos = i;
-    loc.node = plan_.rank_arena[ring.rank_offset] / p;
-    if (ring.length >= plan_.threshold_s1) {
-      // Single-node inter-zone ring (Alg. 1 chunked it to one node bucket):
-      // delta-immutable like any z2 sequence, and not a packing member.
-      loc.kind = SeqLocation::Kind::kZ2Ring;
-      loc.inter_queue = false;
-    } else {
-      loc.kind = SeqLocation::Kind::kIntraRing;
-      loc.member_pos = static_cast<uint32_t>(node_members_[loc.node].size());
-      node_members_[loc.node].push_back(ring.seq_id);
-    }
-  }
-  for (uint32_t i = 0; i < plan_.local.size(); ++i) {
-    const LocalSequence& seq = plan_.local[i];
-    SeqLocation& loc = locations_[seq.seq_id];
-    loc.kind = SeqLocation::Kind::kLocal;
-    loc.pos = i;
-    loc.node = seq.rank / p;
-    loc.member_pos = static_cast<uint32_t>(node_members_[loc.node].size());
-    node_members_[loc.node].push_back(seq.seq_id);
-  }
-
   node_loads_.assign(num_nodes, 0);
-  for (int r = 0; r < cluster_.world_size(); ++r) {
-    node_loads_[r / p] += plan_.tokens_per_rank[r];
+  for (int node = 0; node < num_nodes; ++node) {
+    IndexNode(node);
+    const std::vector<int64_t>& loads = node_results_[node].device_loads;
+    node_loads_[node] = std::accumulate(loads.begin(), loads.end(), int64_t{0});
   }
 
   live_count_ = 0;
   for (int64_t len : batch_.seq_lens) {
     live_count_ += len > 0 ? 1 : 0;
   }
-  free_spans_.clear();
-  free_total_ = 0;
-  live_ranks_ = plan_.rank_arena.size();
   base_imbalance_ = Imbalance();
   base_degraded_nodes_ = static_cast<int>(
       std::count(scratch_.fabric.clean.begin(), scratch_.fabric.clean.end(), uint8_t{0}));
   has_base_ = true;
 }
 
+void DeltaPlanner::IndexNode(int node) {
+  std::vector<int>& members = node_members_[node];
+  members.clear();
+  const NodeIntraResult& result = node_results_[node];
+  auto join = [&](int slot, SeqLocation::Kind kind, size_t pos) {
+    locations_[slot] = {kind, node, static_cast<uint32_t>(pos),
+                        static_cast<uint32_t>(members.size())};
+    members.push_back(slot);
+  };
+  for (size_t i = 0; i < result.rings.ref_count; ++i) {
+    join(result.rings.refs[i].seq_id, SeqLocation::Kind::kIntraRing, i);
+  }
+  for (size_t i = 0; i < result.locals.size(); ++i) {
+    join(result.locals[i].seq_id, SeqLocation::Kind::kLocal, i);
+  }
+  for (size_t i = 0; i < result.locals_z1.size(); ++i) {
+    join(result.locals_z1[i].seq_id, SeqLocation::Kind::kZ1Local, i);
+  }
+}
+
+const PartitionPlan& DeltaPlanner::plan() const {
+  if (plan_stale_) {
+    AssemblePlan(&plan_);
+    plan_stale_ = false;
+  }
+  return plan_;
+}
+
+void DeltaPlanner::AssemblePlan(PartitionPlan* out) const {
+  const size_t prefix_rings = scratch_.intra_ring_count;
+  const size_t prefix_slots = scratch_.arena_count;
+  if (out != &plan_) {
+    out->inter_node = plan_.inter_node;
+    out->intra_node.assign(plan_.intra_node.begin(), plan_.intra_node.begin() + prefix_rings);
+    out->rank_arena.assign(plan_.rank_arena.begin(), plan_.rank_arena.begin() + prefix_slots);
+    out->threshold_s1 = plan_.threshold_s1;
+  }
+  out->tokens_per_rank.assign(cluster_.world_size(), 0);
+  out->threshold_s0.resize(cluster_.num_nodes);
+  planner_internal::MergeNodeResults(node_results_, scratch_.fabric, prefix_rings, prefix_slots,
+                                     out);
+}
+
 double DeltaPlanner::Imbalance() const {
   // Speed-weighted effective loads over the alive ranks: on a clean topology
   // this is exactly max/mean of tokens_per_rank (eff == raw at nominal
   // speed), so the homogeneous guard is unchanged.
+  const FabricView& fabric = scratch_.fabric;
   int64_t total = 0;
   int64_t max_load = 0;
-  int alive = 0;
-  for (size_t r = 0; r < plan_.tokens_per_rank.size(); ++r) {
-    if (!topo_.alive[r]) {
-      continue;
+  for (int node = 0; node < cluster_.num_nodes; ++node) {
+    const std::span<const int> ranks = fabric.node_ranks(node);
+    for (size_t d = 0; d < ranks.size(); ++d) {
+      const int64_t eff = topo_.EffectiveLoad(ranks[d], node_results_[node].device_loads[d]);
+      total += eff;
+      max_load = std::max(max_load, eff);
     }
-    const int64_t eff = topo_.EffectiveLoad(static_cast<int>(r), plan_.tokens_per_rank[r]);
-    total += eff;
-    max_load = std::max(max_load, eff);
-    ++alive;
   }
-  const double mean = static_cast<double>(total) / std::max(alive, 1);
+  const double mean =
+      static_cast<double>(total) / std::max(static_cast<int>(fabric.ranks.size()), 1);
   return mean > 0 ? static_cast<double>(max_load) / mean : 1.0;
 }
 
@@ -211,26 +221,6 @@ DeltaOutcome DeltaPlanner::FallBackTopology(TopologyFallback cause) {
 
 // --- Eviction ---------------------------------------------------------------
 
-void DeltaPlanner::RemoveIntraHeaderAt(uint32_t pos) {
-  std::vector<RingRef>& queue = plan_.intra_node;
-  const uint32_t last = static_cast<uint32_t>(queue.size()) - 1;
-  if (pos != last) {
-    queue[pos] = queue[last];
-    locations_[queue[pos].seq_id].pos = pos;
-  }
-  queue.pop_back();
-}
-
-void DeltaPlanner::RemoveLocalAt(uint32_t pos) {
-  std::vector<LocalSequence>& locals = plan_.local;
-  const uint32_t last = static_cast<uint32_t>(locals.size()) - 1;
-  if (pos != last) {
-    locals[pos] = locals[last];
-    locations_[locals[pos].seq_id].pos = pos;
-  }
-  locals.pop_back();
-}
-
 void DeltaPlanner::RemoveMember(int node, uint32_t member_pos) {
   std::vector<int>& members = node_members_[node];
   const uint32_t last = static_cast<uint32_t>(members.size()) - 1;
@@ -241,11 +231,9 @@ void DeltaPlanner::RemoveMember(int node, uint32_t member_pos) {
   members.pop_back();
 }
 
-void DeltaPlanner::FreeRingSpan(const RingRef& ring) {
-  free_spans_.push_back({ring.rank_offset, ring.rank_count});
-  free_total_ += ring.rank_count;
-  live_ranks_ -= ring.rank_count;
-  ++stats_.evicted_rings;
+int DeltaPlanner::DeviceIndex(int node, int rank) const {
+  const std::span<const int> ranks = scratch_.fabric.node_ranks(node);
+  return static_cast<int>(std::lower_bound(ranks.begin(), ranks.end(), rank) - ranks.begin());
 }
 
 void DeltaPlanner::EvictSlot(int slot) {
@@ -253,42 +241,32 @@ void DeltaPlanner::EvictSlot(int slot) {
   SeqLocation& loc = locations_[slot];
   const int64_t old_len = batch_.seq_lens[slot];
   switch (loc.kind) {
-    case SeqLocation::Kind::kLocal: {
-      const LocalSequence& entry = plan_.local[loc.pos];
-      ZCHECK_EQ(entry.seq_id, slot);
-      plan_.tokens_per_rank[entry.rank] -= old_len;
-      RemoveMember(loc.node, loc.member_pos);
-      RemoveLocalAt(loc.pos);
+    case SeqLocation::Kind::kLocal:
+    case SeqLocation::Kind::kZ1Local: {
+      NodeIntraResult& result = node_results_[loc.node];
+      std::vector<LocalSequence>& locals =
+          loc.kind == SeqLocation::Kind::kLocal ? result.locals : result.locals_z1;
+      ZCHECK_EQ(locals[loc.pos].seq_id, slot);
+      result.device_loads[DeviceIndex(loc.node, locals[loc.pos].rank)] -= old_len;
+      if (loc.pos + 1 != locals.size()) {
+        locals[loc.pos] = locals.back();
+        locations_[locals[loc.pos].seq_id].pos = loc.pos;
+      }
+      locals.pop_back();
       break;
     }
-    case SeqLocation::Kind::kIntraRing: {
-      const RingRef ring = plan_.intra_node[loc.pos];
-      ZCHECK_EQ(ring.seq_id, slot);
-      ZCHECK_EQ(ring.length, old_len) << "plan/batch length drift for slot " << slot;
-      // Roll the causal-balanced fragment loads back out (the same split
-      // arithmetic the intra stage emitted with; cursor 0 because the span
-      // itself already encodes the device order).
-      planner_internal::ForEachFragment(
-          old_len, static_cast<int>(ring.rank_count), 0, static_cast<int>(ring.rank_count),
-          [&](int f, int /*device*/, int64_t share) {
-            plan_.tokens_per_rank[plan_.rank_arena[ring.rank_offset + f]] -= share;
-          });
-      FreeRingSpan(ring);
-      RemoveMember(loc.node, loc.member_pos);
-      RemoveIntraHeaderAt(loc.pos);
+    case SeqLocation::Kind::kIntraRing:
       // The node's remaining z1 fragmentation was computed against a c_avg
-      // that just changed: re-derive the node's intra stage.
+      // that just changed: the ring stays in the node's result until the
+      // node's intra stage re-runs and replaces it.
       MarkDirty(loc.node);
-      break;
-    }
-    case SeqLocation::Kind::kZ2Ring:
-      ZCHECK(false) << "z2 sequence reached the eviction path (slot " << slot << ")";
       break;
     case SeqLocation::Kind::kNone:
     case SeqLocation::Kind::kPending:
-      ZCHECK(false) << "duplicate or unplaced slot in delta: " << slot;
+      ZCHECK(false) << "duplicate, unplaced or z2 slot in delta: " << slot;
       break;
   }
+  RemoveMember(loc.node, loc.member_pos);
   node_loads_[loc.node] -= old_len;
   ZCHECK_GE(node_loads_[loc.node], 0) << "node " << loc.node << " load went negative";
   loc.kind = SeqLocation::Kind::kNone;
@@ -305,8 +283,8 @@ void DeltaPlanner::MarkDirty(int node) {
 }
 
 bool DeltaPlanner::PlaceLocal(int slot, int node) {
-  const int p = cluster_.gpus_per_node;
-  const int rank_base = node * p;
+  NodeIntraResult& result = node_results_[node];
+  const std::span<const int> ranks = scratch_.fabric.node_ranks(node);
   const int64_t len = batch_.seq_lens[slot];
   // Least-effective-loaded alive device, ties to the lowest index. On a clean
   // topology effective == raw load and every device is alive, so this is
@@ -314,25 +292,21 @@ bool DeltaPlanner::PlaceLocal(int slot, int node) {
   // per node); a scan beats a heap here.
   int best = -1;
   int64_t best_eff = 0;
-  for (int d = 0; d < p; ++d) {
-    if (!topo_.alive[rank_base + d]) {
-      continue;
-    }
-    const int64_t eff = topo_.EffectiveLoad(rank_base + d, plan_.tokens_per_rank[rank_base + d]);
+  for (int d = 0; d < static_cast<int>(ranks.size()); ++d) {
+    const int64_t eff = topo_.EffectiveLoad(ranks[d], result.device_loads[d]);
     if (best < 0 || eff < best_eff) {
       best = d;
       best_eff = eff;
     }
   }
-  if (best < 0 ||
-      plan_.tokens_per_rank[rank_base + best] + len > options_.token_capacity) {
+  if (best < 0 || result.device_loads[best] + len > options_.token_capacity) {
     return false;  // Device overflow: Alg. 2 refinement (dirty re-run) handles it.
   }
-  plan_.tokens_per_rank[rank_base + best] += len;
+  result.device_loads[best] += len;
   SeqLocation& loc = locations_[slot];
   loc.kind = SeqLocation::Kind::kLocal;
-  loc.pos = static_cast<uint32_t>(plan_.local.size());
-  plan_.local.push_back({slot, len, rank_base + best});
+  loc.pos = static_cast<uint32_t>(result.locals.size());
+  result.locals.push_back({slot, len, ranks[best]});
   return true;
 }
 
@@ -343,7 +317,7 @@ void DeltaPlanner::Admit(int slot, int node) {
   loc.node = node;
   loc.member_pos = static_cast<uint32_t>(node_members_[node].size());
   node_members_[node].push_back(slot);
-  if (batch_.seq_lens[slot] >= plan_.threshold_s0[node]) {
+  if (batch_.seq_lens[slot] >= node_results_[node].threshold_s0) {
     MarkDirty(node);  // z1-length: joins the node's fragmentation stage.
   } else if (!IsDirty(node) && !PlaceLocal(slot, node)) {
     MarkDirty(node);  // Device overflow: let Alg. 2 refinement resolve it.
@@ -387,7 +361,6 @@ DeltaOutcome DeltaPlanner::FinishPatch(DeltaOutcome applied, size_t patched) {
   for (int node : dirty_nodes_) {
     RepackNode(node);
   }
-  MaybeCompact();
 
   const double imbalance = Imbalance();
   if (imbalance > base_imbalance_ + options_.replan_threshold) {
@@ -397,6 +370,7 @@ DeltaOutcome DeltaPlanner::FinishPatch(DeltaOutcome applied, size_t patched) {
   // the allowance tracks the best achieved quality rather than a stale base
   // (a full re-plan resets it exactly).
   base_imbalance_ = std::min(base_imbalance_, imbalance);
+  plan_stale_ = true;
   CountOutcome(applied);
   stats_.patched_sequences += static_cast<int64_t>(patched);
   return applied;
@@ -527,44 +501,18 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
 // --- Dirty-node intra-node re-run (Alg. 2) ----------------------------------
 
 void DeltaPlanner::RepackNode(int node) {
-  const int p = cluster_.gpus_per_node;
   const FabricView& fabric = scratch_.fabric;
   const int m = fabric.alive(node);
-  std::vector<int>& members = node_members_[node];
-  if (m == 0) {
-    // Evicting a dead node's intra ring dirties it; its members have all
-    // migrated off by now and no pick lands on it: nothing to re-pack.
-    ZCHECK(members.empty()) << "dead node " << node << " still owns members";
-    ZCHECK_EQ(node_loads_[node], 0) << "dead node " << node << " still owns load";
-    return;
-  }
+  // A dead node's members migrate off before any re-run, and no pick lands
+  // on it, so it is never dirty.
+  ZCHECK_GT(m, 0) << "dirty node " << node << " has no alive rank";
   ++stats_.repacked_nodes;
-
-  // Evict every member's current plan entry; pending members have none.
-  // Loads need no arithmetic here: the re-run rebuilds this node's device
-  // loads from the chunk base, and node membership (hence the node total the
-  // inter-node packing sees) is unchanged by an intra re-run.
-  for (int slot : members) {
-    SeqLocation& loc = locations_[slot];
-    switch (loc.kind) {
-      case SeqLocation::Kind::kIntraRing:
-        FreeRingSpan(plan_.intra_node[loc.pos]);
-        RemoveIntraHeaderAt(loc.pos);
-        break;
-      case SeqLocation::Kind::kLocal:
-        RemoveLocalAt(loc.pos);
-        break;
-      case SeqLocation::Kind::kPending:
-        break;
-      case SeqLocation::Kind::kZ2Ring:
-      case SeqLocation::Kind::kNone:
-        ZCHECK(false) << "invalid member state on node " << node;
-    }
-    loc.kind = SeqLocation::Kind::kPending;
-  }
+  NodeIntraResult& result = node_results_[node];
+  stats_.evicted_rings += static_cast<int64_t>(result.rings.ref_count);
 
   // Alg. 2 packing order: length-descending, id-ascending — ascending
   // packed-key order, which is also the kernel's input form.
+  const std::vector<int>& members = node_members_[node];
   ZCHECK_LE(static_cast<uint64_t>(batch_.size()), planner_internal::kIdxMask + 1)
       << "batch too large for packed keys";
   repack_keys_.resize(members.size());
@@ -572,58 +520,20 @@ void DeltaPlanner::RepackNode(int node) {
     repack_keys_[i] = planner_internal::PackKey(batch_.seq_lens[members[i]], members[i]);
   }
   std::sort(repack_keys_.begin(), repack_keys_.end());
-  for (uint32_t i = 0; i < members.size(); ++i) {
-    members[i] = planner_internal::KeyId(repack_keys_[i]);
-    locations_[members[i]].member_pos = i;
-  }
 
   // Alive-device base loads from the persistent inter-chunk aggregates
   // (recorded with divisor m: ApplyTopology re-plans before any liveness
   // change on a chunk-carrying node), then the sharded engine's own Alg. 2
-  // kernel over the node's alive devices.
-  planner_internal::ExpandChunkBase(scratch_.node_chunk_whole, scratch_.node_chunk_rem, node, p,
-                                    m, &repack_slab_.chunk_base);
+  // kernel over the node's alive devices, straight into the node's result.
+  planner_internal::ExpandChunkBase(scratch_.node_chunk_whole, scratch_.node_chunk_rem, node,
+                                    cluster_.gpus_per_node, m, &repack_slab_.chunk_base);
   planner_internal::PackIntraNode(repack_keys_, repack_slab_.chunk_base, fabric, node,
                                   options_.token_capacity, options_.max_local_threshold,
-                                  &repack_slab_, &repack_out_);
-
-  // Commit: rings into recycled or tail spans, locals appended (z0 first,
-  // then single-fragment z1 conversions — the engine's order).
-  const RingStore& rings = repack_out_.rings;
-  for (size_t r = 0; r < rings.ref_count; ++r) {
-    const RingRef& ring = rings.refs[r];
-    const uint32_t offset = AllocSpan(ring.rank_count);
-    std::memcpy(plan_.rank_arena.data() + offset, rings.arena.data() + ring.rank_offset,
-                sizeof(int) * ring.rank_count);
-    SeqLocation& loc = locations_[ring.seq_id];
-    loc.kind = SeqLocation::Kind::kIntraRing;
-    loc.pos = static_cast<uint32_t>(plan_.intra_node.size());
-    plan_.intra_node.push_back({ring.seq_id, ring.length, Zone::kIntraNode, offset,
-                                ring.rank_count});
-    live_ranks_ += ring.rank_count;
-  }
-  auto commit_local = [&](const LocalSequence& seq) {
-    SeqLocation& loc = locations_[seq.seq_id];
-    loc.kind = SeqLocation::Kind::kLocal;
-    loc.pos = static_cast<uint32_t>(plan_.local.size());
-    plan_.local.push_back(seq);
-  };
-  for (const LocalSequence& seq : repack_out_.locals) {
-    commit_local(seq);
-  }
-  for (const LocalSequence& seq : repack_out_.locals_z1) {
-    commit_local(seq);
-  }
-  std::fill_n(plan_.tokens_per_rank.begin() + node * p, p, int64_t{0});
-  const std::span<const int> ranks = fabric.node_ranks(node);
-  int64_t device_total = 0;
-  for (int d = 0; d < m; ++d) {
-    plan_.tokens_per_rank[ranks[d]] = repack_out_.device_loads[d];
-    device_total += repack_out_.device_loads[d];
-  }
-  ZCHECK_EQ(device_total, node_loads_[node])
+                                  &repack_slab_, &result);
+  IndexNode(node);
+  ZCHECK_EQ(std::accumulate(result.device_loads.begin(), result.device_loads.end(), int64_t{0}),
+            node_loads_[node])
       << "intra re-run must conserve node " << node << " tokens";
-  plan_.threshold_s0[node] = repack_out_.threshold_s0;
 }
 
 // --- Elastic topology patching ------------------------------------------------
@@ -751,19 +661,27 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
     touch(rank);
   }
 
-  // Evict the members of fully-dead nodes into the migration set (copy the
-  // member list first: EvictSlot swap-erases the list it walks).
+  // A fully-dead node's members form the migration set. Its result empties
+  // (it has no device left to load; its s0 stays) and its load leaves with
+  // them: it carries no chunks, or the delta would have re-planned above.
   place_.clear();
   for (int rank : delta.removed_ranks) {
     const int node = rank / p;
-    if (fabric.alive(node) > 0 || node_members_[node].empty()) {
+    if (fabric.alive(node) > 0) {
       continue;
     }
-    const size_t start = place_.size();
-    place_.insert(place_.end(), node_members_[node].begin(), node_members_[node].end());
-    for (size_t i = start; i < place_.size(); ++i) {
-      EvictSlot(place_[i]);
+    NodeIntraResult& result = node_results_[node];
+    stats_.evicted_rings += static_cast<int64_t>(result.rings.ref_count);
+    result.rings.Reset();
+    result.locals.clear();
+    result.locals_z1.clear();
+    result.device_loads.clear();
+    for (int slot : node_members_[node]) {
+      locations_[slot] = SeqLocation{};
     }
+    place_.insert(place_.end(), node_members_[node].begin(), node_members_[node].end());
+    node_members_[node].clear();
+    node_loads_[node] = 0;
   }
   stats_.migrated_sequences += static_cast<int64_t>(place_.size());
 
@@ -774,53 +692,6 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
     return FallBack(DeltaOutcome::kRebasedCapacity);
   }
   return FinishPatch(DeltaOutcome::kAppliedTopology, 0);
-}
-
-// --- Arena span management ----------------------------------------------------
-
-uint32_t DeltaPlanner::AllocSpan(uint32_t count) {
-  for (size_t i = 0; i < free_spans_.size(); ++i) {
-    if (free_spans_[i].count >= count) {
-      const uint32_t offset = free_spans_[i].offset;
-      free_spans_[i].offset += count;
-      free_spans_[i].count -= count;
-      if (free_spans_[i].count == 0) {
-        free_spans_[i] = free_spans_.back();
-        free_spans_.pop_back();
-      }
-      free_total_ -= count;
-      return offset;
-    }
-  }
-  const uint32_t offset = static_cast<uint32_t>(plan_.rank_arena.size());
-  plan_.rank_arena.resize(offset + count);
-  return offset;
-}
-
-void DeltaPlanner::MaybeCompact() {
-  // Compact when at least half the arena is dead (amortized O(1) per evicted
-  // slot); the floor keeps tiny plans from thrashing.
-  if (free_total_ < 64 || free_total_ * 2 <= plan_.rank_arena.size()) {
-    return;
-  }
-  compact_buf_.clear();
-  compact_buf_.reserve(live_ranks_);
-  auto relocate = [&](std::vector<RingRef>& queue) {
-    for (RingRef& ring : queue) {
-      const uint32_t new_offset = static_cast<uint32_t>(compact_buf_.size());
-      compact_buf_.insert(compact_buf_.end(),
-                          plan_.rank_arena.begin() + ring.rank_offset,
-                          plan_.rank_arena.begin() + ring.rank_offset + ring.rank_count);
-      ring.rank_offset = new_offset;
-    }
-  };
-  relocate(plan_.inter_node);
-  relocate(plan_.intra_node);
-  ZCHECK_EQ(compact_buf_.size(), live_ranks_) << "compaction lost arena slots";
-  plan_.rank_arena.swap(compact_buf_);
-  free_spans_.clear();
-  free_total_ = 0;
-  ++stats_.compactions;
 }
 
 // --- Equivalence checking -----------------------------------------------------

@@ -5,26 +5,31 @@
 // SequencePartitioner::Partition() re-plans all S sequences from scratch
 // every iteration. The DeltaPlanner keeps the planner's decision state alive
 // between iterations — per-node loads, per-node membership, the inter-node
-// chunk aggregates, the zone thresholds, and the flat RingRef/rank_arena
-// plan itself — and applies a BatchDelta by evicting only
-// the affected plan entries, re-packing only the changed sequences (through
-// the same round-batched GreedyPacker the parallel engine uses), and patching
-// headers and arena spans in place. Cost is O(|delta| · log P + dirty-node
-// work) instead of O((S + P) log P): ≥10x over a full re-plan at ≤1% churn
-// at bench scale (bench/planner_delta.cpp, BENCH_delta.json).
+// chunk aggregates, the zone thresholds, the base plan's z2 prefix and the
+// engine's own per-node intra results — and applies a BatchDelta by evicting
+// only the affected entries, re-packing only the changed sequences (through
+// the same round-batched GreedyPacker the parallel engine uses), and
+// re-running Alg. 2 only on the nodes whose z1 set changed. The flat plan is
+// assembled from the prefix and the per-node results by the engine's own
+// merge (planner_internal::MergeNodeResults), so every plan is laid out as
+// the engine lays out its per-node results. Patch cost is O(|delta| · log P +
+// dirty-node work) instead of O((S + P) log P) (bench/planner_delta.cpp,
+// BENCH_delta.json); the assembly is one O(plan) pass, paid where the plan
+// is read.
 //
 // Patch granularity follows the coupling structure of Alg. 1/2:
 //
 //   z0 locals (the bulk of long-tailed batches) are independent: a removed
-//   local is subtracted and swap-erased; an added one packs onto the globally
-//   least-loaded node, then that node's least-loaded device. O(log P) each.
+//   local is subtracted and swap-erased within its node's result; an added
+//   one packs onto the globally least-loaded node, then that node's
+//   least-loaded device, and appends to the node's locals. O(log P) each.
 //
 //   z1 rings are coupled *within a node* through c_avg (the quadratic-work
 //   average that sets fragment counts): any churn touching a node's z1 set —
 //   a ring evicted, a z1-length sequence added, or a local overflowing device
 //   capacity — marks the node dirty, and the node's intra-node stage (Alg. 2)
-//   re-runs from its persistent inputs for that node only. Untouched nodes'
-//   plan slices are not rewritten.
+//   re-runs from its persistent inputs for that node only, straight into the
+//   node's result. Untouched nodes' results are not rewritten.
 //
 //   z2 sequences are coupled *globally* through s_avg and the shared node
 //   loads that all chunk placement reads; any churn touching the inter-node
@@ -57,10 +62,9 @@
 // Byte-identity is impossible by design — greedy packing is
 // history-dependent, so intra-node assignments legitimately differ — which
 // is why the contract is checked through CheckDeltaEquivalence rather than
-// operator==. See docs/DELTA_PLANS.md for the state machine and the arena
-// patching invariants (a delta plan keeps the in-bounds and disjointness
-// invariants of docs/PLAN_FORMAT.md but relaxes tightness: evicted spans are
-// recycled through a free list and compacted when the dead fraction grows).
+// operator==. See docs/DELTA_PLANS.md for the state machine and the
+// per-node results (a delta plan keeps every arena invariant of
+// docs/PLAN_FORMAT.md, tightness and emission order included).
 #ifndef SRC_CORE_DELTA_PLANNER_H_
 #define SRC_CORE_DELTA_PLANNER_H_
 
@@ -146,9 +150,8 @@ struct DeltaStats {
   std::array<int64_t, kNumTopologyFallbacks> topology_fallbacks{};
   int64_t migrated_sequences = 0;  // Sequences moved off dead nodes in place.
   int64_t patched_sequences = 0;  // Sequences placed by the delta path.
-  int64_t evicted_rings = 0;      // Ring spans freed (delta + dirty re-runs).
+  int64_t evicted_rings = 0;      // Rings replaced (delta evictions + dirty re-runs).
   int64_t repacked_nodes = 0;     // Dirty-node Alg. 2 re-runs.
-  int64_t compactions = 0;        // Arena compaction passes.
 
   int64_t count(DeltaOutcome outcome) const { return outcomes[static_cast<int>(outcome)]; }
   // Patch calls that fell back to a full re-plan (every kRebased* outcome).
@@ -212,17 +215,19 @@ class DeltaPlanner {
   void Invalidate() { has_base_ = false; }
 
   bool has_base() const { return has_base_; }
-  // The current batch (after all applied deltas) and its patched plan. The
-  // plan reference is stable; its contents change with every Rebase/Apply.
+  // The current batch (after all applied deltas) and its plan. The plan
+  // reference is stable; its contents change with every Rebase/Apply, and
+  // the first call after a patch assembles it.
   const Batch& batch() const { return batch_; }
-  const PartitionPlan& plan() const { return plan_; }
+  const PartitionPlan& plan() const;
+  // Writes the current plan into `out`, recycling its storage: the z2
+  // prefix, then every node's result in node order — the engine's merge.
+  void AssemblePlan(PartitionPlan* out) const;
   const DeltaStats& stats() const { return stats_; }
   const ClusterSpec& cluster() const { return cluster_; }
   // Current pinned capacity (may have been auto-raised by a Rebase).
   int64_t token_capacity() const { return options_.token_capacity; }
   const DeltaPlannerOptions& options() const { return options_; }
-  // Dead (recycled but unused) rank slots currently in the arena free list.
-  size_t arena_free_slots() const { return free_total_; }
 
   // Replaces the options; invalidates the base (thresholds derive from
   // capacity, so patched state cannot be reinterpreted under new options).
@@ -231,25 +236,22 @@ class DeltaPlanner {
  private:
   struct SeqLocation {
     enum class Kind : uint8_t {
-      kNone = 0,   // Not currently placed (default / just evicted).
-      kZ2Ring,     // Inter-node-zone ring (either queue); delta-immutable.
-      kIntraRing,  // z1 ring in plan_.intra_node.
-      kLocal,      // Entry in plan_.local.
+      kNone = 0,   // Not a z01 member (z2, just evicted, or never placed).
+      kIntraRing,  // z1 ring in its node's result.
+      kLocal,      // Entry in its node's result.locals.
+      kZ1Local,    // Entry in its node's result.locals_z1.
       kPending,    // Node member awaiting placement in this Apply().
     };
     Kind kind = Kind::kNone;
-    bool inter_queue = false;  // kZ2Ring: which queue holds the header.
-    int node = -1;             // Owning node (members and single-node z2).
-    uint32_t pos = 0;          // Index into the owning plan queue.
-    uint32_t member_pos = 0;   // Index into node_members_[node] (members).
-  };
-  struct FreeSpan {
-    uint32_t offset = 0;
-    uint32_t count = 0;
+    int node = -1;            // Owning node.
+    uint32_t pos = 0;         // kLocal/kZ1Local: index into the local list.
+    uint32_t member_pos = 0;  // Index into node_members_[node].
   };
 
   void RebaseInternal();
   void CaptureState();
+  // Re-lists `node`'s members and their locations from its result.
+  void IndexNode(int node);
   void EnsureCapacityFits(int64_t total_tokens);
 
   // True when `node` carries inter-node chunk aggregates (z2 chunk counts are
@@ -262,14 +264,16 @@ class DeltaPlanner {
   DeltaOutcome FallBackTopology(TopologyFallback cause);
   void CountOutcome(DeltaOutcome outcome) { ++stats_.outcomes[static_cast<int>(outcome)]; }
 
-  // Removes `slot`'s current plan entry and rolls its load contributions out
-  // of tokens_per_rank / node_loads_ (a node load never goes negative). Reads
-  // the slot's (old) length from batch_, so it must run before the delta
-  // lands in batch_.
+  // Drops `slot` from its node: a local is swap-erased from its node's result
+  // and its device load subtracted; a z1 ring stays in the result until the
+  // node, marked dirty, re-runs. node_loads_ loses the slot's length (a node
+  // load never goes negative). Reads the slot's (old) length from batch_, so
+  // it must run before the delta lands in batch_.
   void EvictSlot(int slot);
-  void RemoveIntraHeaderAt(uint32_t pos);
-  void RemoveLocalAt(uint32_t pos);
   void RemoveMember(int node, uint32_t member_pos);
+  // Index of alive `rank` among its node's alive devices (the result's
+  // device order).
+  int DeviceIndex(int node, int rank) const;
 
   // Places `slot` (length < s0, already a member of `node`) as a z0 local on
   // the node's least-loaded device. Returns false on device-capacity
@@ -280,7 +284,7 @@ class DeltaPlanner {
   // place_ by the engine's degraded node rule, charging node_loads_ (false on
   // overflow). Admit makes `slot` a pending member of `node`, then places it
   // as a local or marks the node dirty. FinishPatch admits every place_ slot,
-  // re-runs the dirty nodes, compacts, and guards the imbalance.
+  // re-runs the dirty nodes, and guards the imbalance.
   void SortPlaceForPacking();
   bool PickNodes();
   void Admit(int slot, int node);
@@ -288,30 +292,35 @@ class DeltaPlanner {
   bool IsDirty(int node) const { return node_dirty_epoch_[node] == epoch_; }
 
   // Re-runs the intra-node stage (Alg. 2) for one dirty node over its member
-  // list: evicts every member's plan entry, re-derives s0 from the pinned
-  // capacity, re-fragments z1 and re-packs z0, and emits into recycled or
-  // tail arena spans. Runs the sharded engine's per-node kernel
-  // (planner_internal::PackIntraNode) over the node's alive devices, so the
-  // re-pack is Alg. 2 exactly as a full plan computes it — clean or degraded.
+  // list: re-derives s0 from the pinned capacity, re-fragments z1 and
+  // re-packs z0 with the sharded engine's per-node kernel
+  // (planner_internal::PackIntraNode) over the node's alive devices, straight
+  // into the node's result — Alg. 2 exactly as a full plan computes it,
+  // clean or degraded.
   void RepackNode(int node);
-
-  uint32_t AllocSpan(uint32_t count);
-  void FreeRingSpan(const RingRef& ring);
-  void MaybeCompact();
 
   double Imbalance() const;
 
   ClusterSpec cluster_;
   DeltaPlannerOptions options_;
   SequencePartitioner partitioner_;
-  PartitionPlan plan_;
+  // The last full re-plan. Its z2 prefix (inter_node, the first
+  // scratch_.intra_ring_count intra headers, the first scratch_.arena_count
+  // arena slots) and threshold_s1 are what a delta never changes; the rest
+  // is re-assembled by plan() after a patch.
+  mutable PartitionPlan plan_;
+  mutable bool plan_stale_ = false;
   Batch batch_;
 
   // The engine's state for the base plan, read in place between rebases:
-  // threshold_s1_initial, node_chunk_* (a delta never changes z2 chunks) and
-  // fabric (ApplyTopology rebuilds it from topo_). Only RebaseInternal's
-  // Partition call writes the rest.
+  // threshold_s1_initial, node_chunk_* (a delta never changes z2 chunks),
+  // the z2 prefix cursors and fabric (ApplyTopology rebuilds it from topo_).
+  // Only RebaseInternal's Partition call writes the rest.
   PlannerScratch scratch_;
+  // Per node: the engine's Alg. 2 result, adopted from scratch_ by swap after
+  // each re-plan and patched in place since (its device_loads are the live
+  // per-rank loads of the node's alive ranks).
+  std::vector<NodeIntraResult> node_results_;
 
   bool has_base_ = false;
   RankTopology topo_;          // Fabric state (persists across rebases).
@@ -325,10 +334,6 @@ class DeltaPlanner {
   std::vector<std::vector<int>> node_members_;  // Per node: its z01 slots.
   std::vector<int64_t> node_loads_;             // Per node: its token total.
 
-  std::vector<FreeSpan> free_spans_;
-  size_t free_total_ = 0;
-  size_t live_ranks_ = 0;
-
   // Apply() scratch (reused, steady-state allocation-free).
   int epoch_ = 0;
   std::vector<int> node_dirty_epoch_;
@@ -340,8 +345,6 @@ class DeltaPlanner {
   GreedyPacker delta_packer_;
   std::vector<uint64_t> repack_keys_;  // RepackNode: members as packed keys.
   IntraWorkerSlab repack_slab_;        // RepackNode: kernel scratch.
-  NodeIntraResult repack_out_;         // RepackNode: kernel output.
-  std::vector<int> compact_buf_;
   NormalizedLoads node_picks_;         // Degraded node placement.
 
   DeltaStats stats_;
@@ -356,8 +359,7 @@ class DeltaPlanner {
 // capacity and balance clauses off — plus the relational clauses only a pair
 // of plans can state:
 //   1. both plans pass VerifyPlan: coverage with matching lengths, arena
-//      validity (tightness is intentionally not required of delta plans),
-//      rank validity and token conservation;
+//      validity, rank validity and token conservation;
 //   2. identical s1 and identical inter-node-zone ring set (sequence, length,
 //      exact rank list) across both queues;
 //   3. ε-bound — max(patched tokens_per_rank) <= (1+eps) * max(replan's).

@@ -297,8 +297,10 @@ struct NodeAssignment {
   std::vector<int> sequences;
 };
 
-// One node's output of the intra-node kernel (planner_internal::PackIntraNode),
-// appended to the plan before the next node is packed.
+// One node's output of the intra-node kernel (planner_internal::PackIntraNode).
+// Given the node's members and its z2 chunk base it depends on no other
+// node; the plan is the z2 prefix followed by every node's result in node
+// order (planner_internal::MergeNodeResults).
 struct NodeIntraResult {
   RingStore rings;                       // Multi-fragment z1 rings (node-local offsets).
   std::vector<LocalSequence> locals;     // z0 locals (truncated on restart).
@@ -319,9 +321,10 @@ struct IntraWorkerSlab {
 // Reusable planning workspace. A planner that keeps one of these across
 // iterations (see ZeppelinStrategy) runs Partition() without steady-state
 // heap allocations: every intermediate lives here and only grows. After
-// Partition() returns, a caller may read threshold_s1_initial, node_chunk_*
-// and fabric, which describe the plan just made (DeltaPlanner patches from
-// them); every other field is meaningless between calls.
+// Partition() returns, a caller may read threshold_s1_initial, node_chunk_*,
+// fabric, node_results, and intra_ring_count/arena_count (the size of the
+// plan's z2 prefix), which describe the plan just made (DeltaPlanner
+// patches from them); every other field is meaningless between calls.
 struct PlannerScratch {
   // Inter-node stage.
   LoadTracker node_loads;            // z2 chunk placement.
@@ -344,7 +347,9 @@ struct PlannerScratch {
   // storage survives restarts and whole Partition() calls instead of being
   // freed and reallocated. `arena_count` is the live-int cursor into
   // plan->rank_arena, shared by both ring queues (rings consume consecutive
-  // slots in emission order — the gap-free arena invariant).
+  // slots in emission order — the gap-free arena invariant). The sharded
+  // engine's cursors stop at the end of the z2 prefix: the per-node results
+  // merge after them.
   size_t inter_ring_count = 0;
   size_t intra_ring_count = 0;
   size_t arena_count = 0;
@@ -360,7 +365,7 @@ struct PlannerScratch {
   std::vector<int64_t> node_loads_tmp;   // Heap -> packer seed buffer.
   NormalizedLoads node_picks;            // Degraded fabric: node loads.
   std::vector<std::vector<uint64_t>> node_items;  // Per node: its z01 keys.
-  NodeIntraResult intra_result;          // Alg. 2 output of the node in hand.
+  std::vector<NodeIntraResult> node_results;  // Per node: its Alg. 2 output.
   IntraWorkerSlab intra_slab;            // Alg. 2 kernel scratch.
   int64_t batch_total = 0;               // Total tokens, folded into key build.
   int64_t threshold_s1_initial = 0;      // s1 before refinement (the m*L cap).

@@ -82,7 +82,7 @@ inline void ExpandChunkBase(const std::vector<int64_t>& whole, const std::vector
 // Causal-balanced fragment split: calls fn(f, device, share) for each of the
 // `fragments` fragments of a length-`len` sequence placed round-robin from
 // `cursor`. The edge arithmetic len*(f+1)/F - len*f/F is the emission-time
-// split every engine (and the delta planner's load roll-back) must mirror.
+// split every engine must mirror.
 template <typename Fn>
 inline void ForEachFragment(int64_t len, int fragments, int cursor, int p, Fn&& fn) {
   int64_t prev_edge = 0;
@@ -183,6 +183,17 @@ inline int* EmitRing(std::vector<RingRef>* refs, size_t* ref_count, std::vector<
 void PackIntraNode(std::span<const uint64_t> keys, std::span<const int64_t> chunk_base,
                    const FabricView& fabric, int node, int64_t capacity,
                    int64_t max_local_threshold, IntraWorkerSlab* slab, NodeIntraResult* out);
+
+// The sharded engine's merge: appends every node's result to `plan` in node
+// order after the z2 prefix (the first `intra_rings` intra headers and
+// `arena_slots` arena slots) — locals (z0, then single-fragment z1), ring
+// headers shifted to plan-arena offsets with one arena slice per node, each
+// node's device loads onto its alive ranks in `fabric`, and its s0 — then
+// trims the intra queue and the arena to the merged sizes, so the arena is
+// tight. Replaces `plan`'s locals; `plan` must hold a zeroed world-sized
+// tokens_per_rank and a node-sized threshold_s0.
+void MergeNodeResults(std::span<const NodeIntraResult> results, const FabricView& fabric,
+                      size_t intra_rings, size_t arena_slots, PartitionPlan* plan);
 
 }  // namespace planner_internal
 }  // namespace zeppelin

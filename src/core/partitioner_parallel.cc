@@ -15,13 +15,15 @@
 //      speed-normalized load instead (PlaceZ2Degraded, NormalizedLoads).
 //      Greedy list scheduling is P-complete, so the decision stream is
 //      sequential; batching is what makes this stage cheap.
-//   3. Intra-node stage: Alg. 2 per node (PackIntraNode) into one
-//      RingStore (node-local arena offsets) and scratch slab, reused node
-//      after node.
-//   4. Merge: each node's result appends to the plan's flat arrays before
-//      the next node is packed — locals, ring headers (offset-shifted), and
-//      the arena slice (one memcpy per node). That is the oracle's append
-//      order, so the bytes match it, with no per-ring allocation anywhere.
+//   3. Intra-node stage: Alg. 2 per node (PackIntraNode) into that node's
+//      NodeIntraResult (a RingStore with node-local arena offsets, locals,
+//      device loads, s0), with one scratch slab reused node after node. The
+//      results persist in the scratch: the delta planner adopts them.
+//   4. Merge (MergeNodeResults): the results append to the plan's flat
+//      arrays after the z2 prefix, in node order — locals, ring headers
+//      (offset-shifted), and the arena slice (one memcpy per node). That is
+//      the oracle's append order, so the bytes match it, with no per-ring
+//      allocation anywhere.
 #include <algorithm>
 #include <bit>
 #include <cstring>
@@ -476,62 +478,69 @@ void planner_internal::PackIntraNode(std::span<const uint64_t> keys,
   out->threshold_s0 = s0;
 }
 
+void planner_internal::MergeNodeResults(std::span<const NodeIntraResult> results,
+                                        const FabricView& fabric, size_t intra_rings,
+                                        size_t arena_slots, PartitionPlan* plan) {
+  size_t rings_end = intra_rings;
+  size_t ranks_end = arena_slots;
+  for (const NodeIntraResult& res : results) {
+    rings_end += res.rings.ref_count;
+    ranks_end += res.rings.rank_count;
+  }
+  plan->intra_node.resize(rings_end);
+  plan->rank_arena.resize(ranks_end);
+  plan->local.clear();
+  for (int node = 0; node < static_cast<int>(results.size()); ++node) {
+    const NodeIntraResult& res = results[node];
+    plan->local.insert(plan->local.end(), res.locals.begin(), res.locals.end());
+    plan->local.insert(plan->local.end(), res.locals_z1.begin(), res.locals_z1.end());
+    const uint32_t shift = static_cast<uint32_t>(arena_slots);
+    for (size_t i = 0; i < res.rings.ref_count; ++i) {
+      RingRef ring = res.rings.refs[i];
+      ring.rank_offset += shift;
+      plan->intra_node[intra_rings + i] = ring;
+    }
+    if (res.rings.rank_count > 0) {
+      std::memcpy(plan->rank_arena.data() + arena_slots, res.rings.arena.data(),
+                  sizeof(int) * res.rings.rank_count);
+    }
+    intra_rings += res.rings.ref_count;
+    arena_slots += res.rings.rank_count;
+
+    const std::span<const int> ranks = fabric.node_ranks(node);
+    ZCHECK_EQ(res.device_loads.size(), ranks.size()) << "node " << node << " result is stale";
+    for (size_t d = 0; d < ranks.size(); ++d) {
+      plan->tokens_per_rank[ranks[d]] = res.device_loads[d];
+    }
+    plan->threshold_s0[node] = res.threshold_s0;
+  }
+}
+
 // --- Driver -------------------------------------------------------------------
 
 void SequencePartitioner::PartitionSharded(const Batch& batch, PlannerScratch* s,
                                            PartitionPlan* plan) const {
   const int num_nodes = cluster_.num_nodes;
   IntraWorkerSlab& slab = s->intra_slab;
-  NodeIntraResult& res = s->intra_result;
   s->node_packer.ResetOps();
   slab.packer.ResetOps();
   s->node_items.resize(num_nodes);
+  s->node_results.resize(num_nodes);
 
   PartitionInterNodeSharded(batch, plan, s);
 
-  // Alg. 2 per node, each result appended in node order — identical bytes
-  // to the oracle's per-node append order. Ring headers shift from
-  // node-local to plan-arena offsets; ranks are one slice copy per node.
+  // Alg. 2 per node, then one merge in node order — identical bytes to the
+  // oracle's per-node append order.
   for (int node = 0; node < num_nodes; ++node) {
     ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, cluster_.gpus_per_node,
                     s->fabric.alive(node), &slab.chunk_base);
     planner_internal::PackIntraNode(s->node_items[node], slab.chunk_base, s->fabric, node,
                                     options_.token_capacity, options_.max_local_threshold,
-                                    &slab, &res);
-
-    plan->local.insert(plan->local.end(), res.locals.begin(), res.locals.end());
-    plan->local.insert(plan->local.end(), res.locals_z1.begin(), res.locals_z1.end());
-    const size_t rings_end = s->intra_ring_count + res.rings.ref_count;
-    const size_t ranks_end = s->arena_count + res.rings.rank_count;
-    if (plan->intra_node.size() < rings_end) {
-      plan->intra_node.resize(rings_end);
-    }
-    if (plan->rank_arena.size() < ranks_end) {
-      plan->rank_arena.resize(ranks_end);
-    }
-    const uint32_t shift = static_cast<uint32_t>(s->arena_count);
-    for (size_t i = 0; i < res.rings.ref_count; ++i) {
-      RingRef ring = res.rings.refs[i];
-      ring.rank_offset += shift;
-      plan->intra_node[s->intra_ring_count + i] = ring;
-    }
-    if (res.rings.rank_count > 0) {
-      std::memcpy(plan->rank_arena.data() + s->arena_count, res.rings.arena.data(),
-                  sizeof(int) * res.rings.rank_count);
-    }
-    s->intra_ring_count = rings_end;
-    s->arena_count = ranks_end;
-
-    const std::span<const int> ranks = s->fabric.node_ranks(node);
-    for (size_t d = 0; d < ranks.size(); ++d) {
-      plan->tokens_per_rank[ranks[d]] += res.device_loads[d];
-    }
-    plan->threshold_s0[node] = res.threshold_s0;
+                                    &slab, &s->node_results[node]);
   }
-
+  planner_internal::MergeNodeResults(s->node_results, s->fabric, s->intra_ring_count,
+                                     s->arena_count, plan);
   plan->inter_node.resize(s->inter_ring_count);
-  plan->intra_node.resize(s->intra_ring_count);
-  plan->rank_arena.resize(s->arena_count);
 }
 
 }  // namespace zeppelin

@@ -74,8 +74,8 @@ struct PlanIoResult {
 };
 
 // Encodes `plan` into the canonical byte string. Never fails: any
-// PartitionPlan value (including delta-patched plans whose arena carries
-// free-listed slack) has exactly one encoding.
+// PartitionPlan value (including one whose arena carries slots no ring
+// references) has exactly one encoding.
 std::string SerializePlan(const PartitionPlan& plan);
 
 // An encoded plan shared by reference: a plan-cache entry and every response

@@ -396,13 +396,14 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
   response.stats.token_capacity = session->planner->token_capacity();
   response.stats.session_count = session_count();
 
-  // Materialize the immutable handle: the session's plan keeps evolving with
-  // every request, so the response gets its own copy (a few bulk array
-  // copies regardless of ring count — the flat-plan dividend).
+  // Materialize the immutable handle: the session's state keeps evolving
+  // with every request, so the response gets its own plan, assembled from
+  // the session's z2 prefix and per-node results straight into the pooled
+  // handle (a few bulk array copies regardless of ring count).
   const auto copy_start = Clock::now();
   const double copy_start_us = tctx != nullptr ? obs::NowUs() : 0;
   std::shared_ptr<PartitionPlan> plan = AcquirePlan();
-  *plan = session->planner->plan();
+  session->planner->AssemblePlan(plan.get());
   response.stats.materialize_time_us = ElapsedUs(copy_start);
   response.stats.stage_us[static_cast<int>(obs::Stage::kMaterialize)] =
       response.stats.materialize_time_us;

@@ -155,7 +155,7 @@ struct PlanStats {
   double partition_time_us = 0;
   // Wall time spent materializing the immutable handle: zero when the
   // engine emits straight into the response plan (full plans), the O(plan)
-  // bulk copy out of the session's live plan for delta patches.
+  // assembly of the session's per-node results for session requests.
   double materialize_time_us = 0;
   // Sessions: why the request patched or fell back (kApplied = patched).
   // Stateless requests report kRebasedNoBase (not meaningful).

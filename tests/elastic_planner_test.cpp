@@ -101,6 +101,18 @@ TopologyDelta FromClean(const RankTopology& topology) {
   return delta;
 }
 
+// Rank slots the rings of both queues reference: a tight arena holds exactly
+// these (docs/PLAN_FORMAT.md invariant 3).
+size_t RingRankSlots(const PartitionPlan& plan) {
+  size_t slots = 0;
+  for (const std::vector<RingRef>* queue : {&plan.inter_node, &plan.intra_node}) {
+    for (const RingRef& ring : *queue) {
+      slots += ring.rank_count;
+    }
+  }
+  return slots;
+}
+
 bool IsTopologyOutcome(DeltaOutcome outcome) {
   return outcome == DeltaOutcome::kAppliedTopology ||
          outcome == DeltaOutcome::kRebasedTopology ||
@@ -220,6 +232,8 @@ TEST(ElasticSoakTest, EquivalentOnSurvivingFabricAtEveryStep) {
       ASSERT_TRUE(result.ok) << "rate " << rates[r] << " iter " << iter << ": "
                              << result.failure << " (ratio " << result.max_load_ratio << ")";
       ASSERT_LE(result.max_load_ratio, 1.0 + kElasticEps)
+          << "rate " << rates[r] << " iter " << iter;
+      ASSERT_EQ(RingRankSlots(dp.plan()), dp.plan().rank_arena.size())
           << "rate " << rates[r] << " iter " << iter;
     }
   }
