@@ -114,7 +114,8 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
   }
 
   // --- Clause 2: arena bounds + disjointness -------------------------------
-  // (Tightness is not required — delta-patched plans legally carry slack.)
+  // (Tightness is a producer invariant every planner keeps, not a clause:
+  // the wire format carries any in-bounds arena verbatim.)
   std::vector<uint8_t> used(plan.rank_arena.size(), 0);
   PlanVerifyStatus arena_status = PlanVerifyStatus::kOk;
   auto check_arena = [&](const std::vector<RingRef>& queue) {
@@ -313,15 +314,7 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch& batch,
   if (opts.world == 0) {
     opts.world = fabric.cluster().world_size();
   }
-  if (!fabric.heterogeneous()) {
-    return VerifyPlan(plan, &batch, nullptr, opts);
-  }
-  RankTopology topo;
-  topo.Reset(fabric.cluster().world_size());
-  for (int rank = 0; rank < topo.world(); ++rank) {
-    topo.speed_q[rank] = QuantizeSpeed(fabric.rank_speed(rank));
-  }
-  return VerifyPlan(plan, &batch, &topo, opts);
+  return VerifyPlan(plan, &batch, nullptr, opts);
 }
 
 }  // namespace zeppelin

@@ -97,8 +97,8 @@ PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch* batch,
                             const RankTopology* topology,
                             const PlanVerifyOptions& options = {});
 
-// Service-path convenience: world from the fabric's cluster, per-rank speeds
-// folded into an all-alive topology when the fabric is heterogeneous.
+// Service-path convenience: world from the fabric's cluster, on the
+// homogeneous all-alive fabric.
 PlanVerifyResult VerifyPlan(const PartitionPlan& plan, const Batch& batch,
                             const FabricResources& fabric,
                             const PlanVerifyOptions& options = {});

@@ -76,32 +76,23 @@ int64_t CostModel::HiddenBytesPerToken() const {
   return static_cast<int64_t>(model_.hidden_size) * model_.dtype_bytes;
 }
 
-double CostModel::ComputeTime(double flops) const { return ComputeTime(flops, 1.0); }
-
-double CostModel::ComputeTime(double flops, double speed) const {
+double CostModel::ComputeTime(double flops) const {
   ZCHECK_GE(flops, 0.0);
-  ZCHECK_GT(speed, 0.0);
   if (flops == 0) {
     return 0;
   }
-  return flops / (cluster_.flops_per_us() * speed) + cluster_.kernel_launch_us;
+  return flops / cluster_.flops_per_us() + cluster_.kernel_launch_us;
 }
 
 double CostModel::CausalAttentionTime(int64_t s) const {
-  return CausalAttentionTime(s, 1.0);
+  return ComputeTime(CausalAttentionFlops(s));
 }
 
-double CostModel::CausalAttentionTime(int64_t s, double speed) const {
-  return ComputeTime(CausalAttentionFlops(s), speed);
-}
-
-double CostModel::LinearTime(int64_t tokens) const { return LinearTime(tokens, 1.0); }
-
-double CostModel::LinearTime(int64_t tokens, double speed) const {
+double CostModel::LinearTime(int64_t tokens) const {
   if (tokens == 0) {
     return 0;
   }
-  double time = ComputeTime(LinearFlopsPerToken() * static_cast<double>(tokens), speed);
+  double time = ComputeTime(LinearFlopsPerToken() * static_cast<double>(tokens));
   if (model_.is_moe()) {
     // Expert parallelism within the node: every token's hidden state is
     // dispatched to its experts and combined back, an all-to-all pair over

@@ -60,14 +60,6 @@ class CostModel {
   double CausalAttentionTime(int64_t s) const;
   // Linear-module compute time for `tokens` tokens (one layer).
   double LinearTime(int64_t tokens) const;
-
-  // Speed-aware variants for heterogeneous fabrics: `speed` is the rank's
-  // relative compute rate (1.0 = nominal, 0.5 = a straggler at half speed;
-  // see FabricResources::rank_speed). Compute scales by 1/speed; kernel
-  // launch overhead and communication terms do not.
-  double ComputeTime(double flops, double speed) const;
-  double CausalAttentionTime(int64_t s, double speed) const;
-  double LinearTime(int64_t tokens, double speed) const;
   // Point-to-point transfer times for `bytes` (one hop, effective bandwidth).
   double IntraNodeTransferTime(int64_t bytes) const;
   double InterNodeTransferTime(int64_t bytes) const;

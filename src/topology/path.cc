@@ -37,43 +37,6 @@ FabricResources::FabricResources(const ClusterSpec& spec) : spec_(spec) {
     h = FnvMix(h, static_cast<uint64_t>(nic));
   }
   spec_digest_ = h;
-  ResetRankSpeeds();
-}
-
-uint64_t FabricResources::SpeedTerm(int gpu, double factor) {
-  return AvalancheMix(FnvMixDouble(FnvMix(kFnvOffset, static_cast<uint64_t>(gpu)), factor));
-}
-
-uint64_t FabricResources::digest() const { return FnvMix(spec_digest_, speed_digest_); }
-
-double FabricResources::rank_speed(int gpu) const {
-  ZCHECK(gpu >= 0 && gpu < spec_.world_size()) << "gpu=" << gpu;
-  return rank_speed_[gpu];
-}
-
-void FabricResources::set_rank_speed(int gpu, double factor) {
-  ZCHECK(gpu >= 0 && gpu < spec_.world_size()) << "gpu=" << gpu;
-  ZCHECK(factor > 0) << "speed factor must be positive: " << factor;
-  // The speed digest is a sum of per-rank terms: swap this rank's term.
-  speed_digest_ += SpeedTerm(gpu, factor) - SpeedTerm(gpu, rank_speed_[gpu]);
-  rank_speed_[gpu] = factor;
-}
-
-void FabricResources::ResetRankSpeeds() {
-  rank_speed_.assign(spec_.world_size(), 1.0);
-  speed_digest_ = 0;
-  for (int gpu = 0; gpu < spec_.world_size(); ++gpu) {
-    speed_digest_ += SpeedTerm(gpu, 1.0);
-  }
-}
-
-bool FabricResources::heterogeneous() const {
-  for (double s : rank_speed_) {
-    if (s != 1.0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 ResourceId FabricResources::ComputeLane(int gpu) const {

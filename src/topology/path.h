@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "src/topology/cluster.h"
 
@@ -82,32 +81,15 @@ class FabricResources {
   // affinity NIC. NIC choices are ignored for intra-node transfers.
   TransferPath Resolve(int src_gpu, int dst_gpu, int src_nic = -1, int dst_nic = -1) const;
 
-  // --- Per-rank speed factors (heterogeneous fabrics) ------------------------
-  // Relative compute rate of a rank (1.0 = nominal; 0.5 = a straggler at half
-  // speed). The speed-aware CostModel overloads consume these; the elastic
-  // planner quantizes them separately (see RankTopology in src/data/stream.h)
-  // so planning stays integer-deterministic.
-  double rank_speed(int gpu) const;
-  void set_rank_speed(int gpu, double factor);
-  // Restores every rank to nominal speed.
-  void ResetRankSpeeds();
-  // True when any rank is off nominal speed.
-  bool heterogeneous() const;
-
   // The fabric's identity for content-addressed caches (PlanCache): the
-  // cluster spec, its GPU->NIC map and every rank's speed factor. The
-  // mutators keep it current (set_rank_speed in O(1)), so reading it costs
-  // nothing on a request path.
-  uint64_t digest() const;
+  // cluster spec and its GPU->NIC map, digested once at construction. Rank
+  // liveness and speed are planning inputs of their own (RankTopology in
+  // src/data/stream.h), not part of the fabric.
+  uint64_t digest() const { return spec_digest_; }
 
  private:
-  // One rank's term of the commutative speed digest.
-  static uint64_t SpeedTerm(int gpu, double factor);
-
   ClusterSpec spec_;
-  std::vector<double> rank_speed_;
   uint64_t spec_digest_ = 0;
-  uint64_t speed_digest_ = 0;  // Sum of SpeedTerm over every rank.
   int compute_base_ = 0;
   int egress_base_ = 0;
   int ingress_base_ = 0;

@@ -95,19 +95,6 @@ TEST(PlanCacheKeyTest, AnySemanticChangeSplitsTheKey) {
     other_cluster.cost_model = CostModel{MakeLlama3B(), other_cluster.cluster};
     EXPECT_NE(base, ComputePlanCacheKey(other_cluster.Request(batch)));
 
-    // A topology change surfaced through the fabric: one straggler rank.
-    // The fabric keeps its digest current, so restoring the rank's speed
-    // restores the key.
-    Rig slowed;
-    const int straggler = static_cast<int>(rng.NextBounded(16));
-    slowed.fabric.set_rank_speed(straggler, 0.5);
-    EXPECT_NE(base, ComputePlanCacheKey(slowed.Request(batch)));
-    slowed.fabric.set_rank_speed(straggler, 1.0);
-    EXPECT_EQ(base, ComputePlanCacheKey(slowed.Request(batch)));
-    slowed.fabric.set_rank_speed(straggler, 0.25);
-    slowed.fabric.ResetRankSpeeds();
-    EXPECT_EQ(base, ComputePlanCacheKey(slowed.Request(batch)));
-
     // A planning-option change that alters the plan bytes.
     PlanRequest optioned = rig.Request(batch);
     optioned.options.token_capacity = 1 << 20;
