@@ -231,11 +231,6 @@ void DeltaPlanner::RemoveMember(int node, uint32_t member_pos) {
   members.pop_back();
 }
 
-int DeltaPlanner::DeviceIndex(int node, int rank) const {
-  const std::span<const int> ranks = scratch_.fabric.node_ranks(node);
-  return static_cast<int>(std::lower_bound(ranks.begin(), ranks.end(), rank) - ranks.begin());
-}
-
 void DeltaPlanner::EvictSlot(int slot) {
   ZCHECK(slot >= 0 && slot < batch_.size()) << "delta slot out of range: " << slot;
   SeqLocation& loc = locations_[slot];
@@ -247,7 +242,10 @@ void DeltaPlanner::EvictSlot(int slot) {
       std::vector<LocalSequence>& locals =
           loc.kind == SeqLocation::Kind::kLocal ? result.locals : result.locals_z1;
       ZCHECK_EQ(locals[loc.pos].seq_id, slot);
-      result.device_loads[DeviceIndex(loc.node, locals[loc.pos].rank)] -= old_len;
+      // The result's device order is the node's alive ranks, ascending.
+      const std::span<const int> ranks = scratch_.fabric.node_ranks(loc.node);
+      result.device_loads[std::lower_bound(ranks.begin(), ranks.end(), locals[loc.pos].rank) -
+                          ranks.begin()] -= old_len;
       if (loc.pos + 1 != locals.size()) {
         locals[loc.pos] = locals.back();
         locations_[locals[loc.pos].seq_id].pos = loc.pos;

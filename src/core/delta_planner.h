@@ -271,9 +271,6 @@ class DeltaPlanner {
   // it must run before the delta lands in batch_.
   void EvictSlot(int slot);
   void RemoveMember(int node, uint32_t member_pos);
-  // Index of alive `rank` among its node's alive devices (the result's
-  // device order).
-  int DeviceIndex(int node, int rank) const;
 
   // Places `slot` (length < s0, already a member of `node`) as a z0 local on
   // the node's least-loaded device. Returns false on device-capacity
