@@ -36,7 +36,6 @@ uint64_t OptionsSignature(const PlanningOptions& options) {
   // a given batch gets.
   uint64_t h = kFnvOffset;
   h = FnvMix(h, static_cast<uint64_t>(options.token_capacity));
-  h = FnvMix(h, options.hierarchical_partitioning ? 1 : 0);
   h = FnvMix(h, options.zone_aware_thresholds ? 1 : 0);
   return h;
 }

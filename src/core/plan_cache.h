@@ -75,7 +75,7 @@ struct PlanCacheKey {
   uint64_t cost_digest = 0;    // Model config + tensor parallelism.
   uint64_t fabric_digest = 0;  // FabricResources::digest().
   uint64_t batch_sig = 0;      // SlotOrderSignature(batch).
-  uint64_t options_sig = 0;    // Plan-shape options (capacity, layout knobs).
+  uint64_t options_sig = 0;    // Plan-shape options (capacity, zone-aware caps).
 
   bool operator==(const PlanCacheKey&) const = default;
 };

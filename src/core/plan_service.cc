@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "src/common/check.h"
@@ -31,8 +30,6 @@ const char* PlanEngineName(PlanEngine engine) {
       return "parallel-sharded";
     case PlanEngine::kDeltaPatch:
       return "delta-patch";
-    case PlanEngine::kGlobalRing:
-      return "global-ring";
     case PlanEngine::kAdopted:
       return "adopted";
   }
@@ -85,13 +82,8 @@ PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* 
     *why = "token_capacity below ceil(total_tokens / world)";
     return PlanStatus::kBadRequest;
   }
-  if (request.stream_id.empty()) {
-    if (request.delta != nullptr) {
-      *why = "batch deltas require a session (non-empty stream id)";
-      return PlanStatus::kBadRequest;
-    }
-  } else if (!request.options.hierarchical_partitioning) {
-    *why = "sessions require hierarchical planning";
+  if (request.stream_id.empty() && request.delta != nullptr) {
+    *why = "batch deltas require a session (non-empty stream id)";
     return PlanStatus::kBadRequest;
   }
   return PlanStatus::kOk;
@@ -187,40 +179,9 @@ PlanResponse PlannerService::Plan(const PlanRequest& request) {
 PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
   const Batch& batch = *request.batch;
   const ClusterSpec& spec = request.fabric->cluster();
-  const int world = spec.world_size();
 
   PlanResponse response;
   std::shared_ptr<PartitionPlan> plan = AcquirePlan();
-
-  if (!request.options.hierarchical_partitioning) {
-    // Ablation layout: every sequence on one global ring spanning all ranks
-    // (the TE CP pattern), so the only Zeppelin component in play downstream
-    // is routing.
-    const auto start = Clock::now();
-    {
-      obs::TraceScope plan_span(obs::Stage::kPlan);
-      *plan = PartitionPlan{};
-      plan->tokens_per_rank.assign(world, 0);
-      plan->threshold_s0.assign(spec.num_nodes, 0);
-      std::vector<int> all_ranks(world);
-      std::iota(all_ranks.begin(), all_ranks.end(), 0);
-      for (int id = 0; id < batch.size(); ++id) {
-        const int64_t len = batch.seq_lens[id];
-        plan->AddRing(plan->inter_node, id, len, Zone::kInterNode, all_ranks);
-        for (int r = 0; r < world; ++r) {
-          plan->tokens_per_rank[r] += len * (r + 1) / world - len * r / world;
-        }
-      }
-    }
-    response.stats.engine = PlanEngine::kGlobalRing;
-    response.stats.partition_time_us = ElapsedUs(start);
-    response.stats.stage_us[static_cast<int>(obs::Stage::kPlan)] =
-        response.stats.partition_time_us;
-    response.stats.session_count = session_count();
-    response.plan = std::move(plan);
-    response.digest = response.plan->StateDigest();
-    return response;
-  }
 
   SequencePartitioner::Options popts;
   popts.token_capacity = DeriveCapacity(batch, *request.cost_model, spec, request.options);

@@ -1,8 +1,7 @@
 // PlannerService: the service-oriented planning surface (docs/SERVICE_API.md).
 //
-// Every planning path in the repo — one-shot full plans, the global-ring
-// ablation, and incremental delta streams — is a request/response exchange
-// with one PlannerService:
+// Every planning path in the repo — one-shot full plans and incremental
+// delta streams — is a request/response exchange with one PlannerService:
 //
 //   PlanRequest{batch, cost_model, fabric, options [, stream_id [, delta]]}
 //     -> PlanResponse{status, shared_ptr<const PartitionPlan>, PlanStats, digest}
@@ -70,9 +69,6 @@ struct PlanningOptions {
   // (average + 25% headroom, capped by the memory model) exactly as
   // ZeppelinStrategy always has.
   int64_t token_capacity = 0;
-  // false = every sequence on one global ring spanning all ranks (the
-  // "routing only" ablation layout).
-  bool hierarchical_partitioning = true;
   // Zone-aware threshold initialization (design ablation D6); boundaries are
   // computed once per (model, cluster) and cached inside the service.
   bool zone_aware_thresholds = false;
@@ -121,21 +117,20 @@ inline constexpr int64_t kMaxPlanTokens = int64_t{1} << 47;
 // session state: a non-empty batch of at most kMaxPlanSeqs sequences, with
 // tokens, no negative length, no length above kMaxPlanSeqLen and at most
 // kMaxPlanTokens in total; a finite non-negative delta_replan_threshold; an
-// explicit token_capacity of at least ceil(total_tokens / world); a batch
-// delta only on a session; and sessions only with hierarchical planning.
-// kOk, or kBadRequest with `*why` set. `request.batch` must be non-null.
+// explicit token_capacity of at least ceil(total_tokens / world); and a
+// batch delta only on a session. kOk, or kBadRequest with `*why` set. `request.batch` must be non-null.
 PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* why);
 
 // Which engine produced the response's plan. The values travel on the wire
-// (docs/DAEMON.md); 0 and 1 once named the naive and serial engines, which
-// the service no longer runs, and are never reused.
+// (docs/DAEMON.md); 0 and 1 once named the naive and serial engines, 4 the
+// global-ring ablation layout, which the service no longer produces. They
+// are never reused.
 enum class PlanEngine : uint8_t {
   kParallelSharded = 2,  // Full (re)plan by the sharded engine; on a
                          //   degraded session fabric, its elastic re-plan.
-  kDeltaPatch,       // Session request patched incrementally.
-  kGlobalRing,       // hierarchical_partitioning = false ablation layout.
-  kAdopted,          // Externally produced plan adopted without planning
-                     //   (ZeppelinStrategy::AdoptPlan, zeppelin_cli --plan_in).
+  kDeltaPatch = 3,       // Session request patched incrementally.
+  kAdopted = 5,          // Externally produced plan adopted without planning
+                         //   (ZeppelinStrategy::AdoptPlan, zeppelin_cli --plan_in).
 };
 
 const char* PlanEngineName(PlanEngine engine);

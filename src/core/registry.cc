@@ -102,8 +102,6 @@ std::unique_ptr<Strategy> MakeStrategyByName(const std::string& spec,
         options.routing.enabled = false;
       } else if (mod == "-remap") {
         options.remapping.enabled = false;
-      } else if (mod == "-partition") {
-        options.hierarchical_partitioning = false;
       } else if (mod == "+zones") {
         options.zone_aware_thresholds = true;
       } else if (mod == "+striped") {

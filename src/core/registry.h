@@ -4,7 +4,8 @@
 //
 // Strategy spec grammar:  name[+modifier]...
 //   te-cp            Transformer Engine context parallelism
-//   te-cp+routing    TE CP with Zeppelin's routing layer (Fig. 11 ablation)
+//   te-cp+routing    TE CP with Zeppelin's routing layer: the routing-only
+//                    ablation of Fig. 11
 //   llama-cp         LLaMA-3-style all-gather context parallelism
 //   hybrid-dp        FLOP-balanced hybrid data parallelism
 //   pack-ulysses     input-balanced packing + Ulysses SP

@@ -12,9 +12,6 @@ ZeppelinStrategy::ZeppelinStrategy(ZeppelinOptions options) : options_(std::move
 
 std::string ZeppelinStrategy::name() const {
   std::string n = "Zeppelin";
-  if (!options_.hierarchical_partitioning) {
-    n += "[global-ring]";
-  }
   if (!options_.routing.enabled) {
     n += "[-routing]";
   }
@@ -37,7 +34,6 @@ PlannerService& ZeppelinStrategy::service() {
 PlanningOptions ZeppelinStrategy::BuildPlanningOptions() const {
   PlanningOptions popts;
   popts.token_capacity = options_.token_capacity;
-  popts.hierarchical_partitioning = options_.hierarchical_partitioning;
   popts.zone_aware_thresholds = options_.zone_aware_thresholds;
   popts.delta_replan_threshold = options_.delta_replan_threshold;
   return popts;
@@ -74,12 +70,6 @@ void ZeppelinStrategy::Plan(const Batch& batch, const CostModel& cost_model,
 void ZeppelinStrategy::PlanDelta(const Batch& batch, const BatchDelta& delta,
                                  const CostModel& cost_model, const FabricResources& fabric,
                                  const TopologyDelta* topology) {
-  if (!options_.hierarchical_partitioning) {
-    // The delta session patches hierarchical planner state; without it
-    // streaming degenerates to per-iteration full planning.
-    Plan(batch, cost_model, fabric);
-    return;
-  }
   cost_model_ = &cost_model;
   fabric_ = &fabric;
 

@@ -41,11 +41,6 @@ struct ZeppelinOptions {
   RemappingOptions remapping;    // §3.4; disable for "w/o remap".
   AttentionEngineOptions engine; // §3.2; chunking / queue-order ablations.
 
-  // Disables hierarchical partitioning: all sequences are forced into a
-  // single global inter-node ring (used for the "routing only" ablation,
-  // which applies routing to the TE CP execution pattern).
-  bool hierarchical_partitioning = true;
-
   // Extension (design ablation D6): initialize the partitioner's zone
   // thresholds from the Fig. 5 overlap crossovers instead of raw capacity,
   // so sequences whose communication cannot hide behind compute stay in
@@ -95,11 +90,10 @@ class ZeppelinStrategy : public Strategy {
   // the delta_replan_threshold policy. The first call (or any call after
   // Plan()) establishes the base plan with a full partition; the token
   // capacity is pinned at the base plan and auto-raised only when the batch
-  // outgrows it. Requires hierarchical partitioning; otherwise falls back to
-  // Plan(). `topology` (null = unchanged fabric)
-  // carries rank kills/restores/slowdowns: the session migrates work off
-  // dead ranks and rebalances by effective load, falling back to a full
-  // elastic re-plan per the migration-budget policy (docs/ELASTIC.md).
+  // outgrows it. `topology` (null = unchanged fabric) carries rank
+  // kills/restores/slowdowns: the session migrates work off dead ranks and
+  // rebalances by effective load, falling back to a full elastic re-plan per
+  // the migration-budget policy (docs/ELASTIC.md).
   using Strategy::PlanDelta;
   void PlanDelta(const Batch& batch, const BatchDelta& delta, const CostModel& cost_model,
                  const FabricResources& fabric, const TopologyDelta* topology) override;

@@ -19,8 +19,10 @@ using namespace le_codec;
 constexpr uint64_t kMaxWireTokens = uint64_t{1} << 56;
 constexpr uint32_t kMaxMessageBytes = 4096;
 
-// Bits 2 and 3 once selected the naive and serial engines, which the service
-// no longer runs; a request that sets them (or any higher bit) is malformed.
+// Bit 0 once told the hierarchical layout from the global-ring ablation,
+// which the service no longer plans: every request sets it, and one that
+// clears it is malformed. Bits 2 and 3 once selected the naive and serial
+// engines; a request that sets them (or any higher bit) is malformed.
 constexpr uint8_t kOptHierarchical = 1u << 0;
 constexpr uint8_t kOptZoneAware = 1u << 1;
 constexpr uint8_t kOptKnownMask = kOptHierarchical | kOptZoneAware;
@@ -82,8 +84,7 @@ void WriteRequest(const WireRequest& request, Writer& w) {
   w.U32(static_cast<uint32_t>(request.stream_id.size()));
   w.Bytes(request.stream_id.data(), request.stream_id.size());
 
-  uint8_t flags = 0;
-  if (request.options.hierarchical_partitioning) flags |= kOptHierarchical;
+  uint8_t flags = kOptHierarchical;
   if (request.options.zone_aware_thresholds) flags |= kOptZoneAware;
   w.U8(flags);
   w.U64(static_cast<uint64_t>(request.options.token_capacity));
@@ -286,7 +287,9 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
   if ((flags & ~kOptKnownMask) != 0) {
     return Malformed(error, "unknown option flag bits");
   }
-  request->options.hierarchical_partitioning = (flags & kOptHierarchical) != 0;
+  if ((flags & kOptHierarchical) == 0) {
+    return Malformed(error, "retired global-ring layout requested");
+  }
   request->options.zone_aware_thresholds = (flags & kOptZoneAware) != 0;
   const uint64_t capacity = in.GetU64();
   // Tighter than the response-side cap: a *requested* per-device capacity
@@ -484,8 +487,9 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
     return Malformed(error, "response truncated inside the stats");
   }
   const uint8_t engine = in.GetU8();
-  if (engine < static_cast<uint8_t>(PlanEngine::kParallelSharded) ||
-      engine > static_cast<uint8_t>(PlanEngine::kAdopted)) {
+  if (engine != static_cast<uint8_t>(PlanEngine::kParallelSharded) &&
+      engine != static_cast<uint8_t>(PlanEngine::kDeltaPatch) &&
+      engine != static_cast<uint8_t>(PlanEngine::kAdopted)) {
     return Malformed(error, "unknown plan engine");
   }
   response->stats.engine = static_cast<PlanEngine>(engine);

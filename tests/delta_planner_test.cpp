@@ -15,12 +15,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/core/delta_planner.h"
 #include "src/core/plan_io.h"
+#include "src/core/registry.h"
 #include "src/core/trainer.h"
 #include "src/core/zeppelin.h"
 #include "src/data/datasets.h"
@@ -810,11 +813,13 @@ TEST(ZeppelinPlanDeltaTest, BaselineDefaultPlansFully) {
   const Trainer trainer(model, cluster);
   const Batch batch = SampleBatch(DatasetByName("github"), 64, 8);
 
-  ZeppelinOptions zopts;
-  zopts.hierarchical_partitioning = false;  // Forces the PlanDelta -> Plan fallback.
-  ZeppelinStrategy strategy(zopts);
-  strategy.PlanDelta(batch, BatchDelta{}, trainer.cost_model(), trainer.fabric());
-  EXPECT_EQ(strategy.partition_plan().total_tokens(), batch.total_tokens());
+  const std::unique_ptr<Strategy> strategy = MakeStrategyByName("te-cp+routing");
+  strategy->PlanDelta(batch, BatchDelta{}, trainer.cost_model(), trainer.fabric());
+  const std::vector<int64_t> tokens = strategy->LinearTokensPerRank();
+  EXPECT_EQ(std::accumulate(tokens.begin(), tokens.end(), int64_t{0}), batch.total_tokens());
+  TaskGraph graph;
+  strategy->EmitLayer(graph, Direction::kForward);
+  EXPECT_GT(graph.size(), 0);
 }
 
 }  // namespace

@@ -361,8 +361,9 @@ TEST(FrameFuzzTest, CacheStatsBytesAreBoundChecked) {
 // --- Retired wire values ------------------------------------------------------
 //
 // Option flag bits 2 and 3 once selected the naive and serial engines, and
-// response engine bytes 0 and 1 named them. The service no longer runs
-// either, so every one of those values must decode as a typed
+// response engine bytes 0 and 1 named them. A clear bit 0 once asked for the
+// global-ring layout, and engine byte 4 named it. The service no longer runs
+// any of them, so every one of those values must decode as a typed
 // kMalformedRequest rather than a request or response.
 
 TEST(FrameFuzzTest, RetiredOptionFlagBitsAreMalformed) {
@@ -381,10 +382,12 @@ TEST(FrameFuzzTest, RetiredOptionFlagBitsAreMalformed) {
     WireRequest parsed;
     std::string error;
     const WireStatus status = ParseRequest(patched, &parsed, &error);
-    if (value <= 3) {  // Bits 0 (hierarchical) and 1 (zone-aware) only.
+    if (value == 1 || value == 3) {  // Bit 0 (required) and bit 1 (zone-aware).
       ASSERT_EQ(status, WireStatus::kOk) << "flags " << value << ": " << error;
-      EXPECT_EQ(parsed.options.hierarchical_partitioning, (value & 1) != 0);
       EXPECT_EQ(parsed.options.zone_aware_thresholds, (value & 2) != 0);
+    } else if (value == 0 || value == 2) {
+      ASSERT_EQ(status, WireStatus::kMalformedRequest) << "flags " << value;
+      EXPECT_NE(error.find("global-ring"), std::string::npos) << error;
     } else {
       ASSERT_EQ(status, WireStatus::kMalformedRequest) << "flags " << value;
       EXPECT_NE(error.find("unknown option flag bits"), std::string::npos) << error;
@@ -411,8 +414,9 @@ TEST(FrameFuzzTest, RetiredEngineBytesAreRejected) {
     WireResponse parsed;
     std::string error;
     const WireStatus status = ParseResponse(FrameType::kResponse, patched, &parsed, &error);
-    if (value >= static_cast<int>(PlanEngine::kParallelSharded) &&
-        value <= static_cast<int>(PlanEngine::kAdopted)) {
+    if (value == static_cast<int>(PlanEngine::kParallelSharded) ||
+        value == static_cast<int>(PlanEngine::kDeltaPatch) ||
+        value == static_cast<int>(PlanEngine::kAdopted)) {
       ASSERT_EQ(status, WireStatus::kOk) << "engine " << value << ": " << error;
       EXPECT_EQ(parsed.stats.engine, static_cast<PlanEngine>(value));
     } else {

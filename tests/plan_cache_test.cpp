@@ -99,9 +99,9 @@ TEST(PlanCacheKeyTest, AnySemanticChangeSplitsTheKey) {
     PlanRequest optioned = rig.Request(batch);
     optioned.options.token_capacity = 1 << 20;
     EXPECT_NE(base, ComputePlanCacheKey(optioned));
-    PlanRequest flat = rig.Request(batch);
-    flat.options.hierarchical_partitioning = false;
-    EXPECT_NE(base, ComputePlanCacheKey(flat));
+    PlanRequest zoned = rig.Request(batch);
+    zoned.options.zone_aware_thresholds = true;
+    EXPECT_NE(base, ComputePlanCacheKey(zoned));
 
     // Twin check: recomputing the unchanged request still matches.
     EXPECT_EQ(base, ComputePlanCacheKey(rig.Request(batch)));

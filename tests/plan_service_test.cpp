@@ -91,23 +91,6 @@ TEST(PlanServiceTest, StatelessByteIdenticalToDirectPartitioner) {
   }
 }
 
-TEST(PlanServiceTest, GlobalRingLayout) {
-  TestRig rig;
-  Batch batch;
-  batch.seq_lens = {16384, 16384, 16384, 16384};
-  PlannerService service;
-  PlanRequest request = rig.Request(batch);
-  request.options.hierarchical_partitioning = false;
-  const PlanResponse response = service.Plan(request);
-  EXPECT_EQ(response.stats.engine, PlanEngine::kGlobalRing);
-  EXPECT_EQ(response.plan->inter_node.size(), 4u);
-  EXPECT_TRUE(response.plan->intra_node.empty());
-  EXPECT_EQ(response.plan->total_tokens(), batch.total_tokens());
-  for (const RingRef& ring : response.plan->inter_node) {
-    EXPECT_EQ(ring.group_size(), rig.cluster.world_size());
-  }
-}
-
 TEST(PlanServiceTest, HandlesAreImmutableAcrossLaterRequestsAndRecycling) {
   TestRig rig;
   PlannerService service;
@@ -565,7 +548,6 @@ TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
       {"infeasible capacity", stateless(batch), PlanStatus::kBadRequest},
       {"non-finite threshold", stateless(batch), PlanStatus::kBadRequest},
       {"stateless delta", stateless(batch), PlanStatus::kBadRequest},
-      {"flat session", session(batch, nullptr, nullptr), PlanStatus::kBadRequest},
       {"slot out of range", session(next, &out_of_range, nullptr), PlanStatus::kBadDelta},
       {"delta misses the churn", session(next, &no_churn, nullptr), PlanStatus::kBadDelta},
       {"slot removed and resized", session(repeated_batch, &repeated, nullptr),
@@ -584,7 +566,6 @@ TEST(PlanServiceTest, MalformedRequestsGetTypedRejections) {
   cases[8].request.options.token_capacity = 1;
   cases[9].request.options.delta_replan_threshold = std::numeric_limits<double>::infinity();
   cases[10].request.delta = &delta;
-  cases[11].request.options.hierarchical_partitioning = false;
 
   PlanCache cache(&service);
   for (const Case& c : cases) {

@@ -102,21 +102,9 @@ TEST(PlanVerifyTest, ValidPlansAcrossAllEnginesCertify) {
   }
 }
 
-TEST(PlanVerifyTest, GlobalRingAndDeltaPatchedPlansCertify) {
+TEST(PlanVerifyTest, DeltaPatchedPlansCertify) {
   Rig rig;
   PlannerService service;
-
-  PlanRequest global = {};
-  global.batch = &rig.batch;
-  global.cost_model = &rig.cost_model;
-  global.fabric = &rig.fabric;
-  global.options.hierarchical_partitioning = false;
-  const PlanResponse ring = service.Plan(global);
-  ASSERT_EQ(ring.stats.engine, PlanEngine::kGlobalRing);
-  PlanVerifyOptions opts;
-  opts.world = rig.cluster.world_size();
-  const PlanVerifyResult ring_verdict = VerifyPlan(*ring.plan, &rig.batch, nullptr, opts);
-  EXPECT_TRUE(ring_verdict.ok()) << ring_verdict.message;
 
   PlanRequest base = {};
   base.batch = &rig.batch;

@@ -116,7 +116,7 @@ TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
   };
   const EngineCase cases[] = {
       {"sharded", {}},
-      {"global-ring", {.hierarchical_partitioning = false}},
+      {"zone-aware", {.zone_aware_thresholds = true}},
   };
   for (const EngineCase& c : cases) {
     WireRequest request;
@@ -275,14 +275,16 @@ TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
   // connection stays up (framing is still in sync).
   std::string out;
   AppendFrame(FrameType::kRequest, "not a request", &out);
-  // Option flag bits 2 and 3 once selected the naive and serial engines: a
-  // request still setting either is malformed too, and gets no plan.
-  for (uint8_t retired : {uint8_t{1u << 2}, uint8_t{1u << 3}}) {
+  // Option flag bits 2 and 3 once selected the naive and serial engines, and
+  // a clear bit 0 the global-ring layout: a request still asking for any of
+  // them is malformed too, and gets no plan.
+  for (uint8_t flags : {uint8_t{1u | 1u << 2}, uint8_t{1u | 1u << 3}, uint8_t{0}}) {
     WireRequest request;
     request.batch = SampleBatch(64, 3);
     std::string payload = EncodeRequest(request);
     const size_t flags_at = 4 + 1 + 8 + 4 + 4;  // Empty stream id.
-    payload[flags_at] = static_cast<char>(payload[flags_at] | retired);
+    ASSERT_EQ(payload[flags_at], 1) << "bit 0 is always set";
+    payload[flags_at] = static_cast<char>(flags);
     AppendFrame(FrameType::kRequest, payload, &out);
   }
   // Followed on the same connection by a valid request, which must succeed.
@@ -295,7 +297,7 @@ TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
   FrameDecoder decoder(kDefaultMaxFrameBytes);
   std::vector<WireResponse> responses;
   char buf[16384];
-  while (responses.size() < 4) {
+  while (responses.size() < 5) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     ASSERT_GT(n, 0) << "daemon closed the connection after a malformed request";
     decoder.Feed(buf, static_cast<size_t>(n));
@@ -309,12 +311,12 @@ TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
       responses.push_back(std::move(response));
     }
   }
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(responses[i].status, WireStatus::kMalformedRequest) << i;
     EXPECT_TRUE(responses[i].plan_bytes.empty()) << i;
   }
-  EXPECT_EQ(responses[3].status, WireStatus::kOk);
-  EXPECT_EQ(responses[3].request_id, 42u);
+  EXPECT_EQ(responses[4].status, WireStatus::kOk);
+  EXPECT_EQ(responses[4].request_id, 42u);
   ::close(fd);
 }
 
@@ -337,13 +339,6 @@ TEST(PlannerDaemonTest, BadSemanticsTypedAndNoPartialMutation) {
     WireRequest request;
     request.batch = batch;
     request.delta.emplace();
-    EXPECT_EQ(client.Plan(std::move(request)).status, WireStatus::kBadRequest);
-  }
-  {  // Sessions require hierarchical planning.
-    WireRequest request;
-    request.stream_id = "s";
-    request.batch = batch;
-    request.options.hierarchical_partitioning = false;
     EXPECT_EQ(client.Plan(std::move(request)).status, WireStatus::kBadRequest);
   }
 
@@ -398,7 +393,7 @@ TEST(PlannerDaemonTest, BadSemanticsTypedAndNoPartialMutation) {
   const PlanResponse local = rig.LocalPlan(stream.batch(), options, "twin", &delta);
   EXPECT_EQ(remote.digest, local.digest);
   EXPECT_EQ(remote.plan_bytes, SerializePlan(*local.plan));
-  EXPECT_GE(rig.daemon.counters().bad_requests, 7u);
+  EXPECT_GE(rig.daemon.counters().bad_requests, 6u);
 }
 
 TEST(PlannerDaemonTest, BatchShapeCapsAreTypedBadRequests) {

@@ -30,7 +30,6 @@ TEST(RegistryTest, BaseNamesMapToExpectedSystems) {
 TEST(RegistryTest, ZeppelinModifiersApply) {
   EXPECT_EQ(MakeStrategyByName("zeppelin-routing")->name(), "Zeppelin[-routing]");
   EXPECT_EQ(MakeStrategyByName("zeppelin-remap")->name(), "Zeppelin[-remap]");
-  EXPECT_EQ(MakeStrategyByName("zeppelin-partition")->name(), "Zeppelin[global-ring]");
   EXPECT_EQ(MakeStrategyByName("zeppelin-routing-remap")->name(),
             "Zeppelin[-routing][-remap]");
 }

@@ -200,27 +200,14 @@ TEST_F(StrategiesTest, Fig3EvenSplitLongBinsAreComputeDominated) {
   EXPECT_GT(b_short.communication, b_short.computation);
 }
 
-TEST_F(StrategiesTest, GlobalRingModeMatchesTeCpShape) {
-  // Zeppelin with hierarchical partitioning disabled behaves like TE CP plus
-  // routing: same zone structure (everything inter-node).
-  ZeppelinOptions opts;
-  opts.hierarchical_partitioning = false;
-  opts.remapping.enabled = false;
-  ZeppelinStrategy zep(opts);
-  zep.Plan(MakeBatch({16384, 16384, 16384, 16384}), cost_model_, fabric_);
-  EXPECT_EQ(zep.partition_plan().inter_node.size(), 4u);
-  EXPECT_TRUE(zep.partition_plan().intra_node.empty());
-}
-
 TEST(ZeppelinLayerBoundTest, BoundCoversEveryEmittedLayer) {
   // EmitLayer reserves LayerBound up front; an emitted layer that outgrew it
   // would regrow the graph's columns mid-emit.
-  std::vector<ZeppelinOptions> variants(6);
+  std::vector<ZeppelinOptions> variants(5);
   variants[1].routing.enabled = false;
   variants[2].remapping.enabled = false;
   variants[3].engine.forward_order = QueueOrder::kLocalIntraInter;
-  variants[4].hierarchical_partitioning = false;
-  variants[5].routing.max_proxies = 2;
+  variants[4].routing.max_proxies = 2;
   for (const ClusterSpec& cluster : {MakeClusterA(2), MakeClusterB(2), MakeClusterA(8)}) {
     const FabricResources fabric(cluster);
     const CostModel cost_model(MakeLlama7B(), cluster);
