@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   double low_churn_speedup = 0;  // Best speedup among the <= 1% churn arms.
   for (double churn : churn_rates) {
     DeltaPlannerOptions dopts;
-    dopts.token_capacity = capacity;
+    dopts.partitioner.token_capacity = capacity;
     dopts.replan_threshold = replan_threshold;
     DeltaPlanner dp(cluster, dopts);
     dp.Rebase(initial);

@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   double low_rate_speedup = 0;  // Best speedup among the <= 1% arms.
   for (double rate : fault_rates) {
     DeltaPlannerOptions dopts;
-    dopts.token_capacity = capacity;
+    dopts.partitioner.token_capacity = capacity;
     dopts.replan_threshold = replan_threshold;
     dopts.migration_budget = migration_budget;
     DeltaPlanner dp(cluster, dopts);
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
     const int64_t hworld = arm.spec.world_size();
     const int64_t havg = (hbatch.total_tokens() + hworld - 1) / hworld;
     DeltaPlannerOptions hopts;
-    hopts.token_capacity = havg + havg / 2;  // Headroom for the slowed node.
+    hopts.partitioner.token_capacity = havg + havg / 2;  // Headroom for the slowed node.
     hopts.replan_threshold = replan_threshold;
     hopts.migration_budget = migration_budget;
     DeltaPlanner hdp(arm.spec, hopts);

@@ -56,14 +56,9 @@ const char* TopologyFallbackName(TopologyFallback cause) {
 DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions options)
     : cluster_(cluster),
       options_(options),
-      partitioner_(cluster,
-                   SequencePartitioner::Options{
-                       .token_capacity = options.token_capacity,
-                       .max_inter_threshold = options.max_inter_threshold,
-                       .max_local_threshold = options.max_local_threshold,
-                   }) {
+      partitioner_(cluster, options.partitioner) {
   cluster_.Validate();
-  ZCHECK_GT(options_.token_capacity, 0);
+  ZCHECK_GT(token_capacity(), 0);
   ZCHECK_GE(options_.replan_threshold, 0);
   ZCHECK_GE(options_.migration_budget, 0);
   topo_.Reset(cluster_.world_size());
@@ -71,7 +66,7 @@ DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions optio
 
 void DeltaPlanner::set_options(DeltaPlannerOptions options) {
   options_ = options;
-  ZCHECK_GT(options_.token_capacity, 0);
+  ZCHECK_GT(token_capacity(), 0);
   ZCHECK_GE(options_.replan_threshold, 0);
   ZCHECK_GE(options_.migration_budget, 0);
   has_base_ = false;  // Thresholds derive from the options; state is stale.
@@ -83,11 +78,12 @@ void DeltaPlanner::EnsureCapacityFits(int64_t total_tokens) {
   // per surviving device.
   const int64_t world = topo_.alive_count();
   ZCHECK_GT(world, 0) << "no alive ranks";
-  if (total_tokens <= world * options_.token_capacity) {
+  if (total_tokens <= world * token_capacity()) {
     return;
   }
   // The service's derivation, over the alive devices and the caller's ceiling.
-  options_.token_capacity = HeadroomCapacity(total_tokens, world, options_.capacity_ceiling);
+  options_.partitioner.token_capacity =
+      HeadroomCapacity(total_tokens, world, options_.capacity_ceiling);
 }
 
 void DeltaPlanner::Rebase(const Batch& batch) {
@@ -98,11 +94,7 @@ void DeltaPlanner::Rebase(const Batch& batch) {
 void DeltaPlanner::RebaseInternal() {
   ZCHECK_GT(batch_.size(), 0);
   EnsureCapacityFits(batch_.total_tokens());
-  partitioner_.set_options(SequencePartitioner::Options{
-      .token_capacity = options_.token_capacity,
-      .max_inter_threshold = options_.max_inter_threshold,
-      .max_local_threshold = options_.max_local_threshold,
-  });
+  partitioner_.set_options(options_.partitioner);
   // The fabric state is a planning input: a degraded topology plans over
   // the alive ranks with speed-normalized loads, a clean one byte for byte
   // as the plain engine.
@@ -114,7 +106,7 @@ void DeltaPlanner::CaptureState() {
   const int num_nodes = cluster_.num_nodes;
   const int n = batch_.size();
 
-  node_capacity_ = static_cast<int64_t>(cluster_.gpus_per_node) * options_.token_capacity;
+  node_capacity_ = static_cast<int64_t>(cluster_.gpus_per_node) * token_capacity();
   base_refined_ = plan_.threshold_s1 < scratch_.threshold_s1_initial;
   plan_stale_ = false;
   // The engine's per-node results become the patchable state; the scratch
@@ -297,7 +289,7 @@ bool DeltaPlanner::PlaceLocal(int slot, int node) {
       best_eff = eff;
     }
   }
-  if (best < 0 || result.device_loads[best] + len > options_.token_capacity) {
+  if (best < 0 || result.device_loads[best] + len > token_capacity()) {
     return false;  // Device overflow: Alg. 2 refinement (dirty re-run) handles it.
   }
   result.device_loads[best] += len;
@@ -336,7 +328,7 @@ bool DeltaPlanner::PickNodes() {
   const FabricView& fabric = scratch_.fabric;
   node_picks_.Assign(fabric.rates, static_cast<int64_t>(cluster_.gpus_per_node) * kSpeedScale,
                      node_loads_, [&](int node) {
-                       return static_cast<int64_t>(fabric.alive(node)) * options_.token_capacity;
+                       return static_cast<int64_t>(fabric.alive(node)) * token_capacity();
                      });
   place_node_.resize(place_.size());
   for (size_t i = 0; i < place_.size(); ++i) {
@@ -526,7 +518,7 @@ void DeltaPlanner::RepackNode(int node) {
   planner_internal::ExpandChunkBase(scratch_.node_chunk_whole, scratch_.node_chunk_rem, node,
                                     cluster_.gpus_per_node, m, &repack_slab_.chunk_base);
   planner_internal::PackIntraNode(repack_keys_, repack_slab_.chunk_base, fabric, node,
-                                  options_.token_capacity, options_.max_local_threshold,
+                                  token_capacity(), options_.partitioner.max_local_threshold,
                                   &repack_slab_, &result);
   IndexNode(node);
   ZCHECK_EQ(std::accumulate(result.device_loads.begin(), result.device_loads.end(), int64_t{0}),
@@ -616,7 +608,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
       migrations += static_cast<int64_t>(node_members_[node].size());
       continue;
     }
-    if (node_loads_[node] > static_cast<int64_t>(fabric.alive(node)) * options_.token_capacity) {
+    if (node_loads_[node] > static_cast<int64_t>(fabric.alive(node)) * token_capacity()) {
       return FallBackTopology(TopologyFallback::kSurvivorOverload);
     }
     total_rate += fabric.rates[node];

@@ -83,20 +83,16 @@
 namespace zeppelin {
 
 struct DeltaPlannerOptions {
-  // Per-device token capacity L. Required (> 0) and *pinned* across deltas:
-  // zone thresholds derive from it, so comparing a patched plan against a
-  // full re-plan is only meaningful at a fixed capacity. Rebase raises it
-  // automatically (avg + 25% headroom, like ZeppelinStrategy) if the batch
-  // outgrows world * L.
-  int64_t token_capacity = 0;
+  // The engine's options for every full (re)plan. `token_capacity` (L) is
+  // required (> 0) and *pinned* across deltas: zone thresholds derive from
+  // it, so comparing a patched plan against a full re-plan is only
+  // meaningful at a fixed capacity. Rebase raises it automatically (avg +
+  // 25% headroom, like ZeppelinStrategy) if the batch outgrows world * L.
+  SequencePartitioner::Options partitioner;
   // Optional cap on automatic capacity raises (e.g. the memory model's
   // bound); 0 = uncapped. Ignored when even the cap cannot fit the batch.
   int64_t capacity_ceiling = 0;
-  // Caps on the initial zone thresholds, mirroring
-  // SequencePartitioner::Options (the zone-aware-initialization extension).
-  int64_t max_inter_threshold = 0;
-  int64_t max_local_threshold = 0;
-  // Fallback knob (ZeppelinOptions::delta_replan_threshold): full re-plan
+  // Fallback knob (PlanningOptions::delta_replan_threshold): full re-plan
   // when the churn fraction — churned slots / live sequences, where a
   // removal refilled by an addition is one replaced slot — exceeds this, or
   // when the patched plan's token imbalance (max/mean) drifts more than this
@@ -226,7 +222,7 @@ class DeltaPlanner {
   const DeltaStats& stats() const { return stats_; }
   const ClusterSpec& cluster() const { return cluster_; }
   // Current pinned capacity (may have been auto-raised by a Rebase).
-  int64_t token_capacity() const { return options_.token_capacity; }
+  int64_t token_capacity() const { return options_.partitioner.token_capacity; }
   const DeltaPlannerOptions& options() const { return options_; }
 
   // Replaces the options; invalidates the base (thresholds derive from

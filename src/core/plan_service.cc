@@ -127,19 +127,26 @@ std::shared_ptr<PartitionPlan> PlannerService::AcquirePlan() {
   });
 }
 
-int64_t PlannerService::DeriveCapacity(const Batch& batch, const CostModel& cost_model,
-                                       const ClusterSpec& spec,
-                                       const PlanningOptions& options) const {
-  if (options.token_capacity != 0) {
-    return options.token_capacity;
+SequencePartitioner::Options PlannerService::PartitionerOptions(const PlanRequest& request) {
+  const CostModel& cost_model = *request.cost_model;
+  const ClusterSpec& spec = request.fabric->cluster();
+  SequencePartitioner::Options popts;
+  popts.token_capacity = request.options.token_capacity;
+  if (popts.token_capacity == 0) {
+    // L is the per-device *memory* capacity (Alg. 1/2 input). The paper's
+    // workloads size the batch to nearly fill memory (4k tokens/GPU), so L
+    // sits a modest headroom above the batch average, additionally capped
+    // by the memory model when it binds.
+    const int world = spec.world_size();
+    popts.token_capacity = HeadroomCapacity(request.batch->total_tokens(), world,
+                                            TokenCapacity(cost_model.model(), spec, world));
   }
-  // L is the per-device *memory* capacity (Alg. 1/2 input). The paper's
-  // workloads size the batch to nearly fill memory (4k tokens/GPU), so L
-  // sits a modest headroom above the batch average, additionally capped by
-  // the memory model when it binds.
-  const int world = spec.world_size();
-  return HeadroomCapacity(batch.total_tokens(), world,
-                          TokenCapacity(cost_model.model(), spec, world));
+  if (request.options.zone_aware_thresholds) {
+    const ZoneBoundaries zones = CachedZones(cost_model, spec);
+    popts.max_inter_threshold = zones.intra_max;
+    popts.max_local_threshold = zones.local_max;
+  }
+  return popts;
 }
 
 ZoneBoundaries PlannerService::CachedZones(const CostModel& cost_model,
@@ -183,13 +190,7 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
   PlanResponse response;
   std::shared_ptr<PartitionPlan> plan = AcquirePlan();
 
-  SequencePartitioner::Options popts;
-  popts.token_capacity = DeriveCapacity(batch, *request.cost_model, spec, request.options);
-  if (request.options.zone_aware_thresholds) {
-    const ZoneBoundaries zones = CachedZones(*request.cost_model, spec);
-    popts.max_inter_threshold = zones.intra_max;
-    popts.max_local_threshold = zones.local_max;
-  }
+  const SequencePartitioner::Options popts = PartitionerOptions(request);
 
   // Check a reusable workspace out of the free list; concurrent stateless
   // requests each get their own, and steady-state traffic reuses them.
@@ -297,13 +298,8 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
     // from the cached boundaries, and the memory model as the ceiling for
     // automatic capacity raises on later growth.
     DeltaPlannerOptions dopts;
-    dopts.token_capacity = DeriveCapacity(batch, *request.cost_model, spec, request.options);
+    dopts.partitioner = PartitionerOptions(request);
     dopts.capacity_ceiling = TokenCapacity(request.cost_model->model(), spec, spec.world_size());
-    if (request.options.zone_aware_thresholds) {
-      const ZoneBoundaries zones = CachedZones(*request.cost_model, spec);
-      dopts.max_inter_threshold = zones.intra_max;
-      dopts.max_local_threshold = zones.local_max;
-    }
     dopts.replan_threshold = request.options.delta_replan_threshold;
     if (fresh) {
       session->planner.emplace(spec, dopts);

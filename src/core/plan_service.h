@@ -62,18 +62,21 @@
 
 namespace zeppelin {
 
-// Per-request planning knobs (the planning-relevant subset of what used to
-// live behind ZeppelinStrategy's private state).
+// Per-request planning knobs; ZeppelinOptions::planning is one of these.
 struct PlanningOptions {
   // Token capacity L per device; 0 derives the tight bound from the batch
   // (average + 25% headroom, capped by the memory model) exactly as
   // ZeppelinStrategy always has.
   int64_t token_capacity = 0;
-  // Zone-aware threshold initialization (design ablation D6); boundaries are
+  // Zone-aware threshold initialization (design ablation D6): caps the
+  // partitioner's initial zone thresholds at the Fig. 5 overlap crossovers,
+  // so sequences whose communication cannot hide behind compute stay in
+  // smaller rings even when memory would allow bigger ones. Boundaries are
   // computed once per (model, cluster) and cached inside the service.
   bool zone_aware_thresholds = false;
   // Streaming fallback knob (sessions only): full re-plan above this churn
-  // fraction or imbalance drift (DeltaPlannerOptions::replan_threshold).
+  // fraction or imbalance drift (DeltaPlannerOptions::replan_threshold,
+  // docs/DELTA_PLANS.md).
   double delta_replan_threshold = 0.05;
 };
 
@@ -288,10 +291,11 @@ class PlannerService {
   PlanResponse PlanStateless(const PlanRequest& request);
   PlanResponse PlanSession(const PlanRequest& request);
 
-  // Capacity derivation (ZeppelinStrategy's historical policy): explicit
-  // option, or batch average + 25% headroom capped by the memory model.
-  int64_t DeriveCapacity(const Batch& batch, const CostModel& cost_model,
-                         const ClusterSpec& spec, const PlanningOptions& options) const;
+  // The engine's options for a full plan of `request`: the explicit
+  // capacity, or batch average + 25% headroom capped by the memory model
+  // (ZeppelinStrategy's historical policy); with zone-aware thresholds, the
+  // cached zone boundaries as threshold caps.
+  SequencePartitioner::Options PartitionerOptions(const PlanRequest& request);
   ZoneBoundaries CachedZones(const CostModel& cost_model, const ClusterSpec& spec);
   std::shared_ptr<Session> FindOrCreateSession(const std::string& stream_id);
 

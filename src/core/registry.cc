@@ -93,7 +93,7 @@ std::unique_ptr<Strategy> MakeStrategyByName(const std::string& spec,
   if (base == "zeppelin") {
     ZeppelinOptions options;
     // Defaults first; inline knob modifiers below override them.
-    options.delta_replan_threshold = defaults.delta_replan_threshold;
+    options.planning.delta_replan_threshold = defaults.delta_replan_threshold;
     options.service = defaults.service;
     for (size_t i = 1; i < parts.size(); ++i) {
       const std::string& mod = parts[i];
@@ -103,7 +103,7 @@ std::unique_ptr<Strategy> MakeStrategyByName(const std::string& spec,
       } else if (mod == "-remap") {
         options.remapping.enabled = false;
       } else if (mod == "+zones") {
-        options.zone_aware_thresholds = true;
+        options.planning.zone_aware_thresholds = true;
       } else if (mod == "+striped") {
         options.engine.chunk_scheme = ChunkScheme::kStriped;
       } else if (mod == "+contiguous") {
@@ -111,7 +111,7 @@ std::unique_ptr<Strategy> MakeStrategyByName(const std::string& spec,
       } else if (mod == "+localfirst") {
         options.engine.forward_order = QueueOrder::kLocalIntraInter;
       } else if (KnobValue(mod, "delta", &value)) {
-        options.delta_replan_threshold = ParseDouble(value, mod);
+        options.planning.delta_replan_threshold = ParseDouble(value, mod);
       } else if (KnobValue(mod, "capacity", &value)) {
         const double capacity = ParseDouble(value, mod);
         // The upper bound keeps the double -> int64 cast defined (a value
@@ -119,7 +119,7 @@ std::unique_ptr<Strategy> MakeStrategyByName(const std::string& spec,
         ZCHECK(capacity >= 0 &&
                capacity < static_cast<double>(std::numeric_limits<int64_t>::max()))
             << "capacity out of range in spec modifier: " << mod;
-        options.token_capacity = static_cast<int64_t>(capacity);
+        options.planning.token_capacity = static_cast<int64_t>(capacity);
       } else if (KnobValue(mod, "stream", &value)) {
         options.stream_id = value;
       } else if (KnobValue(mod, "faults", &value)) {

@@ -49,10 +49,10 @@ class PlannerService;  // src/core/plan_service.h
 // variant. Each field is the *alias* of an inline knob modifier (see the
 // grammar above); an inline knob on the spec wins over the default.
 struct StrategyDefaults {
-  // ZeppelinOptions::delta_replan_threshold for zeppelin specs: streaming
-  // (PlanDelta) fallback knob — full re-plan above this churn fraction or
-  // imbalance drift. Ignored by baselines (their PlanDelta re-plans fully).
-  // Inline form: +delta=X.
+  // ZeppelinOptions::planning.delta_replan_threshold for zeppelin specs:
+  // streaming (PlanDelta) fallback knob — full re-plan above this churn
+  // fraction or imbalance drift. Ignored by baselines (their PlanDelta
+  // re-plans fully). Inline form: +delta=X.
   double delta_replan_threshold = 0.05;
   // Shared PlannerService for zeppelin specs (null = each strategy gets a
   // private service). Tools that drive several concurrent streams pass one

@@ -31,14 +31,6 @@ PlannerService& ZeppelinStrategy::service() {
   return *owned_service_;
 }
 
-PlanningOptions ZeppelinStrategy::BuildPlanningOptions() const {
-  PlanningOptions popts;
-  popts.token_capacity = options_.token_capacity;
-  popts.zone_aware_thresholds = options_.zone_aware_thresholds;
-  popts.delta_replan_threshold = options_.delta_replan_threshold;
-  return popts;
-}
-
 const PartitionPlan& ZeppelinStrategy::partition_plan() const {
   ZCHECK(current_plan_ != nullptr) << "no plan yet: call Plan()/PlanDelta()/AdoptPlan() first";
   return *current_plan_;
@@ -58,7 +50,7 @@ void ZeppelinStrategy::Plan(const Batch& batch, const CostModel& cost_model,
   request.batch = &batch;
   request.cost_model = &cost_model;
   request.fabric = &fabric;
-  request.options = BuildPlanningOptions();
+  request.options = options_.planning;
   PlanResponse response = svc.Plan(request);
   ZCHECK(response.status == PlanStatus::kOk) << "plan request rejected: " << response.error;
   current_plan_ = std::move(response.plan);
@@ -77,7 +69,7 @@ void ZeppelinStrategy::PlanDelta(const Batch& batch, const BatchDelta& delta,
   request.batch = &batch;
   request.cost_model = &cost_model;
   request.fabric = &fabric;
-  request.options = BuildPlanningOptions();
+  request.options = options_.planning;
   request.stream_id = options_.stream_id;
   request.delta = &delta;
   request.topology = topology;
@@ -105,7 +97,7 @@ void ZeppelinStrategy::AdoptPlan(std::shared_ptr<const PartitionPlan> plan,
   // instead of the all-zero struct this path used to leave behind.
   last_stats_ = PlanStats{};
   last_stats_.engine = PlanEngine::kAdopted;
-  last_stats_.token_capacity = options_.token_capacity;
+  last_stats_.token_capacity = options_.planning.token_capacity;
   if (last_stats_.token_capacity == 0) {
     for (int64_t tokens : current_plan_->tokens_per_rank) {
       last_stats_.token_capacity = std::max(last_stats_.token_capacity, tokens);

@@ -32,26 +32,14 @@
 namespace zeppelin {
 
 struct ZeppelinOptions {
-  // Token capacity L per device; 0 derives the tight bound
-  // ceil(total_tokens / world_size) from each batch (the paper's experiments
-  // pin 4k tokens per GPU the same way).
-  int64_t token_capacity = 0;
+  // §3.1: what every Plan()/PlanDelta() request carries to the service —
+  // token capacity, zone-aware thresholds (design ablation D6) and the
+  // streaming fallback knob (see PlanningOptions).
+  PlanningOptions planning;
 
   RoutingOptions routing;        // §3.3; disable for the Fig. 11 "w/o routing" bar.
   RemappingOptions remapping;    // §3.4; disable for "w/o remap".
   AttentionEngineOptions engine; // §3.2; chunking / queue-order ablations.
-
-  // Extension (design ablation D6): initialize the partitioner's zone
-  // thresholds from the Fig. 5 overlap crossovers instead of raw capacity,
-  // so sequences whose communication cannot hide behind compute stay in
-  // smaller rings even when memory would allow bigger ones.
-  bool zone_aware_thresholds = false;
-
-  // Streaming (PlanDelta) fallback knob: the delta planner re-plans from
-  // scratch when the churn fraction exceeds this, or when the patched plan's
-  // token imbalance drifts more than this above the last full re-plan's
-  // (DeltaPlannerOptions::replan_threshold; see docs/DELTA_PLANS.md).
-  double delta_replan_threshold = 0.05;
 
   // Session key for PlanDelta() on the planner service. Strategies sharing a
   // service must use distinct stream ids or they will share (and fight over)
@@ -87,7 +75,7 @@ class ZeppelinStrategy : public Strategy {
   // Streaming form: a session request on `options.stream_id` — the service
   // patches the previous plan through the delta-planning subsystem instead
   // of re-partitioning all S sequences, falling back to a full re-plan per
-  // the delta_replan_threshold policy. The first call (or any call after
+  // the planning.delta_replan_threshold policy. The first call (or any call after
   // Plan()) establishes the base plan with a full partition; the token
   // capacity is pinned at the base plan and auto-raised only when the batch
   // outgrows it. `topology` (null = unchanged fabric) carries rank
@@ -141,7 +129,6 @@ class ZeppelinStrategy : public Strategy {
   PlannerService& service();
 
  private:
-  PlanningOptions BuildPlanningOptions() const;
   // Shared tail of Plan()/PlanDelta()/AdoptPlan(): routing/engine/remapping
   // (re)build, remap solve on the current plan, and the linear-stage layout.
   void FinishPlanning(const CostModel& cost_model, const FabricResources& fabric);

@@ -58,7 +58,7 @@ int64_t SlackCapacity(const Batch& batch, const ClusterSpec& cluster) {
 DeltaPlannerOptions MakeOptions(const Batch& batch, const ClusterSpec& cluster,
                                 double threshold = kThreshold) {
   DeltaPlannerOptions options;
-  options.token_capacity = SlackCapacity(batch, cluster);
+  options.partitioner.token_capacity = SlackCapacity(batch, cluster);
   options.replan_threshold = threshold;
   return options;
 }
@@ -181,7 +181,7 @@ TEST(DeltaPlannerTest, InterZoneChurnFallsBack) {
   batch.seq_lens.assign(64, 2048);
   batch.seq_lens.push_back(131072);
   DeltaPlannerOptions options;
-  options.token_capacity = 10240;
+  options.partitioner.token_capacity = 10240;
   options.replan_threshold = kThreshold;
   DeltaPlanner dp(cluster, options);
   dp.Rebase(batch);
@@ -214,7 +214,7 @@ TEST(DeltaPlannerTest, ImbalanceDriftFallsBack) {
     batch.seq_lens.push_back(4096);
   }
   DeltaPlannerOptions options;
-  options.token_capacity = 8192;
+  options.partitioner.token_capacity = 8192;
   options.replan_threshold = 0.28;  // Churn 8/32 = 0.25; drift 32/24-1 = 0.33.
   DeltaPlanner dp(cluster, options);
   dp.Rebase(batch);
@@ -235,7 +235,7 @@ TEST(DeltaPlannerTest, CapacityOverflowFallsBackAndRaisesCapacity) {
     batch.seq_lens.push_back(4096);
   }
   DeltaPlannerOptions options;
-  options.token_capacity = (batch.total_tokens() + 15) / 16 + 2048;  // Tight.
+  options.partitioner.token_capacity = (batch.total_tokens() + 15) / 16 + 2048;  // Tight.
   options.replan_threshold = 0.5;  // Let the capacity check, not churn, decide.
   DeltaPlanner dp(cluster, options);
   dp.Rebase(batch);
@@ -434,7 +434,7 @@ PatchedPair MakePatchedPair() {
   initial.seq_lens.push_back(16384);
   initial.seq_lens.push_back(16384);
   DeltaPlannerOptions options;
-  options.token_capacity = 10240;
+  options.partitioner.token_capacity = 10240;
   options.replan_threshold = kThreshold;
   DeltaPlanner dp(cluster, options);
   dp.Rebase(initial);
@@ -770,7 +770,7 @@ TEST(ZeppelinPlanDeltaTest, StreamedPlansExecuteAndConserveTokens) {
   const Batch initial = SampleBatch(dist, 512, 5);
 
   ZeppelinOptions zopts;
-  zopts.delta_replan_threshold = kThreshold;
+  zopts.planning.delta_replan_threshold = kThreshold;
   ZeppelinStrategy strategy(zopts);
   strategy.PlanDelta(initial, BatchDelta{}, trainer.cost_model(), trainer.fabric());
   ASSERT_EQ(strategy.last_delta_outcome(), DeltaOutcome::kRebasedNoBase);

@@ -63,7 +63,7 @@ int64_t SlackCapacity(const Batch& batch, const ClusterSpec& cluster) {
 DeltaPlannerOptions MakeOptions(const Batch& batch, const ClusterSpec& cluster,
                                 double threshold = kThreshold) {
   DeltaPlannerOptions options;
-  options.token_capacity = SlackCapacity(batch, cluster);
+  options.partitioner.token_capacity = SlackCapacity(batch, cluster);
   options.replan_threshold = threshold;
   return options;
 }
@@ -344,7 +344,7 @@ TEST(ElasticMigrationTest, BudgetExceededFallsBackByteIdenticalToFromScratch) {
   const ClusterSpec cluster = MakeClusterA(4);
   const Batch batch = ShortBatch(512, 0x5eed);
   DeltaPlannerOptions options = MakeOptions(batch, cluster);
-  options.token_capacity = 2 * options.token_capacity;  // Survivors absorb a node.
+  options.partitioner.token_capacity *= 2;  // Survivors absorb a node.
   options.migration_budget = 0;                         // Force the fallback.
 
   DeltaPlanner dp(cluster, options);
@@ -367,7 +367,7 @@ TEST(ElasticMigrationTest, WithinBudgetMigratesInPlace) {
   const ClusterSpec cluster = MakeClusterA(4);
   const Batch batch = ShortBatch(512, 0x5eed);
   DeltaPlannerOptions options = MakeOptions(batch, cluster);
-  options.token_capacity = 2 * options.token_capacity;
+  options.partitioner.token_capacity *= 2;
   options.migration_budget = 100000;
 
   DeltaPlanner dp(cluster, options);
@@ -402,7 +402,7 @@ TEST(ElasticMigrationTest, WithinBudgetMigratesIntraRingOffDeadNode) {
     batch.seq_lens.push_back(150000);
   }
   DeltaPlannerOptions options = MakeOptions(batch, cluster);
-  options.token_capacity = 2 * options.token_capacity;
+  options.partitioner.token_capacity *= 2;
   options.migration_budget = 100000;
 
   DeltaPlanner dp(cluster, options);
@@ -434,7 +434,7 @@ TEST(ElasticMigrationTest, WorkOnADeadRankFailsEquivalence) {
   const ClusterSpec cluster = MakeClusterA(4);
   const Batch batch = ShortBatch(512, 0x5eed);
   DeltaPlannerOptions options = MakeOptions(batch, cluster);
-  options.token_capacity = 2 * options.token_capacity;
+  options.partitioner.token_capacity *= 2;
   options.migration_budget = 100000;
 
   DeltaPlanner dp(cluster, options);
@@ -466,7 +466,7 @@ TEST(ElasticRestoreTest, FullRestoreReturnsToCleanBytePath) {
   const ClusterSpec cluster = MakeClusterA(4);
   const Batch batch = ShortBatch(512, 0x0dd);
   DeltaPlannerOptions options = MakeOptions(batch, cluster);
-  options.token_capacity = 2 * options.token_capacity;
+  options.partitioner.token_capacity *= 2;
 
   DeltaPlanner dp(cluster, options);
   dp.Rebase(batch);
@@ -663,7 +663,7 @@ TEST(ElasticSlowdownTest, StragglersShedEffectiveLoad) {
   const ClusterSpec cluster = MakeClusterA(4);
   const Batch batch = SampleBatch(dist, 512, 0x51);
   DeltaPlannerOptions options = MakeOptions(batch, cluster);
-  options.token_capacity = 2 * options.token_capacity;
+  options.partitioner.token_capacity *= 2;
 
   DeltaPlanner dp(cluster, options);
   dp.Rebase(batch);

@@ -108,7 +108,7 @@ TEST(ZoneAwareThresholdsTest, ZeppelinOptionProducesDifferentPlan) {
 
   ZeppelinStrategy plain;
   ZeppelinOptions zopts;
-  zopts.zone_aware_thresholds = true;
+  zopts.planning.zone_aware_thresholds = true;
   ZeppelinStrategy zone_aware(zopts);
   plain.Plan(batch, cost_model, fabric);
   zone_aware.Plan(batch, cost_model, fabric);
@@ -134,7 +134,7 @@ TEST(ZoneAwareThresholdsTest, ConservesTokens) {
   const CostModel cost_model(MakeLlama7B(), cluster);
   BatchSampler sampler(MakeGithubDistribution(), 131072, 17);
   ZeppelinOptions zopts;
-  zopts.zone_aware_thresholds = true;
+  zopts.planning.zone_aware_thresholds = true;
   for (int i = 0; i < 5; ++i) {
     const Batch batch = sampler.NextBatch();
     ZeppelinStrategy zep(zopts);

@@ -102,7 +102,7 @@ PartitionPlan DeltaPatchedPlan(bool* patched) {
   const int64_t world = cluster.world_size();
   const int64_t average = (batch.total_tokens() + world - 1) / world;
   DeltaPlanner dp(cluster,
-                  DeltaPlannerOptions{.token_capacity = average + average / 4,
+                  DeltaPlannerOptions{.partitioner = {.token_capacity = average + average / 4},
                                       .replan_threshold = 0.5});
   dp.Rebase(batch);
   WorkloadStream stream(DatasetByName("github"), batch, StreamOptions{.churn_fraction = 0.02},

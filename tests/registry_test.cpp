@@ -63,21 +63,21 @@ TEST(RegistryTest, InlineKnobModifiersOverrideDefaults) {
   auto plain = MakeStrategyByName("zeppelin", defaults);
   const auto* zep = dynamic_cast<const ZeppelinStrategy*>(plain.get());
   ASSERT_NE(zep, nullptr);
-  EXPECT_DOUBLE_EQ(zep->options().delta_replan_threshold, 0.10);
+  EXPECT_DOUBLE_EQ(zep->options().planning.delta_replan_threshold, 0.10);
   EXPECT_EQ(zep->options().stream_id, "default");
 
   // Inline knobs win over the defaults and compose with toggles.
   auto knobbed = MakeStrategyByName("zeppelin+delta=0.02+capacity=8192", defaults);
   const auto* kz = dynamic_cast<const ZeppelinStrategy*>(knobbed.get());
   ASSERT_NE(kz, nullptr);
-  EXPECT_DOUBLE_EQ(kz->options().delta_replan_threshold, 0.02);
-  EXPECT_EQ(kz->options().token_capacity, 8192);
+  EXPECT_DOUBLE_EQ(kz->options().planning.delta_replan_threshold, 0.02);
+  EXPECT_EQ(kz->options().planning.token_capacity, 8192);
 
   auto streamed = MakeStrategyByName("zeppelin+zones+stream=decode-7", defaults);
   const auto* sz = dynamic_cast<const ZeppelinStrategy*>(streamed.get());
   ASSERT_NE(sz, nullptr);
   EXPECT_EQ(sz->options().stream_id, "decode-7");  // '-' allowed in knob values.
-  EXPECT_TRUE(sz->options().zone_aware_thresholds);
+  EXPECT_TRUE(sz->options().planning.zone_aware_thresholds);
 }
 
 TEST(RegistryTest, MalformedKnobValuesAbort) {

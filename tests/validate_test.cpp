@@ -319,7 +319,7 @@ TEST_P(StrategyScheduleTest, AllStrategyGraphsAreLegal) {
   strategies.push_back(std::make_unique<HybridDpStrategy>());
   strategies.push_back(std::make_unique<ZeppelinStrategy>());
   ZeppelinOptions zone_aware;
-  zone_aware.zone_aware_thresholds = true;
+  zone_aware.planning.zone_aware_thresholds = true;
   strategies.push_back(std::make_unique<ZeppelinStrategy>(zone_aware));
 
   const Engine engine(fabric);
