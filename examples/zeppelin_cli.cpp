@@ -85,10 +85,10 @@ void PrintUsage() {
       "  --plan_in=path        load a serialized plan and emit/simulate one\n"
       "                        layer from it without re-planning\n"
       "  --connect=host:port   plan remotely against a zeppelin_served daemon\n"
-      "  --stats               with --connect: print the daemon's live metrics\n"
-      "                        snapshot (zeppelin.metrics.v1) and exit\n"
       "                        instead of in-process (docs/DAEMON.md); with\n"
       "                        --stream, runs a remote delta session\n"
+      "  --stats               with --connect: print the daemon's live metrics\n"
+      "                        snapshot (zeppelin.metrics.v1) and exit\n"
       "  --deadline_ms=0       per-request deadline for --connect (0 = none)\n");
 }
 

@@ -121,7 +121,8 @@ inline constexpr int64_t kMaxPlanTokens = int64_t{1} << 47;
 // tokens, no negative length, no length above kMaxPlanSeqLen and at most
 // kMaxPlanTokens in total; a finite non-negative delta_replan_threshold; an
 // explicit token_capacity of at least ceil(total_tokens / world); and a
-// batch delta only on a session. kOk, or kBadRequest with `*why` set. `request.batch` must be non-null.
+// batch delta only on a session. kOk, or kBadRequest with `*why` set.
+// `request.batch` must be non-null.
 PlanStatus CheckPlanRequest(const PlanRequest& request, int world, std::string* why);
 
 // Which engine produced the response's plan. The values travel on the wire

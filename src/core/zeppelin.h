@@ -75,8 +75,8 @@ class ZeppelinStrategy : public Strategy {
   // Streaming form: a session request on `options.stream_id` — the service
   // patches the previous plan through the delta-planning subsystem instead
   // of re-partitioning all S sequences, falling back to a full re-plan per
-  // the planning.delta_replan_threshold policy. The first call (or any call after
-  // Plan()) establishes the base plan with a full partition; the token
+  // the planning.delta_replan_threshold policy. The first call (or any call
+  // after Plan()) establishes the base plan with a full partition; the token
   // capacity is pinned at the base plan and auto-raised only when the batch
   // outgrows it. `topology` (null = unchanged fabric) carries rank
   // kills/restores/slowdowns: the session migrates work off dead ranks and
