@@ -374,7 +374,7 @@ TEST(FrameFuzzTest, RetiredOptionFlagBitsAreMalformed) {
   // version u32, kind u8, request_id u64, deadline u32, stream-id length u32
   // (empty id) -> the option flags byte sits at 21.
   const size_t flags_at = 4 + 1 + 8 + 4 + 4;
-  ASSERT_EQ(static_cast<uint8_t>(payload[flags_at]), 1u) << "hierarchical bit only";
+  ASSERT_EQ(static_cast<uint8_t>(payload[flags_at]), 1u) << "bit 0 (always set) only";
 
   for (int value = 0; value < 256; ++value) {
     std::string patched = payload;
