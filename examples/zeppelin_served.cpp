@@ -10,6 +10,8 @@
 // SIGTERM/SIGINT trigger a graceful drain: stop accepting, reject new
 // requests with kShuttingDown, let in-flight requests finish (up to
 // --drain_grace_ms), then stop and print the lifetime counters.
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <thread>
@@ -21,10 +23,6 @@
 #include "src/topology/cluster.h"
 
 namespace {
-
-volatile std::sig_atomic_t g_shutdown = 0;
-
-void OnSignal(int) { g_shutdown = 1; }
 
 void PrintUsage() {
   std::printf(
@@ -38,7 +36,9 @@ void PrintUsage() {
       "  --max_concurrent=2    requests planning at once (admission permits)\n"
       "  --queue_limit=64      bounded waiting room; beyond it -> kOverloaded\n"
       "  --max_frame_bytes=N   frame payload cap (default 16 MiB)\n"
-      "  --idle_timeout_ms=0   close idle connections (0 = never)\n"
+      "  --idle_timeout_ms=0   close a connection whose peer neither sends nor\n"
+      "                        reads for this long; a queued or planning\n"
+      "                        request is never idle (0 = never)\n"
       "  --max_connections=256 accept cap\n"
       "  --drain_grace_ms=2000 SIGTERM: wait this long for in-flight requests\n"
       "  --trace_out=PATH      write a Chrome-trace JSON of request stages on exit\n"
@@ -80,22 +80,27 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "warning: unknown flag --%s (see --help)\n", unused.c_str());
   }
 
+  // SIGTERM/SIGINT are blocked before Start() so every daemon thread
+  // inherits the mask, and the main thread takes them with sigwait.
+  sigset_t shutdown_signals;
+  sigemptyset(&shutdown_signals);
+  sigaddset(&shutdown_signals, SIGTERM);
+  sigaddset(&shutdown_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &shutdown_signals, nullptr);
+
   net::PlannerDaemon daemon(model, cluster, options);
   std::string error;
   if (!daemon.Start(&error)) {
     std::fprintf(stderr, "zeppelin_served: %s\n", error.c_str());
     return 1;
   }
-  std::signal(SIGTERM, OnSignal);
-  std::signal(SIGINT, OnSignal);
   std::printf("zeppelin_served: %s | tp=%d | listening on %s:%d (world %d)\n",
               model.name.c_str(), options.tensor_parallel, options.bind_address.c_str(),
               daemon.port(), daemon.cluster().world_size());
   std::fflush(stdout);
 
-  while (!g_shutdown) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
+  int received = 0;
+  sigwait(&shutdown_signals, &received);
 
   std::printf("zeppelin_served: draining (%d ms grace)\n", drain_grace_ms);
   std::fflush(stdout);

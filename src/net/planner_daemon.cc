@@ -3,13 +3,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <unordered_set>
 #include <utility>
@@ -25,12 +26,6 @@ using Clock = std::chrono::steady_clock;
 
 double ElapsedUs(Clock::time_point start) {
   return std::chrono::duration<double, std::micro>(Clock::now() - start).count();
-}
-
-int64_t NowUs() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             Clock::now().time_since_epoch())
-      .count();
 }
 
 std::string SessionKey(uint64_t conn_id, const std::string& stream_id) {
@@ -173,16 +168,14 @@ struct PlannerDaemon::AdmissionGate {
   bool shutdown = false;
 };
 
-// One client connection. Owned jointly by the connection map and the reader
-// thread; `streams` is touched only by the reader thread, so it needs no
-// lock.
+// One client connection. Owned jointly by the connection map (then the
+// finished list) and the reader thread; `streams` is touched only by the
+// reader thread, so it needs no lock.
 struct PlannerDaemon::Connection {
   int fd = -1;
   uint64_t id = 0;
   std::thread thread;
   std::mutex write_mu;
-  std::atomic<int64_t> last_active_us{0};
-  std::atomic<bool> done{false};
   // Stream ids with a service session opened over this connection, closed
   // when it ends. The sessions' state lives in the service alone.
   std::unordered_set<std::string> streams;
@@ -303,7 +296,6 @@ bool PlannerDaemon::Start(std::string* error) {
   started_ = true;
   stopped_ = false;
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  reaper_ = std::thread([this] { ReaperLoop(); });
   return true;
 }
 
@@ -315,35 +307,30 @@ void PlannerDaemon::Stop() {
   }
   draining_ = true;
   stopping_ = true;
-  // Wake queued requests (they reply kShuttingDown) and both service
-  // threads; the accept/reaper loops poll stopping_ on a short period.
+  // Wake queued requests (they reply kShuttingDown) and the blocked
+  // accept(), which fails once the listening socket is shut down.
   gate_->Shutdown();
+  ::shutdown(listen_fd_, SHUT_RDWR);
   acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  reaper_cv_.notify_all();
-  reaper_.join();
 
-  // Unblock every reader (shutdown wakes recv with EOF), then join. Readers
-  // reap their own sessions on the way out.
-  std::vector<std::shared_ptr<Connection>> conns;
+  // Unblock every reader (shutdown wakes recv with EOF) and wait for it to
+  // finish. Readers reap their own sessions and park themselves in
+  // finished_ on the way out; the acceptor is gone, so no reader starts or
+  // is joined meanwhile.
+  std::vector<std::shared_ptr<Connection>> live;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    conns.reserve(conns_.size());
     for (auto& [id, conn] : conns_) {
-      conns.push_back(conn);
+      ::shutdown(conn->fd, SHUT_RDWR);
+      live.push_back(conn);
     }
-    conns_.clear();
   }
-  for (auto& conn : conns) {
-    ::shutdown(conn->fd, SHUT_RDWR);
+  for (auto& conn : live) {
+    conn->thread.join();
   }
-  for (auto& conn : conns) {
-    if (conn->thread.joinable()) {
-      conn->thread.join();
-    }
-    ::close(conn->fd);
-  }
+  JoinFinished();
   // All readers are joined: no request is still writing spans, so the trace
   // file this writes is complete.
   if (trace_ != nullptr) {
@@ -389,16 +376,15 @@ size_t PlannerDaemon::connection_count() const {
 }
 
 void PlannerDaemon::AcceptLoop() {
-  while (!stopping_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
+  while (true) {
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (stopping_.load()) {
+      if (fd >= 0) {
+        ::close(fd);
+      }
       break;
     }
-    if (ready <= 0) {
-      continue;
-    }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    JoinFinished();
     if (fd < 0) {
       continue;
     }
@@ -414,15 +400,23 @@ void PlannerDaemon::AcceptLoop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (options_.idle_timeout_ms > 0) {
+      // Idle means a reader blocked this long on the peer: in recv, waiting
+      // for the next request, or in sendmsg, on a reply the peer does not
+      // drain. A request queued at the gate or planning is never idle.
+      const timeval idle{.tv_sec = options_.idle_timeout_ms / 1000,
+                         .tv_usec = options_.idle_timeout_ms % 1000 * 1000};
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &idle, sizeof(idle));
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &idle, sizeof(idle));
+    }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    conn->last_active_us = NowUs();
     c_connections_accepted_->Inc();
     {
       // The reader is started under the lock that publishes the connection:
-      // a reader that finishes at once is joined by the reaper, which must
-      // see `thread` assigned, or the last reference would destroy a
-      // joinable thread.
+      // a reader that finishes at once moves itself to finished_ under the
+      // same lock, and whoever joins it from there must see `thread`
+      // assigned.
       std::lock_guard<std::mutex> lock(conns_mu_);
       conn->id = next_conn_id_++;
       conns_[conn->id] = conn;
@@ -431,45 +425,18 @@ void PlannerDaemon::AcceptLoop() {
   }
 }
 
-void PlannerDaemon::ReaperLoop() {
-  std::unique_lock<std::mutex> lock(conns_mu_);
-  while (!stopping_.load()) {
-    reaper_cv_.wait_for(lock, std::chrono::milliseconds(50));
-    if (stopping_.load()) {
-      break;
+void PlannerDaemon::JoinFinished() {
+  std::vector<std::shared_ptr<Connection>> finished;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu_);
+    finished.swap(finished_);
+  }
+  for (auto& conn : finished) {
+    // Stop() has already joined the readers it woke.
+    if (conn->thread.joinable()) {
+      conn->thread.join();
     }
-    // Idle reaping: shut the socket down; the reader wakes with EOF, reaps
-    // its sessions, and marks itself done.
-    if (options_.idle_timeout_ms > 0) {
-      const int64_t now_us = NowUs();
-      for (auto& [id, conn] : conns_) {
-        if (!conn->done.load() &&
-            now_us - conn->last_active_us.load() >
-                int64_t{options_.idle_timeout_ms} * 1000) {
-          ::shutdown(conn->fd, SHUT_RDWR);
-        }
-      }
-    }
-    // Join and release finished connections.
-    std::vector<std::shared_ptr<Connection>> finished;
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if (it->second->done.load()) {
-        finished.push_back(it->second);
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (!finished.empty()) {
-      lock.unlock();
-      for (auto& conn : finished) {
-        if (conn->thread.joinable()) {
-          conn->thread.join();
-        }
-        ::close(conn->fd);
-      }
-      lock.lock();
-    }
+    ::close(conn->fd);
   }
 }
 
@@ -486,9 +453,8 @@ void PlannerDaemon::ServeConnection(const std::shared_ptr<Connection>& conn) {
       continue;
     }
     if (n <= 0) {
-      break;  // EOF, error, or a shutdown() wakeup.
+      break;  // EOF, error, idle timeout, or a shutdown() wakeup.
     }
-    conn->last_active_us = NowUs();
     decoder.Commit(static_cast<size_t>(n));
     Frame frame;
     FrameStatus status;
@@ -510,9 +476,11 @@ void PlannerDaemon::ServeConnection(const std::shared_ptr<Connection>& conn) {
     }
   }
   ReapSessions(*conn);
+  // The peer sees EOF now; the socket is closed when the thread is joined.
   ::shutdown(conn->fd, SHUT_RDWR);
-  conn->done = true;
-  reaper_cv_.notify_all();
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  conns_.erase(conn->id);
+  finished_.push_back(conn);
 }
 
 void PlannerDaemon::ReapSessions(Connection& conn) {
@@ -542,8 +510,10 @@ bool PlannerDaemon::SendFrame(Connection& conn, std::initializer_list<std::strin
   obs::TraceScope write_span(obs::Stage::kWrite);
   std::lock_guard<std::mutex> lock(conn.write_mu);
   const bool ok = SendAll(conn.fd, parts);
-  if (ok) {
-    conn.last_active_us = NowUs();
+  if (!ok) {
+    // A failed or timed-out write may leave part of a frame on the stream:
+    // end the connection rather than send the next reply after it.
+    ::shutdown(conn.fd, SHUT_RDWR);
   }
   return ok;
 }

@@ -28,24 +28,27 @@
 //     collide or be hijacked across clients. When a connection closes — EOF,
 //     error, idle timeout, or daemon shutdown — every session it owns is
 //     CloseSession()ed, so PlanStats::session_count cannot leak across
-//     disconnects.
+//     disconnects. A connection is idle only while the daemon waits on the
+//     peer; a request queued or planning is never cut off.
 //   - *Graceful drain.* BeginDrain() stops accepting connections and rejects
 //     new requests with kShuttingDown while letting in-flight (admitted or
 //     queued) requests finish; Stop() then joins everything. The
 //     zeppelin_served binary wires SIGTERM to exactly this sequence.
 //
-// Threading model: one acceptor thread, one reaper thread (idle-connection
-// timeouts + finished-thread joining), and one reader thread per connection
+// Threading model: one acceptor thread and one reader thread per connection
 // that decodes, validates, plans (gated by the admission permits), and
-// replies in order. Requests on one connection therefore execute in arrival
-// order, while distinct connections plan concurrently up to the admission
-// limit.
+// replies in order. No thread wakes on a timer: the idle timeout is the
+// socket's own receive/send timeout, and Stop() wakes the blocked accept()
+// by shutting the listening socket down. A finished reader leaves the
+// connection map at once; the acceptor (at its next accept) or Stop() joins
+// it and closes its socket. Requests on one connection therefore execute in
+// arrival order, while distinct connections plan concurrently up to the
+// admission limit.
 #ifndef SRC_NET_PLANNER_DAEMON_H_
 #define SRC_NET_PLANNER_DAEMON_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -83,8 +86,10 @@ struct DaemonOptions {
   int queue_limit = 64;
   // Frame payload cap (also the decoder cap); clamped to kFrameHardCap.
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
-  // Connections idle longer than this are closed and their sessions reaped.
-  // 0 disables idle reaping.
+  // A connection whose reader waits this long on the peer with no bytes
+  // moving — in recv for the next request, or in send on a reply the peer
+  // does not drain — is closed and its sessions reaped. Requests queued at
+  // the admission gate or planning are never idle. 0 disables the timeout.
   int idle_timeout_ms = 0;
   // Accept cap; connections beyond it are closed immediately.
   int max_connections = 256;
@@ -135,7 +140,7 @@ class PlannerDaemon {
   PlannerDaemon(const PlannerDaemon&) = delete;
   PlannerDaemon& operator=(const PlannerDaemon&) = delete;
 
-  // Binds, listens, and spawns the acceptor/reaper. False (with `*error`
+  // Binds, listens, and spawns the acceptor. False (with `*error`
   // filled) if the socket setup fails; the daemon is then inert.
   bool Start(std::string* error = nullptr);
 
@@ -144,7 +149,9 @@ class PlannerDaemon {
   void BeginDrain();
 
   // BeginDrain, then unblock every connection, join all threads, and close
-  // all sockets (reaping their sessions). Idempotent; called by ~.
+  // all sockets (reaping their sessions). Returns as soon as the readers
+  // finish their in-flight requests; nothing waits out a poll period.
+  // Idempotent; called by ~.
   void Stop();
 
   // True once Stop() has completed (or Start() was never called).
@@ -179,7 +186,8 @@ class PlannerDaemon {
   struct Connection;
 
   void AcceptLoop();
-  void ReaperLoop();
+  // Joins the readers parked in finished_ and closes their sockets.
+  void JoinFinished();
   void ServeConnection(const std::shared_ptr<Connection>& conn);
   // Handles one decoded frame; false closes the connection.
   bool HandleFrame(Connection& conn, const Frame& frame);
@@ -224,10 +232,11 @@ class PlannerDaemon {
   std::atomic<bool> stopped_{true};
 
   std::thread acceptor_;
-  std::thread reaper_;
   mutable std::mutex conns_mu_;
-  std::condition_variable reaper_cv_;
   std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns_;
+  // Readers that have left conns_ and are not joined yet (their sockets
+  // are shut down, not closed).
+  std::vector<std::shared_ptr<Connection>> finished_;
   uint64_t next_conn_id_ = 1;
 
   // Lock-free instruments in service_.metrics() (registered once at

@@ -1,7 +1,8 @@
 // PlannerDaemon (src/net/planner_daemon.h) + PlanClient end to end over real
 // sockets: byte-identity of remotely-planned plans vs the in-process
 // PlannerService across engines and across a delta-stream session, session
-// reaping on abrupt disconnect and idle timeout (PlanStats::session_count
+// reaping on abrupt disconnect and idle timeout on either direction, while a
+// queued or planning request outlives it (PlanStats::session_count
 // back to baseline — the leak regression), typed rejection of oversized
 // frames and replies / malformed requests / bad semantics with the connection surviving
 // where the framing allows it, bounded admission (kOverloaded), per-request
@@ -37,6 +38,7 @@
 #include "src/model/transformer.h"
 #include "src/net/plan_client.h"
 #include "src/net/planner_daemon.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/topology/cluster.h"
 #include "src/topology/path.h"
@@ -101,6 +103,34 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms = 3000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return cond();
+}
+
+// Waits until the slow request holds the daemon's single admission permit.
+bool WaitForPermitHeld(PlannerDaemon& daemon) {
+  const obs::Gauge* active = daemon.service().metrics().GetGauge("daemon.active_plans");
+  return WaitFor([&] { return active->value() == 1; });
+}
+
+// A plain TCP connection to the daemon, for tests that write raw frames or
+// misbehave as a peer. `rcvbuf` > 0 sets SO_RCVBUF before connecting, which
+// bounds the window the daemon may fill. -1 on failure.
+int ConnectRaw(int port, int rcvbuf = 0) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
@@ -212,9 +242,59 @@ TEST(PlannerDaemonTest, IdleConnectionsAreReaped) {
   request.batch = SampleBatch(128, 5);
   ASSERT_TRUE(client.Plan(std::move(request)).ok());
   EXPECT_EQ(rig.daemon.service().session_count(), 1u);
-  // No further traffic: the reaper must close the connection and its session.
+  // No further traffic: the reader's receive times out, and it closes the
+  // connection and its session.
   EXPECT_TRUE(WaitFor([&] { return rig.daemon.service().session_count() == 0; }));
   EXPECT_TRUE(WaitFor([&] { return rig.daemon.connection_count() == 0; }));
+}
+
+// Idle means waiting on the peer. A plan that takes longer than the idle
+// timeout, and a request queued behind it for longer than that, are both
+// served; neither connection is cut off mid-request.
+TEST(PlannerDaemonTest, SlowRequestOutlivesIdleTimeout) {
+  DaemonRig rig(DaemonOptions{.max_concurrent_plans = 1,
+                              .idle_timeout_ms = 100,
+                              .debug_plan_delay_ms = 300});
+  PlanClient slow = rig.Client(PlanClientOptions{.max_retries = 0});
+  std::thread holder([&] {
+    WireRequest request;
+    request.stream_id = "slow";
+    request.batch = SampleBatch(128, 29);
+    const PlanClientResult served = slow.Plan(std::move(request));
+    EXPECT_EQ(served.status, WireStatus::kOk) << served.message;
+  });
+  ASSERT_TRUE(WaitForPermitHeld(rig.daemon));
+
+  // Waits ~300 ms for the permit, then plans for 300 ms.
+  PlanClient queued = rig.Client(PlanClientOptions{.max_retries = 0});
+  WireRequest request;
+  request.batch = SampleBatch(128, 31);
+  const PlanClientResult served = queued.Plan(std::move(request));
+  EXPECT_EQ(served.status, WireStatus::kOk) << served.message;
+  holder.join();
+  EXPECT_EQ(rig.daemon.counters().requests_ok, 2u);
+}
+
+// A peer that sends a request and never reads the reply: the reply (far
+// larger than the peer's 4 KiB window) stalls the daemon's send, the send
+// timeout ends the connection, and its session is reaped.
+TEST(PlannerDaemonTest, UndrainedReplyEndsAtTheIdleTimeout) {
+  DaemonRig rig(DaemonOptions{.idle_timeout_ms = 100});
+  const int fd = ConnectRaw(rig.daemon.port(), /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  WireRequest request;
+  request.stream_id = "undrained";
+  request.batch.seq_lens.assign(200000, 64);  // A plan image of over 1 MB.
+  std::string out;
+  AppendRequestFrame(request, &out);
+  ASSERT_EQ(::send(fd, out.data(), out.size(), 0), static_cast<ssize_t>(out.size()));
+
+  ASSERT_TRUE(WaitFor([&] { return rig.daemon.counters().requests_ok == 1; }));
+  EXPECT_TRUE(WaitFor([&] {
+    return rig.daemon.connection_count() == 0 && rig.daemon.service().session_count() == 0;
+  }));
+  EXPECT_EQ(rig.daemon.counters().sessions_reaped, 1u);
+  ::close(fd);
 }
 
 TEST(PlannerDaemonTest, OversizedFrameTypedRejection) {
@@ -263,13 +343,8 @@ TEST(PlannerDaemonTest, OversizedReplyTypedAndConnectionSurvives) {
 
 TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
   DaemonRig rig;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(rig.daemon.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(rig.daemon.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   // A well-framed kRequest whose payload is garbage: typed kMalformedRequest,
   // connection stays up (framing is still in sync).
@@ -427,7 +502,7 @@ TEST(PlannerDaemonTest, BatchShapeCapsAreTypedBadRequests) {
 TEST(PlannerDaemonTest, OverloadShedsBeyondBoundedQueue) {
   DaemonRig rig(DaemonOptions{.max_concurrent_plans = 1,
                               .queue_limit = 0,
-                              .debug_plan_delay_ms = 300});
+                              .debug_plan_delay_ms = 150});
   const Batch batch = SampleBatch(128, 17);
   PlanClient slow = rig.Client();
   std::thread holder([&] {
@@ -435,9 +510,7 @@ TEST(PlannerDaemonTest, OverloadShedsBeyondBoundedQueue) {
     request.batch = batch;
     EXPECT_TRUE(slow.Plan(std::move(request)).ok());
   });
-  // Wait until the slow request holds the single permit.
-  ASSERT_TRUE(WaitFor([&] { return rig.daemon.connection_count() >= 1; }));
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_TRUE(WaitForPermitHeld(rig.daemon));
 
   PlanClient shed_client = rig.Client(PlanClientOptions{.max_retries = 0});
   WireRequest request;
@@ -452,7 +525,7 @@ TEST(PlannerDaemonTest, OverloadShedsBeyondBoundedQueue) {
 TEST(PlannerDaemonTest, DeadlineExpiresWhileQueued) {
   DaemonRig rig(DaemonOptions{.max_concurrent_plans = 1,
                               .queue_limit = 8,
-                              .debug_plan_delay_ms = 400});
+                              .debug_plan_delay_ms = 150});
   const Batch batch = SampleBatch(128, 19);
   PlanClient slow = rig.Client();
   std::thread holder([&] {
@@ -460,13 +533,12 @@ TEST(PlannerDaemonTest, DeadlineExpiresWhileQueued) {
     request.batch = batch;
     EXPECT_TRUE(slow.Plan(std::move(request)).ok());
   });
-  ASSERT_TRUE(WaitFor([&] { return rig.daemon.connection_count() >= 1; }));
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  ASSERT_TRUE(WaitForPermitHeld(rig.daemon));
 
   PlanClient hurried = rig.Client();
   WireRequest request;
   request.batch = batch;
-  request.deadline_ms = 50;  // Expires long before the 400 ms plan finishes.
+  request.deadline_ms = 50;  // Expires long before the 150 ms plan finishes.
   const PlanClientResult dropped = hurried.Plan(std::move(request));
   EXPECT_EQ(dropped.status, WireStatus::kDeadlineExceeded) << dropped.message;
   // Deadline failures are terminal, never retried.
